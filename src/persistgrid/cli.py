@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 property violated, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -44,8 +45,14 @@ def _check_field(args, *objs):
             raise FormatError(f"--field {want} does not match the file's field {got}")
 
 
-def _load_module(path: str):
-    return io.pmod_from_json(io.load(path))
+def _load_pair(oa: dict, ob: dict):
+    """Two modules that a hom or iso check can compare."""
+    M, N = io.pmod_from_json(oa), io.pmod_from_json(ob)
+    if M.field != N.field:
+        raise FormatError(f"the modules are over different fields, {M.field} and {N.field}")
+    if M.box != N.box:
+        raise FormatError(f"the modules are on different boxes, {M.box.lo}..{M.box.hi} and {N.box.lo}..{N.box.hi}")
+    return M, N
 
 
 def cmd_construct(args) -> int:
@@ -117,8 +124,7 @@ def cmd_verify(args) -> int:
             raise FormatError("verify iso needs --with")
         other = io.load(args.withfile)
         _check_field(args, other)
-        M = io.pmod_from_json(obj)
-        N = io.pmod_from_json(other)
+        M, N = _load_pair(obj, other)
         rep = iso_certificate(M, N, seed=args.seed, trials=args.trials)
         _emit(rep.to_json())
         if rep.isomorphic is True:
@@ -144,7 +150,7 @@ def cmd_verify(args) -> int:
 def cmd_hom(args) -> int:
     oa, ob = io.load(args.a), io.load(args.b)
     _check_field(args, oa, ob)
-    M, N = io.pmod_from_json(oa), io.pmod_from_json(ob)
+    M, N = _load_pair(oa, ob)
     basis = hom_basis(M, N, Context())
     out = {"dim": len(basis)}
     if args.basis:
@@ -187,7 +193,9 @@ def cmd_string(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(prog="persistgrid",
                                 description="Exact persistence-module constructions and certification")
     sub = p.add_subparsers(dest="verb", required=True)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .covers import injective_envelope, projective_cover
+from .covers import projective_cover
 from .grid import (AxisEmbedding, GridBox, ModMorphism, PersModule, dualize, pad,
-                   pad_morphism, restrict, stack, vadd, vsub)
+                   stack, vadd, vsub, vsucc)
 from .linalg import Matrix
 from .rectangles import FormalMatrix, RectDecomp, Rectangle, realize, rect_to_module
 
@@ -244,7 +244,7 @@ def _concat(A: CandyModule, B: CandyModule):
         for k in range(N - 1):
             if k == N - 2:
                 continue
-            uk = vadd(u, tuple(1 if i == k else 0 for i in range(N)))
+            uk = vsucc(u, k)
             if uk in dims:
                 steps[(u, k)] = B2.step(w, k)
     steps[(x, N - 1)] = Matrix.identity(MA.field, dims[x])  # x -> lr(A)
@@ -374,11 +374,11 @@ def _stretch_first(V: PersModule, s: int) -> PersModule:
     f = V.field
     for y in dims:
         x = down(y)
-        y1 = vadd(y, tuple(1 if i == 0 else 0 for i in range(n)))
+        y1 = vsucc(y, 0)
         if box.contains(y1) and y1 in dims:
             steps[(y, 0)] = Matrix.identity(f, dims[y]) if y1[0] // s == x[0] else V.step(x, 0)
         for k in range(1, n):
-            yk = vadd(y, tuple(1 if i == k else 0 for i in range(n)))
+            yk = vsucc(y, k)
             if box.contains(yk) and yk in dims:
                 steps[(y, k)] = V.step(x, k)
     return PersModule(f, box, dims, steps)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import GridBox, ModMorphism, PersModule, dualize, dualize_morphism, vadd, _unit
+from .grid import ModMorphism, PersModule, dualize, dualize_morphism, vadd
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle, rect_to_module
 

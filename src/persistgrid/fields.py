@@ -94,8 +94,10 @@ class Field:
 
     def parse(self, s):
         """Scalar from its PMOD representation ("num/den" string or int)."""
+        if type(s) is not int and not isinstance(s, str):
+            raise TypeError(f"scalar {s!r} is neither an integer nor a string")
         if self.p is None:
-            return Fraction(s) if isinstance(s, str) else Fraction(int(s))
+            return Fraction(s)
         return int(s) % self.p
 
     def fmt(self, a):

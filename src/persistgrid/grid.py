@@ -7,8 +7,10 @@ monotone path, which commutativity makes canonical.
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from operator import add, sub
 
 from .fields import Field
 from .linalg import Matrix
@@ -51,21 +53,17 @@ class GridBox:
         return c
 
     def contains(self, v) -> bool:
-        return all(a <= x <= b for x, a, b in zip(v, self.lo, self.hi))
+        for x, a, b in zip(v, self.lo, self.hi):
+            if not a <= x <= b:
+                return False
+        return True
 
     def contains_box(self, other: "GridBox") -> bool:
         return self.contains(other.lo) and self.contains(other.hi)
 
     def vertices(self):
         """All vertices in lexicographic order."""
-        def rec(prefix, k):
-            if k == self.n:
-                yield tuple(prefix)
-                return
-            for x in range(self.lo[k], self.hi[k] + 1):
-                yield from rec(prefix + [x], k + 1)
-
-        yield from rec([], 0)
+        return itertools.product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
 
     @staticmethod
     def hull(boxes: list["GridBox"]) -> "GridBox":
@@ -74,16 +72,17 @@ class GridBox:
         return GridBox(lo, hi)
 
 
-def _unit(n: int, k: int) -> tuple:
-    return tuple(1 if i == k else 0 for i in range(n))
+def vsucc(v: tuple, k: int) -> tuple:
+    """v + e_k, the head of the unit arrow from v along axis k."""
+    return v[:k] + (v[k] + 1,) + v[k + 1:]
 
 
 def vadd(v, w) -> tuple:
-    return tuple(a + b for a, b in zip(v, w))
+    return tuple(map(add, v, w))
 
 
 def vsub(v, w) -> tuple:
-    return tuple(a - b for a, b in zip(v, w))
+    return tuple(map(sub, v, w))
 
 
 def vle(v, w) -> bool:
@@ -97,25 +96,24 @@ class PersModule:
     arrows between two such vertices.  Everything outside is zero.
     """
 
-    __slots__ = ("field", "box", "dims", "steps", "layer_rects")
+    __slots__ = ("field", "box", "dims", "steps")
 
     def __init__(self, field: Field, box: GridBox, dims: dict, steps: dict):
         self.field = field
         self.box = box
-        self.dims = {v: d for v, d in dims.items() if d > 0}
+        self.dims = dims = {v: d for v, d in dims.items() if d > 0}
         self.steps = {}
-        for v in self.dims:
+        for v in dims:
             if not box.contains(v):
                 raise ValueError(f"vertex {v} outside box")
         for (v, k), mat in steps.items():
-            w = vadd(v, _unit(box.n, k))
-            if self.dim(v) == 0 or self.dim(w) == 0:
+            dv, dw = dims.get(v, 0), dims.get(vsucc(v, k), 0)
+            if dv == 0 or dw == 0:
                 continue
-            if mat.nrows != self.dim(w) or mat.ncols != self.dim(v):
-                raise ValueError(f"step at ({v}, axis {k}) has shape {mat.nrows}x{mat.ncols}, want {self.dim(w)}x{self.dim(v)}")
+            if mat.nrows != dw or mat.ncols != dv:
+                raise ValueError(f"step at ({v}, axis {k}) has shape {mat.nrows}x{mat.ncols}, want {dw}x{dv}")
             self.steps[(v, k)] = mat
         # missing arrows between positive-dimension vertices default to zero
-        self.layer_rects = None  # optional per-layer rectangle structure, set by stack()
 
     @property
     def n(self) -> int:
@@ -126,11 +124,10 @@ class PersModule:
 
     def step(self, v, k) -> Matrix:
         v = tuple(v)
-        w = vadd(v, _unit(self.n, k))
         m = self.steps.get((v, k))
         if m is not None:
             return m
-        return Matrix.zero(self.field, self.dim(w), self.dim(v))
+        return Matrix.zero(self.field, self.dim(vsucc(v, k)), self.dim(v))
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -143,10 +140,11 @@ class PersModule:
 
     def arrows(self):
         """All in-box unit arrows between positive-dimension vertices."""
-        for v in self.dims:
+        dims = self.dims
+        for v in dims:
             for k in range(self.n):
-                w = vadd(v, _unit(self.n, k))
-                if self.box.contains(w) and self.dim(w) > 0:
+                w = vsucc(v, k)
+                if w in dims:
                     yield v, k, w
 
     def composite(self, x, y) -> Matrix:
@@ -162,7 +160,7 @@ class PersModule:
         for k in range(self.n - 1, -1, -1):
             while cur[k] < y[k]:
                 acc = self.step(cur, k) @ acc
-                cur = vadd(cur, _unit(self.n, k))
+                cur = vsucc(cur, k)
                 if acc.is_zero():
                     return Matrix.zero(self.field, self.dim(y), self.dim(x))
         return acc
@@ -186,24 +184,35 @@ class PersModule:
         return PersModule(self.field, box, dims, steps)
 
     def validate(self) -> "ValidationReport":
-        """Check shapes and every commutativity square."""
-        for (v, k), m in self.steps.items():
-            w = vadd(v, _unit(self.n, k))
-            if m.nrows != self.dim(w) or m.ncols != self.dim(v):
-                return ValidationReport(False, f"shape mismatch at ({v}, axis {k})", v)
-        for v in self.dims:
-            for j in range(self.n):
-                for k in range(j + 1, self.n):
-                    vj = vadd(v, _unit(self.n, j))
-                    vk = vadd(v, _unit(self.n, k))
-                    vjk = vadd(vj, _unit(self.n, k))
-                    if not self.box.contains(vjk):
+        """Check every commutativity square whose two paths can be nonzero.
+
+        Shapes are checked by the constructor.  A square whose far corner
+        has dimension 0 commutes, since both paths land in the zero space;
+        a missing arrow is the zero map.
+        """
+        dims, steps, n = self.dims, self.steps, self.n
+        for v in dims:
+            for j in range(n):
+                vj = vsucc(v, j)
+                for k in range(j + 1, n):
+                    if vsucc(vj, k) not in dims:
                         continue
-                    lhs = self.step(vj, k) @ self.step(v, j)
-                    rhs = self.step(vk, j) @ self.step(v, k)
-                    if lhs != rhs:
+                    lhs = _path(steps.get((v, j)), steps.get((vj, k)))
+                    rhs = _path(steps.get((v, k)), steps.get((vsucc(v, k), j)))
+                    if lhs is None or rhs is None:
+                        ok = all(p is None or p.is_zero() for p in (lhs, rhs))
+                    else:
+                        ok = lhs == rhs
+                    if not ok:
                         return ValidationReport(False, f"commutativity fails on the square at {v}, axes ({j}, {k})", v)
         return ValidationReport(True, "ok", None)
+
+
+def _path(first: Matrix | None, second: Matrix | None) -> Matrix | None:
+    """second after first, or None when either arrow is missing (zero)."""
+    if first is None or second is None:
+        return None
+    return second @ first
 
 
 @dataclass
@@ -231,8 +240,9 @@ class ModMorphism:
         self.comps = {}
         for v, m in comps.items():
             v = tuple(v)
-            if m.nrows != target.dim(v) or m.ncols != source.dim(v):
-                raise ValueError(f"component at {v} has shape {m.nrows}x{m.ncols}, want {target.dim(v)}x{source.dim(v)}")
+            dv, dw = source.dims.get(v, 0), target.dims.get(v, 0)
+            if m.nrows != dw or m.ncols != dv:
+                raise ValueError(f"component at {v} has shape {m.nrows}x{m.ncols}, want {dw}x{dv}")
             if not m.is_zero():
                 self.comps[v] = m
 
@@ -261,8 +271,8 @@ class ModMorphism:
         # forces N(v -> w) . f_v = 0
         for v in self.source.dims:
             for k in range(self.source.n):
-                w = vadd(v, _unit(self.source.n, k))
-                if not self.source.box.contains(w) or self.target.dim(w) == 0:
+                w = vsucc(v, k)
+                if w not in self.target.dims:
                     continue
                 if self.target.step(v, k) @ self.comp(v) != self.comp(w) @ self.source.step(v, k):
                     return ValidationReport(False, f"naturality fails on the arrow ({v}, axis {k})", v)
@@ -291,12 +301,6 @@ class ModMorphism:
             if self.comp(v) != other.comp(v):
                 return False
         return True
-
-    def is_pointwise_injective(self) -> bool:
-        return all(self.comp(v).rank() == d for v, d in self.source.dims.items())
-
-    def is_pointwise_surjective(self) -> bool:
-        return all(self.comp(v).rank() == d for v, d in self.target.dims.items())
 
     def is_invertible(self) -> bool:
         if set(self.source.dims) != set(self.target.dims):
@@ -448,20 +452,21 @@ def restrict(M: PersModule, L: AxisEmbedding, source_box: GridBox | None = None)
         if source_box is None:
             raise ValueError("the embedding misses the module box entirely")
     dims = {}
+    image = {}
     for x in source_box.vertices():
         y = L.apply(x)
         if not M.box.contains(y):
             raise ValueError(f"image {y} of {x} escapes the module box")
-        d = M.dim(y)
+        d = M.dims.get(y)
         if d:
             dims[x] = d
+            image[x] = y
     steps = {}
-    n = source_box.n
     for x in dims:
-        for k in range(n):
-            x2 = vadd(x, _unit(n, k))
-            if source_box.contains(x2) and x2 in dims:
-                steps[(x, k)] = M.composite(L.apply(x), L.apply(x2))
+        for k in range(source_box.n):
+            x2 = vsucc(x, k)
+            if x2 in dims:
+                steps[(x, k)] = M.composite(image[x], image[x2])
     return PersModule(M.field, source_box, dims, steps)
 
 
@@ -519,11 +524,9 @@ def direct_sum(M: PersModule, N: PersModule) -> PersModule:
     for v in set(M.dims) | set(N.dims):
         dims[v] = M.dim(v) + N.dim(v)
     steps = {}
-    n = M.n
     for v in dims:
-        for k in range(n):
-            w = vadd(v, _unit(n, k))
-            if M.box.contains(w) and dims.get(w, 0) > 0:
+        for k in range(M.n):
+            if vsucc(v, k) in dims:
                 steps[(v, k)] = Matrix.block_diag(M.field, [M.step(v, k), N.step(v, k)])
     return PersModule(M.field, M.box, dims, steps)
 
@@ -531,15 +534,12 @@ def direct_sum(M: PersModule, N: PersModule) -> PersModule:
 def dualize(M: PersModule) -> PersModule:
     """The linear dual on the reversed box: coordinates flip, matrices transpose."""
     c = vadd(M.box.lo, M.box.hi)
-    box = M.box
-    n = M.n
     dims = {vsub(c, v): d for v, d in M.dims.items()}
     steps = {}
     for (v, k), m in M.steps.items():
-        w = vadd(v, _unit(n, k))
         # arrow v -> w dualizes to (c - w) -> (c - v)
-        steps[(vsub(c, w), k)] = m.transpose()
-    return PersModule(M.field, box, dims, steps)
+        steps[(vsub(c, vsucc(v, k)), k)] = m.transpose()
+    return PersModule(M.field, M.box, dims, steps)
 
 
 def dualize_morphism(f: ModMorphism) -> ModMorphism:
@@ -550,19 +550,27 @@ def dualize_morphism(f: ModMorphism) -> ModMorphism:
 
 
 def slice_layers(M: PersModule) -> tuple[list[PersModule], list[ModMorphism]]:
-    """Split M along its last axis into layers and connecting morphisms."""
+    """Split M along its last axis into layers and connecting morphisms.
+
+    Layer i holds the vertices and steps of M at last coordinate lo + i; the
+    steps of M along its last axis become the links.
+    """
     n = M.n
     if n < 2:
         raise ValueError("slice_layers needs n >= 2")
-    h_lo, h_hi = M.box.lo[-1], M.box.hi[-1]
-    layers = []
-    for h in range(h_lo, h_hi + 1):
-        layers.append(restrict(M, AxisEmbedding.layer(n - 1, n - 1, h)))
-    links = []
-    for i, h in enumerate(range(h_lo, h_hi)):
-        comps = {}
-        for v in layers[i].dims:
-            if layers[i + 1].dim(v) > 0:
-                comps[v] = M.step(v + (h,), n - 1)
-        links.append(ModMorphism(layers[i], layers[i + 1], comps))
+    h_lo = M.box.lo[-1]
+    count = M.box.hi[-1] - h_lo + 1
+    box = GridBox(M.box.lo[:-1], M.box.hi[:-1])
+    dims = [{} for _ in range(count)]
+    steps = [{} for _ in range(count)]
+    comps = [{} for _ in range(count - 1)]
+    for v, d in M.dims.items():
+        dims[v[-1] - h_lo][v[:-1]] = d
+    for (v, k), m in M.steps.items():
+        if k == n - 1:
+            comps[v[-1] - h_lo][v[:-1]] = m
+        else:
+            steps[v[-1] - h_lo][(v[:-1], k)] = m
+    layers = [PersModule(M.field, box, d, s) for d, s in zip(dims, steps)]
+    links = [ModMorphism(layers[i], layers[i + 1], comps[i]) for i in range(count - 1)]
     return layers, links

@@ -272,7 +272,7 @@ class HomSpace:
 
 
 def hom_dim(M: PersModule, N: PersModule, ctx: Context | None = None) -> int:
-    return HomSpace(M, N, ctx).dim
+    return (ctx or Context()).hom(M, N).dim
 
 
 def end_dim(M: PersModule, ctx: Context | None = None) -> int:

@@ -12,7 +12,7 @@ from collections import Counter
 
 from .constructions import CandyModule
 from .fields import Field
-from .grid import AxisEmbedding, GridBox, PersModule, vadd, _unit
+from .grid import AxisEmbedding, GridBox, PersModule, vsucc
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle
 
@@ -22,13 +22,18 @@ class FormatError(ValueError):
 
 
 def _require(obj, keys, what):
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object, got {obj!r}")
     for k in keys:
         if k not in obj:
             raise FormatError(f"{what} is missing the field {k!r}")
 
 
-def field_to_json(f: Field) -> str:
-    return f.to_json()
+def _vector(x, n: int, what: str) -> tuple:
+    """A list of n integers (JSON booleans excluded) as a tuple."""
+    if not isinstance(x, list) or len(x) != n or any(type(a) is not int for a in x):
+        raise FormatError(f"{what} must be a list of {n} integers, got {x!r}")
+    return tuple(x)
 
 
 def field_from_json(tag) -> Field:
@@ -43,17 +48,16 @@ def field_from_json(tag) -> Field:
 
 
 def pmod_to_json(M: PersModule) -> dict:
+    """Every arrow between positive-dimension vertices is written, an
+    omitted (zero) one as an explicit zero matrix, so the reader accepts it."""
     f = M.field
     dims = [M.dim(v) for v in M.box.vertices()]
     steps = []
-    for (v, k) in sorted(M.steps, key=lambda vk: (vk[0], vk[1])):
-        m = M.steps[(v, k)]
-        if m.nrows == 0 or m.ncols == 0:
-            continue
+    for v, k in sorted((v, k) for v, k, _ in M.arrows()):
         steps.append({
             "v": list(v),
             "axis": k,
-            "matrix": [[f.fmt(x) for x in row] for row in m.rows],
+            "matrix": [[f.fmt(x) for x in row] for row in M.step(v, k).rows],
         })
     return {
         "field": f.to_json(),
@@ -69,47 +73,52 @@ def pmod_from_json(obj: dict) -> PersModule:
     _require(obj, ("field", "n", "lo", "hi", "dims", "steps"), "PMOD")
     f = field_from_json(obj["field"])
     n = obj["n"]
-    if len(obj["lo"]) != n or len(obj["hi"]) != n:
-        raise FormatError("lo/hi length disagrees with n")
+    if type(n) is not int or n < 1:
+        raise FormatError(f"bad axis count n={n!r}")
     try:
-        box = GridBox(tuple(obj["lo"]), tuple(obj["hi"]))
+        box = GridBox(_vector(obj["lo"], n, "lo"), _vector(obj["hi"], n, "hi"))
     except ValueError as e:
         raise FormatError(str(e))
-    verts = list(box.vertices())
-    if len(obj["dims"]) != len(verts):
-        raise FormatError(f"dims array has {len(obj['dims'])} entries, box has {len(verts)} vertices")
+    if not isinstance(obj["dims"], list) or len(obj["dims"]) != box.count:
+        raise FormatError(f"dims must be a list of one entry for each of the {box.count} box vertices")
     dims = {}
-    for v, d in zip(verts, obj["dims"]):
-        if not isinstance(d, int) or d < 0:
+    for v, d in zip(box.vertices(), obj["dims"]):
+        if type(d) is not int or d < 0:
             raise FormatError(f"bad dimension {d!r} at {v}")
         if d:
             dims[v] = d
+    if not isinstance(obj["steps"], list):
+        raise FormatError(f"steps must be a list, got {obj['steps']!r}")
     steps = {}
     for rec in obj["steps"]:
         _require(rec, ("v", "axis", "matrix"), "step record")
-        v = tuple(rec["v"])
+        v = _vector(rec["v"], n, "step vertex")
         k = rec["axis"]
-        if not (isinstance(k, int) and 0 <= k < n):
+        if type(k) is not int or not 0 <= k < n:
             raise FormatError(f"bad axis {k!r}")
-        w = vadd(v, _unit(n, k))
-        if not box.contains(v) or not box.contains(w):
+        if not box.contains(v) or v[k] == box.hi[k]:
             raise FormatError(f"step at {v} axis {k} leaves the box")
+        rows = rec["matrix"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise FormatError(f"step at {v} axis {k}: matrix must be a list of rows")
         try:
-            rows = [[f.parse(x) for x in row] for row in rec["matrix"]]
+            m = Matrix(f, [[f.parse(x) for x in row] for row in rows])
         except (ValueError, TypeError, ZeroDivisionError) as e:
-            raise FormatError(f"bad scalar in step at {v} axis {k}: {e}")
-        m = Matrix(f, rows) if rows and rows[0] else Matrix.zero(f, len(rows), 0)
-        if m.nrows != dims.get(w, 0) or m.ncols != dims.get(v, 0):
-            raise FormatError(f"step at {v} axis {k} has shape {m.nrows}x{m.ncols}, "
-                              f"expected {dims.get(w, 0)}x{dims.get(v, 0)}")
+            raise FormatError(f"bad scalar or ragged rows in step at {v} axis {k}: {e}")
+        # the constructor checks the shape of every step between two
+        # positive-dimension vertices and drops the others, which must be empty
+        dv, dw = dims.get(v, 0), dims.get(vsucc(v, k), 0)
+        if not (dv and dw) and (m.nrows, m.ncols) != (dw, dv):
+            raise FormatError(f"step at {v} axis {k} has shape {m.nrows}x{m.ncols}, expected {dw}x{dv}")
         steps[(v, k)] = m
+    try:
+        M = PersModule(f, box, dims, steps)
+    except ValueError as e:
+        raise FormatError(str(e))
     # steps between two positive-dimension vertices may not be omitted
-    for v in dims:
-        for k in range(n):
-            w = vadd(v, _unit(n, k))
-            if box.contains(w) and w in dims and (v, k) not in steps:
-                raise FormatError(f"missing step at {v} axis {k}")
-    M = PersModule(f, box, dims, steps)
+    for v, k, _ in M.arrows():
+        if (v, k) not in M.steps:
+            raise FormatError(f"missing step at {v} axis {k}")
     rep = M.validate()
     if not rep:
         raise FormatError(f"module is not commutative: {rep.message}")
@@ -208,9 +217,7 @@ def candy_to_json(C: CandyModule) -> dict:
 def candy_from_json(obj: dict) -> CandyModule:
     _require(obj, ("module", "ul", "lr"), "candy")
     M = pmod_from_json(obj["module"])
-    ul, lr = tuple(obj["ul"]), tuple(obj["lr"])
-    if len(ul) != M.n or len(lr) != M.n:
-        raise FormatError("corner coordinates have the wrong dimension")
+    ul, lr = _vector(obj["ul"], M.n, "ul"), _vector(obj["lr"], M.n, "lr")
     line = line_from_json(obj["line"]) if "line" in obj else None
     return CandyModule(M, ul, lr, line)
 

@@ -62,8 +62,7 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows})"
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for r in self.rows for x in r)
+        return not any(map(any, self.rows))  # zero is the only falsy scalar
 
     # -- arithmetic ----------------------------------------------------
 
@@ -128,22 +127,6 @@ class Matrix:
             for i in range(nrows):
                 rows[i].extend(m.rows[i])
         return Matrix(f, rows) if rows else Matrix.zero(f, 0, sum(m.ncols for m in mats))
-
-    @staticmethod
-    def vstack(mats: list["Matrix"]) -> "Matrix":
-        if not mats:
-            raise ValueError("nothing to stack")
-        f = mats[0].field
-        ncols = mats[0].ncols
-        rows = []
-        for m in mats:
-            if m.ncols != ncols:
-                raise ValueError("column count mismatch")
-            rows.extend(m.rows)
-        out = Matrix.__new__(Matrix)
-        out.field, out.nrows, out.ncols = f, len(rows), ncols
-        out.rows = [list(r) for r in rows]
-        return out
 
     @staticmethod
     def block_diag(field: Field, mats: list["Matrix"]) -> "Matrix":
@@ -250,14 +233,6 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
-
-
-def rank(A: Matrix) -> int:
-    return A.rank()
-
-
-def solve_nullspace(A: Matrix) -> Matrix:
-    return A.nullspace()
 
 
 def nullspace_sparse(rows: list[dict], ncols: int, field: Field) -> list[dict]:

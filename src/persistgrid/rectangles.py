@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .fields import Field
-from .grid import GridBox, ModMorphism, PersModule, vadd, vle, vsub
+from .grid import GridBox, ModMorphism, PersModule, vadd, vle, vsub, vsucc
 from .linalg import Matrix
 
 
@@ -121,7 +121,7 @@ def rect_to_module(R: RectDecomp) -> PersModule:
     one = field.one
     for v, idxs in at.items():
         for k in range(n):
-            w = vadd(v, tuple(1 if i == k else 0 for i in range(n)))
+            w = vsucc(v, k)
             widx = at.get(w)
             if not R.box.contains(w) or not widx:
                 continue
@@ -268,12 +268,13 @@ def barcode_1d(M: PersModule) -> Counter:
 
 
 class _Chain:
-    __slots__ = ("birth", "death", "vecs")
+    __slots__ = ("birth", "death", "vecs", "index")
 
-    def __init__(self, birth: int, vec: list):
+    def __init__(self, birth: int, vec: list, index: int):
         self.birth = birth
         self.death = None
         self.vecs = {birth: vec}
+        self.index = index  # creation order, the tie-break between equal intervals
 
 
 def interval_decompose_1d(M: PersModule):
@@ -289,6 +290,7 @@ def interval_decompose_1d(M: PersModule):
     lo, hi = M.box.lo[0], M.box.hi[0]
     active: list[_Chain] = []
     done: list[_Chain] = []
+    chains_made = 0
 
     def reduce_vec(vec, accepted, chain, x):
         """Reduce vec against accepted (pivot, chain) pairs, applying the same
@@ -342,16 +344,15 @@ def interval_decompose_1d(M: PersModule):
             if vec[piv] != f.one:
                 inv = f.inv(vec[piv])
                 vec = [f.mul(inv, a) for a in vec]
-            chain = _Chain(x, vec)
+            chain = _Chain(x, vec, chains_made)
+            chains_made += 1
             accepted.append((piv, chain))
             active.append(chain)
     for chain in active:
         chain.death = hi
         done.append(chain)
 
-    done.sort(key=lambda c: (c.birth, c.death, id(c)))
-    order = sorted(range(len(done)), key=lambda i: (done[i].birth, done[i].death))
-    chains = [done[i] for i in order]
+    chains = sorted(done, key=lambda c: (c.birth, c.death, c.index))
     decomp = RectDecomp(f, M.box, [Rectangle((c.birth,), (c.death,)) for c in chains])
     canon = rect_to_module(decomp)
     comps = {}

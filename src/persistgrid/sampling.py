@@ -13,7 +13,7 @@ import random
 from collections import Counter
 
 from .fields import Field
-from .grid import GridBox, PersModule, stack, vadd, _unit
+from .grid import GridBox, PersModule, stack, vsucc
 from .homspace import Context, HomSpace
 from .linalg import Matrix
 from .rectangles import Rectangle, RectDecomp, barcode_1d
@@ -50,7 +50,7 @@ def rand_module(rng: random.Random, field: Field, box: GridBox, max_dim: int = 2
         steps = {}
         for v in dims:
             for k in range(n):
-                w = vadd(v, _unit(n, k))
+                w = vsucc(v, k)
                 if box.contains(w) and w in dims:
                     m = Matrix.zero(field, dims[w], dims[v])
                     for r in range(dims[w]):
@@ -63,31 +63,11 @@ def rand_module(rng: random.Random, field: Field, box: GridBox, max_dim: int = 2
     raise RuntimeError("rejection sampling found no commutative module")
 
 
-def _rand_row(rng: random.Random, field: Field, box: GridBox, max_dim: int) -> PersModule:
-    n = box.n
-    dims = {}
-    for v in box.vertices():
-        d = rng.randint(0, max_dim)
-        if d:
-            dims[v] = d
-    steps = {}
-    for v in dims:
-        for k in range(n):
-            w = vadd(v, _unit(n, k))
-            if box.contains(w) and w in dims:
-                m = Matrix.zero(field, dims[w], dims[v])
-                for r in range(dims[w]):
-                    for c in range(dims[v]):
-                        m.rows[r][c] = field.of(rng.randint(0, 1))
-                steps[(v, k)] = m
-    return PersModule(field, box, dims, steps)  # 1D: always commutative
-
-
 def rand_two_rows(rng: random.Random, field: Field, width: int, max_dim: int = 2) -> PersModule:
     """A random module on a width x 2 box: two random rows, random link."""
     box = GridBox((0,), (width - 1,))
-    lower = _rand_row(rng, field, box, max_dim)
-    upper = _rand_row(rng, field, box, max_dim)
+    lower = rand_module(rng, field, box, max_dim, nonzero=False)
+    upper = rand_module(rng, field, box, max_dim, nonzero=False)
     hs = HomSpace(lower, upper, Context())
     g = hs.materialize(hs.random_element(rng))
     return stack([lower, upper], [g])
@@ -100,12 +80,12 @@ def rand_two_rows_with_barcode(rng: random.Random, field: Field, width: int,
     barcode; the bottom row is found by rejection."""
     box = GridBox((0,), (width - 1,))
     for _ in range(tries):
-        lower = _rand_row(rng, field, box, max_dim)
+        lower = rand_module(rng, field, box, max_dim, nonzero=False)
         if barcode_1d(lower) == target:
             break
     else:
         raise RuntimeError("rejection sampling never hit the target barcode")
-    upper = _rand_row(rng, field, box, max_dim)
+    upper = rand_module(rng, field, box, max_dim, nonzero=False)
     hs = HomSpace(lower, upper, Context())
     g = hs.materialize(hs.random_element(rng))
     return stack([lower, upper], [g])
@@ -160,7 +140,7 @@ def enumerate_modules(field: Field, box: GridBox, max_dim: int = 1):
         arrows = []
         for v in dims:
             for k in range(n):
-                w = vadd(v, _unit(n, k))
+                w = vsucc(v, k)
                 if box.contains(w) and w in dims:
                     arrows.append((v, k, w))
         for combo in itertools.product(scalars, repeat=len(arrows)) if max_dim <= 1 else ():

@@ -5,11 +5,10 @@ certificates, and the constructive two-row decomposition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .fields import Field
-from .grid import GridBox, ModMorphism, PersModule, direct_sum, slice_layers, stack, vle
-from .homspace import Context, HomSpace
+from .grid import ModMorphism, PersModule, direct_sum, stack, vle
+from .homspace import Context, HomSpace, end_dim
 from .linalg import Matrix, Poly, coprime_split, minimal_polynomial
 from .rectangles import FormalMatrix, RectDecomp, realize, rect_to_module
 
@@ -65,10 +64,6 @@ def end_algebra(M: PersModule, ctx: Context | None = None) -> EndAlgebra:
             row.append(coords)
         table.append(row)
     return EndAlgebra(M, E, table, ident)
-
-
-def end_dim(M: PersModule, ctx: Context | None = None) -> int:
-    return (ctx or Context()).hom(M, M).dim
 
 
 def local_dim(M: PersModule, ctx: Context | None = None) -> int:

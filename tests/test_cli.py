@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import persistgrid
 from persistgrid import (Field, GridBox, Rectangle, RectDecomp, direct_sum,
                          rect_to_module)
 from persistgrid.cli import main
@@ -147,6 +153,117 @@ class TestExitCodes:
         assert sum(rep["summand_dims"]) == sum(M.dims.values())
 
 
+def _is_rational(x) -> bool:
+    try:
+        Field.rationals().parse(x)
+        return True
+    except (ValueError, TypeError, ZeroDivisionError):
+        return False
+
+
+def _is_field_tag(x) -> bool:
+    try:
+        Field.from_json(x)
+        return True
+    except (ValueError, TypeError, AttributeError):
+        return False
+
+
+NOT_INT = st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=4),
+                    st.none(), st.lists(st.integers(), max_size=2))
+NOT_JSON_LIST = st.one_of(st.integers(), st.booleans(), st.floats(allow_nan=False),
+                          st.text(max_size=4), st.none(),
+                          st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+PMOD_KEYS = ("field", "n", "lo", "hi", "dims", "steps")
+
+
+def _corrupt(obj, kind, draw):
+    """Make one malformed change to a valid PMOD of the module I[(0,0),(1,1)]."""
+    step = draw(st.sampled_from(obj["steps"]))
+    if kind == "dim":
+        i = draw(st.integers(0, len(obj["dims"]) - 1))
+        obj["dims"][i] = draw(st.one_of(NOT_INT, st.integers(max_value=-1)))
+    elif kind == "corner":
+        draw(st.sampled_from((obj["lo"], obj["hi"])))[draw(st.integers(0, 1))] = draw(NOT_INT)
+    elif kind == "n":
+        obj["n"] = draw(st.one_of(NOT_INT, st.integers().filter(lambda n: n != 2)))
+    elif kind == "field":
+        obj["field"] = draw(st.one_of(st.text(max_size=6), st.integers(), st.none()).filter(
+            lambda t: not _is_field_tag(t)))
+    elif kind == "missing_key":
+        del obj[draw(st.sampled_from(PMOD_KEYS))]
+    elif kind == "steps":
+        obj["steps"] = draw(NOT_JSON_LIST)
+    elif kind == "step_record":
+        obj["steps"][obj["steps"].index(step)] = draw(st.one_of(NOT_JSON_LIST.filter(
+            lambda x: not isinstance(x, dict)), st.lists(st.integers(), max_size=2)))
+    elif kind == "step_key":
+        del step[draw(st.sampled_from(("v", "axis", "matrix")))]
+    elif kind == "vertex":
+        step["v"] = draw(st.one_of(NOT_INT, st.lists(st.integers(-3, 3), max_size=3)).filter(
+            lambda v: v != step["v"]))
+    elif kind == "axis":
+        step["axis"] = draw(st.one_of(NOT_INT, st.integers().filter(lambda k: k not in (0, 1))))
+    elif kind == "ragged":
+        lengths = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3).filter(
+            lambda ls: len(set(ls)) > 1))
+        step["matrix"] = [["1"] * n for n in lengths]
+    elif kind == "matrix":
+        step["matrix"] = draw(st.one_of(NOT_JSON_LIST, st.lists(NOT_JSON_LIST.filter(
+            lambda x: not isinstance(x, list)), min_size=1, max_size=2)))
+    elif kind == "scalar":
+        step["matrix"] = [[draw(st.one_of(NOT_INT, st.floats(), st.text(max_size=4)).filter(
+            lambda x: not _is_rational(x)))]]
+
+
+class TestMalformedPmod:
+    BASE = pmod_to_json(rect_to_module(RectDecomp(Q, GridBox((0, 0), (1, 1)),
+                                                  [Rectangle((0, 0), (1, 1))])))
+    KINDS = ("dim", "corner", "n", "field", "missing_key", "steps", "step_record",
+             "step_key", "vertex", "axis", "ragged", "matrix", "scalar")
+
+    def test_base_is_valid(self, tmp_path, capsys):
+        p = str(tmp_path / "m.json")
+        dump(self.BASE, p)
+        assert run(capsys, ["verify", "indec", "--in", p])[0] == 0
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_2_with_message(self, tmp_path, capsys, data):
+        obj = json.loads(json.dumps(self.BASE))
+        _corrupt(obj, data.draw(st.sampled_from(self.KINDS)), data.draw)
+        p = str(tmp_path / "m.json")
+        with open(p, "w") as fh:
+            json.dump(obj, fh)
+        code, _, err = run(capsys, ["verify", "indec", "--in", p])
+        assert code == 2 and err.startswith("error:") and len(err) > len("error: \n")
+
+
+class TestMismatchedModules:
+    def _files(self, tmp_path):
+        a = rect_to_module(RectDecomp(Q, GridBox((0,), (1,)), [Rectangle((0,), (1,))]))
+        longer = rect_to_module(RectDecomp(Q, GridBox((0,), (2,)), [Rectangle((0,), (1,))]))
+        over_f2 = rect_to_module(RectDecomp(F2, GridBox((0,), (1,)), [Rectangle((0,), (1,))]))
+        paths = []
+        for name, M in (("a", a), ("longer", longer), ("f2", over_f2)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            dump(pmod_to_json(M), paths[-1])
+        return paths
+
+    def test_iso_gives_2(self, tmp_path, capsys):
+        a, longer, over_f2 = self._files(tmp_path)
+        for other, why in ((longer, "boxes"), (over_f2, "fields")):
+            code, _, err = run(capsys, ["verify", "iso", "--in", a, "--with", other])
+            assert code == 2 and err.startswith("error:") and why in err
+
+    def test_hom_gives_2(self, tmp_path, capsys):
+        a, longer, over_f2 = self._files(tmp_path)
+        for other, why in ((longer, "boxes"), (over_f2, "fields")):
+            code, _, err = run(capsys, ["hom", "--a", a, "--b", other])
+            assert code == 2 and err.startswith("error:") and why in err
+
+
 class TestDeterminism:
     def test_same_seed_same_output(self, tmp_path, rng, capsys):
         M = rand_module(rng, F2, GridBox((0,), (2,)), max_dim=2)
@@ -158,3 +275,22 @@ class TestDeterminism:
                                          "--seed", "7"])
             outs.append((code, text))
         assert outs[0] == outs[1]
+
+    def test_same_output_across_processes(self, tmp_path):
+        # V+V has pairs of equal intervals in every layer, so the interval
+        # decompositions must break ties the same way in every process
+        F = Field.prime(1009)
+        V = rect_to_module(RectDecomp(F, GridBox((0, 0), (2, 2)), [Rectangle((0, 0), (2, 1))]))
+        p = str(tmp_path / "vv.json")
+        dump(pmod_to_json(direct_sum(V, V)), p)
+        src = os.path.dirname(os.path.dirname(persistgrid.__file__))
+        outs = []
+        for hashseed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run([sys.executable, "-m", "persistgrid.cli", "verify", "indec",
+                                   "--in", p, "--seed", "7"],
+                                  capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 1, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0]

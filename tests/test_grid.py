@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from persistgrid import (AxisEmbedding, Field, GridBox, ModMorphism, PersModule,
                          Rectangle, RectDecomp, direct_sum, dualize, pad,
                          rect_to_module, restrict, stack)
-from persistgrid.grid import pad_morphism, slice_layers
+from persistgrid.grid import pad_morphism, slice_layers, vsucc
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module
 
 Q = Field.rationals()
 F2 = Field.prime(2)
+F1009 = Field.prime(1009)
+RANDOM_BOXES = (GridBox((0, 0), (2, 2)), GridBox((0, 0, 0), (1, 1, 2)), GridBox((-1, 0, 0), (0, 1, 1)))
 
 
 def interval_module(field, lo, hi, b, d):
@@ -133,6 +135,100 @@ class TestSliceLayers:
         layers, links = slice_layers(M)
         assert layers[0].dims == A.dims and layers[1].dims == B.dims
         assert links[0].comps == g.comps
+
+
+def slice_layers_by_restriction(M):
+    """Reference construction of slice_layers: restrict M to each layer and
+    take the links from the steps along the last axis."""
+    n = M.n
+    h_lo, h_hi = M.box.lo[-1], M.box.hi[-1]
+    layers = [restrict(M, AxisEmbedding.layer(n - 1, n - 1, h)) for h in range(h_lo, h_hi + 1)]
+    links = []
+    for i, h in enumerate(range(h_lo, h_hi)):
+        comps = {v: M.step(v + (h,), n - 1) for v in layers[i].dims if layers[i + 1].dim(v) > 0}
+        links.append(ModMorphism(layers[i], layers[i + 1], comps))
+    return layers, links
+
+
+def validate_dense(M) -> bool:
+    """Reference commutativity check: every square in the box, with the
+    missing arrows materialized as zero matrices."""
+    for v in M.box.vertices():
+        for j in range(M.n):
+            for k in range(j + 1, M.n):
+                vj, vk = vsucc(v, j), vsucc(v, k)
+                if not M.box.contains(vsucc(vj, k)):
+                    continue
+                if M.step(vj, k) @ M.step(v, j) != M.step(vk, j) @ M.step(v, k):
+                    return False
+    return True
+
+
+def random_modules(rng, count):
+    """Random 2D and 3D modules over Q and F_1009; some arrows are dropped,
+    which leaves zero maps that need not commute."""
+    for _ in range(count):
+        field = rng.choice((Q, F1009))
+        box = rng.choice(RANDOM_BOXES)
+        M = rand_module(rng, field, box, max_dim=2 if box.n == 2 else rng.randint(1, 2))
+        steps = {vk: m for vk, m in M.steps.items() if rng.random() < 0.8}
+        yield PersModule(field, box, M.dims, steps)
+
+
+class TestSliceLayersOracle:
+    def test_matches_restriction(self, rng):
+        for M in random_modules(rng, 60):
+            layers, links = slice_layers(M)
+            want_layers, want_links = slice_layers_by_restriction(M)
+            assert layers == want_layers
+            assert links == want_links
+
+    def test_roundtrip_with_stack(self, rng):
+        for M in random_modules(rng, 20):
+            layers, links = slice_layers(M)
+            assert stack(layers, links, height_lo=M.box.lo[-1]) == M
+
+
+class TestValidateOracle:
+    def test_agrees_with_dense_check(self, rng):
+        verdicts = set()
+        for M in random_modules(rng, 200):
+            if M.steps:
+                (v, k), m = rng.choice(sorted(M.steps.items(), key=lambda it: it[0]))
+                rows = [list(r) for r in m.rows]
+                rows[rng.randrange(m.nrows)][rng.randrange(m.ncols)] = M.field.of(rng.randint(-3, 3))
+                steps = dict(M.steps)
+                steps[(v, k)] = Matrix(M.field, rows)
+                M = PersModule(M.field, M.box, M.dims, steps)
+            got = bool(M.validate())
+            assert got == validate_dense(M)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_missing_arrow_against_nonzero_path(self):
+        box = GridBox((0, 0), (1, 1))
+        dims = {v: 1 for v in box.vertices()}
+        one = Matrix.identity(Q, 1)
+        for missing in (((0, 0), 0), ((1, 0), 1), ((0, 0), 1), ((0, 1), 0)):
+            steps = {((0, 0), 0): one, ((0, 0), 1): one, ((1, 0), 1): one, ((0, 1), 0): one}
+            del steps[missing]
+            rep = PersModule(Q, box, dims, steps).validate()
+            assert not rep and rep.vertex == (0, 0)
+
+    def test_missing_arrow_against_zero_path(self):
+        box = GridBox((0, 0), (1, 1))
+        dims = {v: 1 for v in box.vertices()}
+        one, zero = Matrix.identity(Q, 1), Matrix.zero(Q, 1, 1)
+        steps = {((0, 0), 0): one, ((1, 0), 1): zero, ((0, 0), 1): one}
+        assert PersModule(Q, box, dims, steps).validate()
+
+    def test_dead_far_corner_is_skipped(self):
+        # the far corner has dimension 0, so both paths land in the zero space
+        box = GridBox((0, 0), (1, 1))
+        dims = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+        one = Matrix.identity(Q, 1)
+        M = PersModule(Q, box, dims, {((0, 0), 0): one, ((0, 0), 1): one})
+        assert M.validate() and validate_dense(M)
 
 
 class TestAxisEmbedding:

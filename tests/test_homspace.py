@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from persistgrid import (Context, Field, GridBox, HomSpace, Rectangle,
                          RectDecomp, end_dim, hom_dim, rect_to_module)
-from persistgrid.grid import vadd, _unit
+from persistgrid.grid import vsucc
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module
 
@@ -31,7 +31,7 @@ def dense_hom_dim(M, N):
     rows = []
     for v in M.dims:
         for k in range(n):
-            w = vadd(v, _unit(n, k))
+            w = vsucc(v, k)
             if not M.box.contains(w) or N.dim(w) == 0:
                 continue
             sN = N.step(v, k) if N.dim(v) else None

@@ -35,6 +35,16 @@ class TestPmodRoundtrip:
         assert obj["steps"][0]["matrix"] == [["1/2"]]
         assert pmod_from_json(obj).steps == M.steps
 
+    def test_omitted_arrows_roundtrip(self, rng):
+        F = Field.prime(1009)
+        M = PersModule(F, GridBox((0,), (1,)), {(0,): 1, (1,): 1}, {})
+        assert pmod_from_json(pmod_to_json(M)) == M
+        for f in (Q, F):
+            # 1D, so any subset of the arrows still commutes
+            N = rand_module(rng, f, GridBox((0,), (5,)), max_dim=2)
+            sparse = PersModule(f, N.box, N.dims, dict(list(N.steps.items())[::2]))
+            assert pmod_from_json(pmod_to_json(sparse)) == sparse
+
     def test_file_roundtrip(self, tmp_path, rng):
         M = rand_module(rng, F2, GridBox((0,), (2,)), max_dim=2)
         p = str(tmp_path / "m.json")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistgrid import (Field, FormalMatrix, GridBox, Rectangle, RectDecomp,
-                         barcode_1d, interval_decompose_1d, realize,
+                         barcode_1d, direct_sum, interval_decompose_1d, realize,
                          rect_to_module)
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import canonical_hom_dim, hom_leq
@@ -183,3 +183,16 @@ class TestIntervalDecompose:
         assert D.barcode() == barcode_1d(M)
         assert iso.validate()
         assert iso.is_invertible()
+
+    def test_equal_intervals_keep_creation_order(self):
+        box = GridBox((0,), (3,))
+        I = rect_to_module(RectDecomp(Q, box, [Rectangle((1,), (2,))]))
+        J = rect_to_module(RectDecomp(Q, box, [Rectangle((0,), (3,))]))
+        M = direct_sum(direct_sum(I, J), direct_sum(I, J))
+        seen = set()
+        for _ in range(100):
+            D, iso = interval_decompose_1d(M)
+            seen.add(tuple(sorted((v, tuple(map(tuple, m.rows))) for v, m in iso.comps.items())))
+        assert len(seen) == 1
+        # the two chains born at 0 are made from e_0 and then e_1
+        assert iso.comp((0,)) == Matrix.identity(Q, 2)
