@@ -7,9 +7,16 @@ matrix code can stay generic.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 DEFAULT_PRIME = 1009
+# a file's modulus must lie below this; trial division then takes milliseconds
+MAX_MODULUS = 2**31
+# digits of a scalar string's numerator and of its denominator: Python's
+# default bound for int <-> str conversion, so every scalar `fmt` writes
+MAX_SCALAR_DIGITS = 4300
+_SCALAR = re.compile(f"-?[0-9]{{1,{MAX_SCALAR_DIGITS}}}(/[0-9]{{1,{MAX_SCALAR_DIGITS}}})?")
 
 
 def _is_prime(p: int) -> bool:
@@ -93,9 +100,13 @@ class Field:
     # -- serialization -------------------------------------------------
 
     def parse(self, s):
-        """Scalar from its PMOD representation ("num/den" string or int)."""
-        if type(s) is not int and not isinstance(s, str):
-            raise TypeError(f"scalar {s!r} is neither an integer nor a string")
+        """Scalar from its PMOD representation: an int, or a string of the
+        form `-?digits(/digits)?` with at most MAX_SCALAR_DIGITS digits."""
+        if type(s) is not int:
+            if not isinstance(s, str):
+                raise TypeError(f"scalar {s!r} is neither an integer nor a string")
+            if not _SCALAR.fullmatch(s):
+                raise ValueError(f"scalar {s[:40]!r} is not an integer or num/den of at most {MAX_SCALAR_DIGITS} digits")
         if self.p is None:
             return Fraction(s)
         return int(s) % self.p
@@ -137,5 +148,8 @@ class Field:
         if s == "Q":
             return Field.rationals()
         if s.startswith("Fp:"):
-            return Field.prime(int(s[3:]))
+            p = int(s[3:])
+            if p >= MAX_MODULUS:
+                raise ValueError(f"modulus {p} is not below 2^31")
+            return Field.prime(p)
         raise ValueError(f"unknown field tag {s!r}")

@@ -12,7 +12,9 @@ way down and composition never touches a vertex-by-vertex matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
+from itertools import groupby
 
 from .grid import ModMorphism, PersModule, slice_layers, vle
 from .linalg import Matrix, nullspace_sparse
@@ -34,31 +36,28 @@ class Context:
     # -- cached structure ----------------------------------------------
 
     def decomp1(self, M: PersModule):
-        """(decomp, iso, iso_inverse) for a 1D module."""
-        got = self._decomps.get(id(M))
-        if got is not None:
-            return got[1:]
-        decomp, iso = interval_decompose_1d(M)
-        entry = (M, decomp, iso, iso.inverse())
-        self._decomps[id(M)] = entry
-        return entry[1:]
+        """(decomp, iso) for a 1D module, iso: rect_to_module(decomp) -> M."""
+        if id(M) not in self._decomps:
+            self._decomps[id(M)] = [M, *interval_decompose_1d(M), None]
+        return tuple(self._decomps[id(M)][1:3])
+
+    def decomp1_inverse(self, M: PersModule) -> ModMorphism:
+        """The inverse of decomp1(M)'s iso, computed on first use."""
+        self.decomp1(M)
+        entry = self._decomps[id(M)]
+        entry[3] = entry[3] or entry[2].inverse()
+        return entry[3]
 
     def layers(self, M: PersModule):
-        got = self._layers.get(id(M))
-        if got is not None:
-            return got[1:]
-        layers, links = slice_layers(M)
-        entry = (M, layers, links)
-        self._layers[id(M)] = entry
-        return entry[1:]
+        if id(M) not in self._layers:
+            self._layers[id(M)] = (M, *slice_layers(M))
+        return self._layers[id(M)][1:]
 
     def hom(self, M: PersModule, N: PersModule) -> "HomSpace":
-        got = self._homs.get((id(M), id(N)))
-        if got is not None:
-            return got
-        hs = HomSpace(M, N, self)
-        self._homs[(id(M), id(N))] = hs
-        return hs
+        key = (id(M), id(N))
+        if key not in self._homs:
+            self._homs[key] = HomSpace(M, N, self)
+        return self._homs[key]
 
     # -- the ambient-coordinate calculus -------------------------------
 
@@ -66,30 +65,33 @@ class Context:
         """Ambient coordinates of a natural transformation g: M -> N."""
         if M.is_zero() or N.is_zero():
             return {}
-        f = M.field
         if M.n == 1:
-            DM, isoM, _ = self.decomp1(M)
-            DN, _, invN = self.decomp1(N)
-            h = invN.compose(g).compose(isoM)
+            DM, isoM = self.decomp1(M)
+            DN, isoN = self.decomp1(N)
             out = {}
-            for i, A in enumerate(DM.summands):
-                cols = DM.indices_at(A.b)
-                rows = DN.indices_at(A.b)
-                col = cols.index(i)
-                mat = h.comp(A.b)
-                for j, B in enumerate(DN.summands):
-                    if not hom_leq(A, B):
-                        continue
-                    c = mat.rows[rows.index(j)][col]
-                    if c != 0:
-                        out[(i, j)] = c
+            for v, born in groupby(range(len(DM)), key=lambda i: DM.summands[i].b):
+                gv = g.comps.get(v)
+                if gv is None:
+                    continue
+                # summands are sorted by birth, so those born at v are the last
+                # columns of isoM at v; their chain vectors, mapped by g, have
+                # unique coordinates in N's chain basis as isoN is invertible
+                born = list(born)
+                chains = Matrix(M.field, [row[-len(born):] for row in isoM.comps[v].rows])
+                X = isoN.comps[v].solve(gv @ chains)
+                rows = DN.indices_at(v)
+                for col, i in enumerate(born):
+                    for r, j in enumerate(rows):
+                        c = X.rows[r][col]
+                        if c != 0 and hom_leq(DM.summands[i], DN.summands[j]):
+                            out[(i, j)] = c
             return out
         Ms, _ = self.layers(M)
         Ns, _ = self.layers(N)
         h0 = M.box.lo[-1]
         out = {}
         for i in range(len(Ms)):
-            comps = {v: g.comp(v + (h0 + i,)) for v in Ms[i].dims if Ns[i].dim(v) > 0}
+            comps = {v: m for v in Ms[i].dims if (m := g.comps.get(v + (h0 + i,))) is not None}
             gi = ModMorphism(Ms[i], Ns[i], comps)
             for leaf, c in self.express(Ms[i], Ns[i], gi).items():
                 out[(i, leaf)] = c
@@ -101,9 +103,9 @@ class Context:
         if M.is_zero() or N.is_zero():
             return ModMorphism.zero(M, N)
         if M.n == 1:
-            DM, isoM, _ = self.decomp1(M)
-            DN, isoN, _ = self.decomp1(N)
-            invM = self._decomps[id(M)][3]
+            DM = self.decomp1(M)[0]
+            DN, isoN = self.decomp1(N)
+            invM = self.decomp1_inverse(M)
             entries = [[f.zero] * len(DM) for _ in range(len(DN))]
             for (i, j), c in x.items():
                 entries[j][i] = c
@@ -201,7 +203,7 @@ class HomSpace:
         if total == 0:
             return []
         lM_expr = [ctx.express(Ms[i], Ms[i + 1], lMs[i]) for i in range(h - 1)]
-        lN_expr = [ctx.express(Ns[i], Ns[i + 1], lNs[i]) for i in range(h - 1)]
+        lN_expr = lM_expr if N is M else [ctx.express(Ns[i], Ns[i + 1], lNs[i]) for i in range(h - 1)]
         rows: list[dict] = []
         for i in range(h - 1):
             # constraint: link_N . f_i = f_{i+1} . link_M in Hom(M_i, N_{i+1})
@@ -222,9 +224,7 @@ class HomSpace:
         for sol in sols:
             amb: dict = {}
             for col, c in sol.items():
-                i = 0
-                while i + 1 < h and offsets[i + 1] <= col:
-                    i += 1
+                i = bisect_right(offsets, col) - 1
                 for leaf, v in spaces[i].basis[col - offsets[i]].items():
                     key = (i, leaf)
                     amb[key] = f.add(amb.get(key, f.zero), f.mul(c, v))

@@ -36,6 +36,12 @@ def _vector(x, n: int, what: str) -> tuple:
     return tuple(x)
 
 
+def _axis_count(n) -> int:
+    if type(n) is not int or n < 1:
+        raise FormatError(f"bad axis count n={n!r}")
+    return n
+
+
 def field_from_json(tag) -> Field:
     try:
         return Field.from_json(tag)
@@ -72,9 +78,7 @@ def pmod_to_json(M: PersModule) -> dict:
 def pmod_from_json(obj: dict) -> PersModule:
     _require(obj, ("field", "n", "lo", "hi", "dims", "steps"), "PMOD")
     f = field_from_json(obj["field"])
-    n = obj["n"]
-    if type(n) is not int or n < 1:
-        raise FormatError(f"bad axis count n={n!r}")
+    n = _axis_count(obj["n"])
     try:
         box = GridBox(_vector(obj["lo"], n, "lo"), _vector(obj["hi"], n, "hi"))
     except ValueError as e:
@@ -158,30 +162,28 @@ def barcode_to_json(field: Field, bc: Counter) -> dict:
 def rects_from_json(obj: dict) -> RectDecomp:
     _require(obj, ("field", "n", "rects"), "RECTS")
     f = field_from_json(obj["field"])
-    n = obj["n"]
+    n = _axis_count(obj["n"])
+    if not isinstance(obj["rects"], list) or not obj["rects"]:
+        raise FormatError(f"rects must be a nonempty list, got {obj['rects']!r}")
     rects = []
     for rec in obj["rects"]:
         _require(rec, ("b", "d"), "rectangle record")
-        b, d = tuple(rec["b"]), tuple(rec["d"])
-        if len(b) != n or len(d) != n:
-            raise FormatError(f"rectangle {rec} has the wrong dimension")
+        b, d = _vector(rec["b"], n, "rectangle corner b"), _vector(rec["d"], n, "rectangle corner d")
         mult = rec.get("mult", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if type(mult) is not int or mult < 1:
             raise FormatError(f"bad multiplicity {mult!r}")
         try:
             rects.extend([Rectangle(b, d)] * mult)
         except ValueError as e:
             raise FormatError(str(e))
-    if not rects:
-        raise FormatError("empty rectangle list")
-    if "lo" in obj and "hi" in obj:
-        box = GridBox(tuple(obj["lo"]), tuple(obj["hi"]))
-    else:
-        box = GridBox(
-            tuple(min(r.b[k] for r in rects) for k in range(n)),
-            tuple(max(r.d[k] for r in rects) for k in range(n)),
-        )
     try:
+        if "lo" in obj and "hi" in obj:
+            box = GridBox(_vector(obj["lo"], n, "lo"), _vector(obj["hi"], n, "hi"))
+        else:
+            box = GridBox(
+                tuple(min(r.b[k] for r in rects) for k in range(n)),
+                tuple(max(r.d[k] for r in rects) for k in range(n)),
+            )
         return RectDecomp(f, box, rects)
     except ValueError as e:
         raise FormatError(str(e))
@@ -232,7 +234,7 @@ def load(path: str) -> dict:
             obj = json.load(fh)
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad syntax, over-long ints, deep nesting
         raise FormatError(f"{path} is not valid JSON: {e}")
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected a JSON object")
@@ -240,6 +242,6 @@ def load(path: str) -> dict:
 
 
 def dump(obj: dict, path: str) -> None:
+    """Write obj as one line of sorted-key JSON (`indent` would force json's pure-Python encoder)."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")

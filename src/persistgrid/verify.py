@@ -305,11 +305,11 @@ def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = 3
     if M.is_zero():
         return IsoReport(True, ModMorphism.zero(M, N), "both zero")
     if M.n == 1:
-        DM, isoM, _ = ctx.decomp1(M)
-        DN, isoN, _ = ctx.decomp1(N)
+        DM = ctx.decomp1(M)[0]
+        DN, isoN = ctx.decomp1(N)
         if DM.barcode() != DN.barcode():
             return IsoReport(False, None, "barcodes differ")
-        invM = isoM.inverse()
+        invM = ctx.decomp1_inverse(M)
         F = realize(FormalMatrix.diagonal(DM, DN), check=False)
         phi = isoN.compose(F).compose(invM)
         return IsoReport(True, phi, "matching barcodes")
@@ -373,8 +373,8 @@ def decompose_two_rows(M: PersModule, y: tuple | None = None, ctx: Context | Non
     rows, links = ctx.layers(M)
     L, U = rows
     link = links[0]
-    DL, isoL, _ = ctx.decomp1(L)
-    DU, isoU, _ = ctx.decomp1(U)
+    DL, isoL = ctx.decomp1(L)
+    DU, isoU = ctx.decomp1(U)
     y0 = y[0]
     lower = y[1] == M.box.lo[1]
 

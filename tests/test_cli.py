@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -238,6 +239,56 @@ class TestMalformedPmod:
             json.dump(obj, fh)
         code, _, err = run(capsys, ["verify", "indec", "--in", p])
         assert code == 2 and err.startswith("error:") and len(err) > len("error: \n")
+
+
+LONG_INT = "<5000-digit int>"
+
+
+def _set_scalar(value):
+    def change(obj):
+        obj["steps"][0]["matrix"] = [[value]]
+    return change
+
+
+class TestMistypedOrOversizedInput:
+    """RECTS files with mistyped fields, and field tags, scalars or integers
+    too large to parse quickly, exit 2 with a message, and at once."""
+    RECTS = {"field": "Q", "n": 1, "lo": [0], "hi": [2], "rects": [{"b": [0], "d": [2], "mult": 1}]}
+    CASES = {
+        "rects-float-birth": (RECTS, lambda o: o["rects"][0].update(b=[0.5])),
+        "rects-float-death": (RECTS, lambda o: o["rects"][0].update(d=[2.0])),
+        "rects-not-a-list": (RECTS, lambda o: o.update(rects=5)),
+        "rects-empty": (RECTS, lambda o: o.update(rects=[])),
+        "rects-record-not-an-object": (RECTS, lambda o: o.update(rects=[[0, 2]])),
+        "rects-float-lo": (RECTS, lambda o: o.update(lo=[0.5])),
+        "rects-short-hi": (RECTS, lambda o: o.update(hi=[])),
+        "rects-bool-mult": (RECTS, lambda o: o["rects"][0].update(mult=True)),
+        "rects-float-mult": (RECTS, lambda o: o["rects"][0].update(mult=1.0)),
+        "rects-bool-n": (RECTS, lambda o: o.update(n=True)),
+        "rects-24-digit-modulus": (RECTS, lambda o: o.update(field="Fp:100000000000000000000117")),
+        "pmod-24-digit-modulus": (TestMalformedPmod.BASE,
+                                  lambda o: o.update(field="Fp:100000000000000000000117")),
+        "pmod-exponent-scalar": (TestMalformedPmod.BASE, _set_scalar("1e1000000")),
+        "pmod-decimal-scalar": (TestMalformedPmod.BASE, _set_scalar("0.5")),
+        "pmod-padded-scalar": (TestMalformedPmod.BASE, _set_scalar(" 1")),
+        "pmod-5000-digit-int": (TestMalformedPmod.BASE, lambda o: o["dims"].__setitem__(0, LONG_INT)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_with_message(self, tmp_path, capsys, case):
+        base, change = self.CASES[case]
+        obj = json.loads(json.dumps(base))
+        change(obj)
+        p = str(tmp_path / "in.json")
+        with open(p, "w") as fh:
+            # json.dumps cannot write an int this long, so a placeholder stands in
+            fh.write(json.dumps(obj).replace(f'"{LONG_INT}"', "9" * 5000))
+        argv = (["construct", "--method", "min3", "--in", p, "--out", str(tmp_path / "out.json")]
+                if "rects" in obj else ["verify", "indec", "--in", p])
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, argv)
+        assert code == 2 and err.startswith("error:") and len(err) > len("error: \n")
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestMismatchedModules:

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from persistgrid import (Context, Field, GridBox, HomSpace, Rectangle,
                          RectDecomp, end_dim, hom_dim, rect_to_module)
-from persistgrid.grid import vsucc
+from persistgrid.grid import ModMorphism, vsucc
 from persistgrid.linalg import Matrix
+from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module
 
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F1009 = Field.prime(1009)
 
 
 def dense_hom_dim(M, N):
@@ -53,6 +55,27 @@ def dense_hom_dim(M, N):
     return total - A.rank()
 
 
+def dense_express(ctx, M, N, g):
+    """1D coordinates by the dense formula: invN . g . isoM composed at every
+    vertex, then read at each source summand's birth."""
+    if M.is_zero() or N.is_zero():
+        return {}
+    DM, isoM = ctx.decomp1(M)
+    DN, isoN = ctx.decomp1(N)
+    h = isoN.inverse().compose(g).compose(isoM)
+    out = {}
+    for i, A in enumerate(DM.summands):
+        col = DM.indices_at(A.b).index(i)
+        rows = DN.indices_at(A.b)
+        mat = h.comp(A.b)
+        for j, B in enumerate(DN.summands):
+            if hom_leq(A, B):
+                c = mat.rows[rows.index(j)][col]
+                if c != 0:
+                    out[(i, j)] = c
+    return out
+
+
 def check_pair(M, N, rng):
     ctx = Context()
     hs = ctx.hom(M, N)
@@ -88,6 +111,7 @@ def test_engine_matches_oracle_2d(seed):
     M = rand_module(rng, f, box, max_dim=2)
     N = rand_module(rng, f, box, max_dim=2)
     check_pair(M, N, rng)
+    assert end_dim(M) == dense_hom_dim(M, M)
 
 
 @given(st.integers(0, 2**31))
@@ -98,6 +122,24 @@ def test_engine_matches_oracle_3d(seed):
     M = rand_module(rng, F2, box, max_dim=2)
     N = rand_module(rng, F2, box, max_dim=2)
     check_pair(M, N, rng)
+    assert end_dim(M) == dense_hom_dim(M, M)
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=30, deadline=None)
+def test_express_matches_dense_formula(seed):
+    rng = random.Random(seed)
+    f = [Q, F1009][seed % 2]
+    box = GridBox((0,), (5,))
+    M = rand_module(rng, f, box, max_dim=3)
+    N = rand_module(rng, f, box, max_dim=3, nonzero=seed % 7 != 0)
+    ctx = Context()
+    for A, B in ((M, N), (M, M), (N, M)):
+        hs = ctx.hom(A, B)
+        gs = [ModMorphism.zero(A, B)] + hs.basis_morphisms()
+        gs += [hs.materialize(hs.random_element(rng)) for _ in range(3)]
+        for g in gs:
+            assert ctx.express(A, B, g) == dense_express(ctx, A, B, g)
 
 
 def test_spec_interval_hom_dims():

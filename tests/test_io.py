@@ -1,10 +1,15 @@
+import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persistgrid import (Field, GridBox, PersModule, Rectangle, RectDecomp,
                          candy_wrap, min3, rect_to_module)
+from persistgrid.fields import MAX_MODULUS, MAX_SCALAR_DIGITS
 from persistgrid.grid import AxisEmbedding
 from persistgrid.io import (FormatError, barcode_to_json, candy_from_json,
                             candy_to_json, dump, line_from_json, line_to_json,
@@ -199,3 +204,37 @@ class TestFiles:
         arr.write_text("[1, 2]")
         with pytest.raises(FormatError):
             load(str(arr))
+
+    def test_dump_writes_one_line_and_load_takes_any_whitespace(self, tmp_path, rng):
+        obj = pmod_to_json(rand_module(rng, Q, GridBox((0, 0), (1, 2)), max_dim=2))
+        p = tmp_path / "m.json"
+        dump(obj, str(p))
+        text = p.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert load(str(p)) == obj
+        p.write_text(json.dumps(obj, indent=3))
+        assert load(str(p)) == obj
+
+
+class TestParseBounds:
+    LARGEST = 10**MAX_SCALAR_DIGITS - 1
+
+    @given(st.integers(-LARGEST, LARGEST), st.integers(1, LARGEST))
+    @settings(max_examples=100, deadline=None)
+    def test_written_scalars_roundtrip(self, num, den):
+        x = Fraction(num, den)
+        assert Q.parse(json.loads(json.dumps(Q.fmt(x)))) == x
+        F = Field.prime(1009)
+        assert F.parse(json.loads(json.dumps(F.fmt(F.of(num))))) == F.of(num)
+
+    def test_scalar_grammar(self):
+        assert Q.parse("-3/4") == Fraction(-3, 4) and Q.parse(7) == 7
+        for bad in ("1e1000000", "0.5", " 1", "1 ", "+1", "1/-2", "1_0", "", "٣", "1" * (MAX_SCALAR_DIGITS + 1)):
+            with pytest.raises(ValueError):
+                Q.parse(bad)
+
+    def test_modulus_bound(self):
+        assert Field.from_json(f"Fp:{MAX_MODULUS - 1}").p == 2**31 - 1  # a Mersenne prime
+        for tag in (f"Fp:{MAX_MODULUS + 11}", "Fp:100000000000000000000117"):  # both prime
+            with pytest.raises(ValueError, match="below"):
+                Field.from_json(tag)
