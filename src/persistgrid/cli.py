@@ -55,22 +55,29 @@ def _load_pair(oa: dict, ob: dict):
     return M, N
 
 
+def _or_format_error(fn, *args):
+    """fn(*args), with a ValueError turned into FormatError: input that a
+    construction cannot build (a zero module, an output box over the vertex
+    cap) is malformed input, not a violated property."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        raise FormatError(str(e))
+
+
 def cmd_construct(args) -> int:
     obj = io.load(args.infile)
     _check_field(args, obj)
     if args.method == "candy":
-        V = io.pmod_from_json(obj)
-        C = candy_wrap(V)
+        C = _or_format_error(candy_wrap, io.pmod_from_json(obj))
         io.dump(io.candy_to_json(C), args.out)
         if args.line_out:
             io.dump(io.line_to_json(C.line), args.line_out)
         return EXIT_OK
     if args.method in RECT_METHODS:
-        V = io.rects_from_json(obj)
-        res = RECT_METHODS[args.method](V)
+        res = _or_format_error(RECT_METHODS[args.method], io.rects_from_json(obj))
     elif args.method in MODULE_METHODS:
-        V = io.pmod_from_json(obj)
-        res = MODULE_METHODS[args.method](V)
+        res = _or_format_error(MODULE_METHODS[args.method], io.pmod_from_json(obj))
     else:
         raise FormatError(f"unknown method {args.method}")
     io.dump(io.pmod_to_json(res.M), args.out)
@@ -84,11 +91,7 @@ def cmd_restrict(args) -> int:
     _check_field(args, obj)
     M = io.pmod_from_json(obj)
     L = io.line_from_json(io.load(args.line))
-    try:
-        W = restrict(M, L)
-    except ValueError as e:
-        raise FormatError(str(e))
-    io.dump(io.pmod_to_json(W), args.out)
+    io.dump(io.pmod_to_json(_or_format_error(restrict, M, L)), args.out)
     return EXIT_OK
 
 
@@ -133,11 +136,7 @@ def cmd_verify(args) -> int:
             return EXIT_VIOLATED
         return EXIT_INCONCLUSIVE
     if args.kind == "tworows":
-        M = io.pmod_from_json(obj)
-        try:
-            split = decompose_two_rows(M)
-        except ValueError as e:
-            raise FormatError(str(e))
+        split = _or_format_error(decompose_two_rows, io.pmod_from_json(obj))
         report = {
             "gap": list(split.gap),
             "summand_dims": [sum(s.dims.values()) for s in split.summands],
@@ -166,12 +165,7 @@ def cmd_hom(args) -> int:
 def cmd_concat(args) -> int:
     oa, ob = io.load(args.a), io.load(args.b)
     _check_field(args, oa.get("module", {}), ob.get("module", {}))
-    A = io.candy_from_json(oa)
-    B = io.candy_from_json(ob)
-    try:
-        C = concat(A, B)
-    except ValueError as e:
-        raise FormatError(str(e))
+    C = _or_format_error(concat, io.candy_from_json(oa), io.candy_from_json(ob))
     io.dump(io.candy_to_json(C), args.out)
     return EXIT_OK
 
@@ -186,7 +180,7 @@ def cmd_string(args) -> int:
         obj = io.load(p)
         _check_field(args, obj)
         mods.append(io.pmod_from_json(obj))
-    res = string_candies(mods)
+    res = _or_format_error(string_candies, mods)
     out = io.candy_to_json(res.candy)
     out["embeddings"] = [io.line_to_json(e) for e in res.embeddings]
     io.dump(out, args.out)

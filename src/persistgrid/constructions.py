@@ -295,60 +295,64 @@ def _greedy_points(windows: list) -> list:
     return out
 
 
-def min3_rect(V: RectDecomp) -> BuildResult:
-    """Three layers I'_V -> V'' -> V~ with distinct first coordinates.
+def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox):
+    """The three rectangle layers I' -> R'' -> R~ on a first axis refined by s.
 
-    The first axis is refined by the scale s = 2(m+1): each summand becomes
-    the window [s b1, s d1] there (simple summands with b1 = d1 inflate to
-    [s b1 - m, s b1 + m]), the refined births b'_i take pairwise distinct
-    first coordinates inside their windows, and deaths d'_i = D + (m - rank)
-    on the first axis keep the interleaved ordering that makes endomorphisms
-    of V'' diagonal.  The line samples first coordinates at multiples of s.
+    Summand i becomes the window windows[i] on the first axis.  The births
+    b'_i take pairwise distinct first coordinates inside their windows, and
+    the deaths d'_i = D + (m - rank) on the first axis keep the interleaved
+    ordering that makes endomorphisms of R'' diagonal.  Summands are listed
+    in the rank order meta["order"].  Returns (layers, links, line, meta),
+    on the hull of box and the rectangles; the line samples first
+    coordinates at multiples of s.
     """
-    if not V.summands:
-        raise ValueError("empty rectangle decomposition")
-    m = len(V)
-    n = V.n
-    s = 2 * (m + 1)
-    windows = []
-    for r in V.summands:
-        b1, d1 = r.b[0], r.d[0]
-        if b1 == d1:
-            windows.append((s * b1 - m, s * b1 + m))
-        else:
-            windows.append((s * b1, s * d1))
+    m = len(summands)
+    n = len(summands[0].b)
     ts = _greedy_points(windows)
     order = sorted(range(m), key=lambda i: ts[i])
-    tilde = [Rectangle((windows[i][0],) + r.b[1:], (windows[i][1],) + r.d[1:])
-             for i, r in ((i, V.summands[i]) for i in order)]
+    tilde = [Rectangle((windows[i][0],) + summands[i].b[1:], (windows[i][1],) + summands[i].d[1:])
+             for i in order]
     D = tuple(max(r.d[k] for r in tilde) for k in range(n))
-    bprime = [(ts[i],) + V.summands[i].b[1:] for i in order]
+    bprime = [(ts[i],) + summands[i].b[1:] for i in order]
     dprime = [(D[0] + (m - rank),) + D[1:] for rank in range(1, m + 1)]
-    vpp = [Rectangle(b, d) for b, d in zip(bprime, dprime)]
+    rpp = [Rectangle(b, d) for b, d in zip(bprime, dprime)]
     iv = cone(bprime, dprime)
-    scaled = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0],) + V.box.hi[1:])
-    box = GridBox.hull([_hull_box(tilde + vpp + [iv]), scaled])
-    d_iv = RectDecomp(V.field, box, [iv])
-    d_vpp = RectDecomp(V.field, box, vpp)
-    d_tilde = RectDecomp(V.field, box, tilde)
-    layers = [rect_to_module(d) for d in (d_iv, d_vpp, d_tilde)]
-    morphs = [
-        realize(FormalMatrix.ones_column(d_iv, d_vpp), check=False),
-        realize(FormalMatrix.diagonal(d_vpp, d_tilde), check=False),
+    box = GridBox.hull([_hull_box(tilde + rpp + [iv]), box])
+    decomps = [RectDecomp(field, box, rects) for rects in ([iv], rpp, tilde)]
+    layers = [rect_to_module(d) for d in decomps]
+    links = [
+        realize(FormalMatrix.ones_column(decomps[0], decomps[1]), check=False),
+        realize(FormalMatrix.diagonal(decomps[1], decomps[2]), check=False),
     ]
-    M = stack(layers, morphs, height_lo=-2)
-    maps = [("affine", s, 0)] + [("affine", 1, 0)] * (n - 1)
-    line = AxisEmbedding(maps, n, 0)
+    line = AxisEmbedding([("affine", s, 0)] + [("affine", 1, 0)] * (n - 1), n, 0)
     meta = {
         "s": s,
         "windows": [windows[i] for i in order],
         "bprime": bprime,
         "dprime": dprime,
-        "decomps": [d_iv, d_vpp, d_tilde],
+        "decomps": decomps,
         "order": order,
-        "source_box": V.box,
     }
-    return BuildResult(M, line, 3, meta)
+    return layers, links, line, meta
+
+
+def min3_rect(V: RectDecomp) -> BuildResult:
+    """Three layers I'_V -> V'' -> V~ with distinct first coordinates.
+
+    The first axis is refined by the scale s = 2(m+1): each summand becomes
+    the window [s b1, s d1] there (simple summands with b1 = d1 inflate to
+    [s b1 - m, s b1 + m]); see _refined_layers.
+    """
+    if not V.summands:
+        raise ValueError("empty rectangle decomposition")
+    m = len(V)
+    s = 2 * (m + 1)
+    windows = [(s * r.b[0] - m, s * r.b[0] + m) if r.b[0] == r.d[0] else (s * r.b[0], s * r.d[0])
+               for r in V.summands]
+    scaled = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0],) + V.box.hi[1:])
+    layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, scaled)
+    meta["source_box"] = V.box
+    return BuildResult(stack(layers, links, height_lo=-2), line, 3, meta)
 
 
 def min3(V: RectDecomp) -> BuildResult:
@@ -397,59 +401,20 @@ def gen4(V: PersModule) -> BuildResult:
     if V.is_zero():
         raise ValueError("zero module")
     cov = projective_cover(V)
-    m = len(cov.decomp)
-    n = V.n
-    s = 2 * (m + 1)
+    s = 2 * (len(cov.decomp) + 1)
     windows = [(s * r.b[0], s * r.d[0] + s - 1) for r in cov.decomp.summands]
-    ts = _greedy_points(windows)
-    order = sorted(range(m), key=lambda i: ts[i])
-    tilde = [Rectangle((windows[i][0],) + r.b[1:], (windows[i][1],) + r.d[1:])
-             for i, r in ((i, cov.decomp.summands[i]) for i in order)]
-    D = tuple(max(r.d[k] for r in tilde) for k in range(n))
-    bprime = [(ts[i],) + cov.decomp.summands[i].b[1:] for i in order]
-    dprime = [(D[0] + (m - rank),) + D[1:] for rank in range(1, m + 1)]
-    rpp = [Rectangle(b, d) for b, d in zip(bprime, dprime)]
-    iv = cone(bprime, dprime)
     VG = _stretch_first(V, s)
-    box = GridBox.hull([_hull_box(tilde + rpp + [iv]), VG.box])
-    d_iv = RectDecomp(V.field, box, [iv])
-    d_rpp = RectDecomp(V.field, box, rpp)
-    d_tilde = RectDecomp(V.field, box, tilde)
-    layers = [rect_to_module(d) for d in (d_iv, d_rpp, d_tilde)] + [pad(VG, box)]
-    morphs = [
-        realize(FormalMatrix.ones_column(d_iv, d_rpp), check=False),
-        realize(FormalMatrix.diagonal(d_rpp, d_tilde), check=False),
-    ]
-    morphs = [ModMorphism(layers[i], layers[i + 1], mph.comps) for i, mph in enumerate(morphs)]
+    layers, links, line, meta = _refined_layers(V.field, cov.decomp.summands, windows, s, VG.box)
+    top = pad(VG, layers[0].box)
     # stretched cover surjection: at y it is p at floor(y), columns permuted
     # into the rank order used for the rectangle layers
-    f = V.field
+    order, tilde = meta["order"], meta["decomps"][2]
     comps = {}
-    for y in layers[2].dims:
+    for y, d in VG.dims.items():
         x = (y[0] // s,) + y[1:]
-        if VG.dim(y) == 0:
-            continue
-        alive = [j for j in range(m) if tilde[j].contains(y)]
-        src = cov.morphism.comp(x)
-        src_cols = cov.decomp.indices_at(x)
-        mat = Matrix.zero(f, VG.dim(y), len(alive))
-        for c, j in enumerate(alive):
-            orig = order[j]
-            c0 = src_cols.index(orig)
-            for r in range(VG.dim(y)):
-                mat.rows[r][c] = src.rows[r][c0]
-        comps[y] = mat
-    morphs.append(ModMorphism(layers[2], layers[3], comps))
-    M = stack(layers, morphs, height_lo=-3)
-    maps = [("affine", s, 0)] + [("affine", 1, 0)] * (n - 1)
-    line = AxisEmbedding(maps, n, 0)
-    meta = {
-        "s": s,
-        "windows": [windows[i] for i in order],
-        "bprime": bprime,
-        "dprime": dprime,
-        "decomps": [d_iv, d_rpp, d_tilde],
-        "source_box": V.box,
-        "cover": cov,
-    }
-    return BuildResult(M, line, 4, meta)
+        cols = cov.decomp.indices_at(x)
+        live = [cols.index(order[j]) for j in tilde.indices_at(y)]
+        comps[y] = cov.morphism.comp(x).submatrix(range(d), live)
+    links.append(ModMorphism(layers[2], top, comps))
+    meta.update({"source_box": V.box, "cover": cov})
+    return BuildResult(stack(layers + [top], links, height_lo=-3), line, 4, meta)

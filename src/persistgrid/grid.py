@@ -8,19 +8,13 @@ monotone path, which commutativity makes canonical.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from operator import add, sub
 
 from .fields import Field
 from .linalg import Matrix
 
-MAX_VERTICES_ENV = "PMOD_MAX_VERTICES"
-DEFAULT_MAX_VERTICES = 100_000
-
-
-def max_vertices() -> int:
-    return int(os.environ.get(MAX_VERTICES_ENV, DEFAULT_MAX_VERTICES))
+MAX_VERTICES = 100_000  # the largest box any module or construction may use
 
 
 @dataclass(frozen=True)
@@ -38,8 +32,8 @@ class GridBox:
             raise ValueError("lo and hi have different lengths")
         if any(a > b for a, b in zip(lo, hi)):
             raise ValueError(f"empty box: lo={lo} hi={hi}")
-        if self.count > max_vertices():
-            raise ValueError(f"box with {self.count} vertices exceeds the cap {max_vertices()}")
+        if self.count > MAX_VERTICES:
+            raise ValueError(f"box with {self.count} vertices exceeds the cap {MAX_VERTICES}")
 
     @property
     def n(self) -> int:
@@ -131,9 +125,6 @@ class PersModule:
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def support(self):
-        return set(self.dims)
 
     def is_zero(self) -> bool:
         return not self.dims
@@ -284,13 +275,6 @@ class ModMorphism:
             raise ValueError("composition mismatch")
         verts = set(self.comps) & set(other.comps)
         return ModMorphism(other.source, self.target, {v: self.comp(v) @ other.comp(v) for v in verts})
-
-    def __add__(self, other: "ModMorphism") -> "ModMorphism":
-        verts = set(self.comps) | set(other.comps)
-        return ModMorphism(self.source, self.target, {v: self.comp(v) + other.comp(v) for v in verts})
-
-    def scale(self, c) -> "ModMorphism":
-        return ModMorphism(self.source, self.target, {v: m.scale(c) for v, m in self.comps.items()})
 
     def __eq__(self, other):
         if not isinstance(other, ModMorphism):

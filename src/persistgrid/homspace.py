@@ -12,13 +12,27 @@ way down and composition never touches a vertex-by-vertex matrix.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
-from itertools import groupby
+from itertools import accumulate, groupby
 
 from .grid import ModMorphism, PersModule, slice_layers, vle
 from .linalg import Matrix, nullspace_sparse
 from .rectangles import FormalMatrix, hom_leq, interval_decompose_1d, realize
+
+
+def combine(f, terms) -> dict:
+    """The sparse vector sum of c * x over the (c, x) pairs in terms.
+
+    Zero coefficients are skipped and zero entries dropped, so the keys
+    keep the order of their first nonzero contribution.
+    """
+    out: dict = {}
+    for c, x in terms:
+        if c == 0:
+            continue
+        for k, v in x.items():
+            out[k] = f.add(out.get(k, f.zero), f.mul(c, v))
+    return {k: v for k, v in out.items() if v != 0}
 
 
 class Context:
@@ -195,11 +209,8 @@ class HomSpace:
         Ns, lNs = ctx.layers(N)
         h = len(Ms)
         spaces = [ctx.hom(Ms[i], Ns[i]) for i in range(h)]
-        offsets = []
-        total = 0
-        for sp in spaces:
-            offsets.append(total)
-            total += sp.dim
+        offsets = list(accumulate((sp.dim for sp in spaces), initial=0))
+        total = offsets[-1]
         if total == 0:
             return []
         lM_expr = [ctx.express(Ms[i], Ms[i + 1], lMs[i]) for i in range(h - 1)]
@@ -219,17 +230,10 @@ class HomSpace:
                     row = per_leaf[leaf]
                     row[col] = f.sub(row.get(col, f.zero), c)
             rows.extend(per_leaf.values())
-        sols = nullspace_sparse(rows, total, f)
-        basis = []
-        for sol in sols:
-            amb: dict = {}
-            for col, c in sol.items():
-                i = bisect_right(offsets, col) - 1
-                for leaf, v in spaces[i].basis[col - offsets[i]].items():
-                    key = (i, leaf)
-                    amb[key] = f.add(amb.get(key, f.zero), f.mul(c, v))
-            basis.append({k: v for k, v in amb.items() if v != 0})
-        return basis
+        # column offsets[i] + b of the system is layer i's basis element b
+        tagged = [{(i, leaf): v for leaf, v in b.items()} for i, sp in enumerate(spaces) for b in sp.basis]
+        return [combine(f, ((c, tagged[col]) for col, c in sol.items()))
+                for sol in nullspace_sparse(rows, total, f)]
 
     # -- element operations --------------------------------------------
 
@@ -261,14 +265,7 @@ class HomSpace:
 
     def random_element(self, rng) -> dict:
         f = self.M.field
-        out: dict = {}
-        for b in self.basis:
-            c = f.rand(rng)
-            if c == 0:
-                continue
-            for k, v in b.items():
-                out[k] = f.add(out.get(k, f.zero), f.mul(c, v))
-        return {k: v for k, v in out.items() if v != 0}
+        return combine(f, ((f.rand(rng), b) for b in self.basis))
 
 
 def hom_dim(M: PersModule, N: PersModule, ctx: Context | None = None) -> int:

@@ -12,7 +12,7 @@ from collections import Counter
 
 from .constructions import CandyModule
 from .fields import Field
-from .grid import AxisEmbedding, GridBox, PersModule, vsucc
+from .grid import MAX_VERTICES, AxisEmbedding, GridBox, PersModule, vsucc
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle
 
@@ -40,6 +40,12 @@ def _axis_count(n) -> int:
     if type(n) is not int or n < 1:
         raise FormatError(f"bad axis count n={n!r}")
     return n
+
+
+def _check_int(x, what: str) -> None:
+    """JSON booleans and floats are not integers here."""
+    if type(x) is not int:
+        raise FormatError(f"{what} must be an integer, got {x!r}")
 
 
 def field_from_json(tag) -> Field:
@@ -172,6 +178,8 @@ def rects_from_json(obj: dict) -> RectDecomp:
         mult = rec.get("mult", 1)
         if type(mult) is not int or mult < 1:
             raise FormatError(f"bad multiplicity {mult!r}")
+        if len(rects) + mult > MAX_VERTICES:
+            raise FormatError(f"more than {MAX_VERTICES} rectangles in total")
         try:
             rects.extend([Rectangle(b, d)] * mult)
         except ValueError as e:
@@ -199,9 +207,22 @@ def line_to_json(L: AxisEmbedding) -> dict:
 
 def line_from_json(obj: dict) -> AxisEmbedding:
     _require(obj, ("axis_maps", "insert_axis"), "LINE")
+    maps, ins = obj["axis_maps"], obj["insert_axis"]
+    if not isinstance(maps, list):
+        raise FormatError(f"axis_maps must be a list, got {maps!r}")
+    for am in maps:
+        affine = isinstance(am, dict) and "scale" in am
+        _require(am, ("scale", "offset") if affine else ("table",), "axis map")
+        for key in ("scale", "offset") if affine else ("start",):
+            _check_int(am.get(key, 0), key)
+        if not affine and (not isinstance(am["table"], list) or any(type(x) is not int for x in am["table"])):
+            raise FormatError(f"table must be a list of integers, got {am['table']!r}")
+    _require(ins, ("pos", "value"), "insert_axis")
+    for key in ("pos", "value"):
+        _check_int(ins[key], key)
     try:
         return AxisEmbedding.from_json(obj)
-    except (ValueError, KeyError, TypeError) as e:
+    except ValueError as e:
         raise FormatError(f"bad line embedding: {e}")
 
 

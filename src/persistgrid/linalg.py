@@ -6,6 +6,8 @@ first nonzero pivot, no pivoting heuristics that depend on magnitudes.
 
 from __future__ import annotations
 
+import math
+
 from .fields import Field
 
 
@@ -43,9 +45,6 @@ class Matrix:
     def from_ints(field: Field, rows) -> "Matrix":
         return Matrix(field, [[field.of(x) for x in r] for r in rows])
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -73,10 +72,6 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         f = self.field
         return Matrix(f, [[f.sub(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -226,8 +221,9 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
+        # a square system A X = I is consistent only when A is invertible
         X = self.solve(Matrix.identity(self.field, self.nrows))
-        if X is None or self.rank() != self.nrows:
+        if X is None:
             raise ValueError("matrix is singular")
         return X
 
@@ -610,10 +606,7 @@ def _rational_roots(f: Poly) -> list:
     field = f.field
     if f.degree < 1:
         return []
-    # clear denominators
-    denom = 1
-    for c in f.coeffs:
-        denom = denom * c.denominator // _gcd_int(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for c in f.coeffs))  # clears denominators
     ints = [int(c * denom) for c in f.coeffs]
     while ints and ints[0] == 0:
         ints = ints[1:]  # factor x out; 0 handled separately by caller's gcd
@@ -629,12 +622,6 @@ def _rational_roots(f: Poly) -> list:
                 if f.eval_scalar(cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int) -> list[int]:

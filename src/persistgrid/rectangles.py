@@ -33,9 +33,6 @@ class Rectangle:
     def contains(self, v) -> bool:
         return vle(self.b, v) and vle(v, self.d)
 
-    def translate(self, t) -> "Rectangle":
-        return Rectangle(vadd(self.b, t), vadd(self.d, t))
-
 
 def canonical_hom_dim(A: Rectangle, B: Rectangle) -> int:
     """dim Hom(I[A], I[B]): 1 iff B.b <= A.b, B.d <= A.d and A.b <= B.d."""
@@ -95,10 +92,6 @@ class RectDecomp:
     def dualize(self) -> "RectDecomp":
         c = vadd(self.box.lo, self.box.hi)
         return RectDecomp(self.field, self.box, [Rectangle(vsub(c, r.d), vsub(c, r.b)) for r in self.summands])
-
-    def translate(self, t) -> "RectDecomp":
-        box = GridBox(vadd(self.box.lo, t), vadd(self.box.hi, t))
-        return RectDecomp(self.field, box, [r.translate(t) for r in self.summands])
 
 
 def rect_to_module(R: RectDecomp) -> PersModule:
@@ -231,40 +224,7 @@ def realize(F: FormalMatrix, check: bool = True) -> ModMorphism:
 
 
 # ---------------------------------------------------------------------------
-# 1D barcodes
-
-
-def barcode_1d(M: PersModule) -> Counter:
-    """Barcode of a 1D module by rank inclusion-exclusion.
-
-    mult[b, d] = r(b,d) - r(b-1,d) - r(b,d+1) + r(b-1,d+1), where r(x,y) is
-    the rank of M(x <= y) and r vanishes outside the box.
-    """
-    if M.n != 1:
-        raise ValueError("barcode_1d needs a 1D module")
-    lo, hi = M.box.lo[0], M.box.hi[0]
-    r = {}
-    for x in range(lo, hi + 1):
-        acc = Matrix.identity(M.field, M.dim((x,)))
-        r[(x, x)] = acc.rank()
-        for y in range(x + 1, hi + 1):
-            acc = M.step((y - 1,), 0) @ acc
-            r[(x, y)] = acc.rank()
-
-    def rk(x, y):
-        if x < lo or y > hi:
-            return 0
-        return r[(x, y)]
-
-    bars = Counter()
-    for b in range(lo, hi + 1):
-        for d in range(b, hi + 1):
-            m = rk(b, d) - rk(b - 1, d) - rk(b, d + 1) + rk(b - 1, d + 1)
-            if m < 0:
-                raise AssertionError("negative barcode multiplicity")
-            if m > 0:
-                bars[((b,), (d,))] = m
-    return bars
+# 1D interval decompositions and barcodes
 
 
 class _Chain:
@@ -277,13 +237,9 @@ class _Chain:
         self.index = index  # creation order, the tie-break between equal intervals
 
 
-def interval_decompose_1d(M: PersModule):
-    """Explicit interval decomposition of a 1D module.
-
-    Returns (decomp, iso) where iso: rect_to_module(decomp) -> M is a
-    pointwise invertible morphism.  Summands are ordered by (birth, death,
-    creation order), deterministically.
-    """
+def _interval_chains(M: PersModule) -> list[_Chain]:
+    """One reduction pass over a 1D module: chains of basis vectors, one
+    per interval summand, sorted by (birth, death, creation order)."""
     if M.n != 1:
         raise ValueError("interval decomposition needs a 1D module")
     f = M.field
@@ -351,8 +307,23 @@ def interval_decompose_1d(M: PersModule):
     for chain in active:
         chain.death = hi
         done.append(chain)
+    return sorted(done, key=lambda c: (c.birth, c.death, c.index))
 
-    chains = sorted(done, key=lambda c: (c.birth, c.death, c.index))
+
+def barcode_1d(M: PersModule) -> Counter:
+    """Barcode of a 1D module, read off its interval chains."""
+    return Counter(((c.birth,), (c.death,)) for c in _interval_chains(M))
+
+
+def interval_decompose_1d(M: PersModule):
+    """Explicit interval decomposition of a 1D module.
+
+    Returns (decomp, iso) where iso: rect_to_module(decomp) -> M is a
+    pointwise invertible morphism.  Summands are ordered by (birth, death,
+    creation order), deterministically.
+    """
+    f = M.field
+    chains = _interval_chains(M)
     decomp = RectDecomp(f, M.box, [Rectangle((c.birth,), (c.death,)) for c in chains])
     canon = rect_to_module(decomp)
     comps = {}

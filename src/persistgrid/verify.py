@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 
 from .grid import ModMorphism, PersModule, direct_sum, stack, vle
-from .homspace import Context, HomSpace, end_dim
+from .homspace import Context, HomSpace, combine, end_dim
 from .linalg import Matrix, Poly, coprime_split, minimal_polynomial
 from .rectangles import FormalMatrix, RectDecomp, realize, rect_to_module
 
@@ -42,9 +42,6 @@ class EndAlgebra:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def basis_morphisms(self) -> list[ModMorphism]:
-        return self.space.basis_morphisms()
 
 
 def end_algebra(M: PersModule, ctx: Context | None = None) -> EndAlgebra:
@@ -147,7 +144,7 @@ def _split_along(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
     the kernels are complementary submodules.
     """
     f = M.field
-    P = {}
+    P, Pinv = {}, {}
     split_dim = {}
     for v, d in M.dims.items():
         av = a.comp(v)
@@ -156,7 +153,9 @@ def _split_along(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
         if K1.ncols + K2.ncols != d:
             return None
         P[v] = Matrix.hstack([K1, K2])
-        if not P[v].is_invertible():
+        try:
+            Pinv[v] = P[v].inverse()
+        except ValueError:
             return None
         split_dim[v] = K1.ncols
     if all(split_dim[v] == 0 for v in M.dims) or all(split_dim[v] == M.dims[v] for v in M.dims):
@@ -165,7 +164,7 @@ def _split_along(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
     dims2 = {v: M.dims[v] - split_dim[v] for v in M.dims}
     steps1, steps2 = {}, {}
     for v, k, w in M.arrows():
-        B = P[w].inverse() @ (M.step(v, k) @ P[v])
+        B = Pinv[w] @ (M.step(v, k) @ P[v])
         d1v, d1w = split_dim[v], split_dim[w]
         # kernels of coprime factors are invariant, so B must be block diagonal
         for r in range(d1w):
@@ -248,13 +247,7 @@ def try_split(M: PersModule, seed: int = 0, trials: int = 24, ctx: Context | Non
             if i == ed:
                 break
             coeffs[i] = f.add(coeffs[i], f.one)
-            amb: dict = {}
-            for c, b in zip(coeffs, E.basis):
-                if c == 0:
-                    continue
-                for k, v in b.items():
-                    amb[k] = f.add(amb.get(k, f.zero), f.mul(c, v))
-            a = E.materialize({k: v for k, v in amb.items() if v != 0})
+            a = E.materialize(combine(f, zip(coeffs, E.basis)))
             got = _try_element(M, a, rng)
             if got is not None:
                 return IndecVerdict(DECOMPOSABLE, "splitting endomorphism found", ed, ld, (got[0], got[1]), got[2])
@@ -423,16 +416,10 @@ def decompose_two_rows(M: PersModule, y: tuple | None = None, ctx: Context | Non
         grp = gL if row_idx == 0 else gU
         h = h0 + row_idx
         row_mod = rows[row_idx]
-        for v in row_mod.dims:
+        for v, d in row_mod.dims.items():
             present = D.indices_at(v)
-            ordering = [i for g in (1, 2, 3) for i in present if grp[i] == g]
-            src = iso_row.comp(v)
-            m = Matrix.zero(f, row_mod.dim(v), len(ordering))
-            for col, i in enumerate(ordering):
-                c0 = present.index(i)
-                for r in range(row_mod.dim(v)):
-                    m.rows[r][col] = src.rows[r][c0]
-            comps[v + (h,)] = m
+            ordering = [c for g in (1, 2, 3) for c, i in enumerate(present) if grp[i] == g]
+            comps[v + (h,)] = iso_row.comp(v).submatrix(range(d), ordering)
     iso = ModMorphism(total, M, comps)
     rep = iso.validate()
     if not rep:

@@ -251,9 +251,16 @@ def _set_scalar(value):
 
 
 class TestMistypedOrOversizedInput:
-    """RECTS files with mistyped fields, and field tags, scalars or integers
-    too large to parse quickly, exit 2 with a message, and at once."""
+    """RECTS and LINE files with mistyped fields, field tags, scalars or
+    integers too large to parse quickly, and modules that a construction
+    cannot build, exit 2 with a message, and at once."""
     RECTS = {"field": "Q", "n": 1, "lo": [0], "hi": [2], "rects": [{"b": [0], "d": [2], "mult": 1}]}
+    LINE = {"axis_maps": [{"scale": 1, "offset": 0}], "insert_axis": {"pos": 1, "value": 0}}
+    TABLE_LINE = {"axis_maps": [{"table": [0, 1], "start": 0}], "insert_axis": {"pos": 1, "value": 0}}
+    ZERO = {"field": "Q", "n": 1, "lo": [0], "hi": [2], "dims": [0, 0, 0], "steps": []}
+    # one vertex at the top corner of a 300 x 300 box: every construction's
+    # output box exceeds the vertex cap before the rectangle layers get large
+    CORNER = {"field": "Q", "n": 2, "lo": [0, 0], "hi": [299, 299], "dims": [0] * 89999 + [1], "steps": []}
     CASES = {
         "rects-float-birth": (RECTS, lambda o: o["rects"][0].update(b=[0.5])),
         "rects-float-death": (RECTS, lambda o: o["rects"][0].update(d=[2.0])),
@@ -272,19 +279,56 @@ class TestMistypedOrOversizedInput:
         "pmod-decimal-scalar": (TestMalformedPmod.BASE, _set_scalar("0.5")),
         "pmod-padded-scalar": (TestMalformedPmod.BASE, _set_scalar(" 1")),
         "pmod-5000-digit-int": (TestMalformedPmod.BASE, lambda o: o["dims"].__setitem__(0, LONG_INT)),
+        "rects-huge-mult": (RECTS, lambda o: o["rects"][0].update(mult=10**12)),
+        "line-float-scale": (LINE, lambda o: o["axis_maps"][0].update(scale=1.5)),
+        "line-bool-offset": (LINE, lambda o: o["axis_maps"][0].update(offset=True)),
+        "line-bool-start": (TABLE_LINE, lambda o: o["axis_maps"][0].update(start=False)),
+        "line-float-table-entry": (TABLE_LINE, lambda o: o["axis_maps"][0].update(table=[0, 1.0])),
+        "line-bool-pos": (LINE, lambda o: o["insert_axis"].update(pos=True)),
+        "line-float-value": (LINE, lambda o: o["insert_axis"].update(value=0.0)),
+        "zero-module-candy": (ZERO, lambda o: None, "candy"),
+        "zero-module-sprime": (ZERO, lambda o: None, "sprime"),
+        "zero-module-sdual": (ZERO, lambda o: None, "sdual"),
+        "zero-module-gen4": (ZERO, lambda o: None, "gen4"),
+        "zero-module-string": (ZERO, lambda o: None, "string"),
+        "over-cap-candy": (CORNER, lambda o: None, "candy"),
+        "over-cap-gen4": (CORNER, lambda o: None, "gen4"),
     }
+
+    @staticmethod
+    def _argv(obj, p, tmp_path, verb=None):
+        """The command that reads the file p, whose content is obj."""
+        out = str(tmp_path / "out.json")
+        if verb == "string":
+            manifest = str(tmp_path / "list.json")
+            dump({"modules": [p]}, manifest)
+            return ["string", "--list", manifest, "--out", out]
+        if verb is not None:
+            return ["construct", "--method", verb, "--in", p, "--out", out]
+        if "rects" in obj:
+            return ["construct", "--method", "min3", "--in", p, "--out", out]
+        if "axis_maps" in obj:
+            module = str(tmp_path / "module.json")
+            dump(TestMalformedPmod.BASE, module)
+            return ["restrict", "--in", module, "--line", p, "--out", out]
+        return ["verify", "indec", "--in", p]
+
+    def test_bases_are_valid(self, tmp_path, capsys):
+        for base in (self.RECTS, self.LINE, self.TABLE_LINE):
+            p = str(tmp_path / "in.json")
+            dump(base, p)
+            assert run(capsys, self._argv(base, p, tmp_path))[0] == 0
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_2_with_message(self, tmp_path, capsys, case):
-        base, change = self.CASES[case]
+        base, change, *verb = self.CASES[case]
         obj = json.loads(json.dumps(base))
         change(obj)
         p = str(tmp_path / "in.json")
         with open(p, "w") as fh:
             # json.dumps cannot write an int this long, so a placeholder stands in
             fh.write(json.dumps(obj).replace(f'"{LONG_INT}"', "9" * 5000))
-        argv = (["construct", "--method", "min3", "--in", p, "--out", str(tmp_path / "out.json")]
-                if "rects" in obj else ["verify", "indec", "--in", p])
+        argv = self._argv(obj, p, tmp_path, *verb)
         t0 = time.perf_counter()
         code, _, err = run(capsys, argv)
         assert code == 2 and err.startswith("error:") and len(err) > len("error: \n")

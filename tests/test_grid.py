@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from persistgrid import (AxisEmbedding, Field, GridBox, ModMorphism, PersModule,
                          Rectangle, RectDecomp, direct_sum, dualize, pad,
                          rect_to_module, restrict, stack)
-from persistgrid.grid import pad_morphism, slice_layers, vsucc
+from persistgrid.grid import MAX_VERTICES, pad_morphism, slice_layers, vsucc
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module
 
@@ -28,10 +28,11 @@ class TestGridBox:
         with pytest.raises(ValueError):
             GridBox((1,), (0,))
 
-    def test_cap(self, monkeypatch):
-        monkeypatch.setenv("PMOD_MAX_VERTICES", "10")
+    def test_cap(self):
+        assert MAX_VERTICES == 100_000
+        assert GridBox((0, 0), (999, 99)).count == MAX_VERTICES
         with pytest.raises(ValueError):
-            GridBox((0, 0), (10, 10))
+            GridBox((0, 0), (1000, 99))  # 100 100 vertices
 
 
 class TestValidate:

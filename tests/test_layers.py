@@ -1,0 +1,36 @@
+"""The package's modules import only from lower layers:
+fields -> linalg -> grid -> rectangles -> covers/homspace ->
+verify/constructions -> io/sampling -> cli."""
+
+import ast
+import os
+
+import persistgrid
+
+LAYERS = [("fields",), ("linalg",), ("grid",), ("rectangles",), ("covers", "homspace"),
+          ("verify", "constructions"), ("io", "sampling"), ("cli",)]
+RANK = {name: i for i, names in enumerate(LAYERS) for name in names}
+PACKAGE = os.path.dirname(persistgrid.__file__)
+
+
+def relative_imports(path):
+    """Names of the package modules that the file imports with `from .`."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_every_module_has_a_layer():
+    modules = {fn[:-3] for fn in os.listdir(PACKAGE) if fn.endswith(".py") and fn != "__init__.py"}
+    assert modules == set(RANK)
+
+
+def test_imports_point_down():
+    for name, rank in RANK.items():
+        for dep in relative_imports(os.path.join(PACKAGE, f"{name}.py")):
+            assert RANK[dep] < rank, f"{name} imports {dep}"

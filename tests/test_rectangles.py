@@ -15,6 +15,47 @@ from persistgrid.sampling import rand_module, rand_rect_decomp
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F1009 = Field.prime(1009)
+
+
+def barcode_by_ranks(M):
+    """Barcode of a 1D module by rank inclusion-exclusion.
+
+    mult[b, d] = r(b,d) - r(b-1,d) - r(b,d+1) + r(b-1,d+1), where r(x,y) is
+    the rank of M(x <= y) and r vanishes outside the box.
+    """
+    if M.n != 1:
+        raise ValueError("barcode_1d needs a 1D module")
+    lo, hi = M.box.lo[0], M.box.hi[0]
+    r = {}
+    for x in range(lo, hi + 1):
+        acc = Matrix.identity(M.field, M.dim((x,)))
+        r[(x, x)] = acc.rank()
+        for y in range(x + 1, hi + 1):
+            acc = M.step((y - 1,), 0) @ acc
+            r[(x, y)] = acc.rank()
+
+    def rk(x, y):
+        if x < lo or y > hi:
+            return 0
+        return r[(x, y)]
+
+    bars = Counter()
+    for b in range(lo, hi + 1):
+        for d in range(b, hi + 1):
+            m = rk(b, d) - rk(b - 1, d) - rk(b, d + 1) + rk(b - 1, d + 1)
+            if m < 0:
+                raise AssertionError("negative barcode multiplicity")
+            if m > 0:
+                bars[((b,), (d,))] = m
+    return bars
+
+
+def rand_1d(seed):
+    """A random 1D module over Q, F_2, F_3 or F_1009 on a box of width 5 or 8."""
+    rng = random.Random(seed)
+    f = [Q, F2, F3, F1009][seed % 4]
+    return rand_module(rng, f, GridBox((0,), (4 if seed // 4 % 2 else 7,)), max_dim=2)
 
 
 class TestRectToModule:
@@ -164,9 +205,9 @@ class TestBarcode:
     @given(st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
     def test_barcode_point_counts(self, seed):
-        rng = random.Random(seed)
-        M = rand_module(rng, F2, GridBox((0,), (4,)), max_dim=2)
+        M = rand_1d(seed)
         bc = barcode_1d(M)
+        assert bc == barcode_by_ranks(M)
         for x in M.box.vertices():
             total = sum(m for ((b,), (d,)), m in bc.items() if b <= x[0] <= d)
             assert total == M.dim(x)
@@ -176,11 +217,9 @@ class TestIntervalDecompose:
     @given(st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
     def test_decompose_matches_barcode_and_iso(self, seed):
-        rng = random.Random(seed)
-        f = [Q, F2, F3][seed % 3]
-        M = rand_module(rng, f, GridBox((0,), (4,)), max_dim=2)
+        M = rand_1d(seed)
         D, iso = interval_decompose_1d(M)
-        assert D.barcode() == barcode_1d(M)
+        assert D.barcode() == barcode_1d(M) == barcode_by_ranks(M)
         assert iso.validate()
         assert iso.is_invertible()
 
