@@ -8,8 +8,8 @@ isomorphism, and two-row decompositions exactly over Q or F_p.
 from .fields import DEFAULT_PRIME, Field
 from .grid import (AxisEmbedding, GridBox, ModMorphism, PersModule, direct_sum,
                    dualize, pad, restrict, slice_layers, stack)
-from .rectangles import (RectDecomp, Rectangle, FormalMatrix, barcode_1d,
-                         interval_decompose_1d, realize, rect_to_module)
+from .rectangles import (RectDecomp, Rectangle, barcode_1d, interval_decompose_1d,
+                         realize, rect_to_module)
 from .covers import injective_envelope, projective_cover
 from .homspace import Context, HomSpace, end_dim, hom_dim
 from .verify import (IndecVerdict, check_candy, decompose_two_rows, end_algebra,
@@ -22,7 +22,7 @@ __all__ = [
     "DEFAULT_PRIME", "Field",
     "AxisEmbedding", "GridBox", "ModMorphism", "PersModule", "direct_sum",
     "dualize", "pad", "restrict", "slice_layers", "stack",
-    "RectDecomp", "Rectangle", "FormalMatrix", "barcode_1d",
+    "RectDecomp", "Rectangle", "barcode_1d",
     "interval_decompose_1d", "realize", "rect_to_module",
     "injective_envelope", "projective_cover",
     "Context", "HomSpace", "end_dim", "hom_dim",

@@ -16,7 +16,7 @@ from .covers import projective_cover
 from .grid import (AxisEmbedding, GridBox, ModMorphism, PersModule, dualize, pad,
                    stack, vadd, vsub, vsucc)
 from .linalg import Matrix
-from .rectangles import FormalMatrix, RectDecomp, Rectangle, realize, rect_to_module
+from .rectangles import RectDecomp, Rectangle, realize
 
 
 @dataclass
@@ -89,47 +89,35 @@ def cone(bprime: list, dprime: list) -> Rectangle:
     )
 
 
-def _hull_box(rects: list, extra: list = ()) -> GridBox:
-    pts = [r.b for r in rects] + [r.d for r in rects] + list(extra)
-    n = len(pts[0])
-    return GridBox(
-        tuple(min(p[k] for p in pts) for k in range(n)),
-        tuple(max(p[k] for p in pts) for k in range(n)),
-    )
+def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox):
+    """The rectangle layers [cone] -> [b'_i, d'_i] -> tails[0] -> tails[1] -> ...,
+    linked by a ones column and then by diagonals, on the hull of box and all
+    the rectangles.  Returns (decomps, layers, links)."""
+    chain = [[cone(bprime, dprime)], [Rectangle(b, d) for b, d in zip(bprime, dprime)], *tails]
+    corners = [box.lo, box.hi] + [p for rects in chain for r in rects for p in (r.b, r.d)]
+    box = GridBox(tuple(map(min, zip(*corners))), tuple(map(max, zip(*corners))))
+    decomps = [RectDecomp(field, box, rects) for rects in chain]
+    m = len(bprime)
+    coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * len(tails)
+    links = [realize(a, b, x) for a, b, x in zip(decomps, decomps[1:], coords)]
+    return decomps, [links[0].source] + [g.target for g in links], links
 
 
 def _s_chain(V: RectDecomp):
-    """The four rectangle layers I_V -> Vbar -> V' -> V with formal links."""
+    """The four rectangle layers I_V -> Vbar -> V' -> V on a box containing V.box."""
     dprime = separate_and_shift(V)
     mu, bprime = verticalize(V, dprime)
-    iv = cone(bprime, dprime)
-    box = GridBox.hull([
-        _hull_box(V.summands + [iv] + [Rectangle(b, d) for b, d in zip(bprime, dprime)]),
-        V.box,
-    ])
-    d_iv = RectDecomp(V.field, box, [iv])
-    d_bar = RectDecomp(V.field, box, [Rectangle(b, d) for b, d in zip(bprime, dprime)])
-    d_pr = RectDecomp(V.field, box, [Rectangle(r.b, d) for r, d in zip(V.summands, dprime)])
-    d_v = V.on_box(box)
-    links = [
-        FormalMatrix.ones_column(d_iv, d_bar),
-        FormalMatrix.diagonal(d_bar, d_pr),
-        FormalMatrix.diagonal(d_pr, d_v),
-    ]
-    meta = {"dprime": dprime, "mu": mu, "bprime": bprime, "cone": iv}
-    return [d_iv, d_bar, d_pr, d_v], links, meta
+    vprime = [Rectangle(r.b, d) for r, d in zip(V.summands, dprime)]
+    decomps, layers, links = _cone_chain(V.field, bprime, dprime, [vprime, V.summands], V.box)
+    meta = {"dprime": dprime, "mu": mu, "bprime": bprime, "cone": decomps[0].summands[0], "decomps": decomps}
+    return layers, links, meta
 
 
 def build_S(V: RectDecomp) -> BuildResult:
     """Four layers I_V -> Vbar -> V' -> V stacked, V at height 0."""
-    decomps, links, meta = _s_chain(V)
-    layers = [rect_to_module(d) for d in decomps]
-    morphs = [realize(f, check=False) for f in links]
-    M = stack(layers, morphs, height_lo=-3)
-    line = AxisEmbedding.layer(V.n, V.n, 0)
-    meta["decomps"] = decomps
-    meta["source_box"] = decomps[0].box
-    return BuildResult(M, line, 4, meta)
+    layers, links, meta = _s_chain(V)
+    meta["source_box"] = layers[0].box
+    return BuildResult(stack(layers, links, height_lo=-3), AxisEmbedding.layer(V.n, V.n, 0), 4, meta)
 
 
 def build_S_prime(V: PersModule) -> BuildResult:
@@ -138,17 +126,12 @@ def build_S_prime(V: PersModule) -> BuildResult:
     if V.is_zero():
         raise ValueError("zero module")
     cov = projective_cover(V)
-    decomps, links, meta = _s_chain(cov.decomp)
-    box = GridBox.hull([decomps[0].box, V.box])
-    layers = [rect_to_module(d.on_box(box)) for d in decomps] + [pad(V, box)]
-    morphs = [realize(f, check=False) for f in links]
-    # realized links live on the chain's own hull box; repad onto the joint box
-    morphs = [ModMorphism(layers[i], layers[i + 1], m.comps) for i, m in enumerate(morphs)]
-    morphs.append(ModMorphism(layers[3], layers[4], cov.morphism.comps))
-    M = stack(layers, morphs, height_lo=-4)
-    line = AxisEmbedding.layer(V.n, V.n, 0)
-    meta.update({"decomps": decomps, "source_box": V.box, "cover": cov})
-    return BuildResult(M, line, 5, meta)
+    layers, links, meta = _s_chain(cov.decomp)  # on a box containing V.box = cov.decomp.box
+    top = pad(V, layers[0].box)
+    links.append(ModMorphism(layers[3], top, cov.morphism.comps))
+    meta.update({"source_box": V.box, "cover": cov})
+    M = stack(layers + [top], links, height_lo=-4)
+    return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 5, meta)
 
 
 def build_S_dprime(V: PersModule) -> BuildResult:
@@ -315,15 +298,7 @@ def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox):
     D = tuple(max(r.d[k] for r in tilde) for k in range(n))
     bprime = [(ts[i],) + summands[i].b[1:] for i in order]
     dprime = [(D[0] + (m - rank),) + D[1:] for rank in range(1, m + 1)]
-    rpp = [Rectangle(b, d) for b, d in zip(bprime, dprime)]
-    iv = cone(bprime, dprime)
-    box = GridBox.hull([_hull_box(tilde + rpp + [iv]), box])
-    decomps = [RectDecomp(field, box, rects) for rects in ([iv], rpp, tilde)]
-    layers = [rect_to_module(d) for d in decomps]
-    links = [
-        realize(FormalMatrix.ones_column(decomps[0], decomps[1]), check=False),
-        realize(FormalMatrix.diagonal(decomps[1], decomps[2]), check=False),
-    ]
+    decomps, layers, links = _cone_chain(field, bprime, dprime, [tilde], box)
     line = AxisEmbedding([("affine", s, 0)] + [("affine", 1, 0)] * (n - 1), n, 0)
     meta = {
         "s": s,

@@ -15,6 +15,7 @@ from .fields import Field
 from .linalg import Matrix
 
 MAX_VERTICES = 100_000  # the largest box any module or construction may use
+MAX_AXES = 32  # the most axes a module or rectangle file may have
 
 
 @dataclass(frozen=True)
@@ -394,26 +395,6 @@ class AxisEmbedding:
                 maps.append(("table", am[1], [x + off for x in am[2]]))
         return AxisEmbedding(maps, self.insert_pos, self.insert_value + t[self.insert_pos])
 
-    def to_json(self) -> dict:
-        maps = []
-        for am in self.axis_maps:
-            if am[0] == "affine":
-                maps.append({"scale": am[1], "offset": am[2]})
-            else:
-                maps.append({"table": am[2], "start": am[1]})
-        return {"axis_maps": maps, "insert_axis": {"pos": self.insert_pos, "value": self.insert_value}}
-
-    @staticmethod
-    def from_json(obj: dict) -> "AxisEmbedding":
-        maps = []
-        for am in obj["axis_maps"]:
-            if "scale" in am:
-                maps.append(("affine", am["scale"], am["offset"]))
-            else:
-                maps.append(("table", am.get("start", 0), am["table"]))
-        ins = obj["insert_axis"]
-        return AxisEmbedding(maps, ins["pos"], ins["value"])
-
     def __eq__(self, other):
         return (
             isinstance(other, AxisEmbedding)
@@ -459,10 +440,6 @@ def pad(M: PersModule, target: GridBox) -> PersModule:
     if not target.contains_box(M.box):
         raise ValueError("target box does not contain the module box")
     return PersModule(M.field, target, dict(M.dims), dict(M.steps))
-
-
-def pad_morphism(f: ModMorphism, target: GridBox) -> ModMorphism:
-    return ModMorphism(pad(f.source, target), pad(f.target, target), dict(f.comps))
 
 
 def stack(layers: list[PersModule], links: list[ModMorphism], height_lo: int = 0) -> PersModule:

@@ -17,7 +17,7 @@ from itertools import accumulate, groupby
 
 from .grid import ModMorphism, PersModule, slice_layers, vle
 from .linalg import Matrix, nullspace_sparse
-from .rectangles import FormalMatrix, hom_leq, interval_decompose_1d, realize
+from .rectangles import hom_leq, interval_decompose_1d, realize
 
 
 def combine(f, terms) -> dict:
@@ -113,18 +113,12 @@ class Context:
 
     def materialize(self, M: PersModule, N: PersModule, x: dict) -> ModMorphism:
         """The natural transformation with the given ambient coordinates."""
-        f = M.field
         if M.is_zero() or N.is_zero():
             return ModMorphism.zero(M, N)
         if M.n == 1:
-            DM = self.decomp1(M)[0]
             DN, isoN = self.decomp1(N)
-            invM = self.decomp1_inverse(M)
-            entries = [[f.zero] * len(DM) for _ in range(len(DN))]
-            for (i, j), c in x.items():
-                entries[j][i] = c
-            F = realize(FormalMatrix(DM, DN, entries), check=False)
-            return isoN.compose(F).compose(invM)
+            F = realize(self.decomp1(M)[0], DN, x)
+            return isoN.compose(F).compose(self.decomp1_inverse(M))
         Ms, _ = self.layers(M)
         Ns, _ = self.layers(N)
         h0 = M.box.lo[-1]
@@ -242,9 +236,6 @@ class HomSpace:
 
     def materialize(self, x: dict) -> ModMorphism:
         return self.ctx.materialize(self.M, self.N, x)
-
-    def basis_morphisms(self) -> list[ModMorphism]:
-        return [self.materialize(b) for b in self.basis]
 
     def coords_in_basis(self, x: dict):
         """Coefficients of x over the basis, or None if x is outside the span."""

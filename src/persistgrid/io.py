@@ -12,7 +12,7 @@ from collections import Counter
 
 from .constructions import CandyModule
 from .fields import Field
-from .grid import MAX_VERTICES, AxisEmbedding, GridBox, PersModule, vsucc
+from .grid import MAX_AXES, MAX_VERTICES, AxisEmbedding, GridBox, PersModule, vsucc
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle
 
@@ -37,8 +37,8 @@ def _vector(x, n: int, what: str) -> tuple:
 
 
 def _axis_count(n) -> int:
-    if type(n) is not int or n < 1:
-        raise FormatError(f"bad axis count n={n!r}")
+    if type(n) is not int or not 1 <= n <= MAX_AXES:
+        raise FormatError(f"bad axis count n={n!r}, want 1 to {MAX_AXES}")
     return n
 
 
@@ -139,20 +139,6 @@ def pmod_from_json(obj: dict) -> PersModule:
 # RECTS
 
 
-def rects_to_json(R: RectDecomp) -> dict:
-    counts = Counter((r.b, r.d) for r in R.summands)
-    return {
-        "field": R.field.to_json(),
-        "n": R.n,
-        "lo": list(R.box.lo),
-        "hi": list(R.box.hi),
-        "rects": [
-            {"b": list(b), "d": list(d), "mult": m}
-            for (b, d), m in sorted(counts.items())
-        ],
-    }
-
-
 def barcode_to_json(field: Field, bc: Counter) -> dict:
     n = len(next(iter(bc))[0]) if bc else 1
     return {
@@ -163,6 +149,10 @@ def barcode_to_json(field: Field, bc: Counter) -> dict:
             for (b, d), m in sorted(bc.items())
         ],
     }
+
+
+def rects_to_json(R: RectDecomp) -> dict:
+    return {**barcode_to_json(R.field, R.barcode()), "n": R.n, "lo": list(R.box.lo), "hi": list(R.box.hi)}
 
 
 def rects_from_json(obj: dict) -> RectDecomp:
@@ -202,7 +192,13 @@ def rects_from_json(obj: dict) -> RectDecomp:
 
 
 def line_to_json(L: AxisEmbedding) -> dict:
-    return L.to_json()
+    maps = []
+    for am in L.axis_maps:
+        if am[0] == "affine":
+            maps.append({"scale": am[1], "offset": am[2]})
+        else:
+            maps.append({"table": am[2], "start": am[1]})
+    return {"axis_maps": maps, "insert_axis": {"pos": L.insert_pos, "value": L.insert_value}}
 
 
 def line_from_json(obj: dict) -> AxisEmbedding:
@@ -221,7 +217,9 @@ def line_from_json(obj: dict) -> AxisEmbedding:
     for key in ("pos", "value"):
         _check_int(ins[key], key)
     try:
-        return AxisEmbedding.from_json(obj)
+        return AxisEmbedding([("affine", am["scale"], am["offset"]) if "scale" in am
+                              else ("table", am.get("start", 0), am["table"]) for am in maps],
+                             ins["pos"], ins["value"])
     except ValueError as e:
         raise FormatError(f"bad line embedding: {e}")
 

@@ -599,8 +599,15 @@ def _yun_squarefree_q(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
+# the rational-root search tries p/q for every p | a0 and q | an, found by
+# trial division; its cost grows as sqrt(a0 * an), so past this bound on
+# a0 * an it is skipped
+ROOT_SEARCH_BOUND = 10**12
+
+
 def _rational_roots(f: Poly) -> list:
-    """All rational roots of f (over Q), each listed once, sorted."""
+    """All rational roots of f (over Q), each listed once, sorted; none when
+    the search would pass ROOT_SEARCH_BOUND, so the caller keeps f whole."""
     from fractions import Fraction
 
     field = f.field
@@ -616,6 +623,8 @@ def _rational_roots(f: Poly) -> list:
     if len(ints) < len(f.coeffs):
         roots.add(Fraction(0))
     a0, an = abs(ints[0]), abs(ints[-1])
+    if a0 * an > ROOT_SEARCH_BOUND:
+        return []
     for p in _divisors(a0):
         for q in _divisors(an):
             for cand in (Fraction(p, q), Fraction(-p, q)):

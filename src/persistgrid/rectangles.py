@@ -1,5 +1,5 @@
-"""Rectangle modules, canonical homomorphisms, the matrix formalism, and
-1D barcodes / explicit interval decompositions.
+"""Rectangle modules, canonical homomorphisms, morphisms of rectangle sums
+in sparse coordinates, and 1D barcodes / explicit interval decompositions.
 """
 
 from __future__ import annotations
@@ -34,22 +34,18 @@ class Rectangle:
         return vle(self.b, v) and vle(v, self.d)
 
 
-def canonical_hom_dim(A: Rectangle, B: Rectangle) -> int:
-    """dim Hom(I[A], I[B]): 1 iff B.b <= A.b, B.d <= A.d and A.b <= B.d."""
+def hom_leq(A: Rectangle, B: Rectangle) -> bool:
+    """A <= B iff Hom(I[A], I[B]) is nonzero (it is then one-dimensional):
+    B.b <= A.b, B.d <= A.d and A.b <= B.d."""
     if A.n != B.n:
         raise ValueError("rectangles of different dimensions")
-    return 1 if vle(B.b, A.b) and vle(B.d, A.d) and vle(A.b, B.d) else 0
-
-
-def hom_leq(A: Rectangle, B: Rectangle) -> bool:
-    """The relation A <= B iff a nonzero morphism A -> B exists."""
-    return canonical_hom_dim(A, B) == 1
+    return vle(B.b, A.b) and vle(B.d, A.d) and vle(A.b, B.d)
 
 
 class RectDecomp:
     """An ordered formal direct sum of rectangles inside a box.
 
-    Order matters: matrix-formalism entries are indexed by it.
+    Order matters: the sparse coordinates of morphisms index it.
     """
 
     def __init__(self, field: Field, box: GridBox, summands: list[Rectangle]):
@@ -128,99 +124,40 @@ def rect_to_module(R: RectDecomp) -> PersModule:
     return PersModule(field, R.box, dims, steps)
 
 
-class FormalMatrix:
-    """A morphism between rectangle-decomposable modules, one scalar per
-    canonical homomorphism.  Entry (j, i) multiplies summand_i(source) ->
-    summand_j(target); it must be zero when that hom space is zero.
+def realize(source: RectDecomp, target: RectDecomp, coords: dict) -> ModMorphism:
+    """The morphism with sparse coordinates coords: coords[(i, j)] = c sends
+    summand i of source to summand j of target by c times the canonical hom,
+    which is the identity on [b_i, d_j] and zero elsewhere.
     """
-
-    def __init__(self, source: RectDecomp, target: RectDecomp, entries):
-        if source.field != target.field:
-            raise ValueError("field mismatch")
-        if source.box != target.box:
-            raise ValueError("box mismatch")
-        self.source = source
-        self.target = target
-        self.entries = [list(r) for r in entries]
-        if len(self.entries) != len(target) or any(len(r) != len(source) for r in self.entries):
-            raise ValueError("entry grid shape mismatch")
-        for j, row in enumerate(self.entries):
-            for i, c in enumerate(row):
-                if c != 0 and canonical_hom_dim(source.summands[i], target.summands[j]) == 0:
-                    raise ValueError(f"nonzero entry ({j}, {i}) where the hom space is zero")
-
-    @property
-    def field(self) -> Field:
-        return self.source.field
-
-    @staticmethod
-    def diagonal(source: RectDecomp, target: RectDecomp) -> "FormalMatrix":
-        if len(source) != len(target):
-            raise ValueError("diagonal needs equal summand counts")
-        f = source.field
-        ent = [[f.one if i == j else f.zero for i in range(len(source))] for j in range(len(target))]
-        return FormalMatrix(source, target, ent)
-
-    @staticmethod
-    def ones_column(source: RectDecomp, target: RectDecomp) -> "FormalMatrix":
-        if len(source) != 1:
-            raise ValueError("ones_column needs a single source summand")
-        f = source.field
-        return FormalMatrix(source, target, [[f.one] for _ in range(len(target))])
-
-    def compose(self, other: "FormalMatrix") -> "FormalMatrix":
-        """self after other, in the formal calculus.
-
-        A product of two nonzero canonical homs A -> B -> C is the canonical
-        hom A -> C when A.b <= C.d, and the zero morphism otherwise; the
-        formal product must drop those vanishing terms.
-        """
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("composition mismatch")
-        f = self.field
-        src, mid, tgt = other.source, self.source, self.target
-        out = [[f.zero] * len(src) for _ in range(len(tgt))]
-        for j in range(len(tgt)):
-            for k in range(len(mid)):
-                a = self.entries[j][k]
-                if a == 0:
-                    continue
-                for i in range(len(src)):
-                    b = other.entries[k][i]
-                    if b == 0:
-                        continue
-                    if vle(src.summands[i].b, tgt.summands[j].d):
-                        out[j][i] = f.add(out[j][i], f.mul(a, b))
-        return FormalMatrix(src, tgt, out)
-
-
-def realize(F: FormalMatrix, check: bool = True) -> ModMorphism:
-    """Assemble the actual natural transformation of a formal matrix."""
-    src_mod = rect_to_module(F.source)
-    tgt_mod = rect_to_module(F.target)
-    f = F.field
+    if source.field != target.field:
+        raise ValueError("field mismatch")
+    if source.box != target.box:
+        raise ValueError("box mismatch")
+    by_source: dict[int, list] = {}
+    for (i, j), c in coords.items():
+        if c == 0:
+            continue
+        if not hom_leq(source.summands[i], target.summands[j]):
+            raise ValueError(f"nonzero coordinate ({i}, {j}) where the hom space is zero")
+        by_source.setdefault(i, []).append((j, c))
+    src_mod = rect_to_module(source)
+    tgt_mod = rect_to_module(target)
     comps = {}
     for v in src_mod.dims:
-        if tgt_mod.dim(v) == 0:
+        tidx = target.indices_at(v)
+        if not tidx:
             continue
-        sidx = F.source.indices_at(v)
-        tidx = F.target.indices_at(v)
-        m = Matrix.zero(f, len(tidx), len(sidx))
+        sidx = source.indices_at(v)
+        row_of = {j: row for row, j in enumerate(tidx)}
+        m = Matrix.zero(source.field, len(tidx), len(sidx))
+        # both summands live at v, so v lies in [b_i, d_j]
         for col, i in enumerate(sidx):
-            for row, j in enumerate(tidx):
-                c = F.entries[j][i]
-                if c == 0:
-                    continue
-                # canonical hom summand_i -> summand_j is supported on [b_i, d_j]
-                if vle(F.source.summands[i].b, v) and vle(v, F.target.summands[j].d):
+            for j, c in by_source.get(i, ()):
+                row = row_of.get(j)
+                if row is not None:
                     m.rows[row][col] = c
         comps[v] = m
-    phi = ModMorphism(src_mod, tgt_mod, comps)
-    if check:
-        rep = phi.validate()
-        if not rep:
-            raise AssertionError(f"realized formal matrix is not natural: {rep.message}")
-    return phi
+    return ModMorphism(src_mod, tgt_mod, comps)
 
 
 # ---------------------------------------------------------------------------

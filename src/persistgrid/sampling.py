@@ -63,14 +63,17 @@ def rand_module(rng: random.Random, field: Field, box: GridBox, max_dim: int = 2
     raise RuntimeError("rejection sampling found no commutative module")
 
 
+def _add_upper_row(rng: random.Random, lower: PersModule, max_dim: int) -> PersModule:
+    """lower below a random row on its box, joined by a random link."""
+    upper = rand_module(rng, lower.field, lower.box, max_dim, nonzero=False)
+    hs = HomSpace(lower, upper, Context())
+    return stack([lower, upper], [hs.materialize(hs.random_element(rng))])
+
+
 def rand_two_rows(rng: random.Random, field: Field, width: int, max_dim: int = 2) -> PersModule:
     """A random module on a width x 2 box: two random rows, random link."""
     box = GridBox((0,), (width - 1,))
-    lower = rand_module(rng, field, box, max_dim, nonzero=False)
-    upper = rand_module(rng, field, box, max_dim, nonzero=False)
-    hs = HomSpace(lower, upper, Context())
-    g = hs.materialize(hs.random_element(rng))
-    return stack([lower, upper], [g])
+    return _add_upper_row(rng, rand_module(rng, field, box, max_dim, nonzero=False), max_dim)
 
 
 def rand_two_rows_with_barcode(rng: random.Random, field: Field, width: int,
@@ -85,10 +88,7 @@ def rand_two_rows_with_barcode(rng: random.Random, field: Field, width: int,
             break
     else:
         raise RuntimeError("rejection sampling never hit the target barcode")
-    upper = rand_module(rng, field, box, max_dim, nonzero=False)
-    hs = HomSpace(lower, upper, Context())
-    g = hs.materialize(hs.random_element(rng))
-    return stack([lower, upper], [g])
+    return _add_upper_row(rng, lower, max_dim)
 
 
 def rand_two_rows_with_gap(rng: random.Random, field: Field, max_width: int = 6,

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .grid import ModMorphism, PersModule, direct_sum, stack, vle
 from .homspace import Context, HomSpace, combine, end_dim
 from .linalg import Matrix, Poly, coprime_split, minimal_polynomial
-from .rectangles import FormalMatrix, RectDecomp, realize, rect_to_module
+from .rectangles import RectDecomp, realize
 
 # exhaustive endomorphism enumeration is attempted when |F|^end_dim stays
 # below this; it makes finite-field verdicts conclusive in both directions
@@ -235,33 +236,22 @@ def try_split(M: PersModule, seed: int = 0, trials: int = 24, ctx: Context | Non
             return IndecVerdict(INDECOMPOSABLE, "local endomorphism ring: dim End/rad = 1", ed, ld)
     rng = random.Random(seed)
     f = M.field
-    if not f.is_rational and f.p ** ed <= EXHAUSTIVE_CAP:
-        # walk every endomorphism; any nontrivial idempotent has minimal
-        # polynomial x(x-1) and would be split, so finishing clean is a proof
-        coeffs = [f.zero] * ed
-        while True:
-            i = 0
-            while i < ed and coeffs[i] == f.of(f.p - 1):
-                coeffs[i] = f.zero
-                i += 1
-            if i == ed:
-                break
-            coeffs[i] = f.add(coeffs[i], f.one)
-            a = E.materialize(combine(f, zip(coeffs, E.basis)))
-            got = _try_element(M, a, rng)
-            if got is not None:
-                return IndecVerdict(DECOMPOSABLE, "splitting endomorphism found", ed, ld, (got[0], got[1]), got[2])
-        return IndecVerdict(INDECOMPOSABLE, "exhaustive endomorphism enumeration found no idempotent", ed, ld)
-    for t in range(trials):
-        amb = E.random_element(rng)
+    exhaustive = not f.is_rational and f.p ** ed <= EXHAUSTIVE_CAP
+    if exhaustive:
+        # walk every endomorphism, first coefficient fastest; any nontrivial
+        # idempotent has minimal polynomial x(x-1) and would be split, so
+        # finishing clean is a proof
+        candidates = (combine(f, zip(reversed(c), E.basis)) for c in product(f.elements(), repeat=ed))
+    else:
+        candidates = (E.random_element(rng) for _ in range(trials))
+    for amb in candidates:
         if not amb:
             continue
-        a = E.materialize(amb)
-        got = _try_element(M, a, rng)
+        got = _try_element(M, E.materialize(amb), rng)
         if got is not None:
-            if ld == 1:
-                raise AssertionError("splitting found despite local evidence")
             return IndecVerdict(DECOMPOSABLE, "splitting endomorphism found", ed, ld, (got[0], got[1]), got[2])
+    if exhaustive:
+        return IndecVerdict(INDECOMPOSABLE, "exhaustive endomorphism enumeration found no idempotent", ed, ld)
     return IndecVerdict(INCONCLUSIVE, f"no splitting element after {trials} trials", ed, ld)
 
 
@@ -302,9 +292,8 @@ def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = 3
         DN, isoN = ctx.decomp1(N)
         if DM.barcode() != DN.barcode():
             return IsoReport(False, None, "barcodes differ")
-        invM = ctx.decomp1_inverse(M)
-        F = realize(FormalMatrix.diagonal(DM, DN), check=False)
-        phi = isoN.compose(F).compose(invM)
+        F = realize(DM, DN, {(i, i): M.field.one for i in range(len(DM))})
+        phi = isoN.compose(F).compose(ctx.decomp1_inverse(M))
         return IsoReport(True, phi, "matching barcodes")
     H = ctx.hom(M, N)
     rng = random.Random(seed)
@@ -403,11 +392,11 @@ def decompose_two_rows(M: PersModule, y: tuple | None = None, ctx: Context | Non
         ui = [j for j in range(len(DU)) if gU[j] == g]
         subL = RectDecomp(f, L.box, [DL.summands[i] for i in li])
         subU = RectDecomp(f, U.box, [DU.summands[j] for j in ui])
-        ent = [[coords.get((i, j), f.zero) for i in li] for j in ui]
-        ml = rect_to_module(subL)
-        mu = rect_to_module(subU)
-        sub_link = realize(FormalMatrix(subL, subU, ent), check=False)
-        summands.append(stack([ml, mu], [sub_link], height_lo=h0))
+        at_l = {i: a for a, i in enumerate(li)}
+        at_u = {j: a for a, j in enumerate(ui)}
+        sub = {(at_l[i], at_u[j]): c for (i, j), c in coords.items() if gL[i] == g}
+        sub_link = realize(subL, subU, sub)
+        summands.append(stack([sub_link.source, sub_link.target], [sub_link], height_lo=h0))
     total = direct_sum(direct_sum(summands[0], summands[1]), summands[2])
     # the direct-sum basis at a vertex lists group 1 then 2 then 3 survivors;
     # map each back through the row isomorphisms

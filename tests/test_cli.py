@@ -12,6 +12,7 @@ import persistgrid
 from persistgrid import (Field, GridBox, Rectangle, RectDecomp, direct_sum,
                          rect_to_module)
 from persistgrid.cli import main
+from persistgrid.grid import MAX_AXES
 from persistgrid.io import dump, pmod_to_json, rects_to_json
 from persistgrid.sampling import rand_module, rand_two_rows_with_gap
 
@@ -250,10 +251,19 @@ def _set_scalar(value):
     return change
 
 
+def _one_vertex(n, kind):
+    """A PMOD or RECTS file with n axes holding one vertex, lo = hi = 0."""
+    zeros = [0] * n
+    if kind == "pmod":
+        return {"field": "Q", "n": n, "lo": zeros, "hi": zeros, "dims": [1], "steps": []}
+    return {"field": "Q", "n": n, "lo": zeros, "hi": zeros, "rects": [{"b": zeros, "d": zeros}]}
+
+
 class TestMistypedOrOversizedInput:
     """RECTS and LINE files with mistyped fields, field tags, scalars or
-    integers too large to parse quickly, and modules that a construction
-    cannot build, exit 2 with a message, and at once."""
+    integers too large to parse quickly, PMOD and RECTS files with more than
+    MAX_AXES axes, and modules that a construction cannot build, exit 2 with
+    a message, and at once."""
     RECTS = {"field": "Q", "n": 1, "lo": [0], "hi": [2], "rects": [{"b": [0], "d": [2], "mult": 1}]}
     LINE = {"axis_maps": [{"scale": 1, "offset": 0}], "insert_axis": {"pos": 1, "value": 0}}
     TABLE_LINE = {"axis_maps": [{"table": [0, 1], "start": 0}], "insert_axis": {"pos": 1, "value": 0}}
@@ -293,6 +303,8 @@ class TestMistypedOrOversizedInput:
         "zero-module-string": (ZERO, lambda o: None, "string"),
         "over-cap-candy": (CORNER, lambda o: None, "candy"),
         "over-cap-gen4": (CORNER, lambda o: None, "gen4"),
+        **{f"pmod-{n}-axes": (_one_vertex(n, "pmod"), lambda o: None) for n in (MAX_AXES + 1, 100, 400, 800)},
+        **{f"rects-{n}-axes": (_one_vertex(n, "rects"), lambda o: None, "min3rect") for n in (MAX_AXES + 1, 800)},
     }
 
     @staticmethod
@@ -314,10 +326,11 @@ class TestMistypedOrOversizedInput:
         return ["verify", "indec", "--in", p]
 
     def test_bases_are_valid(self, tmp_path, capsys):
-        for base in (self.RECTS, self.LINE, self.TABLE_LINE):
+        for base, *verb in ((self.RECTS,), (self.LINE,), (self.TABLE_LINE,),
+                            (_one_vertex(MAX_AXES, "pmod"),), (_one_vertex(MAX_AXES, "rects"), "min3rect")):
             p = str(tmp_path / "in.json")
             dump(base, p)
-            assert run(capsys, self._argv(base, p, tmp_path))[0] == 0
+            assert run(capsys, self._argv(base, p, tmp_path, *verb))[0] == 0
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_2_with_message(self, tmp_path, capsys, case):

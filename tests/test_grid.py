@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from persistgrid import (AxisEmbedding, Field, GridBox, ModMorphism, PersModule,
                          Rectangle, RectDecomp, direct_sum, dualize, pad,
                          rect_to_module, restrict, stack)
-from persistgrid.grid import MAX_VERTICES, pad_morphism, slice_layers, vsucc
+from persistgrid.grid import MAX_VERTICES, slice_layers, vsucc
+from persistgrid.io import line_from_json, line_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module
 
@@ -78,17 +79,6 @@ class TestRestrictPadStack:
         big = pad(V, GridBox((-2,), (3,)))
         back = restrict(stack([big], []), AxisEmbedding.layer(1, 1, 0))
         assert back.dims == V.dims
-
-    def test_pad_preserves_surjectivity(self):
-        # pointwise-surjective morphism stays pointwise surjective after padding
-        V = interval_module(Q, 0, 2, 0, 2)
-        W = interval_module(Q, 0, 2, 0, 1)
-        p = ModMorphism(V, W, {(0,): Matrix.identity(Q, 1), (1,): Matrix.identity(Q, 1)})
-        assert p.validate()
-        pp = pad_morphism(p, GridBox((-1,), (3,)))
-        assert pp.validate()
-        for v in pp.target.dims:
-            assert pp.comp(v).rank() == pp.target.dim(v)
 
     def test_scaled_restriction_of_scaled_rectangle(self):
         # restriction with per-axis scale s maps I[sb, sd] back to I[b, d]
@@ -252,4 +242,4 @@ class TestAxisEmbedding:
 
     def test_json_roundtrip(self):
         L = AxisEmbedding([("affine", 2, -1), ("table", -1, [5, 9])], 2, 3)
-        assert AxisEmbedding.from_json(L.to_json()) == L
+        assert line_from_json(line_to_json(L)) == L

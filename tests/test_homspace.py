@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistgrid import (Context, Field, GridBox, HomSpace, Rectangle,
-                         RectDecomp, end_dim, hom_dim, rect_to_module)
+                         RectDecomp, end_dim, hom_basis, hom_dim, rect_to_module)
 from persistgrid.grid import ModMorphism, vsucc
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
@@ -136,7 +136,7 @@ def test_express_matches_dense_formula(seed):
     ctx = Context()
     for A, B in ((M, N), (M, M), (N, M)):
         hs = ctx.hom(A, B)
-        gs = [ModMorphism.zero(A, B)] + hs.basis_morphisms()
+        gs = [ModMorphism.zero(A, B)] + hom_basis(A, B, ctx)
         gs += [hs.materialize(hs.random_element(rng)) for _ in range(3)]
         for g in gs:
             assert ctx.express(A, B, g) == dense_express(ctx, A, B, g)
@@ -154,16 +154,23 @@ def test_spec_interval_hom_dims():
 
 
 def test_composition_consistency(rng):
-    box = GridBox((0, 0), (2, 1))
     ctx = Context()
+    # fixed 1D input: the composite of the nonzero canonical homs
+    # [2,5] -> [1,3] -> [0,1] vanishes, because the source birth 2 follows
+    # the target death 1, so the product rule drops that term
+    box = GridBox((0,), (5,))
+    L, M, N = (rect_to_module(RectDecomp(F3, box, [Rectangle((b,), (d,))]))
+               for b, d in ((2, 5), (1, 3), (0, 1)))
+    x, y = ctx.hom(L, M).basis[0], ctx.hom(M, N).basis[0]
+    assert ctx.compose(L, M, N, y, x) == {}
+    cases = [(L, M, N, x, y)]
+    box = GridBox((0, 0), (2, 1))
     for _ in range(10):
         L = rand_module(rng, F3, box, max_dim=2)
         M = rand_module(rng, F3, box, max_dim=2)
         N = rand_module(rng, F3, box, max_dim=2)
-        hLM = ctx.hom(L, M)
-        hMN = ctx.hom(M, N)
-        x = hLM.random_element(rng)
-        y = hMN.random_element(rng)
+        cases.append((L, M, N, ctx.hom(L, M).random_element(rng), ctx.hom(M, N).random_element(rng)))
+    for L, M, N, x, y in cases:
         z = ctx.compose(L, M, N, y, x)
         lhs = ctx.materialize(L, N, z)
         rhs = ctx.materialize(M, N, y).compose(ctx.materialize(L, M, x))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -149,3 +150,19 @@ def test_coprime_split_q():
     assert (g * h).monic() == f.monic()
     # x^2 + 1 has no rational root and is squarefree irreducible: inconclusive
     assert coprime_split(Poly.from_ints(Q, [1, 0, 1])) is None
+
+
+def test_coprime_split_q_root_search_is_bounded():
+    # (x^2 - c)(x - 1): the root 1 splits off while the search over the
+    # divisors of c stays small; a 30-digit c would take days to search, so
+    # the part is kept whole and the split comes back inconclusive at once
+    x = Poly.x(Q)
+    one = Poly.from_ints(Q, [1])
+    for c, splits in ((10**10 + 1, True), (10**30 + 1, False)):
+        f = (x * x - Poly.from_ints(Q, [c])) * (x - one)
+        t0 = time.perf_counter()
+        out = coprime_split(f)
+        assert time.perf_counter() - t0 < 1.0
+        assert (out is not None) == splits
+        if splits:
+            assert sorted(p.degree for p in out) == [1, 2] and (out[0] * out[1]).monic() == f.monic()
