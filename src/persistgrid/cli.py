@@ -106,6 +106,8 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.kind in ("indec", "iso") and args.trials < 1:
+        raise FormatError(f"--trials must be at least 1, got {args.trials}")
     obj = io.load(args.infile)
     _check_field(args, obj)
     if args.kind == "indec":

@@ -16,7 +16,7 @@ from .covers import projective_cover
 from .grid import (AxisEmbedding, GridBox, ModMorphism, PersModule, dualize, pad,
                    stack, vadd, vsub, vsucc)
 from .linalg import Matrix
-from .rectangles import RectDecomp, Rectangle, realize
+from .rectangles import RectDecomp, Rectangle, realize, rect_to_module
 
 
 @dataclass
@@ -99,8 +99,9 @@ def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox):
     decomps = [RectDecomp(field, box, rects) for rects in chain]
     m = len(bprime)
     coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * len(tails)
-    links = [realize(a, b, x) for a, b, x in zip(decomps, decomps[1:], coords)]
-    return decomps, [links[0].source] + [g.target for g in links], links
+    layers = [rect_to_module(d) for d in decomps]
+    links = [realize(decomps[i], decomps[i + 1], x, layers[i], layers[i + 1]) for i, x in enumerate(coords)]
+    return decomps, layers, links
 
 
 def _s_chain(V: RectDecomp):

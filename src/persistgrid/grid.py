@@ -158,6 +158,8 @@ class PersModule:
         return acc
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, PersModule):
             return NotImplemented
         if self.field != other.field or self.box != other.box or self.dims != other.dims:
@@ -180,17 +182,33 @@ class PersModule:
 
         Shapes are checked by the constructor.  A square whose far corner
         has dimension 0 commutes, since both paths land in the zero space;
-        a missing arrow is the zero map.
+        a missing arrow is the zero map, and an identity arrow contributes
+        the other arrow of its path unmultiplied.
         """
         dims, steps, n = self.dims, self.steps, self.n
+        if n < 2:
+            return ValidationReport(True, "ok", None)
+        eye = {d: Matrix.identity(self.field, d).rows for d in set(dims.values())}
+        identities = {a for a, m in steps.items() if m.nrows == m.ncols and m.rows == eye[m.nrows]}
+
+        def path(first, second):
+            """second after first, or None when either arrow is missing (zero)."""
+            if first not in steps or second not in steps:
+                return None
+            if first in identities:
+                return steps[second]
+            if second in identities:
+                return steps[first]
+            return steps[second] @ steps[first]
+
         for v in dims:
             for j in range(n):
                 vj = vsucc(v, j)
                 for k in range(j + 1, n):
                     if vsucc(vj, k) not in dims:
                         continue
-                    lhs = _path(steps.get((v, j)), steps.get((vj, k)))
-                    rhs = _path(steps.get((v, k)), steps.get((vsucc(v, k), j)))
+                    lhs = path((v, j), (vj, k))
+                    rhs = path((v, k), (vsucc(v, k), j))
                     if lhs is None or rhs is None:
                         ok = all(p is None or p.is_zero() for p in (lhs, rhs))
                     else:
@@ -198,13 +216,6 @@ class PersModule:
                     if not ok:
                         return ValidationReport(False, f"commutativity fails on the square at {v}, axes ({j}, {k})", v)
         return ValidationReport(True, "ok", None)
-
-
-def _path(first: Matrix | None, second: Matrix | None) -> Matrix | None:
-    """second after first, or None when either arrow is missing (zero)."""
-    if first is None or second is None:
-        return None
-    return second @ first
 
 
 @dataclass
@@ -272,7 +283,7 @@ class ModMorphism:
 
     def compose(self, other: "ModMorphism") -> "ModMorphism":
         """self after other."""
-        if other.target is not self.source and other.target != self.source:
+        if other.target != self.source:
             raise ValueError("composition mismatch")
         verts = set(self.comps) & set(other.comps)
         return ModMorphism(other.source, self.target, {v: self.comp(v) @ other.comp(v) for v in verts})

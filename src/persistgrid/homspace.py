@@ -38,36 +38,58 @@ def combine(f, terms) -> dict:
 class Context:
     """Shared caches for a batch of hom computations.
 
-    Keys are object identities; cached values keep the modules alive so ids
-    cannot be recycled underneath us.
+    Caches are keyed by module content: each module maps to the first module
+    seen here with the same field, box, dims and step matrices, in the same
+    dict order, and the caches key on that representative.  Equal modules
+    thus share one interval decomposition, one layer slicing and one
+    HomSpace, and a representative iterates exactly like the modules it
+    stands for.  The map keeps every module alive, so ids cannot be recycled
+    underneath us.
     """
 
     def __init__(self):
+        self._reps = {}  # id(M) -> (M, representative)
+        self._by_content = {}
         self._decomps = {}
         self._layers = {}
         self._homs = {}
 
-    # -- cached structure ----------------------------------------------
+    def _rep(self, M: PersModule) -> PersModule:
+        """The first module seen in this context equal to M."""
+        entry = self._reps.get(id(M))
+        if entry is None:
+            key = (M.field, M.box, tuple(M.dims.items()),
+                   tuple((vk, tuple(map(tuple, m.rows))) for vk, m in M.steps.items()))
+            entry = self._reps[id(M)] = (M, self._by_content.setdefault(key, M))
+        return entry[1]
+
+    # -- cached structure, keyed by representative ----------------------
 
     def decomp1(self, M: PersModule):
-        """(decomp, iso) for a 1D module, iso: rect_to_module(decomp) -> M."""
-        if id(M) not in self._decomps:
-            self._decomps[id(M)] = [M, *interval_decompose_1d(M), None]
-        return tuple(self._decomps[id(M)][1:3])
+        """(decomp, iso) for a 1D module, iso: rect_to_module(decomp) -> M,
+        where iso's target is the representative of M."""
+        return tuple(self._decomp_entry(M)[:2])
 
     def decomp1_inverse(self, M: PersModule) -> ModMorphism:
         """The inverse of decomp1(M)'s iso, computed on first use."""
-        self.decomp1(M)
-        entry = self._decomps[id(M)]
-        entry[3] = entry[3] or entry[2].inverse()
-        return entry[3]
+        entry = self._decomp_entry(M)
+        entry[2] = entry[2] or entry[1].inverse()
+        return entry[2]
+
+    def _decomp_entry(self, M: PersModule) -> list:
+        M = self._rep(M)
+        if id(M) not in self._decomps:
+            self._decomps[id(M)] = [*interval_decompose_1d(M), None]
+        return self._decomps[id(M)]
 
     def layers(self, M: PersModule):
+        M = self._rep(M)
         if id(M) not in self._layers:
-            self._layers[id(M)] = (M, *slice_layers(M))
-        return self._layers[id(M)][1:]
+            self._layers[id(M)] = slice_layers(M)
+        return self._layers[id(M)]
 
     def hom(self, M: PersModule, N: PersModule) -> "HomSpace":
+        M, N = self._rep(M), self._rep(N)
         key = (id(M), id(N))
         if key not in self._homs:
             self._homs[key] = HomSpace(M, N, self)
@@ -116,8 +138,9 @@ class Context:
         if M.is_zero() or N.is_zero():
             return ModMorphism.zero(M, N)
         if M.n == 1:
+            DM, isoM = self.decomp1(M)
             DN, isoN = self.decomp1(N)
-            F = realize(self.decomp1(M)[0], DN, x)
+            F = realize(DM, DN, x, isoM.source, isoN.source)
             return isoN.compose(F).compose(self.decomp1_inverse(M))
         Ms, _ = self.layers(M)
         Ns, _ = self.layers(N)

@@ -124,10 +124,14 @@ def rect_to_module(R: RectDecomp) -> PersModule:
     return PersModule(field, R.box, dims, steps)
 
 
-def realize(source: RectDecomp, target: RectDecomp, coords: dict) -> ModMorphism:
+def realize(source: RectDecomp, target: RectDecomp, coords: dict,
+            src_mod: PersModule | None = None, tgt_mod: PersModule | None = None) -> ModMorphism:
     """The morphism with sparse coordinates coords: coords[(i, j)] = c sends
     summand i of source to summand j of target by c times the canonical hom,
     which is the identity on [b_i, d_j] and zero elsewhere.
+
+    src_mod and tgt_mod, when given, must be rect_to_module(source) and
+    rect_to_module(target); the morphism then uses them as they are.
     """
     if source.field != target.field:
         raise ValueError("field mismatch")
@@ -140,8 +144,8 @@ def realize(source: RectDecomp, target: RectDecomp, coords: dict) -> ModMorphism
         if not hom_leq(source.summands[i], target.summands[j]):
             raise ValueError(f"nonzero coordinate ({i}, {j}) where the hom space is zero")
         by_source.setdefault(i, []).append((j, c))
-    src_mod = rect_to_module(source)
-    tgt_mod = rect_to_module(target)
+    src_mod = src_mod or rect_to_module(source)
+    tgt_mod = tgt_mod or rect_to_module(target)
     comps = {}
     for v in src_mod.dims:
         tidx = target.indices_at(v)

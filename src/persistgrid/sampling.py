@@ -82,9 +82,11 @@ def rand_two_rows_with_barcode(rng: random.Random, field: Field, width: int,
     """Random two-row module whose bottom-row restriction has the given
     barcode; the bottom row is found by rejection."""
     box = GridBox((0,), (width - 1,))
+    # the dimension vector the barcode implies: a cheap necessary condition
+    dims = dict(Counter((x,) for (b,), (d,) in target.elements() for x in range(b, d + 1)))
     for _ in range(tries):
         lower = rand_module(rng, field, box, max_dim, nonzero=False)
-        if barcode_1d(lower) == target:
+        if lower.dims == dims and barcode_1d(lower) == target:
             break
     else:
         raise RuntimeError("rejection sampling never hit the target barcode")

@@ -289,11 +289,9 @@ def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = 3
         return IsoReport(True, ModMorphism.zero(M, N), "both zero")
     if M.n == 1:
         DM = ctx.decomp1(M)[0]
-        DN, isoN = ctx.decomp1(N)
-        if DM.barcode() != DN.barcode():
+        if DM.barcode() != ctx.decomp1(N)[0].barcode():
             return IsoReport(False, None, "barcodes differ")
-        F = realize(DM, DN, {(i, i): M.field.one for i in range(len(DM))})
-        phi = isoN.compose(F).compose(ctx.decomp1_inverse(M))
+        phi = ctx.materialize(M, N, {(i, i): M.field.one for i in range(len(DM))})
         return IsoReport(True, phi, "matching barcodes")
     H = ctx.hom(M, N)
     rng = random.Random(seed)

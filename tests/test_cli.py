@@ -347,6 +347,21 @@ class TestMistypedOrOversizedInput:
         assert code == 2 and err.startswith("error:") and len(err) > len("error: \n")
         assert time.perf_counter() - t0 < 1.0
 
+    # dims [2, 2] joined by an identity: decomposable, found by random trials
+    TWICE = pmod_to_json(rect_to_module(RectDecomp(Q, GridBox((0,), (1,)), [Rectangle((0,), (1,))] * 2)))
+
+    @pytest.mark.parametrize("kind", ["indec", "iso"])
+    @pytest.mark.parametrize("trials", [-3, 0, 1])
+    def test_trials_below_one(self, tmp_path, capsys, kind, trials):
+        p = str(tmp_path / "in.json")
+        dump(self.TWICE, p)
+        argv = ["verify", kind, "--in", p, "--trials", str(trials)] + (["--with", p] if kind == "iso" else [])
+        code, out, err = run(capsys, argv)
+        if trials >= 1:
+            assert code != 2 and err == ""
+        else:
+            assert code == 2 and out == "" and err.startswith("error: --trials")
+
 
 class TestMismatchedModules:
     def _files(self, tmp_path):

@@ -1,14 +1,14 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from persistgrid import (AxisEmbedding, Field, GridBox, ModMorphism, PersModule,
-                         Rectangle, RectDecomp, direct_sum, dualize, pad,
-                         rect_to_module, restrict, stack)
+                         Rectangle, RectDecomp, candy_wrap, direct_sum, dualize,
+                         pad, rect_to_module, restrict, stack)
 from persistgrid.grid import MAX_VERTICES, slice_layers, vsucc
 from persistgrid.io import line_from_json, line_to_json
 from persistgrid.linalg import Matrix
-from persistgrid.sampling import rand_module
+from persistgrid.sampling import rand_module, rand_rect_decomp
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -166,6 +166,16 @@ def random_modules(rng, count):
         yield PersModule(field, box, M.dims, steps)
 
 
+def identity_heavy_modules(rng, count):
+    """Rectangle modules and candies, whose steps are mostly identities."""
+    for i in range(count):
+        field = rng.choice((Q, F1009))
+        if i % 4:
+            yield rect_to_module(rand_rect_decomp(rng, field, rng.choice((2, 3)), 4, hi=2))
+        else:
+            yield candy_wrap(rand_module(rng, field, GridBox((0,), (rng.randint(0, 2),)), max_dim=2)).module
+
+
 class TestSliceLayersOracle:
     def test_matches_restriction(self, rng):
         for M in random_modules(rng, 60):
@@ -183,7 +193,7 @@ class TestSliceLayersOracle:
 class TestValidateOracle:
     def test_agrees_with_dense_check(self, rng):
         verdicts = set()
-        for M in random_modules(rng, 200):
+        for M in itertools.chain(random_modules(rng, 200), identity_heavy_modules(rng, 40)):
             if M.steps:
                 (v, k), m = rng.choice(sorted(M.steps.items(), key=lambda it: it[0]))
                 rows = [list(r) for r in m.rows]

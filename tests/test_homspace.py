@@ -1,12 +1,15 @@
 """The recursive hom engine against a dense naturality-system oracle."""
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistgrid import (Context, Field, GridBox, HomSpace, Rectangle,
-                         RectDecomp, end_dim, hom_basis, hom_dim, rect_to_module)
+from persistgrid import (Context, Field, GridBox, HomSpace, PersModule, Rectangle,
+                         RectDecomp, candy_wrap, end_dim, hom_basis, hom_dim,
+                         rect_to_module, stack)
+from persistgrid import homspace
 from persistgrid.grid import ModMorphism, vsucc
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
@@ -177,3 +180,72 @@ def test_composition_consistency(rng):
         for v in L.dims:
             if N.dim(v):
                 assert lhs.comp(v) == rhs.comp(v)
+
+
+def copy_of(M):
+    """An equal module that is a distinct object."""
+    return PersModule(M.field, M.box, dict(M.dims), dict(M.steps))
+
+
+def test_equal_modules_share_one_decomposition_and_one_hom(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(homspace, "interval_decompose_1d", counted("decompose", homspace.interval_decompose_1d))
+    monkeypatch.setattr(HomSpace, "_build", counted("build", HomSpace._build))
+    box = GridBox((0,), (3,))
+    M1 = rect_to_module(RectDecomp(F3, box, [Rectangle((0,), (2,)), Rectangle((1,), (3,))]))
+    M2 = copy_of(M1)
+    assert M2 is not M1 and M2 == M1
+    ctx = Context()
+    assert ctx.decomp1(M1)[1] is ctx.decomp1(M2)[1]
+    assert ctx.hom(M1, M1) is ctx.hom(M2, M2) is ctx.hom(M1, M2)
+    assert calls == {"decompose": 1, "build": 1}
+    # one changed entry makes a different module with its own work
+    M3 = copy_of(M1)
+    M3.steps[((1,), 0)] = Matrix(F3, [[2, 0], [0, 1]])
+    assert ctx.hom(M3, M3) is not ctx.hom(M1, M1)
+    assert calls == {"decompose": 2, "build": 2}
+    # three equal layers in a stack: one decomposition, one layer hom
+    calls.clear()
+    layers = [copy_of(M1) for _ in range(3)]
+    links = [ModMorphism(a, b, {v: Matrix.identity(F3, d) for v, d in a.dims.items()})
+             for a, b in zip(layers, layers[1:])]
+    S = stack(layers, links)
+    assert Context().hom(S, S).dim == dense_hom_dim(S, S)
+    assert calls == {"decompose": 1, "build": 2}
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=6, deadline=None)
+def test_engine_matches_oracle_on_repeated_layers(seed):
+    rng = random.Random(seed)
+    f = [F2, F3, Q][seed % 3]
+    L = rand_module(rng, f, GridBox((0,), (3,)), max_dim=2)
+    # equal layers as distinct objects, linked by identities and by one
+    # random endomorphism
+    layers = [copy_of(L) for _ in range(4)]
+    E = Context().hom(L, L)
+    g = E.materialize(E.random_element(rng))
+    links = [ModMorphism(a, b, {v: Matrix.identity(f, d) for v, d in a.dims.items()})
+             for a, b in zip(layers, layers[1:])]
+    links[1] = ModMorphism(layers[1], layers[2], g.comps)
+    S = stack(layers, links)
+    check_pair(S, S, rng)
+    assert end_dim(S) == dense_hom_dim(S, S)
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=3, deadline=None)
+def test_engine_matches_oracle_on_candies(seed):
+    rng = random.Random(seed)
+    f = [F2, F3][seed % 2]
+    V = rand_module(rng, f, GridBox((0,), (1,)), max_dim=2)
+    M = candy_wrap(V).module
+    check_pair(M, M, rng)
+    assert end_dim(M) == dense_hom_dim(M, M) == 1

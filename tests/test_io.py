@@ -1,5 +1,4 @@
 import json
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from persistgrid import (Field, GridBox, PersModule, Rectangle, RectDecomp,
                          candy_wrap, min3, rect_to_module)
 from persistgrid.fields import MAX_MODULUS, MAX_SCALAR_DIGITS
-from persistgrid.grid import AxisEmbedding
 from persistgrid.io import (FormatError, barcode_to_json, candy_from_json,
                             candy_to_json, dump, line_from_json, line_to_json,
                             load, pmod_from_json, pmod_to_json,

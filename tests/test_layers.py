@@ -1,6 +1,7 @@
 """The package's modules import only from lower layers:
 fields -> linalg -> grid -> rectangles -> covers/homspace ->
-verify/constructions -> io/sampling -> cli."""
+verify/constructions -> io/sampling -> cli; and no file in the package
+or its tests imports a name it never uses."""
 
 import ast
 import os
@@ -11,6 +12,7 @@ LAYERS = [("fields",), ("linalg",), ("grid",), ("rectangles",), ("covers", "homs
           ("verify", "constructions"), ("io", "sampling"), ("cli",)]
 RANK = {name: i for i, names in enumerate(LAYERS) for name in names}
 PACKAGE = os.path.dirname(persistgrid.__file__)
+TESTS = os.path.dirname(__file__)
 
 
 def relative_imports(path):
@@ -34,3 +36,28 @@ def test_imports_point_down():
     for name, rank in RANK.items():
         for dep in relative_imports(os.path.join(PACKAGE, f"{name}.py")):
             assert RANK[dep] < rank, f"{name} imports {dep}"
+
+
+def unused_imports(path):
+    """Names the file imports but never reads; a package's __all__ counts
+    as a use."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    for folder in (PACKAGE, TESTS):
+        for fn in sorted(os.listdir(folder)):
+            if fn.endswith(".py"):
+                assert unused_imports(os.path.join(folder, fn)) == [], f"{fn} imports names it never uses"

@@ -1,8 +1,6 @@
 import random
 import time
-from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

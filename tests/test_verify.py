@@ -1,16 +1,14 @@
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistgrid import (Context, Field, GridBox, PersModule, Rectangle,
+from persistgrid import (Field, GridBox, PersModule, Rectangle,
                          RectDecomp, barcode_1d, check_candy, decompose_two_rows,
                          direct_sum, end_algebra, end_dim, iso_certificate,
                          local_dim, rect_to_module, stack, try_split)
 from persistgrid.grid import ModMorphism
-from persistgrid.linalg import Matrix
 from persistgrid.sampling import (rand_module, rand_two_rows,
                                   rand_two_rows_with_gap)
 
