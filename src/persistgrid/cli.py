@@ -175,8 +175,9 @@ def cmd_concat(args) -> int:
 def cmd_string(args) -> int:
     manifest = io.load(args.list)
     paths = manifest.get("modules")
-    if not isinstance(paths, list) or not paths:
-        raise FormatError("manifest needs a nonempty 'modules' array of paths")
+    # a non-string entry would reach open() as a file descriptor
+    if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
+        raise FormatError("manifest needs a nonempty 'modules' array of path strings")
     mods = []
     for p in paths:
         obj = io.load(p)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .covers import projective_cover
-from .grid import (AxisEmbedding, GridBox, ModMorphism, PersModule, dualize, pad,
-                   stack, vadd, vsub, vsucc)
+from .grid import (MAX_VERTICES, AxisEmbedding, GridBox, ModMorphism, PersModule,
+                   candy_corner_faults, dualize, pad, stack, vadd, vsub, vsucc)
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle, realize, rect_to_module
 
@@ -89,13 +89,24 @@ def cone(bprime: list, dprime: list) -> Rectangle:
     )
 
 
-def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox):
+def _check_stack_size(height: int, box: GridBox) -> None:
+    """Refuse, before anything is built, a stack of height layers whose
+    layer box contains box and so passes the vertex cap."""
+    if height * box.count > MAX_VERTICES:
+        raise ValueError(f"{height} layers of {box.count} vertices exceed the cap {MAX_VERTICES}")
+
+
+def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox, height: int):
     """The rectangle layers [cone] -> [b'_i, d'_i] -> tails[0] -> tails[1] -> ...,
     linked by a ones column and then by diagonals, on the hull of box and all
-    the rectangles.  Returns (decomps, layers, links)."""
+    the rectangles.  Returns (decomps, layers, links).
+
+    height is the number of layers in the stack the chain goes into; a stack
+    over the vertex cap is refused before any layer is built."""
     chain = [[cone(bprime, dprime)], [Rectangle(b, d) for b, d in zip(bprime, dprime)], *tails]
     corners = [box.lo, box.hi] + [p for rects in chain for r in rects for p in (r.b, r.d)]
     box = GridBox(tuple(map(min, zip(*corners))), tuple(map(max, zip(*corners))))
+    _check_stack_size(height, box)
     decomps = [RectDecomp(field, box, rects) for rects in chain]
     m = len(bprime)
     coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * len(tails)
@@ -104,30 +115,35 @@ def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox):
     return decomps, layers, links
 
 
-def _s_chain(V: RectDecomp):
-    """The four rectangle layers I_V -> Vbar -> V' -> V on a box containing V.box."""
+def _s_chain(V: RectDecomp, height: int):
+    """The four rectangle layers I_V -> Vbar -> V' -> V on a box containing
+    V.box, for a stack of height layers."""
     dprime = separate_and_shift(V)
     mu, bprime = verticalize(V, dprime)
     vprime = [Rectangle(r.b, d) for r, d in zip(V.summands, dprime)]
-    decomps, layers, links = _cone_chain(V.field, bprime, dprime, [vprime, V.summands], V.box)
+    decomps, layers, links = _cone_chain(V.field, bprime, dprime, [vprime, V.summands], V.box, height)
     meta = {"dprime": dprime, "mu": mu, "bprime": bprime, "cone": decomps[0].summands[0], "decomps": decomps}
     return layers, links, meta
 
 
 def build_S(V: RectDecomp) -> BuildResult:
     """Four layers I_V -> Vbar -> V' -> V stacked, V at height 0."""
-    layers, links, meta = _s_chain(V)
+    layers, links, meta = _s_chain(V, 4)
     meta["source_box"] = layers[0].box
     return BuildResult(stack(layers, links, height_lo=-3), AxisEmbedding.layer(V.n, V.n, 0), 4, meta)
 
 
-def build_S_prime(V: PersModule) -> BuildResult:
+def build_S_prime(V: PersModule, height: int = 5) -> BuildResult:
     """Five layers: the four-layer stack on a projective cover R of V,
-    with the cover surjection p: R ->> V appended; V at height 0."""
+    with the cover surjection p: R ->> V appended; V at height 0.
+
+    height is the layer count of the stack that will hold the result, five
+    or candy_wrap's nine, so an oversized one is refused before it is built."""
     if V.is_zero():
         raise ValueError("zero module")
+    _check_stack_size(height, V.box)  # the cover can be as large as V.box
     cov = projective_cover(V)
-    layers, links, meta = _s_chain(cov.decomp)  # on a box containing V.box = cov.decomp.box
+    layers, links, meta = _s_chain(cov.decomp, height)  # on a box containing V.box = cov.decomp.box
     top = pad(V, layers[0].box)
     links.append(ModMorphism(layers[3], top, cov.morphism.comps))
     meta.update({"source_box": V.box, "cover": cov})
@@ -135,15 +151,16 @@ def build_S_prime(V: PersModule) -> BuildResult:
     return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 5, meta)
 
 
-def build_S_dprime(V: PersModule) -> BuildResult:
+def build_S_dprime(V: PersModule, height: int = 5) -> BuildResult:
     """The dual five layers V -> T -> T' -> Tbar -> I_T, V at height 0.
 
     Computed by dualizing the primal stack of the dual module, then
     translating the result so the V copy comes back to V's own coordinates.
+    height is as in build_S_prime.
     """
     if V.is_zero():
         raise ValueError("zero module")
-    prim = build_S_prime(dualize(V))
+    prim = build_S_prime(dualize(V), height)
     Md = dualize(prim.M)
     H = Md.box
     cH = tuple(H.lo[k] + H.hi[k] for k in range(V.n))
@@ -158,8 +175,8 @@ def candy_wrap(V: PersModule) -> CandyModule:
     """Nine layers I_R -> Rbar -> R' -> R -> V -> T -> T' -> Tbar -> I_T."""
     if V.is_zero():
         raise ValueError("cannot wrap the zero module")
-    prim = build_S_prime(V)  # heights -4..0
-    dual = build_S_dprime(V)  # heights 0..4
+    prim = build_S_prime(V, 9)  # heights -4..0
+    dual = build_S_dprime(V, 9)  # heights 0..4
     n = V.n
     H = GridBox.hull([
         GridBox(prim.M.box.lo[:n], prim.M.box.hi[:n]),
@@ -193,6 +210,10 @@ def _concat(A: CandyModule, B: CandyModule):
     N = MA.n
     if N < 2:
         raise ValueError("concatenation needs at least two dimensions")
+    for name, C in (("first", A), ("second", B)):
+        faults = candy_corner_faults(C.module, C.ul, C.lr)
+        if faults:
+            raise ValueError(f"the {name} candy's corners are wrong: {'; '.join(faults)}")
     e_snd = tuple(1 if i == N - 2 else 0 for i in range(N))
     e_last = tuple(1 if i == N - 1 else 0 for i in range(N))
     # align lr(A) with ul(B), then push B one step down and one step right
@@ -279,7 +300,7 @@ def _greedy_points(windows: list) -> list:
     return out
 
 
-def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox):
+def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox, height: int):
     """The three rectangle layers I' -> R'' -> R~ on a first axis refined by s.
 
     Summand i becomes the window windows[i] on the first axis.  The births
@@ -288,7 +309,7 @@ def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox):
     ordering that makes endomorphisms of R'' diagonal.  Summands are listed
     in the rank order meta["order"].  Returns (layers, links, line, meta),
     on the hull of box and the rectangles; the line samples first
-    coordinates at multiples of s.
+    coordinates at multiples of s.  height is as in _cone_chain.
     """
     m = len(summands)
     n = len(summands[0].b)
@@ -299,7 +320,7 @@ def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox):
     D = tuple(max(r.d[k] for r in tilde) for k in range(n))
     bprime = [(ts[i],) + summands[i].b[1:] for i in order]
     dprime = [(D[0] + (m - rank),) + D[1:] for rank in range(1, m + 1)]
-    decomps, layers, links = _cone_chain(field, bprime, dprime, [tilde], box)
+    decomps, layers, links = _cone_chain(field, bprime, dprime, [tilde], box, height)
     line = AxisEmbedding([("affine", s, 0)] + [("affine", 1, 0)] * (n - 1), n, 0)
     meta = {
         "s": s,
@@ -326,7 +347,7 @@ def min3_rect(V: RectDecomp) -> BuildResult:
     windows = [(s * r.b[0] - m, s * r.b[0] + m) if r.b[0] == r.d[0] else (s * r.b[0], s * r.d[0])
                for r in V.summands]
     scaled = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0],) + V.box.hi[1:])
-    layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, scaled)
+    layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, scaled, 3)
     meta["source_box"] = V.box
     return BuildResult(stack(layers, links, height_lo=-2), line, 3, meta)
 
@@ -376,11 +397,12 @@ def gen4(V: PersModule) -> BuildResult:
     """
     if V.is_zero():
         raise ValueError("zero module")
+    _check_stack_size(4, V.box)
     cov = projective_cover(V)
     s = 2 * (len(cov.decomp) + 1)
     windows = [(s * r.b[0], s * r.d[0] + s - 1) for r in cov.decomp.summands]
     VG = _stretch_first(V, s)
-    layers, links, line, meta = _refined_layers(V.field, cov.decomp.summands, windows, s, VG.box)
+    layers, links, line, meta = _refined_layers(V.field, cov.decomp.summands, windows, s, VG.box, 4)
     top = pad(VG, layers[0].box)
     # stretched cover surjection: at y it is p at floor(y), columns permuted
     # into the rank order used for the rectangle layers

@@ -1,8 +1,9 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and prime fields.
 
-Rational values are `fractions.Fraction` (always normalized), prime field
-values are plain ints in [0, p).  A `Field` object bundles the operations so
-matrix code can stay generic.
+Rational values are plain ints when integral and `fractions.Fraction`s
+(always normalized) otherwise; the two compare and hash alike, so either
+may stand for an integer.  Prime field values are plain ints in [0, p).  A
+`Field` object bundles the operations so matrix code can stay generic.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ MAX_MODULUS = 2**31
 # default bound for int <-> str conversion, so every scalar `fmt` writes
 MAX_SCALAR_DIGITS = 4300
 _SCALAR = re.compile(f"-?[0-9]{{1,{MAX_SCALAR_DIGITS}}}(/[0-9]{{1,{MAX_SCALAR_DIGITS}}})?")
+
+
+def _reduced(q: Fraction):
+    """q as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _is_prime(p: int) -> bool:
@@ -61,15 +67,15 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     @property
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def of(self, n: int):
         """Canonical image of the integer n."""
-        return Fraction(n) if self.p is None else n % self.p
+        return n if self.p is None else n % self.p
 
     # -- arithmetic ----------------------------------------------------
 
@@ -89,7 +95,9 @@ class Field:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of 0")
-            return 1 / a
+            if a == 1 or a == -1:
+                return int(a)
+            return _reduced(Fraction(a.denominator, a.numerator))
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
@@ -108,7 +116,7 @@ class Field:
             if not _SCALAR.fullmatch(s):
                 raise ValueError(f"scalar {s[:40]!r} is not an integer or num/den of at most {MAX_SCALAR_DIGITS} digits")
         if self.p is None:
-            return Fraction(s)
+            return int(s) if type(s) is int or "/" not in s else _reduced(Fraction(s))
         return int(s) % self.p
 
     def fmt(self, a):
@@ -120,7 +128,7 @@ class Field:
     def rand(self, rng):
         """Uniform random element; over Q, a small integer in [-2, 2]."""
         if self.p is None:
-            return Fraction(rng.randint(-2, 2))
+            return rng.randint(-2, 2)
         return rng.randrange(self.p)
 
     def elements(self):

@@ -16,6 +16,9 @@ from .linalg import Matrix
 
 MAX_VERTICES = 100_000  # the largest box any module or construction may use
 MAX_AXES = 32  # the most axes a module or rectangle file may have
+# the largest vertex dimension a module file may give, so that one dense
+# step matrix holds at most MAX_VERTICES scalars
+MAX_DIM = 316
 
 
 @dataclass(frozen=True)
@@ -546,3 +549,25 @@ def slice_layers(M: PersModule) -> tuple[list[PersModule], list[ModMorphism]]:
     layers = [PersModule(M.field, box, d, s) for d, s in zip(dims, steps)]
     links = [ModMorphism(layers[i], layers[i + 1], comps[i]) for i in range(count - 1)]
     return layers, links
+
+
+def candy_corner_faults(M: PersModule, ul: tuple, lr: tuple) -> list[str]:
+    """One message for each way ul and lr fail to be M's candy corners:
+    ul must sit at the support's smallest leading coordinates and largest
+    last one, lr at the opposite corner, and both must have dimension 1.
+    Empty when they are the corners; a zero module has none."""
+    if M.is_zero():
+        return ["zero module"]
+    n = M.n
+    support = list(M.dims)
+    exp_ul = tuple(min(v[k] for v in support) for k in range(n - 1)) + (max(v[-1] for v in support),)
+    exp_lr = tuple(max(v[k] for v in support) for k in range(n - 1)) + (min(v[-1] for v in support),)
+    msgs = []
+    if tuple(ul) != exp_ul:
+        msgs.append(f"upper-left corner {tuple(ul)} != bounding position {exp_ul}")
+    if tuple(lr) != exp_lr:
+        msgs.append(f"lower-right corner {tuple(lr)} != bounding position {exp_lr}")
+    for name, c in (("upper-left", tuple(ul)), ("lower-right", tuple(lr))):
+        if M.dim(c) != 1:
+            msgs.append(f"{name} corner has dimension {M.dim(c)}, want 1")
+    return msgs

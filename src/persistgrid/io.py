@@ -12,7 +12,7 @@ from collections import Counter
 
 from .constructions import CandyModule
 from .fields import Field
-from .grid import MAX_AXES, MAX_VERTICES, AxisEmbedding, GridBox, PersModule, vsucc
+from .grid import MAX_AXES, MAX_DIM, MAX_VERTICES, AxisEmbedding, GridBox, PersModule, vsucc
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle
 
@@ -93,8 +93,8 @@ def pmod_from_json(obj: dict) -> PersModule:
         raise FormatError(f"dims must be a list of one entry for each of the {box.count} box vertices")
     dims = {}
     for v, d in zip(box.vertices(), obj["dims"]):
-        if type(d) is not int or d < 0:
-            raise FormatError(f"bad dimension {d!r} at {v}")
+        if type(d) is not int or not 0 <= d <= MAX_DIM:
+            raise FormatError(f"bad dimension {d!r} at {v}, want 0 to {MAX_DIM}")
         if d:
             dims[v] = d
     if not isinstance(obj["steps"], list):

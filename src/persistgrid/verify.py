@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .grid import ModMorphism, PersModule, direct_sum, stack, vle
+from .grid import ModMorphism, PersModule, candy_corner_faults, direct_sum, stack, vle
 from .homspace import Context, HomSpace, combine, end_dim
 from .linalg import Matrix, Poly, coprime_split, minimal_polynomial
 from .rectangles import RectDecomp, realize
@@ -439,29 +439,13 @@ def check_candy(M: PersModule, ul: tuple, lr: tuple, ctx: Context | None = None)
     (ul: smallest in the leading coordinates, largest in the last; lr: the
     opposite), and a scalar endomorphism ring.
     """
-    ctx = ctx or Context()
-    msgs = []
-    ok = True
+    msgs = candy_corner_faults(M, ul, lr)
     if M.is_zero():
-        return CandyReport(False, ["zero module"])
-    n = M.n
-    support = list(M.dims)
-    exp_ul = tuple(min(v[k] for v in support) for k in range(n - 1)) + (max(v[-1] for v in support),)
-    exp_lr = tuple(max(v[k] for v in support) for k in range(n - 1)) + (min(v[-1] for v in support),)
-    if tuple(ul) != exp_ul:
-        ok = False
-        msgs.append(f"upper-left corner {tuple(ul)} != bounding position {exp_ul}")
-    if tuple(lr) != exp_lr:
-        ok = False
-        msgs.append(f"lower-right corner {tuple(lr)} != bounding position {exp_lr}")
-    for name, c in (("upper-left", tuple(ul)), ("lower-right", tuple(lr))):
-        if M.dim(c) != 1:
-            ok = False
-            msgs.append(f"{name} corner has dimension {M.dim(c)}, want 1")
-    ed = end_dim(M, ctx)
+        return CandyReport(False, msgs)
+    ed = end_dim(M, ctx or Context())
     if ed != 1:
-        ok = False
         msgs.append(f"end_dim = {ed}, want 1")
+    ok = not msgs
     if ok:
         msgs.append("ok")
     return CandyReport(ok, msgs)

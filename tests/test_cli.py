@@ -134,6 +134,18 @@ class TestExitCodes:
         # rects file over Q, declared field must match exactly
         assert code == 2
 
+    def test_concat_on_wrong_corners_gives_2(self, tmp_path, capsys):
+        # the all-identity module on a 2 x 2 box is a candy with corners
+        # (0, 1) and (1, 0), but not with both corners at (0, 0)
+        M = rect_to_module(RectDecomp(Field.prime(1009), GridBox((0, 0), (1, 1)), [Rectangle((0, 0), (1, 1))]))
+        good, bad, out = (str(tmp_path / name) for name in ("good.json", "bad.json", "out.json"))
+        dump({"module": pmod_to_json(M), "ul": [0, 1], "lr": [1, 0]}, good)
+        dump({"module": pmod_to_json(M), "ul": [0, 0], "lr": [0, 0]}, bad)
+        assert run(capsys, ["concat", "--a", good, "--b", good, "--out", out])[0] == 0
+        for a, b, which in ((good, bad, "second"), (bad, good, "first")):
+            code, _, err = run(capsys, ["concat", "--a", a, "--b", b, "--out", out])
+            assert code == 2 and err.startswith(f"error: the {which} candy's corners")
+
     def test_tworows_without_gap_gives_2(self, tmp_path, capsys):
         from persistgrid.grid import stack
         L = rect_to_module(RectDecomp(F2, GridBox((0,), (2,)),
@@ -262,15 +274,21 @@ def _one_vertex(n, kind):
 class TestMistypedOrOversizedInput:
     """RECTS and LINE files with mistyped fields, field tags, scalars or
     integers too large to parse quickly, PMOD and RECTS files with more than
-    MAX_AXES axes, and modules that a construction cannot build, exit 2 with
-    a message, and at once."""
+    MAX_AXES axes, PMOD files with a vertex dimension above MAX_DIM, string
+    manifests whose entries are not paths, and modules that a construction
+    cannot build, exit 2 with a message, and at once."""
     RECTS = {"field": "Q", "n": 1, "lo": [0], "hi": [2], "rects": [{"b": [0], "d": [2], "mult": 1}]}
     LINE = {"axis_maps": [{"scale": 1, "offset": 0}], "insert_axis": {"pos": 1, "value": 0}}
     TABLE_LINE = {"axis_maps": [{"table": [0, 1], "start": 0}], "insert_axis": {"pos": 1, "value": 0}}
     ZERO = {"field": "Q", "n": 1, "lo": [0], "hi": [2], "dims": [0, 0, 0], "steps": []}
-    # one vertex at the top corner of a 300 x 300 box: every construction's
-    # output box exceeds the vertex cap before the rectangle layers get large
+    # one vertex at the top or the bottom corner of a 300 x 300 box, and one
+    # at the bottom of a long 1D box: every construction's output box exceeds
+    # the vertex cap, which must be seen before the projective cover and the
+    # rectangle layers are built
     CORNER = {"field": "Q", "n": 2, "lo": [0, 0], "hi": [299, 299], "dims": [0] * 89999 + [1], "steps": []}
+    BOTTOM = {**CORNER, "dims": [1] + [0] * 89999}
+    LONG = {"field": "Q", "n": 1, "lo": [0], "hi": [13999], "dims": [1] + [0] * 13999, "steps": []}
+    POINT = {"field": "Fp:1009", "n": 1, "lo": [0], "hi": [0], "dims": [1], "steps": []}
     CASES = {
         "rects-float-birth": (RECTS, lambda o: o["rects"][0].update(b=[0.5])),
         "rects-float-death": (RECTS, lambda o: o["rects"][0].update(d=[2.0])),
@@ -303,6 +321,15 @@ class TestMistypedOrOversizedInput:
         "zero-module-string": (ZERO, lambda o: None, "string"),
         "over-cap-candy": (CORNER, lambda o: None, "candy"),
         "over-cap-gen4": (CORNER, lambda o: None, "gen4"),
+        "over-cap-sdual": (CORNER, lambda o: None, "sdual"),
+        "over-cap-bottom-sprime": (BOTTOM, lambda o: None, "sprime"),
+        "over-cap-bottom-gen4": (BOTTOM, lambda o: None, "gen4"),
+        "long-candy": (LONG, lambda o: None, "candy"),
+        "long-gen4": (LONG, lambda o: None, "gen4"),
+        "pmod-dim-3000": (POINT, lambda o: o.update(dims=[3000])),
+        "pmod-dim-million": (POINT, lambda o: o.update(dims=[10**6])),
+        "manifest-int-path": ({"modules": [0]}, lambda o: None, "manifest"),
+        "manifest-bool-path": ({"modules": [True]}, lambda o: None, "manifest"),
         **{f"pmod-{n}-axes": (_one_vertex(n, "pmod"), lambda o: None) for n in (MAX_AXES + 1, 100, 400, 800)},
         **{f"rects-{n}-axes": (_one_vertex(n, "rects"), lambda o: None, "min3rect") for n in (MAX_AXES + 1, 800)},
     }
@@ -315,6 +342,8 @@ class TestMistypedOrOversizedInput:
             manifest = str(tmp_path / "list.json")
             dump({"modules": [p]}, manifest)
             return ["string", "--list", manifest, "--out", out]
+        if verb == "manifest":
+            return ["string", "--list", p, "--out", out]
         if verb is not None:
             return ["construct", "--method", verb, "--in", p, "--out", out]
         if "rects" in obj:

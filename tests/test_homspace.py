@@ -1,7 +1,9 @@
 """The recursive hom engine against a dense naturality-system oracle."""
 
+import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from persistgrid import (Context, Field, GridBox, HomSpace, PersModule, Rectangl
                          rect_to_module, stack)
 from persistgrid import homspace
 from persistgrid.grid import ModMorphism, vsucc
+from persistgrid.io import pmod_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module
@@ -219,6 +222,21 @@ def test_equal_modules_share_one_decomposition_and_one_hom(monkeypatch):
     S = stack(layers, links)
     assert Context().hom(S, S).dim == dense_hom_dim(S, S)
     assert calls == {"decompose": 1, "build": 2}
+
+
+def test_int_and_fraction_entries_share_one_representative():
+    """Q values are ints when integral, but an integral Fraction is equal
+    and hashes alike, so a module holding one is the same content."""
+    box = GridBox((0,), (2,))
+
+    def module(two):
+        steps = {((0,), 0): Matrix(Q, [[two, 0]]), ((1,), 0): Matrix(Q, [[Fraction(1, 2)]])}
+        return PersModule(Q, box, {(0,): 2, (1,): 1, (2,): 1}, steps)
+
+    A, B = module(Fraction(2)), module(2)
+    ctx = Context()
+    assert ctx.hom(A, A) is ctx.hom(B, B)
+    assert json.dumps(pmod_to_json(A)) == json.dumps(pmod_to_json(B))
 
 
 @given(st.integers(0, 2**31))

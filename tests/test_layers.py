@@ -1,7 +1,8 @@
 """The package's modules import only from lower layers:
 fields -> linalg -> grid -> rectangles -> covers/homspace ->
-verify/constructions -> io/sampling -> cli; and no file in the package
-or its tests imports a name it never uses."""
+verify/constructions -> io/sampling -> cli; no file in the package or
+its tests imports a name it never uses; and the package never divides
+with `/`, which turns two ints into a float."""
 
 import ast
 import os
@@ -61,3 +62,13 @@ def test_no_unused_imports():
         for fn in sorted(os.listdir(folder)):
             if fn.endswith(".py"):
                 assert unused_imports(os.path.join(folder, fn)) == [], f"{fn} imports names it never uses"
+
+
+def test_no_true_division():
+    for fn in sorted(os.listdir(PACKAGE)):
+        if fn.endswith(".py"):
+            with open(os.path.join(PACKAGE, fn)) as fh:
+                tree = ast.parse(fh.read())
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+            assert lines == [], f"{fn} divides with / at lines {lines}"

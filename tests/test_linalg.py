@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,31 @@ def test_nullspace_sparse_matches_dense(seed, nrows, ncols):
             for c, v in sol.items():
                 mat.rows[c][j] = v
         assert mat.rank() == len(sols)
+
+
+def _reduced(x) -> bool:
+    """An int, or a Fraction that is not an integer."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@given(st.lists(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3), min_size=1, max_size=3),
+       st.integers(0, 2**31))
+@settings(max_examples=100, deadline=None)
+def test_q_values_are_ints_or_fractions(rows, seed):
+    """Over Q no operation yields a float, and parse and inv give ints for
+    integers."""
+    rng = random.Random(seed)
+    flat = [x for row in rows for x in row]
+    assert all(_reduced(Q.parse(Q.fmt(x))) and Q.parse(Q.fmt(x)) == x for x in flat)
+    assert all(_reduced(Q.parse(x.numerator)) for x in flat)
+    assert all(_reduced(Q.inv(x)) and Q.mul(x, Q.inv(x)) == 1 for x in flat if x != 0)
+    assert all(type(y) is int for y in (Q.zero, Q.one, Q.of(seed), Q.rand(rng)))
+    assert all(type(Q.div(x, y)) in (int, Fraction) for x in flat for y in flat if y != 0)
+    A = Matrix(Q, [[Q.parse(Q.fmt(x)) for x in row] for row in rows])
+    outs = [A.rref()[0], A.nullspace(), A.solve(Matrix(Q, [[Q.rand(rng)] for _ in rows]))]
+    if A.is_invertible():
+        outs.append(A.inverse())
+    assert all(type(y) in (int, Fraction) for X in outs if X is not None for row in X.rows for y in row)
 
 
 def test_poly_divmod_gcd():
