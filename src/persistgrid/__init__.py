@@ -13,7 +13,7 @@ from .rectangles import (RectDecomp, Rectangle, barcode_1d, interval_decompose_1
 from .covers import injective_envelope, projective_cover
 from .homspace import Context, HomSpace, end_dim, hom_dim
 from .verify import (IndecVerdict, check_candy, decompose_two_rows, end_algebra,
-                     hom_basis, iso_certificate, local_dim, try_split)
+                     hom_basis, iso_certificate, try_split)
 from .constructions import (BuildResult, CandyModule, build_S, build_S_dprime,
                             build_S_prime, candy_wrap, concat, gen4, min3,
                             min3_rect, string_candies)
@@ -27,7 +27,7 @@ __all__ = [
     "injective_envelope", "projective_cover",
     "Context", "HomSpace", "end_dim", "hom_dim",
     "IndecVerdict", "check_candy", "decompose_two_rows", "end_algebra",
-    "hom_basis", "iso_certificate", "local_dim", "try_split",
+    "hom_basis", "iso_certificate", "try_split",
     "BuildResult", "CandyModule", "build_S", "build_S_dprime", "build_S_prime",
     "candy_wrap", "concat", "gen4", "min3", "min3_rect", "string_candies",
 ]

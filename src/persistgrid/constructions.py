@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .covers import projective_cover
-from .grid import (MAX_VERTICES, AxisEmbedding, GridBox, ModMorphism, PersModule,
+from .grid import (MAX_DIM, MAX_VERTICES, AxisEmbedding, GridBox, ModMorphism, PersModule,
                    candy_corner_faults, dualize, pad, stack, vadd, vsub, vsucc)
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle, realize, rect_to_module
@@ -102,13 +102,18 @@ def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox, he
     the rectangles.  Returns (decomps, layers, links).
 
     height is the number of layers in the stack the chain goes into; a stack
-    over the vertex cap is refused before any layer is built."""
+    over the vertex cap, or whose m x m step matrices (m rectangles) at every
+    vertex would hold more than MAX_VERTICES * MAX_DIM scalars, is refused
+    before any layer is built."""
     chain = [[cone(bprime, dprime)], [Rectangle(b, d) for b, d in zip(bprime, dprime)], *tails]
     corners = [box.lo, box.hi] + [p for rects in chain for r in rects for p in (r.b, r.d)]
     box = GridBox(tuple(map(min, zip(*corners))), tuple(map(max, zip(*corners))))
     _check_stack_size(height, box)
-    decomps = [RectDecomp(field, box, rects) for rects in chain]
     m = len(bprime)
+    if height * box.count * m * m > MAX_VERTICES * MAX_DIM:
+        raise ValueError(f"{height} layers of {box.count} vertices with up to {m} rectangles each exceed "
+                         f"{MAX_VERTICES * MAX_DIM} step scalars")
+    decomps = [RectDecomp(field, box, rects) for rects in chain]
     coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * len(tails)
     layers = [rect_to_module(d) for d in decomps]
     links = [realize(decomps[i], decomps[i + 1], x, layers[i], layers[i + 1]) for i, x in enumerate(coords)]

@@ -462,7 +462,6 @@ def minimal_polynomial(A: Matrix) -> Poly:
             continue
         # grow the Krylov chain of v until dependency; track coordinates
         echelon: list[tuple[int, list, list]] = []  # (pivot, vec, coords)
-        chain = []
         w = v
         k = 0
         q = None
@@ -485,7 +484,6 @@ def minimal_polynomial(A: Matrix) -> Poly:
                 vec = [f.mul(inv, x) for x in vec]
                 coords = [f.mul(inv, x) for x in coords]
             echelon.append((piv, vec, coords))
-            chain.append(w)
             w = A.mul_vec(w)
             k += 1
         m = (m * q).monic()
@@ -606,30 +604,26 @@ ROOT_SEARCH_BOUND = 10**12
 
 
 def _rational_roots(f: Poly) -> list:
-    """All rational roots of f (over Q), each listed once, sorted; none when
-    the search would pass ROOT_SEARCH_BOUND, so the caller keeps f whole."""
+    """All rational roots of f (over Q), each listed once, sorted, integral
+    ones as ints.  Past ROOT_SEARCH_BOUND only the root 0 is looked for, so
+    the caller keeps the rest of f whole."""
     from fractions import Fraction
 
-    field = f.field
     if f.degree < 1:
         return []
     denom = math.lcm(*(c.denominator for c in f.coeffs))  # clears denominators
     ints = [int(c * denom) for c in f.coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # factor x out; 0 handled separately by caller's gcd
-    roots = set()
-    if not ints:
-        return []
-    if len(ints) < len(f.coeffs):
-        roots.add(Fraction(0))
+    roots = {0} if ints[0] == 0 else set()
+    while ints[0] == 0:
+        ints = ints[1:]  # factor x out
     a0, an = abs(ints[0]), abs(ints[-1])
-    if a0 * an > ROOT_SEARCH_BOUND:
-        return []
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if f.eval_scalar(cand) == 0:
-                    roots.add(cand)
+    if a0 * an <= ROOT_SEARCH_BOUND:
+        for p in _divisors(a0):
+            for q in _divisors(an):
+                for num in (p, -p):
+                    cand = Fraction(num, q) if num % q else num // q
+                    if f.eval_scalar(cand) == 0:
+                        roots.add(cand)
     return sorted(roots)
 
 

@@ -6,16 +6,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from .grid import ModMorphism, PersModule, candy_corner_faults, direct_sum, stack, vle
-from .homspace import Context, HomSpace, combine, end_dim
-from .linalg import Matrix, Poly, coprime_split, minimal_polynomial
+from .homspace import Context, HomSpace, end_dim
+from .linalg import Matrix, Poly, coprime_split, factor_fp, minimal_polynomial
 from .rectangles import RectDecomp, realize
-
-# exhaustive endomorphism enumeration is attempted when |F|^end_dim stays
-# below this; it makes finite-field verdicts conclusive in both directions
-EXHAUSTIVE_CAP = 4096
 
 
 def hom_basis(M: PersModule, N: PersModule, ctx: Context | None = None) -> list[ModMorphism]:
@@ -64,33 +59,6 @@ def end_algebra(M: PersModule, ctx: Context | None = None) -> EndAlgebra:
     return EndAlgebra(M, E, table, ident)
 
 
-def local_dim(M: PersModule, ctx: Context | None = None) -> int:
-    """dim End(M)/rad over the rationals, via the trace-form radical.
-
-    In characteristic zero rad(A) = {x : tr(L_x L_y) = 0 for all y}, so the
-    semisimple quotient dimension is the rank of the trace Gram matrix.
-    A value of 1 certifies that End(M) is local, hence M indecomposable.
-    """
-    if not M.field.is_rational:
-        raise ValueError("local_dim needs characteristic zero; the trace-form radical is not sound over a prime field")
-    alg = end_algebra(M, ctx)
-    f = M.field
-    d = alg.dim
-    lefts = []
-    for i in range(d):
-        L = Matrix.zero(f, d, d)
-        for j in range(d):
-            for k in range(d):
-                L.rows[k][j] = alg.mult_table[i][j][k]
-        lefts.append(L)
-    gram = Matrix.zero(f, d, d)
-    for i in range(d):
-        for j in range(d):
-            P = lefts[i] @ lefts[j]
-            gram.rows[i][j] = sum((P.rows[t][t] for t in range(d)), f.zero)
-    return gram.rank()
-
-
 # ---------------------------------------------------------------------------
 # splitting
 
@@ -105,18 +73,14 @@ class IndecVerdict:
     status: str
     reason: str
     end_dim: int
-    local_dim: int | None = None
     summands: tuple | None = None  # (M1, M2) when decomposable
     iso: ModMorphism | None = None  # direct_sum(M1, M2) -> M
-
-    @property
-    def conclusive(self) -> bool:
-        return self.status != INCONCLUSIVE
+    certificate: dict | None = None  # radical_dim, nilpotency_index, residue_degree
 
     def to_json(self) -> dict:
         out = {"status": self.status, "reason": self.reason, "end_dim": self.end_dim}
-        if self.local_dim is not None:
-            out["local_dim"] = self.local_dim
+        if self.certificate is not None:
+            out["certificate"] = self.certificate
         if self.summands is not None:
             A, B = self.summands
             out["witness"] = {
@@ -190,37 +154,80 @@ def _split_along(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
 
 
 def _try_element(M: PersModule, a: ModMorphism, rng):
+    """(split, f): split is (M1, M2, iso) when the minimal polynomial of the
+    endomorphism a has a coprime factorization; otherwise f is the monic
+    irreducible it is a power of, if f is known irreducible: always over F_p
+    (factoring a prime power draws nothing from rng), over Q when f is linear.
+    """
     mp = _endo_min_poly(a)
     gh = coprime_split(mp, rng)
     if gh is not None:
-        got = _split_along(M, a, gh[0], gh[1])
-        if got is not None:
-            return got
-    # Fitting fallback: a neither nilpotent nor invertible splits M into
-    # ker a^N and im a^N, N = total dimension; here im a^N = ker rem(a) with
-    # mp = x^k . rem, rem(0) != 0
-    f = M.field
-    if mp.coeffs and mp.coeffs[0] == 0:
-        rem = mp
-        k = 0
-        while not rem.is_zero() and rem.coeffs[0] == 0:
-            rem = Poly(f, rem.coeffs[1:])
-            k += 1
-        if k > 0 and rem.degree > 0:
-            N = max(M.total_dim(), 1)
-            xN = Poly(f, [f.zero] * N + [f.one])
-            got = _split_along(M, a, xN, rem)
-            if got is not None:
-                return got
-    return None
+        return _split_along(M, a, *gh), None
+    if not M.field.is_rational:
+        return None, factor_fp(mp, rng)[0][0]
+    root = mp // mp.gcd(mp.derivative())
+    return None, root if root.degree == 1 else None
+
+
+def _local_certificate(alg: EndAlgebra, residues: list) -> dict | None:
+    """Proof that A = End(M) is local, from pairs (a, f): a an endomorphism
+    in ambient coordinates whose minimal polynomial is a power of the
+    irreducible f.
+
+    J, the two-sided ideal generated by the f(a), must be nilpotent with
+    dim A - dim J = deg f for the largest deg f.  Then f(a) = 0 in A/J, and
+    1 is not in J, so K[a] in A/J is the field K[x]/(f) and fills A/J.  A
+    nilpotent ideal with a semisimple quotient is the radical, so A is local.
+    """
+    f = alg.module.field
+    d = alg.dim
+    table = [[[(k, c) for k, c in enumerate(coords) if c != 0] for coords in row] for row in alg.mult_table]
+
+    def mul(x, y):
+        out = [f.zero] * d
+        for i, xi in enumerate(x):
+            if xi != 0:
+                for j, yj in enumerate(y):
+                    if yj != 0:
+                        xy = f.mul(xi, yj)
+                        for k, c in table[i][j]:
+                            out[k] = f.add(out[k], f.mul(xy, c))
+        return out
+
+    def span(vectors):
+        R, pivots = Matrix(f, vectors).rref()
+        return R.rows[: len(pivots)]
+
+    units = Matrix.identity(f, d).rows
+    gens = []
+    for amb, g in residues:
+        a = alg.space.coords_in_basis(amb)
+        ga = [f.zero] * d
+        for c in reversed(g.coeffs):  # Horner: ga = ga . a + c
+            ga = [f.add(x, f.mul(c, e)) for x, e in zip(mul(ga, a), alg.identity)]
+        gens.append(ga)
+    left = span([mul(e, g) for e in units for g in gens])
+    J = span([mul(x, e) for x in left for e in units])
+    degree = max(g.degree for _, g in residues)
+    if d - len(J) != degree:
+        return None
+    power, index = J, 1
+    while power:
+        index += 1
+        nxt = span([mul(x, y) for x in power for y in J])
+        if len(nxt) == len(power):
+            return None  # J^k = J^(k+1) != 0: not nilpotent
+        power = nxt
+    return {"radical_dim": len(J), "nilpotency_index": index, "residue_degree": degree}
 
 
 def try_split(M: PersModule, seed: int = 0, trials: int = 24, ctx: Context | None = None) -> IndecVerdict:
     """Certify M indecomposable or produce an explicit nontrivial splitting.
 
-    Conclusive when end_dim = 1, when the trace-form quotient has dimension 1
-    (rationals), when a splitting element is found, or when the endomorphism
-    algebra over a small finite field can be enumerated exhaustively.
+    Conclusive when end_dim = 1, when one of the random endomorphisms drawn
+    splits M, or, once every draw has failed, when the draws whose minimal
+    polynomials are powers of known irreducibles certify that End(M) is
+    local (_local_certificate).
     """
     ctx = ctx or Context()
     if M.is_zero():
@@ -229,30 +236,21 @@ def try_split(M: PersModule, seed: int = 0, trials: int = 24, ctx: Context | Non
     ed = E.dim
     if ed == 1:
         return IndecVerdict(INDECOMPOSABLE, "end_dim = 1", ed)
-    ld = None
-    if M.field.is_rational:
-        ld = local_dim(M, ctx)
-        if ld == 1:
-            return IndecVerdict(INDECOMPOSABLE, "local endomorphism ring: dim End/rad = 1", ed, ld)
     rng = random.Random(seed)
-    f = M.field
-    exhaustive = not f.is_rational and f.p ** ed <= EXHAUSTIVE_CAP
-    if exhaustive:
-        # walk every endomorphism, first coefficient fastest; any nontrivial
-        # idempotent has minimal polynomial x(x-1) and would be split, so
-        # finishing clean is a proof
-        candidates = (combine(f, zip(reversed(c), E.basis)) for c in product(f.elements(), repeat=ed))
-    else:
-        candidates = (E.random_element(rng) for _ in range(trials))
-    for amb in candidates:
+    residues = []
+    for _ in range(trials):
+        amb = E.random_element(rng)
         if not amb:
             continue
-        got = _try_element(M, E.materialize(amb), rng)
-        if got is not None:
-            return IndecVerdict(DECOMPOSABLE, "splitting endomorphism found", ed, ld, (got[0], got[1]), got[2])
-    if exhaustive:
-        return IndecVerdict(INDECOMPOSABLE, "exhaustive endomorphism enumeration found no idempotent", ed, ld)
-    return IndecVerdict(INCONCLUSIVE, f"no splitting element after {trials} trials", ed, ld)
+        split, f = _try_element(M, E.materialize(amb), rng)
+        if split is not None:
+            return IndecVerdict(DECOMPOSABLE, "splitting endomorphism found", ed, split[:2], split[2])
+        if f is not None:
+            residues.append((amb, f))
+    if residues and (cert := _local_certificate(end_algebra(M, ctx), residues)):
+        return IndecVerdict(INDECOMPOSABLE, "local endomorphism ring: nilpotent radical, field quotient", ed,
+                            certificate=cert)
+    return IndecVerdict(INCONCLUSIVE, f"no splitting element after {trials} trials", ed)
 
 
 # ---------------------------------------------------------------------------

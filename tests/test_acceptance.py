@@ -5,7 +5,6 @@ prints a single CRITERION line on the real stdout so the verdicts are visible
 even under pytest's capture.  All checks are exact; no tolerances.
 """
 
-import itertools
 import random
 import sys
 import time
@@ -13,15 +12,15 @@ from collections import Counter
 
 from persistgrid import (Field, GridBox, barcode_1d, build_S, build_S_dprime,
                          build_S_prime, candy_wrap, check_candy, concat,
-                         decompose_two_rows, end_dim, gen4, hom_basis,
-                         iso_certificate, local_dim, min3, min3_rect, restrict,
+                         decompose_two_rows, end_dim, gen4,
+                         iso_certificate, min3, min3_rect, restrict,
                          string_candies, try_split)
-from persistgrid.grid import ModMorphism
-from persistgrid.homspace import Context
 from persistgrid.sampling import (enumerate_modules, interval_multisets,
                                   rand_module, rand_rect_decomp,
                                   rand_two_rows_with_barcode,
                                   rand_two_rows_with_gap)
+
+from oracles import decomposable_by_idempotents, local_dim
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -184,30 +183,6 @@ def test_criterion_7_three_and_four_layers_2d(capsys):
     report(capsys, 7, ok, "30 rectangle + 20 general 2D inputs", t0)
 
 
-def _decomposable_by_idempotents(M):
-    """Exhaustive oracle over F_2: a nontrivial idempotent endomorphism
-    exists iff the module is decomposable."""
-    basis = hom_basis(M, M, Context())
-    ident = ModMorphism.identity(M)
-    for coeffs in itertools.product([0, 1], repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        comps = {}
-        for c, g in zip(coeffs, basis):
-            if not c:
-                continue
-            for v in M.dims:
-                m = g.comp(v)
-                comps[v] = m if v not in comps else comps[v] + m
-        e = ModMorphism(M, M, comps)
-        if all(e.comp(v) == ident.comp(v) for v in M.dims):
-            continue
-        sq = e.compose(e)
-        if all(sq.comp(v) == e.comp(v) for v in M.dims):
-            return True
-    return False
-
-
 def test_criterion_8_split_oracle_equivalence(capsys):
     t0 = time.time()
     ok, count = True, 0
@@ -217,7 +192,7 @@ def test_criterion_8_split_oracle_equivalence(capsys):
             if sum(M.dims.values()) == 0:
                 continue
             v = try_split(M)
-            oracle = _decomposable_by_idempotents(M)
+            oracle = decomposable_by_idempotents(M)
             good = v.status == ("DecomposableCertified" if oracle
                                 else "IndecomposableCertified")
             ok = ok and good

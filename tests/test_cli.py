@@ -275,8 +275,8 @@ class TestMistypedOrOversizedInput:
     """RECTS and LINE files with mistyped fields, field tags, scalars or
     integers too large to parse quickly, PMOD and RECTS files with more than
     MAX_AXES axes, PMOD files with a vertex dimension above MAX_DIM, string
-    manifests whose entries are not paths, and modules that a construction
-    cannot build, exit 2 with a message, and at once."""
+    manifests whose entries are not paths, and modules or rectangle lists
+    that a construction cannot build, exit 2 with a message, and at once."""
     RECTS = {"field": "Q", "n": 1, "lo": [0], "hi": [2], "rects": [{"b": [0], "d": [2], "mult": 1}]}
     LINE = {"axis_maps": [{"scale": 1, "offset": 0}], "insert_axis": {"pos": 1, "value": 0}}
     TABLE_LINE = {"axis_maps": [{"table": [0, 1], "start": 0}], "insert_axis": {"pos": 1, "value": 0}}
@@ -308,6 +308,10 @@ class TestMistypedOrOversizedInput:
         "pmod-padded-scalar": (TestMalformedPmod.BASE, _set_scalar(" 1")),
         "pmod-5000-digit-int": (TestMalformedPmod.BASE, lambda o: o["dims"].__setitem__(0, LONG_INT)),
         "rects-huge-mult": (RECTS, lambda o: o["rects"][0].update(mult=10**12)),
+        # m rectangles through one vertex give m x m step matrices; the chain
+        # is refused before it is built
+        "rects-mult-3000-s4": (RECTS, lambda o: o["rects"][0].update(mult=3000), "s4"),
+        "rects-mult-400-min3": (RECTS, lambda o: o["rects"][0].update(mult=400)),
         "line-float-scale": (LINE, lambda o: o["axis_maps"][0].update(scale=1.5)),
         "line-bool-offset": (LINE, lambda o: o["axis_maps"][0].update(offset=True)),
         "line-bool-start": (TABLE_LINE, lambda o: o["axis_maps"][0].update(start=False)),

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from persistgrid import (CandyModule, Field, GridBox, PersModule,
                          Rectangle, RectDecomp, barcode_1d, build_S,
                          build_S_dprime, build_S_prime, candy_wrap, check_candy,
-                         concat, end_dim, gen4, iso_certificate, local_dim,
+                         concat, end_dim, gen4, iso_certificate,
                          min3, min3_rect, rect_to_module, restrict,
                          string_candies)
 from persistgrid.constructions import cone, separate_and_shift, verticalize
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module, rand_rect_decomp
+
+from oracles import local_dim
 
 Q = Field.rationals()
 F2 = Field.prime(2)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistgrid.fields import Field
-from persistgrid.linalg import (Matrix, Poly, coprime_split, factor_fp,
-                                minimal_polynomial, nullspace_sparse)
+from persistgrid.linalg import (Matrix, Poly, _rational_roots, coprime_split,
+                                factor_fp, minimal_polynomial, nullspace_sparse)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -190,3 +190,22 @@ def test_coprime_split_q_root_search_is_bounded():
         assert (out is not None) == splits
         if splits:
             assert sorted(p.degree for p in out) == [1, 2] and (out[0] * out[1]).monic() == f.monic()
+
+
+def test_rational_roots_keep_zero_past_the_bound():
+    # x^3 - (10^13 + 1) x: a0 * an passes ROOT_SEARCH_BOUND once x is
+    # factored out, but the root 0 is still found and x splits off
+    f = Poly.from_ints(Q, [0, -(10**13 + 1), 0, 1])
+    assert _rational_roots(f) == [0]
+    out = coprime_split(f)
+    assert out is not None and sorted(p.degree for p in out) == [1, 2]
+    assert (out[0] * out[1]).monic() == f
+
+
+def test_rational_roots_integral_as_ints():
+    # x (2x + 1)(x - 1) has the roots -1/2, 0 and 1
+    x = Poly.x(Q)
+    f = x * Poly.from_ints(Q, [1, 2]) * Poly.from_ints(Q, [-1, 1])
+    roots = _rational_roots(f)
+    assert roots == [Fraction(-1, 2), 0, 1]
+    assert [type(r) for r in roots] == [Fraction, int, int]

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from persistgrid import (Field, GridBox, PersModule, Rectangle,
                          RectDecomp, barcode_1d, check_candy, decompose_two_rows,
                          direct_sum, end_algebra, end_dim, iso_certificate,
-                         local_dim, rect_to_module, stack, try_split)
-from persistgrid.grid import ModMorphism
-from persistgrid.sampling import (rand_module, rand_two_rows,
+                         min3, rect_to_module, stack, try_split)
+from persistgrid.grid import ModMorphism, vsucc
+from persistgrid.linalg import Matrix
+from persistgrid.sampling import (rand_module, rand_rect_decomp, rand_two_rows,
                                   rand_two_rows_with_gap)
+
+from oracles import decomposable_by_idempotents, local_dim, nilpotent_count
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -94,6 +97,98 @@ class TestTrySplit:
         for b, d in [(0, 0), (0, 2), (1, 3)]:
             v = try_split(interval(F2, 0, 3, b, d))
             assert v.status == "IndecomposableCertified"
+
+
+class TestLocalCertificate:
+    """Verdicts of the nilpotent-ideal certificate against the oracles:
+    idempotents and nilpotent counts over F_2 and F_3, the trace form over
+    Q."""
+
+    # 1D inputs whose min3 output has end_dim 2 or 3
+    MIN3_SEEDS = (24, 44, 61, 130, 147)
+
+    @staticmethod
+    def four_subspace(field, C):
+        """Four 2D subspaces of K^4 at the antichain i + j = 3 of a 4 x 4
+        grid: K^2 + 0, 0 + K^2, the diagonal and the graph of C, and their
+        sums, all of K^4, above.  End is the centralizer K[C] of C, a field
+        when C's characteristic polynomial is irreducible."""
+        f = field
+        C = Matrix.from_ints(f, C)
+        one = Matrix.identity(f, 2)
+        zero = Matrix.zero(f, 2, 2)
+        bases = [Matrix(f, one.rows + zero.rows), Matrix(f, zero.rows + one.rows),
+                 Matrix(f, one.rows + one.rows), Matrix(f, one.rows + C.rows)]
+        box = GridBox((0, 0), (3, 3))
+        dims = {v: 2 if sum(v) == 3 else 4 for v in box.vertices() if sum(v) >= 3}
+        steps = {}
+        for v in dims:
+            for k in range(2):
+                if vsucc(v, k) in dims:
+                    steps[(v, k)] = bases[v[0]] if sum(v) == 3 else Matrix.identity(f, 4)
+        M = PersModule(f, box, dims, steps)
+        assert M.validate()
+        return M
+
+    def test_four_subspace_validity(self):
+        for f, C, ed in ((F2, [[0, 1], [1, 1]], 2), (Q, [[2, 1], [0, 2]], 2), (Q, [[2, 0], [0, 3]], 2)):
+            assert end_dim(self.four_subspace(f, C)) == ed
+
+    def _check_finite(self, M):
+        """The verdict matches the idempotent oracle, and a certificate's
+        radical is the set of nilpotent endomorphisms."""
+        p = M.field.p
+        v = try_split(M, seed=3)
+        oracle = decomposable_by_idempotents(M)
+        assert v.status == ("DecomposableCertified" if oracle else "IndecomposableCertified")
+        if not oracle:
+            cert = v.certificate
+            assert p ** cert["radical_dim"] == nilpotent_count(M)
+            assert cert["residue_degree"] == v.end_dim - cert["radical_dim"]
+        return v
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_min3_outputs_over_small_fields(self, p):
+        f = Field.prime(p)
+        mods = [min3(rand_rect_decomp(random.Random(s), f, 1, 5, hi=4)).M for s in self.MIN3_SEEDS]
+        assert all(end_dim(M) > 1 for M in mods)
+        for M in mods:
+            assert self._check_finite(M).status == "IndecomposableCertified"
+
+    def test_four_subspace_over_small_fields(self):
+        F3 = Field.prime(3)
+        F4 = self.four_subspace(F2, [[0, 1], [1, 1]])  # x^2 + x + 1: End = F_4
+        F9 = self.four_subspace(F3, [[0, 2], [1, 0]])  # x^2 + 1: End = F_9
+        jordan = self.four_subspace(F3, [[2, 1], [0, 2]])  # (x - 2)^2: local, radical of dim 1
+        for M, radical, degree in ((F4, 0, 2), (F9, 0, 2), (jordan, 1, 1)):
+            cert = self._check_finite(M).certificate
+            assert (cert["radical_dim"], cert["residue_degree"]) == (radical, degree)
+        point = rect_to_module(RectDecomp(F3, F9.box, [Rectangle((3, 3), (3, 3))]))
+        for M in (direct_sum(F4, F4), direct_sum(F9, point), direct_sum(jordan, point)):
+            assert self._check_finite(M).status == "DecomposableCertified"
+
+    def test_rationals_agree_with_the_trace_form(self):
+        mods = [min3(rand_rect_decomp(random.Random(s), Q, 1, 5, hi=4)).M for s in self.MIN3_SEEDS]
+        jordan = self.four_subspace(Q, [[2, 1], [0, 2]])
+        mods += [jordan, direct_sum(jordan, jordan),
+                 self.four_subspace(Q, [[0, 11], [1, 0]]),  # End = Q(sqrt 11), not certified over Q
+                 self.four_subspace(Q, [[2, 0], [0, 3]])]  # End = Q x Q
+        statuses = set()
+        for M in mods:
+            v = try_split(M, seed=5)
+            statuses.add(v.status)
+            assert (v.status == "IndecomposableCertified") == (local_dim(M) == 1)
+            if v.status == "IndecomposableCertified":
+                assert v.certificate["radical_dim"] == v.end_dim - 1
+        assert statuses == {"IndecomposableCertified", "DecomposableCertified", "Inconclusive"}
+
+    def test_quadratic_residue_field_over_f1009(self):
+        # 11 is not a square mod 1009, so End = F_1009(sqrt 11)
+        M = self.four_subspace(Field.prime(1009), [[0, 11], [1, 0]])
+        v = try_split(M, seed=7)
+        assert v.status == "IndecomposableCertified"
+        assert v.certificate == {"radical_dim": 0, "nilpotency_index": 1, "residue_degree": 2}
+        assert v.to_json()["certificate"] == v.certificate
 
 
 class TestIso:
