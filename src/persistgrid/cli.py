@@ -35,11 +35,17 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=1, sort_keys=True))
 
 
-def _check_field(args, *objs):
+def _check_field(args, *objs, candy=False):
+    """Refuse input whose field tag is not --field.  A PMOD or RECTS file
+    keeps its tag at the top level, a candy under `module`."""
     if getattr(args, "field", None) is None:
         return
     want = args.field
     for obj in objs:
+        if candy:
+            obj = obj.get("module")
+            if not isinstance(obj, dict):
+                raise FormatError("a candy file needs a 'module' object")
         got = obj.get("field")
         if got != want:
             raise FormatError(f"--field {want} does not match the file's field {got}")
@@ -109,7 +115,7 @@ def cmd_verify(args) -> int:
     if args.kind in ("indec", "iso") and args.trials < 1:
         raise FormatError(f"--trials must be at least 1, got {args.trials}")
     obj = io.load(args.infile)
-    _check_field(args, obj)
+    _check_field(args, obj, candy=args.kind == "candy")
     if args.kind == "indec":
         M = io.pmod_from_json(obj)
         verdict = try_split(M, seed=args.seed, trials=args.trials)
@@ -166,7 +172,7 @@ def cmd_hom(args) -> int:
 
 def cmd_concat(args) -> int:
     oa, ob = io.load(args.a), io.load(args.b)
-    _check_field(args, oa.get("module", {}), ob.get("module", {}))
+    _check_field(args, oa, ob, candy=True)
     C = _or_format_error(concat, io.candy_from_json(oa), io.candy_from_json(ob))
     io.dump(io.candy_to_json(C), args.out)
     return EXIT_OK

@@ -60,7 +60,8 @@ def projective_cover(V: PersModule) -> CoverResult:
     P = rect_to_module(decomp)
     comps = {}
     for w in P.dims:
-        live = [(x, r) for x, r in gens if all(a <= b for a, b in zip(x, w))]
+        # summand i is I[x_i, hi], so the ones at w are the generators below w
+        live = [gens[i] for i in decomp.indices_at(w)]
         m = Matrix.zero(f, V.dim(w), len(live))
         for j, (x, r) in enumerate(live):
             col = V.composite(x, w)

@@ -17,7 +17,7 @@ from itertools import accumulate, groupby
 
 from .grid import ModMorphism, PersModule, slice_layers, vle
 from .linalg import Matrix, nullspace_sparse
-from .rectangles import hom_leq, interval_decompose_1d, realize
+from .rectangles import hom_leq, interval_decompose_1d, realize, rect_to_module
 
 
 def combine(f, terms) -> dict:
@@ -45,6 +45,10 @@ class Context:
     HomSpace, and a representative iterates exactly like the modules it
     stands for.  The map keeps every module alive, so ids cannot be recycled
     underneath us.
+
+    A 1D decomposition is cached with its chain basis, which is all that
+    hom bases, express and compose read; the rectangle module and the iso
+    onto M are built only when a morphism is materialized.
     """
 
     def __init__(self):
@@ -65,21 +69,30 @@ class Context:
 
     # -- cached structure, keyed by representative ----------------------
 
+    def intervals1(self, M: PersModule):
+        """(decomp, basis) for a 1D module, as interval_decompose_1d gives
+        them for the representative of M."""
+        return tuple(self._decomp_entry(M)[:2])
+
     def decomp1(self, M: PersModule):
         """(decomp, iso) for a 1D module, iso: rect_to_module(decomp) -> M,
-        where iso's target is the representative of M."""
-        return tuple(self._decomp_entry(M)[:2])
+        where iso's target is the representative of M; built on first use."""
+        entry = self._decomp_entry(M)
+        if entry[2] is None:
+            entry[2] = ModMorphism(rect_to_module(entry[0]), self._rep(M), entry[1])
+        return entry[0], entry[2]
 
     def decomp1_inverse(self, M: PersModule) -> ModMorphism:
         """The inverse of decomp1(M)'s iso, computed on first use."""
         entry = self._decomp_entry(M)
-        entry[2] = entry[2] or entry[1].inverse()
-        return entry[2]
+        entry[3] = entry[3] or self.decomp1(M)[1].inverse()
+        return entry[3]
 
     def _decomp_entry(self, M: PersModule) -> list:
+        """[decomp, basis, iso or None, inverse or None]"""
         M = self._rep(M)
         if id(M) not in self._decomps:
-            self._decomps[id(M)] = [*interval_decompose_1d(M), None]
+            self._decomps[id(M)] = [*interval_decompose_1d(M), None, None]
         return self._decomps[id(M)]
 
     def layers(self, M: PersModule):
@@ -102,19 +115,19 @@ class Context:
         if M.is_zero() or N.is_zero():
             return {}
         if M.n == 1:
-            DM, isoM = self.decomp1(M)
-            DN, isoN = self.decomp1(N)
+            DM, basisM = self.intervals1(M)
+            DN, basisN = self.intervals1(N)
             out = {}
             for v, born in groupby(range(len(DM)), key=lambda i: DM.summands[i].b):
                 gv = g.comps.get(v)
                 if gv is None:
                     continue
                 # summands are sorted by birth, so those born at v are the last
-                # columns of isoM at v; their chain vectors, mapped by g, have
-                # unique coordinates in N's chain basis as isoN is invertible
+                # columns of M's chain basis at v; their chain vectors, mapped
+                # by g, have unique coordinates in N's invertible chain basis
                 born = list(born)
-                chains = Matrix(M.field, [row[-len(born):] for row in isoM.comps[v].rows])
-                X = isoN.comps[v].solve(gv @ chains)
+                chains = Matrix(M.field, [row[-len(born):] for row in basisM[v].rows])
+                X = basisN[v].solve(gv @ chains)
                 rows = DN.indices_at(v)
                 for col, i in enumerate(born):
                     for r, j in enumerate(rows):
@@ -161,8 +174,8 @@ class Context:
             return {}
         f = L.field
         if L.n == 1:
-            DL = self.decomp1(L)[0]
-            DN = self.decomp1(N)[0]
+            DL = self.intervals1(L)[0]
+            DN = self.intervals1(N)[0]
             by_mid = defaultdict(list)
             for (j, k), c in x.items():
                 by_mid[j].append((k, c))
@@ -214,8 +227,8 @@ class HomSpace:
         if M.is_zero() or N.is_zero():
             return []
         if M.n == 1:
-            DM = ctx.decomp1(M)[0]
-            DN = ctx.decomp1(N)[0]
+            DM = ctx.intervals1(M)[0]
+            DN = ctx.intervals1(N)[0]
             return [
                 {(i, j): f.one}
                 for i, A in enumerate(DM.summands)

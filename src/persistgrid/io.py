@@ -108,6 +108,8 @@ def pmod_from_json(obj: dict) -> PersModule:
             raise FormatError(f"bad axis {k!r}")
         if not box.contains(v) or v[k] == box.hi[k]:
             raise FormatError(f"step at {v} axis {k} leaves the box")
+        if (v, k) in steps:
+            raise FormatError(f"step at {v} axis {k} is given twice")
         rows = rec["matrix"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise FormatError(f"step at {v} axis {k}: matrix must be a list of rows")

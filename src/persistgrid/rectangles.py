@@ -45,13 +45,16 @@ def hom_leq(A: Rectangle, B: Rectangle) -> bool:
 class RectDecomp:
     """An ordered formal direct sum of rectangles inside a box.
 
-    Order matters: the sparse coordinates of morphisms index it.
+    Order matters: the sparse coordinates of morphisms index it.  The
+    summands are fixed once the sum is made, so the map from each vertex to
+    the summands containing it is built once, on first use.
     """
 
     def __init__(self, field: Field, box: GridBox, summands: list[Rectangle]):
         self.field = field
         self.box = box
         self.summands = list(summands)
+        self._at = None
         for r in self.summands:
             if r.n != box.n:
                 raise ValueError("rectangle dimension does not match box")
@@ -79,8 +82,20 @@ class RectDecomp:
     def on_box(self, box: GridBox) -> "RectDecomp":
         return RectDecomp(self.field, box, self.summands)
 
+    def by_vertex(self) -> dict[tuple, list[int]]:
+        """Each vertex of some summand -> the indices of the summands
+        containing it, in summand order.  Vertices come in order of first
+        appearance, summand by summand.  The lists are shared: read them only."""
+        if self._at is None:
+            at: dict[tuple, list[int]] = {}
+            for i, r in enumerate(self.summands):
+                for v in GridBox(r.b, r.d).vertices():
+                    at.setdefault(v, []).append(i)
+            self._at = at
+        return self._at
+
     def indices_at(self, v) -> list[int]:
-        return [i for i, r in enumerate(self.summands) if r.contains(v)]
+        return self.by_vertex().get(tuple(v), [])
 
     def barcode(self) -> Counter:
         return Counter((r.b, r.d) for r in self.summands)
@@ -98,14 +113,8 @@ def rect_to_module(R: RectDecomp) -> PersModule:
     """
     field = R.field
     n = R.n
-    dims = {}
-    at: dict[tuple, list[int]] = {}
-    for i, r in enumerate(R.summands):
-        sub = GridBox(r.b, r.d)
-        for v in sub.vertices():
-            at.setdefault(v, []).append(i)
-    for v, idxs in at.items():
-        dims[v] = len(idxs)
+    at = R.by_vertex()
+    dims = {v: len(idxs) for v, idxs in at.items()}
     steps = {}
     one = field.one
     for v, idxs in at.items():
@@ -146,12 +155,12 @@ def realize(source: RectDecomp, target: RectDecomp, coords: dict,
         by_source.setdefault(i, []).append((j, c))
     src_mod = src_mod or rect_to_module(source)
     tgt_mod = tgt_mod or rect_to_module(target)
+    tgt_at = target.by_vertex()
     comps = {}
-    for v in src_mod.dims:
-        tidx = target.indices_at(v)
+    for v, sidx in source.by_vertex().items():
+        tidx = tgt_at.get(v)
         if not tidx:
             continue
-        sidx = source.indices_at(v)
         row_of = {j: row for row, j in enumerate(tidx)}
         m = Matrix.zero(source.field, len(tidx), len(sidx))
         # both summands live at v, so v lies in [b_i, d_j]
@@ -259,19 +268,17 @@ def barcode_1d(M: PersModule) -> Counter:
 def interval_decompose_1d(M: PersModule):
     """Explicit interval decomposition of a 1D module.
 
-    Returns (decomp, iso) where iso: rect_to_module(decomp) -> M is a
-    pointwise invertible morphism.  Summands are ordered by (birth, death,
-    creation order), deterministically.
+    Returns (decomp, basis).  Summands are ordered by (birth, death,
+    creation order), deterministically.  The columns of basis[v] are the
+    chain vectors at v of the summands containing v, in summand order: the
+    components of a pointwise invertible morphism rect_to_module(decomp) -> M,
+    which Context.decomp1 builds.
     """
     f = M.field
     chains = _interval_chains(M)
     decomp = RectDecomp(f, M.box, [Rectangle((c.birth,), (c.death,)) for c in chains])
-    canon = rect_to_module(decomp)
-    comps = {}
-    for v in canon.dims:
-        x = v[0]
-        alive = [c for c in chains if c.birth <= x <= c.death]
-        cols = [c.vecs[x] for c in alive]
-        comps[v] = Matrix(f, [[cols[j][i] for j in range(len(cols))] for i in range(M.dim(v))])
-    iso = ModMorphism(canon, M, comps)
-    return decomp, iso
+    basis = {}
+    for v, idxs in decomp.by_vertex().items():
+        cols = [chains[i].vecs[v[0]] for i in idxs]
+        basis[v] = Matrix(f, [[col[r] for col in cols] for r in range(M.dim(v))])
+    return decomp, basis

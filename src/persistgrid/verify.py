@@ -286,8 +286,8 @@ def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = 3
     if M.is_zero():
         return IsoReport(True, ModMorphism.zero(M, N), "both zero")
     if M.n == 1:
-        DM = ctx.decomp1(M)[0]
-        if DM.barcode() != ctx.decomp1(N)[0].barcode():
+        DM = ctx.intervals1(M)[0]
+        if DM.barcode() != ctx.intervals1(N)[0].barcode():
             return IsoReport(False, None, "barcodes differ")
         phi = ctx.materialize(M, N, {(i, i): M.field.one for i in range(len(DM))})
         return IsoReport(True, phi, "matching barcodes")
@@ -351,8 +351,8 @@ def decompose_two_rows(M: PersModule, y: tuple | None = None, ctx: Context | Non
     rows, links = ctx.layers(M)
     L, U = rows
     link = links[0]
-    DL, isoL = ctx.decomp1(L)
-    DU, isoU = ctx.decomp1(U)
+    DL, basisL = ctx.intervals1(L)
+    DU, basisU = ctx.intervals1(U)
     y0 = y[0]
     lower = y[1] == M.box.lo[1]
 
@@ -397,14 +397,14 @@ def decompose_two_rows(M: PersModule, y: tuple | None = None, ctx: Context | Non
     # the direct-sum basis at a vertex lists group 1 then 2 then 3 survivors;
     # map each back through the row isomorphisms
     comps = {}
-    for row_idx, (D, iso_row) in enumerate(((DL, isoL), (DU, isoU))):
+    for row_idx, (D, basis) in enumerate(((DL, basisL), (DU, basisU))):
         grp = gL if row_idx == 0 else gU
         h = h0 + row_idx
         row_mod = rows[row_idx]
         for v, d in row_mod.dims.items():
             present = D.indices_at(v)
             ordering = [c for g in (1, 2, 3) for c, i in enumerate(present) if grp[i] == g]
-            comps[v + (h,)] = iso_row.comp(v).submatrix(range(d), ordering)
+            comps[v + (h,)] = basis[v].submatrix(range(d), ordering)
     iso = ModMorphism(total, M, comps)
     rep = iso.validate()
     if not rep:

@@ -1,14 +1,15 @@
 """Test oracles: slow, independent decisions that the library's verdicts
 are checked against.
 
-`local_dim` is the trace-form radical over Q; the others enumerate every
-endomorphism of a module over a finite field."""
+`local_dim` is the trace-form radical over Q; `endomorphisms` and the
+decisions built on it enumerate every endomorphism of a module over a
+finite field; `indices_by_scan` reads a rectangle sum summand by summand."""
 
 from __future__ import annotations
 
 import itertools
 
-from persistgrid import PersModule, end_algebra, hom_basis
+from persistgrid import PersModule, RectDecomp, end_algebra, hom_basis
 from persistgrid.homspace import Context
 from persistgrid.linalg import Matrix
 
@@ -39,6 +40,10 @@ def local_dim(M: PersModule, ctx: Context | None = None) -> int:
             gram.rows[i][j] = sum((P.rows[t][t] for t in range(d)), f.zero)
     return gram.rank()
 
+
+def indices_by_scan(R: RectDecomp, v) -> list[int]:
+    """The summands of R containing the vertex v, found by testing each."""
+    return [i for i, r in enumerate(R.summands) if r.contains(v)]
 
 
 def endomorphisms(M: PersModule):

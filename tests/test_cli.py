@@ -79,7 +79,8 @@ class TestPipeline:
         dump({"modules": paths}, manifest)
         strung = str(tmp_path / "s.json")
         assert main(["string", "--list", manifest, "--out", strung]) == 0
-        obj = json.load(open(strung))
+        with open(strung) as fh:
+            obj = json.load(fh)
         assert len(obj["embeddings"]) == 3
 
     def test_hom_dim(self, tmp_path, capsys):
@@ -117,7 +118,8 @@ class TestExitCodes:
 
     def test_malformed_gives_2(self, tmp_path, capsys):
         p = str(tmp_path / "bad.json")
-        open(p, "w").write("{broken")
+        with open(p, "w") as fh:
+            fh.write("{broken")
         code, _, err = run(capsys, ["barcode", "--in", p])
         assert code == 2 and err.startswith("error:")
 
@@ -133,6 +135,25 @@ class TestExitCodes:
         code, _, err = run(capsys, ["barcode", "--in", src, "--field", "Fp:2"])
         # rects file over Q, declared field must match exactly
         assert code == 2
+
+    def test_field_is_read_from_a_candy_module(self, tmp_path, rng, capsys):
+        p, c = str(tmp_path / "m.json"), str(tmp_path / "c.json")
+        dump(pmod_to_json(rand_module(rng, Q, GridBox((0,), (1,)), max_dim=1)), p)
+        assert main(["construct", "--method", "candy", "--in", p, "--out", c]) == 0
+        assert run(capsys, ["verify", "candy", "--in", c, "--field", "Q"])[0] == 0
+        code, _, err = run(capsys, ["verify", "candy", "--in", c, "--field", "Fp:2"])
+        assert code == 2 and "Fp:2" in err
+        cat = str(tmp_path / "cat.json")
+        assert run(capsys, ["concat", "--a", c, "--b", c, "--out", cat, "--field", "Q"])[0] == 0
+
+    @pytest.mark.parametrize("module", [[1, 2], "Q", None])
+    def test_field_on_a_candy_without_module_object_gives_2(self, tmp_path, capsys, module):
+        p = str(tmp_path / "c.json")
+        dump({"module": module, "ul": [0, 0], "lr": [1, 1]}, p)
+        for argv in (["concat", "--a", p, "--b", p, "--out", str(tmp_path / "o.json")],
+                     ["verify", "candy", "--in", p]):
+            code, _, err = run(capsys, argv + ["--field", "Q"])
+            assert code == 2 and "module" in err
 
     def test_concat_on_wrong_corners_gives_2(self, tmp_path, capsys):
         # the all-identity module on a 2 x 2 box is a candy with corners
@@ -276,7 +297,8 @@ class TestMistypedOrOversizedInput:
     integers too large to parse quickly, PMOD and RECTS files with more than
     MAX_AXES axes, PMOD files with a vertex dimension above MAX_DIM, string
     manifests whose entries are not paths, and modules or rectangle lists
-    that a construction cannot build, exit 2 with a message, and at once."""
+    that a construction cannot build, and PMOD files that give one step
+    twice, exit 2 with a message, and at once."""
     RECTS = {"field": "Q", "n": 1, "lo": [0], "hi": [2], "rects": [{"b": [0], "d": [2], "mult": 1}]}
     LINE = {"axis_maps": [{"scale": 1, "offset": 0}], "insert_axis": {"pos": 1, "value": 0}}
     TABLE_LINE = {"axis_maps": [{"table": [0, 1], "start": 0}], "insert_axis": {"pos": 1, "value": 0}}
@@ -289,6 +311,8 @@ class TestMistypedOrOversizedInput:
     BOTTOM = {**CORNER, "dims": [1] + [0] * 89999}
     LONG = {"field": "Q", "n": 1, "lo": [0], "hi": [13999], "dims": [1] + [0] * 13999, "steps": []}
     POINT = {"field": "Fp:1009", "n": 1, "lo": [0], "hi": [0], "dims": [1], "steps": []}
+    STEP = {"field": "Fp:7", "n": 1, "lo": [0], "hi": [1], "dims": [1, 1],
+            "steps": [{"v": [0], "axis": 0, "matrix": [[1]]}]}
     CASES = {
         "rects-float-birth": (RECTS, lambda o: o["rects"][0].update(b=[0.5])),
         "rects-float-death": (RECTS, lambda o: o["rects"][0].update(d=[2.0])),
@@ -332,6 +356,7 @@ class TestMistypedOrOversizedInput:
         "long-gen4": (LONG, lambda o: None, "gen4"),
         "pmod-dim-3000": (POINT, lambda o: o.update(dims=[3000])),
         "pmod-dim-million": (POINT, lambda o: o.update(dims=[10**6])),
+        "pmod-step-twice": (STEP, lambda o: o["steps"].append({"v": [0], "axis": 0, "matrix": [[3]]})),
         "manifest-int-path": ({"modules": [0]}, lambda o: None, "manifest"),
         "manifest-bool-path": ({"modules": [True]}, lambda o: None, "manifest"),
         **{f"pmod-{n}-axes": (_one_vertex(n, "pmod"), lambda o: None) for n in (MAX_AXES + 1, 100, 400, 800)},
@@ -360,7 +385,8 @@ class TestMistypedOrOversizedInput:
 
     def test_bases_are_valid(self, tmp_path, capsys):
         for base, *verb in ((self.RECTS,), (self.LINE,), (self.TABLE_LINE,),
-                            (_one_vertex(MAX_AXES, "pmod"),), (_one_vertex(MAX_AXES, "rects"), "min3rect")):
+                            (_one_vertex(MAX_AXES, "pmod"),), (_one_vertex(MAX_AXES, "rects"), "min3rect"),
+                            (self.STEP,)):
             p = str(tmp_path / "in.json")
             dump(base, p)
             assert run(capsys, self._argv(base, p, tmp_path, *verb))[0] == 0
@@ -379,6 +405,14 @@ class TestMistypedOrOversizedInput:
         code, _, err = run(capsys, argv)
         assert code == 2 and err.startswith("error:") and len(err) > len("error: \n")
         assert time.perf_counter() - t0 < 1.0
+
+    def test_step_given_twice_is_named(self, tmp_path, capsys):
+        obj = json.loads(json.dumps(self.STEP))
+        obj["steps"].append({"v": [0], "axis": 0, "matrix": [[3]]})
+        p = str(tmp_path / "in.json")
+        dump(obj, p)
+        code, out, err = run(capsys, ["barcode", "--in", p])
+        assert code == 2 and out == "" and "step at (0,) axis 0 is given twice" in err
 
     # dims [2, 2] joined by an identity: decomposable, found by random trials
     TWICE = pmod_to_json(rect_to_module(RectDecomp(Q, GridBox((0,), (1,)), [Rectangle((0,), (1,))] * 2)))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from persistgrid import (Context, Field, GridBox, HomSpace, PersModule, Rectangle,
                          RectDecomp, candy_wrap, end_dim, hom_basis, hom_dim,
                          rect_to_module, stack)
-from persistgrid import homspace
+from persistgrid import homspace, rectangles
 from persistgrid.grid import ModMorphism, vsucc
 from persistgrid.io import pmod_to_json
 from persistgrid.linalg import Matrix
@@ -222,6 +223,42 @@ def test_equal_modules_share_one_decomposition_and_one_hom(monkeypatch):
     S = stack(layers, links)
     assert Context().hom(S, S).dim == dense_hom_dim(S, S)
     assert calls == {"decompose": 1, "build": 2}
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=10, deadline=None)
+def test_end_dim_builds_no_rectangle_module(seed):
+    """end_dim reads only the cached decompositions and chain bases; the
+    rectangle modules are built when a morphism is materialized."""
+    original = rectangles.rect_to_module
+    built = []
+
+    def counted(R):
+        built.append(R)
+        return original(R)
+
+    rng = random.Random(seed)
+    f = [Q, F2, F3][seed % 3]
+    M = rand_module(rng, f, GridBox((0, 0), (2, 2)), max_dim=2)
+    ctx = Context()
+    holders = [m for name, m in list(sys.modules.items())
+               if name.split(".")[0] == "persistgrid" and getattr(m, "rect_to_module", None) is original]
+    try:
+        for m in holders:
+            m.rect_to_module = counted
+        assert end_dim(M, ctx) == dense_hom_dim(M, M)
+        assert built == []
+        basis = hom_basis(M, M, ctx)
+    finally:
+        for m in holders:
+            m.rect_to_module = original
+    assert built
+    assert len(basis) == dense_hom_dim(M, M)
+    for g in basis:
+        assert g.validate()
+    # the materialized basis is linearly independent
+    flat = Matrix(f, [[x for v in sorted(M.dims) for row in g.comp(v).rows for x in row] for g in basis])
+    assert flat.rank() == len(basis)
 
 
 def test_int_and_fraction_entries_share_one_representative():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistgrid import (Field, GridBox, Rectangle, RectDecomp, barcode_1d,
+from persistgrid import (Context, Field, GridBox, Rectangle, RectDecomp, barcode_1d,
                          direct_sum, interval_decompose_1d, realize, rect_to_module)
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module, rand_rect_decomp
+
+from oracles import indices_by_scan
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -207,10 +209,13 @@ class TestIntervalDecompose:
     @settings(max_examples=30, deadline=None)
     def test_decompose_matches_barcode_and_iso(self, seed):
         M = rand_1d(seed)
-        D, iso = interval_decompose_1d(M)
+        D, iso = Context().decomp1(M)
         assert D.barcode() == barcode_1d(M) == barcode_by_ranks(M)
         assert iso.validate()
         assert iso.is_invertible()
+        # the iso is the chain basis that interval_decompose_1d returns
+        D2, basis = interval_decompose_1d(M)
+        assert D2 == D and iso.comps == basis and iso.source == rect_to_module(D)
 
     def test_equal_intervals_keep_creation_order(self):
         box = GridBox((0,), (3,))
@@ -219,8 +224,29 @@ class TestIntervalDecompose:
         M = direct_sum(direct_sum(I, J), direct_sum(I, J))
         seen = set()
         for _ in range(100):
-            D, iso = interval_decompose_1d(M)
+            D, iso = Context().decomp1(M)
             seen.add(tuple(sorted((v, tuple(map(tuple, m.rows))) for v, m in iso.comps.items())))
         assert len(seen) == 1
         # the two chains born at 0 are made from e_0 and then e_1
         assert iso.comp((0,)) == Matrix.identity(Q, 2)
+
+
+class TestVertexIndex:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_indices_at_matches_scan(self, data):
+        """In 1-3D, with repeated rectangles and with vertices that lie in
+        no summand."""
+        n = data.draw(st.integers(1, 3))
+        hi = data.draw(st.tuples(*[st.integers(0, 3)] * n))
+        box = GridBox((0,) * n, hi)
+        corner = st.tuples(*[st.integers(0, h) for h in hi])
+        distinct = data.draw(st.lists(st.tuples(corner, corner), min_size=1, max_size=4))
+        rects = [Rectangle(tuple(map(min, b, d)), tuple(map(max, b, d))) for b, d in distinct]
+        picks = data.draw(st.lists(st.integers(0, len(rects) - 1), min_size=1, max_size=7))
+        R = RectDecomp(Q, box, [rects[i] for i in picks])
+        for v in box.vertices():
+            assert R.indices_at(v) == indices_by_scan(R, v)
+        assert set(R.by_vertex()) == {v for v in box.vertices() if indices_by_scan(R, v)}
+        M = rect_to_module(R)
+        assert M.dims == {v: len(idx) for v, idx in R.by_vertex().items()}
