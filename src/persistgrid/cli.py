@@ -26,6 +26,9 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_MALFORMED = 2
 EXIT_INCONCLUSIVE = 3
+# every failed split trial is kept for the locality certificate, so the
+# trial count bounds both its time and its memory
+MAX_TRIALS = 1000
 
 RECT_METHODS = {"s4": build_S, "min3": min3, "min3rect": min3_rect}
 MODULE_METHODS = {"sprime": build_S_prime, "sdual": build_S_dprime, "gen4": gen4}
@@ -112,8 +115,8 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.kind in ("indec", "iso") and args.trials < 1:
-        raise FormatError(f"--trials must be at least 1, got {args.trials}")
+    if args.kind in ("indec", "iso") and not 1 <= args.trials <= MAX_TRIALS:
+        raise FormatError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     obj = io.load(args.infile)
     _check_field(args, obj, candy=args.kind == "candy")
     if args.kind == "indec":

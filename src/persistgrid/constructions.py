@@ -116,7 +116,8 @@ def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox, he
     decomps = [RectDecomp(field, box, rects) for rects in chain]
     coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * len(tails)
     layers = [rect_to_module(d) for d in decomps]
-    links = [realize(decomps[i], decomps[i + 1], x, layers[i], layers[i + 1]) for i, x in enumerate(coords)]
+    links = [ModMorphism(layers[i], layers[i + 1], realize(decomps[i], decomps[i + 1], x))
+             for i, x in enumerate(coords)]
     return decomps, layers, links
 
 

@@ -18,6 +18,8 @@ MAX_MODULUS = 2**31
 # default bound for int <-> str conversion, so every scalar `fmt` writes
 MAX_SCALAR_DIGITS = 4300
 _SCALAR = re.compile(f"-?[0-9]{{1,{MAX_SCALAR_DIGITS}}}(/[0-9]{{1,{MAX_SCALAR_DIGITS}}})?")
+# the one spelling of each prime field's tag, as to_json writes it
+_FP_TAG = re.compile("Fp:([1-9][0-9]*)")
 
 
 def _reduced(q: Fraction):
@@ -155,8 +157,8 @@ class Field:
     def from_json(s: str) -> "Field":
         if s == "Q":
             return Field.rationals()
-        if s.startswith("Fp:"):
-            p = int(s[3:])
+        if m := _FP_TAG.fullmatch(s):
+            p = int(m[1])
             if p >= MAX_MODULUS:
                 raise ValueError(f"modulus {p} is not below 2^31")
             return Field.prime(p)

@@ -308,9 +308,6 @@ class ModMorphism:
             return False
         return all(self.comp(v).is_invertible() for v in self.source.dims)
 
-    def inverse(self) -> "ModMorphism":
-        return ModMorphism(self.target, self.source, {v: self.comp(v).inverse() for v in self.source.dims})
-
 
 # ---------------------------------------------------------------------------
 # hyperplane embeddings

@@ -17,7 +17,7 @@ from itertools import accumulate, groupby
 
 from .grid import ModMorphism, PersModule, slice_layers, vle
 from .linalg import Matrix, nullspace_sparse
-from .rectangles import hom_leq, interval_decompose_1d, realize, rect_to_module
+from .rectangles import hom_leq, interval_decompose_1d, realize
 
 
 def combine(f, terms) -> dict:
@@ -35,6 +35,14 @@ def combine(f, terms) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _by_layer(x: dict) -> dict:
+    """Layer-tagged coordinates {(i, leaf): c}, split as {i: {leaf: c}}."""
+    per = defaultdict(dict)
+    for (i, leaf), c in x.items():
+        per[i][leaf] = c
+    return per
+
+
 class Context:
     """Shared caches for a batch of hom computations.
 
@@ -47,8 +55,9 @@ class Context:
     underneath us.
 
     A 1D decomposition is cached with its chain basis, which is all that
-    hom bases, express and compose read; the rectangle module and the iso
-    onto M are built only when a morphism is materialized.
+    hom bases, express and compose read; materialize also reads the chain
+    basis inverses, computed once per representative on first use.  No
+    rectangle module is built.
     """
 
     def __init__(self):
@@ -74,25 +83,19 @@ class Context:
         them for the representative of M."""
         return tuple(self._decomp_entry(M)[:2])
 
-    def decomp1(self, M: PersModule):
-        """(decomp, iso) for a 1D module, iso: rect_to_module(decomp) -> M,
-        where iso's target is the representative of M; built on first use."""
+    def _basis_inverse(self, M: PersModule) -> dict:
+        """vertex -> the inverse of intervals1(M)'s chain basis there,
+        computed on first use."""
         entry = self._decomp_entry(M)
         if entry[2] is None:
-            entry[2] = ModMorphism(rect_to_module(entry[0]), self._rep(M), entry[1])
-        return entry[0], entry[2]
-
-    def decomp1_inverse(self, M: PersModule) -> ModMorphism:
-        """The inverse of decomp1(M)'s iso, computed on first use."""
-        entry = self._decomp_entry(M)
-        entry[3] = entry[3] or self.decomp1(M)[1].inverse()
-        return entry[3]
+            entry[2] = {v: b.inverse() for v, b in entry[1].items()}
+        return entry[2]
 
     def _decomp_entry(self, M: PersModule) -> list:
-        """[decomp, basis, iso or None, inverse or None]"""
+        """[decomp, basis, basis inverse or None]"""
         M = self._rep(M)
         if id(M) not in self._decomps:
-            self._decomps[id(M)] = [*interval_decompose_1d(M), None, None]
+            self._decomps[id(M)] = [*interval_decompose_1d(M), None]
         return self._decomps[id(M)]
 
     def layers(self, M: PersModule):
@@ -151,16 +154,17 @@ class Context:
         if M.is_zero() or N.is_zero():
             return ModMorphism.zero(M, N)
         if M.n == 1:
-            DM, isoM = self.decomp1(M)
-            DN, isoN = self.decomp1(N)
-            F = realize(DM, DN, x, isoM.source, isoN.source)
-            return isoN.compose(F).compose(self.decomp1_inverse(M))
+            # realize gives the morphism between the rectangle modules; the
+            # chain bases carry it onto M and N
+            DM = self.intervals1(M)[0]
+            DN, basisN = self.intervals1(N)
+            inv = self._basis_inverse(M)
+            X = realize(DM, DN, x)
+            return ModMorphism(M, N, {v: (basisN[v] @ m) @ inv[v] for v, m in X.items()})
         Ms, _ = self.layers(M)
         Ns, _ = self.layers(N)
         h0 = M.box.lo[-1]
-        per = defaultdict(dict)
-        for (i, leaf), c in x.items():
-            per[i][leaf] = c
+        per = _by_layer(x)
         comps = {}
         for i in range(len(Ms)):
             gi = self.materialize(Ms[i], Ns[i], per.get(i, {}))
@@ -191,12 +195,7 @@ class Context:
         Ls, _ = self.layers(L)
         Ms, _ = self.layers(M)
         Ns, _ = self.layers(N)
-        xs = defaultdict(dict)
-        ys = defaultdict(dict)
-        for (i, leaf), c in x.items():
-            xs[i][leaf] = c
-        for (i, leaf), c in y.items():
-            ys[i][leaf] = c
+        xs, ys = _by_layer(x), _by_layer(y)
         out = {}
         for i in set(xs) & set(ys):
             for leaf, c in self.compose(Ls[i], Ms[i], Ns[i], xs[i], ys[i]).items():

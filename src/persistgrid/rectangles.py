@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .fields import Field
-from .grid import GridBox, ModMorphism, PersModule, vadd, vle, vsub, vsucc
+from .grid import GridBox, PersModule, vadd, vle, vsub, vsucc
 from .linalg import Matrix
 
 
@@ -133,14 +133,12 @@ def rect_to_module(R: RectDecomp) -> PersModule:
     return PersModule(field, R.box, dims, steps)
 
 
-def realize(source: RectDecomp, target: RectDecomp, coords: dict,
-            src_mod: PersModule | None = None, tgt_mod: PersModule | None = None) -> ModMorphism:
-    """The morphism with sparse coordinates coords: coords[(i, j)] = c sends
-    summand i of source to summand j of target by c times the canonical hom,
-    which is the identity on [b_i, d_j] and zero elsewhere.
-
-    src_mod and tgt_mod, when given, must be rect_to_module(source) and
-    rect_to_module(target); the morphism then uses them as they are.
+def realize(source: RectDecomp, target: RectDecomp, coords: dict) -> dict:
+    """The components of the morphism rect_to_module(source) ->
+    rect_to_module(target) with sparse coordinates coords: coords[(i, j)] = c
+    sends summand i of source to summand j of target by c times the
+    canonical hom, which is the identity on [b_i, d_j] and zero elsewhere.
+    Only the nonzero components are given, keyed by vertex.
     """
     if source.field != target.field:
         raise ValueError("field mismatch")
@@ -153,8 +151,6 @@ def realize(source: RectDecomp, target: RectDecomp, coords: dict,
         if not hom_leq(source.summands[i], target.summands[j]):
             raise ValueError(f"nonzero coordinate ({i}, {j}) where the hom space is zero")
         by_source.setdefault(i, []).append((j, c))
-    src_mod = src_mod or rect_to_module(source)
-    tgt_mod = tgt_mod or rect_to_module(target)
     tgt_at = target.by_vertex()
     comps = {}
     for v, sidx in source.by_vertex().items():
@@ -169,8 +165,8 @@ def realize(source: RectDecomp, target: RectDecomp, coords: dict,
                 row = row_of.get(j)
                 if row is not None:
                     m.rows[row][col] = c
-        comps[v] = m
-    return ModMorphism(src_mod, tgt_mod, comps)
+                    comps[v] = m
+    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +268,7 @@ def interval_decompose_1d(M: PersModule):
     creation order), deterministically.  The columns of basis[v] are the
     chain vectors at v of the summands containing v, in summand order: the
     components of a pointwise invertible morphism rect_to_module(decomp) -> M,
-    which Context.decomp1 builds.
+    through which Context.materialize conjugates realize's components.
     """
     f = M.field
     chains = _interval_chains(M)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .grid import ModMorphism, PersModule, candy_corner_faults, direct_sum, stack, vle
 from .homspace import Context, HomSpace, end_dim
 from .linalg import Matrix, Poly, coprime_split, factor_fp, minimal_polynomial
-from .rectangles import RectDecomp, realize
+from .rectangles import RectDecomp, realize, rect_to_module
 
 
 def hom_basis(M: PersModule, N: PersModule, ctx: Context | None = None) -> list[ModMorphism]:
@@ -391,7 +391,7 @@ def decompose_two_rows(M: PersModule, y: tuple | None = None, ctx: Context | Non
         at_l = {i: a for a, i in enumerate(li)}
         at_u = {j: a for a, j in enumerate(ui)}
         sub = {(at_l[i], at_u[j]): c for (i, j), c in coords.items() if gL[i] == g}
-        sub_link = realize(subL, subU, sub)
+        sub_link = ModMorphism(rect_to_module(subL), rect_to_module(subU), realize(subL, subU, sub))
         summands.append(stack([sub_link.source, sub_link.target], [sub_link], height_lo=h0))
     total = direct_sum(direct_sum(summands[0], summands[1]), summands[2])
     # the direct-sum basis at a vertex lists group 1 then 2 then 3 survivors;

@@ -3,13 +3,16 @@ are checked against.
 
 `local_dim` is the trace-form radical over Q; `endomorphisms` and the
 decisions built on it enumerate every endomorphism of a module over a
-finite field; `indices_by_scan` reads a rectangle sum summand by summand."""
+finite field; `indices_by_scan` reads a rectangle sum summand by summand;
+`materialize_by_iso` builds a morphism from its coordinates through the
+rectangle modules of the interval decompositions."""
 
 from __future__ import annotations
 
 import itertools
 
-from persistgrid import PersModule, RectDecomp, end_algebra, hom_basis
+from persistgrid import PersModule, RectDecomp, end_algebra, hom_basis, realize, rect_to_module
+from persistgrid.grid import ModMorphism
 from persistgrid.homspace import Context
 from persistgrid.linalg import Matrix
 
@@ -44,6 +47,28 @@ def local_dim(M: PersModule, ctx: Context | None = None) -> int:
 def indices_by_scan(R: RectDecomp, v) -> list[int]:
     """The summands of R containing the vertex v, found by testing each."""
     return [i for i, r in enumerate(R.summands) if r.contains(v)]
+
+
+def materialize_by_iso(ctx: Context, M: PersModule, N: PersModule, x: dict) -> ModMorphism:
+    """Context.materialize composed out of whole morphisms: in 1D, realize x
+    between the rectangle modules of the two interval decompositions and
+    compose with the isos rect_to_module(decomp) -> module that the chain
+    bases give; in nD, layer by layer."""
+    if M.is_zero() or N.is_zero():
+        return ModMorphism.zero(M, N)
+    if M.n == 1:
+        (DM, basisM), (DN, basisN) = ctx.intervals1(M), ctx.intervals1(N)
+        RM, RN = rect_to_module(DM), rect_to_module(DN)
+        isoN = ModMorphism(RN, N, basisN)
+        isoM_inverse = ModMorphism(M, RM, {v: b.inverse() for v, b in basisM.items()})
+        return isoN.compose(ModMorphism(RM, RN, realize(DM, DN, x))).compose(isoM_inverse)
+    Ms, Ns = ctx.layers(M)[0], ctx.layers(N)[0]
+    h0 = M.box.lo[-1]
+    comps = {}
+    for i in range(len(Ms)):
+        gi = materialize_by_iso(ctx, Ms[i], Ns[i], {leaf: c for (j, leaf), c in x.items() if j == i})
+        comps.update({v + (h0 + i,): m for v, m in gi.comps.items()})
+    return ModMorphism(M, N, comps)
 
 
 def endomorphisms(M: PersModule):

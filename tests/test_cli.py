@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import persistgrid
 from persistgrid import (Field, GridBox, Rectangle, RectDecomp, direct_sum,
                          rect_to_module)
-from persistgrid.cli import main
+from persistgrid.cli import MAX_TRIALS, main
 from persistgrid.grid import MAX_AXES
 from persistgrid.io import dump, pmod_to_json, rects_to_json
 from persistgrid.sampling import rand_module, rand_two_rows_with_gap
@@ -294,7 +294,8 @@ def _one_vertex(n, kind):
 
 class TestMistypedOrOversizedInput:
     """RECTS and LINE files with mistyped fields, field tags, scalars or
-    integers too large to parse quickly, PMOD and RECTS files with more than
+    integers too large to parse quickly, field tags spelled other than as
+    `Fp:<p>` in ASCII digits without a leading zero, PMOD and RECTS files with more than
     MAX_AXES axes, PMOD files with a vertex dimension above MAX_DIM, string
     manifests whose entries are not paths, and modules or rectangle lists
     that a construction cannot build, and PMOD files that give one step
@@ -327,6 +328,11 @@ class TestMistypedOrOversizedInput:
         "rects-24-digit-modulus": (RECTS, lambda o: o.update(field="Fp:100000000000000000000117")),
         "pmod-24-digit-modulus": (TestMalformedPmod.BASE,
                                   lambda o: o.update(field="Fp:100000000000000000000117")),
+        "pmod-field-tag-underscore": (POINT, lambda o: o.update(field="Fp:1_009")),
+        "pmod-field-tag-space": (POINT, lambda o: o.update(field="Fp: 7")),
+        "pmod-field-tag-plus": (POINT, lambda o: o.update(field="Fp:+7")),
+        "pmod-field-tag-leading-zero": (POINT, lambda o: o.update(field="Fp:007")),
+        "pmod-field-tag-arabic-indic-digit": (POINT, lambda o: o.update(field="Fp:\u0663")),
         "pmod-exponent-scalar": (TestMalformedPmod.BASE, _set_scalar("1e1000000")),
         "pmod-decimal-scalar": (TestMalformedPmod.BASE, _set_scalar("0.5")),
         "pmod-padded-scalar": (TestMalformedPmod.BASE, _set_scalar(" 1")),
@@ -428,6 +434,18 @@ class TestMistypedOrOversizedInput:
             assert code != 2 and err == ""
         else:
             assert code == 2 and out == "" and err.startswith("error: --trials")
+
+    @pytest.mark.parametrize("kind", ["indec", "iso"])
+    def test_trials_above_the_bound(self, tmp_path, capsys, kind):
+        """Over MAX_TRIALS is refused before the input, which does not exist
+        yet, is read; the bound itself is accepted."""
+        p = str(tmp_path / "in.json")
+        argv = ["verify", kind, "--in", p] + (["--with", p] if kind == "iso" else [])
+        code, out, err = run(capsys, argv + ["--trials", str(MAX_TRIALS + 1)])
+        assert code == 2 and out == "" and err.startswith("error: --trials") and str(MAX_TRIALS) in err
+        dump(self.TWICE, p)
+        code, _, err = run(capsys, argv + ["--trials", str(MAX_TRIALS)])
+        assert code != 2 and err == ""
 
 
 class TestMismatchedModules:

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 from persistgrid import (Context, Field, GridBox, HomSpace, PersModule, Rectangle,
                          RectDecomp, candy_wrap, end_dim, hom_basis, hom_dim,
-                         rect_to_module, stack)
+                         iso_certificate, rect_to_module, stack, try_split)
 from persistgrid import homspace, rectangles
 from persistgrid.grid import ModMorphism, vsucc
 from persistgrid.io import pmod_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module
+
+from oracles import materialize_by_iso
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -67,9 +69,10 @@ def dense_express(ctx, M, N, g):
     vertex, then read at each source summand's birth."""
     if M.is_zero() or N.is_zero():
         return {}
-    DM, isoM = ctx.decomp1(M)
-    DN, isoN = ctx.decomp1(N)
-    h = isoN.inverse().compose(g).compose(isoM)
+    (DM, basisM), (DN, basisN) = ctx.intervals1(M), ctx.intervals1(N)
+    isoM = ModMorphism(rect_to_module(DM), M, basisM)
+    invN = ModMorphism(N, rect_to_module(DN), {v: b.inverse() for v, b in basisN.items()})
+    h = invN.compose(g).compose(isoM)
     out = {}
     for i, A in enumerate(DM.summands):
         col = DM.indices_at(A.b).index(i)
@@ -149,6 +152,25 @@ def test_express_matches_dense_formula(seed):
             assert ctx.express(A, B, g) == dense_express(ctx, A, B, g)
 
 
+@given(st.integers(0, 2**31))
+@settings(max_examples=30, deadline=None)
+def test_materialize_matches_iso_conjugation(seed):
+    """materialize conjugates realize's components by the chain bases; that
+    is the composite of whole morphisms through the rectangle modules, on
+    1D and 2D pairs, on zero modules, and on the zero element."""
+    rng = random.Random(seed)
+    f = [Q, F2, F3][seed % 3]
+    box = [GridBox((0,), (4,)), GridBox((0, 0), (2, 2))][seed // 3 % 2]
+    M = rand_module(rng, f, box, max_dim=2)
+    N = rand_module(rng, f, box, max_dim=2)
+    Z = PersModule(f, box, {}, {})
+    ctx = Context()
+    for A, B in ((M, N), (N, M), (M, M), (Z, M), (M, Z)):
+        hs = ctx.hom(A, B)
+        for x in [{}, *hs.basis, hs.random_element(rng), hs.random_element(rng)]:
+            assert ctx.materialize(A, B, x) == materialize_by_iso(ctx, A, B, x)
+
+
 def test_spec_interval_hom_dims():
     box = GridBox((0,), (2,))
     I01 = rect_to_module(RectDecomp(Q, box, [Rectangle((0,), (1,))]))
@@ -207,7 +229,7 @@ def test_equal_modules_share_one_decomposition_and_one_hom(monkeypatch):
     M2 = copy_of(M1)
     assert M2 is not M1 and M2 == M1
     ctx = Context()
-    assert ctx.decomp1(M1)[1] is ctx.decomp1(M2)[1]
+    assert ctx.intervals1(M1)[1] is ctx.intervals1(M2)[1]
     assert ctx.hom(M1, M1) is ctx.hom(M2, M2) is ctx.hom(M1, M2)
     assert calls == {"decompose": 1, "build": 1}
     # one changed entry makes a different module with its own work
@@ -227,9 +249,10 @@ def test_equal_modules_share_one_decomposition_and_one_hom(monkeypatch):
 
 @given(st.integers(0, 2**31))
 @settings(max_examples=10, deadline=None)
-def test_end_dim_builds_no_rectangle_module(seed):
-    """end_dim reads only the cached decompositions and chain bases; the
-    rectangle modules are built when a morphism is materialized."""
+def test_hom_engine_builds_no_rectangle_module(seed):
+    """end_dim, hom_basis, try_split and iso_certificate read only the
+    cached decompositions, chain bases and their inverses: none of them
+    builds a rectangle module."""
     original = rectangles.rect_to_module
     built = []
 
@@ -240,6 +263,7 @@ def test_end_dim_builds_no_rectangle_module(seed):
     rng = random.Random(seed)
     f = [Q, F2, F3][seed % 3]
     M = rand_module(rng, f, GridBox((0, 0), (2, 2)), max_dim=2)
+    M1 = rand_module(rng, f, GridBox((0,), (3,)), max_dim=2)
     ctx = Context()
     holders = [m for name, m in list(sys.modules.items())
                if name.split(".")[0] == "persistgrid" and getattr(m, "rect_to_module", None) is original]
@@ -247,12 +271,15 @@ def test_end_dim_builds_no_rectangle_module(seed):
         for m in holders:
             m.rect_to_module = counted
         assert end_dim(M, ctx) == dense_hom_dim(M, M)
-        assert built == []
         basis = hom_basis(M, M, ctx)
+        try_split(M, seed=seed, ctx=ctx)
+        iso_certificate(M, M, seed=seed, ctx=ctx)
+        try_split(M1, seed=seed, ctx=ctx)
+        assert iso_certificate(M1, M1, ctx=ctx).isomorphic is True
     finally:
         for m in holders:
             m.rect_to_module = original
-    assert built
+    assert holders and built == []
     assert len(basis) == dense_hom_dim(M, M)
     for g in basis:
         assert g.validate()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from persistgrid import (Context, Field, GridBox, Rectangle, RectDecomp, barcode_1d,
                          direct_sum, interval_decompose_1d, realize, rect_to_module)
+from persistgrid.grid import ModMorphism
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module, rand_rect_decomp
@@ -124,9 +125,9 @@ class TestRealize:
     def test_identity_formal_matrix(self):
         R = RectDecomp(Q, GridBox((0,), (3,)),
                        [Rectangle((0,), (2,)), Rectangle((1,), (3,))])
-        g = realize(R, R, {(0, 0): Q.one, (1, 1): Q.one})
-        assert g.validate()
         M = rect_to_module(R)
+        g = ModMorphism(M, M, realize(R, R, {(0, 0): Q.one, (1, 1): Q.one}))
+        assert g.validate()
         for v in M.dims:
             assert g.comp(v) == Matrix.identity(Q, M.dim(v))
 
@@ -134,7 +135,9 @@ class TestRealize:
         box = GridBox((0,), (3,))
         src = RectDecomp(Q, box, [Rectangle((1,), (3,))])
         tgt = RectDecomp(Q, box, [Rectangle((0,), (2,))])
-        g = realize(src, tgt, {(0, 0): Q.one})
+        comps = realize(src, tgt, {(0, 0): Q.one})
+        assert list(comps) == [(1,), (2,)]  # only the nonzero components
+        g = ModMorphism(rect_to_module(src), rect_to_module(tgt), comps)
         assert g.comp((1,)) == Matrix.identity(Q, 1)
         assert g.comp((2,)) == Matrix.identity(Q, 1)
         assert g.comp((0,)).ncols == 0
@@ -154,14 +157,14 @@ class TestRealize:
         A = RectDecomp(Q, box, [Rectangle((2,), (5,))])
         B = RectDecomp(Q, box, [Rectangle((1,), (3,))])
         C = RectDecomp(Q, box, [Rectangle((0,), (1,))])
-        f = realize(A, B, {(0, 0): Q.one})
-        g = realize(B, C, {(0, 0): Q.one})
+        MA, MB, MC = (rect_to_module(R) for R in (A, B, C))
+        f = ModMorphism(MA, MB, realize(A, B, {(0, 0): Q.one}))
+        g = ModMorphism(MB, MC, realize(B, C, {(0, 0): Q.one}))
         assert not f.comp((2,)).is_zero() and not g.comp((1,)).is_zero()
         h = g.compose(f)
         for v in h.source.dims:
             assert h.comp(v).is_zero()  # A.b = 2 > C.d = 1
         ctx = Context()
-        MA, MB, MC = (rect_to_module(R) for R in (A, B, C))
         x, y = ctx.hom(MA, MB).basis[0], ctx.hom(MB, MC).basis[0]
         assert ctx.compose(MA, MB, MC, y, x) == {}
 
@@ -209,13 +212,14 @@ class TestIntervalDecompose:
     @settings(max_examples=30, deadline=None)
     def test_decompose_matches_barcode_and_iso(self, seed):
         M = rand_1d(seed)
-        D, iso = Context().decomp1(M)
+        D, basis = Context().intervals1(M)
+        iso = ModMorphism(rect_to_module(D), M, basis)
         assert D.barcode() == barcode_1d(M) == barcode_by_ranks(M)
         assert iso.validate()
         assert iso.is_invertible()
         # the iso is the chain basis that interval_decompose_1d returns
-        D2, basis = interval_decompose_1d(M)
-        assert D2 == D and iso.comps == basis and iso.source == rect_to_module(D)
+        D2, basis2 = interval_decompose_1d(M)
+        assert D2 == D and iso.comps == basis2
 
     def test_equal_intervals_keep_creation_order(self):
         box = GridBox((0,), (3,))
@@ -224,7 +228,8 @@ class TestIntervalDecompose:
         M = direct_sum(direct_sum(I, J), direct_sum(I, J))
         seen = set()
         for _ in range(100):
-            D, iso = Context().decomp1(M)
+            D, basis = Context().intervals1(M)
+            iso = ModMorphism(rect_to_module(D), M, basis)
             seen.add(tuple(sorted((v, tuple(map(tuple, m.rows))) for v, m in iso.comps.items())))
         assert len(seen) == 1
         # the two chains born at 0 are made from e_0 and then e_1
