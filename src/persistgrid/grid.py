@@ -90,28 +90,19 @@ def vle(v, w) -> bool:
 class PersModule:
     """A persistence module confined to a finite box.
 
-    dims holds only the vertices with positive dimension; steps holds only
-    arrows between two such vertices.  Everything outside is zero.
+    dims holds only box vertices with positive dimension; steps holds only
+    arrows between two such vertices, each of its arrow's shape, and may
+    share matrix objects, which are never mutated.  Everything else is zero.
     """
 
     __slots__ = ("field", "box", "dims", "steps")
 
     def __init__(self, field: Field, box: GridBox, dims: dict, steps: dict):
+        """Stores its arguments: io.pmod_from_json checks outside input."""
         self.field = field
         self.box = box
-        self.dims = dims = {v: d for v, d in dims.items() if d > 0}
-        self.steps = {}
-        for v in dims:
-            if not box.contains(v):
-                raise ValueError(f"vertex {v} outside box")
-        for (v, k), mat in steps.items():
-            dv, dw = dims.get(v, 0), dims.get(vsucc(v, k), 0)
-            if dv == 0 or dw == 0:
-                continue
-            if mat.nrows != dw or mat.ncols != dv:
-                raise ValueError(f"step at ({v}, axis {k}) has shape {mat.nrows}x{mat.ncols}, want {dw}x{dv}")
-            self.steps[(v, k)] = mat
-        # missing arrows between positive-dimension vertices default to zero
+        self.dims = dims
+        self.steps = steps
 
     @property
     def n(self) -> int:
@@ -183,37 +174,42 @@ class PersModule:
     def validate(self) -> "ValidationReport":
         """Check every commutativity square whose two paths can be nonzero.
 
-        Shapes are checked by the constructor.  A square whose far corner
-        has dimension 0 commutes, since both paths land in the zero space;
-        a missing arrow is the zero map, and an identity arrow contributes
-        the other arrow of its path unmultiplied.
+        A missing arrow is the zero map, and steps join live vertices only:
+        a square missing an arrow on both paths commutes.  An identity arrow
+        contributes the other arrow unmultiplied; a product is taken once
+        per pair of step objects, which equal records of a file share.
         """
         dims, steps, n = self.dims, self.steps, self.n
         if n < 2:
             return ValidationReport(True, "ok", None)
         eye = {d: Matrix.identity(self.field, d).rows for d in set(dims.values())}
-        identities = {a for a, m in steps.items() if m.nrows == m.ncols and m.rows == eye[m.nrows]}
+        distinct = {id(m): m for m in steps.values()}
+        identities = {i for i, m in distinct.items() if m.nrows == m.ncols and m.rows == eye[m.nrows]}
+        products = {}
 
-        def path(first, second):
-            """second after first, or None when either arrow is missing (zero)."""
-            if first not in steps or second not in steps:
+        def path(a, b):
+            """b after a, or None when b is missing (zero)."""
+            if b is None:
                 return None
-            if first in identities:
-                return steps[second]
-            if second in identities:
-                return steps[first]
-            return steps[second] @ steps[first]
+            if id(a) in identities:
+                return b
+            if id(b) in identities:
+                return a
+            if (key := (id(a), id(b))) not in products:
+                products[key] = b @ a
+            return products[key]
 
-        for v in dims:
-            for j in range(n):
-                vj = vsucc(v, j)
+        out = {v: [steps.get((v, k)) for k in range(n)] for v in dims}
+        for v, here in out.items():
+            there = [None if m is None else out[vsucc(v, k)] for k, m in enumerate(here)]
+            for j in range(n - 1):
                 for k in range(j + 1, n):
-                    if vsucc(vj, k) not in dims:
+                    lhs = None if there[j] is None else path(here[j], there[j][k])
+                    rhs = None if there[k] is None else path(here[k], there[k][j])
+                    if lhs is rhs:
                         continue
-                    lhs = path((v, j), (vj, k))
-                    rhs = path((v, k), (vsucc(v, k), j))
                     if lhs is None or rhs is None:
-                        ok = all(p is None or p.is_zero() for p in (lhs, rhs))
+                        ok = (rhs if lhs is None else lhs).is_zero()
                     else:
                         ok = lhs == rhs
                     if not ok:
@@ -485,8 +481,7 @@ def stack(layers: list[PersModule], links: list[ModMorphism], height_lo: int = 0
             for v in L.dims:
                 if layers[i + 1].dim(v) > 0:
                     steps[(v + (h,), n)] = f.comp(v)
-    out = PersModule(base.field, box, dims, steps)
-    return out
+    return PersModule(base.field, box, dims, steps)
 
 
 def direct_sum(M: PersModule, N: PersModule) -> PersModule:

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain
 
 from .constructions import CandyModule
 from .fields import Field
 from .grid import MAX_AXES, MAX_DIM, MAX_VERTICES, AxisEmbedding, GridBox, PersModule, vsucc
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle
+
+_INT, _LIST, _SCALAR = {int}, {list}, {int, str}  # JSON types of integers, matrix rows, scalars
 
 
 class FormatError(ValueError):
@@ -31,7 +34,7 @@ def _require(obj, keys, what):
 
 def _vector(x, n: int, what: str) -> tuple:
     """A list of n integers (JSON booleans excluded) as a tuple."""
-    if not isinstance(x, list) or len(x) != n or any(type(a) is not int for a in x):
+    if not isinstance(x, list) or len(x) != n or not _INT.issuperset(map(type, x)):
         raise FormatError(f"{what} must be a list of {n} integers, got {x!r}")
     return tuple(x)
 
@@ -82,6 +85,8 @@ def pmod_to_json(M: PersModule) -> dict:
 
 
 def pmod_from_json(obj: dict) -> PersModule:
+    """The module a PMOD describes, each fact of the file checked once here.
+    Equal step matrices become one shared Matrix object, never mutated."""
     _require(obj, ("field", "n", "lo", "hi", "dims", "steps"), "PMOD")
     f = field_from_json(obj["field"])
     n = _axis_count(obj["n"])
@@ -91,46 +96,48 @@ def pmod_from_json(obj: dict) -> PersModule:
         raise FormatError(str(e))
     if not isinstance(obj["dims"], list) or len(obj["dims"]) != box.count:
         raise FormatError(f"dims must be a list of one entry for each of the {box.count} box vertices")
-    dims = {}
-    for v, d in zip(box.vertices(), obj["dims"]):
-        if type(d) is not int or not 0 <= d <= MAX_DIM:
-            raise FormatError(f"bad dimension {d!r} at {v}, want 0 to {MAX_DIM}")
-        if d:
-            dims[v] = d
+    if not _INT.issuperset(map(type, obj["dims"])) or min(obj["dims"]) < 0 or max(obj["dims"]) > MAX_DIM:
+        for v, d in zip(box.vertices(), obj["dims"]):
+            if type(d) is not int or not 0 <= d <= MAX_DIM:
+                raise FormatError(f"bad dimension {d!r} at {v}, want 0 to {MAX_DIM}")
+    dims = {v: d for v, d in zip(box.vertices(), obj["dims"]) if d}
     if not isinstance(obj["steps"], list):
         raise FormatError(f"steps must be a list, got {obj['steps']!r}")
-    steps = {}
+    steps, seen, parsed = {}, set(), {}
     for rec in obj["steps"]:
         _require(rec, ("v", "axis", "matrix"), "step record")
         v = _vector(rec["v"], n, "step vertex")
         k = rec["axis"]
         if type(k) is not int or not 0 <= k < n:
             raise FormatError(f"bad axis {k!r}")
-        if not box.contains(v) or v[k] == box.hi[k]:
+        dv = dims.get(v, 0)
+        if not (dv or box.contains(v)) or v[k] == box.hi[k]:
             raise FormatError(f"step at {v} axis {k} leaves the box")
-        if (v, k) in steps:
+        if (v, k) in seen:
             raise FormatError(f"step at {v} axis {k} is given twice")
+        seen.add((v, k))
         rows = rec["matrix"]
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        if not isinstance(rows, list) or not _LIST.issuperset(map(type, rows)):
             raise FormatError(f"step at {v} axis {k}: matrix must be a list of rows")
-        try:
-            m = Matrix(f, [[f.parse(x) for x in row] for row in rows])
-        except (ValueError, TypeError, ZeroDivisionError) as e:
-            raise FormatError(f"bad scalar or ragged rows in step at {v} axis {k}: {e}")
-        # the constructor checks the shape of every step between two
-        # positive-dimension vertices and drops the others, which must be empty
-        dv, dw = dims.get(v, 0), dims.get(vsucc(v, k), 0)
-        if not (dv and dw) and (m.nrows, m.ncols) != (dw, dv):
+        # only int and str scalars parse or key the memo safely: True == 1.0 == 1
+        key = tuple(map(tuple, rows)) if _SCALAR.issuperset(map(type, chain.from_iterable(rows))) else None
+        if (m := parsed.get(key)) is None:
+            try:
+                m = parsed[key] = Matrix(f, [[f.parse(x) for x in row] for row in rows])
+            except (ValueError, TypeError, ZeroDivisionError) as e:
+                raise FormatError(f"bad scalar or ragged rows in step at {v} axis {k}: {e}")
+        dw = dims.get(vsucc(v, k), 0)
+        # [] is the one spelling of the zero map into a zero-dimensional head
+        if (m.nrows, m.ncols) != (dw, dv) and (dw or rows):
             raise FormatError(f"step at {v} axis {k} has shape {m.nrows}x{m.ncols}, expected {dw}x{dv}")
-        steps[(v, k)] = m
-    try:
-        M = PersModule(f, box, dims, steps)
-    except ValueError as e:
-        raise FormatError(str(e))
+        if dv and dw:
+            steps[(v, k)] = m
     # steps between two positive-dimension vertices may not be omitted
-    for v, k, _ in M.arrows():
-        if (v, k) not in M.steps:
-            raise FormatError(f"missing step at {v} axis {k}")
+    for v in dims:
+        for k in range(n):
+            if (v, k) not in steps and vsucc(v, k) in dims:
+                raise FormatError(f"missing step at {v} axis {k}")
+    M = PersModule(f, box, dims, steps)
     rep = M.validate()
     if not rep:
         raise FormatError(f"module is not commutative: {rep.message}")

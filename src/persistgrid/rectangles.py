@@ -119,9 +119,8 @@ def rect_to_module(R: RectDecomp) -> PersModule:
     one = field.one
     for v, idxs in at.items():
         for k in range(n):
-            w = vsucc(v, k)
-            widx = at.get(w)
-            if not R.box.contains(w) or not widx:
+            widx = at.get(vsucc(v, k))  # the summands lie in R.box
+            if not widx:
                 continue
             m = Matrix.zero(field, len(widx), len(idxs))
             pos_w = {s: j for j, s in enumerate(widx)}

@@ -125,8 +125,8 @@ def _split_along(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
         split_dim[v] = K1.ncols
     if all(split_dim[v] == 0 for v in M.dims) or all(split_dim[v] == M.dims[v] for v in M.dims):
         return None  # one side vanished everywhere: trivial split
-    dims1 = {v: split_dim[v] for v in M.dims}
-    dims2 = {v: M.dims[v] - split_dim[v] for v in M.dims}
+    dims1 = {v: d for v in M.dims if (d := split_dim[v])}
+    dims2 = {v: d for v, e in M.dims.items() if (d := e - split_dim[v])}
     steps1, steps2 = {}, {}
     for v, k, w in M.arrows():
         B = Pinv[w] @ (M.step(v, k) @ P[v])
@@ -140,12 +140,12 @@ def _split_along(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
             for c in range(d1v):
                 if B.rows[r][c] != 0:
                     return None
-        steps1[(v, k)] = B.submatrix(range(d1w), range(d1v))
-        steps2[(v, k)] = B.submatrix(range(d1w, M.dims[w]), range(d1v, M.dims[v]))
+        if v in dims1 and w in dims1:
+            steps1[(v, k)] = B.submatrix(range(d1w), range(d1v))
+        if v in dims2 and w in dims2:
+            steps2[(v, k)] = B.submatrix(range(d1w, M.dims[w]), range(d1v, M.dims[v]))
     M1 = PersModule(f, M.box, dims1, steps1)
     M2 = PersModule(f, M.box, dims2, steps2)
-    if M1.is_zero() or M2.is_zero():
-        return None
     iso = ModMorphism(direct_sum(M1, M2), M, {v: P[v] for v in M.dims})
     rep = iso.validate()
     if not rep or not iso.is_invertible():

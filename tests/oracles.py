@@ -5,15 +5,20 @@ are checked against.
 decisions built on it enumerate every endomorphism of a module over a
 finite field; `indices_by_scan` reads a rectangle sum summand by summand;
 `materialize_by_iso` builds a morphism from its coordinates through the
-rectangle modules of the interval decompositions."""
+rectangle modules of the interval decompositions; `checked_pmod_from_json`
+reads a PMOD without the reader's one-pass shortcuts, parsing every record
+anew and building the module through a constructor that filters and checks
+its input; `module_faults` lists the ways a module breaks the rules that
+PersModule's storing constructor takes on trust."""
 
 from __future__ import annotations
 
 import itertools
 
 from persistgrid import PersModule, RectDecomp, end_algebra, hom_basis, realize, rect_to_module
-from persistgrid.grid import ModMorphism
+from persistgrid.grid import MAX_DIM, GridBox, ModMorphism, vsucc
 from persistgrid.homspace import Context
+from persistgrid.io import FormatError, _axis_count, _require, _vector, field_from_json
 from persistgrid.linalg import Matrix
 
 
@@ -106,3 +111,97 @@ def nilpotent_count(M: PersModule) -> int:
             powers = {v: m @ e[v] for v, m in powers.items()}
         count += all(m.is_zero() for m in powers.values())
     return count
+
+
+def module_faults(M: PersModule) -> list[str]:
+    """One message for each way M breaks PersModule's rules: dimensions are
+    positive and sit at box vertices, steps join two such vertices and have
+    the shape of their arrow.  Empty for a lawful module."""
+    faults = [f"dimension {d!r} at {v}" for v, d in M.dims.items() if type(d) is not int or d < 1]
+    faults += [f"vertex {v} outside the box" for v in M.dims if len(v) != M.n or not M.box.contains(v)]
+    for (v, k), m in M.steps.items():
+        w = vsucc(v, k) if type(k) is int and 0 <= k < M.n else None
+        if v not in M.dims or w not in M.dims:
+            faults.append(f"step at {v} axis {k} does not join two positive-dimension vertices")
+        elif (m.nrows, m.ncols) != (M.dims[w], M.dims[v]):
+            faults.append(f"step at {v} axis {k} has shape {m.nrows}x{m.ncols}, want {M.dims[w]}x{M.dims[v]}")
+    return faults
+
+
+def _checked_module(field, box, dims, steps) -> PersModule:
+    """A PersModule built by a checking constructor: zero dimensions and
+    steps touching them are dropped, and a vertex outside the box or a
+    misshapen step is a ValueError."""
+    dims = {v: d for v, d in dims.items() if d > 0}
+    kept = {}
+    for v in dims:
+        if not box.contains(v):
+            raise ValueError(f"vertex {v} outside box")
+    for (v, k), mat in steps.items():
+        dv, dw = dims.get(v, 0), dims.get(vsucc(v, k), 0)
+        if dv == 0 or dw == 0:
+            continue
+        if mat.nrows != dw or mat.ncols != dv:
+            raise ValueError(f"step at ({v}, axis {k}) has shape {mat.nrows}x{mat.ncols}, want {dw}x{dv}")
+        kept[(v, k)] = mat
+    return PersModule(field, box, dims, kept)
+
+
+def checked_pmod_from_json(obj: dict) -> PersModule:
+    """The PMOD reader in four passes: the record checks, then the checking
+    constructor's, then the missing steps, then commutativity.  Every step
+    matrix is parsed anew, and a record touching a zero-dimensional vertex
+    must have its exact shape, so `[]` is no zero map into such a head."""
+    _require(obj, ("field", "n", "lo", "hi", "dims", "steps"), "PMOD")
+    f = field_from_json(obj["field"])
+    n = _axis_count(obj["n"])
+    try:
+        box = GridBox(_vector(obj["lo"], n, "lo"), _vector(obj["hi"], n, "hi"))
+    except ValueError as e:
+        raise FormatError(str(e))
+    if not isinstance(obj["dims"], list) or len(obj["dims"]) != box.count:
+        raise FormatError(f"dims must be a list of one entry for each of the {box.count} box vertices")
+    dims = {}
+    for v, d in zip(box.vertices(), obj["dims"]):
+        if type(d) is not int or not 0 <= d <= MAX_DIM:
+            raise FormatError(f"bad dimension {d!r} at {v}, want 0 to {MAX_DIM}")
+        if d:
+            dims[v] = d
+    if not isinstance(obj["steps"], list):
+        raise FormatError(f"steps must be a list, got {obj['steps']!r}")
+    steps = {}
+    for rec in obj["steps"]:
+        _require(rec, ("v", "axis", "matrix"), "step record")
+        v = _vector(rec["v"], n, "step vertex")
+        k = rec["axis"]
+        if type(k) is not int or not 0 <= k < n:
+            raise FormatError(f"bad axis {k!r}")
+        if not box.contains(v) or v[k] == box.hi[k]:
+            raise FormatError(f"step at {v} axis {k} leaves the box")
+        if (v, k) in steps:
+            raise FormatError(f"step at {v} axis {k} is given twice")
+        rows = rec["matrix"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise FormatError(f"step at {v} axis {k}: matrix must be a list of rows")
+        try:
+            m = Matrix(f, [[f.parse(x) for x in row] for row in rows])
+        except (ValueError, TypeError, ZeroDivisionError) as e:
+            raise FormatError(f"bad scalar or ragged rows in step at {v} axis {k}: {e}")
+        # the constructor checks the shape of every step between two
+        # positive-dimension vertices and drops the others, which must be empty
+        dv, dw = dims.get(v, 0), dims.get(vsucc(v, k), 0)
+        if not (dv and dw) and (m.nrows, m.ncols) != (dw, dv):
+            raise FormatError(f"step at {v} axis {k} has shape {m.nrows}x{m.ncols}, expected {dw}x{dv}")
+        steps[(v, k)] = m
+    try:
+        M = _checked_module(f, box, dims, steps)
+    except ValueError as e:
+        raise FormatError(str(e))
+    # steps between two positive-dimension vertices may not be omitted
+    for v, k, _ in M.arrows():
+        if (v, k) not in M.steps:
+            raise FormatError(f"missing step at {v} axis {k}")
+    rep = M.validate()
+    if not rep:
+        raise FormatError(f"module is not commutative: {rep.message}")
+    return M

@@ -13,8 +13,11 @@ from persistgrid import (Field, GridBox, Rectangle, RectDecomp, direct_sum,
                          rect_to_module)
 from persistgrid.cli import MAX_TRIALS, main
 from persistgrid.grid import MAX_AXES
-from persistgrid.io import dump, pmod_to_json, rects_to_json
+from persistgrid.io import FormatError, dump, load, pmod_from_json, pmod_to_json, rects_to_json
+from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module, rand_two_rows_with_gap
+
+from oracles import checked_pmod_from_json
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -94,6 +97,38 @@ class TestPipeline:
         obj = json.loads(text)
         assert obj["dim"] == 3
         assert len(obj["basis"]) == 3
+
+    def test_shared_step_matrices_are_never_mutated(self, tmp_path, capsys, monkeypatch):
+        """The reader gives equal step records one Matrix object; no verb may
+        write into a matrix a module read from a file holds."""
+        read = []
+
+        def recording(obj):
+            M = pmod_from_json(obj)
+            read.append((M, {vk: [list(r) for r in m.rows] for vk, m in M.steps.items()}))
+            return M
+
+        monkeypatch.setattr(persistgrid.io, "pmod_from_json", recording)
+        V = rect_to_module(RectDecomp(Q, GridBox((0,), (3,)), [Rectangle((0,), (3,)), Rectangle((1,), (2,))]))
+        src, a, am, line, b = (str(tmp_path / f"{name}.json") for name in ("v", "a", "am", "line", "b"))
+        dump(pmod_to_json(V), src)
+        assert main(["construct", "--method", "candy", "--in", src, "--out", a, "--line-out", line]) == 0
+        dump(load(a)["module"], am)
+        C = recording(load(am))
+        ident = [vk for vk, m in C.steps.items() if m == Matrix.identity(Q, 1)]
+        assert len(ident) > 1 and all(C.steps[vk] is C.steps[ident[0]] for vk in ident)
+        for argv in (["construct", "--method", "gen4", "--in", src, "--out", b],
+                     ["construct", "--method", "candy", "--in", src, "--out", b],
+                     ["restrict", "--in", am, "--line", line, "--out", b],
+                     ["concat", "--a", a, "--b", a, "--out", b],
+                     ["verify", "candy", "--in", b],
+                     ["verify", "indec", "--in", am],
+                     ["verify", "iso", "--in", am, "--with", am],
+                     ["hom", "--a", am, "--b", am, "--basis"]):
+            assert run(capsys, argv)[0] == 0
+        assert len(read) > 10
+        for M, rows in read:
+            assert {vk: m.rows for vk, m in M.steps.items()} == rows
 
 
 class TestExitCodes:
@@ -274,6 +309,16 @@ class TestMalformedPmod:
         code, _, err = run(capsys, ["verify", "indec", "--in", p])
         assert code == 2 and err.startswith("error:") and len(err) > len("error: \n")
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_checking_reader_also_rejects(self, data):
+        """The four-pass reference reader refuses every corruption too."""
+        obj = json.loads(json.dumps(self.BASE))
+        _corrupt(obj, data.draw(st.sampled_from(self.KINDS)), data.draw)
+        for read in (pmod_from_json, checked_pmod_from_json):
+            with pytest.raises(FormatError):
+                read(json.loads(json.dumps(obj)))
+
 
 LONG_INT = "<5000-digit int>"
 
@@ -314,6 +359,19 @@ class TestMistypedOrOversizedInput:
     POINT = {"field": "Fp:1009", "n": 1, "lo": [0], "hi": [0], "dims": [1], "steps": []}
     STEP = {"field": "Fp:7", "n": 1, "lo": [0], "hi": [1], "dims": [1, 1],
             "steps": [{"v": [0], "axis": 0, "matrix": [[1]]}]}
+    # two equal records, whose matrix the reader parses once
+    TWO_STEPS = {"field": "Fp:7", "n": 1, "lo": [0], "hi": [2], "dims": [1, 1, 1],
+                 "steps": [{"v": [0], "axis": 0, "matrix": [[1]]}, {"v": [1], "axis": 0, "matrix": [[1]]}]}
+    # a record between two zero-dimensional vertices, which the module drops
+    DEAD_STEP = {"field": "Q", "n": 1, "lo": [0], "hi": [2], "dims": [1, 0, 0],
+                 "steps": [{"v": [1], "axis": 0, "matrix": []}]}
+    # a repeated record must be checked as fully as the first one
+    NAMED = {
+        "pmod-bool-after-int-scalar": (TWO_STEPS, lambda o: o["steps"][1].update(matrix=[[True]]), "bad scalar"),
+        "pmod-float-after-int-scalar": (TWO_STEPS, lambda o: o["steps"][1].update(matrix=[[1.0]]), "bad scalar"),
+        "pmod-dead-step-twice": (DEAD_STEP, lambda o: o["steps"].append(dict(o["steps"][0])),
+                                 "step at (1,) axis 0 is given twice"),
+    }
     CASES = {
         "rects-float-birth": (RECTS, lambda o: o["rects"][0].update(b=[0.5])),
         "rects-float-death": (RECTS, lambda o: o["rects"][0].update(d=[2.0])),
@@ -365,6 +423,7 @@ class TestMistypedOrOversizedInput:
         "pmod-step-twice": (STEP, lambda o: o["steps"].append({"v": [0], "axis": 0, "matrix": [[3]]})),
         "manifest-int-path": ({"modules": [0]}, lambda o: None, "manifest"),
         "manifest-bool-path": ({"modules": [True]}, lambda o: None, "manifest"),
+        **{case: (base, change) for case, (base, change, _) in NAMED.items()},
         **{f"pmod-{n}-axes": (_one_vertex(n, "pmod"), lambda o: None) for n in (MAX_AXES + 1, 100, 400, 800)},
         **{f"rects-{n}-axes": (_one_vertex(n, "rects"), lambda o: None, "min3rect") for n in (MAX_AXES + 1, 800)},
     }
@@ -392,7 +451,7 @@ class TestMistypedOrOversizedInput:
     def test_bases_are_valid(self, tmp_path, capsys):
         for base, *verb in ((self.RECTS,), (self.LINE,), (self.TABLE_LINE,),
                             (_one_vertex(MAX_AXES, "pmod"),), (_one_vertex(MAX_AXES, "rects"), "min3rect"),
-                            (self.STEP,)):
+                            (self.STEP,), (self.TWO_STEPS,), (self.DEAD_STEP,)):
             p = str(tmp_path / "in.json")
             dump(base, p)
             assert run(capsys, self._argv(base, p, tmp_path, *verb))[0] == 0
@@ -419,6 +478,16 @@ class TestMistypedOrOversizedInput:
         dump(obj, p)
         code, out, err = run(capsys, ["barcode", "--in", p])
         assert code == 2 and out == "" and "step at (0,) axis 0 is given twice" in err
+
+    @pytest.mark.parametrize("case", sorted(NAMED))
+    def test_repeated_record_fault_is_named(self, tmp_path, capsys, case):
+        base, change, message = self.NAMED[case]
+        obj = json.loads(json.dumps(base))
+        change(obj)
+        p = str(tmp_path / "in.json")
+        dump(obj, p)
+        code, out, err = run(capsys, ["barcode", "--in", p])
+        assert code == 2 and out == "" and message in err
 
     # dims [2, 2] joined by an identity: decomposable, found by random trials
     TWICE = pmod_to_json(rect_to_module(RectDecomp(Q, GridBox((0,), (1,)), [Rectangle((0,), (1,))] * 2)))

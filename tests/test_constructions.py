@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from persistgrid import (CandyModule, Field, GridBox, PersModule,
                          min3, min3_rect, rect_to_module, restrict,
                          string_candies)
 from persistgrid.constructions import cone, separate_and_shift, verticalize
+from persistgrid.grid import direct_sum, dualize, pad, slice_layers, stack
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
-from persistgrid.sampling import rand_module, rand_rect_decomp
+from persistgrid.sampling import enumerate_modules, rand_module, rand_rect_decomp, rand_two_rows_with_gap
+from persistgrid.verify import decompose_two_rows, try_split
 
-from oracles import local_dim
+from oracles import local_dim, module_faults
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -253,3 +256,47 @@ class TestGen4:
         V = rand_module(rng, Q, GridBox((0,), (2,)), max_dim=2)
         r = gen4(V)
         assert r.M.validate()
+
+
+def built_modules(rng, field):
+    """The output of every library routine that builds a PersModule, on
+    small random inputs over the given field."""
+    V = rand_module(rng, field, GridBox((0,), (3,)), max_dim=2)
+    W = rand_module(rng, field, GridBox((0, 0), (1, 1)), max_dim=2)
+    yield from (V, W, V.translate((2,)), dualize(W), direct_sum(V, V), pad(V, GridBox((-1,), (5,))))
+    layers, links = slice_layers(W)
+    yield from layers
+    yield stack(layers, links)
+    R = rand_rect_decomp(rng, field, 1, 4)
+    yield rect_to_module(R)
+    for r in (build_S(R), min3(R), min3_rect(rand_rect_decomp(rng, field, 2, 3, hi=2)),
+              build_S_prime(V), build_S_dprime(V), gen4(V), gen4(W)):
+        yield r.M
+        yield restrict(r.M, r.line, source_box=r.meta["source_box"])
+    A, B = candy_wrap(V), candy_wrap(V.translate((1,)))
+    yield from (A.module, B.module, concat(A, B).module, string_candies([V, V]).candy.module)
+    verdict = try_split(direct_sum(V, V), seed=1)
+    assert verdict.summands is not None
+    yield from verdict.summands
+    yield from decompose_two_rows(rand_two_rows_with_gap(rng, field)).summands
+    yield from itertools.islice(enumerate_modules(F2, GridBox((0, 0), (1, 1))), 40)
+
+
+class TestBuiltModulesKeepTheRules:
+    """PersModule stores what it is given, so every builder must hand it
+    positive dimensions at box vertices and rightly shaped steps between
+    them; module_faults checks each output against those rules."""
+
+    @pytest.mark.parametrize("field", [Q, F3])
+    def test_every_builder(self, rng, field):
+        count = 0
+        for M in built_modules(rng, field):
+            assert module_faults(M) == []
+            count += 1
+        assert count > 40
+
+    def test_faults_are_seen(self):
+        box = GridBox((0,), (2,))
+        one = Matrix.identity(Q, 1)
+        bad = PersModule(Q, box, {(0,): 1, (1,): 0, (3,): 1}, {((0,), 0): one, ((1,), 0): Matrix.zero(Q, 1, 2)})
+        assert len(module_faults(bad)) == 4

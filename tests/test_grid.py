@@ -6,7 +6,7 @@ from persistgrid import (AxisEmbedding, Field, GridBox, ModMorphism, PersModule,
                          Rectangle, RectDecomp, candy_wrap, direct_sum, dualize,
                          pad, rect_to_module, restrict, stack)
 from persistgrid.grid import MAX_VERTICES, slice_layers, vsucc
-from persistgrid.io import line_from_json, line_to_json
+from persistgrid.io import line_from_json, line_to_json, pmod_from_json, pmod_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module, rand_rect_decomp
 
@@ -176,6 +176,15 @@ def identity_heavy_modules(rng, count):
             yield candy_wrap(rand_module(rng, field, GridBox((0,), (rng.randint(0, 2),)), max_dim=2)).module
 
 
+def shared_step_modules(rng, count):
+    """Modules read back from their PMOD files, so equal steps are one
+    shared matrix object: candies, rectangle modules and random modules."""
+    for M in itertools.chain(identity_heavy_modules(rng, count // 2),
+                             (rand_module(rng, rng.choice((Q, F1009)), rng.choice(RANDOM_BOXES), max_dim=1)
+                              for _ in range(count - count // 2))):
+        yield pmod_from_json(pmod_to_json(M))
+
+
 class TestSliceLayersOracle:
     def test_matches_restriction(self, rng):
         for M in random_modules(rng, 60):
@@ -193,13 +202,16 @@ class TestSliceLayersOracle:
 class TestValidateOracle:
     def test_agrees_with_dense_check(self, rng):
         verdicts = set()
-        for M in itertools.chain(random_modules(rng, 200), identity_heavy_modules(rng, 40)):
+        for M in itertools.chain(random_modules(rng, 200), identity_heavy_modules(rng, 40),
+                                 shared_step_modules(rng, 40)):
             if M.steps:
                 (v, k), m = rng.choice(sorted(M.steps.items(), key=lambda it: it[0]))
                 rows = [list(r) for r in m.rows]
                 rows[rng.randrange(m.nrows)][rng.randrange(m.ncols)] = M.field.of(rng.randint(-3, 3))
-                steps = dict(M.steps)
-                steps[(v, k)] = Matrix(M.field, rows)
+                changed = Matrix(M.field, rows)
+                # the change hits one arrow, or every arrow sharing the object
+                every = rng.random() < 0.5
+                steps = {a: changed if a == (v, k) or (every and s is m) else s for a, s in M.steps.items()}
                 M = PersModule(M.field, M.box, M.dims, steps)
             got = bool(M.validate())
             assert got == validate_dense(M)

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from persistgrid import (Field, GridBox, PersModule, Rectangle, RectDecomp,
                          candy_wrap, min3, rect_to_module)
 from persistgrid.fields import MAX_MODULUS, MAX_SCALAR_DIGITS
+from persistgrid.grid import vsucc
 from persistgrid.io import (FormatError, barcode_to_json, candy_from_json,
                             candy_to_json, dump, line_from_json, line_to_json,
                             load, pmod_from_json, pmod_to_json,
                             rects_from_json, rects_to_json)
 from persistgrid.sampling import rand_module, rand_rect_decomp
+
+from oracles import checked_pmod_from_json, module_faults
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -53,6 +56,50 @@ class TestPmodRoundtrip:
         p = str(tmp_path / "m.json")
         dump(pmod_to_json(M), p)
         assert pmod_from_json(load(p)).dims == M.dims
+
+
+def _valid_files(rng):
+    """PMOD files the reader accepted before it checked each fact once:
+    random modules, candies, and records between a zero-dimensional tail
+    and any head, which the module drops."""
+    for f in (Q, F2, Field.prime(1009)):
+        for box in (GridBox((0,), (4,)), GridBox((0, 0), (2, 1)), GridBox((0, 0, 0), (1, 1, 1))):
+            obj = pmod_to_json(rand_module(rng, f, box, max_dim=2, nonzero=False))
+            dim = dict(zip(box.vertices(), obj["dims"]))
+            for v, d in dim.items():
+                for k in range(box.n):
+                    w = vsucc(v, k)
+                    if d == 0 and w in dim and rng.random() < 0.5:
+                        obj["steps"].append({"v": list(v), "axis": k, "matrix": [[]] * dim[w]})
+            rng.shuffle(obj["steps"])
+            yield obj
+        yield pmod_to_json(candy_wrap(rand_module(rng, f, GridBox((0,), (2,)), max_dim=2)).module)
+
+
+class TestReaderOracle:
+    def test_agrees_with_checking_reader(self, rng):
+        for obj in _valid_files(rng):
+            M, want = pmod_from_json(obj), checked_pmod_from_json(obj)
+            assert (M.field, M.box, M.dims, M.steps) == (want.field, want.box, want.dims, want.steps)
+            assert module_faults(M) == []
+
+    def test_equal_records_share_one_matrix(self, rng):
+        for obj in _valid_files(rng):
+            M = pmod_from_json(obj)
+            distinct = {(m.nrows, m.ncols, tuple(map(tuple, m.rows))) for m in M.steps.values()}
+            assert len({id(m) for m in M.steps.values()}) == len(distinct)
+
+    def test_empty_matrix_is_the_zero_map_into_a_zero_dimensional_vertex(self):
+        def read(dims, matrix):
+            return pmod_from_json({"field": "Q", "n": 1, "lo": [0], "hi": [1], "dims": dims,
+                                   "steps": [{"v": [0], "axis": 0, "matrix": matrix}]})
+
+        for dims, matrix in (([2, 0], []), ([0, 2], [[], []]), ([0, 0], [])):
+            M = read(dims, matrix)
+            assert M.dims == {v: d for v, d in zip([(0,), (1,)], dims) if d} and M.steps == {}
+        for dims, matrix in (([0, 2], []), ([2, 0], [[]]), ([2, 1], []), ([1, 1], [])):
+            with pytest.raises(FormatError, match="shape"):
+                read(dims, matrix)
 
 
 class TestPmodErrors:
