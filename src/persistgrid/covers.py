@@ -60,6 +60,8 @@ def projective_cover(V: PersModule) -> CoverResult:
     P = rect_to_module(decomp)
     comps = {}
     for w in P.dims:
+        if w not in V.dims:
+            continue  # components live where both modules do
         # summand i is I[x_i, hi], so the ones at w are the generators below w
         live = [gens[i] for i in decomp.indices_at(w)]
         m = Matrix.zero(f, V.dim(w), len(live))

@@ -228,25 +228,21 @@ class ValidationReport:
 
 
 class ModMorphism:
-    """A natural transformation, one matrix per vertex (zero ones omitted)."""
+    """A natural transformation source -> target, one matrix per vertex.
+
+    source and target share field and box.  comps holds matrices only at
+    vertices where both modules are nonzero, each of shape target.dim(v) x
+    source.dim(v); zero components may be left out, and the matrices are
+    never mutated.
+    """
 
     __slots__ = ("source", "target", "comps")
 
     def __init__(self, source: PersModule, target: PersModule, comps: dict):
-        if source.field != target.field:
-            raise ValueError("source and target over different fields")
-        if source.box != target.box:
-            raise ValueError("source and target on different boxes")
+        """Stores its arguments: the builders keep the rules above."""
         self.source = source
         self.target = target
-        self.comps = {}
-        for v, m in comps.items():
-            v = tuple(v)
-            dv, dw = source.dims.get(v, 0), target.dims.get(v, 0)
-            if m.nrows != dw or m.ncols != dv:
-                raise ValueError(f"component at {v} has shape {m.nrows}x{m.ncols}, want {dw}x{dv}")
-            if not m.is_zero():
-                self.comps[v] = m
+        self.comps = comps
 
     @property
     def field(self) -> Field:
@@ -520,7 +516,7 @@ def slice_layers(M: PersModule) -> tuple[list[PersModule], list[ModMorphism]]:
     """Split M along its last axis into layers and connecting morphisms.
 
     Layer i holds the vertices and steps of M at last coordinate lo + i; the
-    steps of M along its last axis become the links.
+    nonzero steps of M along its last axis become the link components.
     """
     n = M.n
     if n < 2:
@@ -534,10 +530,10 @@ def slice_layers(M: PersModule) -> tuple[list[PersModule], list[ModMorphism]]:
     for v, d in M.dims.items():
         dims[v[-1] - h_lo][v[:-1]] = d
     for (v, k), m in M.steps.items():
-        if k == n - 1:
-            comps[v[-1] - h_lo][v[:-1]] = m
-        else:
+        if k != n - 1:
             steps[v[-1] - h_lo][(v[:-1], k)] = m
+        elif not m.is_zero():
+            comps[v[-1] - h_lo][v[:-1]] = m
     layers = [PersModule(M.field, box, d, s) for d, s in zip(dims, steps)]
     links = [ModMorphism(layers[i], layers[i + 1], comps[i]) for i in range(count - 1)]
     return layers, links

@@ -113,8 +113,9 @@ class Context:
 
     # -- the ambient-coordinate calculus -------------------------------
 
-    def express(self, M: PersModule, N: PersModule, g: ModMorphism) -> dict:
-        """Ambient coordinates of a natural transformation g: M -> N."""
+    def express(self, M: PersModule, N: PersModule, g: dict) -> dict:
+        """Ambient coordinates of the natural transformation M -> N with
+        components g, {vertex: matrix}."""
         if M.is_zero() or N.is_zero():
             return {}
         if M.n == 1:
@@ -122,7 +123,7 @@ class Context:
             DN, basisN = self.intervals1(N)
             out = {}
             for v, born in groupby(range(len(DM)), key=lambda i: DM.summands[i].b):
-                gv = g.comps.get(v)
+                gv = g.get(v)
                 if gv is None:
                     continue
                 # summands are sorted by birth, so those born at v are the last
@@ -143,16 +144,16 @@ class Context:
         h0 = M.box.lo[-1]
         out = {}
         for i in range(len(Ms)):
-            comps = {v: m for v in Ms[i].dims if (m := g.comps.get(v + (h0 + i,))) is not None}
-            gi = ModMorphism(Ms[i], Ns[i], comps)
+            gi = {v: m for v in Ms[i].dims if (m := g.get(v + (h0 + i,))) is not None}
             for leaf, c in self.express(Ms[i], Ns[i], gi).items():
                 out[(i, leaf)] = c
         return out
 
-    def materialize(self, M: PersModule, N: PersModule, x: dict) -> ModMorphism:
-        """The natural transformation with the given ambient coordinates."""
+    def materialize(self, M: PersModule, N: PersModule, x: dict) -> dict:
+        """The components, {vertex: matrix}, of the natural transformation
+        M -> N with the given ambient coordinates; zero ones are left out."""
         if M.is_zero() or N.is_zero():
-            return ModMorphism.zero(M, N)
+            return {}
         if M.n == 1:
             # realize gives the morphism between the rectangle modules; the
             # chain bases carry it onto M and N
@@ -160,17 +161,16 @@ class Context:
             DN, basisN = self.intervals1(N)
             inv = self._basis_inverse(M)
             X = realize(DM, DN, x)
-            return ModMorphism(M, N, {v: (basisN[v] @ m) @ inv[v] for v, m in X.items()})
+            return {v: (basisN[v] @ m) @ inv[v] for v, m in X.items()}
         Ms, _ = self.layers(M)
         Ns, _ = self.layers(N)
         h0 = M.box.lo[-1]
         per = _by_layer(x)
         comps = {}
         for i in range(len(Ms)):
-            gi = self.materialize(Ms[i], Ns[i], per.get(i, {}))
-            for v, m in gi.comps.items():
+            for v, m in self.materialize(Ms[i], Ns[i], per.get(i, {})).items():
                 comps[v + (h0 + i,)] = m
-        return ModMorphism(M, N, comps)
+        return comps
 
     def compose(self, L: PersModule, M: PersModule, N: PersModule, x: dict, y: dict) -> dict:
         """Ambient coordinates of (x: M -> N) after (y: L -> M)."""
@@ -242,8 +242,8 @@ class HomSpace:
         total = offsets[-1]
         if total == 0:
             return []
-        lM_expr = [ctx.express(Ms[i], Ms[i + 1], lMs[i]) for i in range(h - 1)]
-        lN_expr = lM_expr if N is M else [ctx.express(Ns[i], Ns[i + 1], lNs[i]) for i in range(h - 1)]
+        lM_expr = [ctx.express(Ms[i], Ms[i + 1], lMs[i].comps) for i in range(h - 1)]
+        lN_expr = lM_expr if N is M else [ctx.express(Ns[i], Ns[i + 1], lNs[i].comps) for i in range(h - 1)]
         rows: list[dict] = []
         for i in range(h - 1):
             # constraint: link_N . f_i = f_{i+1} . link_M in Hom(M_i, N_{i+1})
@@ -267,10 +267,10 @@ class HomSpace:
     # -- element operations --------------------------------------------
 
     def express(self, g: ModMorphism) -> dict:
-        return self.ctx.express(self.M, self.N, g)
+        return self.ctx.express(self.M, self.N, g.comps)
 
     def materialize(self, x: dict) -> ModMorphism:
-        return self.ctx.materialize(self.M, self.N, x)
+        return ModMorphism(self.M, self.N, self.ctx.materialize(self.M, self.N, x))
 
     def coords_in_basis(self, x: dict):
         """Coefficients of x over the basis, or None if x is outside the span."""

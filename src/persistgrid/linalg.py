@@ -137,7 +137,9 @@ class Matrix:
         return out
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix(self.field, [[self.rows[i][j] for j in col_idx] for i in row_idx])
+        col_idx = list(col_idx)
+        rows = [[self.rows[i][j] for j in col_idx] for i in row_idx]
+        return Matrix(self.field, rows) if rows else Matrix.zero(self.field, 0, len(col_idx))
 
     # -- elimination ---------------------------------------------------
 

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .grid import ModMorphism, PersModule, candy_corner_faults, direct_sum, stack, vle
+from .grid import ModMorphism, PersModule, candy_corner_faults, vle
 from .homspace import Context, HomSpace, end_dim
 from .linalg import Matrix, Poly, coprime_split, factor_fp, minimal_polynomial
-from .rectangles import RectDecomp, realize, rect_to_module
 
 
 def hom_basis(M: PersModule, N: PersModule, ctx: Context | None = None) -> list[ModMorphism]:
@@ -74,7 +74,7 @@ class IndecVerdict:
     reason: str
     end_dim: int
     summands: tuple | None = None  # (M1, M2) when decomposable
-    iso: ModMorphism | None = None  # direct_sum(M1, M2) -> M
+    iso: ModMorphism | None = None  # M in the block basis, equal to direct_sum(M1, M2), -> M
     certificate: dict | None = None  # radical_dim, nilpotency_index, residue_degree
 
     def to_json(self) -> dict:
@@ -102,15 +102,50 @@ def _endo_min_poly(a: ModMorphism) -> Poly:
     return m if m is not None else Poly(f, [f.zero, f.one])
 
 
-def _split_along(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
-    """M = ker g(a) + ker h(a) vertexwise; returns (M1, M2, iso) or None.
+def _split_along(M: PersModule, P: dict, cuts: dict):
+    """A nonzero M read in the vertexwise bases P[v], whose columns fall into
+    consecutive blocks of sizes cuts[v]: (parts, iso) or None.
+
+    parts[b] is M restricted to block b, and iso maps direct_sum of the
+    parts, which is M written in the block basis, to M by P.  None unless
+    every P[v] is invertible and every step is block diagonal; the iso's
+    naturality and invertibility are checked here, the one certificate of a
+    splitting.
+    """
+    f = M.field
+    Pinv = {}
+    for v, Pv in P.items():
+        try:
+            Pinv[v] = Pv.inverse()
+        except ValueError:
+            return None
+    k = len(next(iter(cuts.values())))
+    at = {v: list(accumulate(c, initial=0)) for v, c in cuts.items()}
+    dims = [{v: d for v, c in cuts.items() if (d := c[b])} for b in range(k)]
+    steps = [{} for _ in range(k)]
+    blocked = {}
+    for v, a, w in M.arrows():
+        B = blocked[(v, a)] = Pinv[w] @ (M.step(v, a) @ P[v])
+        diag = [B.submatrix(range(at[w][b], at[w][b + 1]), range(at[v][b], at[v][b + 1])) for b in range(k)]
+        if Matrix.block_diag(f, diag) != B:
+            return None
+        for b in range(k):
+            if v in dims[b] and w in dims[b]:
+                steps[b][(v, a)] = diag[b]
+    iso = ModMorphism(PersModule(f, M.box, dict(M.dims), blocked), M, P)
+    if not iso.validate() or not iso.is_invertible():
+        return None
+    return [PersModule(f, M.box, dims[b], steps[b]) for b in range(k)], iso
+
+
+def _kernel_split(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
+    """M = ker g(a) + ker h(a) vertexwise: (parts, iso), or None when the
+    kernels do not fill M or one of them is zero everywhere.
 
     Requires g, h coprime with g.h a multiple of the minimal polynomial, so
     the kernels are complementary submodules.
     """
-    f = M.field
-    P, Pinv = {}, {}
-    split_dim = {}
+    P, cuts = {}, {}
     for v, d in M.dims.items():
         av = a.comp(v)
         K1 = g.eval_matrix(av).nullspace()
@@ -118,43 +153,14 @@ def _split_along(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
         if K1.ncols + K2.ncols != d:
             return None
         P[v] = Matrix.hstack([K1, K2])
-        try:
-            Pinv[v] = P[v].inverse()
-        except ValueError:
-            return None
-        split_dim[v] = K1.ncols
-    if all(split_dim[v] == 0 for v in M.dims) or all(split_dim[v] == M.dims[v] for v in M.dims):
-        return None  # one side vanished everywhere: trivial split
-    dims1 = {v: d for v in M.dims if (d := split_dim[v])}
-    dims2 = {v: d for v, e in M.dims.items() if (d := e - split_dim[v])}
-    steps1, steps2 = {}, {}
-    for v, k, w in M.arrows():
-        B = Pinv[w] @ (M.step(v, k) @ P[v])
-        d1v, d1w = split_dim[v], split_dim[w]
-        # kernels of coprime factors are invariant, so B must be block diagonal
-        for r in range(d1w):
-            for c in range(d1v, M.dims[v]):
-                if B.rows[r][c] != 0:
-                    return None
-        for r in range(d1w, M.dims[w]):
-            for c in range(d1v):
-                if B.rows[r][c] != 0:
-                    return None
-        if v in dims1 and w in dims1:
-            steps1[(v, k)] = B.submatrix(range(d1w), range(d1v))
-        if v in dims2 and w in dims2:
-            steps2[(v, k)] = B.submatrix(range(d1w, M.dims[w]), range(d1v, M.dims[v]))
-    M1 = PersModule(f, M.box, dims1, steps1)
-    M2 = PersModule(f, M.box, dims2, steps2)
-    iso = ModMorphism(direct_sum(M1, M2), M, {v: P[v] for v in M.dims})
-    rep = iso.validate()
-    if not rep or not iso.is_invertible():
+        cuts[v] = (K1.ncols, K2.ncols)
+    if all(c[0] == 0 for c in cuts.values()) or all(c[1] == 0 for c in cuts.values()):
         return None
-    return M1, M2, iso
+    return _split_along(M, P, cuts)
 
 
 def _try_element(M: PersModule, a: ModMorphism, rng):
-    """(split, f): split is (M1, M2, iso) when the minimal polynomial of the
+    """(split, f): split is ([M1, M2], iso) when the minimal polynomial of the
     endomorphism a has a coprime factorization; otherwise f is the monic
     irreducible it is a power of, if f is known irreducible: always over F_p
     (factoring a prime power draws nothing from rng), over Q when f is linear.
@@ -162,7 +168,7 @@ def _try_element(M: PersModule, a: ModMorphism, rng):
     mp = _endo_min_poly(a)
     gh = coprime_split(mp, rng)
     if gh is not None:
-        return _split_along(M, a, *gh), None
+        return _kernel_split(M, a, *gh), None
     if not M.field.is_rational:
         return None, factor_fp(mp, rng)[0][0]
     root = mp // mp.gcd(mp.derivative())
@@ -244,7 +250,7 @@ def try_split(M: PersModule, seed: int = 0, trials: int = 24, ctx: Context | Non
             continue
         split, f = _try_element(M, E.materialize(amb), rng)
         if split is not None:
-            return IndecVerdict(DECOMPOSABLE, "splitting endomorphism found", ed, split[:2], split[2])
+            return IndecVerdict(DECOMPOSABLE, "splitting endomorphism found", ed, tuple(split[0]), split[1])
         if f is not None:
             residues.append((amb, f))
     if residues and (cert := _local_certificate(end_algebra(M, ctx), residues)):
@@ -289,7 +295,7 @@ def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = 3
         DM = ctx.intervals1(M)[0]
         if DM.barcode() != ctx.intervals1(N)[0].barcode():
             return IsoReport(False, None, "barcodes differ")
-        phi = ctx.materialize(M, N, {(i, i): M.field.one for i in range(len(DM))})
+        phi = ModMorphism(M, N, ctx.materialize(M, N, {(i, i): M.field.one for i in range(len(DM))}))
         return IsoReport(True, phi, "matching barcodes")
     H = ctx.hom(M, N)
     rng = random.Random(seed)
@@ -310,20 +316,18 @@ def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = 3
 @dataclass
 class TwoRowSplit:
     summands: list  # three PersModules on the original box
-    iso: ModMorphism  # direct_sum of the three -> M
+    iso: ModMorphism  # M in the block basis, equal to the three direct_summed left to right, -> M
     gap: tuple
+
+
+def _is_gap(M: PersModule, y: tuple) -> bool:
+    """y is a zero vertex with a nonzero vertex below it and one above."""
+    return M.dim(y) == 0 and any(vle(x, y) for x in M.dims) and any(vle(y, z) for z in M.dims)
 
 
 def find_gap(M: PersModule) -> tuple | None:
     """A zero vertex lying between two nonzero vertices, if any."""
-    for y in sorted(M.box.vertices()):
-        if M.dim(y) > 0:
-            continue
-        below = any(vle(x, y) for x in M.dims)
-        above = any(vle(y, z) for z in M.dims)
-        if below and above:
-            return y
-    return None
+    return next((y for y in M.box.vertices() if _is_gap(M, y)), None)
 
 
 def decompose_two_rows(M: PersModule, y: tuple | None = None, ctx: Context | None = None) -> TwoRowSplit:
@@ -334,7 +338,8 @@ def decompose_two_rows(M: PersModule, y: tuple | None = None, ctx: Context | Non
     column y0 on the lower row, lower intervals split by position (deaths
     left of y0 / empty / births right of y0) and upper intervals by death
     (< y0 / = y0 / > y0); with the gap on the upper row the dual rule splits
-    upper intervals by position and lower intervals by birth.
+    upper intervals by position and lower intervals by birth.  M is then
+    split along the rows' chain bases with their columns sorted by group.
     """
     if M.n != 2 or M.box.hi[1] - M.box.lo[1] != 1:
         raise ValueError("decompose_two_rows needs a module on an m x 2 box")
@@ -345,16 +350,12 @@ def decompose_two_rows(M: PersModule, y: tuple | None = None, ctx: Context | Non
     y = tuple(y)
     if M.dim(y) != 0:
         raise ValueError(f"vertex {y} is not a gap")
-    if not (any(vle(x, y) for x in M.dims) and any(vle(y, z) for z in M.dims)):
+    if not _is_gap(M, y):
         raise ValueError(f"vertex {y} is not between nonzero vertices")
     ctx = ctx or Context()
-    rows, links = ctx.layers(M)
-    L, U = rows
-    link = links[0]
-    DL, basisL = ctx.intervals1(L)
-    DU, basisU = ctx.intervals1(U)
     y0 = y[0]
-    lower = y[1] == M.box.lo[1]
+    h0 = M.box.lo[1]
+    lower = y[1] == h0
 
     def group_of(r, is_upper):
         b, d = r.b[0], r.d[0]
@@ -374,43 +375,19 @@ def decompose_two_rows(M: PersModule, y: tuple | None = None, ctx: Context | Non
             raise AssertionError("upper interval crosses the gap")
         return 1 if b < y0 else (2 if b == y0 else 3)
 
-    gL = [group_of(r, False) for r in DL.summands]
-    gU = [group_of(r, True) for r in DU.summands]
-    coords = ctx.express(L, U, link)
-    for (i, j), c in coords.items():
-        if gL[i] != gU[j]:
-            raise AssertionError("connecting morphism is not block diagonal over the grouping")
-    f = M.field
-    h0 = M.box.lo[1]
-    summands = []
-    for g in (1, 2, 3):
-        li = [i for i in range(len(DL)) if gL[i] == g]
-        ui = [j for j in range(len(DU)) if gU[j] == g]
-        subL = RectDecomp(f, L.box, [DL.summands[i] for i in li])
-        subU = RectDecomp(f, U.box, [DU.summands[j] for j in ui])
-        at_l = {i: a for a, i in enumerate(li)}
-        at_u = {j: a for a, j in enumerate(ui)}
-        sub = {(at_l[i], at_u[j]): c for (i, j), c in coords.items() if gL[i] == g}
-        sub_link = ModMorphism(rect_to_module(subL), rect_to_module(subU), realize(subL, subU, sub))
-        summands.append(stack([sub_link.source, sub_link.target], [sub_link], height_lo=h0))
-    total = direct_sum(direct_sum(summands[0], summands[1]), summands[2])
-    # the direct-sum basis at a vertex lists group 1 then 2 then 3 survivors;
-    # map each back through the row isomorphisms
-    comps = {}
-    for row_idx, (D, basis) in enumerate(((DL, basisL), (DU, basisU))):
-        grp = gL if row_idx == 0 else gU
-        h = h0 + row_idx
-        row_mod = rows[row_idx]
-        for v, d in row_mod.dims.items():
-            present = D.indices_at(v)
-            ordering = [c for g in (1, 2, 3) for c, i in enumerate(present) if grp[i] == g]
-            comps[v + (h,)] = basis[v].submatrix(range(d), ordering)
-    iso = ModMorphism(total, M, comps)
-    rep = iso.validate()
-    if not rep:
-        raise AssertionError(f"two-row isomorphism fails naturality: {rep.message}")
-    if not iso.is_invertible():
-        raise AssertionError("two-row isomorphism is not invertible")
+    P, cuts = {}, {}
+    for h, row in enumerate(ctx.layers(M)[0]):
+        D, basis = ctx.intervals1(row)
+        group = [group_of(r, h == 1) for r in D.summands]
+        for v, d in row.dims.items():
+            # the columns of the chain basis at v, group 1 first
+            by_group = [[c for c, i in enumerate(D.indices_at(v)) if group[i] == g] for g in (1, 2, 3)]
+            P[v + (h0 + h,)] = basis[v].submatrix(range(d), sum(by_group, []))
+            cuts[v + (h0 + h,)] = tuple(map(len, by_group))
+    split = _split_along(M, P, cuts)
+    if split is None:
+        raise AssertionError("two-row module is not block diagonal over the grouping")
+    summands, iso = split
     if sum(1 for s in summands if not s.is_zero()) < 2:
         raise AssertionError("two-row decomposition came out trivial")
     return TwoRowSplit(summands, iso, y)

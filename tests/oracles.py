@@ -8,8 +8,9 @@ finite field; `indices_by_scan` reads a rectangle sum summand by summand;
 rectangle modules of the interval decompositions; `checked_pmod_from_json`
 reads a PMOD without the reader's one-pass shortcuts, parsing every record
 anew and building the module through a constructor that filters and checks
-its input; `module_faults` lists the ways a module breaks the rules that
-PersModule's storing constructor takes on trust."""
+its input; `module_faults` and `morphism_faults` list the ways a module or
+a morphism breaks the rules that the storing constructors of PersModule and
+ModMorphism take on trust."""
 
 from __future__ import annotations
 
@@ -125,6 +126,21 @@ def module_faults(M: PersModule) -> list[str]:
             faults.append(f"step at {v} axis {k} does not join two positive-dimension vertices")
         elif (m.nrows, m.ncols) != (M.dims[w], M.dims[v]):
             faults.append(f"step at {v} axis {k} has shape {m.nrows}x{m.ncols}, want {M.dims[w]}x{M.dims[v]}")
+    return faults
+
+
+def morphism_faults(f: ModMorphism) -> list[str]:
+    """One message for each way f breaks ModMorphism's rules: source and
+    target share field and box, and components sit only at vertices where
+    both modules are nonzero, each of shape target.dim(v) x source.dim(v).
+    Empty for a lawful morphism."""
+    S, T = f.source, f.target
+    faults = [] if S.field == T.field and S.box == T.box else ["source and target differ in field or box"]
+    for v, m in f.comps.items():
+        if v not in S.dims or v not in T.dims:
+            faults.append(f"component at {v} where a module is zero")
+        elif (m.nrows, m.ncols) != (T.dims[v], S.dims[v]):
+            faults.append(f"component at {v} has shape {m.nrows}x{m.ncols}, want {T.dims[v]}x{S.dims[v]}")
     return faults
 
 

@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistgrid import (CandyModule, Field, GridBox, PersModule,
+from persistgrid import (CandyModule, Field, GridBox, ModMorphism, PersModule,
                          Rectangle, RectDecomp, barcode_1d, build_S,
                          build_S_dprime, build_S_prime, candy_wrap, check_candy,
                          concat, end_dim, gen4, iso_certificate,
                          min3, min3_rect, rect_to_module, restrict,
                          string_candies)
+from persistgrid import constructions
 from persistgrid.constructions import cone, separate_and_shift, verticalize
+from persistgrid.covers import injective_envelope, projective_cover
 from persistgrid.grid import direct_sum, dualize, pad, slice_layers, stack
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import enumerate_modules, rand_module, rand_rect_decomp, rand_two_rows_with_gap
-from persistgrid.verify import decompose_two_rows, try_split
+from persistgrid.verify import decompose_two_rows, hom_basis, try_split
 
-from oracles import local_dim, module_faults
+from oracles import local_dim, module_faults, morphism_faults
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -300,3 +302,58 @@ class TestBuiltModulesKeepTheRules:
         one = Matrix.identity(Q, 1)
         bad = PersModule(Q, box, {(0,): 1, (1,): 0, (3,): 1}, {((0,), 0): one, ((1,), 0): Matrix.zero(Q, 1, 2)})
         assert len(module_faults(bad)) == 4
+
+
+def built_morphisms(rng, field, monkeypatch):
+    """Every kind of morphism the library builds, on small random inputs:
+    the construction links as they reach stack, slice_layers links, covers
+    and envelopes, hom basis elements and both split isos."""
+    V = rand_module(rng, field, GridBox((0,), (3,)), max_dim=2)
+    W = rand_module(rng, field, GridBox((0, 0), (1, 1)), max_dim=2)
+    links = []
+    real_stack = constructions.stack
+
+    def spy(layers, ls, **kwargs):
+        links.extend(ls)
+        return real_stack(layers, ls, **kwargs)
+
+    monkeypatch.setattr(constructions, "stack", spy)
+    R = rand_rect_decomp(rng, field, 1, 4)
+    build_S(R)
+    min3(R)
+    min3_rect(rand_rect_decomp(rng, field, 2, 3, hi=2))
+    build_S_prime(V)
+    build_S_dprime(V)
+    gen4(V)
+    gen4(W)
+    assert len(links) >= 20
+    yield from links
+    yield from slice_layers(W)[1]
+    yield from slice_layers(candy_wrap(V).module)[1]
+    yield from (projective_cover(V).morphism, projective_cover(W).morphism, injective_envelope(W).morphism)
+    yield from hom_basis(V, V) + hom_basis(W, W) + hom_basis(V, rand_module(rng, field, V.box, max_dim=2))
+    yield ModMorphism.identity(W)
+    yield try_split(direct_sum(V, V), seed=1).iso
+    yield decompose_two_rows(rand_two_rows_with_gap(rng, field)).iso
+
+
+class TestBuiltMorphismsKeepTheRules:
+    """ModMorphism stores what it is given, so every builder must hand it
+    components only where both modules live, each of its vertex's shape;
+    morphism_faults checks each morphism the library builds."""
+
+    @pytest.mark.parametrize("field", [Q, F3])
+    def test_every_builder(self, rng, field, monkeypatch):
+        count = 0
+        for f in built_morphisms(rng, field, monkeypatch):
+            assert morphism_faults(f) == []
+            count += 1
+        assert count > 40
+
+    def test_faults_are_seen(self):
+        box = GridBox((0,), (2,))
+        A = PersModule(Q, box, {(0,): 1, (1,): 2}, {((0,), 0): Matrix.from_ints(Q, [[1], [0]])})
+        B = PersModule(Q, box, {(1,): 1}, {})
+        bad = ModMorphism(A, B, {(0,): Matrix.zero(Q, 0, 1), (1,): Matrix.zero(Q, 2, 1), (2,): Matrix.zero(Q, 1, 1)})
+        assert len(morphism_faults(bad)) == 3
+        assert len(morphism_faults(ModMorphism(A, PersModule(F3, box, {}, {}), {}))) == 1

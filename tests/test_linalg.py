@@ -32,6 +32,16 @@ def test_basic_arithmetic():
     assert a.transpose().transpose() == a
 
 
+def test_submatrix_keeps_its_shape():
+    a = Matrix.from_ints(Q, [[1, 2], [3, 4]])
+    assert a.submatrix([1], range(2)) == Matrix.from_ints(Q, [[3, 4]])
+    assert a.submatrix([], range(2)) == Matrix.zero(Q, 0, 2)  # no rows, still two columns
+    assert a.submatrix(range(2), []) == Matrix.zero(Q, 2, 0)
+    # a 0 x 1 block still takes a column of a block-diagonal matrix
+    blocks = [a.submatrix([], [0]), a.submatrix(range(2), [1])]
+    assert Matrix.block_diag(Q, blocks) == Matrix.from_ints(Q, [[0, 2], [0, 4]])
+
+
 def test_rank_and_inverse():
     a = Matrix.from_ints(Q, [[1, 2], [2, 4]])
     assert a.rank() == 1

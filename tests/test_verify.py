@@ -8,6 +8,7 @@ from persistgrid import (Field, GridBox, PersModule, Rectangle,
                          RectDecomp, barcode_1d, check_candy, decompose_two_rows,
                          direct_sum, end_algebra, end_dim, iso_certificate,
                          min3, rect_to_module, stack, try_split)
+from persistgrid import verify
 from persistgrid.grid import ModMorphism, vsucc
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import (rand_module, rand_rect_decomp, rand_two_rows,
@@ -77,6 +78,7 @@ class TestTrySplit:
         for w in box.vertices():
             assert M1.dim(w) + M2.dim(w) == M.dim(w)
         assert v.iso.validate() and v.iso.is_invertible()
+        assert v.iso.source == direct_sum(M1, M2)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=15, deadline=None)
@@ -91,6 +93,7 @@ class TestTrySplit:
             S = direct_sum(M1, M2)
             assert S.validate()
             assert v.iso.source.dims == S.dims
+            assert v.iso.source == S
             assert v.iso.validate() and v.iso.is_invertible()
 
     def test_end_dim_one_always_certified(self):
@@ -256,9 +259,33 @@ class TestTwoRows:
         for v in M.box.vertices():
             assert total.dim(v) == M.dim(v)
         assert split.iso.validate() and split.iso.is_invertible()
+        S1, S2, S3 = split.summands
+        assert total == direct_sum(direct_sum(S1, S2), S3)
         # cross-oracle: try_split must not certify indecomposability
         v = try_split(M, seed=seed)
         assert v.status != "IndecomposableCertified"
+
+    def test_wrong_grouping_is_refused(self, monkeypatch):
+        """Lower and upper rows I[0, 0] + I[2, 3], joined by the identity:
+        with the gap at (1, 0) both I[0, 0] fall in group 1.  Moving the
+        lower one to group 3 leaves an invertible basis in which the link at
+        (0, 0) crosses groups, so the split routine refuses it."""
+        box = GridBox((0,), (3,))
+        L, U = (rect_to_module(RectDecomp(F2, box, [Rectangle((0,), (0,)), Rectangle((2,), (3,))])) for _ in "LU")
+        M = stack([L, U], [ModMorphism(L, U, {v: Matrix.identity(F2, d) for v, d in L.dims.items()})])
+        split_along = verify._split_along
+        seen = []
+        monkeypatch.setattr(verify, "_split_along", lambda M, P, cuts: seen.append((P, cuts)) or split_along(M, P, cuts))
+        decompose_two_rows(M)
+        P, cuts = seen[0]
+        assert cuts[(0, 0)] == (1, 0, 0) and cuts[(0, 1)] == (1, 0, 0)
+        assert split_along(M, P, cuts) is not None
+        moved = {**cuts, (0, 0): (0, 0, 1)}
+        assert split_along(M, P, moved) is None
+        assert split_along(M, {**P, (0, 0): Matrix.zero(F2, 1, 1)}, cuts) is None
+        monkeypatch.setattr(verify, "_split_along", lambda M, P, cuts: split_along(M, P, {**cuts, (0, 0): (0, 0, 1)}))
+        with pytest.raises(AssertionError):
+            decompose_two_rows(M)
 
     def test_indecomposable_two_rows_have_convex_support(self):
         # enumerate tiny two-row modules over F2 with dims <= 1
