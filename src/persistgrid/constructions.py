@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .covers import projective_cover
 from .grid import (MAX_DIM, MAX_VERTICES, AxisEmbedding, GridBox, ModMorphism, PersModule,
-                   candy_corner_faults, dualize, pad, stack, vadd, vsub, vsucc)
+                   candy_corner_faults, candy_corners, dualize, pad, pullback, stack, vadd, vsub, vsucc)
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle, realize, rect_to_module
 
@@ -168,13 +168,8 @@ def build_S_dprime(V: PersModule, height: int = 5) -> BuildResult:
         raise ValueError("zero module")
     prim = build_S_prime(dualize(V), height)
     Md = dualize(prim.M)
-    H = Md.box
-    cH = tuple(H.lo[k] + H.hi[k] for k in range(V.n))
-    cV = vadd(V.box.lo, V.box.hi)
-    t = tuple(cV[k] - cH[k] for k in range(V.n)) + (4,)
-    M = Md.translate(t)
-    line = AxisEmbedding.layer(V.n, V.n, 0)
-    return BuildResult(M, line, 5, {"source_box": V.box})
+    t = vsub(vadd(V.box.lo, V.box.hi), vadd(Md.box.lo, Md.box.hi)[:V.n]) + (4,)
+    return BuildResult(Md.translate(t), AxisEmbedding.layer(V.n, V.n, 0), 5, {"source_box": V.box})
 
 
 def candy_wrap(V: PersModule) -> CandyModule:
@@ -184,11 +179,6 @@ def candy_wrap(V: PersModule) -> CandyModule:
     prim = build_S_prime(V, 9)  # heights -4..0
     dual = build_S_dprime(V, 9)  # heights 0..4
     n = V.n
-    H = GridBox.hull([
-        GridBox(prim.M.box.lo[:n], prim.M.box.hi[:n]),
-        GridBox(dual.M.box.lo[:n], dual.M.box.hi[:n]),
-    ])
-    box = GridBox(H.lo + (-4,), H.hi + (4,))
     dims = dict(prim.M.dims)
     steps = dict(prim.M.steps)
     for v, d in dual.M.dims.items():
@@ -200,14 +190,11 @@ def candy_wrap(V: PersModule) -> CandyModule:
     for (v, k), m in dual.M.steps.items():
         if v[-1] >= 0 and not (v[-1] == 0 and k < n):
             steps[(v, k)] = m
-    M = PersModule(V.field, box, dims, steps)
-    support = list(M.dims)
-    ul = tuple(min(v[k] for v in support) for k in range(n)) + (4,)
-    lr = tuple(max(v[k] for v in support) for k in range(n)) + (-4,)
-    return CandyModule(M, ul, lr, AxisEmbedding.layer(n, n, 0))
+    M = PersModule(V.field, GridBox.hull([prim.M.box, dual.M.box]), dims, steps)
+    return CandyModule(M, *candy_corners(M), AxisEmbedding.layer(n, n, 0))
 
 
-def _concat(A: CandyModule, B: CandyModule):
+def concat(A: CandyModule, B: CandyModule) -> CandyModule:
     MA, MB = A.module, B.module
     if MA.field != MB.field:
         raise ValueError("concatenation needs a common field")
@@ -264,11 +251,7 @@ def _concat(A: CandyModule, B: CandyModule):
     rep = M.validate()
     if not rep:
         raise AssertionError(f"concatenation broke commutativity: {rep.message}")
-    return CandyModule(M, A.ul, vadd(B.lr, t)), t
-
-
-def concat(A: CandyModule, B: CandyModule) -> CandyModule:
-    return _concat(A, B)[0]
+    return CandyModule(M, A.ul, vadd(B.lr, t))
 
 
 def string_candies(mods: list) -> StringResult:
@@ -280,8 +263,8 @@ def string_candies(mods: list) -> StringResult:
     cur = candies[0]
     embeds = [candies[0].line]
     for c in candies[1:]:
-        cur, t = _concat(cur, c)
-        embeds.append(c.line.translate(t))
+        cur = concat(cur, c)
+        embeds.append(c.line.translate(vsub(cur.lr, c.lr)))  # concat puts c.lr at cur.lr
     return StringResult(cur, embeds)
 
 
@@ -365,32 +348,6 @@ def min3(V: RectDecomp) -> BuildResult:
     return min3_rect(V)
 
 
-def _stretch_first(V: PersModule, s: int) -> PersModule:
-    """Pullback of V along (y1, rest) -> (floor(y1/s), rest)."""
-    n = V.n
-    box = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0] + s - 1,) + V.box.hi[1:])
-
-    def down(y):
-        return (y[0] // s,) + y[1:]
-
-    dims = {}
-    for v, d in V.dims.items():
-        for r in range(s * v[0], s * v[0] + s):
-            dims[(r,) + v[1:]] = d
-    steps = {}
-    f = V.field
-    for y in dims:
-        x = down(y)
-        y1 = vsucc(y, 0)
-        if box.contains(y1) and y1 in dims:
-            steps[(y, 0)] = Matrix.identity(f, dims[y]) if y1[0] // s == x[0] else V.step(x, 0)
-        for k in range(1, n):
-            yk = vsucc(y, k)
-            if box.contains(yk) and yk in dims:
-                steps[(y, k)] = V.step(x, k)
-    return PersModule(f, box, dims, steps)
-
-
 def gen4(V: PersModule) -> BuildResult:
     """Four layers I'_R -> R'' -> R~ -> V~ for a general module V.
 
@@ -407,7 +364,12 @@ def gen4(V: PersModule) -> BuildResult:
     cov = projective_cover(V)
     s = 2 * (len(cov.decomp) + 1)
     windows = [(s * r.b[0], s * r.d[0] + s - 1) for r in cov.decomp.summands]
-    VG = _stretch_first(V, s)
+
+    def floor(y):
+        return (y[0] // s,) + y[1:]
+
+    stretched = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0] + s - 1,) + V.box.hi[1:])
+    VG = pullback(V, floor, stretched)
     layers, links, line, meta = _refined_layers(V.field, cov.decomp.summands, windows, s, VG.box, 4)
     top = pad(VG, layers[0].box)
     # stretched cover surjection: at y it is p at floor(y), columns permuted
@@ -415,7 +377,7 @@ def gen4(V: PersModule) -> BuildResult:
     order, tilde = meta["order"], meta["decomps"][2]
     comps = {}
     for y, d in VG.dims.items():
-        x = (y[0] // s,) + y[1:]
+        x = floor(y)
         cols = cov.decomp.indices_at(x)
         live = [cols.index(order[j]) for j in tilde.indices_at(y)]
         comps[y] = cov.morphism.comp(x).submatrix(range(d), live)

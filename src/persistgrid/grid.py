@@ -140,14 +140,16 @@ class PersModule:
             raise ValueError(f"{x} is not <= {y}")
         if self.dim(x) == 0 or self.dim(y) == 0:
             return Matrix.zero(self.field, self.dim(y), self.dim(x))
-        # lexicographically smallest vertex sequence: raise the last axis first
-        acc = Matrix.identity(self.field, self.dim(x))
-        cur = x
+        if x == y:
+            return Matrix.identity(self.field, self.dim(x))
+        # lexicographically smallest vertex sequence: raise the last axis
+        # first; a one-arrow path gives the stored step itself
+        acc, cur = None, x
         for k in range(self.n - 1, -1, -1):
             while cur[k] < y[k]:
-                acc = self.step(cur, k) @ acc
+                acc = self.step(cur, k) if acc is None else self.step(cur, k) @ acc
                 cur = vsucc(cur, k)
-                if acc.is_zero():
+                if cur != y and acc.is_zero():
                     return Matrix.zero(self.field, self.dim(y), self.dim(x))
         return acc
 
@@ -411,18 +413,14 @@ class AxisEmbedding:
 # the four core constructions on modules
 
 
-def restrict(M: PersModule, L: AxisEmbedding, source_box: GridBox | None = None) -> PersModule:
-    """Pull M back along the hyperplane embedding L."""
-    if L.n != M.n - 1:
-        raise ValueError(f"embedding from dimension {L.n} does not target dimension {M.n}")
-    if source_box is None:
-        source_box = L.preimage_box(M.box)
-        if source_box is None:
-            raise ValueError("the embedding misses the module box entirely")
+def pullback(M: PersModule, phi, box: GridBox) -> PersModule:
+    """Pull M back along the monotone vertex map phi from box into M.box:
+    x has M's space at phi(x), and the arrow x -> x + e_k is the internal
+    map M(phi(x) <= phi(x + e_k))."""
     dims = {}
     image = {}
-    for x in source_box.vertices():
-        y = L.apply(x)
+    for x in box.vertices():
+        y = phi(x)
         if not M.box.contains(y):
             raise ValueError(f"image {y} of {x} escapes the module box")
         d = M.dims.get(y)
@@ -431,11 +429,22 @@ def restrict(M: PersModule, L: AxisEmbedding, source_box: GridBox | None = None)
             image[x] = y
     steps = {}
     for x in dims:
-        for k in range(source_box.n):
+        for k in range(box.n):
             x2 = vsucc(x, k)
             if x2 in dims:
                 steps[(x, k)] = M.composite(image[x], image[x2])
-    return PersModule(M.field, source_box, dims, steps)
+    return PersModule(M.field, box, dims, steps)
+
+
+def restrict(M: PersModule, L: AxisEmbedding, source_box: GridBox | None = None) -> PersModule:
+    """Pull M back along the hyperplane embedding L."""
+    if L.n != M.n - 1:
+        raise ValueError(f"embedding from dimension {L.n} does not target dimension {M.n}")
+    if source_box is None:
+        source_box = L.preimage_box(M.box)
+        if source_box is None:
+            raise ValueError("the embedding misses the module box entirely")
+    return pullback(M, L.apply, source_box)
 
 
 def pad(M: PersModule, target: GridBox) -> PersModule:
@@ -539,17 +548,19 @@ def slice_layers(M: PersModule) -> tuple[list[PersModule], list[ModMorphism]]:
     return layers, links
 
 
+def candy_corners(M: PersModule) -> tuple[tuple, tuple]:
+    """(ul, lr) of M's nonempty support: ul takes its smallest leading
+    coordinates and largest last one, lr the opposite."""
+    lo, hi = tuple(map(min, zip(*M.dims))), tuple(map(max, zip(*M.dims)))
+    return lo[:-1] + hi[-1:], hi[:-1] + lo[-1:]
+
+
 def candy_corner_faults(M: PersModule, ul: tuple, lr: tuple) -> list[str]:
-    """One message for each way ul and lr fail to be M's candy corners:
-    ul must sit at the support's smallest leading coordinates and largest
-    last one, lr at the opposite corner, and both must have dimension 1.
-    Empty when they are the corners; a zero module has none."""
+    """One message for each way ul and lr fail to be M's candy_corners,
+    each of dimension 1.  Empty when they are; a zero module has none."""
     if M.is_zero():
         return ["zero module"]
-    n = M.n
-    support = list(M.dims)
-    exp_ul = tuple(min(v[k] for v in support) for k in range(n - 1)) + (max(v[-1] for v in support),)
-    exp_lr = tuple(max(v[k] for v in support) for k in range(n - 1)) + (min(v[-1] for v in support),)
+    exp_ul, exp_lr = candy_corners(M)
     msgs = []
     if tuple(ul) != exp_ul:
         msgs.append(f"upper-left corner {tuple(ul)} != bounding position {exp_ul}")

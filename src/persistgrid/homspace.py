@@ -64,6 +64,7 @@ class Context:
         self._reps = {}  # id(M) -> (M, representative)
         self._by_content = {}
         self._decomps = {}
+        self._inverses = {}
         self._layers = {}
         self._homs = {}
 
@@ -81,22 +82,18 @@ class Context:
     def intervals1(self, M: PersModule):
         """(decomp, basis) for a 1D module, as interval_decompose_1d gives
         them for the representative of M."""
-        return tuple(self._decomp_entry(M)[:2])
+        M = self._rep(M)
+        if id(M) not in self._decomps:
+            self._decomps[id(M)] = interval_decompose_1d(M)
+        return self._decomps[id(M)]
 
     def _basis_inverse(self, M: PersModule) -> dict:
         """vertex -> the inverse of intervals1(M)'s chain basis there,
         computed on first use."""
-        entry = self._decomp_entry(M)
-        if entry[2] is None:
-            entry[2] = {v: b.inverse() for v, b in entry[1].items()}
-        return entry[2]
-
-    def _decomp_entry(self, M: PersModule) -> list:
-        """[decomp, basis, basis inverse or None]"""
         M = self._rep(M)
-        if id(M) not in self._decomps:
-            self._decomps[id(M)] = [*interval_decompose_1d(M), None]
-        return self._decomps[id(M)]
+        if id(M) not in self._inverses:
+            self._inverses[id(M)] = {v: b.inverse() for v, b in self.intervals1(M)[1].items()}
+        return self._inverses[id(M)]
 
     def layers(self, M: PersModule):
         M = self._rep(M)

@@ -64,16 +64,18 @@ def field_from_json(tag) -> Field:
 
 def pmod_to_json(M: PersModule) -> dict:
     """Every arrow between positive-dimension vertices is written, an
-    omitted (zero) one as an explicit zero matrix, so the reader accepts it."""
+    omitted (zero) one as zero rows, so the reader accepts it.  Each
+    distinct step matrix object is formatted once, and its records share
+    the rows."""
     f = M.field
-    dims = [M.dim(v) for v in M.box.vertices()]
+    dims = [M.dims.get(v, 0) for v in M.box.vertices()]
+    formatted = {}  # id(m) -> (m, rows); holding m keeps its id from being reused
     steps = []
-    for v, k in sorted((v, k) for v, k, _ in M.arrows()):
-        steps.append({
-            "v": list(v),
-            "axis": k,
-            "matrix": [[f.fmt(x) for x in row] for row in M.step(v, k).rows],
-        })
+    for v, k, _ in sorted(M.arrows()):
+        m = M.step(v, k)
+        if id(m) not in formatted:
+            formatted[id(m)] = (m, [[f.fmt(x) for x in row] for row in m.rows])
+        steps.append({"v": list(v), "axis": k, "matrix": formatted[id(m)][1]})
     return {
         "field": f.to_json(),
         "n": M.n,

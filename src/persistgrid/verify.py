@@ -320,39 +320,30 @@ class TwoRowSplit:
     gap: tuple
 
 
-def _is_gap(M: PersModule, y: tuple) -> bool:
-    """y is a zero vertex with a nonzero vertex below it and one above."""
-    return M.dim(y) == 0 and any(vle(x, y) for x in M.dims) and any(vle(y, z) for z in M.dims)
-
-
 def find_gap(M: PersModule) -> tuple | None:
     """A zero vertex lying between two nonzero vertices, if any."""
-    return next((y for y in M.box.vertices() if _is_gap(M, y)), None)
+    return next((y for y in M.box.vertices() if M.dim(y) == 0
+                 and any(vle(x, y) for x in M.dims) and any(vle(y, z) for z in M.dims)), None)
 
 
-def decompose_two_rows(M: PersModule, y: tuple | None = None, ctx: Context | None = None) -> TwoRowSplit:
+def decompose_two_rows(M: PersModule) -> TwoRowSplit:
     """Constructive decomposition of a module on an m x 2 grid with a gap.
 
-    Interval-decompose both rows and sort the intervals into three groups on
-    each row so the connecting morphism is block diagonal: with the gap at
-    column y0 on the lower row, lower intervals split by position (deaths
-    left of y0 / empty / births right of y0) and upper intervals by death
-    (< y0 / = y0 / > y0); with the gap on the upper row the dual rule splits
-    upper intervals by position and lower intervals by birth.  M is then
-    split along the rows' chain bases with their columns sorted by group.
+    The gap is the first one find_gap gives.  Interval-decompose both rows
+    and sort the intervals into three groups on each row so the connecting
+    morphism is block diagonal: with the gap at column y0 on the lower row,
+    lower intervals split by position (deaths left of y0 / empty / births
+    right of y0) and upper intervals by death (< y0 / = y0 / > y0); with the
+    gap on the upper row the dual rule splits upper intervals by position
+    and lower intervals by birth.  M is then split along the rows' chain
+    bases with their columns sorted by group, in a Context of its own.
     """
     if M.n != 2 or M.box.hi[1] - M.box.lo[1] != 1:
         raise ValueError("decompose_two_rows needs a module on an m x 2 box")
+    y = find_gap(M)
     if y is None:
-        y = find_gap(M)
-        if y is None:
-            raise ValueError("no zero vertex between nonzero vertices")
-    y = tuple(y)
-    if M.dim(y) != 0:
-        raise ValueError(f"vertex {y} is not a gap")
-    if not _is_gap(M, y):
-        raise ValueError(f"vertex {y} is not between nonzero vertices")
-    ctx = ctx or Context()
+        raise ValueError("no zero vertex between nonzero vertices")
+    ctx = Context()
     y0 = y[0]
     h0 = M.box.lo[1]
     lower = y[1] == h0

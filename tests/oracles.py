@@ -10,7 +10,8 @@ reads a PMOD without the reader's one-pass shortcuts, parsing every record
 anew and building the module through a constructor that filters and checks
 its input; `module_faults` and `morphism_faults` list the ways a module or
 a morphism breaks the rules that the storing constructors of PersModule and
-ModMorphism take on trust."""
+ModMorphism take on trust; `stretch_first` builds gen4's floor-stretch of a
+module arrow by arrow, without the internal maps of a pullback."""
 
 from __future__ import annotations
 
@@ -112,6 +113,29 @@ def nilpotent_count(M: PersModule) -> int:
             powers = {v: m @ e[v] for v, m in powers.items()}
         count += all(m.is_zero() for m in powers.values())
     return count
+
+
+def stretch_first(V: PersModule, s: int) -> PersModule:
+    """Pullback of V along (y1, rest) -> (floor(y1/s), rest): each vertex
+    becomes s copies along the first axis, joined by identities, and each
+    arrow between copies of two vertices is V's step between them."""
+    n = V.n
+    box = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0] + s - 1,) + V.box.hi[1:])
+    dims = {}
+    for v, d in V.dims.items():
+        for r in range(s * v[0], s * v[0] + s):
+            dims[(r,) + v[1:]] = d
+    steps = {}
+    for y in dims:
+        x = (y[0] // s,) + y[1:]
+        y1 = vsucc(y, 0)
+        if box.contains(y1) and y1 in dims:
+            steps[(y, 0)] = Matrix.identity(V.field, dims[y]) if y1[0] // s == x[0] else V.step(x, 0)
+        for k in range(1, n):
+            yk = vsucc(y, k)
+            if box.contains(yk) and yk in dims:
+                steps[(y, k)] = V.step(x, k)
+    return PersModule(V.field, box, dims, steps)
 
 
 def module_faults(M: PersModule) -> list[str]:

@@ -5,10 +5,12 @@ import pytest
 from persistgrid import (AxisEmbedding, Field, GridBox, ModMorphism, PersModule,
                          Rectangle, RectDecomp, candy_wrap, direct_sum, dualize,
                          pad, rect_to_module, restrict, stack)
-from persistgrid.grid import MAX_VERTICES, slice_layers, vsucc
+from persistgrid.grid import MAX_VERTICES, pullback, slice_layers, vsucc
 from persistgrid.io import line_from_json, line_to_json, pmod_from_json, pmod_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module, rand_rect_decomp
+
+from oracles import stretch_first
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -197,6 +199,33 @@ class TestSliceLayersOracle:
         for M in random_modules(rng, 20):
             layers, links = slice_layers(M)
             assert stack(layers, links, height_lo=M.box.lo[-1]) == M
+
+
+class TestPullback:
+    def test_floor_map_matches_stretch(self, rng):
+        inputs = itertools.chain(random_modules(rng, 30), shared_step_modules(rng, 10),
+                                 (rand_module(rng, F1009, GridBox((-1,), (2,))) for _ in range(10)))
+        for M in inputs:
+            s = rng.randint(1, 3)
+            box = GridBox((s * M.box.lo[0],) + M.box.lo[1:], (s * M.box.hi[0] + s - 1,) + M.box.hi[1:])
+            assert pullback(M, lambda y: (y[0] // s,) + y[1:], box) == stretch_first(M, s)
+
+    def test_composite_of_one_arrow_is_the_step(self, rng):
+        for M in itertools.chain(random_modules(rng, 20), shared_step_modules(rng, 10)):
+            for (v, k), m in M.steps.items():
+                assert M.composite(v, vsucc(v, k)) is m
+            for v, d in M.dims.items():
+                assert M.composite(v, v) == Matrix.identity(M.field, d)
+
+    def test_layer_restriction_shares_steps(self, rng):
+        for M in shared_step_modules(rng, 10):
+            n = M.n
+            for pos in range(n):
+                for h in range(M.box.lo[pos], M.box.hi[pos] + 1):
+                    L = AxisEmbedding.layer(n - 1, pos, h)
+                    R = restrict(M, L)
+                    for (x, k), m in R.steps.items():
+                        assert m is M.steps[(L.apply(x), k + (k >= pos))]
 
 
 class TestValidateOracle:

@@ -51,6 +51,13 @@ class TestPmodRoundtrip:
             sparse = PersModule(f, N.box, N.dims, dict(list(N.steps.items())[::2]))
             assert pmod_from_json(pmod_to_json(sparse)) == sparse
 
+    def test_shared_step_is_formatted_once(self):
+        # a read rectangle module has one shared identity step
+        M = pmod_from_json(pmod_to_json(rect_to_module(RectDecomp(Q, GridBox((0, 0), (2, 1)),
+                                                                  [Rectangle((0, 0), (2, 1))]))))
+        assert len({id(m) for m in M.steps.values()}) == 1
+        assert len({id(rec["matrix"]) for rec in pmod_to_json(M)["steps"]}) == 1
+
     def test_file_roundtrip(self, tmp_path, rng):
         M = rand_module(rng, F2, GridBox((0,), (2,)), max_dim=2)
         p = str(tmp_path / "m.json")
