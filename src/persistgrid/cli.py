@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import io
@@ -189,7 +190,7 @@ def cmd_string(args) -> int:
         raise FormatError("manifest needs a nonempty 'modules' array of path strings")
     mods = []
     for p in paths:
-        obj = io.load(p)
+        obj = io.load(os.path.join(os.path.dirname(args.list), p))  # relative to the manifest
         _check_field(args, obj)
         mods.append(io.pmod_from_json(obj))
     res = _or_format_error(string_candies, mods)

@@ -11,6 +11,7 @@ returned embedding inserts the constant 0 as the last coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache, partial
 
 from .covers import projective_cover
 from .grid import (MAX_DIM, MAX_VERTICES, AxisEmbedding, GridBox, ModMorphism, PersModule,
@@ -237,15 +238,16 @@ def concat(A: CandyModule, B: CandyModule) -> CandyModule:
         dims[u] = B2.dim(w)
     if x not in fresh:
         raise AssertionError("joining vertex collides with a candy support")
+    eye = cache(partial(Matrix.identity, MA.field))  # one identity per dimension
     for u, w in fresh.items():
-        steps[(u, N - 2)] = Matrix.identity(MA.field, dims[u])
+        steps[(u, N - 2)] = eye(dims[u])
         for k in range(N - 1):
             if k == N - 2:
                 continue
             uk = vsucc(u, k)
             if uk in dims:
                 steps[(u, k)] = B2.step(w, k)
-    steps[(x, N - 1)] = Matrix.identity(MA.field, dims[x])  # x -> lr(A)
+    steps[(x, N - 1)] = eye(dims[x])  # x -> lr(A)
     box = GridBox.hull([MA.box, B2.box, GridBox(x, x)])
     M = PersModule(MA.field, box, dims, steps)
     rep = M.validate()

@@ -503,14 +503,19 @@ def direct_sum(M: PersModule, N: PersModule) -> PersModule:
     return PersModule(M.field, M.box, dims, steps)
 
 
+def _transposes(mats) -> dict:
+    """id(m) -> m transposed, once per distinct matrix object in mats."""
+    return {id(m): m.transpose() for m in {id(m): m for m in mats}.values()}
+
+
 def dualize(M: PersModule) -> PersModule:
-    """The linear dual on the reversed box: coordinates flip, matrices transpose."""
+    """The linear dual on the reversed box: coordinates flip, matrices
+    transpose, and steps sharing a matrix share its transpose."""
     c = vadd(M.box.lo, M.box.hi)
     dims = {vsub(c, v): d for v, d in M.dims.items()}
-    steps = {}
-    for (v, k), m in M.steps.items():
-        # arrow v -> w dualizes to (c - w) -> (c - v)
-        steps[(vsub(c, vsucc(v, k)), k)] = m.transpose()
+    tr = _transposes(M.steps.values())
+    # arrow v -> w dualizes to (c - w) -> (c - v)
+    steps = {(vsub(c, vsucc(v, k)), k): tr[id(m)] for (v, k), m in M.steps.items()}
     return PersModule(M.field, M.box, dims, steps)
 
 
@@ -518,7 +523,8 @@ def dualize_morphism(f: ModMorphism) -> ModMorphism:
     """Dual of f: A -> B is a morphism dualize(B) -> dualize(A)."""
     A, B = f.source, f.target
     c = vadd(A.box.lo, A.box.hi)
-    return ModMorphism(dualize(B), dualize(A), {vsub(c, v): m.transpose() for v, m in f.comps.items()})
+    tr = _transposes(f.comps.values())
+    return ModMorphism(dualize(B), dualize(A), {vsub(c, v): tr[id(m)] for v, m in f.comps.items()})
 
 
 def slice_layers(M: PersModule) -> tuple[list[PersModule], list[ModMorphism]]:

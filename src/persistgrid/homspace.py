@@ -51,7 +51,9 @@ class Context:
     dict order, and the caches key on that representative.  Equal modules
     thus share one interval decomposition, one layer slicing and one
     HomSpace, and a representative iterates exactly like the modules it
-    stands for.  The map keeps every module alive, so ids cannot be recycled
+    stands for.  A step enters the key as a number per matrix object, equal
+    for equal rows, so a matrix that steps share is read once.  The maps
+    keep every module and matrix alive, so ids cannot be recycled
     underneath us.
 
     A 1D decomposition is cached with its chain basis, which is all that
@@ -63,17 +65,28 @@ class Context:
     def __init__(self):
         self._reps = {}  # id(M) -> (M, representative)
         self._by_content = {}
+        self._mats = {}  # id(m) -> (m, content number)
+        self._numbers = {}  # row tuples -> content number
         self._decomps = {}
         self._inverses = {}
         self._layers = {}
         self._homs = {}
+
+    def _content(self, m: Matrix) -> int:
+        """A number for m's rows, the same for every equal matrix seen here;
+        each matrix object's rows are read once."""
+        entry = self._mats.get(id(m))
+        if entry is None:
+            rows = tuple(map(tuple, m.rows))
+            entry = self._mats[id(m)] = (m, self._numbers.setdefault(rows, len(self._numbers)))
+        return entry[1]
 
     def _rep(self, M: PersModule) -> PersModule:
         """The first module seen in this context equal to M."""
         entry = self._reps.get(id(M))
         if entry is None:
             key = (M.field, M.box, tuple(M.dims.items()),
-                   tuple((vk, tuple(map(tuple, m.rows))) for vk, m in M.steps.items()))
+                   tuple((vk, self._content(m)) for vk, m in M.steps.items()))
             entry = self._reps[id(M)] = (M, self._by_content.setdefault(key, M))
         return entry[1]
 

@@ -273,5 +273,8 @@ def load(path: str) -> dict:
 
 def dump(obj: dict, path: str) -> None:
     """Write obj as one line of sorted-key JSON (`indent` would force json's pure-Python encoder)."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    except OSError as e:
+        raise FormatError(f"cannot write {path}: {e}")

@@ -109,25 +109,26 @@ def rect_to_module(R: RectDecomp) -> PersModule:
     """The persistence module of a rectangle decomposition.
 
     The basis at each vertex lists the summands containing it, in summand
-    order; steps are the induced 0/1 matrices.
+    order; steps are the induced 0/1 matrices, one object per distinct
+    matrix, never mutated.
     """
     field = R.field
-    n = R.n
     at = R.by_vertex()
     dims = {v: len(idxs) for v, idxs in at.items()}
-    steps = {}
-    one = field.one
+    pos = {v: {s: j for j, s in enumerate(idxs)} for v, idxs in at.items()}
+    steps, shared = {}, {}
     for v, idxs in at.items():
-        for k in range(n):
-            widx = at.get(vsucc(v, k))  # the summands lie in R.box
-            if not widx:
+        for k in range(R.n):
+            w = vsucc(v, k)
+            if w not in at:  # the summands lie in R.box
                 continue
-            m = Matrix.zero(field, len(widx), len(idxs))
-            pos_w = {s: j for j, s in enumerate(widx)}
-            for col, s in enumerate(idxs):
-                j = pos_w.get(s)
-                if j is not None:
-                    m.rows[j][col] = one
+            # column col of the step has its one in row key[1][col], if any
+            key = (dims[w], tuple(map(pos[w].get, idxs)))
+            if (m := shared.get(key)) is None:
+                m = shared[key] = Matrix.zero(field, dims[w], len(idxs))
+                for col, j in enumerate(key[1]):
+                    if j is not None:
+                        m.rows[j][col] = field.one
             steps[(v, k)] = m
     return PersModule(field, R.box, dims, steps)
 
@@ -137,7 +138,8 @@ def realize(source: RectDecomp, target: RectDecomp, coords: dict) -> dict:
     rect_to_module(target) with sparse coordinates coords: coords[(i, j)] = c
     sends summand i of source to summand j of target by c times the
     canonical hom, which is the identity on [b_i, d_j] and zero elsewhere.
-    Only the nonzero components are given, keyed by vertex.
+    Only the nonzero components are given, keyed by vertex; vertices with
+    the same source and target summands share one matrix, never mutated.
     """
     if source.field != target.field:
         raise ValueError("field mismatch")
@@ -151,20 +153,23 @@ def realize(source: RectDecomp, target: RectDecomp, coords: dict) -> dict:
             raise ValueError(f"nonzero coordinate ({i}, {j}) where the hom space is zero")
         by_source.setdefault(i, []).append((j, c))
     tgt_at = target.by_vertex()
-    comps = {}
+    comps, shared = {}, {}
     for v, sidx in source.by_vertex().items():
         tidx = tgt_at.get(v)
         if not tidx:
             continue
-        row_of = {j: row for row, j in enumerate(tidx)}
-        m = Matrix.zero(source.field, len(tidx), len(sidx))
-        # both summands live at v, so v lies in [b_i, d_j]
-        for col, i in enumerate(sidx):
-            for j, c in by_source.get(i, ()):
-                row = row_of.get(j)
-                if row is not None:
-                    m.rows[row][col] = c
-                    comps[v] = m
+        key = (tuple(sidx), tuple(tidx))
+        if key not in shared:
+            row_of = {j: row for row, j in enumerate(tidx)}
+            m = Matrix.zero(source.field, len(tidx), len(sidx))
+            # both summands live at v, so v lies in [b_i, d_j]
+            for col, i in enumerate(sidx):
+                for j, c in by_source.get(i, ()):
+                    if (row := row_of.get(j)) is not None:
+                        m.rows[row][col] = c
+            shared[key] = None if m.is_zero() else m
+        if shared[key] is not None:
+            comps[v] = shared[key]
     return comps
 
 
@@ -214,8 +219,17 @@ def _interval_chains(M: PersModule) -> list[_Chain]:
         survivors: list[_Chain] = []
         if x > lo and active:
             A = M.step((x - 1,), 0)
-            # elder rule: older births reduce younger ones
-            for chain in sorted(active, key=lambda c: c.birth):
+            if d and A.rows == Matrix.identity(f, d).rows:
+                # the vectors at x - 1 are reduced and normalized in birth
+                # order and span the space, so the pass below would change
+                # none of them and find nothing to be born
+                for chain in active:
+                    chain.vecs[x] = chain.vecs[x - 1]
+                continue
+            # elder rule: older births reduce younger ones; active lists the
+            # chains by birth, since survivors keep their order and births
+            # come last
+            for chain in active:
                 img = A.mul_vec(chain.vecs[x - 1]) if d else [f.zero] * 0
                 vec = reduce_vec(list(img), accepted, chain, x) if d else []
                 piv = next((i for i, a in enumerate(vec) if a != 0), None)
@@ -231,8 +245,6 @@ def _interval_chains(M: PersModule) -> list[_Chain]:
                     chain.vecs[x] = vec
                     accepted.append((piv, chain))
                     survivors.append(chain)
-        elif active:
-            survivors = active
         active = survivors
         # new chains born at x complete the basis
         for r in range(d):

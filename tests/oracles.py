@@ -11,7 +11,9 @@ anew and building the module through a constructor that filters and checks
 its input; `module_faults` and `morphism_faults` list the ways a module or
 a morphism breaks the rules that the storing constructors of PersModule and
 ModMorphism take on trust; `stretch_first` builds gen4's floor-stretch of a
-module arrow by arrow, without the internal maps of a pullback."""
+module arrow by arrow, without the internal maps of a pullback;
+`intervals_by_full_pass` decomposes a 1D module by reducing the image of
+every chain at every step, identity steps included."""
 
 from __future__ import annotations
 
@@ -136,6 +138,95 @@ def stretch_first(V: PersModule, s: int) -> PersModule:
             if box.contains(yk) and yk in dims:
                 steps[(y, k)] = V.step(x, k)
     return PersModule(V.field, box, dims, steps)
+
+
+class _FullPassChain:
+    __slots__ = ("birth", "death", "vecs", "index")
+
+    def __init__(self, birth: int, vec: list, index: int):
+        self.birth = birth
+        self.death = None
+        self.vecs = {birth: vec}
+        self.index = index  # creation order, the tie-break between equal intervals
+
+
+def intervals_by_full_pass(M: PersModule):
+    """interval_decompose_1d by the plain reduction pass: every step,
+    identity or not, maps each chain vector forward, reduces the images in
+    birth order and completes the basis with new births.  Returns the summands as (birth, death) pairs in the
+    library's order and the chain basis."""
+    f = M.field
+    lo, hi = M.box.lo[0], M.box.hi[0]
+    active: list[_FullPassChain] = []
+    done: list[_FullPassChain] = []
+    chains_made = 0
+
+    def reduce_vec(vec, accepted, chain, x):
+        """Reduce vec against accepted (pivot, chain) pairs, applying the same
+        operations to the whole stored chain so the chain property survives."""
+        for piv, other in accepted:
+            c = vec[piv]
+            if c == 0:
+                continue
+            ov = other.vecs[x]
+            vec = [f.sub(a, f.mul(c, b)) for a, b in zip(vec, ov)]
+            if chain is not None:
+                for y in range(chain.birth, x):
+                    cv, ovy = chain.vecs[y], other.vecs[y]
+                    chain.vecs[y] = [f.sub(a, f.mul(c, b)) for a, b in zip(cv, ovy)]
+        return vec
+
+    for x in range(lo, hi + 1):
+        d = M.dim((x,))
+        accepted: list[tuple[int, _FullPassChain]] = []
+        survivors: list[_FullPassChain] = []
+        if x > lo and active:
+            A = M.step((x - 1,), 0)
+            # elder rule: older births reduce younger ones
+            for chain in sorted(active, key=lambda c: c.birth):
+                img = A.mul_vec(chain.vecs[x - 1]) if d else [f.zero] * 0
+                vec = reduce_vec(list(img), accepted, chain, x) if d else []
+                piv = next((i for i, a in enumerate(vec) if a != 0), None)
+                if piv is None:
+                    chain.death = x - 1
+                    done.append(chain)
+                else:
+                    inv = f.inv(vec[piv])
+                    if inv != f.one:
+                        vec = [f.mul(inv, a) for a in vec]
+                        for y in range(chain.birth, x):
+                            chain.vecs[y] = [f.mul(inv, a) for a in chain.vecs[y]]
+                    chain.vecs[x] = vec
+                    accepted.append((piv, chain))
+                    survivors.append(chain)
+        elif active:
+            survivors = active
+        active = survivors
+        # new chains born at x complete the basis
+        for r in range(d):
+            vec = [f.zero] * d
+            vec[r] = f.one
+            vec = reduce_vec(vec, accepted, None, x)
+            piv = next((i for i, a in enumerate(vec) if a != 0), None)
+            if piv is None:
+                continue
+            if vec[piv] != f.one:
+                inv = f.inv(vec[piv])
+                vec = [f.mul(inv, a) for a in vec]
+            chain = _FullPassChain(x, vec, chains_made)
+            chains_made += 1
+            accepted.append((piv, chain))
+            active.append(chain)
+    for chain in active:
+        chain.death = hi
+        done.append(chain)
+    done.sort(key=lambda c: (c.birth, c.death, c.index))
+    basis = {}
+    for x in range(lo, hi + 1):
+        cols = [c.vecs[x] for c in done if c.birth <= x <= c.death]
+        if cols:
+            basis[(x,)] = Matrix(f, [[col[r] for col in cols] for r in range(M.dim((x,)))])
+    return [(c.birth, c.death) for c in done], basis
 
 
 def module_faults(M: PersModule) -> list[str]:

@@ -86,6 +86,23 @@ class TestPipeline:
             obj = json.load(fh)
         assert len(obj["embeddings"]) == 3
 
+    def test_string_reads_relative_entries_beside_the_manifest(self, tmp_path, rng, monkeypatch):
+        """A relative manifest entry names a file in the manifest's
+        directory, wherever the command runs; an absolute one is read as
+        given."""
+        sub = tmp_path / "in"
+        sub.mkdir()
+        for name in ("a", "b"):
+            dump(pmod_to_json(rand_module(rng, F2, GridBox((0,), (1,)), max_dim=1)), str(sub / f"{name}.json"))
+        dump({"modules": ["a.json", str(sub / "b.json")]}, str(sub / "rel.json"))
+        dump({"modules": [str(sub / "a.json"), str(sub / "b.json")]}, str(sub / "abs.json"))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["string", "--list", "../in/rel.json", "--out", "rel-out.json"]) == 0
+        assert main(["string", "--list", str(sub / "abs.json"), "--out", "abs-out.json"]) == 0
+        assert load("rel-out.json") == load("abs-out.json")
+
     def test_hom_dim(self, tmp_path, capsys):
         box = GridBox((0,), (2,))
         both = rect_to_module(RectDecomp(Q, box, [Rectangle((0,), (1,)),
@@ -343,8 +360,9 @@ class TestMistypedOrOversizedInput:
     `Fp:<p>` in ASCII digits without a leading zero, PMOD and RECTS files with more than
     MAX_AXES axes, PMOD files with a vertex dimension above MAX_DIM, string
     manifests whose entries are not paths, and modules or rectangle lists
-    that a construction cannot build, and PMOD files that give one step
-    twice, exit 2 with a message, and at once."""
+    that a construction cannot build, PMOD files that give one step twice,
+    and --out paths that cannot be written exit 2 with a message, and at
+    once."""
     RECTS = {"field": "Q", "n": 1, "lo": [0], "hi": [2], "rects": [{"b": [0], "d": [2], "mult": 1}]}
     LINE = {"axis_maps": [{"scale": 1, "offset": 0}], "insert_axis": {"pos": 1, "value": 0}}
     TABLE_LINE = {"axis_maps": [{"table": [0, 1], "start": 0}], "insert_axis": {"pos": 1, "value": 0}}
@@ -488,6 +506,24 @@ class TestMistypedOrOversizedInput:
         dump(obj, p)
         code, out, err = run(capsys, ["barcode", "--in", p])
         assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("verb", ["construct", "restrict", "concat", "string"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out(self, tmp_path, capsys, verb, where):
+        """An --out path that cannot be opened for writing is refused like
+        an unreadable input, not with a traceback."""
+        module, candy, line, manifest = (str(tmp_path / f"{name}.json") for name in ("v", "c", "line", "list"))
+        dump(TestMalformedPmod.BASE, module)
+        dump(self.LINE, line)
+        dump({"modules": [module]}, manifest)
+        assert main(["construct", "--method", "candy", "--in", module, "--out", candy]) == 0
+        out = str(tmp_path / "no" / "such" / "o.json") if where == "missing-directory" else str(tmp_path)
+        argv = {"construct": ["construct", "--method", "candy", "--in", module],
+                "restrict": ["restrict", "--in", module, "--line", line],
+                "concat": ["concat", "--a", candy, "--b", candy],
+                "string": ["string", "--list", manifest]}[verb]
+        code, _, err = run(capsys, argv + ["--out", out])
+        assert code == 2 and err.startswith(f"error: cannot write {out}")
 
     # dims [2, 2] joined by an identity: decomposable, found by random trials
     TWICE = pmod_to_json(rect_to_module(RectDecomp(Q, GridBox((0,), (1,)), [Rectangle((0,), (1,))] * 2)))

@@ -12,6 +12,8 @@ from persistgrid import (CandyModule, Field, GridBox, ModMorphism, PersModule,
                          min3, min3_rect, rect_to_module, restrict,
                          string_candies)
 from persistgrid import constructions
+from persistgrid.homspace import Context
+from persistgrid.io import pmod_to_json
 from persistgrid.constructions import cone, separate_and_shift, verticalize
 from persistgrid.covers import injective_envelope, projective_cover
 from persistgrid.grid import direct_sum, dualize, pad, slice_layers, stack
@@ -357,3 +359,51 @@ class TestBuiltMorphismsKeepTheRules:
         bad = ModMorphism(A, B, {(0,): Matrix.zero(Q, 0, 1), (1,): Matrix.zero(Q, 2, 1), (2,): Matrix.zero(Q, 1, 1)})
         assert len(morphism_faults(bad)) == 3
         assert len(morphism_faults(ModMorphism(A, PersModule(F3, box, {}, {}), {}))) == 1
+
+
+class TestSharedStepsStayUnchanged:
+    """Builders give equal steps one matrix object (rect_to_module, realize,
+    dualize, concat), so no routine that reads a built module may write into
+    one of its steps."""
+
+    @pytest.mark.parametrize("field", [Q, F3])
+    def test_readers_leave_every_step_as_built(self, rng, field):
+        V = rand_module(rng, field, GridBox((0,), (3,)), max_dim=2)
+        W = rand_module(rng, field, GridBox((0, 0), (1, 1)), max_dim=2)
+        R = rand_rect_decomp(rng, field, 1, 4)
+        built = [(r.M, r.line, r.meta["source_box"])
+                 for r in (min3(R), min3_rect(rand_rect_decomp(rng, field, 2, 3, hi=2)), gen4(V), gen4(W),
+                           build_S_prime(V), build_S_dprime(W))]
+        A, B = candy_wrap(V), candy_wrap(V.translate((1,)))
+        S = string_candies([V, V])
+        built += [(A.module, A.line, V.box), (concat(A, B).module, None, None),
+                  (S.candy.module, S.embeddings[1], V.box)]
+        snapshot = [{vk: [list(r) for r in m.rows] for vk, m in M.steps.items()} for M, _, _ in built]
+        for M, line, box in built:
+            if line is not None:
+                restrict(M, line, source_box=box)
+            ctx = Context()
+            end_dim(M, ctx)
+            try_split(M, seed=1, trials=4)
+            iso_certificate(M, M, trials=4)
+            hom_basis(M, M, ctx)
+            pmod_to_json(M)
+        assert [{vk: m.rows for vk, m in M.steps.items()} for M, _, _ in built] == snapshot
+
+    @pytest.mark.parametrize("field", [Q, Field.prime(1009)])
+    def test_equal_layer_steps_of_a_candy_are_one_object(self, rng, field):
+        """In every rectangle layer of a candy, the primal ones below the
+        input and the dual ones above it, equal steps are one object."""
+        C = candy_wrap(rand_module(rng, field, GridBox((0, 0), (2, 2)), max_dim=2)).module
+        n = C.n
+        layer_steps = 0
+        for h in range(C.box.lo[-1], C.box.hi[-1] + 1):
+            if h == 0:
+                continue
+            objects = {}
+            for (v, k), m in C.steps.items():
+                if v[-1] == h and k < n - 1:
+                    objects.setdefault(tuple(map(tuple, m.rows)), set()).add(id(m))
+                    layer_steps += 1
+            assert all(len(ids) == 1 for ids in objects.values())
+        assert len({id(m) for m in C.steps.values()}) * 10 < layer_steps

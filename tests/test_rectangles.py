@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 from persistgrid import (Context, Field, GridBox, Rectangle, RectDecomp, barcode_1d,
                          direct_sum, interval_decompose_1d, realize, rect_to_module)
-from persistgrid.grid import ModMorphism
+from persistgrid.grid import ModMorphism, PersModule
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module, rand_rect_decomp
 
-from oracles import indices_by_scan
+from oracles import indices_by_scan, intervals_by_full_pass
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -207,6 +208,28 @@ class TestBarcode:
             assert total == M.dim(x)
 
 
+@st.composite
+def runs_1d(draw):
+    """A 1D module made of runs of one dimension each, zero included.  Inside
+    a run the steps are mostly identities, else identities with one entry
+    changed, random or zero; steps between runs are random or zero."""
+    f = draw(st.sampled_from([F2, F3, Q, F1009]))
+    values = [0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)] if f.is_rational else [f.of(c) for c in range(-2, 3)]
+    scalar = st.sampled_from(values)
+    runs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=1, max_size=5))
+    dims = [d for d, length in runs for _ in range(length)]
+    steps = {}
+    for x, (d, e) in enumerate(zip(dims, dims[1:])):
+        kind = draw(st.sampled_from(["identity"] * 3 + ["near", "random", "zero"] if d == e else ["random", "zero"]))
+        if not (d and e) or kind == "zero":
+            continue
+        rows = Matrix.identity(f, d).rows if kind != "random" else [[draw(scalar) for _ in range(d)] for _ in range(e)]
+        if kind == "near":
+            rows[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = draw(scalar)
+        steps[((x,), 0)] = Matrix(f, rows)
+    return PersModule(f, GridBox((0,), (len(dims) - 1,)), {(x,): d for x, d in enumerate(dims) if d}, steps)
+
+
 class TestIntervalDecompose:
     @given(st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -220,6 +243,17 @@ class TestIntervalDecompose:
         # the iso is the chain basis that interval_decompose_1d returns
         D2, basis2 = interval_decompose_1d(M)
         assert D2 == D and iso.comps == basis2
+
+    @given(runs_1d())
+    @settings(max_examples=300, deadline=None)
+    def test_identity_steps_carry_chains_over_exactly(self, M):
+        """An identity step passes the chains on unchanged; the plain pass,
+        which reduces at every step, gives the same summands in the same
+        order and the same chain basis."""
+        D, basis = interval_decompose_1d(M)
+        summands, full_basis = intervals_by_full_pass(M)
+        assert [(r.b[0], r.d[0]) for r in D.summands] == summands
+        assert basis == full_basis
 
     def test_equal_intervals_keep_creation_order(self):
         box = GridBox((0,), (3,))
