@@ -503,17 +503,12 @@ def direct_sum(M: PersModule, N: PersModule) -> PersModule:
     return PersModule(M.field, M.box, dims, steps)
 
 
-def _transposes(mats) -> dict:
-    """id(m) -> m transposed, once per distinct matrix object in mats."""
-    return {id(m): m.transpose() for m in {id(m): m for m in mats}.values()}
-
-
 def dualize(M: PersModule) -> PersModule:
     """The linear dual on the reversed box: coordinates flip, matrices
     transpose, and steps sharing a matrix share its transpose."""
     c = vadd(M.box.lo, M.box.hi)
     dims = {vsub(c, v): d for v, d in M.dims.items()}
-    tr = _transposes(M.steps.values())
+    tr = {id(m): m.transpose() for m in {id(m): m for m in M.steps.values()}.values()}
     # arrow v -> w dualizes to (c - w) -> (c - v)
     steps = {(vsub(c, vsucc(v, k)), k): tr[id(m)] for (v, k), m in M.steps.items()}
     return PersModule(M.field, M.box, dims, steps)
@@ -523,8 +518,7 @@ def dualize_morphism(f: ModMorphism) -> ModMorphism:
     """Dual of f: A -> B is a morphism dualize(B) -> dualize(A)."""
     A, B = f.source, f.target
     c = vadd(A.box.lo, A.box.hi)
-    tr = _transposes(f.comps.values())
-    return ModMorphism(dualize(B), dualize(A), {vsub(c, v): tr[id(m)] for v, m in f.comps.items()})
+    return ModMorphism(dualize(B), dualize(A), {vsub(c, v): m.transpose() for v, m in f.comps.items()})
 
 
 def slice_layers(M: PersModule) -> tuple[list[PersModule], list[ModMorphism]]:

@@ -219,7 +219,10 @@ def _interval_chains(M: PersModule) -> list[_Chain]:
         survivors: list[_Chain] = []
         if x > lo and active:
             A = M.step((x - 1,), 0)
-            if d and A.rows == Matrix.identity(f, d).rows:
+            # an identity row i is one at i and zero, the only falsy scalar, elsewhere
+            if d and A.ncols == d and all(
+                r[i] == f.one and not any(r[:i]) and not any(r[i + 1 :]) for i, r in enumerate(A.rows)
+            ):
                 # the vectors at x - 1 are reduced and normalized in birth
                 # order and span the space, so the pass below would change
                 # none of them and find nothing to be born
