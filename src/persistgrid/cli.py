@@ -17,7 +17,6 @@ from . import io
 from .constructions import (build_S, build_S_dprime, build_S_prime, candy_wrap,
                             concat, gen4, min3, min3_rect, string_candies)
 from .grid import restrict
-from .homspace import Context
 from .io import FormatError
 from .rectangles import barcode_1d
 from .verify import (check_candy, decompose_two_rows, hom_basis,
@@ -162,7 +161,7 @@ def cmd_hom(args) -> int:
     oa, ob = io.load(args.a), io.load(args.b)
     _check_field(args, oa, ob)
     M, N = _load_pair(oa, ob)
-    basis = hom_basis(M, N, Context())
+    basis = hom_basis(M, N)
     out = {"dim": len(basis)}
     if args.basis:
         out["basis"] = [

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import accumulate, groupby
 
-from .grid import ModMorphism, PersModule, slice_layers, vle
+from .grid import PersModule, slice_layers, vle
 from .linalg import Matrix, nullspace_sparse
 from .rectangles import hom_leq, interval_decompose_1d, realize
 
@@ -59,7 +59,8 @@ class Context:
     A 1D decomposition is cached with its chain basis, which is all that
     hom bases, express and compose read; materialize also reads the chain
     basis inverses, computed once per representative on first use.  No
-    rectangle module is built.
+    rectangle module is built.  No HomSpace refers back to its context, so
+    the caches are freed with the context.
     """
 
     def __init__(self):
@@ -214,24 +215,24 @@ class Context:
 
 
 class HomSpace:
-    """A basis of Hom(M, N) in ambient coordinates."""
+    """A basis of Hom(M, N) in ambient coordinates, built by Context.hom
+    with the context it reads; it keeps no reference to that context."""
 
-    def __init__(self, M: PersModule, N: PersModule, ctx: Context | None = None):
+    def __init__(self, M: PersModule, N: PersModule, ctx: Context):
         if M.field != N.field:
             raise ValueError("hom between modules over different fields")
         if M.box != N.box:
             raise ValueError("hom between modules on different boxes")
         self.M = M
         self.N = N
-        self.ctx = ctx if ctx is not None else Context()
-        self.basis = self._build()
+        self.basis = self._build(ctx)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def _build(self) -> list[dict]:
-        M, N, ctx = self.M, self.N, self.ctx
+    def _build(self, ctx: Context) -> list[dict]:
+        M, N = self.M, self.N
         f = M.field
         if M.is_zero() or N.is_zero():
             return []
@@ -275,12 +276,6 @@ class HomSpace:
                 for sol in nullspace_sparse(rows, total, f)]
 
     # -- element operations --------------------------------------------
-
-    def express(self, g: ModMorphism) -> dict:
-        return self.ctx.express(self.M, self.N, g.comps)
-
-    def materialize(self, x: dict) -> ModMorphism:
-        return ModMorphism(self.M, self.N, self.ctx.materialize(self.M, self.N, x))
 
     def coords_in_basis(self, x: dict):
         """Coefficients of x over the basis, or None if x is outside the span."""

@@ -185,8 +185,10 @@ def rects_from_json(obj: dict) -> RectDecomp:
             rects.extend([Rectangle(b, d)] * mult)
         except ValueError as e:
             raise FormatError(str(e))
+    if ("lo" in obj) != ("hi" in obj):
+        raise FormatError("RECTS gives one of the box corners lo, hi without the other")
     try:
-        if "lo" in obj and "hi" in obj:
+        if "lo" in obj:
             box = GridBox(_vector(obj["lo"], n, "lo"), _vector(obj["hi"], n, "hi"))
         else:
             box = GridBox(
@@ -215,8 +217,8 @@ def line_to_json(L: AxisEmbedding) -> dict:
 def line_from_json(obj: dict) -> AxisEmbedding:
     _require(obj, ("axis_maps", "insert_axis"), "LINE")
     maps, ins = obj["axis_maps"], obj["insert_axis"]
-    if not isinstance(maps, list):
-        raise FormatError(f"axis_maps must be a list, got {maps!r}")
+    if not isinstance(maps, list) or not maps:
+        raise FormatError(f"axis_maps must be a nonempty list, got {maps!r}")
     for am in maps:
         affine = isinstance(am, dict) and "scale" in am
         _require(am, ("scale", "offset") if affine else ("table",), "axis map")

@@ -13,8 +13,8 @@ import random
 from collections import Counter
 
 from .fields import Field
-from .grid import GridBox, PersModule, stack, vsucc
-from .homspace import Context, HomSpace
+from .grid import GridBox, ModMorphism, PersModule, stack, vsucc
+from .homspace import Context
 from .linalg import Matrix
 from .rectangles import Rectangle, RectDecomp, barcode_1d
 from .verify import find_gap
@@ -66,8 +66,9 @@ def rand_module(rng: random.Random, field: Field, box: GridBox, max_dim: int = 2
 def _add_upper_row(rng: random.Random, lower: PersModule, max_dim: int) -> PersModule:
     """lower below a random row on its box, joined by a random link."""
     upper = rand_module(rng, lower.field, lower.box, max_dim, nonzero=False)
-    hs = HomSpace(lower, upper, Context())
-    return stack([lower, upper], [hs.materialize(hs.random_element(rng))])
+    ctx = Context()
+    x = ctx.hom(lower, upper).random_element(rng)
+    return stack([lower, upper], [ModMorphism(lower, upper, ctx.materialize(lower, upper, x))])
 
 
 def rand_two_rows(rng: random.Random, field: Field, width: int, max_dim: int = 2) -> PersModule:

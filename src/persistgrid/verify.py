@@ -15,10 +15,9 @@ from .linalg import Matrix, Poly, coprime_split, factor_fp, minimal_polynomial
 
 def hom_basis(M: PersModule, N: PersModule, ctx: Context | None = None) -> list[ModMorphism]:
     ctx = ctx or Context()
-    H = ctx.hom(M, N)
     out = []
-    for b in H.basis:
-        g = H.materialize(b)
+    for b in ctx.hom(M, N).basis:
+        g = ModMorphism(M, N, ctx.materialize(M, N, b))
         rep = g.validate()
         if not rep:
             raise AssertionError(f"hom basis element fails naturality: {rep.message}")
@@ -43,7 +42,7 @@ class EndAlgebra:
 def end_algebra(M: PersModule, ctx: Context | None = None) -> EndAlgebra:
     ctx = ctx or Context()
     E = ctx.hom(M, M)
-    ident = E.coords_in_basis(E.express(ModMorphism.identity(M)))
+    ident = E.coords_in_basis(ctx.express(M, M, ModMorphism.identity(M).comps))
     if ident is None:
         raise AssertionError("identity endomorphism outside the computed basis")
     table = []
@@ -248,7 +247,7 @@ def try_split(M: PersModule, seed: int = 0, trials: int = 24, ctx: Context | Non
         amb = E.random_element(rng)
         if not amb:
             continue
-        split, f = _try_element(M, E.materialize(amb), rng)
+        split, f = _try_element(M, ModMorphism(M, M, ctx.materialize(M, M, amb)), rng)
         if split is not None:
             return IndecVerdict(DECOMPOSABLE, "splitting endomorphism found", ed, tuple(split[0]), split[1])
         if f is not None:
@@ -303,7 +302,7 @@ def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = 3
         amb = H.random_element(rng)
         if not amb:
             continue
-        phi = H.materialize(amb)
+        phi = ModMorphism(M, N, ctx.materialize(M, N, amb))
         if phi.is_invertible():
             return IsoReport(True, phi, f"random hom-span element invertible (trial {t})")
     return IsoReport(None, None, f"no invertible element found in {trials} trials")

@@ -1,8 +1,11 @@
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -355,8 +358,9 @@ def _one_vertex(n, kind):
 
 
 class TestMistypedOrOversizedInput:
-    """RECTS and LINE files with mistyped fields, field tags, scalars or
-    integers too large to parse quickly, field tags spelled other than as
+    """RECTS and LINE files with mistyped fields, RECTS files that give one
+    box corner without the other, LINE files with no axis map, field tags,
+    scalars or integers too large to parse quickly, field tags spelled other than as
     `Fp:<p>` in ASCII digits without a leading zero, PMOD and RECTS files with more than
     MAX_AXES axes, PMOD files with a vertex dimension above MAX_DIM, string
     manifests whose entries are not paths, and modules or rectangle lists
@@ -401,6 +405,8 @@ class TestMistypedOrOversizedInput:
         "rects-bool-mult": (RECTS, lambda o: o["rects"][0].update(mult=True)),
         "rects-float-mult": (RECTS, lambda o: o["rects"][0].update(mult=1.0)),
         "rects-bool-n": (RECTS, lambda o: o.update(n=True)),
+        "rects-lo-without-hi": (RECTS, lambda o: o.pop("hi"), "s4"),
+        "rects-hi-without-lo": (RECTS, lambda o: o.pop("lo"), "s4"),
         "rects-24-digit-modulus": (RECTS, lambda o: o.update(field="Fp:100000000000000000000117")),
         "pmod-24-digit-modulus": (TestMalformedPmod.BASE,
                                   lambda o: o.update(field="Fp:100000000000000000000117")),
@@ -424,6 +430,9 @@ class TestMistypedOrOversizedInput:
         "line-float-table-entry": (TABLE_LINE, lambda o: o["axis_maps"][0].update(table=[0, 1.0])),
         "line-bool-pos": (LINE, lambda o: o["insert_axis"].update(pos=True)),
         "line-float-value": (LINE, lambda o: o["insert_axis"].update(value=0.0)),
+        # on a 1D module this would restrict to zero axes
+        "line-no-axis-maps": (LINE, lambda o: o.update(axis_maps=[], insert_axis={"pos": 0, "value": 0}),
+                              "restrict1d"),
         "zero-module-candy": (ZERO, lambda o: None, "candy"),
         "zero-module-sprime": (ZERO, lambda o: None, "sprime"),
         "zero-module-sdual": (ZERO, lambda o: None, "sdual"),
@@ -456,14 +465,14 @@ class TestMistypedOrOversizedInput:
             return ["string", "--list", manifest, "--out", out]
         if verb == "manifest":
             return ["string", "--list", p, "--out", out]
+        if "axis_maps" in obj:
+            module = str(tmp_path / "module.json")
+            dump(TestMistypedOrOversizedInput.POINT if verb == "restrict1d" else TestMalformedPmod.BASE, module)
+            return ["restrict", "--in", module, "--line", p, "--out", out]
         if verb is not None:
             return ["construct", "--method", verb, "--in", p, "--out", out]
         if "rects" in obj:
             return ["construct", "--method", "min3", "--in", p, "--out", out]
-        if "axis_maps" in obj:
-            module = str(tmp_path / "module.json")
-            dump(TestMalformedPmod.BASE, module)
-            return ["restrict", "--in", module, "--line", p, "--out", out]
         return ["verify", "indec", "--in", p]
 
     def test_bases_are_valid(self, tmp_path, capsys):
@@ -607,3 +616,45 @@ class TestDeterminism:
             assert proc.returncode == 1, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and outs[0]
+
+
+class TestNoCyclicGarbage:
+    """A verb's caches hold no reference cycle, so they are freed by
+    reference counting when the verb returns: the cyclic collector, saving
+    everything it finds, finds no persistgrid object after any verb."""
+
+    @staticmethod
+    def _cyclic_persistgrid_garbage(argv, capsys):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            code = main(argv)
+            gc.collect()
+            found = Counter(type(o).__qualname__ for o in gc.garbage
+                            if type(o).__module__.startswith("persistgrid"))
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        capsys.readouterr()
+        return code, found
+
+    def test_verbs_leave_no_cyclic_garbage(self, tmp_path, capsys):
+        rng = random.Random(5)
+        F = Field.prime(1009)
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("v", "m", "w", "candy", "list", "out")}
+        dump(pmod_to_json(rand_module(rng, F, GridBox((0,), (3,)), max_dim=2)), paths["v"])
+        M = rand_module(rng, F, GridBox((0, 0), (2, 2)), max_dim=2)
+        dump(pmod_to_json(M), paths["m"])
+        dump(pmod_to_json(direct_sum(M, M)), paths["w"])
+        dump({"modules": [paths["v"], paths["v"]]}, paths["list"])
+        assert main(["construct", "--method", "candy", "--in", paths["v"], "--out", paths["candy"]]) == 0
+        verbs = [
+            (["verify", "candy", "--in", paths["candy"]], 0),
+            (["verify", "indec", "--in", paths["m"]], 1),
+            (["verify", "iso", "--in", paths["w"], "--with", paths["w"]], 0),
+            (["hom", "--a", paths["m"], "--b", paths["w"], "--basis"], 0),
+            (["construct", "--method", "candy", "--in", paths["m"], "--out", paths["out"]], 0),
+            (["string", "--list", paths["list"], "--out", paths["out"]], 0),
+        ]
+        for argv, code in verbs:
+            assert self._cyclic_persistgrid_garbage(argv, capsys) == (code, {}), argv

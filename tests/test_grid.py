@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from persistgrid import (AxisEmbedding, Field, GridBox, ModMorphism, PersModule,
+from persistgrid import (AxisEmbedding, Context, Field, GridBox, ModMorphism, PersModule,
                          Rectangle, RectDecomp, candy_wrap, direct_sum, dualize,
                          pad, rect_to_module, restrict, stack)
 from persistgrid.grid import MAX_VERTICES, pullback, slice_layers, vsucc
@@ -121,9 +121,8 @@ class TestSliceLayers:
         box = GridBox((0,), (2,))
         A = rand_module(rng, F2, box, max_dim=2)
         B = rand_module(rng, F2, box, max_dim=2)
-        from persistgrid.homspace import HomSpace
-        hs = HomSpace(A, B)
-        g = hs.materialize(hs.random_element(rng))
+        ctx = Context()
+        g = ModMorphism(A, B, ctx.materialize(A, B, ctx.hom(A, B).random_element(rng)))
         M = stack([A, B], [g], height_lo=-1)
         layers, links = slice_layers(M)
         assert layers[0].dims == A.dims and layers[1].dims == B.dims

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from persistgrid import (Context, Field, GridBox, HomSpace, PersModule, Rectangle,
                          RectDecomp, candy_wrap, end_dim, hom_basis, hom_dim,
                          iso_certificate, rect_to_module, stack, try_split)
-from persistgrid import homspace, rectangles
+from persistgrid import homspace, rectangles, verify
 from persistgrid.grid import ModMorphism, vsucc
 from persistgrid.io import pmod_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module
+from persistgrid.verify import DECOMPOSABLE
 
 from oracles import materialize_by_iso
 
@@ -96,9 +97,9 @@ def check_pair(M, N, rng):
     hs = ctx.hom(M, N)
     assert hs.dim == dense_hom_dim(M, N)
     for b in hs.basis:
-        g = hs.materialize(b)
+        g = materialized(ctx, M, N, b)
         assert g.validate()
-        back = hs.express(g)
+        back = ctx.express(M, N, g.comps)
         assert back == b
     # random element round-trips through coordinates
     x = hs.random_element(rng)
@@ -152,7 +153,7 @@ def test_express_matches_dense_formula(seed):
     for A, B in ((M, N), (M, M), (N, M)):
         hs = ctx.hom(A, B)
         gs = [ModMorphism.zero(A, B)] + hom_basis(A, B, ctx)
-        gs += [hs.materialize(hs.random_element(rng)) for _ in range(3)]
+        gs += [materialized(ctx, A, B, hs.random_element(rng)) for _ in range(3)]
         for g in gs:
             assert ctx.express(A, B, g.comps) == dense_express(ctx, A, B, g)
 
@@ -252,6 +253,31 @@ def test_equal_modules_share_one_decomposition_and_one_hom(monkeypatch):
     assert calls == {"decompose": 1, "build": 2}
 
 
+def test_verbs_map_between_the_callers_modules(monkeypatch):
+    """hom_basis, iso_certificate's witness and the endomorphisms try_split
+    tries have the modules the caller passed as source and target, not the
+    equal representative the Context saw first."""
+    box = GridBox((0, 0), (1, 1))
+    M1 = rect_to_module(RectDecomp(Q, box, [Rectangle((0, 0), (1, 1)), Rectangle((0, 0), (1, 0))]))
+    M2, M3 = copy_of(M1), copy_of(M1)
+    ctx = Context()
+    ctx.hom(M1, M1)
+    basis = hom_basis(M2, M3, ctx)
+    assert basis and all(g.source is M2 and g.target is M3 for g in basis)
+    witness = iso_certificate(M2, M3, ctx=ctx).witness
+    assert witness.source is M2 and witness.target is M3
+    tried = []
+    original = verify._try_element
+
+    def spy(M, a, rng):
+        tried.append(a)
+        return original(M, a, rng)
+
+    monkeypatch.setattr(verify, "_try_element", spy)
+    assert try_split(M2, ctx=ctx).status == DECOMPOSABLE
+    assert tried and all(a.source is M2 and a.target is M2 for a in tried)
+
+
 @given(st.integers(0, 2**31))
 @settings(max_examples=10, deadline=None)
 def test_hom_engine_builds_no_rectangle_module(seed):
@@ -317,8 +343,8 @@ def test_engine_matches_oracle_on_repeated_layers(seed):
     # equal layers as distinct objects, linked by identities and by one
     # random endomorphism
     layers = [copy_of(L) for _ in range(4)]
-    E = Context().hom(L, L)
-    g = E.materialize(E.random_element(rng))
+    ctx = Context()
+    g = materialized(ctx, L, L, ctx.hom(L, L).random_element(rng))
     links = [ModMorphism(a, b, {v: Matrix.identity(f, d) for v, d in a.dims.items()})
              for a, b in zip(layers, layers[1:])]
     links[1] = ModMorphism(layers[1], layers[2], g.comps)
