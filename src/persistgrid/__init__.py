@@ -10,7 +10,7 @@ from .grid import (AxisEmbedding, GridBox, ModMorphism, PersModule, direct_sum,
                    dualize, pad, restrict, slice_layers, stack)
 from .rectangles import (RectDecomp, Rectangle, barcode_1d, interval_decompose_1d,
                          realize, rect_to_module)
-from .covers import injective_envelope, projective_cover
+from .covers import projective_cover
 from .homspace import Context, HomSpace, end_dim, hom_dim
 from .verify import (IndecVerdict, check_candy, decompose_two_rows, end_algebra,
                      hom_basis, iso_certificate, try_split)
@@ -24,7 +24,7 @@ __all__ = [
     "dualize", "pad", "restrict", "slice_layers", "stack",
     "RectDecomp", "Rectangle", "barcode_1d",
     "interval_decompose_1d", "realize", "rect_to_module",
-    "injective_envelope", "projective_cover",
+    "projective_cover",
     "Context", "HomSpace", "end_dim", "hom_dim",
     "IndecVerdict", "check_candy", "decompose_two_rows", "end_algebra",
     "hom_basis", "iso_certificate", "try_split",

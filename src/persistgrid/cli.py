@@ -14,9 +14,9 @@ import os
 import sys
 
 from . import io
-from .constructions import (build_S, build_S_dprime, build_S_prime, candy_wrap,
+from .constructions import (CandyModule, build_S, build_S_dprime, build_S_prime, candy_wrap,
                             concat, gen4, min3, min3_rect, string_candies)
-from .grid import restrict
+from .grid import coarsen, restrict
 from .io import FormatError
 from .rectangles import barcode_1d
 from .verify import (check_candy, decompose_two_rows, hom_basis,
@@ -74,11 +74,27 @@ def _or_format_error(fn, *args):
         raise FormatError(str(e))
 
 
+def _coarsest(M, lines, corners=()):
+    """M on its coarsest grid (grid.coarsen) keeping every coordinate that a
+    (line, box) pair of lines hits on its box; each line followed by the
+    coarsening, and the images of corners."""
+    keep = [set() for _ in range(M.n)]
+    for L, box in lines:
+        for k, ys in enumerate(L.hits(box)):
+            keep[k].update(ys)
+    coarse, maps = coarsen(M, keep)
+    return (coarse, [L.followed_by(maps, box) for L, box in lines],
+            [tuple(to[c] for to, c in zip(maps, v)) for v in corners])
+
+
 def cmd_construct(args) -> int:
     obj = io.load(args.infile)
     _check_field(args, obj)
     if args.method == "candy":
-        C = _or_format_error(candy_wrap, io.pmod_from_json(obj))
+        V = io.pmod_from_json(obj)
+        C = _or_format_error(candy_wrap, V)
+        M, (line,), (ul, lr) = _coarsest(C.module, [(C.line, V.box)], (C.ul, C.lr))
+        C = CandyModule(M, ul, lr, line)
         io.dump(io.candy_to_json(C), args.out)
         if args.line_out:
             io.dump(io.line_to_json(C.line), args.line_out)
@@ -89,9 +105,10 @@ def cmd_construct(args) -> int:
         res = _or_format_error(MODULE_METHODS[args.method], io.pmod_from_json(obj))
     else:
         raise FormatError(f"unknown method {args.method}")
-    io.dump(io.pmod_to_json(res.M), args.out)
+    M, (line,), _ = _coarsest(res.M, [(res.line, res.meta["source_box"])])
+    io.dump(io.pmod_to_json(M), args.out)
     if args.line_out:
-        io.dump(io.line_to_json(res.line), args.line_out)
+        io.dump(io.line_to_json(line), args.line_out)
     return EXIT_OK
 
 
@@ -177,7 +194,8 @@ def cmd_concat(args) -> int:
     oa, ob = io.load(args.a), io.load(args.b)
     _check_field(args, oa, ob, candy=True)
     C = _or_format_error(concat, io.candy_from_json(oa), io.candy_from_json(ob))
-    io.dump(io.candy_to_json(C), args.out)
+    M, _, (ul, lr) = _coarsest(C.module, [], (C.ul, C.lr))
+    io.dump(io.candy_to_json(CandyModule(M, ul, lr)), args.out)
     return EXIT_OK
 
 
@@ -193,8 +211,11 @@ def cmd_string(args) -> int:
         _check_field(args, obj)
         mods.append(io.pmod_from_json(obj))
     res = _or_format_error(string_candies, mods)
-    out = io.candy_to_json(res.candy)
-    out["embeddings"] = [io.line_to_json(e) for e in res.embeddings]
+    C = res.candy
+    M, lines, (ul, lr) = _coarsest(C.module, [(e, V.box) for e, V in zip(res.embeddings, mods)], (C.ul, C.lr))
+    # one module strings to its own candy, whose line is its embedding
+    out = io.candy_to_json(CandyModule(M, ul, lr, lines[0] if C.line else None))
+    out["embeddings"] = [io.line_to_json(e) for e in lines]
     io.dump(out, args.out)
     return EXIT_OK
 

@@ -136,7 +136,7 @@ def _s_chain(V: RectDecomp, height: int):
 def build_S(V: RectDecomp) -> BuildResult:
     """Four layers I_V -> Vbar -> V' -> V stacked, V at height 0."""
     layers, links, meta = _s_chain(V, 4)
-    meta["source_box"] = layers[0].box
+    meta["source_box"] = V.box
     return BuildResult(stack(layers, links, height_lo=-3), AxisEmbedding.layer(V.n, V.n, 0), 4, meta)
 
 

@@ -1,27 +1,22 @@
-"""Projective covers and injective envelopes over a finite grid box.
+"""Projective covers over a finite grid box.
 
-Indecomposable projectives on a box are the rectangles I[x, hi]; injectives
-are the I[lo, x].  The cover picks, at each vertex, standard basis vectors
-completing the incoming images to the whole fiber, which makes the result
-deterministic.
+Indecomposable projectives on a box are the rectangles I[x, hi].  The
+cover picks, at each vertex, standard basis vectors completing the incoming
+images to the whole fiber, which makes the result deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import ModMorphism, PersModule, dualize, dualize_morphism, vadd
+from .grid import ModMorphism, PersModule, vadd
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle, rect_to_module
 
 
 @dataclass
 class CoverResult:
-    """A rectangle-decomposable module together with the comparison morphism.
-
-    For a projective cover the morphism maps module -> V (onto); for an
-    injective envelope it maps V -> module (into).
-    """
+    """A rectangle-decomposable module with the cover morphism module ->> V."""
 
     decomp: RectDecomp
     module: PersModule
@@ -73,10 +68,3 @@ def projective_cover(V: PersModule) -> CoverResult:
     p = ModMorphism(P, V, comps)
     return CoverResult(decomp, P, p)
 
-
-def injective_envelope(V: PersModule) -> CoverResult:
-    """The injective envelope V >-> E(V), computed as the dual cover."""
-    cov = projective_cover(dualize(V))
-    E = dualize(cov.module)
-    i = dualize_morphism(cov.morphism)  # dualize(dual V) == V on the same box
-    return CoverResult(cov.decomp.dualize().on_box(V.box), E, i)

@@ -184,9 +184,8 @@ class PersModule:
         dims, steps, n = self.dims, self.steps, self.n
         if n < 2:
             return ValidationReport(True, "ok", None)
-        eye = {d: Matrix.identity(self.field, d).rows for d in set(dims.values())}
         distinct = {id(m): m for m in steps.values()}
-        identities = {i for i, m in distinct.items() if m.nrows == m.ncols and m.rows == eye[m.nrows]}
+        identities = {i for i, m in distinct.items() if m.is_identity()}
         products = {}
 
         def path(a, b):
@@ -387,6 +386,20 @@ class AxisEmbedding:
             hi.append(r[1])
         return GridBox(tuple(lo), tuple(hi))
 
+    def hits(self, box: GridBox) -> list[list[int]]:
+        """Per target axis, the coordinates the embedding takes on box, in
+        order; the inserted axis has the one inserted value."""
+        out = [[self._apply_axis(k, x) for x in range(a, b + 1)] for k, (a, b) in enumerate(zip(box.lo, box.hi))]
+        out.insert(self.insert_pos, [self.insert_value])
+        return out
+
+    def followed_by(self, maps: list, box: GridBox) -> "AxisEmbedding":
+        """This embedding on box, then maps[k] on each target axis k, as
+        table maps over box."""
+        tables = [[m[y] for y in ys] for m, ys in zip(maps, self.hits(box))]
+        value = tables.pop(self.insert_pos)[0]
+        return AxisEmbedding([("table", a, t) for a, t in zip(box.lo, tables)], self.insert_pos, value)
+
     def translate(self, t) -> "AxisEmbedding":
         """Compose with a translation by t of the target Z^{n+1}."""
         if len(t) != self.n + 1:
@@ -434,6 +447,60 @@ def pullback(M: PersModule, phi, box: GridBox) -> PersModule:
             if x2 in dims:
                 steps[(x, k)] = M.composite(image[x], image[x2])
     return PersModule(M.field, box, dims, steps)
+
+
+def coarsen(M: PersModule, keep: list) -> tuple[PersModule, list[dict]]:
+    """M on its coarsest grid M', with maps[k] sending each coordinate of
+    axis k to its coarse one, so that pullback(M', floor, M.box) == M for
+    floor(v) = (maps[0][v[0]], ..., maps[n-1][v[n-1]]).
+
+    A coordinate c > lo_k of axis k that is not in keep[k] merges into
+    c - 1 when every arrow from slab c - 1 to slab c along axis k joins
+    equal dimensions by an identity: a live vertex next to a dead one, or a
+    missing step into a live vertex, blocks the merge.  The runs of merged
+    coordinates become consecutive coordinates from lo_k on, so distinct
+    coordinates of keep stay distinct.  Each coarse step is the stored step
+    out of the last coordinate of its runs, because the composite before it
+    is all identities: no matrix is multiplied, and steps that share an
+    object still share it.
+
+    Pullback along floor, a monotone surjection whose fibres hold only
+    identities, is fully faithful: a morphism between two such pullbacks is
+    constant on each fibre.  So End(M) is End(M'), and end_dim,
+    indecomposability and the local certificate carry over.
+    """
+    n, lo, hi, dims, steps = M.n, M.box.lo, M.box.hi, M.dims, M.steps
+    starts = [set(ks) for ks in keep]  # coordinates that begin a run
+    identity = {}
+    for v, d in dims.items():
+        for k in range(n):
+            c = v[k]
+            if c > lo[k] and v[:k] + (c - 1,) + v[k + 1:] not in dims:
+                starts[k].add(c)
+            if c < hi[k]:
+                m = steps.get((v, k))
+                if m is not None and id(m) not in identity:
+                    identity[id(m)] = m.is_identity()  # square, so the head has dimension d
+                if m is None or not identity[id(m)]:
+                    starts[k].add(c + 1)
+    maps, last = [], []  # last: the last coordinate of each run
+    for k in range(n):
+        to, x = {}, lo[k] - 1
+        for c in range(lo[k], hi[k] + 1):
+            x += c == lo[k] or c in starts[k]
+            to[c] = x
+        maps.append(to)
+        last.append({c for c in to if c == hi[k] or to[c + 1] != to[c]})
+    cdims, csteps = {}, {}
+    for v, d in dims.items():
+        if all(c in ls for c, ls in zip(v, last)):
+            u = tuple(to[c] for to, c in zip(maps, v))
+            cdims[u] = d
+            for k in range(n):
+                if (m := steps.get((v, k))) is not None:
+                    csteps[(u, k)] = m
+    box = GridBox(lo, tuple(to[c] for to, c in zip(maps, hi)))
+    return PersModule(M.field, box, cdims, csteps), maps
 
 
 def restrict(M: PersModule, L: AxisEmbedding, source_box: GridBox | None = None) -> PersModule:
@@ -512,13 +579,6 @@ def dualize(M: PersModule) -> PersModule:
     # arrow v -> w dualizes to (c - w) -> (c - v)
     steps = {(vsub(c, vsucc(v, k)), k): tr[id(m)] for (v, k), m in M.steps.items()}
     return PersModule(M.field, M.box, dims, steps)
-
-
-def dualize_morphism(f: ModMorphism) -> ModMorphism:
-    """Dual of f: A -> B is a morphism dualize(B) -> dualize(A)."""
-    A, B = f.source, f.target
-    c = vadd(A.box.lo, A.box.hi)
-    return ModMorphism(dualize(B), dualize(A), {vsub(c, v): m.transpose() for v, m in f.comps.items()})
 
 
 def slice_layers(M: PersModule) -> tuple[list[PersModule], list[ModMorphism]]:

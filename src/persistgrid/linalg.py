@@ -63,6 +63,12 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))  # zero is the only falsy scalar
 
+    def is_identity(self) -> bool:
+        """Square, with row i one at i and zero, the only falsy scalar, elsewhere."""
+        one = self.field.one
+        return self.nrows == self.ncols and all(
+            r[i] == one and not any(r[:i]) and not any(r[i + 1:]) for i, r in enumerate(self.rows))
+
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .fields import Field
-from .grid import GridBox, PersModule, vadd, vle, vsub, vsucc
+from .grid import GridBox, PersModule, vle, vsucc
 from .linalg import Matrix
 
 
@@ -79,9 +79,6 @@ class RectDecomp:
     def n(self) -> int:
         return self.box.n
 
-    def on_box(self, box: GridBox) -> "RectDecomp":
-        return RectDecomp(self.field, box, self.summands)
-
     def by_vertex(self) -> dict[tuple, list[int]]:
         """Each vertex of some summand -> the indices of the summands
         containing it, in summand order.  Vertices come in order of first
@@ -99,10 +96,6 @@ class RectDecomp:
 
     def barcode(self) -> Counter:
         return Counter((r.b, r.d) for r in self.summands)
-
-    def dualize(self) -> "RectDecomp":
-        c = vadd(self.box.lo, self.box.hi)
-        return RectDecomp(self.field, self.box, [Rectangle(vsub(c, r.d), vsub(c, r.b)) for r in self.summands])
 
 
 def rect_to_module(R: RectDecomp) -> PersModule:
@@ -219,10 +212,7 @@ def _interval_chains(M: PersModule) -> list[_Chain]:
         survivors: list[_Chain] = []
         if x > lo and active:
             A = M.step((x - 1,), 0)
-            # an identity row i is one at i and zero, the only falsy scalar, elsewhere
-            if d and A.ncols == d and all(
-                r[i] == f.one and not any(r[:i]) and not any(r[i + 1 :]) for i, r in enumerate(A.rows)
-            ):
+            if d and A.is_identity():
                 # the vectors at x - 1 are reduced and normalized in birth
                 # order and span the space, so the pass below would change
                 # none of them and find nothing to be born

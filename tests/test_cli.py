@@ -12,13 +12,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import persistgrid
-from persistgrid import (Field, GridBox, Rectangle, RectDecomp, direct_sum,
+from persistgrid import (Field, GridBox, Rectangle, RectDecomp, barcode_1d, direct_sum,
                          rect_to_module)
 from persistgrid.cli import MAX_TRIALS, main
 from persistgrid.grid import MAX_AXES
 from persistgrid.io import FormatError, dump, load, pmod_from_json, pmod_to_json, rects_to_json
 from persistgrid.linalg import Matrix
-from persistgrid.sampling import rand_module, rand_two_rows_with_gap
+from persistgrid.sampling import rand_module, rand_rect_decomp, rand_two_rows_with_gap
 
 from oracles import checked_pmod_from_json
 
@@ -88,6 +88,42 @@ class TestPipeline:
         with open(strung) as fh:
             obj = json.load(fh)
         assert len(obj["embeddings"]) == 3
+
+    @pytest.mark.parametrize("method", ["sprime", "sdual", "gen4", "candy", "s4", "min3", "min3rect", "string"])
+    def test_restrict_along_an_output_line_gives_the_input(self, tmp_path, rng, method):
+        """Outputs are written on their coarsest grid with table LINEs over
+        the input's box: restrict returns a PMOD input byte for byte, and
+        the barcode of a RECTS input on its box."""
+        mod, line, res = (str(tmp_path / f"{x}.json") for x in ("m", "l", "w"))
+        if method in ("s4", "min3", "min3rect"):
+            R = rand_rect_decomp(rng, F2, 1, 3)
+            src = str(tmp_path / "r.json")
+            dump(rects_to_json(R), src)
+            assert main(["construct", "--method", method, "--in", src, "--out", mod, "--line-out", line]) == 0
+            assert main(["restrict", "--in", mod, "--line", line, "--out", res]) == 0
+            W = pmod_from_json(load(res))
+            assert W.box == R.box and barcode_1d(W) == R.barcode()
+            return
+        srcs = []
+        for i, box in enumerate((GridBox((0,), (2,)), GridBox((0, 0), (1, 1)))):
+            srcs.append(str(tmp_path / f"v{i}.json"))
+            dump(pmod_to_json(rand_module(rng, Q, box, max_dim=2)), srcs[-1])
+        if method == "string":
+            srcs = srcs[:1] * 2
+            dump({"modules": srcs}, str(tmp_path / "list.json"))
+            assert main(["string", "--list", str(tmp_path / "list.json"), "--out", mod]) == 0
+            lines = load(mod)["embeddings"]
+            dump(load(mod)["module"], mod)
+        for i, src in enumerate(srcs):
+            if method == "string":
+                dump(lines[i], line)
+            else:
+                assert main(["construct", "--method", method, "--in", src, "--out", mod, "--line-out", line]) == 0
+                if method == "candy":
+                    dump(load(mod)["module"], mod)
+            assert main(["restrict", "--in", mod, "--line", line, "--out", res]) == 0
+            with open(src, "rb") as a, open(res, "rb") as b:
+                assert a.read() == b.read()
 
     def test_string_reads_relative_entries_beside_the_manifest(self, tmp_path, rng, monkeypatch):
         """A relative manifest entry names a file in the manifest's

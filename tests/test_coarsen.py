@@ -1,0 +1,122 @@
+"""grid.coarsen: pulling the coarse module back along its coordinate maps
+gives the module exactly, keep coordinates stay distinct, a second
+coarsening changes nothing, and End has the same dimension on both grids."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from persistgrid import (Field, GridBox, PersModule, build_S, build_S_dprime, build_S_prime,
+                         candy_wrap, concat, end_dim, gen4, min3, min3_rect, string_candies)
+from persistgrid.grid import coarsen, pad, pullback, vsucc
+from persistgrid.linalg import Matrix
+from persistgrid.sampling import rand_module, rand_rect_decomp
+
+FIELDS = (Field.prime(2), Field.prime(3), Field.rationals(), Field.prime(1009))
+
+
+def floor_of(maps):
+    return lambda v: tuple(to[c] for to, c in zip(maps, v))
+
+
+def check_coarsen(M, keep):
+    """Every property coarsen promises, for M and keep; the coarse module."""
+    coarse, maps = coarsen(M, keep)
+    assert pullback(coarse, floor_of(maps), M.box) == M
+    for k, ks in enumerate(keep):
+        inside = [c for c in ks if c in maps[k]]
+        assert len({maps[k][c] for c in inside}) == len(inside)
+    kept = [{maps[k][c] for c in ks if c in maps[k]} for k, ks in enumerate(keep)]
+    again, maps2 = coarsen(coarse, kept)
+    assert again == coarse
+    assert all(to == {c: c for c in to} for to in maps2)
+    assert end_dim(coarse) == end_dim(M)
+    return coarse
+
+
+def _kill_slab(M, k, c):
+    """M with every vertex of slab c on axis k made zero: still a module,
+    since every square touching the slab has its source or far corner there."""
+    dims = {v: d for v, d in M.dims.items() if v[k] != c}
+    return PersModule(M.field, M.box, dims,
+                      {(v, j): m for (v, j), m in M.steps.items() if v in dims and vsucc(v, j) in dims})
+
+
+def _rebase(M, v, P):
+    """M with the basis at v changed by the invertible P: isomorphic to M,
+    with the steps into and out of v no longer identities."""
+    Pinv = P.inverse()
+    steps = {}
+    for (u, k), m in M.steps.items():
+        m = P @ m if vsucc(u, k) == v else m
+        steps[(u, k)] = m @ Pinv if u == v else m
+    return PersModule(M.field, M.box, dict(M.dims), steps)
+
+
+def stretched_module(rng, field):
+    """A random module pulled back along a random monotone surjection, so
+    that runs of identity steps appear, padded by zero slabs, with one
+    zero slab inside, one vertex's basis changed by a near-identity, and
+    zero steps left out."""
+    n = rng.randint(1, 3)
+    box = GridBox((0,) * n, (2 if n < 3 else 1,) * n)
+    V = rand_module(rng, field, box, max_dim=2)
+    reps = [[rng.randint(1, 3) for _ in range(a, b + 1)] for a, b in zip(box.lo, box.hi)]
+    coords = [[c for c, r in zip(range(a, b + 1), rs) for _ in range(r)] for a, b, rs in zip(box.lo, box.hi, reps)]
+    fine = GridBox((0,) * n, tuple(len(cs) - 1 for cs in coords))
+    M = pullback(V, lambda x: tuple(cs[c] for cs, c in zip(coords, x)), fine)
+    M = pad(M, GridBox(tuple(a - 1 for a in fine.lo), tuple(b + 1 for b in fine.hi)))
+    k = rng.randrange(n)
+    M = _kill_slab(M, k, rng.randint(M.box.lo[k], M.box.hi[k]))
+    live = sorted(M.dims)
+    if live:
+        v = rng.choice(live)
+        d = M.dims[v]
+        P = Matrix.identity(field, d)
+        if d > 1:
+            P.rows[0][1] = field.one  # unipotent: the identity but for one entry
+        elif field.p != 2:
+            P.rows[0][0] = field.of(2)  # a scalar that is not one
+        M = _rebase(M, v, P)
+    M = PersModule(field, M.box, M.dims, {vk: m for vk, m in M.steps.items() if not m.is_zero()})
+    assert M.validate()
+    return M
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=60, deadline=None)
+def test_random_modules_pull_back(seed):
+    rng = random.Random(seed)
+    M = stretched_module(rng, FIELDS[seed % 4])
+    keep = [{c for c in range(a, b + 1) if rng.random() < 0.2} for a, b in zip(M.box.lo, M.box.hi)]
+    check_coarsen(M, keep)
+
+
+def line_keep(n, lines):
+    """The coordinates each (line, box) pair hits on its box, per axis."""
+    keep = [set() for _ in range(n)]
+    for L, box in lines:
+        for k, ys in enumerate(L.hits(box)):
+            keep[k].update(ys)
+    return keep
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=6, deadline=None)
+def test_construction_outputs_pull_back(seed):
+    rng = random.Random(seed)
+    field = FIELDS[seed % 4]
+    V = rand_module(rng, field, GridBox((0,), (3,)), max_dim=2, total_cap=5)
+    W = rand_module(rng, field, GridBox((0, 0), (1, 1)), max_dim=2, total_cap=4)
+    R = rand_rect_decomp(rng, field, 1, 4)
+    built = [build_S(R), min3(R), min3_rect(rand_rect_decomp(rng, field, 2, 3, hi=2)), gen4(V), gen4(W),
+             build_S_prime(V), build_S_dprime(W)]
+    outputs = [(r.M, [(r.line, r.meta["source_box"])]) for r in built]
+    A, B = candy_wrap(V), candy_wrap(V.translate((1,)))
+    S = string_candies([V, V])
+    outputs += [(A.module, [(A.line, V.box)]), (concat(A, B).module, []),
+                (S.candy.module, [(e, V.box) for e in S.embeddings])]
+    for M, lines in outputs:
+        coarse = check_coarsen(M, line_keep(M.n, lines))
+        assert len(coarse.dims) < len(M.dims)

@@ -1,21 +1,29 @@
-"""Pinned outputs of the constructions whose grid work goes through
-`grid.pullback`, `grid.candy_corners` and `PersModule.composite`:
-`construct --method gen4` and `--method min3` with their lines and the
-`restrict` of each, and `construct --method candy`, `concat` and `string`.
+"""Pinned outputs of `construct --method gen4` and `--method min3` with
+their lines and the `restrict` of each, and of `construct --method candy`,
+`concat` and `string`.
 
-Each pin is the sha256 of the output files of one CLI run, concatenated in
-the order the run writes them; the pins were recorded from the
-implementation in which gen4 stretched its module by a loop of its own and
-every composite was multiplied out from an identity."""
+The library builders return the stacked layout; the CLI writes each
+construction on its coarsest grid (`grid.coarsen`).  PINNED holds the
+builders' outputs, written as the CLI wrote them before it coarsened, and
+was recorded from the implementation in which gen4 stretched its module by
+a loop of its own and every composite was multiplied out from an identity.
+COARSE holds the CLI's files.  Each pin is the sha256 of one run's output
+files, concatenated in the order the run writes them."""
 
 import hashlib
 import json
 import random
 
-from persistgrid import Field, GridBox
+import pytest
+
+from persistgrid import Field, GridBox, candy_wrap, concat, gen4, min3, string_candies
 from persistgrid.cli import main
-from persistgrid.io import dump, pmod_to_json, rects_to_json
+from persistgrid.grid import coarsen, pullback
+from persistgrid.io import (candy_from_json, candy_to_json, dump, line_to_json, load, pmod_from_json,
+                            pmod_to_json, rects_from_json, rects_to_json)
 from persistgrid.sampling import rand_module, rand_rect_decomp
+
+from test_coarsen import floor_of, line_keep
 
 FIELDS = (Field.prime(2), Field.prime(3), Field.rationals(), Field.prime(1009))
 SEEDS = range(4)
@@ -27,51 +35,95 @@ def module(seed, box, salt):
     return rand_module(random.Random(1000 * salt + seed), FIELDS[seed % 4], box, max_dim=2, total_cap=4)
 
 
-def _run(argv, outs) -> str:
-    """sha256 of the files in outs after a successful CLI run of argv."""
-    assert main(argv) == 0, argv
+def _digest(blobs) -> str:
     h = hashlib.sha256()
-    for p in outs:
-        with open(p, "rb") as fh:
-            h.update(fh.read())
+    for b in blobs:
+        h.update(b)
     return h.hexdigest()
 
 
-def _construct_and_restrict(tmp_path, method, infile, tag) -> dict:
-    out, line, res = (str(tmp_path / f"{tag}.{x}.json") for x in ("out", "line", "res"))
-    return {
-        tag: _run(["construct", "--method", method, "--in", infile, "--out", out, "--line-out", line],
-                  [out, line]),
-        f"{tag} restrict": _run(["restrict", "--in", out, "--line", line, "--out", res], [res]),
-    }
+def _written(*objs) -> list:
+    """The bytes io.dump writes for each of objs."""
+    return [(json.dumps(obj, sort_keys=True) + "\n").encode() for obj in objs]
 
 
-def outputs(tmp_path) -> dict:
-    out = {}
-    for seed in SEEDS:
-        p = str(tmp_path / f"gen4.{seed}.in.json")
-        dump(pmod_to_json(module(seed, GEN4_BOXES[seed % 2], 1)), p)
-        out.update(_construct_and_restrict(tmp_path, "gen4", p, f"gen4 {seed}"))
-        p = str(tmp_path / f"min3.{seed}.in.json")
-        dump(rects_to_json(rand_rect_decomp(random.Random(seed), FIELDS[seed % 4], 1, 4)), p)
-        out.update(_construct_and_restrict(tmp_path, "min3", p, f"min3 {seed}"))
-        for shape, box in BOXES.items():
-            files, candies = [], []
-            for salt in (2, 3):
-                p, c = (str(tmp_path / f"{shape}.{seed}.{salt}.{x}.json") for x in ("in", "candy"))
-                dump(pmod_to_json(module(seed, box, salt)), p)
-                out[f"candy {shape} {seed} {salt}"] = _run(
-                    ["construct", "--method", "candy", "--in", p, "--out", c, "--line-out", c + ".line"],
-                    [c, c + ".line"])
-                files.append(p)
-                candies.append(c)
-            cat = str(tmp_path / f"{shape}.{seed}.concat.json")
-            out[f"concat {shape} {seed}"] = _run(["concat", "--a", candies[0], "--b", candies[1], "--out", cat], [cat])
-            manifest, strung = str(tmp_path / f"{shape}.{seed}.list"), str(tmp_path / f"{shape}.{seed}.string.json")
-            with open(manifest, "w") as fh:
-                json.dump({"modules": files + files[:1]}, fh)
-            out[f"string {shape} {seed}"] = _run(["string", "--list", manifest, "--out", strung], [strung])
-    return out
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _run(argv, outs) -> list:
+    """The bytes of the files in outs after a successful CLI run of argv."""
+    assert main(argv) == 0, argv
+    return [_read(p) for p in outs]
+
+
+class Runs:
+    """Every pinned run, made once: the builders' outputs (fine), the CLI's
+    files (coarse), the CLI restrict outputs with the input files, and for
+    each CLI file the fine module it came from with the (line, box) pairs
+    it keeps."""
+
+    def __init__(self, tmp_path):
+        self.fine, self.coarse, self.restricted, self.inputs, self.pairs = {}, {}, {}, {}, []
+        for seed in SEEDS:
+            p = str(tmp_path / f"gen4.{seed}.in.json")
+            dump(pmod_to_json(module(seed, GEN4_BOXES[seed % 2], 1)), p)
+            V = pmod_from_json(load(p))
+            self._construct(tmp_path, "gen4", p, f"gen4 {seed}", gen4(V), V.box)
+            self.inputs[f"gen4 {seed}"] = _read(p)
+            p = str(tmp_path / f"min3.{seed}.in.json")
+            dump(rects_to_json(rand_rect_decomp(random.Random(seed), FIELDS[seed % 4], 1, 4)), p)
+            R = rects_from_json(load(p))
+            self._construct(tmp_path, "min3", p, f"min3 {seed}", min3(R), R.box)
+            for shape, box in BOXES.items():
+                self._candies(tmp_path, seed, shape, box)
+
+    def _cli(self, tag, argv, outs, fine, lines):
+        """Run argv, pin its files and the fine outputs, and keep the pair."""
+        self.coarse[tag] = _digest(_run(argv, outs))
+        self.fine[tag] = _digest(_written(*fine))
+        obj = load(outs[0])
+        self.pairs.append((tag, pmod_from_json(obj.get("module", obj)), lines))
+
+    def _construct(self, tmp_path, method, infile, tag, res, box):
+        out, line, w = (str(tmp_path / f"{tag}.{x}.json") for x in ("out", "line", "res"))
+        self._cli(tag, ["construct", "--method", method, "--in", infile, "--out", out, "--line-out", line],
+                  [out, line], [pmod_to_json(res.M), line_to_json(res.line)], (res.M, [(res.line, box)]))
+        self.restricted[tag] = _run(["restrict", "--in", out, "--line", line, "--out", w], [w])[0]
+
+    def _candies(self, tmp_path, seed, shape, box):
+        files, candies, mods, fine = [], [], [], []
+        for salt in (2, 3):
+            p, c = (str(tmp_path / f"{shape}.{seed}.{salt}.{x}.json") for x in ("in", "candy"))
+            dump(pmod_to_json(module(seed, box, salt)), p)
+            V = pmod_from_json(load(p))
+            C = candy_wrap(V)
+            self._cli(f"candy {shape} {seed} {salt}",
+                      ["construct", "--method", "candy", "--in", p, "--out", c, "--line-out", c + ".line"],
+                      [c, c + ".line"], [candy_to_json(C), line_to_json(C.line)], (C.module, [(C.line, V.box)]))
+            files.append(p)
+            candies.append(c)
+            mods.append(V)
+            fine.append(C)
+        # the CLI concatenates the coarse candy files it wrote
+        cat = str(tmp_path / f"{shape}.{seed}.concat.json")
+        read = concat(*(candy_from_json(load(c)) for c in candies))
+        self._cli(f"concat {shape} {seed}", ["concat", "--a", candies[0], "--b", candies[1], "--out", cat],
+                  [cat], [candy_to_json(concat(*fine))], (read.module, []))
+        manifest, strung = str(tmp_path / f"{shape}.{seed}.list"), str(tmp_path / f"{shape}.{seed}.string.json")
+        with open(manifest, "w") as fh:
+            json.dump({"modules": files + files[:1]}, fh)
+        S = string_candies(mods + mods[:1])
+        out = candy_to_json(S.candy)
+        out["embeddings"] = [line_to_json(e) for e in S.embeddings]
+        self._cli(f"string {shape} {seed}", ["string", "--list", manifest, "--out", strung], [strung], [out],
+                  (S.candy.module, [(e, V.box) for e, V in zip(S.embeddings, mods + mods[:1])]))
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    return Runs(tmp_path_factory.mktemp("construct_outputs"))
 
 
 PINNED = {'candy 1d 0 2': '11bc7517445f2dcff77018492595d8b8a5dc693ac69d74e17e76203e5ccdbefc',
@@ -99,21 +151,13 @@ PINNED = {'candy 1d 0 2': '11bc7517445f2dcff77018492595d8b8a5dc693ac69d74e17e762
           'concat 2x1 2': 'fc40dc582091b52c274a27c8afe0675b444e74b5e4574556f94ba99312165232',
           'concat 2x1 3': 'faa6ccc15a494fe51721e88a2919b365e72b1da2ca680dab79d9ac0dce4be301',
           'gen4 0': 'acd26a1293698f47cee0467324424f2aef0604127dc0b1f6ed819a862ea258d8',
-          'gen4 0 restrict': 'ec81435a9f7baad0f935a08562166d32d3d10853c55230c965ea3d4416302008',
           'gen4 1': '723c9e8cbdb360e6196a076ea48fedafd862b2404caf04210f59d285eb384818',
-          'gen4 1 restrict': '5e206e318f2edd17b648f40aecb8c7f8ab1254ee19cf83a65e0de02b810240a1',
           'gen4 2': 'a23d6b731f5520e4364479bdb91327afd358798b45740ac35b92e699b657ffec',
-          'gen4 2 restrict': 'adc3c0269f2ac8dab6db95855f78f490f38a65bfde752197f7bc8a15dbb6e3a8',
           'gen4 3': '0e6e7e13d56b7f55317947406909b6c2076f6aaa9d5ec7d331cf6d1150a4eebd',
-          'gen4 3 restrict': '3208c5537595fd3a399cad25205bf047d69466b27b058b85b02e3386369eab37',
           'min3 0': 'd7ead96c0f7842cc0c5d7c28b4b123b47c94fb792026ee97d0bec875a39338b5',
-          'min3 0 restrict': 'b5f9a980a1a9de33a8d9f2c0c46134796972bcf171fa69ba727666acb633ff44',
           'min3 1': '5d3ab5004955b5f35fd743e7a5ea8ed012c19c57c19dc2ad83314a9fd993b2df',
-          'min3 1 restrict': '9016fe02a69d1d6d8a44aafbcf7e363c83b2c70fb6936176b841bbae1927d8a6',
           'min3 2': '1250d1f900ed99d01c2897c72f0c21d8f73cbb706b98c62c9bc1cf8412f32d01',
-          'min3 2 restrict': '7dc605f4ba1599b79aaf6b648f45cd7fa9fa103c22376165c2819b95907e6fb9',
           'min3 3': 'b9d34018f7098db673acfe4b54eb1fe2c2df796cba3306bded926abc973c5778',
-          'min3 3 restrict': 'beab1bb59041decde05f85b38064535fad3c1de497145573a0c33f1fcd539240',
           'string 1d 0': 'f4e08f60822bb2134e966b75ce82770b53a50269b47235fc5de3c8ab4d10cded',
           'string 1d 1': '57fd9135e030843b383a3c2a0f4a606530acce116729bbcb61eb36a59d7e9bfc',
           'string 1d 2': '94f53c8f24ab6f9f9a94514bf6b845adf480309ad307e8cd15e6b7e13e9c8461',
@@ -123,6 +167,72 @@ PINNED = {'candy 1d 0 2': '11bc7517445f2dcff77018492595d8b8a5dc693ac69d74e17e762
           'string 2x1 2': '5b10df20894858f8e701544cd059f6c73120ca93eabb36ca400136a896a50294',
           'string 2x1 3': 'abeafb6ccd10b4dc2cb6272fbd45bc8b1ffc8a4d165f91cc4a9500c1125f3f54'}
 
+# the restrict of each min3 output, unchanged since it was pinned from fine outputs
+MIN3_RESTRICT_PINNED = ['b5f9a980a1a9de33a8d9f2c0c46134796972bcf171fa69ba727666acb633ff44',
+                        '9016fe02a69d1d6d8a44aafbcf7e363c83b2c70fb6936176b841bbae1927d8a6',
+                        '7dc605f4ba1599b79aaf6b648f45cd7fa9fa103c22376165c2819b95907e6fb9',
+                        'beab1bb59041decde05f85b38064535fad3c1de497145573a0c33f1fcd539240']
 
-def test_construct_outputs_are_pinned(tmp_path):
-    assert outputs(tmp_path) == PINNED
+COARSE = {'candy 1d 0 2': 'fc04e0f4ae66c2df4fdd2570960565eb72c5f1f94f2d37031df4ffccac6e0111',
+          'candy 1d 0 3': 'e588c34411824130c12b94fefe4e31ec757cca93a8c9a4c9b3ac5b112b1d9de0',
+          'candy 1d 1 2': '94d83a699c44449954d433fee033644a12e6d1e7f0984bd88d5cd0a2851c452c',
+          'candy 1d 1 3': '100f497f417dd76306bc9bf5b63e009c3d98f4c3315ed92f9b0c1af168af1fa3',
+          'candy 1d 2 2': '333ce4394e2b3f28f6c3c521c853a75853a911aae69d034caa7ab898ca8fc92d',
+          'candy 1d 2 3': 'f692c7b4946646080301e92cca7a15420229271060d1e05ca5b9d8422882d91e',
+          'candy 1d 3 2': 'b393fb5d8acf802979e318085e678b05b1bf40992a22031d78372e5af4d5848b',
+          'candy 1d 3 3': '92c205734aa1c7e965ffecc1c8c0e8c0d0930f561c8e5757b20c6ba75fe7000a',
+          'candy 2x1 0 2': 'f7bdf0d0be61ae572bca29d1cf8e94f420885034397f9c905a435295d39a9a72',
+          'candy 2x1 0 3': '792081b6685eff3647b22205aceb7168f15092a41078faa1212890ca8e1fe002',
+          'candy 2x1 1 2': '494e98f8a69ece20742f8acc9b5bb35fac1937adca86cc2ed13c26475e817482',
+          'candy 2x1 1 3': '639e3bb1674eceaaa2a992e107b3010f562f8ff2ffdfd27b45b73b5623d04f0d',
+          'candy 2x1 2 2': 'd69ece7b7a5e8dc2de7acefa2e55ed287f2da8d88061761e9eb71434c1dc27ec',
+          'candy 2x1 2 3': '9154337137af97f9fa128b8c72655ff42e4b76fadf4cd02abc4059787d33c70c',
+          'candy 2x1 3 2': '96d2c5c3e855ed4ef72bf0932af92042ac86e4a9715801656a5a201c2343a759',
+          'candy 2x1 3 3': '519eeaae90e740096d93b369ff6b1505f0886972610640f082c40a8259eb5c59',
+          'concat 1d 0': '63e8fc950bcf1a6224cc4bafc8c2f53cd88f9b86ece2f01d45d2302a328b03f8',
+          'concat 1d 1': '71bc1497da378cbadcbd061404a9bca4721df94712bcdd7a8f70087e49c959a6',
+          'concat 1d 2': '4c040b0aeb31bf3fc6cc3b61b0e474d2eab7d7141d46b1dab8221a56657ad354',
+          'concat 1d 3': 'e75008ad185a1b44b03496613b5a1903df95fefd40104de7ea374523e54da47c',
+          'concat 2x1 0': '60c66e86c31c997a7bf3f2f99149a9ba6b9e929c4f336d9006091ecc4f409d5d',
+          'concat 2x1 1': '235c92cd9420407b02126df780aa236d34c27b72bb57b47032a5dd43504253e8',
+          'concat 2x1 2': 'a73c31b4396dba74cbd1629d053dc975d45894870981d26a854c6eacf1cdbc7b',
+          'concat 2x1 3': 'f6388ded6e479daf15c593014776641e066b7bd3a83c81e120505b2135ee4c57',
+          'gen4 0': '05bfda1a5578ff533eee32df7ee621dade7d316c3ddea50e7b3bc2ec70688f64',
+          'gen4 1': '4924e1ea467ad66f64d378618dd9e9d91c79233db7fce864422b540e618cb151',
+          'gen4 2': '615902e688d28d05913c5749da9ee106369590276ecfe6d88c218f5f5005cee5',
+          'gen4 3': '3e870697bc1d1cae250e6f6754e2c0c419cd8cce6cbd7fcda9267afdc9415e14',
+          'min3 0': '46c9519c81c2b62878782964838783ad647085fec6708510eb59fbb576e9ae7a',
+          'min3 1': 'ad05bfbf71b409751b546cc53e6994c9ede17a46b1f30ba3e0ad207a531e4b1f',
+          'min3 2': '0039af0a274676f238b7fbca3053434dd0c97bfb1752019e298fa6e8734976d0',
+          'min3 3': '9e3879e652579e2f41c3e96c6a2145f511e0cc13479e7401147de14d1a6d5706',
+          'string 1d 0': '9db75e4c42d51234ca4268a549ca815166832ffbabf49e4518218261b739a5c4',
+          'string 1d 1': 'd83539d7db9419a02e83118247bceb9fdf0d019d898d1b36630ef6aefeecea2c',
+          'string 1d 2': '30aa4143842926d9b7e180147f4901a8ceca17771e1dca8b4746c92a60c4ca93',
+          'string 1d 3': '6d3b1da15b99781e38eef7131ebf677f5235552690c90e0d7637c6a6d2b7597b',
+          'string 2x1 0': '72614146de8721863fa13b9221138dab70d638f0ef1e3ca24a73cd34533efb3a',
+          'string 2x1 1': 'f21a0ca0fd73d57874db289998e125c9cb5e5d6f8c42a12f228dcac956b4a39b',
+          'string 2x1 2': '7cfe403d876cf7a8b9b1c5823f80337f6885aa7ae3be7b8d3619a94c1f76daa6',
+          'string 2x1 3': '11e9d13aded1d80bb0fe96999486f20f58b9ec88adf791e6b90f2f0c2cbaa741'}
+
+
+def test_construct_outputs_are_pinned(runs):
+    """The library builders' outputs are unchanged."""
+    assert runs.fine == PINNED
+
+
+def test_cli_outputs_are_pinned(runs):
+    assert runs.coarse == COARSE
+
+
+def test_restrict_gives_the_input_back(runs):
+    """min3 restricts to its pinned 1D module; gen4, built from a PMOD,
+    restricts to the input file byte for byte."""
+    for seed in SEEDS:
+        assert _digest([runs.restricted[f"min3 {seed}"]]) == MIN3_RESTRICT_PINNED[seed]
+        assert runs.restricted[f"gen4 {seed}"] == runs.inputs[f"gen4 {seed}"]
+
+
+def test_cli_files_pull_back_to_the_fine_modules(runs):
+    for tag, coarse, (fine, lines) in runs.pairs:
+        maps = coarsen(fine, line_keep(fine.n, lines))[1]
+        assert pullback(coarse, floor_of(maps), fine.box) == fine, tag

@@ -15,7 +15,7 @@ from persistgrid import constructions
 from persistgrid.homspace import Context
 from persistgrid.io import pmod_to_json
 from persistgrid.constructions import cone, separate_and_shift, verticalize
-from persistgrid.covers import injective_envelope, projective_cover
+from persistgrid.covers import projective_cover
 from persistgrid.grid import direct_sum, dualize, pad, slice_layers, stack
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
@@ -90,7 +90,7 @@ class TestBuildS:
         r = build_S(V)
         assert end_dim(r.M) == 1
         W = restrict(r.M, r.line)
-        rep = iso_certificate(W, rect_to_module(V.on_box(W.box)))
+        rep = iso_certificate(W, rect_to_module(RectDecomp(V.field, W.box, V.summands)))
         assert rep.isomorphic is True
 
 
@@ -332,7 +332,7 @@ def built_morphisms(rng, field, monkeypatch):
     yield from links
     yield from slice_layers(W)[1]
     yield from slice_layers(candy_wrap(V).module)[1]
-    yield from (projective_cover(V).morphism, projective_cover(W).morphism, injective_envelope(W).morphism)
+    yield from (projective_cover(V).morphism, projective_cover(W).morphism, projective_cover(dualize(W)).morphism)
     yield from hom_basis(V, V) + hom_basis(W, W) + hom_basis(V, rand_module(rng, field, V.box, max_dim=2))
     yield ModMorphism.identity(W)
     yield try_split(direct_sum(V, V), seed=1).iso

@@ -3,8 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistgrid import (Field, GridBox, Rectangle, RectDecomp, dualize,
-                         injective_envelope, projective_cover, rect_to_module)
+from persistgrid import Field, GridBox, Rectangle, RectDecomp, projective_cover, rect_to_module
 from persistgrid.sampling import rand_module
 
 Q = Field.rationals()
@@ -36,23 +35,6 @@ def test_cover_surjective_and_natural(seed):
     # minimality: generator count at x equals dim of the top (coker of incoming)
     for r in cov.decomp.summands:
         assert V.dim(r.b) > 0
-
-
-@given(st.integers(0, 2**31))
-@settings(max_examples=20, deadline=None)
-def test_envelope_injective_and_dual_to_cover(seed):
-    rng = random.Random(seed)
-    box = GridBox((0, 0), (2, 1))
-    V = rand_module(rng, F2, box, max_dim=2)
-    env = injective_envelope(V)
-    assert env.morphism.validate()
-    for v in V.dims:
-        m = env.morphism.comp(v)
-        assert m.rank() == V.dim(v)  # pointwise into
-    assert all(r.b == box.lo for r in env.decomp.summands)
-    # summand count matches the cover of the dual
-    cov = projective_cover(dualize(V))
-    assert len(env.decomp) == len(cov.decomp)
 
 
 def test_cover_deterministic(rng):
