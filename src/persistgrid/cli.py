@@ -38,25 +38,21 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=1, sort_keys=True))
 
 
-def _check_field(args, *objs, candy=False):
-    """Refuse input whose field tag is not --field.  A PMOD or RECTS file
-    keeps its tag at the top level, a candy under `module`."""
-    if getattr(args, "field", None) is None:
-        return
-    want = args.field
-    for obj in objs:
-        if candy:
-            obj = obj.get("module")
-            if not isinstance(obj, dict):
-                raise FormatError("a candy file needs a 'module' object")
-        got = obj.get("field")
-        if got != want:
-            raise FormatError(f"--field {want} does not match the file's field {got}")
+def _read(args, path: str, parse):
+    """The file at path parsed by parse, an io reader (pmod_from_json,
+    rects_from_json or candy_from_json); refused unless its field, for a
+    candy its module's, is --field when that is given.  Callers name the
+    reader as io.<name> at each call, never bound once (as a default
+    argument, say), so that a wrapper put on an io attribute sees every read."""
+    obj = parse(io.load(path))
+    got = (obj.module if isinstance(obj, CandyModule) else obj).field.to_json()
+    if args.field is not None and got != args.field:
+        raise FormatError(f"--field {args.field} does not match the file's field {got}")
+    return obj
 
 
-def _load_pair(oa: dict, ob: dict):
-    """Two modules that a hom or iso check can compare."""
-    M, N = io.pmod_from_json(oa), io.pmod_from_json(ob)
+def _load_pair(M, N):
+    """M and N, refused unless a hom or iso check can compare them."""
     if M.field != N.field:
         raise FormatError(f"the modules are over different fields, {M.field} and {N.field}")
     if M.box != N.box:
@@ -88,43 +84,30 @@ def _coarsest(M, lines, corners=()):
 
 
 def cmd_construct(args) -> int:
-    obj = io.load(args.infile)
-    _check_field(args, obj)
+    V = _read(args, args.infile, io.rects_from_json if args.method in RECT_METHODS else io.pmod_from_json)
     if args.method == "candy":
-        V = io.pmod_from_json(obj)
         C = _or_format_error(candy_wrap, V)
-        M, (line,), (ul, lr) = _coarsest(C.module, [(C.line, V.box)], (C.ul, C.lr))
-        C = CandyModule(M, ul, lr, line)
-        io.dump(io.candy_to_json(C), args.out)
-        if args.line_out:
-            io.dump(io.line_to_json(C.line), args.line_out)
-        return EXIT_OK
-    if args.method in RECT_METHODS:
-        res = _or_format_error(RECT_METHODS[args.method], io.rects_from_json(obj))
-    elif args.method in MODULE_METHODS:
-        res = _or_format_error(MODULE_METHODS[args.method], io.pmod_from_json(obj))
+        M, line, corners = C.module, C.line, (C.ul, C.lr)
     else:
-        raise FormatError(f"unknown method {args.method}")
-    M, (line,), _ = _coarsest(res.M, [(res.line, res.meta["source_box"])])
-    io.dump(io.pmod_to_json(M), args.out)
+        res = _or_format_error((RECT_METHODS | MODULE_METHODS)[args.method], V)
+        M, line, corners = res.M, res.line, ()
+    M, (line,), corners = _coarsest(M, [(line, V.box)], corners)
+    out = io.candy_to_json(CandyModule(M, *corners, line)) if args.method == "candy" else io.pmod_to_json(M)
+    io.dump(out, args.out)
     if args.line_out:
         io.dump(io.line_to_json(line), args.line_out)
     return EXIT_OK
 
 
 def cmd_restrict(args) -> int:
-    obj = io.load(args.infile)
-    _check_field(args, obj)
-    M = io.pmod_from_json(obj)
+    M = _read(args, args.infile, io.pmod_from_json)
     L = io.line_from_json(io.load(args.line))
     io.dump(io.pmod_to_json(_or_format_error(restrict, M, L)), args.out)
     return EXIT_OK
 
 
 def cmd_barcode(args) -> int:
-    obj = io.load(args.infile)
-    _check_field(args, obj)
-    M = io.pmod_from_json(obj)
+    M = _read(args, args.infile, io.pmod_from_json)
     if M.n != 1:
         raise FormatError("barcode needs a 1D module")
     _emit(io.barcode_to_json(M.field, barcode_1d(M)))
@@ -134,10 +117,13 @@ def cmd_barcode(args) -> int:
 def cmd_verify(args) -> int:
     if args.kind in ("indec", "iso") and not 1 <= args.trials <= MAX_TRIALS:
         raise FormatError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
-    obj = io.load(args.infile)
-    _check_field(args, obj, candy=args.kind == "candy")
+    if args.kind == "candy":
+        C = _read(args, args.infile, io.candy_from_json)
+        rep = check_candy(C.module, C.ul, C.lr)
+        _emit(rep.to_json())
+        return EXIT_OK if rep.ok else EXIT_VIOLATED
+    M = _read(args, args.infile, io.pmod_from_json)
     if args.kind == "indec":
-        M = io.pmod_from_json(obj)
         verdict = try_split(M, seed=args.seed, trials=args.trials)
         _emit(verdict.to_json())
         if verdict.status == "IndecomposableCertified":
@@ -145,17 +131,10 @@ def cmd_verify(args) -> int:
         if verdict.status == "DecomposableCertified":
             return EXIT_VIOLATED
         return EXIT_INCONCLUSIVE
-    if args.kind == "candy":
-        C = io.candy_from_json(obj)
-        rep = check_candy(C.module, C.ul, C.lr)
-        _emit(rep.to_json())
-        return EXIT_OK if rep.ok else EXIT_VIOLATED
     if args.kind == "iso":
         if not args.withfile:
             raise FormatError("verify iso needs --with")
-        other = io.load(args.withfile)
-        _check_field(args, other)
-        M, N = _load_pair(obj, other)
+        M, N = _load_pair(M, _read(args, args.withfile, io.pmod_from_json))
         rep = iso_certificate(M, N, seed=args.seed, trials=args.trials)
         _emit(rep.to_json())
         if rep.isomorphic is True:
@@ -163,21 +142,13 @@ def cmd_verify(args) -> int:
         if rep.isomorphic is False:
             return EXIT_VIOLATED
         return EXIT_INCONCLUSIVE
-    if args.kind == "tworows":
-        split = _or_format_error(decompose_two_rows, io.pmod_from_json(obj))
-        report = {
-            "gap": list(split.gap),
-            "summand_dims": [sum(s.dims.values()) for s in split.summands],
-        }
-        _emit(report)
-        return EXIT_OK
-    raise FormatError(f"unknown verify kind {args.kind}")
+    split = _or_format_error(decompose_two_rows, M)
+    _emit({"gap": list(split.gap), "summand_dims": [sum(s.dims.values()) for s in split.summands]})
+    return EXIT_OK
 
 
 def cmd_hom(args) -> int:
-    oa, ob = io.load(args.a), io.load(args.b)
-    _check_field(args, oa, ob)
-    M, N = _load_pair(oa, ob)
+    M, N = _load_pair(_read(args, args.a, io.pmod_from_json), _read(args, args.b, io.pmod_from_json))
     basis = hom_basis(M, N)
     out = {"dim": len(basis)}
     if args.basis:
@@ -191,9 +162,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_concat(args) -> int:
-    oa, ob = io.load(args.a), io.load(args.b)
-    _check_field(args, oa, ob, candy=True)
-    C = _or_format_error(concat, io.candy_from_json(oa), io.candy_from_json(ob))
+    C = _or_format_error(concat, _read(args, args.a, io.candy_from_json), _read(args, args.b, io.candy_from_json))
     M, _, (ul, lr) = _coarsest(C.module, [], (C.ul, C.lr))
     io.dump(io.candy_to_json(CandyModule(M, ul, lr)), args.out)
     return EXIT_OK
@@ -205,11 +174,8 @@ def cmd_string(args) -> int:
     # a non-string entry would reach open() as a file descriptor
     if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
         raise FormatError("manifest needs a nonempty 'modules' array of path strings")
-    mods = []
-    for p in paths:
-        obj = io.load(os.path.join(os.path.dirname(args.list), p))  # relative to the manifest
-        _check_field(args, obj)
-        mods.append(io.pmod_from_json(obj))
+    # each path is relative to the manifest
+    mods = [_read(args, os.path.join(os.path.dirname(args.list), p), io.pmod_from_json) for p in paths]
     res = _or_format_error(string_candies, mods)
     C = res.candy
     M, lines, (ul, lr) = _coarsest(C.module, [(e, V.box) for e, V in zip(res.embeddings, mods)], (C.ul, C.lr))

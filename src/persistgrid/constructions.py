@@ -1,7 +1,7 @@
 """Builders realizing a module as a hyperplane restriction of a taller
 indecomposable: the four-layer stack over rectangle decompositions, its
-five-layer extension via projective covers (and the dual via injective
-envelopes), candy wrapping and concatenation, and the three/four-layer
+five-layer extension via projective covers (and the dual: that extension
+of the dual module, dualized back), candy wrapping and concatenation, and the three/four-layer
 minimal variants.
 
 The input copy always sits at height 0 of the stacking axis, so every

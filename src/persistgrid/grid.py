@@ -506,7 +506,7 @@ def coarsen(M: PersModule, keep: list) -> tuple[PersModule, list[dict]]:
 def restrict(M: PersModule, L: AxisEmbedding, source_box: GridBox | None = None) -> PersModule:
     """Pull M back along the hyperplane embedding L."""
     if L.n != M.n - 1:
-        raise ValueError(f"embedding from dimension {L.n} does not target dimension {M.n}")
+        raise ValueError(f"embedding from dimension {L.n} targets dimension {L.n + 1}, not {M.n}")
     if source_box is None:
         source_box = L.preimage_box(M.box)
         if source_box is None:

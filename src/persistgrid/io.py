@@ -250,6 +250,8 @@ def candy_to_json(C: CandyModule) -> dict:
 
 def candy_from_json(obj: dict) -> CandyModule:
     _require(obj, ("module", "ul", "lr"), "candy")
+    if not isinstance(obj["module"], dict):
+        raise FormatError(f"a candy's module must be a JSON object, got {obj['module']!r}")
     M = pmod_from_json(obj["module"])
     ul, lr = _vector(obj["ul"], M.n, "ul"), _vector(obj["lr"], M.n, "lr")
     line = line_from_json(obj["line"]) if "line" in obj else None

@@ -8,9 +8,10 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .grid import ModMorphism, PersModule, candy_corner_faults, vle
+from .grid import ModMorphism, PersModule, candy_corner_faults, slice_layers, vle
 from .homspace import Context, HomSpace, end_dim
 from .linalg import Matrix, Poly, coprime_split, factor_fp, minimal_polynomial
+from .rectangles import interval_decompose_1d
 
 
 def hom_basis(M: PersModule, N: PersModule, ctx: Context | None = None) -> list[ModMorphism]:
@@ -328,47 +329,36 @@ def find_gap(M: PersModule) -> tuple | None:
 def decompose_two_rows(M: PersModule) -> TwoRowSplit:
     """Constructive decomposition of a module on an m x 2 grid with a gap.
 
-    The gap is the first one find_gap gives.  Interval-decompose both rows
-    and sort the intervals into three groups on each row so the connecting
-    morphism is block diagonal: with the gap at column y0 on the lower row,
-    lower intervals split by position (deaths left of y0 / empty / births
-    right of y0) and upper intervals by death (< y0 / = y0 / > y0); with the
-    gap on the upper row the dual rule splits upper intervals by position
-    and lower intervals by birth.  M is then split along the rows' chain
-    bases with their columns sorted by group, in a Context of its own.
+    The gap is the first one find_gap gives, at column y0.  Interval-decompose
+    both rows and sort the intervals into three groups on each row so the
+    connecting morphism is block diagonal: the gap's row splits by position
+    (deaths left of y0 / empty / births right of y0), the other row by death
+    when the gap is on the lower row and by birth when it is on the upper
+    row (< y0 / = y0 / > y0).  M is then split along the rows' chain bases
+    with their columns sorted by group.
     """
     if M.n != 2 or M.box.hi[1] - M.box.lo[1] != 1:
         raise ValueError("decompose_two_rows needs a module on an m x 2 box")
     y = find_gap(M)
     if y is None:
         raise ValueError("no zero vertex between nonzero vertices")
-    ctx = Context()
-    y0 = y[0]
-    h0 = M.box.lo[1]
-    lower = y[1] == h0
+    y0, h0 = y[0], M.box.lo[1]
+    gap_row = y[1] - h0
 
-    def group_of(r, is_upper):
-        b, d = r.b[0], r.d[0]
-        if lower:
-            if not is_upper:
-                if d < y0:
-                    return 1
-                if b > y0:
-                    return 3
-                raise AssertionError("lower interval crosses the gap")
-            return 1 if d < y0 else (2 if d == y0 else 3)
-        if is_upper:
-            if d < y0:
+    def group_of(r, h):
+        if h == gap_row:
+            if r.d[0] < y0:
                 return 1
-            if b > y0:
+            if r.b[0] > y0:
                 return 3
-            raise AssertionError("upper interval crosses the gap")
-        return 1 if b < y0 else (2 if b == y0 else 3)
+            raise AssertionError(f"{('lower', 'upper')[h]} interval crosses the gap")
+        c = (r.d if gap_row == 0 else r.b)[0]
+        return 1 if c < y0 else (2 if c == y0 else 3)
 
     P, cuts = {}, {}
-    for h, row in enumerate(ctx.layers(M)[0]):
-        D, basis = ctx.intervals1(row)
-        group = [group_of(r, h == 1) for r in D.summands]
+    for h, row in enumerate(slice_layers(M)[0]):
+        D, basis = interval_decompose_1d(row)
+        group = [group_of(r, h) for r in D.summands]
         for v, d in row.dims.items():
             # the columns of the chain basis at v, group 1 first
             by_group = [[c for c, i in enumerate(D.indices_at(v)) if group[i] == g] for g in (1, 2, 3)]

@@ -207,6 +207,20 @@ class TestExitCodes:
         dump(pmod_to_json(B), pb)
         assert main(["verify", "iso", "--in", pa, "--with", pb]) == 1
 
+    @pytest.mark.parametrize("a, b, code, reason", [
+        # [0,1]+[1,2] and [0,2]+[1,1]: equal dims 1, 2, 1 on [0,2]
+        ([(0, 1), (1, 2)], [(0, 2), (1, 1)], 1, "barcodes differ"),
+        ([], [], 0, "both zero"),
+    ])
+    def test_iso_on_equal_dims_1d(self, tmp_path, capsys, a, b, code, reason):
+        paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        for p, bars in zip(paths, (a, b)):
+            R = RectDecomp(Q, GridBox((0,), (2,)), [Rectangle((s,), (e,)) for s, e in bars])
+            dump(pmod_to_json(rect_to_module(R)), p)
+        got, text, _ = run(capsys, ["verify", "iso", "--in", paths[0], "--with", paths[1]])
+        assert got == code
+        assert json.loads(text) == {"isomorphic": code == 0, "reason": reason, "has_witness": code == 0}
+
     def test_malformed_gives_2(self, tmp_path, capsys):
         p = str(tmp_path / "bad.json")
         with open(p, "w") as fh:
@@ -469,6 +483,9 @@ class TestMistypedOrOversizedInput:
         # on a 1D module this would restrict to zero axes
         "line-no-axis-maps": (LINE, lambda o: o.update(axis_maps=[], insert_axis={"pos": 0, "value": 0}),
                               "restrict1d"),
+        # two axis maps: a line into a 3D module, given a 2D one
+        "line-wrong-axis-count": (LINE, lambda o: o.update(axis_maps=o["axis_maps"] * 2,
+                                                            insert_axis={"pos": 2, "value": 0})),
         "zero-module-candy": (ZERO, lambda o: None, "candy"),
         "zero-module-sprime": (ZERO, lambda o: None, "sprime"),
         "zero-module-sdual": (ZERO, lambda o: None, "sdual"),

@@ -308,8 +308,8 @@ class TestBuiltModulesKeepTheRules:
 
 def built_morphisms(rng, field, monkeypatch):
     """Every kind of morphism the library builds, on small random inputs:
-    the construction links as they reach stack, slice_layers links, covers
-    and envelopes, hom basis elements and both split isos."""
+    the construction links as they reach stack, slice_layers links,
+    projective covers (of a dual module too), hom basis elements and both split isos."""
     V = rand_module(rng, field, GridBox((0,), (3,)), max_dim=2)
     W = rand_module(rng, field, GridBox((0, 0), (1, 1)), max_dim=2)
     links = []
