@@ -6,6 +6,15 @@ minimal variants.
 
 The input copy always sits at height 0 of the stacking axis, so every
 returned embedding inserts the constant 0 as the last coordinate.
+
+Each output is built on its corner grid: a rectangle module changes only
+where a rectangle begins or ends, so each axis of the stacked layout (the
+paper's coordinates) is cut into runs there and at every coordinate the
+output line hits, and each run becomes one coordinate.  The output's
+`grid` (a grid.Compression: meta["grid"], or CandyModule.grid) gives the
+stacked layout back as pullback(M, grid.floor, grid.box), and
+grid.up(line, source_box) the line in the paper's coordinates.  Vertex caps
+and meta read the stacked layout.
 """
 
 from __future__ import annotations
@@ -14,14 +23,16 @@ from dataclasses import dataclass, field as dc_field
 from functools import cache, partial
 
 from .covers import projective_cover
-from .grid import (MAX_DIM, MAX_VERTICES, AxisEmbedding, GridBox, ModMorphism, PersModule,
-                   candy_corner_faults, candy_corners, dualize, pad, pullback, stack, vadd, vsub, vsucc)
+from .grid import (MAX_DIM, MAX_VERTICES, AxisEmbedding, Compression, GridBox, ModMorphism, PersModule,
+                   candy_corner_faults, candy_corners, dualize, pad, stack, vadd, vsub, vsucc)
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle, realize, rect_to_module
 
 
 @dataclass
 class BuildResult:
+    """M on its corner grid meta["grid"], and line into M."""
+
     M: PersModule
     line: AxisEmbedding
     layer_count: int
@@ -33,13 +44,16 @@ class CandyModule:
     """A stacked module with one-dimensional corner handles.
 
     ul minimizes every coordinate except the last (maximized); lr is the
-    opposite.  line, when present, recovers the wrapped input.
+    opposite.  line, when present, recovers the wrapped input.  grid, when
+    present, is the corner grid of a built candy: the candy stands for the
+    stacked one, pullback(module, grid.floor, grid.box).
     """
 
     module: PersModule
     ul: tuple
     lr: tuple
     line: AxisEmbedding | None = None
+    grid: Compression | None = None
 
 
 @dataclass
@@ -97,15 +111,18 @@ def _check_stack_size(height: int, box: GridBox) -> None:
         raise ValueError(f"{height} layers of {box.count} vertices exceed the cap {MAX_VERTICES}")
 
 
-def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox, height: int):
+def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox, height: int, hits: list):
     """The rectangle layers [cone] -> [b'_i, d'_i] -> tails[0] -> tails[1] -> ...,
-    linked by a ones column and then by diagonals, on the hull of box and all
-    the rectangles.  Returns (decomps, layers, links).
+    linked by a ones column and then by diagonals, on the corner grid of the
+    hull of box and all the rectangles: each axis k is cut where a
+    rectangle begins or ends and at each coordinate of hits[k].  Returns
+    (grid, chain, layers, links): chain lists each layer's rectangles in
+    the stacked layout, and layers and links are on grid.coarse.
 
     height is the number of layers in the stack the chain goes into; a stack
     over the vertex cap, or whose m x m step matrices (m rectangles) at every
     vertex would hold more than MAX_VERTICES * MAX_DIM scalars, is refused
-    before any layer is built."""
+    before any layer is built.  Both caps count the stacked layout."""
     chain = [[cone(bprime, dprime)], [Rectangle(b, d) for b, d in zip(bprime, dprime)], *tails]
     corners = [box.lo, box.hi] + [p for rects in chain for r in rects for p in (r.b, r.d)]
     box = GridBox(tuple(map(min, zip(*corners))), tuple(map(max, zip(*corners))))
@@ -114,35 +131,52 @@ def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox, he
     if height * box.count * m * m > MAX_VERTICES * MAX_DIM:
         raise ValueError(f"{height} layers of {box.count} vertices with up to {m} rectangles each exceed "
                          f"{MAX_VERTICES * MAX_DIM} step scalars")
-    decomps = [RectDecomp(field, box, rects) for rects in chain]
+    grid = Compression.of(box, [{*ks, *(c for rects in chain for r in rects for c in (r.b[k], r.d[k] + 1))}
+                                for k, ks in enumerate(hits)])
+    decomps = [RectDecomp(field, grid.coarse, [Rectangle(grid.floor(r.b), grid.floor(r.d)) for r in rects])
+               for rects in chain]
     coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * len(tails)
     layers = [rect_to_module(d) for d in decomps]
     links = [ModMorphism(layers[i], layers[i + 1], realize(decomps[i], decomps[i + 1], x))
              for i, x in enumerate(coords)]
-    return decomps, layers, links
+    return grid, chain, layers, links
+
+
+def _stack_on_grid(layers: list, links: list, height_lo: int, line: AxisEmbedding, meta: dict) -> BuildResult:
+    """The layers stacked from height_lo up on meta["grid"] with that grid's
+    stacking axis added, and line, given in the paper's coordinates on
+    meta["source_box"], moved onto the grid."""
+    grid = meta["grid"] = meta["grid"].extend(height_lo, height_lo + len(layers) - 1)
+    M = stack(layers, links, height_lo=height_lo)
+    return BuildResult(M, grid.down(line, meta["source_box"]), len(layers), meta)
 
 
 def _s_chain(V: RectDecomp, height: int):
-    """The four rectangle layers I_V -> Vbar -> V' -> V on a box containing
-    V.box, for a stack of height layers."""
+    """The four rectangle layers I_V -> Vbar -> V' -> V on the corner grid
+    of a box containing V.box, where every coordinate of V.box begins a
+    run, for a stack of height layers."""
     dprime = separate_and_shift(V)
     mu, bprime = verticalize(V, dprime)
     vprime = [Rectangle(r.b, d) for r, d in zip(V.summands, dprime)]
-    decomps, layers, links = _cone_chain(V.field, bprime, dprime, [vprime, V.summands], V.box, height)
-    meta = {"dprime": dprime, "mu": mu, "bprime": bprime, "cone": decomps[0].summands[0], "decomps": decomps}
+    hits = [range(a, b + 1) for a, b in zip(V.box.lo, V.box.hi)]
+    grid, chain, layers, links = _cone_chain(V.field, bprime, dprime, [vprime, V.summands], V.box, height, hits)
+    meta = {"dprime": dprime, "mu": mu, "bprime": bprime, "cone": chain[0][0], "grid": grid, "source_box": V.box}
     return layers, links, meta
 
 
 def build_S(V: RectDecomp) -> BuildResult:
-    """Four layers I_V -> Vbar -> V' -> V stacked, V at height 0."""
+    """Four layers I_V -> Vbar -> V' -> V stacked, V at height 0, on the
+    corner grid meta["grid"]."""
     layers, links, meta = _s_chain(V, 4)
-    meta["source_box"] = V.box
-    return BuildResult(stack(layers, links, height_lo=-3), AxisEmbedding.layer(V.n, V.n, 0), 4, meta)
+    return _stack_on_grid(layers, links, -3, AxisEmbedding.layer(V.n, V.n, 0), meta)
 
 
 def build_S_prime(V: PersModule, height: int = 5) -> BuildResult:
     """Five layers: the four-layer stack on a projective cover R of V,
-    with the cover surjection p: R ->> V appended; V at height 0.
+    with the cover surjection p: R ->> V appended; V at height 0, on the
+    corner grid meta["grid"].  No rectangle begins below V.box.lo, and every
+    summand of R ends at V.box.hi, so each coordinate of V.box is a run of
+    its own, numbered as in V: the copy of V and p need no change.
 
     height is the layer count of the stack that will hold the result, five
     or candy_wrap's nine, so an oversized one is refused before it is built."""
@@ -153,35 +187,45 @@ def build_S_prime(V: PersModule, height: int = 5) -> BuildResult:
     layers, links, meta = _s_chain(cov.decomp, height)  # on a box containing V.box = cov.decomp.box
     top = pad(V, layers[0].box)
     links.append(ModMorphism(layers[3], top, cov.morphism.comps))
-    meta.update({"source_box": V.box, "cover": cov})
-    M = stack(layers + [top], links, height_lo=-4)
-    return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 5, meta)
+    meta["cover"] = cov
+    return _stack_on_grid(layers + [top], links, -4, AxisEmbedding.layer(V.n, V.n, 0), meta)
 
 
 def build_S_dprime(V: PersModule, height: int = 5) -> BuildResult:
-    """The dual five layers V -> T -> T' -> Tbar -> I_T, V at height 0.
+    """The dual five layers V -> T -> T' -> Tbar -> I_T, V at height 0, on
+    the corner grid meta["grid"].
 
     Computed by dualizing the primal stack of the dual module, then
-    translating the result so the V copy comes back to V's own coordinates.
+    translating the result so the V copy comes back to V's own coordinates;
+    the primal stack's corner grid is mirrored and translated with it.
     height is as in build_S_prime.
     """
     if V.is_zero():
         raise ValueError("zero module")
     prim = build_S_prime(dualize(V), height)
-    Md = dualize(prim.M)
-    t = vsub(vadd(V.box.lo, V.box.hi), vadd(Md.box.lo, Md.box.hi)[:V.n]) + (4,)
-    return BuildResult(Md.translate(t), AxisEmbedding.layer(V.n, V.n, 0), 5, {"source_box": V.box})
+    grid = prim.meta["grid"]
+    t = vsub(vadd(V.box.lo, V.box.hi), vadd(grid.box.lo, grid.box.hi)[:V.n]) + (4,)
+    grid = grid.reflect().translate(t)
+    line = grid.down(AxisEmbedding.layer(V.n, V.n, 0), V.box)
+    return BuildResult(dualize(prim.M).translate(t), line, 5, {"source_box": V.box, "grid": grid})
 
 
 def candy_wrap(V: PersModule) -> CandyModule:
-    """Nine layers I_R -> Rbar -> R' -> R -> V -> T -> T' -> Tbar -> I_T."""
+    """Nine layers I_R -> Rbar -> R' -> R -> V -> T -> T' -> Tbar -> I_T, on
+    the corner grid that joins the grids of both halves."""
     if V.is_zero():
         raise ValueError("cannot wrap the zero module")
     prim = build_S_prime(V, 9)  # heights -4..0
     dual = build_S_dprime(V, 9)  # heights 0..4
+    # the primal hull begins at V.box.lo and the dual one ends at V.box.hi,
+    # and both grids keep every coordinate of V.box: so on its own box each
+    # half's grid is the joined grid, whose runs begin where the dual ones
+    # do, and the primal half only shifts onto it
+    gp = prim.meta["grid"]
+    grid = gp.join(dual.meta["grid"])
+    P = prim.M.translate(vsub(grid.floor(gp.box.lo), gp.box.lo))
     n = V.n
-    dims = dict(prim.M.dims)
-    steps = dict(prim.M.steps)
+    dims, steps = P.dims, P.steps
     for v, d in dual.M.dims.items():
         if v[-1] == 0:
             if dims.get(v) != d:
@@ -191,11 +235,17 @@ def candy_wrap(V: PersModule) -> CandyModule:
     for (v, k), m in dual.M.steps.items():
         if v[-1] >= 0 and not (v[-1] == 0 and k < n):
             steps[(v, k)] = m
-    M = PersModule(V.field, GridBox.hull([prim.M.box, dual.M.box]), dims, steps)
-    return CandyModule(M, *candy_corners(M), AxisEmbedding.layer(n, n, 0))
+    # each layer and link made its own objects: one object for each matrix
+    objects = {}
+    same = {i: objects.setdefault((m.nrows, m.ncols, tuple(map(tuple, m.rows))), m)
+            for i, m in {id(m): m for m in steps.values()}.items()}
+    M = PersModule(V.field, grid.coarse, dims, {vk: same[id(m)] for vk, m in steps.items()})
+    return CandyModule(M, *candy_corners(M), grid.down(AxisEmbedding.layer(n, n, 0), V.box), grid)
 
 
-def concat(A: CandyModule, B: CandyModule) -> CandyModule:
+def _unit_steps(A: CandyModule, B: CandyModule) -> tuple:
+    """e_{N-2} and e_{N-1} of the candies' common dimension N; a ValueError
+    when A and B cannot be concatenated."""
     MA, MB = A.module, B.module
     if MA.field != MB.field:
         raise ValueError("concatenation needs a common field")
@@ -208,8 +258,15 @@ def concat(A: CandyModule, B: CandyModule) -> CandyModule:
         faults = candy_corner_faults(C.module, C.ul, C.lr)
         if faults:
             raise ValueError(f"the {name} candy's corners are wrong: {'; '.join(faults)}")
-    e_snd = tuple(1 if i == N - 2 else 0 for i in range(N))
-    e_last = tuple(1 if i == N - 1 else 0 for i in range(N))
+    return tuple(1 if i == N - 2 else 0 for i in range(N)), tuple(1 if i == N - 1 else 0 for i in range(N))
+
+
+def concat(A: CandyModule, B: CandyModule) -> CandyModule:
+    """A and B joined by a handle, each on the grid of its own module; any
+    grid either candy has is ignored."""
+    MA, MB = A.module, B.module
+    N = MA.n
+    e_snd, e_last = _unit_steps(A, B)
     # align lr(A) with ul(B), then push B one step down and one step right
     t = vadd(vsub(A.lr, B.ul), vsub(e_snd, e_last))
     B2 = MB.translate(t)
@@ -256,18 +313,44 @@ def concat(A: CandyModule, B: CandyModule) -> CandyModule:
     return CandyModule(M, A.ul, vadd(B.lr, t))
 
 
+def _concat_stacked(A: CandyModule, B: CandyModule) -> tuple:
+    """The concatenation of the stacked candies that A and B stand for, and
+    B's translation in that stacked layout.
+
+    concat's unit steps are steps of the stacked layout, and concatenation
+    does not commute with coarsening.  So both candies go onto one corner
+    grid, placed as concat places the stacked ones: it refines both grids,
+    and also cuts axis N-2 just before each leading edge of B's top layer,
+    where the handle's fresh vertices sit.  Then concat on that grid stands
+    for concat of the stacked candies.
+    """
+    e_snd, e_last = _unit_steps(A, B)
+    ga, gb = A.grid, B.grid
+    t = vadd(vsub(ga.last(A.lr), gb.first(B.ul)), vsub(e_snd, e_last))
+    gb, MB = gb.translate(t), B.module.translate(t)
+    h = B.ul[-1] + t[-1]
+    top = {w for w in MB.dims if w[-1] == h}
+    N = len(t)
+    grid = ga.join(gb).cut(N - 2, {gb.first(w)[N - 2] - 1 for w in top if vsub(w, e_snd) not in top})
+    MA, MB = grid.refine(A.module, ga), grid.refine(MB, gb)
+    C = concat(CandyModule(MA, *candy_corners(MA)), CandyModule(MB, *candy_corners(MB)))
+    return CandyModule(C.module, C.ul, C.lr, None, grid), t
+
+
 def string_candies(mods: list) -> StringResult:
-    """Wrap each module and fold concat left to right, tracking where each
-    input's restriction line lands."""
+    """Wrap each module and fold concatenation left to right, each step
+    concatenating the stacked candies on a corner grid (_concat_stacked),
+    tracking where each input's restriction line lands.  The string is on
+    its corner grid candy.grid, and the embeddings map into it."""
     if not mods:
         raise ValueError("need at least one module")
     candies = [candy_wrap(m) for m in mods]
     cur = candies[0]
-    embeds = [candies[0].line]
-    for c in candies[1:]:
-        cur = concat(cur, c)
-        embeds.append(c.line.translate(vsub(cur.lr, c.lr)))  # concat puts c.lr at cur.lr
-    return StringResult(cur, embeds)
+    lines = [cur.grid.up(cur.line, mods[0].box)]  # in the stacked layout
+    for c, V in zip(candies[1:], mods[1:]):
+        cur, t = _concat_stacked(cur, c)
+        lines.append(c.grid.up(c.line, V.box).translate(t))
+    return StringResult(cur, [cur.grid.down(L, V.box) for L, V in zip(lines, mods)])
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +374,7 @@ def _greedy_points(windows: list) -> list:
     return out
 
 
-def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox, height: int):
+def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox, source: GridBox, height: int):
     """The three rectangle layers I' -> R'' -> R~ on a first axis refined by s.
 
     Summand i becomes the window windows[i] on the first axis.  The births
@@ -299,8 +382,9 @@ def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox, 
     the deaths d'_i = D + (m - rank) on the first axis keep the interleaved
     ordering that makes endomorphisms of R'' diagonal.  Summands are listed
     in the rank order meta["order"].  Returns (layers, links, line, meta),
-    on the hull of box and the rectangles; the line samples first
-    coordinates at multiples of s.  height is as in _cone_chain.
+    on the corner grid meta["grid"] of the hull of box and the rectangles;
+    the line, in the paper's coordinates, samples first coordinates of
+    source, the input box, at multiples of s.  height is as in _cone_chain.
     """
     m = len(summands)
     n = len(summands[0].b)
@@ -311,15 +395,17 @@ def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox, 
     D = tuple(max(r.d[k] for r in tilde) for k in range(n))
     bprime = [(ts[i],) + summands[i].b[1:] for i in order]
     dprime = [(D[0] + (m - rank),) + D[1:] for rank in range(1, m + 1)]
-    decomps, layers, links = _cone_chain(field, bprime, dprime, [tilde], box, height)
     line = AxisEmbedding([("affine", s, 0)] + [("affine", 1, 0)] * (n - 1), n, 0)
+    grid, chain, layers, links = _cone_chain(field, bprime, dprime, [tilde], box, height, line.hits(source)[:-1])
     meta = {
         "s": s,
         "windows": [windows[i] for i in order],
         "bprime": bprime,
         "dprime": dprime,
-        "decomps": decomps,
+        "decomps": [RectDecomp(field, grid.box, rects) for rects in chain],
         "order": order,
+        "grid": grid,
+        "source_box": source,
     }
     return layers, links, line, meta
 
@@ -329,7 +415,8 @@ def min3_rect(V: RectDecomp) -> BuildResult:
 
     The first axis is refined by the scale s = 2(m+1): each summand becomes
     the window [s b1, s d1] there (simple summands with b1 = d1 inflate to
-    [s b1 - m, s b1 + m]); see _refined_layers.
+    [s b1 - m, s b1 + m]); see _refined_layers.  The result is on the
+    corner grid meta["grid"], the line into it.
     """
     if not V.summands:
         raise ValueError("empty rectangle decomposition")
@@ -338,13 +425,13 @@ def min3_rect(V: RectDecomp) -> BuildResult:
     windows = [(s * r.b[0] - m, s * r.b[0] + m) if r.b[0] == r.d[0] else (s * r.b[0], s * r.d[0])
                for r in V.summands]
     scaled = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0],) + V.box.hi[1:])
-    layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, scaled, 3)
-    meta["source_box"] = V.box
-    return BuildResult(stack(layers, links, height_lo=-2), line, 3, meta)
+    layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, scaled, V.box, 3)
+    return _stack_on_grid(layers, links, -2, line, meta)
 
 
 def min3(V: RectDecomp) -> BuildResult:
-    """The 1D three-layer construction (min3_rect specialized to n = 1)."""
+    """The 1D three-layer construction (min3_rect specialized to n = 1),
+    on its corner grid meta["grid"]."""
     if V.n != 1:
         raise ValueError("min3 takes a 1D decomposition; use min3_rect for higher dimensions")
     return min3_rect(V)
@@ -358,7 +445,8 @@ def gen4(V: PersModule) -> BuildResult:
     (y1, rest) -> (floor(y1/s), rest): a rectangle [b, d] becomes the window
     [s b1, s d1 + s - 1], wide enough that no inflation is ever needed, and
     p becomes p composed with the stretch.  Sampling first coordinates at
-    multiples of s recovers p and V exactly.
+    multiples of s recovers p and V exactly.  The result is on the corner
+    grid meta["grid"], the line into it.
     """
     if V.is_zero():
         raise ValueError("zero module")
@@ -371,18 +459,25 @@ def gen4(V: PersModule) -> BuildResult:
         return (y[0] // s,) + y[1:]
 
     stretched = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0] + s - 1,) + V.box.hi[1:])
-    VG = pullback(V, floor, stretched)
-    layers, links, line, meta = _refined_layers(V.field, cov.decomp.summands, windows, s, VG.box, 4)
-    top = pad(VG, layers[0].box)
+    layers, links, line, meta = _refined_layers(V.field, cov.decomp.summands, windows, s, stretched, V.box, 4)
+    # the stretched V on the corner grid: V, its first axis moved to start
+    # at s V.box.lo, stands for its pullback to the stretched box along the
+    # s-blocks.  The line hits each block's first coordinate, and every
+    # window ends where the last block does, so the corner grid refines them.
+    grid = meta["grid"]
+    blocks = Compression.of(stretched, [range(stretched.lo[0], stretched.hi[0] + 1, s)] +
+                            [range(a, b + 1) for a, b in zip(V.box.lo[1:], V.box.hi[1:])])
+    top = grid.refine(V.translate((stretched.lo[0] - V.box.lo[0],) + (0,) * (V.n - 1)), blocks)
     # stretched cover surjection: at y it is p at floor(y), columns permuted
     # into the rank order used for the rectangle layers
-    order, tilde = meta["order"], meta["decomps"][2]
+    order, tilde = meta["order"], meta["decomps"][2].summands
     comps = {}
-    for y, d in VG.dims.items():
+    for u, d in top.dims.items():
+        y = grid.first(u)
         x = floor(y)
         cols = cov.decomp.indices_at(x)
-        live = [cols.index(order[j]) for j in tilde.indices_at(y)]
-        comps[y] = cov.morphism.comp(x).submatrix(range(d), live)
+        live = [cols.index(order[j]) for j, r in enumerate(tilde) if r.contains(y)]
+        comps[u] = cov.morphism.comp(x).submatrix(range(d), live)
     links.append(ModMorphism(layers[2], top, comps))
-    meta.update({"source_box": V.box, "cover": cov})
-    return BuildResult(stack(layers + [top], links, height_lo=-3), line, 4, meta)
+    meta["cover"] = cov
+    return _stack_on_grid(layers + [top], links, -3, line, meta)

@@ -8,7 +8,9 @@ monotone path, which commutativity makes canonical.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache, cached_property, partial
 from operator import add, sub
 
 from .fields import Field
@@ -503,6 +505,108 @@ def coarsen(M: PersModule, keep: list) -> tuple[PersModule, list[dict]]:
     return PersModule(M.field, box, cdims, csteps), maps
 
 
+@dataclass(frozen=True)
+class Compression:
+    """A box of Z^n cut, on each axis, into runs of consecutive coordinates.
+
+    starts[k] lists in order the coordinate at which each run of axis k
+    begins, the first being box.lo[k]; run i of axis k is coordinate
+    box.lo[k] + i of the coarse box.  A module on the coarse box stands
+    for its pullback along floor to box, which is constant on each run.
+    """
+
+    box: GridBox
+    starts: tuple
+
+    @staticmethod
+    def of(box: GridBox, events) -> "Compression":
+        """The runs of box that begin at lo and at each coordinate of
+        events[k] inside box on axis k."""
+        return Compression(box, tuple(tuple(sorted({lo, *(c for c in ev if lo <= c <= hi)}))
+                                      for lo, hi, ev in zip(box.lo, box.hi, events)))
+
+    @cached_property
+    def coarse(self) -> GridBox:
+        return GridBox(self.box.lo, tuple(lo + len(s) - 1 for lo, s in zip(self.box.lo, self.starts)))
+
+    def floor(self, v) -> tuple:
+        """The coarse vertex whose runs hold v."""
+        return tuple(lo + bisect_right(s, c) - 1 for lo, s, c in zip(self.box.lo, self.starts, v))
+
+    def first(self, u) -> tuple:
+        """The vertex at which the runs of the coarse vertex u begin."""
+        return tuple(s[c - lo] for lo, s, c in zip(self.box.lo, self.starts, u))
+
+    def last(self, u) -> tuple:
+        """The vertex at which the runs of the coarse vertex u end."""
+        return tuple(s[c - lo + 1] - 1 if c - lo + 1 < len(s) else hi
+                     for lo, hi, s, c in zip(self.box.lo, self.box.hi, self.starts, u))
+
+    def extend(self, lo: int, hi: int) -> "Compression":
+        """This compression with one more axis [lo, hi], left uncut."""
+        return Compression(GridBox(self.box.lo + (lo,), self.box.hi + (hi,)),
+                           self.starts + (tuple(range(lo, hi + 1)),))
+
+    def cut(self, k: int, coords) -> "Compression":
+        """These runs, also cut at each of coords on axis k."""
+        events = [s if j != k else {*s, *coords} for j, s in enumerate(self.starts)]
+        return Compression.of(self.box, events)
+
+    def join(self, other: "Compression") -> "Compression":
+        """The runs of the hull of both boxes that refine the runs of each
+        compression inside its own box."""
+        box = GridBox.hull([self.box, other.box])
+        return Compression.of(box, [{*s, *t, a + 1, b + 1} for s, t, a, b in
+                                    zip(self.starts, other.starts, self.box.hi, other.box.hi)])
+
+    def translate(self, t) -> "Compression":
+        return Compression(GridBox(vadd(self.box.lo, t), vadd(self.box.hi, t)),
+                           tuple(tuple(c + x for c in s) for s, x in zip(self.starts, t)))
+
+    def reflect(self) -> "Compression":
+        """The runs mirrored in the box's centre, as dualize mirrors a module."""
+        return Compression(self.box, tuple((lo, *(lo + hi + 1 - c for c in reversed(s[1:])))
+                                           for lo, hi, s in zip(self.box.lo, self.box.hi, self.starts)))
+
+    def refine(self, M: PersModule, old: "Compression") -> PersModule:
+        """M, on old.coarse, on the coarse box, where these runs refine
+        old's runs inside old.box: each coarse vertex takes M at the old
+        vertex whose runs hold its runs, and every other vertex is zero.
+        Only M's live vertices are visited, so the cost follows the output,
+        not the coarse box."""
+        under = []  # per axis: old coordinate -> the coarse coordinates in its run
+        for lo, s, olo, ohi, os in zip(self.box.lo, self.starts, old.box.lo, old.box.hi, old.starts):
+            runs = {}
+            for i, c in enumerate(s):
+                if olo <= c <= ohi:
+                    runs.setdefault(olo + bisect_right(os, c) - 1, []).append(lo + i)
+            under.append(runs)
+        ends = [{cs[-1] for cs in runs.values()} for runs in under]  # the last coordinate in each run
+        eye = cache(partial(Matrix.identity, M.field))
+        dims, steps = {}, {}
+        for y, d in M.dims.items():
+            for u in itertools.product(*(runs[c] for runs, c in zip(under, y))):
+                dims[u] = d
+                # inside a run of old the arrow is an identity, out of it the stored step
+                for k, c in enumerate(u):
+                    if c not in ends[k]:
+                        steps[(u, k)] = eye(d)
+                    elif (m := M.steps.get((y, k))) is not None:
+                        steps[(u, k)] = m
+        return PersModule(M.field, self.coarse, dims, steps)
+
+    def down(self, L: AxisEmbedding, box: GridBox) -> AxisEmbedding:
+        """L on box, followed by floor: an embedding into the coarse box
+        that stands for L when every coordinate L hits begins a run."""
+        return L.followed_by([{y: lo + bisect_right(s, y) - 1 for y in ys}
+                              for lo, s, ys in zip(self.box.lo, self.starts, L.hits(box))], box)
+
+    def up(self, L: AxisEmbedding, box: GridBox) -> AxisEmbedding:
+        """L, an embedding into the coarse box, on box, followed by first."""
+        return L.followed_by([{y: s[y - lo] for y in ys}
+                              for lo, s, ys in zip(self.box.lo, self.starts, L.hits(box))], box)
+
+
 def restrict(M: PersModule, L: AxisEmbedding, source_box: GridBox | None = None) -> PersModule:
     """Pull M back along the hyperplane embedding L."""
     if L.n != M.n - 1:
@@ -525,7 +629,8 @@ def stack(layers: list[PersModule], links: list[ModMorphism], height_lo: int = 0
     """Assemble an (n+1)D module from n-D layers and connecting morphisms.
 
     Layer i sits at last coordinate height_lo + i; links[i] maps layer i to
-    layer i+1.
+    layer i+1.  A link component left out is the zero map, and so is the
+    step it would give.
     """
     if not layers:
         raise ValueError("need at least one layer")
@@ -549,10 +654,8 @@ def stack(layers: list[PersModule], links: list[ModMorphism], height_lo: int = 0
         for (v, k), m in L.steps.items():
             steps[(v + (h,), k)] = m
         if i + 1 < len(layers):
-            f = links[i]
-            for v in L.dims:
-                if layers[i + 1].dim(v) > 0:
-                    steps[(v + (h,), n)] = f.comp(v)
+            for v, m in links[i].comps.items():
+                steps[(v + (h,), n)] = m
     return PersModule(base.field, box, dims, steps)
 
 

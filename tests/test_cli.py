@@ -429,6 +429,11 @@ class TestMistypedOrOversizedInput:
     BOTTOM = {**CORNER, "dims": [1] + [0] * 89999}
     LONG = {"field": "Q", "n": 1, "lo": [0], "hi": [13999], "dims": [1] + [0] * 13999, "steps": []}
     POINT = {"field": "Fp:1009", "n": 1, "lo": [0], "hi": [0], "dims": [1], "steps": []}
+    # two one-point bars far apart: the corner grid has a handful of
+    # coordinates, but the caps count the stacked layout
+    BARS = {"field": "Q", "n": 1, "rects": [{"b": [0], "d": [0]}, {"b": [1], "d": [1]}]}
+    CAP_MESSAGES = {"bars-20000-apart-min3": "box with 120001 vertices exceeds the cap 100000",
+                    "bars-30000-apart-s4": "4 layers of 30009 vertices exceed the cap 100000"}
     STEP = {"field": "Fp:7", "n": 1, "lo": [0], "hi": [1], "dims": [1, 1],
             "steps": [{"v": [0], "axis": 0, "matrix": [[1]]}]}
     # two equal records, whose matrix the reader parses once
@@ -498,6 +503,8 @@ class TestMistypedOrOversizedInput:
         "over-cap-bottom-gen4": (BOTTOM, lambda o: None, "gen4"),
         "long-candy": (LONG, lambda o: None, "candy"),
         "long-gen4": (LONG, lambda o: None, "gen4"),
+        "bars-20000-apart-min3": (BARS, lambda o: o["rects"][1].update(b=[20000], d=[20000]), "min3"),
+        "bars-30000-apart-s4": (BARS, lambda o: o["rects"][1].update(b=[30000], d=[30000]), "s4"),
         "pmod-dim-3000": (POINT, lambda o: o.update(dims=[3000])),
         "pmod-dim-million": (POINT, lambda o: o.update(dims=[10**6])),
         "pmod-step-twice": (STEP, lambda o: o["steps"].append({"v": [0], "axis": 0, "matrix": [[3]]})),
@@ -531,7 +538,8 @@ class TestMistypedOrOversizedInput:
     def test_bases_are_valid(self, tmp_path, capsys):
         for base, *verb in ((self.RECTS,), (self.LINE,), (self.TABLE_LINE,),
                             (_one_vertex(MAX_AXES, "pmod"),), (_one_vertex(MAX_AXES, "rects"), "min3rect"),
-                            (self.STEP,), (self.TWO_STEPS,), (self.DEAD_STEP,)):
+                            (self.STEP,), (self.TWO_STEPS,), (self.DEAD_STEP,), (self.BARS, "min3"),
+                            (self.BARS, "s4")):
             p = str(tmp_path / "in.json")
             dump(base, p)
             assert run(capsys, self._argv(base, p, tmp_path, *verb))[0] == 0
@@ -550,6 +558,16 @@ class TestMistypedOrOversizedInput:
         code, _, err = run(capsys, argv)
         assert code == 2 and err.startswith("error:") and len(err) > len("error: \n")
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("case", sorted(CAP_MESSAGES))
+    def test_caps_count_the_stacked_layout(self, tmp_path, capsys, case):
+        base, change, verb = self.CASES[case]
+        obj = json.loads(json.dumps(base))
+        change(obj)
+        p = str(tmp_path / "in.json")
+        dump(obj, p)
+        code, out, err = run(capsys, self._argv(obj, p, tmp_path, verb))
+        assert code == 2 and out == "" and err == f"error: {self.CAP_MESSAGES[case]}\n"
 
     def test_step_given_twice_is_named(self, tmp_path, capsys):
         obj = json.loads(json.dumps(self.STEP))

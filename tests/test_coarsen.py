@@ -1,15 +1,19 @@
 """grid.coarsen: pulling the coarse module back along its coordinate maps
 gives the module exactly, keep coordinates stay distinct, a second
-coarsening changes nothing, and End has the same dimension on both grids."""
+coarsening changes nothing, and End has the same dimension on both grids.
+A refinement of a module (a grid.Compression's stacked layout) coarsens to
+the same module, so the builders' corner grids give the CLI the files that
+their stacked layouts gave."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistgrid import (Field, GridBox, PersModule, build_S, build_S_dprime, build_S_prime,
+from persistgrid import (CandyModule, Field, GridBox, PersModule, build_S, build_S_dprime, build_S_prime,
                          candy_wrap, concat, end_dim, gen4, min3, min3_rect, string_candies)
-from persistgrid.grid import coarsen, pad, pullback, vsucc
+from persistgrid.grid import Compression, candy_corners, coarsen, pad, pullback, vsub, vsucc
+from persistgrid.io import pmod_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module, rand_rect_decomp
 
@@ -18,6 +22,16 @@ FIELDS = (Field.prime(2), Field.prime(3), Field.rationals(), Field.prime(1009))
 
 def floor_of(maps):
     return lambda v: tuple(to[c] for to, c in zip(maps, v))
+
+
+def stacked(M, grid):
+    """The stacked layout that M on its corner grid stands for."""
+    return pullback(M, grid.floor, grid.box)
+
+
+def stacked_candy(C, line=None):
+    M = stacked(C.module, C.grid)
+    return CandyModule(M, *candy_corners(M), line)
 
 
 def check_coarsen(M, keep):
@@ -103,8 +117,41 @@ def line_keep(n, lines):
 
 
 @given(st.integers(0, 2**31))
+@settings(max_examples=60, deadline=None)
+def test_refinements_coarsen_alike(seed):
+    """M pulled back to a finer box along a monotone floor whose fibres
+    hold only identities coarsens to M's own coarsening, with the same
+    coordinate maps through floor, when every kept coordinate begins a
+    fibre: the fine box has M's lo, and both are numbered from it."""
+    rng = random.Random(seed)
+    M = stretched_module(rng, FIELDS[seed % 4])
+    starts, hi = [], []
+    for a, b in zip(M.box.lo, M.box.hi):
+        lengths = [rng.randint(1, 3) for _ in range(a, b + 1)]
+        starts.append([a + sum(lengths[:i]) for i in range(len(lengths))])
+        hi.append(a + sum(lengths) - 1)
+    grid = Compression(GridBox(M.box.lo, tuple(hi)), tuple(map(tuple, starts)))
+    M = M.translate(vsub(grid.coarse.lo, M.box.lo))  # M on the grid's coarse box
+    fine = pullback(M, grid.floor, grid.box)
+
+    def floor_on(k, c):
+        return grid.floor(grid.box.lo[:k] + (c,) + grid.box.lo[k + 1:])[k]
+
+    keep_fine = [{c for c in ss if rng.random() < 0.3} for ss in starts]
+    keep = [{floor_on(k, c) for c in ks} for k, ks in enumerate(keep_fine)]
+    coarse_fine, maps_fine = coarsen(fine, keep_fine)
+    coarse, maps = coarsen(M, keep)
+    assert pmod_to_json(coarse_fine) == pmod_to_json(coarse)
+    for k, to in enumerate(maps_fine):
+        assert all(to[c] == maps[k][floor_on(k, c)] for c in to)
+
+
+@given(st.integers(0, 2**31))
 @settings(max_examples=6, deadline=None)
 def test_construction_outputs_pull_back(seed):
+    """Every builder's output and string_candies' on its corner grid, and
+    concat of two stacked candies: the stacked layout coarsens to a smaller
+    module, which the output on its corner grid coarsens to as well."""
     rng = random.Random(seed)
     field = FIELDS[seed % 4]
     V = rand_module(rng, field, GridBox((0,), (3,)), max_dim=2, total_cap=5)
@@ -112,11 +159,14 @@ def test_construction_outputs_pull_back(seed):
     R = rand_rect_decomp(rng, field, 1, 4)
     built = [build_S(R), min3(R), min3_rect(rand_rect_decomp(rng, field, 2, 3, hi=2)), gen4(V), gen4(W),
              build_S_prime(V), build_S_dprime(W)]
-    outputs = [(r.M, [(r.line, r.meta["source_box"])]) for r in built]
+    outputs = [(r.M, r.meta["grid"], [(r.line, r.meta["source_box"])]) for r in built]
     A, B = candy_wrap(V), candy_wrap(V.translate((1,)))
     S = string_candies([V, V])
-    outputs += [(A.module, [(A.line, V.box)]), (concat(A, B).module, []),
-                (S.candy.module, [(e, V.box) for e in S.embeddings])]
-    for M, lines in outputs:
-        coarse = check_coarsen(M, line_keep(M.n, lines))
-        assert len(coarse.dims) < len(M.dims)
+    outputs += [(A.module, A.grid, [(A.line, V.box)]), (S.candy.module, S.candy.grid, [(e, V.box) for e in S.embeddings])]
+    for M, grid, lines in outputs:
+        fine = stacked(M, grid)
+        coarse = check_coarsen(fine, line_keep(M.n, [(grid.up(L, box), box) for L, box in lines]))
+        assert len(coarse.dims) < len(fine.dims)
+        assert coarsen(M, line_keep(M.n, lines))[0] == coarse
+    fine = concat(stacked_candy(A), stacked_candy(B)).module
+    assert len(check_coarsen(fine, line_keep(fine.n, [])).dims) < len(fine.dims)

@@ -2,13 +2,16 @@
 their lines and the `restrict` of each, and of `construct --method candy`,
 `concat` and `string`.
 
-The library builders return the stacked layout; the CLI writes each
-construction on its coarsest grid (`grid.coarsen`).  PINNED holds the
-builders' outputs, written as the CLI wrote them before it coarsened, and
-was recorded from the implementation in which gen4 stretched its module by
-a loop of its own and every composite was multiplied out from an identity.
-COARSE holds the CLI's files.  Each pin is the sha256 of one run's output
-files, concatenated in the order the run writes them."""
+The library builders return each construction on its corner grid, and
+the CLI writes it on its coarsest grid (`grid.coarsen`).  PINNED holds the
+stacked layouts the corner grids stand for (each output pulled back along
+its grid's floor, with its line in the paper's coordinates), written as
+the CLI wrote them before it coarsened; it was recorded from the
+implementation that built the stacked layout itself, in which gen4
+stretched its module by a loop of its own and every composite was
+multiplied out from an identity.  COARSE holds the CLI's files.  Each pin
+is the sha256 of one run's output files, concatenated in the order the run
+writes them."""
 
 import hashlib
 import json
@@ -16,14 +19,14 @@ import random
 
 import pytest
 
-from persistgrid import Field, GridBox, candy_wrap, concat, gen4, min3, string_candies
+from persistgrid import AxisEmbedding, Field, GridBox, candy_wrap, concat, gen4, min3, string_candies
 from persistgrid.cli import main
 from persistgrid.grid import coarsen, pullback
 from persistgrid.io import (candy_from_json, candy_to_json, dump, line_to_json, load, pmod_from_json,
                             pmod_to_json, rects_from_json, rects_to_json)
 from persistgrid.sampling import rand_module, rand_rect_decomp
 
-from test_coarsen import floor_of, line_keep
+from test_coarsen import floor_of, line_keep, stacked, stacked_candy
 
 FIELDS = (Field.prime(2), Field.prime(3), Field.rationals(), Field.prime(1009))
 SEEDS = range(4)
@@ -52,6 +55,16 @@ def _read(path) -> bytes:
         return fh.read()
 
 
+def paper_line(L, grid, box, scales):
+    """L, on grid's coarse box, as the affine line into the stacked layout
+    with the given scales that it stands for on box."""
+    up = grid.up(L, box)
+    A = AxisEmbedding([("affine", c, t[0] - c * start) for c, (_, start, t) in zip(scales, up.axis_maps)],
+                      up.insert_pos, up.insert_value)
+    assert A.hits(box) == up.hits(box)
+    return A
+
+
 def _run(argv, outs) -> list:
     """The bytes of the files in outs after a successful CLI run of argv."""
     assert main(argv) == 0, argv
@@ -59,10 +72,10 @@ def _run(argv, outs) -> list:
 
 
 class Runs:
-    """Every pinned run, made once: the builders' outputs (fine), the CLI's
-    files (coarse), the CLI restrict outputs with the input files, and for
-    each CLI file the fine module it came from with the (line, box) pairs
-    it keeps."""
+    """Every pinned run, made once: the stacked layouts of the builders'
+    outputs (fine), the CLI's files (coarse), the CLI restrict outputs with
+    the input files, and for each CLI file the builder's module it came
+    from with the (line, box) pairs it keeps."""
 
     def __init__(self, tmp_path):
         self.fine, self.coarse, self.restricted, self.inputs, self.pairs = {}, {}, {}, {}, []
@@ -88,8 +101,10 @@ class Runs:
 
     def _construct(self, tmp_path, method, infile, tag, res, box):
         out, line, w = (str(tmp_path / f"{tag}.{x}.json") for x in ("out", "line", "res"))
+        grid = res.meta["grid"]
+        paper = paper_line(res.line, grid, box, [res.meta["s"]] + [1] * (box.n - 1))
         self._cli(tag, ["construct", "--method", method, "--in", infile, "--out", out, "--line-out", line],
-                  [out, line], [pmod_to_json(res.M), line_to_json(res.line)], (res.M, [(res.line, box)]))
+                  [out, line], [pmod_to_json(stacked(res.M, grid)), line_to_json(paper)], (res.M, [(res.line, box)]))
         self.restricted[tag] = _run(["restrict", "--in", out, "--line", line, "--out", w], [w])[0]
 
     def _candies(self, tmp_path, seed, shape, box):
@@ -99,13 +114,14 @@ class Runs:
             dump(pmod_to_json(module(seed, box, salt)), p)
             V = pmod_from_json(load(p))
             C = candy_wrap(V)
+            F = stacked_candy(C, paper_line(C.line, C.grid, V.box, [1] * V.n))
             self._cli(f"candy {shape} {seed} {salt}",
                       ["construct", "--method", "candy", "--in", p, "--out", c, "--line-out", c + ".line"],
-                      [c, c + ".line"], [candy_to_json(C), line_to_json(C.line)], (C.module, [(C.line, V.box)]))
+                      [c, c + ".line"], [candy_to_json(F), line_to_json(F.line)], (C.module, [(C.line, V.box)]))
             files.append(p)
             candies.append(c)
             mods.append(V)
-            fine.append(C)
+            fine.append(F)
         # the CLI concatenates the coarse candy files it wrote
         cat = str(tmp_path / f"{shape}.{seed}.concat.json")
         read = concat(*(candy_from_json(load(c)) for c in candies))
@@ -115,8 +131,9 @@ class Runs:
         with open(manifest, "w") as fh:
             json.dump({"modules": files + files[:1]}, fh)
         S = string_candies(mods + mods[:1])
-        out = candy_to_json(S.candy)
-        out["embeddings"] = [line_to_json(e) for e in S.embeddings]
+        out = candy_to_json(stacked_candy(S.candy))
+        out["embeddings"] = [line_to_json(paper_line(e, S.candy.grid, V.box, [1] * V.n))
+                             for e, V in zip(S.embeddings, mods + mods[:1])]
         self._cli(f"string {shape} {seed}", ["string", "--list", manifest, "--out", strung], [strung], [out],
                   (S.candy.module, [(e, V.box) for e, V in zip(S.embeddings, mods + mods[:1])]))
 
@@ -216,7 +233,8 @@ COARSE = {'candy 1d 0 2': 'fc04e0f4ae66c2df4fdd2570960565eb72c5f1f94f2d37031df4f
 
 
 def test_construct_outputs_are_pinned(runs):
-    """The library builders' outputs are unchanged."""
+    """The stacked layouts the library builders' outputs stand for are
+    unchanged."""
     assert runs.fine == PINNED
 
 

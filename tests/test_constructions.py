@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from persistgrid import (CandyModule, Field, GridBox, ModMorphism, PersModule,
                          string_candies)
 from persistgrid import constructions
 from persistgrid.homspace import Context
-from persistgrid.io import pmod_to_json
+from persistgrid.cli import main
+from persistgrid.io import dump, pmod_to_json
 from persistgrid.constructions import cone, separate_and_shift, verticalize
 from persistgrid.covers import projective_cover
 from persistgrid.grid import direct_sum, dualize, pad, slice_layers, stack
@@ -407,3 +409,50 @@ class TestSharedStepsStayUnchanged:
                     layer_steps += 1
             assert all(len(ids) == 1 for ids in objects.values())
         assert len({id(m) for m in C.steps.values()}) * 10 < layer_steps
+
+
+class TestCornerGrid:
+    """The CLI's constructions fill their rectangle layers on the corner
+    grid, never on the stacked layout: every box rect_to_module receives is
+    smaller than the stacked layer box, which meta reads."""
+
+    @staticmethod
+    def _boxes(monkeypatch, argv) -> list:
+        """The vertex count of each box rect_to_module receives while
+        cli.main runs argv, at every import site."""
+        counts = []
+        real = rect_to_module
+
+        def spy(R):
+            counts.append(R.box.count)
+            return real(R)
+
+        for name, mod in list(sys.modules.items()):
+            if (name == "persistgrid" or name.startswith("persistgrid.")) and hasattr(mod, "rect_to_module"):
+                monkeypatch.setattr(mod, "rect_to_module", spy)
+        assert main(argv) == 0
+        return counts
+
+    @staticmethod
+    def _module(tmp_path, box, max_dim):
+        rng = random.Random(7)
+        V = next(V for V in iter(lambda: rand_module(rng, Field.prime(1009), box, max_dim=max_dim), None)
+                 if not V.is_zero())
+        p = str(tmp_path / "v.json")
+        dump(pmod_to_json(V), p)
+        return V, p
+
+    def test_candy_2x1_layers_are_at_most_a_quarter(self, tmp_path, monkeypatch):
+        V, p = self._module(tmp_path, GridBox((0, 0), (1, 0)), 1)
+        # an S' layer box is the hull of the input's box and each [b'_i, d'_i]
+        metas = [(W.box, build_S_prime(W, 9).meta) for W in (V, dualize(V))]
+        stacked = min(GridBox.hull([box] + [GridBox(b, d) for b, d in zip(m["bprime"], m["dprime"])]).count
+                      for box, m in metas)
+        counts = self._boxes(monkeypatch, ["construct", "--method", "candy", "--in", p, "--out", p + ".out"])
+        assert len(counts) > 8 and all(4 * c <= stacked for c in counts), (counts, stacked)
+
+    def test_gen4_3x3_layers_are_smaller(self, tmp_path, monkeypatch):
+        V, p = self._module(tmp_path, GridBox((0, 0), (2, 2)), 2)
+        stacked = gen4(V).meta["decomps"][0].box.count
+        counts = self._boxes(monkeypatch, ["construct", "--method", "gen4", "--in", p, "--out", p + ".out"])
+        assert len(counts) > 3 and all(c < stacked for c in counts), (counts, stacked)
