@@ -78,9 +78,8 @@ def _coarsest(M, lines, corners=()):
     for L, box in lines:
         for k, ys in enumerate(L.hits(box)):
             keep[k].update(ys)
-    coarse, maps = coarsen(M, keep)
-    return (coarse, [L.followed_by(maps, box) for L, box in lines],
-            [tuple(to[c] for to, c in zip(maps, v)) for v in corners])
+    coarse, grid = coarsen(M, keep)
+    return coarse, [grid.down(L, box) for L, box in lines], [grid.floor(v) for v in corners]
 
 
 def cmd_construct(args) -> int:
@@ -124,7 +123,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if rep.ok else EXIT_VIOLATED
     M = _read(args, args.infile, io.pmod_from_json)
     if args.kind == "indec":
-        verdict = try_split(M, seed=args.seed, trials=args.trials)
+        verdict = _or_format_error(try_split, M, args.seed, args.trials)
         _emit(verdict.to_json())
         if verdict.status == "IndecomposableCertified":
             return EXIT_OK

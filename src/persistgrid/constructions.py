@@ -14,7 +14,9 @@ output line hits, and each run becomes one coordinate.  The output's
 `grid` (a grid.Compression: meta["grid"], or CandyModule.grid) gives the
 stacked layout back as pullback(M, grid.floor, grid.box), and
 grid.up(line, source_box) the line in the paper's coordinates.  Vertex caps
-and meta read the stacked layout.
+and meta read the stacked layout.  string_candies concatenates the candies
+on their corner grids, as concat joins any two candies, so a string has no
+stacked layout and no grid.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ class CandyModule:
     """A stacked module with one-dimensional corner handles.
 
     ul minimizes every coordinate except the last (maximized); lr is the
-    opposite.  line, when present, recovers the wrapped input.  grid, when
-    present, is the corner grid of a built candy: the candy stands for the
-    stacked one, pullback(module, grid.floor, grid.box).
+    opposite.  line, when present, recovers the wrapped input.  grid, set by
+    candy_wrap, is the candy's corner grid: the candy stands for the stacked
+    one, pullback(module, grid.floor, grid.box).
     """
 
     module: PersModule
@@ -186,7 +188,7 @@ def build_S_prime(V: PersModule, height: int = 5) -> BuildResult:
     cov = projective_cover(V)
     layers, links, meta = _s_chain(cov.decomp, height)  # on a box containing V.box = cov.decomp.box
     top = pad(V, layers[0].box)
-    links.append(ModMorphism(layers[3], top, cov.morphism.comps))
+    links.append(ModMorphism(layers[3], top, cov.comps))
     meta["cover"] = cov
     return _stack_on_grid(layers + [top], links, -4, AxisEmbedding.layer(V.n, V.n, 0), meta)
 
@@ -243,9 +245,9 @@ def candy_wrap(V: PersModule) -> CandyModule:
     return CandyModule(M, *candy_corners(M), grid.down(AxisEmbedding.layer(n, n, 0), V.box), grid)
 
 
-def _unit_steps(A: CandyModule, B: CandyModule) -> tuple:
-    """e_{N-2} and e_{N-1} of the candies' common dimension N; a ValueError
-    when A and B cannot be concatenated."""
+def concat(A: CandyModule, B: CandyModule) -> CandyModule:
+    """A and B joined by a handle, each on the grid of its own module; any
+    grid either candy has is ignored."""
     MA, MB = A.module, B.module
     if MA.field != MB.field:
         raise ValueError("concatenation needs a common field")
@@ -258,15 +260,7 @@ def _unit_steps(A: CandyModule, B: CandyModule) -> tuple:
         faults = candy_corner_faults(C.module, C.ul, C.lr)
         if faults:
             raise ValueError(f"the {name} candy's corners are wrong: {'; '.join(faults)}")
-    return tuple(1 if i == N - 2 else 0 for i in range(N)), tuple(1 if i == N - 1 else 0 for i in range(N))
-
-
-def concat(A: CandyModule, B: CandyModule) -> CandyModule:
-    """A and B joined by a handle, each on the grid of its own module; any
-    grid either candy has is ignored."""
-    MA, MB = A.module, B.module
-    N = MA.n
-    e_snd, e_last = _unit_steps(A, B)
+    e_snd, e_last = (tuple(int(i == j) for i in range(N)) for j in (N - 2, N - 1))
     # align lr(A) with ul(B), then push B one step down and one step right
     t = vadd(vsub(A.lr, B.ul), vsub(e_snd, e_last))
     B2 = MB.translate(t)
@@ -313,44 +307,18 @@ def concat(A: CandyModule, B: CandyModule) -> CandyModule:
     return CandyModule(M, A.ul, vadd(B.lr, t))
 
 
-def _concat_stacked(A: CandyModule, B: CandyModule) -> tuple:
-    """The concatenation of the stacked candies that A and B stand for, and
-    B's translation in that stacked layout.
-
-    concat's unit steps are steps of the stacked layout, and concatenation
-    does not commute with coarsening.  So both candies go onto one corner
-    grid, placed as concat places the stacked ones: it refines both grids,
-    and also cuts axis N-2 just before each leading edge of B's top layer,
-    where the handle's fresh vertices sit.  Then concat on that grid stands
-    for concat of the stacked candies.
-    """
-    e_snd, e_last = _unit_steps(A, B)
-    ga, gb = A.grid, B.grid
-    t = vadd(vsub(ga.last(A.lr), gb.first(B.ul)), vsub(e_snd, e_last))
-    gb, MB = gb.translate(t), B.module.translate(t)
-    h = B.ul[-1] + t[-1]
-    top = {w for w in MB.dims if w[-1] == h}
-    N = len(t)
-    grid = ga.join(gb).cut(N - 2, {gb.first(w)[N - 2] - 1 for w in top if vsub(w, e_snd) not in top})
-    MA, MB = grid.refine(A.module, ga), grid.refine(MB, gb)
-    C = concat(CandyModule(MA, *candy_corners(MA)), CandyModule(MB, *candy_corners(MB)))
-    return CandyModule(C.module, C.ul, C.lr, None, grid), t
-
-
 def string_candies(mods: list) -> StringResult:
-    """Wrap each module and fold concatenation left to right, each step
-    concatenating the stacked candies on a corner grid (_concat_stacked),
-    tracking where each input's restriction line lands.  The string is on
-    its corner grid candy.grid, and the embeddings map into it."""
+    """Wrap each module and fold concat left to right over the candies as
+    candy_wrap returns them; each input's embedding is its candy's line,
+    translated as concat translates that candy."""
     if not mods:
         raise ValueError("need at least one module")
-    candies = [candy_wrap(m) for m in mods]
-    cur = candies[0]
-    lines = [cur.grid.up(cur.line, mods[0].box)]  # in the stacked layout
-    for c, V in zip(candies[1:], mods[1:]):
-        cur, t = _concat_stacked(cur, c)
-        lines.append(c.grid.up(c.line, V.box).translate(t))
-    return StringResult(cur, [cur.grid.down(L, V.box) for L, V in zip(lines, mods)])
+    cur, *rest = [candy_wrap(m) for m in mods]
+    lines = [cur.line]
+    for c in rest:
+        cur = concat(cur, c)
+        lines.append(c.line.translate(vsub(cur.lr, c.lr)))
+    return StringResult(cur, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +445,7 @@ def gen4(V: PersModule) -> BuildResult:
         x = floor(y)
         cols = cov.decomp.indices_at(x)
         live = [cols.index(order[j]) for j, r in enumerate(tilde) if r.contains(y)]
-        comps[u] = cov.morphism.comp(x).submatrix(range(d), live)
+        comps[u] = cov.comps[x].submatrix(range(d), live)
     links.append(ModMorphism(layers[2], top, comps))
     meta["cover"] = cov
     return _stack_on_grid(layers + [top], links, -3, line, meta)

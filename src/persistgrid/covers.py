@@ -9,18 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import ModMorphism, PersModule, vadd
+from .grid import PersModule, vadd
 from .linalg import Matrix
-from .rectangles import RectDecomp, Rectangle, rect_to_module
+from .rectangles import RectDecomp, Rectangle
 
 
 @dataclass
 class CoverResult:
-    """A rectangle-decomposable module with the cover morphism module ->> V."""
+    """A projective cover as its rectangles and the components of the cover
+    surjection rect_to_module(decomp) ->> V, one at each live vertex of V."""
 
     decomp: RectDecomp
-    module: PersModule
-    morphism: ModMorphism
+    comps: dict
 
 
 def projective_cover(V: PersModule) -> CoverResult:
@@ -28,7 +28,9 @@ def projective_cover(V: PersModule) -> CoverResult:
 
     Generators at x are the standard basis vectors e_r of V(x) for the
     non-pivot rows of the column span of all incoming step images; each
-    contributes a summand I[x, hi] mapping by w |-> V(x <= w) e_r.
+    contributes a summand I[x, hi] mapping by w |-> V(x <= w) e_r.  The
+    cover module itself is not built: the summands live at w are the ones
+    decomp.indices_at(w) lists, in the basis order rect_to_module gives.
     """
     f = V.field
     box = V.box
@@ -52,19 +54,15 @@ def projective_cover(V: PersModule) -> CoverResult:
             if r not in pivots:
                 gens.append((x, r))
     decomp = RectDecomp(f, box, [Rectangle(x, box.hi) for x, _ in gens])
-    P = rect_to_module(decomp)
     comps = {}
-    for w in P.dims:
+    for w, idxs in decomp.by_vertex().items():
         if w not in V.dims:
             continue  # components live where both modules do
-        # summand i is I[x_i, hi], so the ones at w are the generators below w
-        live = [gens[i] for i in decomp.indices_at(w)]
-        m = Matrix.zero(f, V.dim(w), len(live))
-        for j, (x, r) in enumerate(live):
+        m = Matrix.zero(f, V.dim(w), len(idxs))
+        for j, i in enumerate(idxs):  # summand i is I[x_i, hi], so x_i <= w
+            x, r = gens[i]
             col = V.composite(x, w)
-            for i in range(V.dim(w)):
-                m.rows[i][j] = col.rows[i][r]
+            for row in range(V.dim(w)):
+                m.rows[row][j] = col.rows[row][r]
         comps[w] = m
-    p = ModMorphism(P, V, comps)
-    return CoverResult(decomp, P, p)
-
+    return CoverResult(decomp, comps)

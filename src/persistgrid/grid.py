@@ -451,20 +451,18 @@ def pullback(M: PersModule, phi, box: GridBox) -> PersModule:
     return PersModule(M.field, box, dims, steps)
 
 
-def coarsen(M: PersModule, keep: list) -> tuple[PersModule, list[dict]]:
-    """M on its coarsest grid M', with maps[k] sending each coordinate of
-    axis k to its coarse one, so that pullback(M', floor, M.box) == M for
-    floor(v) = (maps[0][v[0]], ..., maps[n-1][v[n-1]]).
+def coarsen(M: PersModule, keep: list) -> tuple[PersModule, "Compression"]:
+    """M on its coarsest grid: M' and the Compression grid of M.box whose
+    coarse box M' is on, with pullback(M', grid.floor, grid.box) == M.
 
     A coordinate c > lo_k of axis k that is not in keep[k] merges into
     c - 1 when every arrow from slab c - 1 to slab c along axis k joins
     equal dimensions by an identity: a live vertex next to a dead one, or a
-    missing step into a live vertex, blocks the merge.  The runs of merged
-    coordinates become consecutive coordinates from lo_k on, so distinct
-    coordinates of keep stay distinct.  Each coarse step is the stored step
-    out of the last coordinate of its runs, because the composite before it
-    is all identities: no matrix is multiplied, and steps that share an
-    object still share it.
+    missing step into a live vertex, blocks the merge.  Every coordinate of
+    keep inside M.box begins a run, so distinct ones stay distinct.  Each
+    coarse step is the stored step out of the last coordinate of its runs,
+    because the composite before it is all identities: no matrix is
+    multiplied, and steps that share an object still share it.
 
     Pullback along floor, a monotone surjection whose fibres hold only
     identities, is fully faithful: a morphism between two such pullbacks is
@@ -485,24 +483,18 @@ def coarsen(M: PersModule, keep: list) -> tuple[PersModule, list[dict]]:
                     identity[id(m)] = m.is_identity()  # square, so the head has dimension d
                 if m is None or not identity[id(m)]:
                     starts[k].add(c + 1)
-    maps, last = [], []  # last: the last coordinate of each run
-    for k in range(n):
-        to, x = {}, lo[k] - 1
-        for c in range(lo[k], hi[k] + 1):
-            x += c == lo[k] or c in starts[k]
-            to[c] = x
-        maps.append(to)
-        last.append({c for c in to if c == hi[k] or to[c + 1] != to[c]})
+    grid = Compression.of(M.box, starts)
+    # per axis: the last coordinate of each run -> its coarse coordinate
+    ends = [{e - 1: a + i for i, e in enumerate(s[1:] + (b + 1,))} for a, b, s in zip(lo, hi, grid.starts)]
     cdims, csteps = {}, {}
     for v, d in dims.items():
-        if all(c in ls for c, ls in zip(v, last)):
-            u = tuple(to[c] for to, c in zip(maps, v))
+        if all(c in e for c, e in zip(v, ends)):
+            u = tuple(e[c] for e, c in zip(ends, v))
             cdims[u] = d
             for k in range(n):
                 if (m := steps.get((v, k))) is not None:
                     csteps[(u, k)] = m
-    box = GridBox(lo, tuple(to[c] for to, c in zip(maps, hi)))
-    return PersModule(M.field, box, cdims, csteps), maps
+    return PersModule(M.field, grid.coarse, cdims, csteps), grid
 
 
 @dataclass(frozen=True)
@@ -537,20 +529,10 @@ class Compression:
         """The vertex at which the runs of the coarse vertex u begin."""
         return tuple(s[c - lo] for lo, s, c in zip(self.box.lo, self.starts, u))
 
-    def last(self, u) -> tuple:
-        """The vertex at which the runs of the coarse vertex u end."""
-        return tuple(s[c - lo + 1] - 1 if c - lo + 1 < len(s) else hi
-                     for lo, hi, s, c in zip(self.box.lo, self.box.hi, self.starts, u))
-
     def extend(self, lo: int, hi: int) -> "Compression":
         """This compression with one more axis [lo, hi], left uncut."""
         return Compression(GridBox(self.box.lo + (lo,), self.box.hi + (hi,)),
                            self.starts + (tuple(range(lo, hi + 1)),))
-
-    def cut(self, k: int, coords) -> "Compression":
-        """These runs, also cut at each of coords on axis k."""
-        events = [s if j != k else {*s, *coords} for j, s in enumerate(self.starts)]
-        return Compression.of(self.box, events)
 
     def join(self, other: "Compression") -> "Compression":
         """The runs of the hull of both boxes that refine the runs of each

@@ -233,11 +233,12 @@ def try_split(M: PersModule, seed: int = 0, trials: int = 24, ctx: Context | Non
     Conclusive when end_dim = 1, when one of the random endomorphisms drawn
     splits M, or, once every draw has failed, when the draws whose minimal
     polynomials are powers of known irreducibles certify that End(M) is
-    local (_local_certificate).
+    local (_local_certificate).  A zero module is not indecomposable, and
+    is refused with a ValueError.
     """
     ctx = ctx or Context()
     if M.is_zero():
-        return IndecVerdict(INCONCLUSIVE, "zero module", 0)
+        raise ValueError("zero module")
     E = ctx.hom(M, M)
     ed = E.dim
     if ed == 1:

@@ -142,6 +142,27 @@ class TestPipeline:
         assert main(["string", "--list", str(sub / "abs.json"), "--out", "abs-out.json"]) == 0
         assert load("rel-out.json") == load("abs-out.json")
 
+    def test_string_of_three_2x2_modules(self, tmp_path, capsys):
+        """Three random 2x2 F_1009 modules string into one candy within the
+        vertex cap: each embedding restricts back to its input byte for
+        byte, and verify candy passes."""
+        rng = random.Random(0)
+        srcs = [str(tmp_path / f"v{i}.json") for i in range(3)]
+        for src in srcs:
+            dump(pmod_to_json(rand_module(rng, Field.prime(1009), GridBox((0, 0), (1, 1)), max_dim=2)), src)
+        manifest, strung, mod, line, res = (str(tmp_path / f"{x}.json") for x in ("list", "s", "m", "l", "w"))
+        dump({"modules": srcs}, manifest)
+        code, _, err = run(capsys, ["string", "--list", manifest, "--out", strung])
+        assert code == 0, err
+        code, text, _ = run(capsys, ["verify", "candy", "--in", strung])
+        assert code == 0 and json.loads(text)["ok"]
+        dump(load(strung)["module"], mod)
+        for src, e in zip(srcs, load(strung)["embeddings"], strict=True):
+            dump(e, line)
+            assert main(["restrict", "--in", mod, "--line", line, "--out", res]) == 0
+            with open(src, "rb") as a, open(res, "rb") as b:
+                assert a.read() == b.read()
+
     def test_hom_dim(self, tmp_path, capsys):
         box = GridBox((0,), (2,))
         both = rect_to_module(RectDecomp(Q, box, [Rectangle((0,), (1,)),
@@ -496,6 +517,7 @@ class TestMistypedOrOversizedInput:
         "zero-module-sdual": (ZERO, lambda o: None, "sdual"),
         "zero-module-gen4": (ZERO, lambda o: None, "gen4"),
         "zero-module-string": (ZERO, lambda o: None, "string"),
+        "zero-module-indec": (ZERO, lambda o: None),
         "over-cap-candy": (CORNER, lambda o: None, "candy"),
         "over-cap-gen4": (CORNER, lambda o: None, "gen4"),
         "over-cap-sdual": (CORNER, lambda o: None, "sdual"),

@@ -9,7 +9,9 @@ its grid's floor, with its line in the paper's coordinates), written as
 the CLI wrote them before it coarsened; it was recorded from the
 implementation that built the stacked layout itself, in which gen4
 stretched its module by a loop of its own and every composite was
-multiplied out from an identity.  COARSE holds the CLI's files.  Each pin
+multiplied out from an identity.  `string` is not in PINNED: it
+concatenates the candies on their corner grids, so it has no stacked
+layout.  COARSE holds the CLI's files.  Each pin
 is the sha256 of one run's output files, concatenated in the order the run
 writes them."""
 
@@ -26,7 +28,7 @@ from persistgrid.io import (candy_from_json, candy_to_json, dump, line_to_json, 
                             pmod_to_json, rects_from_json, rects_to_json)
 from persistgrid.sampling import rand_module, rand_rect_decomp
 
-from test_coarsen import floor_of, line_keep, stacked, stacked_candy
+from test_coarsen import line_keep, stacked, stacked_candy
 
 FIELDS = (Field.prime(2), Field.prime(3), Field.rationals(), Field.prime(1009))
 SEEDS = range(4)
@@ -93,9 +95,11 @@ class Runs:
                 self._candies(tmp_path, seed, shape, box)
 
     def _cli(self, tag, argv, outs, fine, lines):
-        """Run argv, pin its files and the fine outputs, and keep the pair."""
+        """Run argv, pin its files and the fine outputs (if any), and keep
+        the pair."""
         self.coarse[tag] = _digest(_run(argv, outs))
-        self.fine[tag] = _digest(_written(*fine))
+        if fine is not None:
+            self.fine[tag] = _digest(_written(*fine))
         obj = load(outs[0])
         self.pairs.append((tag, pmod_from_json(obj.get("module", obj)), lines))
 
@@ -130,11 +134,10 @@ class Runs:
         manifest, strung = str(tmp_path / f"{shape}.{seed}.list"), str(tmp_path / f"{shape}.{seed}.string.json")
         with open(manifest, "w") as fh:
             json.dump({"modules": files + files[:1]}, fh)
+        # the string concatenates the candies on their corner grids: it has
+        # no stacked layout to pin
         S = string_candies(mods + mods[:1])
-        out = candy_to_json(stacked_candy(S.candy))
-        out["embeddings"] = [line_to_json(paper_line(e, S.candy.grid, V.box, [1] * V.n))
-                             for e, V in zip(S.embeddings, mods + mods[:1])]
-        self._cli(f"string {shape} {seed}", ["string", "--list", manifest, "--out", strung], [strung], [out],
+        self._cli(f"string {shape} {seed}", ["string", "--list", manifest, "--out", strung], [strung], None,
                   (S.candy.module, [(e, V.box) for e, V in zip(S.embeddings, mods + mods[:1])]))
 
 
@@ -174,15 +177,7 @@ PINNED = {'candy 1d 0 2': '11bc7517445f2dcff77018492595d8b8a5dc693ac69d74e17e762
           'min3 0': 'd7ead96c0f7842cc0c5d7c28b4b123b47c94fb792026ee97d0bec875a39338b5',
           'min3 1': '5d3ab5004955b5f35fd743e7a5ea8ed012c19c57c19dc2ad83314a9fd993b2df',
           'min3 2': '1250d1f900ed99d01c2897c72f0c21d8f73cbb706b98c62c9bc1cf8412f32d01',
-          'min3 3': 'b9d34018f7098db673acfe4b54eb1fe2c2df796cba3306bded926abc973c5778',
-          'string 1d 0': 'f4e08f60822bb2134e966b75ce82770b53a50269b47235fc5de3c8ab4d10cded',
-          'string 1d 1': '57fd9135e030843b383a3c2a0f4a606530acce116729bbcb61eb36a59d7e9bfc',
-          'string 1d 2': '94f53c8f24ab6f9f9a94514bf6b845adf480309ad307e8cd15e6b7e13e9c8461',
-          'string 1d 3': '1ed901a0dfe6b89da79ef6592c4d5ae8fecf7393bfa8cbc069175a4ea8f33153',
-          'string 2x1 0': '97872b8b65453a41b2380e22d57072877b4b107e844cc5f4e8218b9591bd5e92',
-          'string 2x1 1': 'e557d0379709ea643e2e9ee6489bdbbb94a92a8a9d234b24add9e064fe36fa24',
-          'string 2x1 2': '5b10df20894858f8e701544cd059f6c73120ca93eabb36ca400136a896a50294',
-          'string 2x1 3': 'abeafb6ccd10b4dc2cb6272fbd45bc8b1ffc8a4d165f91cc4a9500c1125f3f54'}
+          'min3 3': 'b9d34018f7098db673acfe4b54eb1fe2c2df796cba3306bded926abc973c5778'}
 
 # the restrict of each min3 output, unchanged since it was pinned from fine outputs
 MIN3_RESTRICT_PINNED = ['b5f9a980a1a9de33a8d9f2c0c46134796972bcf171fa69ba727666acb633ff44',
@@ -222,14 +217,14 @@ COARSE = {'candy 1d 0 2': 'fc04e0f4ae66c2df4fdd2570960565eb72c5f1f94f2d37031df4f
           'min3 1': 'ad05bfbf71b409751b546cc53e6994c9ede17a46b1f30ba3e0ad207a531e4b1f',
           'min3 2': '0039af0a274676f238b7fbca3053434dd0c97bfb1752019e298fa6e8734976d0',
           'min3 3': '9e3879e652579e2f41c3e96c6a2145f511e0cc13479e7401147de14d1a6d5706',
-          'string 1d 0': '9db75e4c42d51234ca4268a549ca815166832ffbabf49e4518218261b739a5c4',
-          'string 1d 1': 'd83539d7db9419a02e83118247bceb9fdf0d019d898d1b36630ef6aefeecea2c',
-          'string 1d 2': '30aa4143842926d9b7e180147f4901a8ceca17771e1dca8b4746c92a60c4ca93',
-          'string 1d 3': '6d3b1da15b99781e38eef7131ebf677f5235552690c90e0d7637c6a6d2b7597b',
-          'string 2x1 0': '72614146de8721863fa13b9221138dab70d638f0ef1e3ca24a73cd34533efb3a',
-          'string 2x1 1': 'f21a0ca0fd73d57874db289998e125c9cb5e5d6f8c42a12f228dcac956b4a39b',
-          'string 2x1 2': '7cfe403d876cf7a8b9b1c5823f80337f6885aa7ae3be7b8d3619a94c1f76daa6',
-          'string 2x1 3': '11e9d13aded1d80bb0fe96999486f20f58b9ec88adf791e6b90f2f0c2cbaa741'}
+          'string 1d 0': 'cf6af57313403e6efd1e01a44a96dacaaffbe21dc957368c7eaf8df7b2740628',
+          'string 1d 1': '9ebd22763c747439eed78bf62ca1de8c74e674a164026b57f3463ebe3270c95f',
+          'string 1d 2': '539376fb0972a4013ea80c01cc799a692a4684af5050e59713628e18ce60415e',
+          'string 1d 3': '75fbbd63efa600a7979c71da7daebc0de3351b7a538d88e3fc4148e45806a177',
+          'string 2x1 0': '3e5bbf2e3b5ae2792ba0a205a15efe7b0480e081037e084b129335cd360b7f81',
+          'string 2x1 1': 'c8a0eac9c11f210ef5cc5f0f4887c55028c321b464bfcb5c7c2112b53e7f2b01',
+          'string 2x1 2': 'b665ce2ca68f0facda70737741f5cf1cbf89129793f60c3b4e7debbb99c892f4',
+          'string 2x1 3': '2fec4a59682a50761c22066f3df8887d06999ddda8d3df12bfd4f8b47993ea50'}
 
 
 def test_construct_outputs_are_pinned(runs):
@@ -252,5 +247,5 @@ def test_restrict_gives_the_input_back(runs):
 
 def test_cli_files_pull_back_to_the_fine_modules(runs):
     for tag, coarse, (fine, lines) in runs.pairs:
-        maps = coarsen(fine, line_keep(fine.n, lines))[1]
-        assert pullback(coarse, floor_of(maps), fine.box) == fine, tag
+        grid = coarsen(fine, line_keep(fine.n, lines))[1]
+        assert pullback(coarse, grid.floor, grid.box) == fine, tag

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistgrid import Field, GridBox, Rectangle, RectDecomp, projective_cover, rect_to_module
+from persistgrid import Field, GridBox, ModMorphism, Rectangle, RectDecomp, projective_cover, rect_to_module
 from persistgrid.sampling import rand_module
 
 Q = Field.rationals()
@@ -27,9 +27,10 @@ def test_cover_surjective_and_natural(seed):
     box = GridBox((0,) * n, (2,) * n)
     V = rand_module(rng, f, box, max_dim=2)
     cov = projective_cover(V)
-    assert cov.morphism.validate()
+    p = ModMorphism(rect_to_module(cov.decomp), V, cov.comps)
+    assert p.validate()
     for v in V.dims:
-        assert cov.morphism.comp(v).rank() == V.dim(v)  # pointwise onto
+        assert p.comp(v).rank() == V.dim(v)  # pointwise onto
     # projective summands reach the far corner of the box
     assert all(r.d == box.hi for r in cov.decomp.summands)
     # minimality: generator count at x equals dim of the top (coker of incoming)
@@ -43,4 +44,4 @@ def test_cover_deterministic(rng):
     a = projective_cover(V)
     b = projective_cover(V)
     assert [(r.b, r.d) for r in a.decomp.summands] == [(r.b, r.d) for r in b.decomp.summands]
-    assert a.morphism.comps == b.morphism.comps
+    assert a.comps == b.comps
