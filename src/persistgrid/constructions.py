@@ -10,13 +10,14 @@ returned embedding inserts the constant 0 as the last coordinate.
 Each output is built on its corner grid: a rectangle module changes only
 where a rectangle begins or ends, so each axis of the stacked layout (the
 paper's coordinates) is cut into runs there and at every coordinate the
-output line hits, and each run becomes one coordinate.  The output's
-`grid` (a grid.Compression: meta["grid"], or CandyModule.grid) gives the
-stacked layout back as pullback(M, grid.floor, grid.box), and
-grid.up(line, source_box) the line in the paper's coordinates.  Vertex caps
-and meta read the stacked layout.  string_candies concatenates the candies
-on their corner grids, as concat joins any two candies, so a string has no
-stacked layout and no grid.
+output line hits, and each run becomes one coordinate.  A builder's
+meta["grid"] (a grid.Compression) gives the stacked layout back as
+pullback(M, grid.floor, grid.box).  Vertex caps and meta read the stacked
+layout.  S and S' keep the coordinates of V's box, so their line is the
+layer embedding; S'' keeps them up to a translation, and the candy glues
+S' and S'' by translating S' onto S''.  concat joins any two candies on
+their own grids, and string_candies concatenates the candies as
+candy_wrap returns them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cache, partial
 
 from .covers import projective_cover
 from .grid import (MAX_DIM, MAX_VERTICES, AxisEmbedding, Compression, GridBox, ModMorphism, PersModule,
-                   candy_corner_faults, candy_corners, dualize, pad, stack, vadd, vsub, vsucc)
+                   candy_corner_faults, candy_corners, dualize, pad, pullback, stack, vadd, vsub, vsucc)
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle, realize, rect_to_module
 
@@ -46,16 +47,13 @@ class CandyModule:
     """A stacked module with one-dimensional corner handles.
 
     ul minimizes every coordinate except the last (maximized); lr is the
-    opposite.  line, when present, recovers the wrapped input.  grid, set by
-    candy_wrap, is the candy's corner grid: the candy stands for the stacked
-    one, pullback(module, grid.floor, grid.box).
+    opposite.  line, when present, recovers the wrapped input.
     """
 
     module: PersModule
     ul: tuple
     lr: tuple
     line: AxisEmbedding | None = None
-    grid: Compression | None = None
 
 
 @dataclass
@@ -144,13 +142,11 @@ def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox, he
     return grid, chain, layers, links
 
 
-def _stack_on_grid(layers: list, links: list, height_lo: int, line: AxisEmbedding, meta: dict) -> BuildResult:
-    """The layers stacked from height_lo up on meta["grid"] with that grid's
-    stacking axis added, and line, given in the paper's coordinates on
-    meta["source_box"], moved onto the grid."""
-    grid = meta["grid"] = meta["grid"].extend(height_lo, height_lo + len(layers) - 1)
-    M = stack(layers, links, height_lo=height_lo)
-    return BuildResult(M, grid.down(line, meta["source_box"]), len(layers), meta)
+def _stack_on_grid(layers: list, links: list, height_lo: int, meta: dict) -> PersModule:
+    """The layers stacked from height_lo up, on meta["grid"] with that
+    grid's stacking axis added."""
+    meta["grid"] = meta["grid"].extend(height_lo, height_lo + len(layers) - 1)
+    return stack(layers, links, height_lo=height_lo)
 
 
 def _s_chain(V: RectDecomp, height: int):
@@ -168,9 +164,11 @@ def _s_chain(V: RectDecomp, height: int):
 
 def build_S(V: RectDecomp) -> BuildResult:
     """Four layers I_V -> Vbar -> V' -> V stacked, V at height 0, on the
-    corner grid meta["grid"]."""
+    corner grid meta["grid"], which keeps V's coordinates: no rectangle
+    begins below V.box.lo."""
     layers, links, meta = _s_chain(V, 4)
-    return _stack_on_grid(layers, links, -3, AxisEmbedding.layer(V.n, V.n, 0), meta)
+    M = _stack_on_grid(layers, links, -3, meta)
+    return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 4, meta)
 
 
 def build_S_prime(V: PersModule, height: int = 5) -> BuildResult:
@@ -190,7 +188,8 @@ def build_S_prime(V: PersModule, height: int = 5) -> BuildResult:
     top = pad(V, layers[0].box)
     links.append(ModMorphism(layers[3], top, cov.comps))
     meta["cover"] = cov
-    return _stack_on_grid(layers + [top], links, -4, AxisEmbedding.layer(V.n, V.n, 0), meta)
+    M = _stack_on_grid(layers + [top], links, -4, meta)
+    return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 5, meta)
 
 
 def build_S_dprime(V: PersModule, height: int = 5) -> BuildResult:
@@ -199,8 +198,9 @@ def build_S_dprime(V: PersModule, height: int = 5) -> BuildResult:
 
     Computed by dualizing the primal stack of the dual module, then
     translating the result so the V copy comes back to V's own coordinates;
-    the primal stack's corner grid is mirrored and translated with it.
-    height is as in build_S_prime.
+    the primal stack's corner grid is mirrored and translated with it.  Each
+    coordinate of V.box is still a run of its own, so the line is the layer
+    embedding translated onto the grid.  height is as in build_S_prime.
     """
     if V.is_zero():
         raise ValueError("zero module")
@@ -208,24 +208,22 @@ def build_S_dprime(V: PersModule, height: int = 5) -> BuildResult:
     grid = prim.meta["grid"]
     t = vsub(vadd(V.box.lo, V.box.hi), vadd(grid.box.lo, grid.box.hi)[:V.n]) + (4,)
     grid = grid.reflect().translate(t)
-    line = grid.down(AxisEmbedding.layer(V.n, V.n, 0), V.box)
+    u = V.box.lo + (0,)
+    line = AxisEmbedding.layer(V.n, V.n, 0).translate(vsub(grid.floor(u), u))
     return BuildResult(dualize(prim.M).translate(t), line, 5, {"source_box": V.box, "grid": grid})
 
 
 def candy_wrap(V: PersModule) -> CandyModule:
-    """Nine layers I_R -> Rbar -> R' -> R -> V -> T -> T' -> Tbar -> I_T, on
-    the corner grid that joins the grids of both halves."""
+    """Nine layers I_R -> Rbar -> R' -> R -> V -> T -> T' -> Tbar -> I_T:
+    S'(V) and S''(V) on their corner grids, glued along their copy of V.
+    Both grids keep every coordinate of V.box, so the primal half is only
+    translated onto the dual one's copy of V, and the line is the dual's."""
     if V.is_zero():
         raise ValueError("cannot wrap the zero module")
     prim = build_S_prime(V, 9)  # heights -4..0
     dual = build_S_dprime(V, 9)  # heights 0..4
-    # the primal hull begins at V.box.lo and the dual one ends at V.box.hi,
-    # and both grids keep every coordinate of V.box: so on its own box each
-    # half's grid is the joined grid, whose runs begin where the dual ones
-    # do, and the primal half only shifts onto it
-    gp = prim.meta["grid"]
-    grid = gp.join(dual.meta["grid"])
-    P = prim.M.translate(vsub(grid.floor(gp.box.lo), gp.box.lo))
+    GridBox.hull([prim.meta["grid"].box, dual.meta["grid"].box])  # refuses a stacked candy over the cap
+    P = prim.M.translate(vsub(dual.line.apply(V.box.lo), prim.line.apply(V.box.lo)))
     n = V.n
     dims, steps = P.dims, P.steps
     for v, d in dual.M.dims.items():
@@ -241,13 +239,13 @@ def candy_wrap(V: PersModule) -> CandyModule:
     objects = {}
     same = {i: objects.setdefault((m.nrows, m.ncols, tuple(map(tuple, m.rows))), m)
             for i, m in {id(m): m for m in steps.values()}.items()}
-    M = PersModule(V.field, grid.coarse, dims, {vk: same[id(m)] for vk, m in steps.items()})
-    return CandyModule(M, *candy_corners(M), grid.down(AxisEmbedding.layer(n, n, 0), V.box), grid)
+    box = GridBox.hull([P.box, dual.M.box])
+    M = PersModule(V.field, box, dims, {vk: same[id(m)] for vk, m in steps.items()})
+    return CandyModule(M, *candy_corners(M), dual.line)
 
 
 def concat(A: CandyModule, B: CandyModule) -> CandyModule:
-    """A and B joined by a handle, each on the grid of its own module; any
-    grid either candy has is ignored."""
+    """A and B joined by a handle, each on the grid of its own module."""
     MA, MB = A.module, B.module
     if MA.field != MB.field:
         raise ValueError("concatenation needs a common field")
@@ -394,7 +392,8 @@ def min3_rect(V: RectDecomp) -> BuildResult:
                for r in V.summands]
     scaled = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0],) + V.box.hi[1:])
     layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, scaled, V.box, 3)
-    return _stack_on_grid(layers, links, -2, line, meta)
+    M = _stack_on_grid(layers, links, -2, meta)
+    return BuildResult(M, meta["grid"].down(line, V.box), 3, meta)
 
 
 def min3(V: RectDecomp) -> BuildResult:
@@ -428,14 +427,12 @@ def gen4(V: PersModule) -> BuildResult:
 
     stretched = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0] + s - 1,) + V.box.hi[1:])
     layers, links, line, meta = _refined_layers(V.field, cov.decomp.summands, windows, s, stretched, V.box, 4)
-    # the stretched V on the corner grid: V, its first axis moved to start
-    # at s V.box.lo, stands for its pullback to the stretched box along the
-    # s-blocks.  The line hits each block's first coordinate, and every
-    # window ends where the last block does, so the corner grid refines them.
+    # the stretched V on the corner grid: V, padded to cover the grid's box
+    # under floor, pulled back along floor after first.  The line hits each
+    # s-block's first coordinate, so no run straddles two blocks.
     grid = meta["grid"]
-    blocks = Compression.of(stretched, [range(stretched.lo[0], stretched.hi[0] + 1, s)] +
-                            [range(a, b + 1) for a, b in zip(V.box.lo[1:], V.box.hi[1:])])
-    top = grid.refine(V.translate((stretched.lo[0] - V.box.lo[0],) + (0,) * (V.n - 1)), blocks)
+    wide = pad(V, GridBox(V.box.lo, (grid.box.hi[0] // s,) + V.box.hi[1:]))
+    top = pullback(wide, lambda u: floor(grid.first(u)), grid.coarse)
     # stretched cover surjection: at y it is p at floor(y), columns permuted
     # into the rank order used for the rectangle layers
     order, tilde = meta["order"], meta["decomps"][2].summands
@@ -448,4 +445,5 @@ def gen4(V: PersModule) -> BuildResult:
         comps[u] = cov.comps[x].submatrix(range(d), live)
     links.append(ModMorphism(layers[2], top, comps))
     meta["cover"] = cov
-    return _stack_on_grid(layers + [top], links, -3, line, meta)
+    M = _stack_on_grid(layers + [top], links, -3, meta)
+    return BuildResult(M, meta["grid"].down(line, V.box), 4, meta)

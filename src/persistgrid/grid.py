@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 from operator import add, sub
 
 from .fields import Field
@@ -534,13 +534,6 @@ class Compression:
         return Compression(GridBox(self.box.lo + (lo,), self.box.hi + (hi,)),
                            self.starts + (tuple(range(lo, hi + 1)),))
 
-    def join(self, other: "Compression") -> "Compression":
-        """The runs of the hull of both boxes that refine the runs of each
-        compression inside its own box."""
-        box = GridBox.hull([self.box, other.box])
-        return Compression.of(box, [{*s, *t, a + 1, b + 1} for s, t, a, b in
-                                    zip(self.starts, other.starts, self.box.hi, other.box.hi)])
-
     def translate(self, t) -> "Compression":
         return Compression(GridBox(vadd(self.box.lo, t), vadd(self.box.hi, t)),
                            tuple(tuple(c + x for c in s) for s, x in zip(self.starts, t)))
@@ -550,42 +543,10 @@ class Compression:
         return Compression(self.box, tuple((lo, *(lo + hi + 1 - c for c in reversed(s[1:])))
                                            for lo, hi, s in zip(self.box.lo, self.box.hi, self.starts)))
 
-    def refine(self, M: PersModule, old: "Compression") -> PersModule:
-        """M, on old.coarse, on the coarse box, where these runs refine
-        old's runs inside old.box: each coarse vertex takes M at the old
-        vertex whose runs hold its runs, and every other vertex is zero.
-        Only M's live vertices are visited, so the cost follows the output,
-        not the coarse box."""
-        under = []  # per axis: old coordinate -> the coarse coordinates in its run
-        for lo, s, olo, ohi, os in zip(self.box.lo, self.starts, old.box.lo, old.box.hi, old.starts):
-            runs = {}
-            for i, c in enumerate(s):
-                if olo <= c <= ohi:
-                    runs.setdefault(olo + bisect_right(os, c) - 1, []).append(lo + i)
-            under.append(runs)
-        ends = [{cs[-1] for cs in runs.values()} for runs in under]  # the last coordinate in each run
-        eye = cache(partial(Matrix.identity, M.field))
-        dims, steps = {}, {}
-        for y, d in M.dims.items():
-            for u in itertools.product(*(runs[c] for runs, c in zip(under, y))):
-                dims[u] = d
-                # inside a run of old the arrow is an identity, out of it the stored step
-                for k, c in enumerate(u):
-                    if c not in ends[k]:
-                        steps[(u, k)] = eye(d)
-                    elif (m := M.steps.get((y, k))) is not None:
-                        steps[(u, k)] = m
-        return PersModule(M.field, self.coarse, dims, steps)
-
     def down(self, L: AxisEmbedding, box: GridBox) -> AxisEmbedding:
         """L on box, followed by floor: an embedding into the coarse box
         that stands for L when every coordinate L hits begins a run."""
         return L.followed_by([{y: lo + bisect_right(s, y) - 1 for y in ys}
-                              for lo, s, ys in zip(self.box.lo, self.starts, L.hits(box))], box)
-
-    def up(self, L: AxisEmbedding, box: GridBox) -> AxisEmbedding:
-        """L, an embedding into the coarse box, on box, followed by first."""
-        return L.followed_by([{y: s[y - lo] for y in ys}
                               for lo, s, ys in zip(self.box.lo, self.starts, L.hits(box))], box)
 
 

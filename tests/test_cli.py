@@ -453,8 +453,13 @@ class TestMistypedOrOversizedInput:
     # two one-point bars far apart: the corner grid has a handful of
     # coordinates, but the caps count the stacked layout
     BARS = {"field": "Q", "n": 1, "rects": [{"b": [0], "d": [0]}, {"b": [1], "d": [1]}]}
+    # each half of its candy fits the cap, but the two glued along V do not
+    WIDE_HALVES = {"field": "Fp:1009", "n": 3, "lo": [0, 0, 0], "hi": [1, 0, 1], "dims": [1, 1, 0, 1],
+                   "steps": [{"v": [0, 0, 0], "axis": 2, "matrix": [[0]]},
+                             {"v": [0, 0, 1], "axis": 0, "matrix": [[0]]}]}
     CAP_MESSAGES = {"bars-20000-apart-min3": "box with 120001 vertices exceeds the cap 100000",
-                    "bars-30000-apart-s4": "4 layers of 30009 vertices exceed the cap 100000"}
+                    "bars-30000-apart-s4": "4 layers of 30009 vertices exceed the cap 100000",
+                    "pmod-candy-of-wide-halves": "box with 176436 vertices exceeds the cap 100000"}
     STEP = {"field": "Fp:7", "n": 1, "lo": [0], "hi": [1], "dims": [1, 1],
             "steps": [{"v": [0], "axis": 0, "matrix": [[1]]}]}
     # two equal records, whose matrix the reader parses once
@@ -527,6 +532,7 @@ class TestMistypedOrOversizedInput:
         "long-gen4": (LONG, lambda o: None, "gen4"),
         "bars-20000-apart-min3": (BARS, lambda o: o["rects"][1].update(b=[20000], d=[20000]), "min3"),
         "bars-30000-apart-s4": (BARS, lambda o: o["rects"][1].update(b=[30000], d=[30000]), "s4"),
+        "pmod-candy-of-wide-halves": (WIDE_HALVES, lambda o: None, "candy"),
         "pmod-dim-3000": (POINT, lambda o: o.update(dims=[3000])),
         "pmod-dim-million": (POINT, lambda o: o.update(dims=[10**6])),
         "pmod-step-twice": (STEP, lambda o: o["steps"].append({"v": [0], "axis": 0, "matrix": [[3]]})),
@@ -561,7 +567,7 @@ class TestMistypedOrOversizedInput:
         for base, *verb in ((self.RECTS,), (self.LINE,), (self.TABLE_LINE,),
                             (_one_vertex(MAX_AXES, "pmod"),), (_one_vertex(MAX_AXES, "rects"), "min3rect"),
                             (self.STEP,), (self.TWO_STEPS,), (self.DEAD_STEP,), (self.BARS, "min3"),
-                            (self.BARS, "s4")):
+                            (self.BARS, "s4"), (self.WIDE_HALVES, "sprime"), (self.WIDE_HALVES, "sdual")):
             p = str(tmp_path / "in.json")
             dump(base, p)
             assert run(capsys, self._argv(base, p, tmp_path, *verb))[0] == 0

@@ -3,15 +3,16 @@ gives the module exactly, keep coordinates stay distinct, a second
 coarsening changes nothing, and End has the same dimension on both grids.
 A refinement of a module (a grid.Compression's stacked layout) coarsens to
 the same module, so the builders' corner grids give the CLI the files that
-their stacked layouts gave."""
+their stacked layouts gave, and the candy gives the files of the paper's
+candy: the stacked S' and S'' glued along their copy of V."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistgrid import (CandyModule, Field, GridBox, PersModule, build_S, build_S_dprime, build_S_prime,
-                         candy_wrap, concat, end_dim, gen4, min3, min3_rect, string_candies)
+from persistgrid import (AxisEmbedding, CandyModule, Field, GridBox, PersModule, build_S, build_S_dprime,
+                         build_S_prime, candy_wrap, concat, end_dim, gen4, min3, min3_rect, string_candies)
 from persistgrid.grid import Compression, candy_corners, coarsen, pad, pullback, vsub, vsucc
 from persistgrid.io import pmod_to_json
 from persistgrid.linalg import Matrix
@@ -30,9 +31,24 @@ def stacked(M, grid):
     return pullback(M, grid.floor, grid.box)
 
 
-def stacked_candy(C, line=None):
-    M = stacked(C.module, C.grid)
-    return CandyModule(M, *candy_corners(M), line)
+def stacked_candy(V):
+    """The paper's candy of V: the stacked layouts of S'(V) and S''(V),
+    which agree on their common copy of V at height 0, glued there, with
+    the layer line."""
+    P, D = (stacked(r.M, r.meta["grid"]) for r in (build_S_prime(V, 9), build_S_dprime(V, 9)))
+    assert {v: d for v, d in P.dims.items() if v[-1] == 0} == {v: d for v, d in D.dims.items() if v[-1] == 0}
+    assert all(P.steps[vk] == D.steps[vk] for vk in P.steps.keys() & D.steps.keys())
+    M = PersModule(V.field, GridBox.hull([P.box, D.box]), {**P.dims, **D.dims}, {**P.steps, **D.steps})
+    return CandyModule(M, *candy_corners(M), AxisEmbedding.layer(V.n, V.n, 0))
+
+
+def paper_line(L, grid, box, scales):
+    """The affine line with the given scales into the stacked layout that
+    grid's coarse box stands for, checked to be what L, on that coarse box,
+    stands for on box."""
+    A = AxisEmbedding([("affine", c, 0) for c in scales], box.n, 0)
+    assert grid.down(A, box).hits(box) == L.hits(box)
+    return A
 
 
 def check_coarsen(M, keep):
@@ -150,7 +166,8 @@ def test_refinements_coarsen_alike(seed):
 def test_construction_outputs_pull_back(seed):
     """Every builder's output on its corner grid, and concat of two stacked
     candies: the stacked layout coarsens to a smaller module, which the
-    output on its corner grid coarsens to as well.  string_candies
+    output on its corner grid coarsens to as well; for the candy, the
+    stacked layout is the paper's glued candy.  string_candies
     concatenates the candies on their corner grids, which has no stacked
     layout, and coarsen keeps its promises on it."""
     rng = random.Random(seed)
@@ -160,15 +177,18 @@ def test_construction_outputs_pull_back(seed):
     R = rand_rect_decomp(rng, field, 1, 4)
     built = [build_S(R), min3(R), min3_rect(rand_rect_decomp(rng, field, 2, 3, hi=2)), gen4(V), gen4(W),
              build_S_prime(V), build_S_dprime(W)]
-    outputs = [(r.M, r.meta["grid"], [(r.line, r.meta["source_box"])]) for r in built]
-    A, B = candy_wrap(V), candy_wrap(V.translate((1,)))
-    outputs.append((A.module, A.grid, [(A.line, V.box)]))
-    for M, grid, lines in outputs:
-        fine = stacked(M, grid)
-        coarse = check_coarsen(fine, line_keep(M.n, [(grid.up(L, box), box) for L, box in lines]))
+    outputs = []
+    for r in built:
+        grid, box = r.meta["grid"], r.meta["source_box"]
+        paper = paper_line(r.line, grid, box, [r.meta.get("s", 1)] + [1] * (box.n - 1))
+        outputs.append((r.M, stacked(r.M, grid), (paper, box), (r.line, box)))
+    A, F = candy_wrap(V), stacked_candy(V)
+    outputs.append((A.module, F.module, (F.line, V.box), (A.line, V.box)))
+    for M, fine, paper, line in outputs:
+        coarse = check_coarsen(fine, line_keep(M.n, [paper]))
         assert len(coarse.dims) < len(fine.dims)
-        assert coarsen(M, line_keep(M.n, lines))[0] == coarse
-    fine = concat(stacked_candy(A), stacked_candy(B)).module
+        assert coarsen(M, line_keep(M.n, [line]))[0] == coarse
+    fine = concat(F, stacked_candy(V.translate((1,)))).module
     assert len(check_coarsen(fine, line_keep(fine.n, [])).dims) < len(fine.dims)
     S = string_candies([V, V])
     check_coarsen(S.candy.module, line_keep(S.candy.module.n, [(e, V.box) for e in S.embeddings]))

@@ -5,7 +5,8 @@ their lines and the `restrict` of each, and of `construct --method candy`,
 The library builders return each construction on its corner grid, and
 the CLI writes it on its coarsest grid (`grid.coarsen`).  PINNED holds the
 stacked layouts the corner grids stand for (each output pulled back along
-its grid's floor, with its line in the paper's coordinates), written as
+its grid's floor, with its line in the paper's coordinates; for a candy,
+the stacked S' and S'' glued along their copy of V), written as
 the CLI wrote them before it coarsened; it was recorded from the
 implementation that built the stacked layout itself, in which gen4
 stretched its module by a loop of its own and every composite was
@@ -21,14 +22,14 @@ import random
 
 import pytest
 
-from persistgrid import AxisEmbedding, Field, GridBox, candy_wrap, concat, gen4, min3, string_candies
+from persistgrid import Field, GridBox, candy_wrap, concat, gen4, min3, string_candies
 from persistgrid.cli import main
 from persistgrid.grid import coarsen, pullback
 from persistgrid.io import (candy_from_json, candy_to_json, dump, line_to_json, load, pmod_from_json,
                             pmod_to_json, rects_from_json, rects_to_json)
 from persistgrid.sampling import rand_module, rand_rect_decomp
 
-from test_coarsen import line_keep, stacked, stacked_candy
+from test_coarsen import line_keep, paper_line, stacked, stacked_candy
 
 FIELDS = (Field.prime(2), Field.prime(3), Field.rationals(), Field.prime(1009))
 SEEDS = range(4)
@@ -55,16 +56,6 @@ def _written(*objs) -> list:
 def _read(path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
-
-
-def paper_line(L, grid, box, scales):
-    """L, on grid's coarse box, as the affine line into the stacked layout
-    with the given scales that it stands for on box."""
-    up = grid.up(L, box)
-    A = AxisEmbedding([("affine", c, t[0] - c * start) for c, (_, start, t) in zip(scales, up.axis_maps)],
-                      up.insert_pos, up.insert_value)
-    assert A.hits(box) == up.hits(box)
-    return A
 
 
 def _run(argv, outs) -> list:
@@ -117,8 +108,7 @@ class Runs:
             p, c = (str(tmp_path / f"{shape}.{seed}.{salt}.{x}.json") for x in ("in", "candy"))
             dump(pmod_to_json(module(seed, box, salt)), p)
             V = pmod_from_json(load(p))
-            C = candy_wrap(V)
-            F = stacked_candy(C, paper_line(C.line, C.grid, V.box, [1] * V.n))
+            C, F = candy_wrap(V), stacked_candy(V)
             self._cli(f"candy {shape} {seed} {salt}",
                       ["construct", "--method", "candy", "--in", p, "--out", c, "--line-out", c + ".line"],
                       [c, c + ".line"], [candy_to_json(F), line_to_json(F.line)], (C.module, [(C.line, V.box)]))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persistgrid import (CandyModule, Field, GridBox, ModMorphism, PersModule,
+from persistgrid import (AxisEmbedding, CandyModule, Field, GridBox, ModMorphism, PersModule,
                          Rectangle, RectDecomp, barcode_1d, build_S,
                          build_S_dprime, build_S_prime, candy_wrap, check_candy,
                          concat, end_dim, gen4, iso_certificate,
@@ -18,7 +18,7 @@ from persistgrid.cli import main
 from persistgrid.io import dump, pmod_to_json
 from persistgrid.constructions import cone, separate_and_shift, verticalize
 from persistgrid.covers import projective_cover
-from persistgrid.grid import direct_sum, dualize, pad, slice_layers, stack
+from persistgrid.grid import Compression, direct_sum, dualize, pad, slice_layers, stack
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import enumerate_modules, rand_module, rand_rect_decomp, rand_two_rows_with_gap
@@ -458,3 +458,22 @@ class TestCornerGrid:
         stacked = gen4(V).meta["decomps"][0].box.count
         counts = self._boxes(monkeypatch, ["construct", "--method", "gen4", "--in", p, "--out", p + ".out"])
         assert len(counts) == 3 and all(c < stacked for c in counts), (counts, stacked)
+
+    def test_candy_halves_keep_the_input_coordinates(self, rng, monkeypatch):
+        """S and S' keep every coordinate of V's box, so their line is the
+        layer embedding; the candy takes the line of S'', and wrapping moves
+        no line onto a grid."""
+        V = rand_module(rng, F3, GridBox((1, 2), (2, 3)), max_dim=2, total_cap=4)
+        R = rand_rect_decomp(rng, F3, 2, 3, lo=1)
+        assert build_S(R).line == AxisEmbedding.layer(2, 2, 0)
+        assert build_S_prime(V).line == AxisEmbedding.layer(2, 2, 0)
+        calls = []
+        real = Compression.down
+
+        def spy(grid, L, box):
+            calls.append(box)
+            return real(grid, L, box)
+
+        monkeypatch.setattr(Compression, "down", spy)
+        assert candy_wrap(V).line == build_S_dprime(V, 9).line
+        assert calls == []

@@ -72,3 +72,40 @@ def test_no_true_division():
             lines = [node.lineno for node in ast.walk(tree)
                      if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
             assert lines == [], f"{fn} divides with / at lines {lines}"
+
+
+# functions the package defines for its users but never calls itself
+UNREAD_ALLOWED = {
+    "Field.div": "tests check that division over Q stays exact; the package multiplies by inv",
+    "Matrix.from_ints": "builds matrices from integer rows in tests",
+    "Poly.from_ints": "builds polynomials from integer coefficients in tests",
+    "io.rects_to_json": "writes RECTS files, which tests and the benchmark make; the CLI only reads them",
+}
+
+
+def unread_functions():
+    """Qualified names of the package's functions and methods whose name the
+    package never reads, leaving out dunders, __all__ names and sampling,
+    whose functions serve tests and the benchmark."""
+    defined, read = {}, set(persistgrid.__all__)
+    for fn in sorted(os.listdir(PACKAGE)):
+        if not fn.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, fn)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        if fn == "sampling.py":
+            continue
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                defined[f"{owner.get(id(node), fn[:-3])}.{node.name}"] = node.name
+    return sorted(q for q, name in defined.items() if name not in read)
+
+
+def test_every_function_is_read():
+    assert unread_functions() == sorted(UNREAD_ALLOWED)
