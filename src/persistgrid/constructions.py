@@ -8,16 +8,17 @@ The input copy always sits at height 0 of the stacking axis, so every
 returned embedding inserts the constant 0 as the last coordinate.
 
 Each output is built on its corner grid: a rectangle module changes only
-where a rectangle begins or ends, so each axis of the stacked layout (the
-paper's coordinates) is cut into runs there and at every coordinate the
-output line hits, and each run becomes one coordinate.  A builder's
+where a rectangle begins or ends, so each axis of the stacked layout
+(the paper's coordinates) is cut into runs there and at every coordinate
+the output line hits, and each run becomes one coordinate.  A builder's
 meta["grid"] (a grid.Compression) gives the stacked layout back as
-pullback(M, grid.floor, grid.box).  Vertex caps and meta read the stacked
-layout.  S and S' keep the coordinates of V's box, so their line is the
-layer embedding; S'' keeps them up to a translation, and the candy glues
-S' and S'' by translating S' onto S''.  concat joins any two candies on
-their own grids, and string_candies concatenates the candies as
-candy_wrap returns them.
+pullback(M, grid.floor, GridBox(grid.lo, grid.hi)); meta reads it.  The
+vertex caps count what is built: each chain's layers on its coarse box,
+and the glued candy.  S and S' keep the coordinates of V's box, so their
+line is the layer embedding; S'' keeps them up to a translation, and the
+candy glues S' and S'' by translating S' onto S''.  concat joins any two
+candies on their own grids, and string_candies concatenates the candies
+as candy_wrap returns them.
 """
 
 from __future__ import annotations
@@ -105,34 +106,34 @@ def cone(bprime: list, dprime: list) -> Rectangle:
 
 
 def _check_stack_size(height: int, box: GridBox) -> None:
-    """Refuse, before anything is built, a stack of height layers whose
-    layer box contains box and so passes the vertex cap."""
+    """Refuse, before it is built, a stack of height layers on a box that
+    contains box and so passes the vertex cap."""
     if height * box.count > MAX_VERTICES:
         raise ValueError(f"{height} layers of {box.count} vertices exceed the cap {MAX_VERTICES}")
 
 
-def _cone_chain(field, bprime: list, dprime: list, tails: list, box: GridBox, height: int, hits: list):
+def _cone_chain(field, bprime: list, dprime: list, tails: list, height: int, hits: list):
     """The rectangle layers [cone] -> [b'_i, d'_i] -> tails[0] -> tails[1] -> ...,
     linked by a ones column and then by diagonals, on the corner grid of the
-    hull of box and all the rectangles: each axis k is cut where a
+    hull of hits and all the rectangles: each axis k is cut where a
     rectangle begins or ends and at each coordinate of hits[k].  Returns
     (grid, chain, layers, links): chain lists each layer's rectangles in
     the stacked layout, and layers and links are on grid.coarse.
 
     height is the number of layers in the stack the chain goes into; a stack
-    over the vertex cap, or whose m x m step matrices (m rectangles) at every
-    vertex would hold more than MAX_VERTICES * MAX_DIM scalars, is refused
-    before any layer is built.  Both caps count the stacked layout."""
+    of height layers on grid.coarse over the vertex cap, or whose m x m
+    step matrices (m rectangles) at every vertex would hold more than
+    MAX_VERTICES * MAX_DIM scalars, is refused before any layer is built."""
     chain = [[cone(bprime, dprime)], [Rectangle(b, d) for b, d in zip(bprime, dprime)], *tails]
-    corners = [box.lo, box.hi] + [p for rects in chain for r in rects for p in (r.b, r.d)]
-    box = GridBox(tuple(map(min, zip(*corners))), tuple(map(max, zip(*corners))))
-    _check_stack_size(height, box)
+    corners = [tuple(map(min, hits)), tuple(map(max, hits))] + [p for rects in chain for r in rects for p in (r.b, r.d)]
+    grid = Compression.of(tuple(map(min, zip(*corners))), tuple(map(max, zip(*corners))),
+                          [{*ks, *(c for rects in chain for r in rects for c in (r.b[k], r.d[k] + 1))}
+                           for k, ks in enumerate(hits)])
+    _check_stack_size(height, grid.coarse)
     m = len(bprime)
-    if height * box.count * m * m > MAX_VERTICES * MAX_DIM:
-        raise ValueError(f"{height} layers of {box.count} vertices with up to {m} rectangles each exceed "
-                         f"{MAX_VERTICES * MAX_DIM} step scalars")
-    grid = Compression.of(box, [{*ks, *(c for rects in chain for r in rects for c in (r.b[k], r.d[k] + 1))}
-                                for k, ks in enumerate(hits)])
+    if height * grid.coarse.count * m * m > MAX_VERTICES * MAX_DIM:
+        raise ValueError(f"{height} layers of {grid.coarse.count} vertices with up to {m} rectangles each "
+                         f"exceed {MAX_VERTICES * MAX_DIM} step scalars")
     decomps = [RectDecomp(field, grid.coarse, [Rectangle(grid.floor(r.b), grid.floor(r.d)) for r in rects])
                for rects in chain]
     coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * len(tails)
@@ -157,7 +158,7 @@ def _s_chain(V: RectDecomp, height: int):
     mu, bprime = verticalize(V, dprime)
     vprime = [Rectangle(r.b, d) for r, d in zip(V.summands, dprime)]
     hits = [range(a, b + 1) for a, b in zip(V.box.lo, V.box.hi)]
-    grid, chain, layers, links = _cone_chain(V.field, bprime, dprime, [vprime, V.summands], V.box, height, hits)
+    grid, chain, layers, links = _cone_chain(V.field, bprime, dprime, [vprime, V.summands], height, hits)
     meta = {"dprime": dprime, "mu": mu, "bprime": bprime, "cone": chain[0][0], "grid": grid, "source_box": V.box}
     return layers, links, meta
 
@@ -206,7 +207,7 @@ def build_S_dprime(V: PersModule, height: int = 5) -> BuildResult:
         raise ValueError("zero module")
     prim = build_S_prime(dualize(V), height)
     grid = prim.meta["grid"]
-    t = vsub(vadd(V.box.lo, V.box.hi), vadd(grid.box.lo, grid.box.hi)[:V.n]) + (4,)
+    t = vsub(vadd(V.box.lo, V.box.hi), vadd(grid.lo, grid.hi)[:V.n]) + (4,)
     grid = grid.reflect().translate(t)
     u = V.box.lo + (0,)
     line = AxisEmbedding.layer(V.n, V.n, 0).translate(vsub(grid.floor(u), u))
@@ -222,8 +223,8 @@ def candy_wrap(V: PersModule) -> CandyModule:
         raise ValueError("cannot wrap the zero module")
     prim = build_S_prime(V, 9)  # heights -4..0
     dual = build_S_dprime(V, 9)  # heights 0..4
-    GridBox.hull([prim.meta["grid"].box, dual.meta["grid"].box])  # refuses a stacked candy over the cap
     P = prim.M.translate(vsub(dual.line.apply(V.box.lo), prim.line.apply(V.box.lo)))
+    box = GridBox.hull([P.box, dual.M.box])  # refuses a candy over the cap before it is glued
     n = V.n
     dims, steps = P.dims, P.steps
     for v, d in dual.M.dims.items():
@@ -239,7 +240,6 @@ def candy_wrap(V: PersModule) -> CandyModule:
     objects = {}
     same = {i: objects.setdefault((m.nrows, m.ncols, tuple(map(tuple, m.rows))), m)
             for i, m in {id(m): m for m in steps.values()}.items()}
-    box = GridBox.hull([P.box, dual.M.box])
     M = PersModule(V.field, box, dims, {vk: same[id(m)] for vk, m in steps.items()})
     return CandyModule(M, *candy_corners(M), dual.line)
 
@@ -340,15 +340,16 @@ def _greedy_points(windows: list) -> list:
     return out
 
 
-def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox, source: GridBox, height: int):
+def _refined_layers(field, summands: list, windows: list, s: int, source: GridBox, height: int):
     """The three rectangle layers I' -> R'' -> R~ on a first axis refined by s.
 
     Summand i becomes the window windows[i] on the first axis.  The births
     b'_i take pairwise distinct first coordinates inside their windows, and
     the deaths d'_i = D + (m - rank) on the first axis keep the interleaved
     ordering that makes endomorphisms of R'' diagonal.  Summands are listed
-    in the rank order meta["order"].  Returns (layers, links, line, meta),
-    on the corner grid meta["grid"] of the hull of box and the rectangles;
+    in the rank order meta["order"], and meta["chain"] lists each layer's
+    rectangles.  Returns (layers, links, line, meta), on the corner grid
+    meta["grid"] of the hull of the rectangles and the line's hits;
     the line, in the paper's coordinates, samples first coordinates of
     source, the input box, at multiples of s.  height is as in _cone_chain.
     """
@@ -362,13 +363,13 @@ def _refined_layers(field, summands: list, windows: list, s: int, box: GridBox, 
     bprime = [(ts[i],) + summands[i].b[1:] for i in order]
     dprime = [(D[0] + (m - rank),) + D[1:] for rank in range(1, m + 1)]
     line = AxisEmbedding([("affine", s, 0)] + [("affine", 1, 0)] * (n - 1), n, 0)
-    grid, chain, layers, links = _cone_chain(field, bprime, dprime, [tilde], box, height, line.hits(source)[:-1])
+    grid, chain, layers, links = _cone_chain(field, bprime, dprime, [tilde], height, line.hits(source)[:-1])
     meta = {
         "s": s,
         "windows": [windows[i] for i in order],
         "bprime": bprime,
         "dprime": dprime,
-        "decomps": [RectDecomp(field, grid.box, rects) for rects in chain],
+        "chain": chain,
         "order": order,
         "grid": grid,
         "source_box": source,
@@ -390,8 +391,7 @@ def min3_rect(V: RectDecomp) -> BuildResult:
     s = 2 * (m + 1)
     windows = [(s * r.b[0] - m, s * r.b[0] + m) if r.b[0] == r.d[0] else (s * r.b[0], s * r.d[0])
                for r in V.summands]
-    scaled = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0],) + V.box.hi[1:])
-    layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, scaled, V.box, 3)
+    layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, V.box, 3)
     M = _stack_on_grid(layers, links, -2, meta)
     return BuildResult(M, meta["grid"].down(line, V.box), 3, meta)
 
@@ -425,17 +425,16 @@ def gen4(V: PersModule) -> BuildResult:
     def floor(y):
         return (y[0] // s,) + y[1:]
 
-    stretched = GridBox((s * V.box.lo[0],) + V.box.lo[1:], (s * V.box.hi[0] + s - 1,) + V.box.hi[1:])
-    layers, links, line, meta = _refined_layers(V.field, cov.decomp.summands, windows, s, stretched, V.box, 4)
+    layers, links, line, meta = _refined_layers(V.field, cov.decomp.summands, windows, s, V.box, 4)
     # the stretched V on the corner grid: V, padded to cover the grid's box
     # under floor, pulled back along floor after first.  The line hits each
     # s-block's first coordinate, so no run straddles two blocks.
     grid = meta["grid"]
-    wide = pad(V, GridBox(V.box.lo, (grid.box.hi[0] // s,) + V.box.hi[1:]))
+    wide = pad(V, GridBox(V.box.lo, (grid.hi[0] // s,) + V.box.hi[1:]))
     top = pullback(wide, lambda u: floor(grid.first(u)), grid.coarse)
     # stretched cover surjection: at y it is p at floor(y), columns permuted
     # into the rank order used for the rectangle layers
-    order, tilde = meta["order"], meta["decomps"][2].summands
+    order, tilde = meta["order"], meta["chain"][2]
     comps = {}
     for u, d in top.dims.items():
         y = grid.first(u)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from operator import add, sub
 
 from .fields import Field
@@ -431,7 +431,7 @@ class AxisEmbedding:
 def pullback(M: PersModule, phi, box: GridBox) -> PersModule:
     """Pull M back along the monotone vertex map phi from box into M.box:
     x has M's space at phi(x), and the arrow x -> x + e_k is the internal
-    map M(phi(x) <= phi(x + e_k))."""
+    map M(phi(x) <= phi(x + e_k)), inside a fibre a shared identity."""
     dims = {}
     image = {}
     for x in box.vertices():
@@ -442,18 +442,19 @@ def pullback(M: PersModule, phi, box: GridBox) -> PersModule:
         if d:
             dims[x] = d
             image[x] = y
+    eye = cache(partial(Matrix.identity, M.field))  # one identity per dimension
     steps = {}
     for x in dims:
         for k in range(box.n):
             x2 = vsucc(x, k)
             if x2 in dims:
-                steps[(x, k)] = M.composite(image[x], image[x2])
+                steps[(x, k)] = eye(dims[x]) if image[x] == image[x2] else M.composite(image[x], image[x2])
     return PersModule(M.field, box, dims, steps)
 
 
 def coarsen(M: PersModule, keep: list) -> tuple[PersModule, "Compression"]:
     """M on its coarsest grid: M' and the Compression grid of M.box whose
-    coarse box M' is on, with pullback(M', grid.floor, grid.box) == M.
+    coarse box M' is on, with pullback(M', grid.floor, M.box) == M.
 
     A coordinate c > lo_k of axis k that is not in keep[k] merges into
     c - 1 when every arrow from slab c - 1 to slab c along axis k joins
@@ -483,7 +484,7 @@ def coarsen(M: PersModule, keep: list) -> tuple[PersModule, "Compression"]:
                     identity[id(m)] = m.is_identity()  # square, so the head has dimension d
                 if m is None or not identity[id(m)]:
                     starts[k].add(c + 1)
-    grid = Compression.of(M.box, starts)
+    grid = Compression.of(lo, hi, starts)
     # per axis: the last coordinate of each run -> its coarse coordinate
     ends = [{e - 1: a + i for i, e in enumerate(s[1:] + (b + 1,))} for a, b, s in zip(lo, hi, grid.starts)]
     cdims, csteps = {}, {}
@@ -499,55 +500,55 @@ def coarsen(M: PersModule, keep: list) -> tuple[PersModule, "Compression"]:
 
 @dataclass(frozen=True)
 class Compression:
-    """A box of Z^n cut, on each axis, into runs of consecutive coordinates.
-
-    starts[k] lists in order the coordinate at which each run of axis k
-    begins, the first being box.lo[k]; run i of axis k is coordinate
-    box.lo[k] + i of the coarse box.  A module on the coarse box stands
-    for its pullback along floor to box, which is constant on each run.
+    """The box lo..hi of Z^n cut, on each axis, into runs of consecutive
+    coordinates: starts[k] lists in order the coordinate at which each run
+    of axis k begins, the first being lo[k]; run i of axis k is coordinate
+    lo[k] + i of the coarse box.  A module on the coarse box stands for its
+    pullback along floor to lo..hi, which is constant on each run.  Only
+    the coarse box is a GridBox: lo..hi may pass the vertex cap.
     """
 
-    box: GridBox
+    lo: tuple
+    hi: tuple
     starts: tuple
 
     @staticmethod
-    def of(box: GridBox, events) -> "Compression":
-        """The runs of box that begin at lo and at each coordinate of
-        events[k] inside box on axis k."""
-        return Compression(box, tuple(tuple(sorted({lo, *(c for c in ev if lo <= c <= hi)}))
-                                      for lo, hi, ev in zip(box.lo, box.hi, events)))
+    def of(lo, hi, events) -> "Compression":
+        """The runs of lo..hi that begin at lo and at each coordinate of
+        events[k] inside lo..hi on axis k."""
+        return Compression(lo, hi, tuple(tuple(sorted({a, *(c for c in ev if a <= c <= b)}))
+                                         for a, b, ev in zip(lo, hi, events)))
 
     @cached_property
     def coarse(self) -> GridBox:
-        return GridBox(self.box.lo, tuple(lo + len(s) - 1 for lo, s in zip(self.box.lo, self.starts)))
+        return GridBox(self.lo, tuple(a + len(s) - 1 for a, s in zip(self.lo, self.starts)))
 
     def floor(self, v) -> tuple:
         """The coarse vertex whose runs hold v."""
-        return tuple(lo + bisect_right(s, c) - 1 for lo, s, c in zip(self.box.lo, self.starts, v))
+        return tuple(a + bisect_right(s, c) - 1 for a, s, c in zip(self.lo, self.starts, v))
 
     def first(self, u) -> tuple:
         """The vertex at which the runs of the coarse vertex u begin."""
-        return tuple(s[c - lo] for lo, s, c in zip(self.box.lo, self.starts, u))
+        return tuple(s[c - a] for a, s, c in zip(self.lo, self.starts, u))
 
     def extend(self, lo: int, hi: int) -> "Compression":
         """This compression with one more axis [lo, hi], left uncut."""
-        return Compression(GridBox(self.box.lo + (lo,), self.box.hi + (hi,)),
-                           self.starts + (tuple(range(lo, hi + 1)),))
+        return Compression(self.lo + (lo,), self.hi + (hi,), self.starts + (tuple(range(lo, hi + 1)),))
 
     def translate(self, t) -> "Compression":
-        return Compression(GridBox(vadd(self.box.lo, t), vadd(self.box.hi, t)),
+        return Compression(vadd(self.lo, t), vadd(self.hi, t),
                            tuple(tuple(c + x for c in s) for s, x in zip(self.starts, t)))
 
     def reflect(self) -> "Compression":
         """The runs mirrored in the box's centre, as dualize mirrors a module."""
-        return Compression(self.box, tuple((lo, *(lo + hi + 1 - c for c in reversed(s[1:])))
-                                           for lo, hi, s in zip(self.box.lo, self.box.hi, self.starts)))
+        return Compression(self.lo, self.hi, tuple((a, *(a + b + 1 - c for c in reversed(s[1:])))
+                                                   for a, b, s in zip(self.lo, self.hi, self.starts)))
 
     def down(self, L: AxisEmbedding, box: GridBox) -> AxisEmbedding:
         """L on box, followed by floor: an embedding into the coarse box
         that stands for L when every coordinate L hits begins a run."""
-        return L.followed_by([{y: lo + bisect_right(s, y) - 1 for y in ys}
-                              for lo, s, ys in zip(self.box.lo, self.starts, L.hits(box))], box)
+        return L.followed_by([{y: a + bisect_right(s, y) - 1 for y in ys}
+                              for a, s, ys in zip(self.lo, self.starts, L.hits(box))], box)
 
 
 def restrict(M: PersModule, L: AxisEmbedding, source_box: GridBox | None = None) -> PersModule:

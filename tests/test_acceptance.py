@@ -166,7 +166,7 @@ def test_criterion_7_three_and_four_layers_2d(capsys):
         for i in range(m - 1):
             good = good and bp[i][0] < bp[i + 1][0] and dp[i + 1][0] < dp[i][0]
         good = good and all(x <= y for x, y in zip(bp[-1], dp[-1]))
-        tilde = r.meta["decomps"][2].summands
+        tilde = r.meta["chain"][2]
         for t, b, d in zip(tilde, bp, dp):
             good = good and all(x <= y for x, y in zip(t.b, b))
             good = good and all(x <= y for x, y in zip(b, t.d))

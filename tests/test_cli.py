@@ -16,7 +16,7 @@ from persistgrid import (Field, GridBox, Rectangle, RectDecomp, barcode_1d, dire
                          rect_to_module)
 from persistgrid.cli import MAX_TRIALS, main
 from persistgrid.grid import MAX_AXES
-from persistgrid.io import FormatError, dump, load, pmod_from_json, pmod_to_json, rects_to_json
+from persistgrid.io import FormatError, dump, load, pmod_from_json, pmod_to_json, rects_from_json, rects_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module, rand_rect_decomp, rand_two_rows_with_gap
 
@@ -162,6 +162,20 @@ class TestPipeline:
             assert main(["restrict", "--in", mod, "--line", line, "--out", res]) == 0
             with open(src, "rb") as a, open(res, "rb") as b:
                 assert a.read() == b.read()
+
+    @pytest.mark.parametrize("method, kind, size, max_dim, seed", [("candy", "candy", 6, 2, 2),
+                                                                   ("gen4", "indec", 12, 1, 1)],
+                             ids=["candy-6x6", "gen4-12x12"])
+    def test_builds_beyond_the_stacked_layout(self, tmp_path, capsys, method, kind, size, max_dim, seed):
+        """A 6x6 candy and gen4 on a 12x12 input build on their corner grids,
+        whose stacked layouts pass the vertex cap, and pass verify."""
+        V = rand_module(random.Random(seed), Field.prime(1009), GridBox((0, 0), (size - 1, size - 1)),
+                        max_dim=max_dim)
+        src, out = str(tmp_path / "v.json"), str(tmp_path / "out.json")
+        dump(pmod_to_json(V), src)
+        assert main(["construct", "--method", method, "--in", src, "--out", out]) == 0
+        code, _, err = run(capsys, ["verify", kind, "--in", out])
+        assert code == 0, err
 
     def test_hom_dim(self, tmp_path, capsys):
         box = GridBox((0,), (2,))
@@ -450,16 +464,19 @@ class TestMistypedOrOversizedInput:
     BOTTOM = {**CORNER, "dims": [1] + [0] * 89999}
     LONG = {"field": "Q", "n": 1, "lo": [0], "hi": [13999], "dims": [1] + [0] * 13999, "steps": []}
     POINT = {"field": "Fp:1009", "n": 1, "lo": [0], "hi": [0], "dims": [1], "steps": []}
-    # two one-point bars far apart: the corner grid has a handful of
-    # coordinates, but the caps count the stacked layout
+    # two one-point bars far apart: the caps count the corner grid that is
+    # built, whose axis keeps every coordinate of the input's box (scaled
+    # for min3), not the stacked layout the paper fills between the bars
     BARS = {"field": "Q", "n": 1, "rects": [{"b": [0], "d": [0]}, {"b": [1], "d": [1]}]}
-    # each half of its candy fits the cap, but the two glued along V do not
-    WIDE_HALVES = {"field": "Fp:1009", "n": 3, "lo": [0, 0, 0], "hi": [1, 0, 1], "dims": [1, 1, 0, 1],
-                   "steps": [{"v": [0, 0, 0], "axis": 2, "matrix": [[0]]},
-                             {"v": [0, 0, 1], "axis": 0, "matrix": [[0]]}]}
-    CAP_MESSAGES = {"bars-20000-apart-min3": "box with 120001 vertices exceeds the cap 100000",
-                    "bars-30000-apart-s4": "4 layers of 30009 vertices exceed the cap 100000",
-                    "pmod-candy-of-wide-halves": "box with 176436 vertices exceeds the cap 100000"}
+    # a 3D point: each half of its candy fits the cap, but the two glued
+    # along V do not
+    POINT_3D = {**POINT, "n": 3, "lo": [0, 0, 0], "hi": [0, 0, 0], "dims": [6]}
+    CAP_MESSAGES = {"bars-40000-apart-min3": "3 layers of 40005 vertices exceed the cap 100000",
+                    "bars-30000-apart-s4": "4 layers of 30004 vertices exceed the cap 100000",
+                    "bars-150-distinct-s4": "4 layers of 448 vertices with up to 150 rectangles each exceed "
+                                            "31600000 step scalars",
+                    "long-dim-2-gen4": "4 layers of 25002 vertices exceed the cap 100000",
+                    "pmod-candy-of-3d-point": "box with 109503 vertices exceeds the cap 100000"}
     STEP = {"field": "Fp:7", "n": 1, "lo": [0], "hi": [1], "dims": [1, 1],
             "steps": [{"v": [0], "axis": 0, "matrix": [[1]]}]}
     # two equal records, whose matrix the reader parses once
@@ -529,10 +546,13 @@ class TestMistypedOrOversizedInput:
         "over-cap-bottom-sprime": (BOTTOM, lambda o: None, "sprime"),
         "over-cap-bottom-gen4": (BOTTOM, lambda o: None, "gen4"),
         "long-candy": (LONG, lambda o: None, "candy"),
-        "long-gen4": (LONG, lambda o: None, "gen4"),
-        "bars-20000-apart-min3": (BARS, lambda o: o["rects"][1].update(b=[20000], d=[20000]), "min3"),
+        # four layers of V's box fit, but the stretched axis adds two runs
+        "long-dim-2-gen4": (LONG, lambda o: o.update(hi=[24999], dims=[2] + [0] * 24999), "gen4"),
+        "bars-40000-apart-min3": (BARS, lambda o: o["rects"][1].update(b=[40000], d=[40000]), "min3"),
         "bars-30000-apart-s4": (BARS, lambda o: o["rects"][1].update(b=[30000], d=[30000]), "s4"),
-        "pmod-candy-of-wide-halves": (WIDE_HALVES, lambda o: None, "candy"),
+        # the coarse stack fits the vertex cap, its 150 x 150 steps do not
+        "bars-150-distinct-s4": (BARS, lambda o: o.update(rects=[{"b": [i], "d": [i]} for i in range(150)]), "s4"),
+        "pmod-candy-of-3d-point": (POINT_3D, lambda o: None, "candy"),
         "pmod-dim-3000": (POINT, lambda o: o.update(dims=[3000])),
         "pmod-dim-million": (POINT, lambda o: o.update(dims=[10**6])),
         "pmod-step-twice": (STEP, lambda o: o["steps"].append({"v": [0], "axis": 0, "matrix": [[3]]})),
@@ -567,7 +587,7 @@ class TestMistypedOrOversizedInput:
         for base, *verb in ((self.RECTS,), (self.LINE,), (self.TABLE_LINE,),
                             (_one_vertex(MAX_AXES, "pmod"),), (_one_vertex(MAX_AXES, "rects"), "min3rect"),
                             (self.STEP,), (self.TWO_STEPS,), (self.DEAD_STEP,), (self.BARS, "min3"),
-                            (self.BARS, "s4"), (self.WIDE_HALVES, "sprime"), (self.WIDE_HALVES, "sdual")):
+                            (self.BARS, "s4"), (self.POINT_3D, "sprime"), (self.POINT_3D, "sdual")):
             p = str(tmp_path / "in.json")
             dump(base, p)
             assert run(capsys, self._argv(base, p, tmp_path, *verb))[0] == 0
@@ -588,7 +608,7 @@ class TestMistypedOrOversizedInput:
         assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("case", sorted(CAP_MESSAGES))
-    def test_caps_count_the_stacked_layout(self, tmp_path, capsys, case):
+    def test_caps_count_the_built_box(self, tmp_path, capsys, case):
         base, change, verb = self.CASES[case]
         obj = json.loads(json.dumps(base))
         change(obj)
@@ -596,6 +616,34 @@ class TestMistypedOrOversizedInput:
         dump(obj, p)
         code, out, err = run(capsys, self._argv(obj, p, tmp_path, verb))
         assert code == 2 and out == "" and err == f"error: {self.CAP_MESSAGES[case]}\n"
+
+    # inputs whose stacked layout passes the vertex cap (the candy's, glued,
+    # has 176436 vertices) but whose corner grid fits
+    WIDE_HALVES = {"field": "Fp:1009", "n": 3, "lo": [0, 0, 0], "hi": [1, 0, 1], "dims": [1, 1, 0, 1],
+                   "steps": [{"v": [0, 0, 0], "axis": 2, "matrix": [[0]]},
+                             {"v": [0, 0, 1], "axis": 0, "matrix": [[0]]}]}
+    FITS = {"bars-20000-apart-min3": (BARS, lambda o: o["rects"][1].update(b=[20000], d=[20000]), "min3"),
+            "long-gen4": (LONG, lambda o: None, "gen4"),
+            "pmod-candy-of-wide-halves": (WIDE_HALVES, lambda o: None, "candy")}
+
+    @pytest.mark.parametrize("case", sorted(FITS))
+    def test_built_box_fits(self, tmp_path, case):
+        """The output restricts along its line back to the input."""
+        base, change, verb = self.FITS[case]
+        obj = json.loads(json.dumps(base))
+        change(obj)
+        p, mod, line, res = (str(tmp_path / f"{x}.json") for x in ("in", "m", "l", "w"))
+        dump(obj, p)
+        assert main(["construct", "--method", verb, "--in", p, "--out", mod, "--line-out", line]) == 0
+        if verb == "candy":
+            dump(load(mod)["module"], mod)
+        assert main(["restrict", "--in", mod, "--line", line, "--out", res]) == 0
+        W = pmod_from_json(load(res))
+        if "rects" in obj:
+            R = rects_from_json(obj)
+            assert W.box == R.box and barcode_1d(W) == R.barcode()
+        else:
+            assert W == pmod_from_json(obj)
 
     def test_step_given_twice_is_named(self, tmp_path, capsys):
         obj = json.loads(json.dumps(self.STEP))

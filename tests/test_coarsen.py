@@ -23,12 +23,17 @@ FIELDS = (Field.prime(2), Field.prime(3), Field.rationals(), Field.prime(1009))
 
 def axis_floor(grid, k, c):
     """The coarse coordinate of c on axis k of grid."""
-    return grid.floor(grid.box.lo[:k] + (c,) + grid.box.lo[k + 1:])[k]
+    return grid.floor(grid.lo[:k] + (c,) + grid.lo[k + 1:])[k]
+
+
+def fine_box(grid):
+    """The box that grid cuts into runs."""
+    return GridBox(grid.lo, grid.hi)
 
 
 def stacked(M, grid):
     """The stacked layout that M on its corner grid stands for."""
-    return pullback(M, grid.floor, grid.box)
+    return pullback(M, grid.floor, fine_box(grid))
 
 
 def stacked_candy(V):
@@ -54,14 +59,14 @@ def paper_line(L, grid, box, scales):
 def check_coarsen(M, keep):
     """Every property coarsen promises, for M and keep; the coarse module."""
     coarse, grid = coarsen(M, keep)
-    assert grid.box == M.box and grid.coarse == coarse.box
-    assert pullback(coarse, grid.floor, grid.box) == M
+    assert fine_box(grid) == M.box and grid.coarse == coarse.box
+    assert pullback(coarse, grid.floor, fine_box(grid)) == M
     inside = [[c for c in ks if a <= c <= b] for a, b, ks in zip(M.box.lo, M.box.hi, keep)]
     kept = [{axis_floor(grid, k, c) for c in cs} for k, cs in enumerate(inside)]
     assert [len(ks) for ks in kept] == [len(cs) for cs in inside]
     again, grid2 = coarsen(coarse, kept)
     assert again == coarse
-    assert grid2.coarse == grid2.box  # every coordinate is a run of its own
+    assert grid2.coarse == fine_box(grid2)  # every coordinate is a run of its own
     assert end_dim(coarse) == end_dim(M)
     return coarse
 
@@ -147,9 +152,9 @@ def test_refinements_coarsen_alike(seed):
         lengths = [rng.randint(1, 3) for _ in range(a, b + 1)]
         starts.append([a + sum(lengths[:i]) for i in range(len(lengths))])
         hi.append(a + sum(lengths) - 1)
-    grid = Compression(GridBox(M.box.lo, tuple(hi)), tuple(map(tuple, starts)))
+    grid = Compression(M.box.lo, tuple(hi), tuple(map(tuple, starts)))
     M = M.translate(vsub(grid.coarse.lo, M.box.lo))  # M on the grid's coarse box
-    fine = pullback(M, grid.floor, grid.box)
+    fine = pullback(M, grid.floor, fine_box(grid))
 
     keep_fine = [{c for c in ss if rng.random() < 0.3} for ss in starts]
     keep = [{axis_floor(grid, k, c) for c in ks} for k, ks in enumerate(keep_fine)]

@@ -29,7 +29,7 @@ from persistgrid.io import (candy_from_json, candy_to_json, dump, line_to_json, 
                             pmod_to_json, rects_from_json, rects_to_json)
 from persistgrid.sampling import rand_module, rand_rect_decomp
 
-from test_coarsen import line_keep, paper_line, stacked, stacked_candy
+from test_coarsen import fine_box, line_keep, paper_line, stacked, stacked_candy
 
 FIELDS = (Field.prime(2), Field.prime(3), Field.rationals(), Field.prime(1009))
 SEEDS = range(4)
@@ -238,4 +238,4 @@ def test_restrict_gives_the_input_back(runs):
 def test_cli_files_pull_back_to_the_fine_modules(runs):
     for tag, coarse, (fine, lines) in runs.pairs:
         grid = coarsen(fine, line_keep(fine.n, lines))[1]
-        assert pullback(coarse, grid.floor, grid.box) == fine, tag
+        assert pullback(coarse, grid.floor, fine_box(grid)) == fine, tag

@@ -181,10 +181,10 @@ class TestMin3:
         r = min3(V)
         assert r.layer_count == 3
         assert r.meta["s"] == 6
-        ds = r.meta["decomps"]
-        assert [(x.b, x.d) for x in ds[0].summands] == [((4,), (9,))]
-        assert [(x.b, x.d) for x in ds[1].summands] == [((0,), (9,)), ((4,), (8,))]
-        assert [(x.b, x.d) for x in ds[2].summands] == [((0,), (6,)), ((4,), (8,))]
+        ds = r.meta["chain"]
+        assert [(x.b, x.d) for x in ds[0]] == [((4,), (9,))]
+        assert [(x.b, x.d) for x in ds[1]] == [((0,), (9,)), ((4,), (8,))]
+        assert [(x.b, x.d) for x in ds[2]] == [((0,), (6,)), ((4,), (8,))]
         W = restrict(r.M, r.line, source_box=V.box)
         assert barcode_1d(W) == V.barcode()
         assert local_dim(r.M) == 1
@@ -220,13 +220,13 @@ class TestMin3Rect:
             assert dp[i + 1][0] < dp[i][0]
         assert all(x <= y for x, y in zip(bp[-1], dp[-1]))
         # componentwise b <= b' <= d <= d' against the refined summands
-        tilde = r.meta["decomps"][2].summands
+        tilde = r.meta["chain"][2]
         for t, b, d in zip(tilde, bp, dp):
             assert all(x <= y for x, y in zip(t.b, b))
             assert all(x <= y for x, y in zip(b, t.d))
             assert all(x <= y for x, y in zip(t.d, d))
         # the middle layer has diagonal endomorphism matrices
-        vpp = r.meta["decomps"][1].summands
+        vpp = r.meta["chain"][1]
         for i in range(m):
             for j in range(m):
                 if i != j:
@@ -455,7 +455,8 @@ class TestCornerGrid:
 
     def test_gen4_3x3_layers_are_smaller(self, tmp_path, monkeypatch):
         V, p = self._module(tmp_path, GridBox((0, 0), (2, 2)), 2)
-        stacked = gen4(V).meta["decomps"][0].box.count
+        grid = gen4(V).meta["grid"]
+        stacked = GridBox(grid.lo[:-1], grid.hi[:-1]).count  # one layer of the stacked layout
         counts = self._boxes(monkeypatch, ["construct", "--method", "gen4", "--in", p, "--out", p + ".out"])
         assert len(counts) == 3 and all(c < stacked for c in counts), (counts, stacked)
 

@@ -209,6 +209,17 @@ class TestPullback:
             box = GridBox((s * M.box.lo[0],) + M.box.lo[1:], (s * M.box.hi[0] + s - 1,) + M.box.hi[1:])
             assert pullback(M, lambda y: (y[0] // s,) + y[1:], box) == stretch_first(M, s)
 
+    def test_arrows_inside_a_fibre_share_one_identity_per_dimension(self, rng):
+        for M in itertools.chain(random_modules(rng, 20), (rand_module(rng, F1009, GridBox((0, 0), (2, 2)))
+                                                            for _ in range(10))):
+            box = GridBox((3 * M.box.lo[0],) + M.box.lo[1:], (3 * M.box.hi[0] + 2,) + M.box.hi[1:])
+            P = pullback(M, lambda y: (y[0] // 3,) + y[1:], box)
+            inside = {}  # dimension -> the objects on arrows x -> x + e_0 with x and x + e_0 in one fibre
+            for (x, k), m in P.steps.items():
+                if k == 0 and x[0] % 3 != 2:
+                    inside.setdefault(m.nrows, set()).add(id(m))
+            assert inside and all(len(ids) == 1 for ids in inside.values())
+
     def test_composite_of_one_arrow_is_the_step(self, rng):
         for M in itertools.chain(random_modules(rng, 20), shared_step_modules(rng, 10)):
             for (v, k), m in M.steps.items():
