@@ -19,7 +19,7 @@ from .constructions import (CandyModule, build_S, build_S_dprime, build_S_prime,
 from .grid import coarsen, restrict
 from .io import FormatError
 from .rectangles import barcode_1d
-from .verify import (check_candy, decompose_two_rows, hom_basis,
+from .verify import (DECOMPOSABLE, INDECOMPOSABLE, check_candy, decompose_two_rows, hom_basis,
                      iso_certificate, try_split)
 
 EXIT_OK = 0
@@ -125,9 +125,9 @@ def cmd_verify(args) -> int:
     if args.kind == "indec":
         verdict = _or_format_error(try_split, M, args.seed, args.trials)
         _emit(verdict.to_json())
-        if verdict.status == "IndecomposableCertified":
+        if verdict.status == INDECOMPOSABLE:
             return EXIT_OK
-        if verdict.status == "DecomposableCertified":
+        if verdict.status == DECOMPOSABLE:
             return EXIT_VIOLATED
         return EXIT_INCONCLUSIVE
     if args.kind == "iso":

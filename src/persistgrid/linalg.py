@@ -504,28 +504,6 @@ def minimal_polynomial(A: Matrix) -> Poly:
 # factorization support for coprime splitting
 
 
-def _factor_squarefree_fp(f: Poly, rng) -> list[Poly]:
-    """Irreducible factors of a squarefree monic polynomial over F_p."""
-    field = f.field
-    p = field.p
-    out = []
-    x = Poly.x(field)
-    h = x
-    rest = f
-    d = 0
-    while rest.degree > 2 * (d + 1) - 1 and rest.degree > 0:
-        d += 1
-        h = h.powmod(p, rest)
-        g = (h - x).gcd(rest)
-        if g.degree > 0:
-            out.extend(_equal_degree_split(g, d, rng))
-            rest = (rest // g).monic()
-            h = h % rest
-    if rest.degree > 0:
-        out.append(rest.monic())
-    return out
-
-
 def _equal_degree_split(g: Poly, d: int, rng) -> list[Poly]:
     """Cantor-Zassenhaus: split g into its degree-d irreducible factors."""
     field = g.field
@@ -547,40 +525,6 @@ def _equal_degree_split(g: Poly, d: int, rng) -> list[Poly]:
         s = t.gcd(g)
         if 0 < s.degree < g.degree:
             return _equal_degree_split(s, d, rng) + _equal_degree_split((g // s).monic(), d, rng)
-
-
-def factor_fp(f: Poly, rng=None) -> list[tuple[Poly, int]]:
-    """Full irreducible factorization over F_p (monic factors, multiplicity)."""
-    import random
-
-    field = f.field
-    if field.is_rational:
-        raise ValueError("factor_fp needs a prime field")
-    if rng is None:
-        rng = random.Random(0)
-    f = f.monic()
-    if f.degree < 1:
-        return []
-    p = field.p
-    deriv = f.derivative()
-    if deriv.is_zero():
-        # f(x) = g(x^p) = g(x)^p over F_p
-        g = Poly(field, f.coeffs[::p])
-        return [(irr, mult * p) for irr, mult in factor_fp(g, rng)]
-    sqfree = (f // f.gcd(deriv)).monic()
-    irreducibles = _factor_squarefree_fp(sqfree, rng)
-    out = []
-    for irr in sorted(irreducibles, key=lambda q: (q.degree, q.coeffs)):
-        mult = 0
-        rest = f
-        while True:
-            quo, rem = rest.divmod(irr)
-            if not rem.is_zero():
-                break
-            mult += 1
-            rest = quo
-        out.append((irr, mult))
-    return out
 
 
 def _yun_squarefree_q(f: Poly) -> list[tuple[Poly, int]]:
@@ -649,12 +593,20 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def coprime_split(f: Poly, rng=None):
-    """A factorization f = g*h with gcd(g, h) = 1 and both of degree >= 1.
+def coprime_split(f: Poly, rng):
+    """(g, h, q) with f = g*h (f made monic), g and h monic and coprime, g a
+    power of q, and h = 1 when no split is found.  q is the monic
+    irreducible that g is a power of, or None when that is not known.
 
-    Over a prime field this is complete (full factorization, primary parts
-    grouped).  Over Q only squarefree structure and rational roots are used,
-    so None means "no split found", not "f is primary".
+    Over F_p, g is the primary part of f's least irreducible factor q, by
+    degree then coefficients.  The gcd of x^(p^d) - x with f itself is the
+    product of f's distinct irreducible factors of degree dividing d, whatever
+    their multiplicity; the first nontrivial one, for d = 1 .. deg f / 2, is
+    split by Cantor-Zassenhaus, drawing from rng, and when there is none f is
+    irreducible.  So h = 1 exactly when f is a prime power, for every
+    multiplicity.  Over Q only the first Yun part and its rational roots are
+    used: q is known only when it is linear, and h = 1 means "no split
+    found", not "f is primary".
     """
     if f.is_zero():
         raise ValueError("coprime split of the zero polynomial")
@@ -662,37 +614,27 @@ def coprime_split(f: Poly, rng=None):
         raise ValueError("coprime split needs degree >= 1")
     field = f.field
     f = f.monic()
-    if not field.is_rational:
-        facts = factor_fp(f, rng)
-        if len(facts) < 2:
-            return None
-        irr, mult = facts[0]
-        g = Poly(field, [field.one])
-        for _ in range(mult):
-            g = g * irr
-        h = (f // g).monic()
-        return g, h
-    # rationals: pieces are (x - r)^i per rational root plus the rootless
-    # remainder of each Yun part
-    pieces = []
-    for part, i in _yun_squarefree_q(f):
-        rem = part
-        for r in _rational_roots(part):
-            lin = Poly(field, [field.neg(r), field.one])
-            rem = rem // lin
-            piece = Poly(field, [field.one])
-            for _ in range(i):
-                piece = piece * lin
-            pieces.append(piece)
-        if rem.degree > 0:
-            piece = Poly(field, [field.one])
-            for _ in range(i):
-                piece = piece * rem
-            pieces.append(piece)
-    if len(pieces) < 2:
-        return None
-    g = pieces[0]
-    h = (f // g).monic()
-    if not g.gcd(h).degree == 0:
-        raise AssertionError("coprime split produced non-coprime parts")
-    return g, h
+    if field.is_rational:
+        part, _ = _yun_squarefree_q(f)[0]
+        roots = _rational_roots(part)
+        base = Poly(field, [field.neg(roots[0]), field.one]) if roots else part
+        q = base if base.degree == 1 else None
+    else:
+        x = Poly.x(field)
+        xp = x
+        base = f
+        for d in range(1, f.degree // 2 + 1):
+            xp = xp.powmod(field.p, f)
+            c = (xp - x).gcd(f)
+            if c.degree > 0:
+                base = min(_equal_degree_split(c, d, rng), key=lambda r: r.coeffs)
+                break
+        q = base
+    g, h = Poly(field, [field.one]), f
+    while True:
+        quo, rem = h.divmod(base)
+        if not rem.is_zero():
+            if g.gcd(h).degree > 0:
+                raise AssertionError("coprime split produced non-coprime parts")
+            return g, h, q
+        g, h = g * base, quo

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 
 from .grid import ModMorphism, PersModule, candy_corner_faults, slice_layers, vle
 from .homspace import Context, HomSpace, end_dim
-from .linalg import Matrix, Poly, coprime_split, factor_fp, minimal_polynomial
+from .linalg import Matrix, Poly, coprime_split, minimal_polynomial
 from .rectangles import interval_decompose_1d
 
 
@@ -93,13 +94,9 @@ class IndecVerdict:
 
 
 def _endo_min_poly(a: ModMorphism) -> Poly:
-    """Minimal polynomial of an endomorphism: lcm over the vertex blocks."""
-    f = a.field
-    m = None
-    for v in a.source.dims:
-        mv = minimal_polynomial(a.comp(v))
-        m = mv if m is None else m.lcm(mv)
-    return m if m is not None else Poly(f, [f.zero, f.one])
+    """Minimal polynomial of an endomorphism of a nonzero module: lcm over
+    the vertex blocks."""
+    return reduce(Poly.lcm, (minimal_polynomial(a.comp(v)) for v in a.source.dims))
 
 
 def _split_along(M: PersModule, P: dict, cuts: dict):
@@ -160,19 +157,17 @@ def _kernel_split(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
 
 
 def _try_element(M: PersModule, a: ModMorphism, rng):
-    """(split, f): split is ([M1, M2], iso) when the minimal polynomial of the
-    endomorphism a has a coprime factorization; otherwise f is the monic
-    irreducible it is a power of, if f is known irreducible: always over F_p
-    (factoring a prime power draws nothing from rng), over Q when f is linear.
+    """(split, q): split is ([M1, M2], iso) when coprime_split finds a coprime
+    factorization g*h of the minimal polynomial of the endomorphism a, and M
+    is cut into ker g(a) + ker h(a).  Otherwise q is the monic irreducible
+    that the minimal polynomial is a power of, when that is known: always over
+    F_p, where the split takes the least irreducible's primary part and is
+    complete for every multiplicity, and over Q when q is linear.
     """
-    mp = _endo_min_poly(a)
-    gh = coprime_split(mp, rng)
-    if gh is not None:
-        return _kernel_split(M, a, *gh), None
-    if not M.field.is_rational:
-        return None, factor_fp(mp, rng)[0][0]
-    root = mp // mp.gcd(mp.derivative())
-    return None, root if root.degree == 1 else None
+    g, h, q = coprime_split(_endo_min_poly(a), rng)
+    if h.degree > 0:
+        return _kernel_split(M, a, g, h), None
+    return None, q
 
 
 def _local_certificate(alg: EndAlgebra, residues: list) -> dict | None:

@@ -13,7 +13,9 @@ a morphism breaks the rules that the storing constructors of PersModule and
 ModMorphism take on trust; `stretch_first` builds gen4's floor-stretch of a
 module arrow by arrow, without the internal maps of a pullback;
 `intervals_by_full_pass` decomposes a 1D module by reducing the image of
-every chain at every step, identity steps included."""
+every chain at every step, identity steps included; `least_irreducible`
+finds a polynomial's least irreducible factor over a small prime field by
+trial division."""
 
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from persistgrid import PersModule, RectDecomp, end_algebra, hom_basis, realize,
 from persistgrid.grid import MAX_DIM, GridBox, ModMorphism, vsucc
 from persistgrid.homspace import Context
 from persistgrid.io import FormatError, _axis_count, _require, _vector, field_from_json
-from persistgrid.linalg import Matrix
+from persistgrid.linalg import Matrix, Poly
 
 
 def local_dim(M: PersModule, ctx: Context | None = None) -> int:
@@ -115,6 +117,23 @@ def nilpotent_count(M: PersModule) -> int:
             powers = {v: m @ e[v] for v, m in powers.items()}
         count += all(m.is_zero() for m in powers.values())
     return count
+
+
+def least_irreducible(f: Poly) -> tuple[Poly, int]:
+    """The least monic irreducible factor q of f over a small prime field, by
+    degree then coefficients, and its multiplicity.  Monic polynomials are
+    tried in that order, so the first one that divides f has no proper
+    factor and is irreducible."""
+    field = f.field
+    for d in range(1, f.degree + 1):
+        for low in itertools.product(field.elements(), repeat=d):
+            q = Poly(field, [*low, field.one])
+            e, rest = 0, f
+            while (rest % q).is_zero():
+                e, rest = e + 1, rest // q
+            if e:
+                return q, e
+    raise ValueError("a constant has no irreducible factor")
 
 
 def stretch_first(V: PersModule, s: int) -> PersModule:

@@ -1,16 +1,21 @@
+import itertools
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistgrid.fields import Field
-from persistgrid.linalg import (Matrix, Poly, _rational_roots, coprime_split,
-                                factor_fp, minimal_polynomial, nullspace_sparse)
+from persistgrid.linalg import Matrix, Poly, _rational_roots, coprime_split, minimal_polynomial, nullspace_sparse
+
+from oracles import least_irreducible
 
 Q = Field.rationals()
 F2 = Field.prime(2)
+F3 = Field.prime(3)
 F5 = Field.prime(5)
 
 small_int = st.integers(min_value=-4, max_value=4)
@@ -151,39 +156,71 @@ def test_minimal_polynomial_annihilates():
             assert mp.eval_matrix(a).is_zero()
 
 
-def test_factor_fp():
+def power(q, e):
+    return reduce(Poly.__mul__, [q] * e, Poly.from_ints(q.field, [1]))
+
+
+def test_coprime_split_fp_primary_parts():
+    # (x - 1)^2 (x - 2) over F_5: x - 2 = [3, 1] is the least factor by
+    # coefficients, and the rest is the square of x - 1, which stays whole
     x = Poly.x(F5)
-    f = (x - Poly.from_ints(F5, [1])) * (x - Poly.from_ints(F5, [1])) * (x - Poly.from_ints(F5, [2]))
-    factors = factor_fp(f, random.Random(0))
-    assert sorted(e for _, e in factors) == [1, 2]
-    prod = Poly.from_ints(F5, [1])
-    for g, e in factors:
-        for _ in range(e):
-            prod = prod * g
-    assert prod.monic() == f.monic()
+    one, two = Poly.from_ints(F5, [1]), Poly.from_ints(F5, [2])
+    f = (x - one) * (x - one) * (x - two)
+    g, h, q = coprime_split(f, random.Random(0))
+    assert (g, q) == (x - two, x - two) and g * h == f
+    assert coprime_split(h, random.Random(0)) == (h, one, x - one)
 
 
 def test_coprime_split_fp():
     x = Poly.x(F2)
-    f = x * (x - Poly.from_ints(F2, [1]))
-    out = coprime_split(f, random.Random(0))
-    assert out is not None
-    g, h = out
-    assert (g * h).monic() == f.monic()
+    one = Poly.from_ints(F2, [1])
+    f = x * (x - one)
+    g, h, q = coprime_split(f, random.Random(0))
+    assert h.degree > 0 and g * h == f
     assert g.gcd(h).degree == 0
-    # powers of one irreducible cannot split
-    assert coprime_split(x * x, random.Random(0)) is None
+    # powers of one irreducible cannot split, and the irreducible is known
+    assert coprime_split(x * x, random.Random(0)) == (x * x, one, x)
+
+
+@pytest.mark.parametrize("field, top", [(F2, 6), (F3, 4)])
+def test_coprime_split_fp_takes_the_least_primary_part(field, top):
+    # every monic f of degree 1..top against trial division
+    rng = random.Random(0)
+    for n in range(1, top + 1):
+        for low in itertools.product(field.elements(), repeat=n):
+            f = Poly(field, [*low, field.one])
+            g, h, q = coprime_split(f, rng)
+            least, e = least_irreducible(f)
+            assert g * h == f and g.gcd(h).degree == 0, f
+            assert q == least and g == power(least, e), f
+            assert (h.degree == 0) == (g == f), f
+
+
+@pytest.mark.parametrize("field, mults", [(F2, (2, 1)), (F2, (2, 4)), (F3, (3, 1))])
+def test_coprime_split_fp_when_p_divides_a_multiplicity(field, mults):
+    # x^a (x + 1)^b splits off x^a, although f / gcd(f, f') loses every
+    # factor whose multiplicity p divides
+    x = Poly.x(field)
+    a, b = mults
+    f = power(x, a) * power(x + Poly.from_ints(field, [1]), b)
+    g, h, q = coprime_split(f, random.Random(0))
+    assert (g, q) == (power(x, a), x) and g * h == f
 
 
 def test_coprime_split_q():
     x = Poly.x(Q)
-    f = (x - Poly.from_ints(Q, [1])) * (x - Poly.from_ints(Q, [2]))
-    out = coprime_split(f)
-    assert out is not None
-    g, h = out
-    assert (g * h).monic() == f.monic()
+    one = Poly.from_ints(Q, [1])
+    f = (x - one) * (x - Poly.from_ints(Q, [2]))
+    g, h, q = coprime_split(f, random.Random(0))
+    assert h.degree > 0 and g * h == f and q == g
     # x^2 + 1 has no rational root and is squarefree irreducible: inconclusive
-    assert coprime_split(Poly.from_ints(Q, [1, 0, 1])) is None
+    f = Poly.from_ints(Q, [1, 0, 1])
+    assert coprime_split(f, random.Random(0)) == (f, one, None)
+    # a power of a linear factor does not split, and its root is known
+    assert coprime_split(power(x - one, 3), random.Random(0)) == (power(x - one, 3), one, x - one)
+    # a linear factor is known past ROOT_SEARCH_BOUND too
+    far = x - Poly.from_ints(Q, [10**13])
+    assert coprime_split(far * far, random.Random(0)) == (far * far, one, far)
 
 
 def test_coprime_split_q_root_search_is_bounded():
@@ -195,11 +232,11 @@ def test_coprime_split_q_root_search_is_bounded():
     for c, splits in ((10**10 + 1, True), (10**30 + 1, False)):
         f = (x * x - Poly.from_ints(Q, [c])) * (x - one)
         t0 = time.perf_counter()
-        out = coprime_split(f)
+        g, h, q = coprime_split(f, random.Random(0))
         assert time.perf_counter() - t0 < 1.0
-        assert (out is not None) == splits
+        assert (h.degree > 0) == splits and g * h == f
         if splits:
-            assert sorted(p.degree for p in out) == [1, 2] and (out[0] * out[1]).monic() == f.monic()
+            assert sorted([g.degree, h.degree]) == [1, 2]
 
 
 def test_rational_roots_keep_zero_past_the_bound():
@@ -207,9 +244,8 @@ def test_rational_roots_keep_zero_past_the_bound():
     # factored out, but the root 0 is still found and x splits off
     f = Poly.from_ints(Q, [0, -(10**13 + 1), 0, 1])
     assert _rational_roots(f) == [0]
-    out = coprime_split(f)
-    assert out is not None and sorted(p.degree for p in out) == [1, 2]
-    assert (out[0] * out[1]).monic() == f
+    g, h, q = coprime_split(f, random.Random(0))
+    assert sorted([g.degree, h.degree]) == [1, 2] and g * h == f
 
 
 def test_rational_roots_integral_as_ints():

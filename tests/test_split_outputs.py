@@ -5,7 +5,10 @@ rectangle module.
 The pinned strings were recorded from the implementation that rebuilt each
 two-row summand out of rectangle modules and split V + V through its own
 kernel-basis routine; the one block-basis routine must reproduce them byte
-for byte."""
+for byte.  The F_2 pins `indec 0` and `indec 4` were recorded again when the
+F_p split began taking the least irreducible's primary part of the whole
+minimal polynomial, x^2 (x + 1)^4 and x^2 (x + 1)(x^2 + x + 1), whose factor
+x the squarefree part f / gcd(f, f') had lost."""
 
 import hashlib
 import json
@@ -66,13 +69,12 @@ PINNED = {'indec 0': (1,
                       ' "witness": {\n'
                       '  "summand_dims": [\n'
                       '   {\n'
-                      '    "(2, 0)": 1,\n'
-                      '    "(2, 1)": 2\n'
+                      '    "(0, 1)": 2\n'
                       '   },\n'
                       '   {\n'
-                      '    "(0, 1)": 2,\n'
                       '    "(1, 0)": 2,\n'
-                      '    "(2, 0)": 3\n'
+                      '    "(2, 0)": 4,\n'
+                      '    "(2, 1)": 2\n'
                       '   }\n'
                       '  ]\n'
                       ' }\n'
@@ -141,11 +143,12 @@ PINNED = {'indec 0': (1,
                       ' "witness": {\n'
                       '  "summand_dims": [\n'
                       '   {\n'
+                      '    "(1, 0)": 2,\n'
+                      '    "(2, 0)": 2,\n'
                       '    "(2, 1)": 1\n'
                       '   },\n'
                       '   {\n'
-                      '    "(1, 0)": 4,\n'
-                      '    "(2, 0)": 2,\n'
+                      '    "(1, 0)": 2,\n'
                       '    "(2, 1)": 1\n'
                       '   }\n'
                       '  ]\n'

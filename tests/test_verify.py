@@ -10,7 +10,7 @@ from persistgrid import (Field, GridBox, PersModule, Rectangle,
                          min3, rect_to_module, stack, try_split)
 from persistgrid import verify
 from persistgrid.grid import ModMorphism, vsucc
-from persistgrid.linalg import Matrix
+from persistgrid.linalg import Matrix, Poly
 from persistgrid.sampling import (rand_module, rand_rect_decomp, rand_two_rows,
                                   rand_two_rows_with_gap)
 
@@ -95,6 +95,23 @@ class TestTrySplit:
             assert v.iso.source.dims == S.dims
             assert v.iso.source == S
             assert v.iso.validate() and v.iso.is_invertible()
+
+    def test_split_when_p_divides_a_multiplicity(self):
+        # M = I[0,1] + I[0,0] + I[0,0] over F_2, and a is the quotient of
+        # I[0,1] onto the first I[0,0] plus the identity on the second; its
+        # minimal polynomial x^2 (x + 1) splits though 2 divides the
+        # multiplicity of x
+        point = interval(F2, 0, 1, 0, 0)
+        M = direct_sum(direct_sum(interval(F2, 0, 1, 0, 1), point), point)
+        a = ModMorphism(M, M, {(0,): Matrix.from_ints(F2, [[0, 0, 0], [1, 0, 0], [0, 0, 1]]),
+                               (1,): Matrix.zero(F2, 1, 1)})
+        assert a.validate()
+        assert verify._endo_min_poly(a) == Poly.from_ints(F2, [0, 0, 1, 1])
+        split, q = verify._try_element(M, a, random.Random(0))
+        assert split is not None and q is None
+        (M1, M2), iso = split
+        assert (M1.dims, M2.dims) == ({(0,): 2, (1,): 1}, {(0,): 1})
+        assert iso.validate() and iso.is_invertible()
 
     def test_end_dim_one_always_certified(self):
         for b, d in [(0, 0), (0, 2), (1, 3)]:
