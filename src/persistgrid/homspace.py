@@ -13,6 +13,7 @@ way down and composition never touches a vertex-by-vertex matrix.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from itertools import accumulate, groupby
 
 from .grid import PersModule, slice_layers, vle
@@ -277,22 +278,25 @@ class HomSpace:
 
     # -- element operations --------------------------------------------
 
-    def coords_in_basis(self, x: dict):
-        """Coefficients of x over the basis, or None if x is outside the span."""
+    @cached_property
+    def _solver(self):
+        """(keys, inverse): dim keys where the basis matrix, keys by basis
+        elements, has an invertible block, and that block's inverse."""
         f = self.M.field
-        keys = sorted({k for b in self.basis for k in b} | set(x), key=repr)
-        pos = {k: i for i, k in enumerate(keys)}
-        A = Matrix.zero(f, len(keys), self.dim)
-        for j, b in enumerate(self.basis):
-            for k, c in b.items():
-                A.rows[pos[k]][j] = c
-        rhs = Matrix.zero(f, len(keys), 1)
-        for k, c in x.items():
-            rhs.rows[pos[k]][0] = c
-        sol = A.solve(rhs)
-        if sol is None:
-            return None
-        return [sol.rows[j][0] for j in range(self.dim)]
+        keys = list(dict.fromkeys(k for b in self.basis for k in b))
+        A = Matrix(f, [[b.get(k, f.zero) for b in self.basis] for k in keys])
+        rows = A.column_space_pivot_rows()
+        return [keys[i] for i in rows], A.submatrix(rows, range(self.dim)).inverse()
+
+    def coords_in_basis(self, x: dict):
+        """Coefficients of x over the basis, or None if x is outside the span.
+
+        The basis is independent, so the only candidate is read off the
+        block that _solver inverts, once per HomSpace, and checked against x."""
+        f = self.M.field
+        keys, inverse = self._solver
+        coords = inverse.mul_vec([x.get(k, f.zero) for k in keys])
+        return coords if combine(f, zip(coords, self.basis)) == {k: c for k, c in x.items() if c != 0} else None
 
     def random_element(self, rng) -> dict:
         f = self.M.field

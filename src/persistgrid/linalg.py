@@ -504,12 +504,11 @@ def minimal_polynomial(A: Matrix) -> Poly:
 # factorization support for coprime splitting
 
 
-def _equal_degree_split(g: Poly, d: int, rng) -> list[Poly]:
-    """Cantor-Zassenhaus: split g into its degree-d irreducible factors."""
+def _equal_degree_split(g: Poly, d: int, rng) -> Poly:
+    """Cantor-Zassenhaus: a proper monic factor of g, a product of at least
+    two distinct irreducibles of degree d."""
     field = g.field
     p = field.p
-    if g.degree == d:
-        return [g.monic()]
     while True:
         r = Poly(field, [field.of(rng.randrange(p)) for _ in range(g.degree)])
         if r.degree < 1:
@@ -524,7 +523,15 @@ def _equal_degree_split(g: Poly, d: int, rng) -> list[Poly]:
             t = r.powmod((p**d - 1) // 2, g) - Poly(field, [field.one])
         s = t.gcd(g)
         if 0 < s.degree < g.degree:
-            return _equal_degree_split(s, d, rng) + _equal_degree_split((g // s).monic(), d, rng)
+            return s
+
+
+def _primary_part(f: Poly, c: Poly) -> Poly:
+    """The part of the monic f that the irreducible factors of c divide."""
+    rest = f
+    while (t := rest.gcd(c)).degree > 0:
+        rest = rest // t
+    return f // rest
 
 
 def _yun_squarefree_q(f: Poly) -> list[tuple[Poly, int]]:
@@ -594,19 +601,19 @@ def _divisors(n: int) -> list[int]:
 
 
 def coprime_split(f: Poly, rng):
-    """(g, h, q) with f = g*h (f made monic), g and h monic and coprime, g a
-    power of q, and h = 1 when no split is found.  q is the monic
-    irreducible that g is a power of, or None when that is not known.
+    """(g, h, q) with f = g*h (f made monic), g and h monic and coprime, and
+    h = 1 when no split is found.  q is the monic irreducible that g is a
+    power of, or None when that is not known or g is no prime power.
 
-    Over F_p, g is the primary part of f's least irreducible factor q, by
-    degree then coefficients.  The gcd of x^(p^d) - x with f itself is the
-    product of f's distinct irreducible factors of degree dividing d, whatever
-    their multiplicity; the first nontrivial one, for d = 1 .. deg f / 2, is
-    split by Cantor-Zassenhaus, drawing from rng, and when there is none f is
-    irreducible.  So h = 1 exactly when f is a prime power, for every
-    multiplicity.  Over Q only the first Yun part and its rational roots are
-    used: q is known only when it is linear, and h = 1 means "no split
-    found", not "f is primary".
+    Over F_p, c = gcd(x^(p^d) - x, f) is the product of f's distinct
+    irreducible factors of degree dividing d, whatever their multiplicity.
+    At the first nontrivial c, d = 1 .. deg f / 2, g is the part of f that
+    c's factors divide; when that is all of f and c is not irreducible, it
+    is the part that one Cantor-Zassenhaus split of c, drawing from rng,
+    gives.  No c means f is irreducible.  So h = 1, with q = c, exactly when
+    f is a prime power, for every multiplicity.  Over Q only the first Yun
+    part and its rational roots are used: q is known only when it is
+    linear, and h = 1 means "no split found", not "f is primary".
     """
     if f.is_zero():
         raise ValueError("coprime split of the zero polynomial")
@@ -617,24 +624,19 @@ def coprime_split(f: Poly, rng):
     if field.is_rational:
         part, _ = _yun_squarefree_q(f)[0]
         roots = _rational_roots(part)
-        base = Poly(field, [field.neg(roots[0]), field.one]) if roots else part
-        q = base if base.degree == 1 else None
+        base, d = Poly(field, [field.neg(roots[0]), field.one]) if roots else part, 1
     else:
         x = Poly.x(field)
-        xp = x
-        base = f
-        for d in range(1, f.degree // 2 + 1):
+        xp, base, d = x, f, f.degree  # f is irreducible when no class is found
+        for e in range(1, f.degree // 2 + 1):
             xp = xp.powmod(field.p, f)
-            c = (xp - x).gcd(f)
-            if c.degree > 0:
-                base = min(_equal_degree_split(c, d, rng), key=lambda r: r.coeffs)
+            if (c := (xp - x).gcd(f)).degree > 0:
+                base, d = c, e
                 break
-        q = base
-    g, h = Poly(field, [field.one]), f
-    while True:
-        quo, rem = h.divmod(base)
-        if not rem.is_zero():
-            if g.gcd(h).degree > 0:
-                raise AssertionError("coprime split produced non-coprime parts")
-            return g, h, q
-        g, h = g * base, quo
+        if base.degree > d and _primary_part(f, base) == f:  # base holds every factor of f
+            base = _equal_degree_split(base, d, rng)
+    g = _primary_part(f, base)
+    h = f // g
+    if g.gcd(h).degree > 0:
+        raise AssertionError("coprime split produced non-coprime parts")
+    return g, h, base if base.degree == d else None

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, partial, reduce
 from itertools import accumulate
 
 from .grid import ModMorphism, PersModule, candy_corner_faults, slice_layers, vle
@@ -93,12 +93,6 @@ class IndecVerdict:
         return out
 
 
-def _endo_min_poly(a: ModMorphism) -> Poly:
-    """Minimal polynomial of an endomorphism of a nonzero module: lcm over
-    the vertex blocks."""
-    return reduce(Poly.lcm, (minimal_polynomial(a.comp(v)) for v in a.source.dims))
-
-
 def _split_along(M: PersModule, P: dict, cuts: dict):
     """A nonzero M read in the vertexwise bases P[v], whose columns fall into
     consecutive blocks of sizes cuts[v]: (parts, iso) or None.
@@ -135,18 +129,19 @@ def _split_along(M: PersModule, P: dict, cuts: dict):
     return [PersModule(f, M.box, dims[b], steps[b]) for b in range(k)], iso
 
 
-def _kernel_split(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
+def _kernel_split(M: PersModule, a: ModMorphism, g: Poly, h: Poly, mins: dict):
     """M = ker g(a) + ker h(a) vertexwise: (parts, iso), or None when the
     kernels do not fill M or one of them is zero everywhere.
 
-    Requires g, h coprime with g.h a multiple of the minimal polynomial, so
-    the kernels are complementary submodules.
+    Requires g, h coprime with g.h a multiple of the minimal polynomial
+    mins[v] of each block a.comp(v), so the kernels are complementary
+    submodules; g and h are evaluated modulo mins[v].
     """
     P, cuts = {}, {}
     for v, d in M.dims.items():
         av = a.comp(v)
-        K1 = g.eval_matrix(av).nullspace()
-        K2 = h.eval_matrix(av).nullspace()
+        K1 = (g % mins[v]).eval_matrix(av).nullspace()
+        K2 = (h % mins[v]).eval_matrix(av).nullspace()
         if K1.ncols + K2.ncols != d:
             return None
         P[v] = Matrix.hstack([K1, K2])
@@ -157,17 +152,19 @@ def _kernel_split(M: PersModule, a: ModMorphism, g: Poly, h: Poly):
 
 
 def _try_element(M: PersModule, a: ModMorphism, rng):
-    """(split, q): split is ([M1, M2], iso) when coprime_split finds a coprime
-    factorization g*h of the minimal polynomial of the endomorphism a, and M
-    is cut into ker g(a) + ker h(a).  Otherwise q is the monic irreducible
-    that the minimal polynomial is a power of, when that is known: always over
-    F_p, where the split takes the least irreducible's primary part and is
-    complete for every multiplicity, and over Q when q is linear.
+    """(split, q, f): f is the minimal polynomial of the endomorphism a of
+    M, the lcm of its vertex blocks' distinct ones.  split is ([M1, M2], iso)
+    when coprime_split finds a coprime factorization g*h of f, and M is cut
+    into ker g(a) + ker h(a).  Otherwise q is the monic irreducible that f
+    is a power of, when that is known: always over F_p, and over Q when q
+    is linear.
     """
-    g, h, q = coprime_split(_endo_min_poly(a), rng)
+    mins = {v: minimal_polynomial(a.comp(v)) for v in M.dims}
+    f = reduce(Poly.lcm, dict.fromkeys(mins.values()))
+    g, h, q = coprime_split(f, rng)
     if h.degree > 0:
-        return _kernel_split(M, a, g, h), None
-    return None, q
+        return _kernel_split(M, a, g, h, mins), None, f
+    return None, q, f
 
 
 def _local_certificate(alg: EndAlgebra, residues: list) -> dict | None:
@@ -226,10 +223,14 @@ def try_split(M: PersModule, seed: int = 0, trials: int = 24, ctx: Context | Non
     """Certify M indecomposable or produce an explicit nontrivial splitting.
 
     Conclusive when end_dim = 1, when one of the random endomorphisms drawn
-    splits M, or, once every draw has failed, when the draws whose minimal
-    polynomials are powers of known irreducibles certify that End(M) is
-    local (_local_certificate).  A zero module is not indecomposable, and
-    is refused with a ValueError.
+    splits M, or when the draws whose minimal polynomials are powers of
+    known irreducibles certify that End(M) is local (_local_certificate).
+    The certificate is tried after the 1st, 2nd, 4th, 8th ... informative
+    draw, one whose minimal polynomial f is a proper power of its
+    irreducible q, so that q(a) is a nonzero radical element, and once more
+    after the last trial.  The tries draw nothing from the rng, and a
+    success proves the same invariants that a later one would.  A zero
+    module is not indecomposable, and is refused with a ValueError.
     """
     ctx = ctx or Context()
     if M.is_zero():
@@ -239,17 +240,23 @@ def try_split(M: PersModule, seed: int = 0, trials: int = 24, ctx: Context | Non
     if ed == 1:
         return IndecVerdict(INDECOMPOSABLE, "end_dim = 1", ed)
     rng = random.Random(seed)
-    residues = []
+    algebra = cache(partial(end_algebra, M, ctx))
+    residues, informative = [], 0
     for _ in range(trials):
         amb = E.random_element(rng)
         if not amb:
             continue
-        split, f = _try_element(M, ModMorphism(M, M, ctx.materialize(M, M, amb)), rng)
+        split, q, f = _try_element(M, ModMorphism(M, M, ctx.materialize(M, M, amb)), rng)
         if split is not None:
             return IndecVerdict(DECOMPOSABLE, "splitting endomorphism found", ed, tuple(split[0]), split[1])
-        if f is not None:
-            residues.append((amb, f))
-    if residues and (cert := _local_certificate(end_algebra(M, ctx), residues)):
+        if q is not None:
+            residues.append((amb, q))
+            informative += f != q
+            if f != q and informative & (informative - 1) == 0 and (cert := _local_certificate(algebra(), residues)):
+                break
+    else:
+        cert = residues and _local_certificate(algebra(), residues)
+    if cert:
         return IndecVerdict(INDECOMPOSABLE, "local endomorphism ring: nilpotent radical, field quotient", ed,
                             certificate=cert)
     return IndecVerdict(INCONCLUSIVE, f"no splitting element after {trials} trials", ed)

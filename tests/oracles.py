@@ -13,9 +13,9 @@ a morphism breaks the rules that the storing constructors of PersModule and
 ModMorphism take on trust; `stretch_first` builds gen4's floor-stretch of a
 module arrow by arrow, without the internal maps of a pullback;
 `intervals_by_full_pass` decomposes a 1D module by reducing the image of
-every chain at every step, identity steps included; `least_irreducible`
-finds a polynomial's least irreducible factor over a small prime field by
-trial division."""
+every chain at every step, identity steps included;
+`factors_by_trial_division` factors a polynomial over a small prime field
+into irreducibles by trial division."""
 
 from __future__ import annotations
 
@@ -119,21 +119,22 @@ def nilpotent_count(M: PersModule) -> int:
     return count
 
 
-def least_irreducible(f: Poly) -> tuple[Poly, int]:
-    """The least monic irreducible factor q of f over a small prime field, by
-    degree then coefficients, and its multiplicity.  Monic polynomials are
-    tried in that order, so the first one that divides f has no proper
-    factor and is irreducible."""
+def factors_by_trial_division(f: Poly) -> list[tuple[Poly, int]]:
+    """The monic irreducible factors q of f over a small prime field, by
+    degree then coefficients, each with its multiplicity.  Monic polynomials
+    are tried in that order and divided out, so each one that divides what
+    is left has no proper factor and is irreducible."""
     field = f.field
+    out, rest = [], f.monic()
     for d in range(1, f.degree + 1):
         for low in itertools.product(field.elements(), repeat=d):
             q = Poly(field, [*low, field.one])
-            e, rest = 0, f
+            e = 0
             while (rest % q).is_zero():
                 e, rest = e + 1, rest // q
             if e:
-                return q, e
-    raise ValueError("a constant has no irreducible factor")
+                out.append((q, e))
+    return out
 
 
 def stretch_first(V: PersModule, s: int) -> PersModule:

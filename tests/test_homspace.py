@@ -101,10 +101,12 @@ def check_pair(M, N, rng):
         assert g.validate()
         back = ctx.express(M, N, g.comps)
         assert back == b
-    # random element round-trips through coordinates
+    # random element round-trips through coordinates, and an entry no basis
+    # element has puts a vector outside the span
     x = hs.random_element(rng)
     coords = hs.coords_in_basis(x)
-    assert coords is not None
+    assert coords is not None and homspace.combine(M.field, zip(coords, hs.basis)) == x
+    assert hs.coords_in_basis({**x, "outside": M.field.one}) is None
 
 
 @given(st.integers(0, 2**31))

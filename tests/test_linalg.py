@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from persistgrid.fields import Field
 from persistgrid.linalg import Matrix, Poly, _rational_roots, coprime_split, minimal_polynomial, nullspace_sparse
 
-from oracles import least_irreducible
+from oracles import factors_by_trial_division
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -161,14 +161,15 @@ def power(q, e):
 
 
 def test_coprime_split_fp_primary_parts():
-    # (x - 1)^2 (x - 2) over F_5: x - 2 = [3, 1] is the least factor by
-    # coefficients, and the rest is the square of x - 1, which stays whole
+    # (x - 1)^2 (x - 2) over F_5: x - 1 and x - 2 make the first
+    # distinct-degree class, which holds every factor, so one
+    # Cantor-Zassenhaus split of it picks x - 2; the square of x - 1 stays
+    # whole and is primary
     x = Poly.x(F5)
     one, two = Poly.from_ints(F5, [1]), Poly.from_ints(F5, [2])
     f = (x - one) * (x - one) * (x - two)
-    g, h, q = coprime_split(f, random.Random(0))
-    assert (g, q) == (x - two, x - two) and g * h == f
-    assert coprime_split(h, random.Random(0)) == (h, one, x - one)
+    assert coprime_split(f, random.Random(0)) == (x - two, power(x - one, 2), x - two)
+    assert coprime_split(power(x - one, 2), random.Random(0)) == (power(x - one, 2), one, x - one)
 
 
 def test_coprime_split_fp():
@@ -183,28 +184,38 @@ def test_coprime_split_fp():
 
 
 @pytest.mark.parametrize("field, top", [(F2, 6), (F3, 4)])
-def test_coprime_split_fp_takes_the_least_primary_part(field, top):
-    # every monic f of degree 1..top against trial division
+def test_coprime_split_fp_takes_a_primary_part_of_least_degree(field, top):
+    # every monic f of degree 1..top against trial division: h = 1 exactly
+    # when f is a prime power, with q its irreducible; otherwise g holds
+    # whole primary parts of f, all of f's least factor degree
     rng = random.Random(0)
     for n in range(1, top + 1):
         for low in itertools.product(field.elements(), repeat=n):
             f = Poly(field, [*low, field.one])
             g, h, q = coprime_split(f, rng)
-            least, e = least_irreducible(f)
+            factors = factors_by_trial_division(f)
             assert g * h == f and g.gcd(h).degree == 0, f
-            assert q == least and g == power(least, e), f
-            assert (h.degree == 0) == (g == f), f
+            assert (h.degree == 0) == (len(factors) == 1), f
+            if h.degree == 0:
+                assert q == factors[0][0], f
+            in_g = [(r, e) for r, e in factors if (g % r).is_zero()]
+            assert g == reduce(Poly.__mul__, (power(r, e) for r, e in in_g)), f
+            assert {r.degree for r, _ in in_g} == {factors[0][0].degree}, f
+            assert q is None or g == power(q, in_g[0][1]), f
 
 
 @pytest.mark.parametrize("field, mults", [(F2, (2, 1)), (F2, (2, 4)), (F3, (3, 1))])
 def test_coprime_split_fp_when_p_divides_a_multiplicity(field, mults):
-    # x^a (x + 1)^b splits off x^a, although f / gcd(f, f') loses every
-    # factor whose multiplicity p divides
+    # x^a (x + 1)^b splits into x^a and (x + 1)^b, in the order the one
+    # Cantor-Zassenhaus split of x (x + 1) gives, although f / gcd(f, f')
+    # loses every factor whose multiplicity p divides
     x = Poly.x(field)
     a, b = mults
     f = power(x, a) * power(x + Poly.from_ints(field, [1]), b)
+    parts = {(2, (2, 1)): ([1, 1], [0, 0, 1]), (2, (2, 4)): ([1, 0, 0, 0, 1], [0, 0, 1]),
+             (3, (3, 1)): ([0, 0, 0, 1], [1, 1])}[field.p, mults]
     g, h, q = coprime_split(f, random.Random(0))
-    assert (g, q) == (power(x, a), x) and g * h == f
+    assert (g, h) == tuple(Poly.from_ints(field, c) for c in parts)
 
 
 def test_coprime_split_q():

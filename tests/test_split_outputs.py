@@ -8,7 +8,11 @@ kernel-basis routine; the one block-basis routine must reproduce them byte
 for byte.  The F_2 pins `indec 0` and `indec 4` were recorded again when the
 F_p split began taking the least irreducible's primary part of the whole
 minimal polynomial, x^2 (x + 1)^4 and x^2 (x + 1)(x^2 + x + 1), whose factor
-x the squarefree part f / gcd(f, f') had lost."""
+x the squarefree part f / gcd(f, f') had lost.  Every `indec` pin but the
+one over Q was recorded again when the F_p split began taking the primary
+part over the first distinct-degree class, or over one Cantor-Zassenhaus
+split of it, instead of the least irreducible's: the summands changed,
+while each status and end_dim stayed."""
 
 import hashlib
 import json
@@ -69,12 +73,12 @@ PINNED = {'indec 0': (1,
                       ' "witness": {\n'
                       '  "summand_dims": [\n'
                       '   {\n'
-                      '    "(0, 1)": 2\n'
-                      '   },\n'
-                      '   {\n'
                       '    "(1, 0)": 2,\n'
                       '    "(2, 0)": 4,\n'
                       '    "(2, 1)": 2\n'
+                      '   },\n'
+                      '   {\n'
+                      '    "(0, 1)": 2\n'
                       '   }\n'
                       '  ]\n'
                       ' }\n'
@@ -88,12 +92,12 @@ PINNED = {'indec 0': (1,
                       '  "summand_dims": [\n'
                       '   {\n'
                       '    "(0,)": 1,\n'
-                      '    "(2,)": 2,\n'
-                      '    "(3,)": 2\n'
+                      '    "(2,)": 1\n'
                       '   },\n'
                       '   {\n'
                       '    "(0,)": 3,\n'
-                      '    "(2,)": 2\n'
+                      '    "(2,)": 3,\n'
+                      '    "(3,)": 2\n'
                       '   }\n'
                       '  ]\n'
                       ' }\n'
@@ -126,11 +130,12 @@ PINNED = {'indec 0': (1,
                       ' "witness": {\n'
                       '  "summand_dims": [\n'
                       '   {\n'
-                      '    "(0,)": 1\n'
+                      '    "(0,)": 1,\n'
+                      '    "(2,)": 2\n'
                       '   },\n'
                       '   {\n'
                       '    "(0,)": 3,\n'
-                      '    "(2,)": 4\n'
+                      '    "(2,)": 2\n'
                       '   }\n'
                       '  ]\n'
                       ' }\n'
@@ -145,11 +150,10 @@ PINNED = {'indec 0': (1,
                       '   {\n'
                       '    "(1, 0)": 2,\n'
                       '    "(2, 0)": 2,\n'
-                      '    "(2, 1)": 1\n'
+                      '    "(2, 1)": 2\n'
                       '   },\n'
                       '   {\n'
-                      '    "(1, 0)": 2,\n'
-                      '    "(2, 1)": 1\n'
+                      '    "(1, 0)": 2\n'
                       '   }\n'
                       '  ]\n'
                       ' }\n'
@@ -162,12 +166,12 @@ PINNED = {'indec 0': (1,
                       ' "witness": {\n'
                       '  "summand_dims": [\n'
                       '   {\n'
-                      '    "(0,)": 2\n'
+                      '    "(0,)": 4,\n'
+                      '    "(1,)": 2,\n'
+                      '    "(2,)": 2\n'
                       '   },\n'
                       '   {\n'
-                      '    "(0,)": 2,\n'
-                      '    "(1,)": 2,\n'
-                      '    "(2,)": 4\n'
+                      '    "(2,)": 2\n'
                       '   }\n'
                       '  ]\n'
                       ' }\n'

@@ -28,7 +28,8 @@ def test_call_counter_wraps_and_restores():
     verify = persistgrid.verify
     originals = {"try_element": verify._try_element, "hom": Context.__dict__["hom"],
                  **{op: Field.__dict__[op] for op in tracing.FIELD_OPS}}
-    # min3 output with a local End(M) of dimension 2: no trial splits it
+    # min3 output with a local End(M) of dimension 2: its first draw
+    # certifies it
     M = min3(rand_rect_decomp(random.Random(24), Field.prime(1009), 1, 5, hi=4)).M
     counter = tracing.CallCounter()
     counter.install()
@@ -42,7 +43,7 @@ def test_call_counter_wraps_and_restores():
     finally:
         counter.uninstall()
     assert v.status == "IndecomposableCertified" and v.end_dim == 2
-    assert counter.metrics()["verify.split_trials"] == 24
+    assert counter.metrics()["verify.split_trials"] == 1
     assert counter.counts["verify.try_split.calls"] == 1
     assert verify._try_element is originals["try_element"]
     assert Context.__dict__["hom"] is originals["hom"]

@@ -9,7 +9,9 @@ from persistgrid import (Field, GridBox, PersModule, Rectangle,
                          direct_sum, end_algebra, end_dim, iso_certificate,
                          min3, rect_to_module, stack, try_split)
 from persistgrid import verify
+from persistgrid.cli import main
 from persistgrid.grid import ModMorphism, vsucc
+from persistgrid.io import dump, pmod_to_json
 from persistgrid.linalg import Matrix, Poly
 from persistgrid.sampling import (rand_module, rand_rect_decomp, rand_two_rows,
                                   rand_two_rows_with_gap)
@@ -100,17 +102,17 @@ class TestTrySplit:
         # M = I[0,1] + I[0,0] + I[0,0] over F_2, and a is the quotient of
         # I[0,1] onto the first I[0,0] plus the identity on the second; its
         # minimal polynomial x^2 (x + 1) splits though 2 divides the
-        # multiplicity of x
+        # multiplicity of x, and ker(a + 1) is the second I[0,0]
         point = interval(F2, 0, 1, 0, 0)
         M = direct_sum(direct_sum(interval(F2, 0, 1, 0, 1), point), point)
         a = ModMorphism(M, M, {(0,): Matrix.from_ints(F2, [[0, 0, 0], [1, 0, 0], [0, 0, 1]]),
                                (1,): Matrix.zero(F2, 1, 1)})
         assert a.validate()
-        assert verify._endo_min_poly(a) == Poly.from_ints(F2, [0, 0, 1, 1])
-        split, q = verify._try_element(M, a, random.Random(0))
+        split, q, f = verify._try_element(M, a, random.Random(0))
+        assert f == Poly.from_ints(F2, [0, 0, 1, 1])
         assert split is not None and q is None
         (M1, M2), iso = split
-        assert (M1.dims, M2.dims) == ({(0,): 2, (1,): 1}, {(0,): 1})
+        assert (M1.dims, M2.dims) == ({(0,): 1}, {(0,): 2, (1,): 1})
         assert iso.validate() and iso.is_invertible()
 
     def test_end_dim_one_always_certified(self):
@@ -201,6 +203,51 @@ class TestLocalCertificate:
             if v.status == "IndecomposableCertified":
                 assert v.certificate["radical_dim"] == v.end_dim - 1
         assert statuses == {"IndecomposableCertified", "DecomposableCertified", "Inconclusive"}
+
+    @classmethod
+    def local_cases(cls) -> dict:
+        """Modules with a local End(M): the MIN3_SEEDS outputs over F_1009,
+        F_2, F_3 and Q, and the four-subspace fields and Jordan blocks."""
+        cases = {f"min3 {f} {s}": min3(rand_rect_decomp(random.Random(s), f, 1, 5, hi=4)).M
+                 for f in (Field.prime(1009), F2, Field.prime(3), Q) for s in cls.MIN3_SEEDS}
+        for f, C in ((F2, [[0, 1], [1, 1]]), (Field.prime(3), [[0, 2], [1, 0]]), (Field.prime(3), [[2, 1], [0, 2]]),
+                     (Q, [[2, 1], [0, 2]]), (Field.prime(1009), [[0, 11], [1, 0]])):
+            cases[f"four-subspace {f} {C}"] = cls.four_subspace(f, C)
+        return cases
+
+    def test_local_verdicts_are_pinned(self, capsys, tmp_path):
+        """The full `verify indec` output on each local case, seeded by the
+        case's index, byte for byte."""
+        out = {}
+        for seed, (name, M) in enumerate(self.local_cases().items()):
+            path = str(tmp_path / "m.json")
+            dump(pmod_to_json(M), path)
+            capsys.readouterr()
+            code = main(["verify", "indec", "--seed", str(seed), "--in", path])
+            out[name] = (code, capsys.readouterr().out)
+        assert out == LOCAL_PINNED
+
+    def test_local_verdicts_stop_at_the_first_certificate(self, monkeypatch):
+        """Over F_1009 a min3 output's local End(M) is certified after one
+        draw per radical dimension: its radical squares to zero, so the ideal
+        of one informative draw is a line; over Q after at most two draws.
+        end_algebra is built once per try_split, also when every draw is a
+        field element."""
+        counts = {}
+        spied = {name: getattr(verify, name) for name in ("_try_element", "end_algebra")}
+        for name, original in spied.items():
+            def spy(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(verify, name, spy)
+        for seed, (name, M) in enumerate(self.local_cases().items()):
+            counts.update(dict.fromkeys(spied, 0))
+            v = try_split(M, seed=seed)
+            assert v.status == "IndecomposableCertified" and counts["end_algebra"] == 1, name
+            if name.startswith("min3 F1009"):
+                assert counts["_try_element"] == v.certificate["radical_dim"] <= 2, name
+            if name.startswith("min3 Q"):
+                assert counts["_try_element"] <= 2, name
 
     def test_quadratic_residue_field_over_f1009(self):
         # 11 is not a square mod 1009, so End = F_1009(sqrt 11)
@@ -340,3 +387,32 @@ class TestCheckCandy:
         M = stack([interval(Q, 0, 1, 0, 1)], [])
         rep = check_candy(M, (1, 0), (1, 0))
         assert not rep.ok
+
+
+# recorded from the implementation that tried the local certificate only after
+# every trial had failed; an earlier attempt must give the same bytes
+LOCAL_PINNED = {'four-subspace F1009 [[0, 11], [1, 0]]': (0, '{\n "certificate": {\n  "nilpotency_index": 1,\n  "radical_dim": 0,\n  "residue_degree": 2\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'four-subspace F2 [[0, 1], [1, 1]]': (0, '{\n "certificate": {\n  "nilpotency_index": 1,\n  "radical_dim": 0,\n  "residue_degree": 2\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'four-subspace F3 [[0, 2], [1, 0]]': (0, '{\n "certificate": {\n  "nilpotency_index": 1,\n  "radical_dim": 0,\n  "residue_degree": 2\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'four-subspace F3 [[2, 1], [0, 2]]': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'four-subspace Q [[2, 1], [0, 2]]': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F1009 130': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 2,\n  "residue_degree": 1\n },\n "end_dim": 3,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F1009 147': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 2,\n  "residue_degree": 1\n },\n "end_dim": 3,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F1009 24': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F1009 44': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F1009 61': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F2 130': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 2,\n  "residue_degree": 1\n },\n "end_dim": 3,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F2 147': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 2,\n  "residue_degree": 1\n },\n "end_dim": 3,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F2 24': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F2 44': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F2 61': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F3 130': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 2,\n  "residue_degree": 1\n },\n "end_dim": 3,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F3 147': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 2,\n  "residue_degree": 1\n },\n "end_dim": 3,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F3 24': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F3 44': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 F3 61': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 Q 130': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 2,\n  "residue_degree": 1\n },\n "end_dim": 3,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 Q 147': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 2,\n  "residue_degree": 1\n },\n "end_dim": 3,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 Q 24': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 Q 44': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n'),
+ 'min3 Q 61': (0, '{\n "certificate": {\n  "nilpotency_index": 2,\n  "radical_dim": 1,\n  "residue_degree": 1\n },\n "end_dim": 2,\n "reason": "local endomorphism ring: nilpotent radical, field quotient",\n "status": "IndecomposableCertified"\n}\n')}
