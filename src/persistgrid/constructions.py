@@ -35,7 +35,12 @@ from .rectangles import RectDecomp, Rectangle, realize, rect_to_module
 
 @dataclass
 class BuildResult:
-    """M on its corner grid meta["grid"], and line into M."""
+    """M on its corner grid meta["grid"], and line into M.
+
+    meta also holds the input's box, "source_box".  The four-layer chain of
+    build_S and build_S_prime adds its births and deaths, "bprime" and
+    "dprime"; min3_rect and gen4 add those and the scale "s", the layers'
+    rectangles "chain" and the rank order "order" of _refined_layers."""
 
     M: PersModule
     line: AxisEmbedding
@@ -155,11 +160,11 @@ def _s_chain(V: RectDecomp, height: int):
     of a box containing V.box, where every coordinate of V.box begins a
     run, for a stack of height layers."""
     dprime = separate_and_shift(V)
-    mu, bprime = verticalize(V, dprime)
+    _, bprime = verticalize(V, dprime)
     vprime = [Rectangle(r.b, d) for r, d in zip(V.summands, dprime)]
     hits = [range(a, b + 1) for a, b in zip(V.box.lo, V.box.hi)]
-    grid, chain, layers, links = _cone_chain(V.field, bprime, dprime, [vprime, V.summands], height, hits)
-    meta = {"dprime": dprime, "mu": mu, "bprime": bprime, "cone": chain[0][0], "grid": grid, "source_box": V.box}
+    grid, _, layers, links = _cone_chain(V.field, bprime, dprime, [vprime, V.summands], height, hits)
+    meta = {"dprime": dprime, "bprime": bprime, "grid": grid, "source_box": V.box}
     return layers, links, meta
 
 
@@ -188,7 +193,6 @@ def build_S_prime(V: PersModule, height: int = 5) -> BuildResult:
     layers, links, meta = _s_chain(cov.decomp, height)  # on a box containing V.box = cov.decomp.box
     top = pad(V, layers[0].box)
     links.append(ModMorphism(layers[3], top, cov.comps))
-    meta["cover"] = cov
     M = _stack_on_grid(layers + [top], links, -4, meta)
     return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 5, meta)
 
@@ -366,7 +370,6 @@ def _refined_layers(field, summands: list, windows: list, s: int, source: GridBo
     grid, chain, layers, links = _cone_chain(field, bprime, dprime, [tilde], height, line.hits(source)[:-1])
     meta = {
         "s": s,
-        "windows": [windows[i] for i in order],
         "bprime": bprime,
         "dprime": dprime,
         "chain": chain,
@@ -443,6 +446,5 @@ def gen4(V: PersModule) -> BuildResult:
         live = [cols.index(order[j]) for j, r in enumerate(tilde) if r.contains(y)]
         comps[u] = cov.comps[x].submatrix(range(d), live)
     links.append(ModMorphism(layers[2], top, comps))
-    meta["cover"] = cov
     M = _stack_on_grid(layers + [top], links, -3, meta)
     return BuildResult(M, meta["grid"].down(line, V.box), 4, meta)

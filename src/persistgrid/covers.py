@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import PersModule, vadd
+from .grid import PersModule
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle
 
@@ -34,23 +34,12 @@ def projective_cover(V: PersModule) -> CoverResult:
     """
     f = V.field
     box = V.box
-    n = box.n
     gens: list[tuple[tuple, int]] = []  # (vertex, basis row)
     for x in sorted(V.dims):
-        cols = []
-        for k in range(n):
-            v = vadd(x, tuple(-1 if i == k else 0 for i in range(n)))
-            if box.contains(v) and V.dim(v) > 0:
-                m = V.step(v, k)
-                for c in range(m.ncols):
-                    cols.append([m.rows[r][c] for r in range(m.nrows)])
-        d = V.dim(x)
-        if cols:
-            incoming = Matrix(f, [[col[r] for col in cols] for r in range(d)])
-            pivots = set(incoming.column_space_pivot_rows())
-        else:
-            pivots = set()
-        for r in range(d):
+        preds = [(x[:k] + (x[k] - 1,) + x[k + 1:], k) for k in range(box.n)]
+        incoming = [V.step(v, k) for v, k in preds if V.dim(v) > 0]
+        pivots = set(Matrix.hstack(incoming).column_space_pivot_rows()) if incoming else set()
+        for r in range(V.dim(x)):
             if r not in pivots:
                 gens.append((x, r))
     decomp = RectDecomp(f, box, [Rectangle(x, box.hi) for x, _ in gens])

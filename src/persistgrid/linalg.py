@@ -1,12 +1,19 @@
 """Dense exact matrices and univariate polynomials over a `Field`.
 
-Everything here is deterministic and exact: Gaussian elimination with the
-first nonzero pivot, no pivoting heuristics that depend on magnitudes.
+Everything here is deterministic and exact: no pivot choice depends on
+magnitudes.  `Matrix.rref` pivots on the first nonzero entry of a column,
+`nullspace_sparse` on its sparsest row, and every kernel, the split kernels
+of `verify` included, comes from `nullspace_sparse`.  Both take the
+leftmost independent columns as pivots and reduce fully, so the kernel
+basis they give, x_j = 1 at one free column j and 0 at the others, free
+columns in increasing order, does not depend on which pivot rows are
+chosen: it is the one read off the rref.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 from .fields import Field
 
@@ -186,28 +193,6 @@ class Matrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def nullspace(self) -> "Matrix":
-        """Basis of the right kernel, one column per free variable.
-
-        The free variable of each column is set to 1, in increasing column
-        order, which makes the output deterministic.
-        """
-        f = self.field
-        R, pivots = self.rref()
-        pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        cols = []
-        for fv in free:
-            x = [f.zero] * self.ncols
-            x[fv] = f.one
-            for r, pc in enumerate(pivots):
-                # row r reads: x[pc] + sum_{j free} R[r][j] x[j] = 0
-                x[pc] = f.neg(R.rows[r][fv])
-            cols.append(x)
-        if not cols:
-            return Matrix.zero(f, self.ncols, 0)
-        return Matrix(f, [list(r) for r in zip(*cols)])
-
     def column_space_pivot_rows(self) -> list[int]:
         """Rows holding pivots in the column echelon form (= pivot cols of Aᵀ)."""
         return self.transpose().rref()[1]
@@ -337,19 +322,14 @@ class Poly:
     def __repr__(self):
         return f"Poly({self.field}, {self.coeffs})"
 
+    def _zip(self, other: "Poly"):
+        return zip_longest(self.coeffs, other.coeffs, fillvalue=self.field.zero)
+
     def __add__(self, other: "Poly") -> "Poly":
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [f.zero] * (n - len(self.coeffs))
-        b = other.coeffs + [f.zero] * (n - len(other.coeffs))
-        return Poly(f, [f.add(x, y) for x, y in zip(a, b)])
+        return Poly(self.field, [self.field.add(x, y) for x, y in self._zip(other)])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [f.zero] * (n - len(self.coeffs))
-        b = other.coeffs + [f.zero] * (n - len(other.coeffs))
-        return Poly(f, [f.sub(x, y) for x, y in zip(a, b)])
+        return Poly(self.field, [self.field.sub(x, y) for x, y in self._zip(other)])
 
     def __mul__(self, other: "Poly") -> "Poly":
         f = self.field
@@ -446,6 +426,10 @@ class Poly:
 def minimal_polynomial(A: Matrix) -> Poly:
     """Monic minimal polynomial, by lcm of Krylov annihilators of e_1, e_2, ...
 
+    With m the lcm so far, w = m(A) e_i is annihilated by q = minpoly(e_i) /
+    gcd(minpoly(e_i), m), of degree at most n - deg m, so the Krylov columns
+    w, Aw, ..., A^(n - deg m) w hold a dependent one.  The first free column
+    k of their rref reads A^k w off the earlier columns, which gives q.
     Verified by evaluation before returning.
     """
     if A.nrows != A.ncols:
@@ -456,44 +440,19 @@ def minimal_polynomial(A: Matrix) -> Poly:
     for i in range(n):
         if m.degree >= n:
             break
-        e = [f.zero] * n
-        e[i] = f.one
-        # v = m(A) e_i; annihilator of v is minpoly(e_i) / gcd(minpoly(e_i), m)
-        v = e
-        acc = [f.zero] * n
-        for c in reversed(m.coeffs):
-            acc = A.mul_vec(acc)
-            if c != 0:
-                acc = [f.add(a, f.mul(c, b)) for a, b in zip(acc, v)]
-        v = acc
-        if all(x == 0 for x in v):
-            continue
-        # grow the Krylov chain of v until dependency; track coordinates
-        echelon: list[tuple[int, list, list]] = []  # (pivot, vec, coords)
-        w = v
-        k = 0
-        q = None
-        while True:
-            vec = list(w)
-            coords = [f.zero] * (n + 1)
-            coords[k] = f.one
-            for piv, evec, ecoords in echelon:
-                c = vec[piv]
-                if c != 0:
-                    vec = [f.sub(a, f.mul(c, b)) for a, b in zip(vec, evec)]
-                    coords = [f.sub(a, f.mul(c, b)) for a, b in zip(coords, ecoords)]
-            piv = next((j for j, x in enumerate(vec) if x != 0), None)
-            if piv is None:
-                # sum_j coords[j] A^j v = 0 except the leading term sign
-                q = Poly(f, coords[: k + 1]).monic()
-                break
-            inv = f.inv(vec[piv])
-            if inv != f.one:
-                vec = [f.mul(inv, x) for x in vec]
-                coords = [f.mul(inv, x) for x in coords]
-            echelon.append((piv, vec, coords))
+        w = [f.zero] * n
+        for c in reversed(m.coeffs):  # Horner: w = m(A) e_i
             w = A.mul_vec(w)
-            k += 1
+            if c != 0:
+                w[i] = f.add(w[i], c)
+        if not any(w):  # zero is the only falsy scalar
+            continue
+        krylov = [w]
+        for _ in range(n - m.degree):
+            krylov.append(A.mul_vec(krylov[-1]))
+        R, pivots = Matrix(f, zip(*krylov)).rref()
+        k = len(pivots)  # the pivots are the columns 0 .. k-1
+        q = Poly(f, [f.neg(R.rows[r][k]) for r in range(k)] + [f.one])
         m = (m * q).monic()
     if not m.eval_matrix(A).is_zero():
         raise AssertionError("minimal polynomial failed verification")
@@ -534,26 +493,18 @@ def _primary_part(f: Poly, c: Poly) -> Poly:
     return f // rest
 
 
-def _yun_squarefree_q(f: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm over Q: f = lc * prod a_i^i with a_i squarefree, coprime."""
-    field = f.field
+def _first_yun_part(f: Poly) -> Poly:
+    """The first nontrivial part of Yun's squarefree factorization over Q,
+    f = lc * prod a_i^i with a_i squarefree and coprime: the monic product
+    of f's irreducible factors of least multiplicity."""
     f = f.monic()
     d = f.derivative()
     a = f.gcd(d)
-    b = f // a
-    c = d // a
-    out = []
-    i = 1
-    while b.degree > 0:
-        delta = (c - b.derivative())
-        g = b.gcd(delta) if not delta.is_zero() else b
-        if g.degree > 0:
-            out.append((g.monic(), i))
-        b2 = b // g if g.degree > 0 else b
-        c2 = (delta // g) if g.degree > 0 else delta
-        b, c = b2, c2
-        i += 1
-    return out
+    b, c = f // a, d // a
+    while True:  # a_i = 1 leaves b as it is
+        c = c - b.derivative()
+        if (g := b.gcd(c)).degree > 0:
+            return g
 
 
 # the rational-root search tries p/q for every p | a0 and q | an, found by
@@ -622,7 +573,7 @@ def coprime_split(f: Poly, rng):
     field = f.field
     f = f.monic()
     if field.is_rational:
-        part, _ = _yun_squarefree_q(f)[0]
+        part = _first_yun_part(f)
         roots = _rational_roots(part)
         base, d = Poly(field, [field.neg(roots[0]), field.one]) if roots else part, 1
     else:

@@ -11,7 +11,7 @@ from itertools import accumulate
 
 from .grid import ModMorphism, PersModule, candy_corner_faults, slice_layers, vle
 from .homspace import Context, HomSpace, end_dim
-from .linalg import Matrix, Poly, coprime_split, minimal_polynomial
+from .linalg import Matrix, Poly, coprime_split, minimal_polynomial, nullspace_sparse
 from .rectangles import interval_decompose_1d
 
 
@@ -137,15 +137,15 @@ def _kernel_split(M: PersModule, a: ModMorphism, g: Poly, h: Poly, mins: dict):
     mins[v] of each block a.comp(v), so the kernels are complementary
     submodules; g and h are evaluated modulo mins[v].
     """
+    f = M.field
     P, cuts = {}, {}
     for v, d in M.dims.items():
-        av = a.comp(v)
-        K1 = (g % mins[v]).eval_matrix(av).nullspace()
-        K2 = (h % mins[v]).eval_matrix(av).nullspace()
-        if K1.ncols + K2.ncols != d:
+        K1, K2 = (nullspace_sparse([dict(enumerate(r)) for r in (e % mins[v]).eval_matrix(a.comp(v)).rows], d, f)
+                  for e in (g, h))
+        if len(K1) + len(K2) != d:
             return None
-        P[v] = Matrix.hstack([K1, K2])
-        cuts[v] = (K1.ncols, K2.ncols)
+        P[v] = Matrix(f, [[x.get(r, f.zero) for x in K1 + K2] for r in range(d)])
+        cuts[v] = (len(K1), len(K2))
     if all(c[0] == 0 for c in cuts.values()) or all(c[1] == 0 for c in cuts.values()):
         return None
     return _split_along(M, P, cuts)

@@ -15,7 +15,8 @@ module arrow by arrow, without the internal maps of a pullback;
 `intervals_by_full_pass` decomposes a 1D module by reducing the image of
 every chain at every step, identity steps included;
 `factors_by_trial_division` factors a polynomial over a small prime field
-into irreducibles by trial division."""
+into irreducibles by trial division; `minimal_polynomial_by_powers` finds a
+matrix's minimal polynomial from the rank of its powers."""
 
 from __future__ import annotations
 
@@ -135,6 +136,19 @@ def factors_by_trial_division(f: Poly) -> list[tuple[Poly, int]]:
             if e:
                 out.append((q, e))
     return out
+
+
+def minimal_polynomial_by_powers(A: Matrix) -> Poly:
+    """The monic minimal polynomial of A: the least k such that A^k lies in
+    the span of I, A, ..., A^(k-1), read off the rank of the powers
+    flattened to columns, with A^k written in the earlier powers."""
+    f = A.field
+    powers = [Matrix.identity(f, A.nrows)]
+    while Matrix(f, zip(*(sum(P.rows, []) for P in powers))).rank() == len(powers):
+        powers.append(powers[-1] @ A)
+    *lower, top = (sum(P.rows, []) for P in powers)
+    c = Matrix(f, zip(*lower)).solve(Matrix(f, [[y] for y in top]))
+    return Poly(f, [f.neg(row[0]) for row in c.rows] + [f.one])
 
 
 def stretch_first(V: PersModule, s: int) -> PersModule:

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistgrid.fields import Field
-from persistgrid.linalg import Matrix, Poly, _rational_roots, coprime_split, minimal_polynomial, nullspace_sparse
+from persistgrid.linalg import (Matrix, Poly, _first_yun_part, _rational_roots, coprime_split, minimal_polynomial,
+                               nullspace_sparse)
 
-from oracles import factors_by_trial_division
+from oracles import factors_by_trial_division, minimal_polynomial_by_powers
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -66,17 +67,26 @@ def test_solve():
     assert sing.solve(Matrix.from_ints(Q, [[0], [1]])) is None
 
 
-@given(st.integers(0, 2**31), st.integers(1, 4), st.integers(1, 4))
+@given(st.integers(0, 2**31), st.integers(1, 5), st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
-def test_nullspace_property(seed, nr, nc):
+def test_nullspace_sparse_is_the_rref_basis(seed, nrows, ncols):
+    """nullspace_sparse pivots on the sparsest row, yet gives exactly the
+    basis read off Matrix.rref: x_j = 1 at each free column j, in
+    increasing order, and -R[r][j] at the pivot column of row r.  Rows may
+    list their zero entries or leave them out."""
     rng = random.Random(seed)
-    for f in (Q, F5):
-        a = rand_matrix(f, rng, nr, nc)
-        ns = a.nullspace()
-        assert ns.nrows == nc
-        assert a.rank() + ns.ncols == nc
-        if ns.ncols:
-            assert (a @ ns).is_zero()
+    for f in (Q, F2, F5):
+        A = rand_matrix(f, rng, nrows, ncols, lo=-2, hi=2)
+        for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):  # zero rows
+            A.rows[i] = [f.zero] * ncols
+        for j in rng.sample(range(ncols), rng.randint(0, ncols // 2)):  # zero columns
+            for row in A.rows:
+                row[j] = f.zero
+        R, pivots = A.rref()
+        expected = [{j: f.one} | {pc: f.neg(R.rows[r][j]) for r, pc in enumerate(pivots) if R.rows[r][j] != 0}
+                    for j in range(ncols) if j not in pivots]
+        assert nullspace_sparse([dict(enumerate(row)) for row in A.rows], ncols, f) == expected
+        assert nullspace_sparse([{c: v for c, v in enumerate(row) if v != 0} for row in A.rows], ncols, f) == expected
 
 
 @given(st.integers(0, 2**31), st.integers(1, 5), st.integers(1, 6))
@@ -121,10 +131,12 @@ def test_q_values_are_ints_or_fractions(rows, seed):
     assert all(type(y) is int for y in (Q.zero, Q.one, Q.of(seed), Q.rand(rng)))
     assert all(type(Q.div(x, y)) in (int, Fraction) for x in flat for y in flat if y != 0)
     A = Matrix(Q, [[Q.parse(Q.fmt(x)) for x in row] for row in rows])
-    outs = [A.rref()[0], A.nullspace(), A.solve(Matrix(Q, [[Q.rand(rng)] for _ in rows]))]
+    outs = [A.rref()[0], A.solve(Matrix(Q, [[Q.rand(rng)] for _ in rows]))]
     if A.is_invertible():
         outs.append(A.inverse())
-    assert all(type(y) in (int, Fraction) for X in outs if X is not None for row in X.rows for y in row)
+    values = [y for X in outs if X is not None for row in X.rows for y in row]
+    values += [y for x in nullspace_sparse([dict(enumerate(row)) for row in A.rows], A.ncols, Q) for y in x.values()]
+    assert all(type(y) in (int, Fraction) for y in values)
 
 
 def test_poly_divmod_gcd():
@@ -154,6 +166,66 @@ def test_minimal_polynomial_annihilates():
             a = rand_matrix(f, rng, 3, 3)
             mp = minimal_polynomial(a)
             assert mp.eval_matrix(a).is_zero()
+
+
+def _jordan_chains(field, lengths, c=0):
+    """Jordan chains with eigenvalue c, one of each length, down the diagonal."""
+    J = Matrix.zero(field, sum(lengths), sum(lengths))
+    start = 0
+    for n in lengths:
+        for i in range(start, start + n):
+            J.rows[i][i] = field.of(c)
+            if i + 1 < start + n:
+                J.rows[i][i + 1] = field.one
+        start += n
+    return J
+
+
+def _non_cyclic(field, rng, n):
+    """Matrices of size n, most of them with a minimal polynomial of degree
+    below n: zero, scalar, nilpotent and shifted Jordan chains, and one
+    random block repeated down the diagonal, each also conjugated by a
+    random invertible matrix so that no e_i is special."""
+    lengths = []
+    while sum(lengths) < n:
+        lengths.append(rng.randint(1, n - sum(lengths)))
+    b = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+    mats = [Matrix.zero(field, n, n), Matrix.identity(field, n), _jordan_chains(field, lengths),
+            _jordan_chains(field, sorted(lengths), rng.randint(1, 4)),
+            Matrix.block_diag(field, [rand_matrix(field, rng, b, b)] * (n // b))]
+    while not (S := rand_matrix(field, rng, n, n, lo=-1, hi=1)).is_invertible():
+        pass
+    return mats + [S.inverse() @ A @ S for A in mats]
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, Field.prime(1009)], ids=repr)
+def test_minimal_polynomial_of_non_cyclic_matrices(field):
+    # the Krylov columns of each e_i stop at n - deg m, and e_i whose
+    # image under m(A) is zero are skipped: both matter only when the
+    # minimal polynomial has degree below n
+    rng = random.Random(field.p or 0)
+    for n in range(1, 13):
+        for A in _non_cyclic(field, rng, n):
+            assert minimal_polynomial(A) == minimal_polynomial_by_powers(A), (n, A)
+
+
+def test_first_yun_part_takes_the_least_multiplicity():
+    x = Poly.x(Q)
+
+    def lin(c):
+        return x - Poly.from_ints(Q, [c])
+
+    x2p1, x2m2 = Poly.from_ints(Q, [1, 0, 1]), Poly.from_ints(Q, [-2, 0, 1])
+    cases = [
+        (lin(1) * power(x2p1, 2) * power(lin(3), 3), lin(1)),
+        (power(x2m2, 2) * power(lin(-5), 2), x2m2 * lin(-5)),
+        (power(x2p1, 2) * power(lin(1), 3), x2p1),
+        (power(lin(2), 3) * power(lin(-1), 5), lin(2)),
+        (power(x, 4), x),
+        (power(lin(1), 2) * lin(-2) * Poly.from_ints(Q, [3]), lin(-2)),
+    ]
+    for f, part in cases:
+        assert _first_yun_part(f) == part, f
 
 
 def power(q, e):
