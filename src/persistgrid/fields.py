@@ -67,28 +67,30 @@ class Field:
 
     # -- element constructors ------------------------------------------
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero = 0
+    one = 1
 
     def of(self, n: int):
         """Canonical image of the integer n."""
         return n if self.p is None else n % self.p
 
     # -- arithmetic ----------------------------------------------------
+    # over Q an integral result is an int, as parse and inv give it
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        if self.p is None:
+            return s if type(s := a + b) is int or s.denominator != 1 else s.numerator
+        return (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        if self.p is None:
+            return s if type(s := a - b) is int or s.denominator != 1 else s.numerator
+        return (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        if self.p is None:
+            return s if type(s := a * b) is int or s.denominator != 1 else s.numerator
+        return (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p

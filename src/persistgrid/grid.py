@@ -11,7 +11,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from operator import add, sub
+from operator import add, le, sub
 
 from .fields import Field
 from .linalg import Matrix
@@ -86,7 +86,7 @@ def vsub(v, w) -> tuple:
 
 
 def vle(v, w) -> bool:
-    return all(a <= b for a, b in zip(v, w))
+    return all(map(le, v, w))
 
 
 class PersModule:

@@ -16,8 +16,8 @@ from collections import defaultdict
 from functools import cached_property
 from itertools import accumulate, groupby
 
-from .grid import PersModule, slice_layers, vle
-from .linalg import Matrix, nullspace_sparse
+from .grid import PersModule, slice_layers
+from .linalg import Matrix, nullspace_sparse, rank_sparse
 from .rectangles import hom_leq, interval_decompose_1d, realize
 
 
@@ -49,13 +49,14 @@ class Context:
 
     Caches are keyed by module content: each module maps to the first module
     seen here with the same field, box, dims and step matrices, in the same
-    dict order, and the caches key on that representative.  Equal modules
-    thus share one interval decomposition, one layer slicing and one
-    HomSpace, and a representative iterates exactly like the modules it
-    stands for.  A step enters the key as a number per matrix object, equal
-    for equal rows, so a matrix that steps share is read once.  The maps
-    keep every module and matrix alive, so ids cannot be recycled
-    underneath us.
+    dict order.  What is made for that representative is stored under its
+    id and the id of every module seen for it, so the caches answer a
+    module already seen in one lookup.  Equal modules thus share one
+    interval decomposition, one layer slicing and one HomSpace, and a
+    representative iterates exactly like the modules it stands for.  A step
+    enters the key as a number per matrix object, equal for equal rows, so
+    a matrix that steps share is read once.  The maps keep every module and
+    matrix alive, so ids cannot be recycled underneath us.
 
     A 1D decomposition is cached with its chain basis, which is all that
     hom bases, express and compose read; materialize also reads the chain
@@ -92,29 +93,32 @@ class Context:
             entry = self._reps[id(M)] = (M, self._by_content.setdefault(key, M))
         return entry[1]
 
-    # -- cached structure, keyed by representative ----------------------
+    # -- cached structure, made for the representative -----------------
+
+    def _cached(self, cache: dict, M: PersModule, make):
+        """make(R) for the representative R of M, made once per R."""
+        out = cache.get(id(M))
+        if out is None:
+            R = self._rep(M)
+            out = cache.get(id(R))
+            if out is None:
+                out = make(R)
+            cache[id(M)] = cache[id(R)] = out
+        return out
 
     def intervals1(self, M: PersModule):
         """(decomp, basis) for a 1D module, as interval_decompose_1d gives
         them for the representative of M."""
-        M = self._rep(M)
-        if id(M) not in self._decomps:
-            self._decomps[id(M)] = interval_decompose_1d(M)
-        return self._decomps[id(M)]
+        return self._cached(self._decomps, M, interval_decompose_1d)
 
     def _basis_inverse(self, M: PersModule) -> dict:
         """vertex -> the inverse of intervals1(M)'s chain basis there,
         computed on first use."""
-        M = self._rep(M)
-        if id(M) not in self._inverses:
-            self._inverses[id(M)] = {v: b.inverse() for v, b in self.intervals1(M)[1].items()}
-        return self._inverses[id(M)]
+        return self._cached(self._inverses, M,
+                            lambda R: {v: b.inverse() for v, b in self.intervals1(R)[1].items()})
 
     def layers(self, M: PersModule):
-        M = self._rep(M)
-        if id(M) not in self._layers:
-            self._layers[id(M)] = slice_layers(M)
-        return self._layers[id(M)]
+        return self._cached(self._layers, M, slice_layers)
 
     def hom(self, M: PersModule, N: PersModule) -> "HomSpace":
         M, N = self._rep(M), self._rep(N)
@@ -143,7 +147,7 @@ class Context:
                 # by g, have unique coordinates in N's invertible chain basis
                 born = list(born)
                 chains = Matrix(M.field, [row[-len(born):] for row in basisM[v].rows])
-                X = basisN[v].solve(gv @ chains)
+                X = gv @ chains if basisN[v].is_identity() else basisN[v].solve(gv @ chains)
                 rows = DN.indices_at(v)
                 for col, i in enumerate(born):
                     for r, j in enumerate(rows):
@@ -199,8 +203,9 @@ class Context:
             for (i, j), b in y.items():
                 for k, c in by_mid.get(j, ()):
                     # a composite through two canonical homs vanishes unless
-                    # the source birth still precedes the target death
-                    if vle(DL.summands[i].b, DN.summands[k].d):
+                    # the source birth still precedes the target death; on
+                    # 1-tuples tuple order is that comparison
+                    if DL.summands[i].b <= DN.summands[k].d:
                         key = (i, k)
                         out[key] = f.add(out.get(key, f.zero), f.mul(c, b))
             return {k: v for k, v in out.items() if v != 0}
@@ -216,8 +221,15 @@ class Context:
 
 
 class HomSpace:
-    """A basis of Hom(M, N) in ambient coordinates, built by Context.hom
-    with the context it reads; it keeps no reference to that context."""
+    """Hom(M, N) in ambient coordinates, built by Context.hom with the
+    context it reads; it keeps no reference to that context.
+
+    _build gives the constraint rows and the columns they constrain, the
+    layer hom basis elements tagged by layer; in 1D there are no rows and
+    the columns are the basis.  dim is the column count less the rows'
+    rank, and the kernel basis is solved on the first read of basis; once
+    it is, dim is its length.
+    """
 
     def __init__(self, M: PersModule, N: PersModule, ctx: Context):
         if M.field != N.field:
@@ -226,21 +238,31 @@ class HomSpace:
             raise ValueError("hom between modules on different boxes")
         self.M = M
         self.N = N
-        self.basis = self._build(ctx)
+        self._rows, self._cols = self._build(ctx)
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return len(self.basis)
+        if "basis" in self.__dict__:
+            return len(self.basis)
+        return len(self._cols) - rank_sparse(self._rows, len(self._cols), self.M.field)
 
-    def _build(self, ctx: Context) -> list[dict]:
+    @cached_property
+    def basis(self) -> list[dict]:
+        if not self._rows:
+            return self._cols
+        f = self.M.field
+        return [combine(f, ((c, self._cols[col]) for col, c in sol.items()))
+                for sol in nullspace_sparse(self._rows, len(self._cols), f)]
+
+    def _build(self, ctx: Context) -> tuple[list[dict], list[dict]]:
         M, N = self.M, self.N
         f = M.field
         if M.is_zero() or N.is_zero():
-            return []
+            return [], []
         if M.n == 1:
             DM = ctx.intervals1(M)[0]
             DN = ctx.intervals1(N)[0]
-            return [
+            return [], [
                 {(i, j): f.one}
                 for i, A in enumerate(DM.summands)
                 for j, B in enumerate(DN.summands)
@@ -249,22 +271,21 @@ class HomSpace:
         Ms, lMs = ctx.layers(M)
         Ns, lNs = ctx.layers(N)
         h = len(Ms)
-        spaces = [ctx.hom(Ms[i], Ns[i]) for i in range(h)]
-        offsets = list(accumulate((sp.dim for sp in spaces), initial=0))
-        total = offsets[-1]
-        if total == 0:
-            return []
+        bases = [ctx.hom(Ms[i], Ns[i]).basis for i in range(h)]
+        offsets = list(accumulate(map(len, bases), initial=0))
+        if offsets[-1] == 0:
+            return [], []
         lM_expr = [ctx.express(Ms[i], Ms[i + 1], lMs[i].comps) for i in range(h - 1)]
         lN_expr = lM_expr if N is M else [ctx.express(Ns[i], Ns[i + 1], lNs[i].comps) for i in range(h - 1)]
         rows: list[dict] = []
         for i in range(h - 1):
             # constraint: link_N . f_i = f_{i+1} . link_M in Hom(M_i, N_{i+1})
             per_leaf: dict = defaultdict(dict)
-            for b_idx, b in enumerate(spaces[i].basis):
+            for b_idx, b in enumerate(bases[i]):
                 z = ctx.compose(Ms[i], Ns[i], Ns[i + 1], lN_expr[i], b)
                 for leaf, c in z.items():
                     per_leaf[leaf][offsets[i] + b_idx] = c
-            for b_idx, b in enumerate(spaces[i + 1].basis):
+            for b_idx, b in enumerate(bases[i + 1]):
                 z = ctx.compose(Ms[i], Ms[i + 1], Ns[i + 1], b, lM_expr[i])
                 col = offsets[i + 1] + b_idx
                 for leaf, c in z.items():
@@ -272,9 +293,7 @@ class HomSpace:
                     row[col] = f.sub(row.get(col, f.zero), c)
             rows.extend(per_leaf.values())
         # column offsets[i] + b of the system is layer i's basis element b
-        tagged = [{(i, leaf): v for leaf, v in b.items()} for i, sp in enumerate(spaces) for b in sp.basis]
-        return [combine(f, ((c, tagged[col]) for col, c in sol.items()))
-                for sol in nullspace_sparse(rows, total, f)]
+        return rows, [{(i, leaf): v for leaf, v in b.items()} for i, basis in enumerate(bases) for b in basis]
 
     # -- element operations --------------------------------------------
 

@@ -2,10 +2,12 @@
 
 Everything here is deterministic and exact: no pivot choice depends on
 magnitudes.  `Matrix.rref` pivots on the first nonzero entry of a column,
-`nullspace_sparse` on its sparsest row, and every kernel, the split kernels
-of `verify` included, comes from `nullspace_sparse`.  Both take the
-leftmost independent columns as pivots and reduce fully, so the kernel
-basis they give, x_j = 1 at one free column j and 0 at the others, free
+the sparse elimination `_eliminate` on its sparsest row.  Every kernel,
+the split kernels of `verify` included, comes from `nullspace_sparse`, and
+every sparse rank from `rank_sparse`: both run that one elimination with
+its one pivot rule, the rank without reducing the rows already used as
+pivots.  The leftmost independent columns are the pivots either way, so
+the kernel basis, x_j = 1 at one free column j and 0 at the others, free
 columns in increasing order, does not depend on which pivot rows are
 chosen: it is the one read off the rref.
 """
@@ -224,14 +226,14 @@ class Matrix:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
 
-def nullspace_sparse(rows: list[dict], ncols: int, field: Field) -> list[dict]:
-    """Kernel basis of a sparse matrix given as dict-rows {col: value}.
-
-    Pivots are chosen column by column (among rows whose leading unknown is
-    the column, the sparsest wins), which keeps banded systems banded.
-    Returns sparse vectors {col: value}, free columns in increasing order.
+def _eliminate(rows: list[dict], ncols: int, f: Field, full: bool):
+    """Sparse elimination, column by column: among the unused rows whose
+    leading unknown is the column, the sparsest wins, which keeps banded
+    systems banded.  Returns (work, pivot_of_col).  With full, the rows
+    already used as pivots are reduced too, so work is the rref up to row
+    order; without, they are left as they were.  The unused rows evolve the
+    same either way, so the pivots do not depend on full.
     """
-    f = field
     work = [dict((c, v) for c, v in r.items() if v != 0) for r in rows]
     work = [r for r in work if r]
     col_rows: dict[int, set[int]] = {}
@@ -251,7 +253,7 @@ def nullspace_sparse(rows: list[dict], ncols: int, field: Field) -> list[dict]:
             for c in list(prow):
                 prow[c] = f.mul(inv, prow[c])
         for i in list(col_rows[col]):
-            if i == pi:
+            if i == pi or not full and i in used_rows:
                 continue
             r = work[i]
             c0 = r.get(col)
@@ -269,6 +271,21 @@ def nullspace_sparse(rows: list[dict], ncols: int, field: Field) -> list[dict]:
                     r[c] = nv
         pivot_of_col[col] = pi
         used_rows.add(pi)
+    return work, pivot_of_col
+
+
+def rank_sparse(rows: list[dict], ncols: int, field: Field) -> int:
+    """Rank of a sparse matrix given as dict-rows {col: value}: the pivot
+    count of the elimination nullspace_sparse runs, here without reducing
+    the rows already used as pivots."""
+    return len(_eliminate(rows, ncols, field, False)[1])
+
+
+def nullspace_sparse(rows: list[dict], ncols: int, field: Field) -> list[dict]:
+    """Kernel basis of a sparse matrix given as dict-rows {col: value}:
+    sparse vectors {col: value}, free columns in increasing order."""
+    f = field
+    work, pivot_of_col = _eliminate(rows, ncols, f, True)
     basis = []
     for col in range(ncols):
         if col in pivot_of_col:

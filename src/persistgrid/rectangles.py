@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 from .fields import Field
 from .grid import GridBox, PersModule, vle, vsucc
@@ -86,7 +87,7 @@ class RectDecomp:
         if self._at is None:
             at: dict[tuple, list[int]] = {}
             for i, r in enumerate(self.summands):
-                for v in GridBox(r.b, r.d).vertices():
+                for v in product(*map(range, r.b, (x + 1 for x in r.d))):
                     at.setdefault(v, []).append(i)
             self._at = at
         return self._at
@@ -207,11 +208,11 @@ def _interval_chains(M: PersModule) -> list[_Chain]:
         return vec
 
     for x in range(lo, hi + 1):
-        d = M.dim((x,))
+        d = M.dims.get((x,), 0)
         accepted: list[tuple[int, _Chain]] = []
         survivors: list[_Chain] = []
         if x > lo and active:
-            A = M.step((x - 1,), 0)
+            A = M.step((x - 1,), 0) if d else None  # not a zero matrix into a dead vertex
             if d and A.is_identity():
                 # the vectors at x - 1 are reduced and normalized in birth
                 # order and span the space, so the pass below would change
@@ -223,8 +224,7 @@ def _interval_chains(M: PersModule) -> list[_Chain]:
             # chains by birth, since survivors keep their order and births
             # come last
             for chain in active:
-                img = A.mul_vec(chain.vecs[x - 1]) if d else [f.zero] * 0
-                vec = reduce_vec(list(img), accepted, chain, x) if d else []
+                vec = reduce_vec(A.mul_vec(chain.vecs[x - 1]), accepted, chain, x) if d else []
                 piv = next((i for i, a in enumerate(vec) if a != 0), None)
                 if piv is None:
                     chain.death = x - 1

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistgrid import (Context, Field, GridBox, HomSpace, PersModule, Rectangle,
-                         RectDecomp, candy_wrap, end_dim, hom_basis, hom_dim,
-                         iso_certificate, rect_to_module, stack, try_split)
+                         RectDecomp, candy_wrap, check_candy, direct_sum, end_dim, hom_basis,
+                         hom_dim, iso_certificate, min3, rect_to_module, stack, try_split)
 from persistgrid import homspace, rectangles, verify
 from persistgrid.grid import ModMorphism, vsucc
 from persistgrid.io import pmod_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
-from persistgrid.sampling import rand_module
+from persistgrid.sampling import rand_module, rand_rect_decomp
 from persistgrid.verify import DECOMPOSABLE
 
 from oracles import materialize_by_iso
@@ -101,6 +101,7 @@ def check_pair(M, N, rng):
         assert g.validate()
         back = ctx.express(M, N, g.comps)
         assert back == b
+    assert hs.dim == len(hs.basis)  # dim came from the rank, before the basis was solved
     # random element round-trips through coordinates, and an entry no basis
     # element has puts a vector outside the span
     x = hs.random_element(rng)
@@ -319,6 +320,30 @@ def test_hom_engine_builds_no_rectangle_module(seed):
     # the materialized basis is linearly independent
     flat = Matrix(f, [[x for v in sorted(M.dims) for row in g.comp(v).rows for x in row] for g in basis])
     assert flat.rank() == len(basis)
+
+
+def test_dim_solves_no_top_level_kernel(monkeypatch):
+    """The rank gives dim: check_candy on a 2D candy and try_split on an
+    end_dim-1 min3 output solve no kernel, since their layers are 1D and a
+    1D hom basis is read off the decompositions.  try_split on a 2D V + V
+    reads the basis of End(V + V) and solves its kernel once."""
+    kernels = []
+    original = homspace.nullspace_sparse
+
+    def spy(rows, ncols, field):
+        kernels.append(ncols)
+        return original(rows, ncols, field)
+
+    monkeypatch.setattr(homspace, "nullspace_sparse", spy)
+    V = rand_module(random.Random(3), F1009, GridBox((0,), (3,)), max_dim=2)
+    C = candy_wrap(V)
+    assert C.module.n == 2 and check_candy(C.module, C.ul, C.lr).ok
+    M = min3(rand_rect_decomp(random.Random(0), F1009, 1, 5, hi=4)).M
+    assert M.n == 2 and try_split(M).reason == "end_dim = 1"
+    assert kernels == []
+    W = rand_module(random.Random(3), F1009, GridBox((0, 0), (2, 1)), max_dim=2)
+    assert try_split(direct_sum(W, W)).status == DECOMPOSABLE
+    assert len(kernels) == 1
 
 
 def test_int_and_fraction_entries_share_one_representative():

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persistgrid import GridBox, direct_sum, try_split
 from persistgrid.fields import Field
 from persistgrid.linalg import (Matrix, Poly, _first_yun_part, _rational_roots, coprime_split, minimal_polynomial,
-                               nullspace_sparse)
+                               nullspace_sparse, rank_sparse)
+from persistgrid.sampling import rand_module
+from persistgrid.verify import DECOMPOSABLE
 
 from oracles import factors_by_trial_division, minimal_polynomial_by_powers
 
@@ -18,6 +21,7 @@ Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
+F1009 = Field.prime(1009)
 
 small_int = st.integers(min_value=-4, max_value=4)
 
@@ -112,6 +116,31 @@ def test_nullspace_sparse_matches_dense(seed, nrows, ncols):
         assert mat.rank() == len(sols)
 
 
+@given(st.integers(0, 2**31), st.integers(1, 7), st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_rank_sparse_is_the_dense_rank(seed, nrows, ncols):
+    """rank_sparse, the pivot count of nullspace_sparse's elimination
+    without reducing used pivot rows, equals Matrix.rank on sparse matrices
+    with zero rows, zero columns and duplicate rows, whether the rows list
+    their zero entries or leave them out."""
+    rng = random.Random(seed)
+    for f in (Q, F2, F5, F1009):
+        A = rand_matrix(f, rng, nrows, ncols, lo=-2, hi=2)
+        for row in A.rows:  # mostly zeros
+            for j in range(ncols):
+                if rng.random() < 0.6:
+                    row[j] = f.zero
+        for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):  # zero rows
+            A.rows[i] = [f.zero] * ncols
+        for j in rng.sample(range(ncols), rng.randint(0, ncols // 2)):  # zero columns
+            for row in A.rows:
+                row[j] = f.zero
+        A = Matrix(f, A.rows + [A.rows[rng.randrange(nrows)] for _ in range(rng.randint(0, 2))])  # duplicates
+        rank = A.rank()
+        assert rank_sparse([dict(enumerate(row)) for row in A.rows], ncols, f) == rank
+        assert rank_sparse([{c: v for c, v in enumerate(row) if v != 0} for row in A.rows], ncols, f) == rank
+
+
 def _reduced(x) -> bool:
     """An int, or a Fraction that is not an integer."""
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
@@ -121,8 +150,10 @@ def _reduced(x) -> bool:
        st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_q_values_are_ints_or_fractions(rows, seed):
-    """Over Q no operation yields a float, and parse and inv give ints for
-    integers."""
+    """Over Q no operation yields a float, and every operation gives ints
+    for integers: no value, in eliminations, in the minimal polynomial of an
+    integer matrix or in the iso of a V + V split, is a Fraction with
+    denominator 1."""
     rng = random.Random(seed)
     flat = [x for row in rows for x in row]
     assert all(_reduced(Q.parse(Q.fmt(x))) and Q.parse(Q.fmt(x)) == x for x in flat)
@@ -136,7 +167,14 @@ def test_q_values_are_ints_or_fractions(rows, seed):
         outs.append(A.inverse())
     values = [y for X in outs if X is not None for row in X.rows for y in row]
     values += [y for x in nullspace_sparse([dict(enumerate(row)) for row in A.rows], A.ncols, Q) for y in x.values()]
-    assert all(type(y) in (int, Fraction) for y in values)
+    B = rand_matrix(Q, rng, 4, 4)
+    values += minimal_polynomial(B).coeffs + minimal_polynomial(B @ B).coeffs
+    V = rand_module(rng, Q, GridBox((0,), (3,)), max_dim=2)
+    verdict = try_split(direct_sum(V, V), seed=seed)
+    assert verdict.status == DECOMPOSABLE
+    iso = verdict.iso
+    values += [y for m in (*iso.comps.values(), *iso.source.steps.values()) for row in m.rows for y in row]
+    assert all(_reduced(y) for y in values)
 
 
 def test_poly_divmod_gcd():
