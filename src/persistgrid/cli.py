@@ -196,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--field", help="require this exact field tag on all inputs")
 
     c = sub.add_parser("construct")
-    c.add_argument("--method", required=True,
-                   choices=["s4", "sprime", "sdual", "candy", "min3", "min3rect", "gen4"])
+    c.add_argument("--method", required=True, choices=[*RECT_METHODS, *MODULE_METHODS, "candy"])
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--out", required=True)
     c.add_argument("--line-out", dest="line_out")

@@ -359,6 +359,11 @@ def _refined_layers(field, summands: list, windows: list, s: int, source: GridBo
     """
     m = len(summands)
     n = len(summands[0].b)
+    # _cone_chain's bound on step scalars, on a corner grid of one vertex:
+    # past it every grid is refused, so the points need not be chosen
+    if height * m * m > MAX_VERTICES * MAX_DIM:
+        raise ValueError(f"{height} layers with up to {m} rectangles at a vertex exceed "
+                         f"{MAX_VERTICES * MAX_DIM} step scalars")
     ts = _greedy_points(windows)
     order = sorted(range(m), key=lambda i: ts[i])
     tilde = [Rectangle((windows[i][0],) + summands[i].b[1:], (windows[i][1],) + summands[i].d[1:])

@@ -37,8 +37,9 @@ def projective_cover(V: PersModule) -> CoverResult:
     gens: list[tuple[tuple, int]] = []  # (vertex, basis row)
     for x in sorted(V.dims):
         preds = [(x[:k] + (x[k] - 1,) + x[k + 1:], k) for k in range(box.n)]
-        incoming = [V.step(v, k) for v, k in preds if V.dim(v) > 0]
-        pivots = set(Matrix.hstack(incoming).column_space_pivot_rows()) if incoming else set()
+        incoming = [V.step(v, k).rows for v, k in preds if V.dim(v) > 0]
+        joined = [sum(rows, []) for rows in zip(*incoming)]  # the incoming steps side by side
+        pivots = set(Matrix(f, joined).column_space_pivot_rows()) if incoming else set()
         for r in range(V.dim(x)):
             if r not in pivots:
                 gens.append((x, r))

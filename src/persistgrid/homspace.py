@@ -244,7 +244,7 @@ class HomSpace:
     def dim(self) -> int:
         if "basis" in self.__dict__:
             return len(self.basis)
-        return len(self._cols) - rank_sparse(self._rows, len(self._cols), self.M.field)
+        return len(self._cols) - rank_sparse(self._rows, self.M.field)
 
     @cached_property
     def basis(self) -> list[dict]:

@@ -1,15 +1,14 @@
 """Dense exact matrices and univariate polynomials over a `Field`.
 
 Everything here is deterministic and exact: no pivot choice depends on
-magnitudes.  `Matrix.rref` pivots on the first nonzero entry of a column,
-the sparse elimination `_eliminate` on its sparsest row.  Every kernel,
-the split kernels of `verify` included, comes from `nullspace_sparse`, and
-every sparse rank from `rank_sparse`: both run that one elimination with
-its one pivot rule, the rank without reducing the rows already used as
-pivots.  The leftmost independent columns are the pivots either way, so
-the kernel basis, x_j = 1 at one free column j and 0 at the others, free
-columns in increasing order, does not depend on which pivot rows are
-chosen: it is the one read off the rref.
+magnitudes.  There is one row reduction, `_eliminate`, with one pivot
+rule: the sparsest unused row, the lowest index on ties.  `Matrix.rref`,
+`rank`, `solve`, `inverse` and the column-space pivot rows, every kernel
+(`nullspace_sparse`, the split kernels of `verify` included) and every
+sparse rank (`rank_sparse`) run it.  The rref is unique, so the pivot rows
+read off it do not depend on which rows were chosen, nor does the kernel
+basis: x_j = 1 at one free column j and 0 at the others, free columns in
+increasing order.
 """
 
 from __future__ import annotations
@@ -124,21 +123,6 @@ class Matrix:
         return out
 
     @staticmethod
-    def hstack(mats: list["Matrix"]) -> "Matrix":
-        mats = [m for m in mats]
-        if not mats:
-            raise ValueError("nothing to stack")
-        f = mats[0].field
-        nrows = mats[0].nrows
-        rows = [[] for _ in range(nrows)]
-        for m in mats:
-            if m.nrows != nrows:
-                raise ValueError("row count mismatch")
-            for i in range(nrows):
-                rows[i].extend(m.rows[i])
-        return Matrix(f, rows) if rows else Matrix.zero(f, 0, sum(m.ncols for m in mats))
-
-    @staticmethod
     def block_diag(field: Field, mats: list["Matrix"]) -> "Matrix":
         nr = sum(m.nrows for m in mats)
         nc = sum(m.ncols for m in mats)
@@ -161,56 +145,33 @@ class Matrix:
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
         f = self.field
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for i in range(pr, self.nrows):
-                if rows[i][pc] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = f.inv(rows[pr][pc])
-            if inv != f.one:
-                rows[pr] = [f.mul(inv, x) for x in rows[pr]]
-            prow = rows[pr]
-            for i in range(self.nrows):
-                if i == pr:
-                    continue
-                c = rows[i][pc]
-                if c != 0:
-                    ri = rows[i]
-                    for j in range(pc, self.ncols):
-                        if prow[j] != 0:
-                            ri[j] = f.sub(ri[j], f.mul(c, prow[j]))
-            pivots.append(pc)
-            pr += 1
-            if pr == self.nrows:
-                break
-        return Matrix(f, rows), pivots
+        work, pivot_of_col = _eliminate(map(enumerate, self.rows), f, True)
+        R = Matrix.zero(f, self.nrows, self.ncols)
+        for row, pi in zip(R.rows, pivot_of_col.values()):
+            for c, v in work[pi].items():
+                row[c] = v
+        return R, list(pivot_of_col)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_eliminate(map(enumerate, self.rows), self.field, False)[1])
 
     def column_space_pivot_rows(self) -> list[int]:
         """Rows holding pivots in the column echelon form (= pivot cols of Aᵀ)."""
-        return self.transpose().rref()[1]
+        return list(_eliminate(map(enumerate, zip(*self.rows)), self.field, False)[1])
 
     def solve(self, b: "Matrix"):
         """One exact solution X of self @ X = b, or None if inconsistent."""
         f = self.field
-        aug = Matrix.hstack([self, b])
-        R, pivots = aug.rref()
-        for pc in pivots:
-            if pc >= self.ncols:
-                return None
-        X = Matrix.zero(f, self.ncols, b.ncols)
-        for r, pc in enumerate(pivots):
-            for j in range(b.ncols):
-                X.rows[pc][j] = R.rows[r][self.ncols + j]
+        n = self.ncols
+        work, pivot_of_col = _eliminate((enumerate(r + s) for r, s in zip(self.rows, b.rows, strict=True)), f, True)
+        if pivot_of_col and max(pivot_of_col) >= n:
+            return None
+        X = Matrix.zero(f, n, b.ncols)
+        for pc, pi in pivot_of_col.items():
+            row = X.rows[pc]
+            for c, v in work[pi].items():
+                if c >= n:
+                    row[c - n] = v
         return X
 
     def inverse(self) -> "Matrix":
@@ -226,66 +187,78 @@ class Matrix:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
 
-def _eliminate(rows: list[dict], ncols: int, f: Field, full: bool):
-    """Sparse elimination, column by column: among the unused rows whose
-    leading unknown is the column, the sparsest wins, which keeps banded
-    systems banded.  Returns (work, pivot_of_col).  With full, the rows
-    already used as pivots are reduced too, so work is the rref up to row
-    order; without, they are left as they were.  The unused rows evolve the
-    same either way, so the pivots do not depend on full.
+def _eliminate(rows, f: Field, full: bool):
+    """Row reduction of rows given as iterables of (col, value) pairs,
+    column by column: among the unused rows holding the column, the
+    sparsest wins, the lowest index on ties, which keeps banded systems
+    banded.  Returns (work, pivot_of_col), work[i] the reduced row i as a
+    dict and pivot_of_col in increasing column order.  With full, the rows
+    already used as pivots are reduced too, so the pivot rows are the
+    rref's; without, they are left as they were.  The unused rows evolve
+    the same either way, so the pivots do not depend on full.
     """
-    work = [dict((c, v) for c, v in r.items() if v != 0) for r in rows]
-    work = [r for r in work if r]
+    sub, mul, neg, one = f.sub, f.mul, f.neg, f.one
+    work = [{c: v for c, v in r if v} for r in rows]  # zero is the only falsy scalar
     col_rows: dict[int, set[int]] = {}
+    unused = set()
     for i, r in enumerate(work):
+        if r:
+            unused.add(i)
         for c in r:
-            col_rows.setdefault(c, set()).add(i)
+            if c in col_rows:
+                col_rows[c].add(i)
+            else:
+                col_rows[c] = {i}
     pivot_of_col: dict[int, int] = {}
-    used_rows: set[int] = set()
-    for col in range(ncols):
-        cand = [i for i in col_rows.get(col, ()) if i not in used_rows]
-        if not cand:
+    # a row operation only writes columns the pivot row holds, so no column
+    # outside col_rows ever gets an entry
+    for col in sorted(col_rows):
+        holders = col_rows[col]
+        pi, size = None, 0
+        for i in holders:
+            if i in unused and ((n := len(work[i])) < size or pi is None or n == size and i < pi):
+                pi, size = i, n
+        if pi is None:
             continue
-        pi = min(cand, key=lambda i: (len(work[i]), i))
+        unused.remove(pi)
         prow = work[pi]
-        inv = f.inv(prow[col])
-        if inv != f.one:
-            for c in list(prow):
-                prow[c] = f.mul(inv, prow[c])
-        for i in list(col_rows[col]):
-            if i == pi or not full and i in used_rows:
+        # the pivot entry is set aside while the rows holding col are
+        # cleared there, so col_rows[col] is not touched while it is read
+        if (p := prow.pop(col)) != one:
+            s = f.inv(p)
+            for c in prow:
+                prow[c] = mul(s, prow[c])
+        for i in holders:
+            if i == pi or not full and i not in unused:
                 continue
             r = work[i]
-            c0 = r.get(col)
-            if c0 is None or c0 == 0:
-                continue
+            c0 = r.pop(col)
             for c, v in prow.items():
-                nv = f.sub(r.get(c, f.zero), f.mul(c0, v))
-                if nv == 0:
-                    if c in r:
-                        del r[c]
-                        col_rows[c].discard(i)
-                else:
-                    if c not in r:
-                        col_rows.setdefault(c, set()).add(i)
+                if (old := r.get(c)) is None:
+                    r[c] = neg(mul(c0, v))
+                    col_rows[c].add(i)
+                elif (nv := sub(old, mul(c0, v))) != 0:
                     r[c] = nv
+                else:
+                    del r[c]
+                    col_rows[c].discard(i)
+        prow[col] = one
         pivot_of_col[col] = pi
-        used_rows.add(pi)
     return work, pivot_of_col
 
 
-def rank_sparse(rows: list[dict], ncols: int, field: Field) -> int:
+def rank_sparse(rows: list[dict], field: Field) -> int:
     """Rank of a sparse matrix given as dict-rows {col: value}: the pivot
     count of the elimination nullspace_sparse runs, here without reducing
     the rows already used as pivots."""
-    return len(_eliminate(rows, ncols, field, False)[1])
+    return len(_eliminate((r.items() for r in rows), field, False)[1])
 
 
 def nullspace_sparse(rows: list[dict], ncols: int, field: Field) -> list[dict]:
     """Kernel basis of a sparse matrix given as dict-rows {col: value}:
     sparse vectors {col: value}, free columns in increasing order."""
     f = field
-    work, pivot_of_col = _eliminate(rows, ncols, f, True)
+    work, pivot_of_col = _eliminate((r.items() for r in rows), f, True)
     basis = []
     for col in range(ncols):
         if col in pivot_of_col:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import accumulate
 
-from .grid import ModMorphism, PersModule, candy_corner_faults, slice_layers, vle
+from .grid import ModMorphism, PersModule, candy_corner_faults, slice_layers, vsucc
 from .homspace import Context, HomSpace, end_dim
 from .linalg import Matrix, Poly, coprime_split, minimal_polynomial, nullspace_sparse
 from .rectangles import interval_decompose_1d
@@ -324,9 +324,18 @@ class TwoRowSplit:
 
 
 def find_gap(M: PersModule) -> tuple | None:
-    """A zero vertex lying between two nonzero vertices, if any."""
-    return next((y for y in M.box.vertices() if M.dim(y) == 0
-                 and any(vle(x, y) for x in M.dims) and any(vle(y, z) for z in M.dims)), None)
+    """A zero vertex lying between two nonzero vertices, if any: the first in
+    lexicographic order.  One sweep up the box finds the vertices with a
+    live vertex below them, one sweep down those with one above."""
+    order = list(M.box.vertices())
+    below, above = set(), set()
+    for y in order:
+        if y in M.dims or any(y[:k] + (y[k] - 1,) + y[k + 1:] in below for k in range(M.n)):
+            below.add(y)
+    for y in reversed(order):
+        if y in M.dims or any(vsucc(y, k) in above for k in range(M.n)):
+            above.add(y)
+    return next((y for y in order if y not in M.dims and y in below and y in above), None)
 
 
 def decompose_two_rows(M: PersModule) -> TwoRowSplit:

@@ -16,14 +16,18 @@ module arrow by arrow, without the internal maps of a pullback;
 every chain at every step, identity steps included;
 `factors_by_trial_division` factors a polynomial over a small prime field
 into irreducibles by trial division; `minimal_polynomial_by_powers` finds a
-matrix's minimal polynomial from the rank of its powers."""
+matrix's minimal polynomial from the rank of its powers;
+`rref_by_first_nonzero`, with `rank_by_first_nonzero` and
+`solve_by_first_nonzero` read off it, is dense Gauss-Jordan elimination
+pivoting on the first nonzero entry of each column; `gap_by_scan` finds a
+zero vertex between two live ones by testing every pair."""
 
 from __future__ import annotations
 
 import itertools
 
 from persistgrid import PersModule, RectDecomp, end_algebra, hom_basis, realize, rect_to_module
-from persistgrid.grid import MAX_DIM, GridBox, ModMorphism, vsucc
+from persistgrid.grid import MAX_DIM, GridBox, ModMorphism, vle, vsucc
 from persistgrid.homspace import Context
 from persistgrid.io import FormatError, _axis_count, _require, _vector, field_from_json
 from persistgrid.linalg import Matrix, Poly
@@ -53,7 +57,7 @@ def local_dim(M: PersModule, ctx: Context | None = None) -> int:
         for j in range(d):
             P = lefts[i] @ lefts[j]
             gram.rows[i][j] = sum((P.rows[t][t] for t in range(d)), f.zero)
-    return gram.rank()
+    return rank_by_first_nonzero(gram)
 
 
 def indices_by_scan(R: RectDecomp, v) -> list[int]:
@@ -144,11 +148,66 @@ def minimal_polynomial_by_powers(A: Matrix) -> Poly:
     flattened to columns, with A^k written in the earlier powers."""
     f = A.field
     powers = [Matrix.identity(f, A.nrows)]
-    while Matrix(f, zip(*(sum(P.rows, []) for P in powers))).rank() == len(powers):
+    while rank_by_first_nonzero(Matrix(f, zip(*(sum(P.rows, []) for P in powers)))) == len(powers):
         powers.append(powers[-1] @ A)
     *lower, top = (sum(P.rows, []) for P in powers)
-    c = Matrix(f, zip(*lower)).solve(Matrix(f, [[y] for y in top]))
+    c = solve_by_first_nonzero(Matrix(f, zip(*lower)), Matrix(f, [[y] for y in top]))
     return Poly(f, [f.neg(row[0]) for row in c.rows] + [f.one])
+
+
+def rref_by_first_nonzero(A: Matrix) -> tuple[Matrix, list[int]]:
+    """The reduced row echelon form of A and its pivot columns, by dense
+    Gauss-Jordan elimination that pivots on the first nonzero entry of each
+    column, where the library pivots on the sparsest row."""
+    f = A.field
+    rows = [list(r) for r in A.rows]
+    pivots = []
+    pr = 0
+    for pc in range(A.ncols):
+        pivot_row = None
+        for i in range(pr, A.nrows):
+            if rows[i][pc] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = f.inv(rows[pr][pc])
+        rows[pr] = [f.mul(inv, x) for x in rows[pr]]
+        prow = rows[pr]
+        for i in range(A.nrows):
+            c = rows[i][pc]
+            if i != pr and c != 0:
+                rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[i], prow)]
+        pivots.append(pc)
+        pr += 1
+        if pr == A.nrows:
+            break
+    return Matrix(f, rows), pivots
+
+
+def rank_by_first_nonzero(A: Matrix) -> int:
+    return len(rref_by_first_nonzero(A)[1])
+
+
+def solve_by_first_nonzero(A: Matrix, b: Matrix) -> Matrix | None:
+    """The solution X of A X = b read off the rref of [A | b], with every
+    free unknown zero, or None when a pivot falls in b's columns."""
+    f = A.field
+    R, pivots = rref_by_first_nonzero(Matrix(f, [r + s for r, s in zip(A.rows, b.rows)]))
+    if any(pc >= A.ncols for pc in pivots):
+        return None
+    X = Matrix.zero(f, A.ncols, b.ncols)
+    for r, pc in enumerate(pivots):
+        X.rows[pc] = R.rows[r][A.ncols:]
+    return X
+
+
+def gap_by_scan(M: PersModule) -> tuple | None:
+    """The first zero vertex of M's box, in lexicographic order, with a
+    live vertex below it and one above it, each found by testing them all."""
+    return next((y for y in M.box.vertices() if M.dim(y) == 0
+                 and any(vle(x, y) for x in M.dims) and any(vle(y, z) for z in M.dims)), None)
 
 
 def stretch_first(V: PersModule, s: int) -> PersModule:

@@ -522,6 +522,9 @@ class TestMistypedOrOversizedInput:
         # is refused before it is built
         "rects-mult-3000-s4": (RECTS, lambda o: o["rects"][0].update(mult=3000), "s4"),
         "rects-mult-400-min3": (RECTS, lambda o: o["rects"][0].update(mult=400)),
+        # 100 000 simple summands at one point all want the same first
+        # coordinate; choosing them must not take quadratic time
+        "rects-mult-100000-min3": (RECTS, lambda o: o["rects"][0].update(d=[0], mult=100_000)),
         "line-float-scale": (LINE, lambda o: o["axis_maps"][0].update(scale=1.5)),
         "line-bool-offset": (LINE, lambda o: o["axis_maps"][0].update(offset=True)),
         "line-bool-start": (TABLE_LINE, lambda o: o["axis_maps"][0].update(start=False)),

@@ -20,7 +20,7 @@ from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module, rand_rect_decomp
 from persistgrid.verify import DECOMPOSABLE
 
-from oracles import materialize_by_iso
+from oracles import materialize_by_iso, rank_by_first_nonzero
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -62,7 +62,7 @@ def dense_hom_dim(M, N):
     if not rows:
         return total
     A = Matrix(f, rows)
-    return total - A.rank()
+    return total - rank_by_first_nonzero(A)
 
 
 def dense_express(ctx, M, N, g):

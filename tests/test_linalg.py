@@ -15,7 +15,8 @@ from persistgrid.linalg import (Matrix, Poly, _first_yun_part, _rational_roots, 
 from persistgrid.sampling import rand_module
 from persistgrid.verify import DECOMPOSABLE
 
-from oracles import factors_by_trial_division, minimal_polynomial_by_powers
+from oracles import (factors_by_trial_division, minimal_polynomial_by_powers, rank_by_first_nonzero,
+                     rref_by_first_nonzero, solve_by_first_nonzero)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -75,7 +76,8 @@ def test_solve():
 @settings(max_examples=60, deadline=None)
 def test_nullspace_sparse_is_the_rref_basis(seed, nrows, ncols):
     """nullspace_sparse pivots on the sparsest row, yet gives exactly the
-    basis read off Matrix.rref: x_j = 1 at each free column j, in
+    basis read off the rref of a first-nonzero pivoting elimination
+    (oracles.rref_by_first_nonzero): x_j = 1 at each free column j, in
     increasing order, and -R[r][j] at the pivot column of row r.  Rows may
     list their zero entries or leave them out."""
     rng = random.Random(seed)
@@ -86,7 +88,7 @@ def test_nullspace_sparse_is_the_rref_basis(seed, nrows, ncols):
         for j in rng.sample(range(ncols), rng.randint(0, ncols // 2)):  # zero columns
             for row in A.rows:
                 row[j] = f.zero
-        R, pivots = A.rref()
+        R, pivots = rref_by_first_nonzero(A)
         expected = [{j: f.one} | {pc: f.neg(R.rows[r][j]) for r, pc in enumerate(pivots) if R.rows[r][j] != 0}
                     for j in range(ncols) if j not in pivots]
         assert nullspace_sparse([dict(enumerate(row)) for row in A.rows], ncols, f) == expected
@@ -104,7 +106,7 @@ def test_nullspace_sparse_matches_dense(seed, nrows, ncols):
             row = {c: dense.rows[r][c] for c in range(ncols) if dense.rows[r][c] != 0}
             rows.append(row)
         sols = nullspace_sparse(rows, ncols, f)
-        assert len(sols) == ncols - dense.rank()
+        assert len(sols) == ncols - rank_by_first_nonzero(dense)
         for sol in sols:
             vec = [sol.get(c, f.zero) for c in range(ncols)]
             assert all(x == f.zero for x in dense.mul_vec(vec))
@@ -113,14 +115,15 @@ def test_nullspace_sparse_matches_dense(seed, nrows, ncols):
         for j, sol in enumerate(sols):
             for c, v in sol.items():
                 mat.rows[c][j] = v
-        assert mat.rank() == len(sols)
+        assert rank_by_first_nonzero(mat) == len(sols)
 
 
 @given(st.integers(0, 2**31), st.integers(1, 7), st.integers(1, 7))
 @settings(max_examples=60, deadline=None)
 def test_rank_sparse_is_the_dense_rank(seed, nrows, ncols):
     """rank_sparse, the pivot count of nullspace_sparse's elimination
-    without reducing used pivot rows, equals Matrix.rank on sparse matrices
+    without reducing used pivot rows, equals the rank of a first-nonzero
+    pivoting elimination (oracles.rank_by_first_nonzero) on sparse matrices
     with zero rows, zero columns and duplicate rows, whether the rows list
     their zero entries or leave them out."""
     rng = random.Random(seed)
@@ -136,9 +139,53 @@ def test_rank_sparse_is_the_dense_rank(seed, nrows, ncols):
             for row in A.rows:
                 row[j] = f.zero
         A = Matrix(f, A.rows + [A.rows[rng.randrange(nrows)] for _ in range(rng.randint(0, 2))])  # duplicates
-        rank = A.rank()
-        assert rank_sparse([dict(enumerate(row)) for row in A.rows], ncols, f) == rank
-        assert rank_sparse([{c: v for c, v in enumerate(row) if v != 0} for row in A.rows], ncols, f) == rank
+        rank = rank_by_first_nonzero(A)
+        assert rank_sparse([dict(enumerate(row)) for row in A.rows], f) == rank
+        assert rank_sparse([{c: v for c, v in enumerate(row) if v != 0} for row in A.rows], f) == rank
+
+
+@given(st.sampled_from([Q, F2, F5, F1009]), st.integers(0, 2**31), st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_matrix_elimination_matches_the_reference(f, seed, nrows, ncols):
+    """Matrix.rref, rank, solve, inverse and column_space_pivot_rows, and
+    rank_sparse and nullspace_sparse on rows with and without their zero
+    entries, all run the one sparsest-row elimination; each equals what the
+    first-nonzero pivoting reference (oracles.rref_by_first_nonzero) gives,
+    on square and non-square matrices with zero rows, zero columns and
+    duplicate rows, singular ones included."""
+    rng = random.Random(seed)
+    A = rand_matrix(f, rng, nrows, ncols, lo=-2, hi=2)
+    for row in A.rows:  # mostly zeros, sometimes
+        for j in range(ncols):
+            if rng.random() < 0.4:
+                row[j] = f.zero
+    for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):  # zero rows
+        A.rows[i] = [f.zero] * ncols
+    for j in rng.sample(range(ncols), rng.randint(0, ncols // 2)):  # zero columns
+        for row in A.rows:
+            row[j] = f.zero
+    A = Matrix(f, A.rows + [A.rows[rng.randrange(nrows)] for _ in range(rng.randint(0, 2))])  # duplicates
+    R, pivots = rref_by_first_nonzero(A)
+    assert A.rref() == (R, pivots)
+    assert A.rank() == len(pivots)
+    assert A.column_space_pivot_rows() == rref_by_first_nonzero(A.transpose())[1]
+    for rows in ([dict(enumerate(r)) for r in A.rows], [{c: v for c, v in enumerate(r) if v != 0} for r in A.rows]):
+        assert rank_sparse(rows, f) == len(pivots)
+        assert nullspace_sparse(rows, ncols, f) == [
+            {j: f.one} | {pc: f.neg(R.rows[r][j]) for r, pc in enumerate(pivots) if R.rows[r][j] != 0}
+            for j in range(ncols) if j not in pivots]
+    x = rand_matrix(f, rng, ncols, 2, lo=-2, hi=2)
+    for b in (A @ x, rand_matrix(f, rng, A.nrows, 2, lo=-2, hi=2)):  # consistent, then mostly not
+        assert A.solve(b) == solve_by_first_nonzero(A, b)
+    k = min(A.nrows, ncols)
+    square = A.submatrix(range(k), range(k))
+    invertible = rank_by_first_nonzero(square) == k
+    assert square.is_invertible() == invertible
+    if invertible:
+        assert square.inverse() == solve_by_first_nonzero(square, Matrix.identity(f, k))
+    else:
+        with pytest.raises(ValueError):
+            square.inverse()
 
 
 def _reduced(x) -> bool:

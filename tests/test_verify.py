@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from persistgrid.linalg import Matrix, Poly
 from persistgrid.sampling import (rand_module, rand_rect_decomp, rand_two_rows,
                                   rand_two_rows_with_gap)
 
-from oracles import decomposable_by_idempotents, local_dim, nilpotent_count
+from oracles import decomposable_by_idempotents, gap_by_scan, local_dim, nilpotent_count
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -328,6 +329,33 @@ class TestTwoRows:
         # cross-oracle: try_split must not certify indecomposability
         v = try_split(M, seed=seed)
         assert v.status != "IndecomposableCertified"
+
+    @given(st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_find_gap_is_the_scan(self, seed):
+        """find_gap's two sweeps give the vertex gap_by_scan finds by testing
+        every pair of vertices, on sparse random supports with zero steps
+        on boxes of one to three axes."""
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        lo = tuple(rng.randint(-1, 1) for _ in range(n))
+        box = GridBox(lo, tuple(a + rng.randint(0, 4) for a in lo))
+        dims = {v: 1 for v in box.vertices() if rng.random() < rng.choice([0.1, 0.3, 0.7])}
+        M = PersModule(F2, box, dims, {})
+        assert verify.find_gap(M) == gap_by_scan(M)
+
+    def test_find_gap_is_linear_in_the_box(self):
+        """A 50 000 x 2 module, live with identity steps on its upper row
+        and zero on its lower one, has no gap; find_gap says so within a
+        second, where testing every zero vertex against every live one
+        takes minutes."""
+        m = 50_000
+        one = Matrix.identity(F2, 1)
+        M = PersModule(F2, GridBox((0, 0), (m - 1, 1)), {(x, 1): 1 for x in range(m)},
+                       {((x, 1), 0): one for x in range(m - 1)})
+        start = time.perf_counter()
+        assert verify.find_gap(M) is None
+        assert time.perf_counter() - start < 1.0
 
     def test_wrong_grouping_is_refused(self, monkeypatch):
         """Lower and upper rows I[0, 0] + I[2, 3], joined by the identity:
