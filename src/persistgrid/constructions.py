@@ -13,12 +13,13 @@ where a rectangle begins or ends, so each axis of the stacked layout
 the output line hits, and each run becomes one coordinate.  A builder's
 meta["grid"] (a grid.Compression) gives the stacked layout back as
 pullback(M, grid.floor, GridBox(grid.lo, grid.hi)); meta reads it.  The
-vertex caps count what is built: each chain's layers on its coarse box,
-and the glued candy.  S and S' keep the coordinates of V's box, so their
-line is the layer embedding; S'' keeps them up to a translation, and the
-candy glues S' and S'' by translating S' onto S''.  concat joins any two
-candies on their own grids, and string_candies concatenates the candies
-as candy_wrap returns them.
+caps count what is built: _refuse_stack, the one stack-size rule, weighs
+each chain's layers on its coarse box (S' and gen4 first on V's box), and
+the glued candy is refused on its box.  S and S' keep the coordinates of
+V's box, so their line is the layer embedding; S'' keeps them up to a
+translation, and the candy glues S' and S'' by translating S' onto S''.
+concat joins any two candies on their own grids, and string_candies
+concatenates the candies as candy_wrap returns them.
 """
 
 from __future__ import annotations
@@ -110,11 +111,15 @@ def cone(bprime: list, dprime: list) -> Rectangle:
     )
 
 
-def _check_stack_size(height: int, box: GridBox) -> None:
-    """Refuse, before it is built, a stack of height layers on a box that
-    contains box and so passes the vertex cap."""
-    if height * box.count > MAX_VERTICES:
-        raise ValueError(f"{height} layers of {box.count} vertices exceed the cap {MAX_VERTICES}")
+def _refuse_stack(height: int, count: int, m: int = 1) -> None:
+    """The one stack-size rule: refuse a stack of height layers of count
+    vertices that passes the vertex cap, or whose m x m step matrices (m
+    rectangles) at every vertex would hold over MAX_VERTICES * MAX_DIM scalars."""
+    if height * count > MAX_VERTICES:
+        raise ValueError(f"{height} layers of {count} vertices exceed the cap {MAX_VERTICES}")
+    if height * count * m * m > MAX_VERTICES * MAX_DIM:
+        raise ValueError(f"{height} layers of {count} vertices with up to {m} rectangles each "
+                         f"exceed {MAX_VERTICES * MAX_DIM} step scalars")
 
 
 def _cone_chain(field, bprime: list, dprime: list, tails: list, height: int, hits: list):
@@ -125,20 +130,15 @@ def _cone_chain(field, bprime: list, dprime: list, tails: list, height: int, hit
     (grid, chain, layers, links): chain lists each layer's rectangles in
     the stacked layout, and layers and links are on grid.coarse.
 
-    height is the number of layers in the stack the chain goes into; a stack
-    of height layers on grid.coarse over the vertex cap, or whose m x m
-    step matrices (m rectangles) at every vertex would hold more than
-    MAX_VERTICES * MAX_DIM scalars, is refused before any layer is built."""
+    height is the number of layers in the stack the chain goes into, which
+    _refuse_stack weighs on grid.coarse before any layer is built."""
     chain = [[cone(bprime, dprime)], [Rectangle(b, d) for b, d in zip(bprime, dprime)], *tails]
     corners = [tuple(map(min, hits)), tuple(map(max, hits))] + [p for rects in chain for r in rects for p in (r.b, r.d)]
     grid = Compression.of(tuple(map(min, zip(*corners))), tuple(map(max, zip(*corners))),
                           [{*ks, *(c for rects in chain for r in rects for c in (r.b[k], r.d[k] + 1))}
                            for k, ks in enumerate(hits)])
-    _check_stack_size(height, grid.coarse)
     m = len(bprime)
-    if height * grid.coarse.count * m * m > MAX_VERTICES * MAX_DIM:
-        raise ValueError(f"{height} layers of {grid.coarse.count} vertices with up to {m} rectangles each "
-                         f"exceed {MAX_VERTICES * MAX_DIM} step scalars")
+    _refuse_stack(height, grid.coarse.count, m)
     decomps = [RectDecomp(field, grid.coarse, [Rectangle(grid.floor(r.b), grid.floor(r.d)) for r in rects])
                for rects in chain]
     coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * len(tails)
@@ -148,11 +148,11 @@ def _cone_chain(field, bprime: list, dprime: list, tails: list, height: int, hit
     return grid, chain, layers, links
 
 
-def _stack_on_grid(layers: list, links: list, height_lo: int, meta: dict) -> PersModule:
-    """The layers stacked from height_lo up, on meta["grid"] with that
-    grid's stacking axis added."""
-    meta["grid"] = meta["grid"].extend(height_lo, height_lo + len(layers) - 1)
-    return stack(layers, links, height_lo=height_lo)
+def _stack_on_grid(layers: list, links: list, meta: dict) -> PersModule:
+    """The layers stacked with the last at height 0, on meta["grid"] with
+    that grid's stacking axis added."""
+    meta["grid"] = meta["grid"].extend(1 - len(layers), 0)
+    return stack(layers, links, height_lo=1 - len(layers))
 
 
 def _s_chain(V: RectDecomp, height: int):
@@ -173,7 +173,7 @@ def build_S(V: RectDecomp) -> BuildResult:
     corner grid meta["grid"], which keeps V's coordinates: no rectangle
     begins below V.box.lo."""
     layers, links, meta = _s_chain(V, 4)
-    M = _stack_on_grid(layers, links, -3, meta)
+    M = _stack_on_grid(layers, links, meta)
     return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 4, meta)
 
 
@@ -188,12 +188,12 @@ def build_S_prime(V: PersModule, height: int = 5) -> BuildResult:
     or candy_wrap's nine, so an oversized one is refused before it is built."""
     if V.is_zero():
         raise ValueError("zero module")
-    _check_stack_size(height, V.box)  # the cover can be as large as V.box
+    _refuse_stack(height, V.box.count)  # the cover can be as large as V.box
     cov = projective_cover(V)
     layers, links, meta = _s_chain(cov.decomp, height)  # on a box containing V.box = cov.decomp.box
     top = pad(V, layers[0].box)
     links.append(ModMorphism(layers[3], top, cov.comps))
-    M = _stack_on_grid(layers + [top], links, -4, meta)
+    M = _stack_on_grid(layers + [top], links, meta)
     return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 5, meta)
 
 
@@ -359,11 +359,7 @@ def _refined_layers(field, summands: list, windows: list, s: int, source: GridBo
     """
     m = len(summands)
     n = len(summands[0].b)
-    # _cone_chain's bound on step scalars, on a corner grid of one vertex:
-    # past it every grid is refused, so the points need not be chosen
-    if height * m * m > MAX_VERTICES * MAX_DIM:
-        raise ValueError(f"{height} layers with up to {m} rectangles at a vertex exceed "
-                         f"{MAX_VERTICES * MAX_DIM} step scalars")
+    _refuse_stack(height, 1, m)  # what fails on one vertex fails on every grid: pick no points
     ts = _greedy_points(windows)
     order = sorted(range(m), key=lambda i: ts[i])
     tilde = [Rectangle((windows[i][0],) + summands[i].b[1:], (windows[i][1],) + summands[i].d[1:])
@@ -400,7 +396,7 @@ def min3_rect(V: RectDecomp) -> BuildResult:
     windows = [(s * r.b[0] - m, s * r.b[0] + m) if r.b[0] == r.d[0] else (s * r.b[0], s * r.d[0])
                for r in V.summands]
     layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, V.box, 3)
-    M = _stack_on_grid(layers, links, -2, meta)
+    M = _stack_on_grid(layers, links, meta)
     return BuildResult(M, meta["grid"].down(line, V.box), 3, meta)
 
 
@@ -425,7 +421,7 @@ def gen4(V: PersModule) -> BuildResult:
     """
     if V.is_zero():
         raise ValueError("zero module")
-    _check_stack_size(4, V.box)
+    _refuse_stack(4, V.box.count)
     cov = projective_cover(V)
     s = 2 * (len(cov.decomp) + 1)
     windows = [(s * r.b[0], s * r.d[0] + s - 1) for r in cov.decomp.summands]
@@ -451,5 +447,5 @@ def gen4(V: PersModule) -> BuildResult:
         live = [cols.index(order[j]) for j, r in enumerate(tilde) if r.contains(y)]
         comps[u] = cov.comps[x].submatrix(range(d), live)
     links.append(ModMorphism(layers[2], top, comps))
-    M = _stack_on_grid(layers + [top], links, -3, meta)
+    M = _stack_on_grid(layers + [top], links, meta)
     return BuildResult(M, meta["grid"].down(line, V.box), 4, meta)

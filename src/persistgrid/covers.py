@@ -49,10 +49,11 @@ def projective_cover(V: PersModule) -> CoverResult:
         if w not in V.dims:
             continue  # components live where both modules do
         m = Matrix.zero(f, V.dim(w), len(idxs))
-        for j, i in enumerate(idxs):  # summand i is I[x_i, hi], so x_i <= w
+        # summand i is I[x_i, hi], so x_i <= w: take V(x <= w) once per x
+        maps = {x: V.composite(x, w) for x in {gens[i][0] for i in idxs}}
+        for j, i in enumerate(idxs):
             x, r = gens[i]
-            col = V.composite(x, w)
-            for row in range(V.dim(w)):
-                m.rows[row][j] = col.rows[row][r]
+            for row, col in zip(m.rows, maps[x].rows):
+                row[j] = col[r]
         comps[w] = m
     return CoverResult(decomp, comps)

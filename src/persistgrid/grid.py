@@ -395,13 +395,6 @@ class AxisEmbedding:
         out.insert(self.insert_pos, [self.insert_value])
         return out
 
-    def followed_by(self, maps: list, box: GridBox) -> "AxisEmbedding":
-        """This embedding on box, then maps[k] on each target axis k, as
-        table maps over box."""
-        tables = [[m[y] for y in ys] for m, ys in zip(maps, self.hits(box))]
-        value = tables.pop(self.insert_pos)[0]
-        return AxisEmbedding([("table", a, t) for a, t in zip(box.lo, tables)], self.insert_pos, value)
-
     def translate(self, t) -> "AxisEmbedding":
         """Compose with a translation by t of the target Z^{n+1}."""
         if len(t) != self.n + 1:
@@ -545,10 +538,12 @@ class Compression:
                                                    for a, b, s in zip(self.lo, self.hi, self.starts)))
 
     def down(self, L: AxisEmbedding, box: GridBox) -> AxisEmbedding:
-        """L on box, followed by floor: an embedding into the coarse box
-        that stands for L when every coordinate L hits begins a run."""
-        return L.followed_by([{y: a + bisect_right(s, y) - 1 for y in ys}
-                              for a, s, ys in zip(self.lo, self.starts, L.hits(box))], box)
+        """L on box followed by floor, as table maps over box: an embedding
+        into the coarse box that stands for L when every coordinate L hits
+        begins a run."""
+        tables = [[a + bisect_right(s, y) - 1 for y in ys] for a, s, ys in zip(self.lo, self.starts, L.hits(box))]
+        value = tables.pop(L.insert_pos)[0]
+        return AxisEmbedding([("table", a, t) for a, t in zip(box.lo, tables)], L.insert_pos, value)
 
 
 def restrict(M: PersModule, L: AxisEmbedding, source_box: GridBox | None = None) -> PersModule:

@@ -256,6 +256,48 @@ class TestExitCodes:
         assert got == code
         assert json.loads(text) == {"isomorphic": code == 0, "reason": reason, "has_witness": code == 0}
 
+    def test_iso_without_a_certificate_gives_3(self, tmp_path, capsys):
+        # on 2 x 1 the interval (step 1) and two points (step 0) share their
+        # dims; every hom from the first to the second is zero at (1, 0)
+        paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        for p, x in zip(paths, (1, 0)):
+            dump({"field": "Fp:7", "n": 2, "lo": [0, 0], "hi": [1, 0], "dims": [1, 1],
+                  "steps": [{"v": [0, 0], "axis": 0, "matrix": [[x]]}]}, p)
+        code, text, _ = run(capsys, ["verify", "iso", "--in", paths[0], "--with", paths[1]])
+        assert code == 3
+        assert json.loads(text) == {"isomorphic": None, "reason": "no invertible element found in 24 trials",
+                                    "has_witness": False}
+
+    def test_iso_without_with_gives_2(self, tmp_path, capsys):
+        p = str(tmp_path / "m.json")
+        dump(TestMistypedOrOversizedInput.POINT, p)
+        code, _, err = run(capsys, ["verify", "iso", "--in", p])
+        assert code == 2 and err == "error: verify iso needs --with\n"
+
+    def test_zero_candy_gives_1(self, tmp_path, capsys):
+        p = str(tmp_path / "c.json")
+        zero = {"field": "Q", "n": 2, "lo": [0, 0], "hi": [1, 0], "dims": [0, 0], "steps": []}
+        dump({"module": zero, "ul": [0, 0], "lr": [1, 0]}, p)
+        code, text, _ = run(capsys, ["verify", "candy", "--in", p])
+        assert code == 1 and json.loads(text) == {"ok": False, "messages": ["zero module"]}
+
+    @pytest.mark.parametrize("b_field, b_n, a_n, message", [
+        ("Q", 2, 2, "a common field"),
+        ("Fp:7", 3, 2, "a common ambient dimension"),
+        ("Fp:7", 1, 1, "at least two dimensions"),
+    ])
+    def test_concat_of_unlike_candies_gives_2(self, tmp_path, capsys, b_field, b_n, a_n, message):
+        """The all-identity module on the unit cube of each dimension, with
+        its candy corners: the candies differ only as the case names."""
+        paths = []
+        for name, tag, n in (("a", "Fp:7", a_n), ("b", b_field, b_n)):
+            box = GridBox((0,) * n, (1,) * n)
+            M = rect_to_module(RectDecomp(Field.from_json(tag), box, [Rectangle(box.lo, box.hi)]))
+            paths.append(str(tmp_path / f"{name}.json"))
+            dump({"module": pmod_to_json(M), "ul": [0] * (n - 1) + [1], "lr": [1] * (n - 1) + [0]}, paths[-1])
+        code, _, err = run(capsys, ["concat", "--a", paths[0], "--b", paths[1], "--out", str(tmp_path / "o.json")])
+        assert code == 2 and err == f"error: concatenation needs {message}\n"
+
     def test_malformed_gives_2(self, tmp_path, capsys):
         p = str(tmp_path / "bad.json")
         with open(p, "w") as fh:

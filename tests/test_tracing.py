@@ -1,7 +1,8 @@
 """The benchmark's per-layer tracer (bench/tracing.py) wraps package
 functions by name.  Installing its call counter must find every name it
 wraps, count one split trial per `verify._try_element` call, and
-uninstalling must restore the originals."""
+uninstalling must restore the originals.  One round of each benchmark
+workload must pass its checks under both of its wrappers."""
 
 import importlib.util
 import os
@@ -13,18 +14,18 @@ from persistgrid.cli import main
 from persistgrid.homspace import Context
 from persistgrid.sampling import rand_rect_decomp
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracing.py")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_call_counter_wraps_and_restores():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     verify = persistgrid.verify
     originals = {"try_element": verify._try_element, "hom": Context.__dict__["hom"],
                  **{op: Field.__dict__[op] for op in tracing.FIELD_OPS}}
@@ -67,7 +68,7 @@ VERB_IO = {
 def test_call_counter_sees_every_cli_read_and_write(tmp_path, capsys):
     """The CLI looks io's readers and writers up at each call, so the
     tracer's wrappers on io count every file each verb reads and writes."""
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     f = Field.prime(1009)
     V = rand_rect_decomp(random.Random(5), f, 1, 2, hi=2)
     rects, mod, line, out, candy, manifest = (
@@ -99,3 +100,30 @@ def test_call_counter_sees_every_cli_read_and_write(tmp_path, capsys):
         counter.uninstall()
     capsys.readouterr()
     assert not any(hasattr(getattr(io, name), "__wrapped__") for name in IO_NAMES)
+
+
+def test_every_workload_runs_under_both_tracers(tmp_path, monkeypatch):
+    """The benchmark's traced run fails before it measures anything when a
+    traced name cannot be resolved or has no reference to wrap, when an
+    extra counter cannot read its call's arguments or result, or when a
+    function the run expects on a workload records no call.  One round of
+    each workload, every item run once under each tracer as bench/run.py
+    runs it, shows none of these happens."""
+    monkeypatch.syspath_prepend(BENCH)  # run.py imports speed beside it
+    run, workloads, tracing = (load_bench(name) for name in ("run", "workloads", "tracing"))
+    for name, expected in run.EXPECTED.items():
+        items = workloads.build(name, str(tmp_path / name), 1, 1)
+        spans, counter = tracing.SpanTracer(), tracing.CallCounter()
+        for probe in (spans, counter):
+            tally = run.Tally()
+            probe.install()
+            try:
+                for item in items:
+                    run.run_item(item, persistgrid.cli.main, tally, probe)
+            finally:
+                probe.uninstall()
+            assert tally.attempted == len(items) and tally.failures == [], (name, type(probe).__name__)
+        per_fn = spans.per_function()
+        assert [n for n in expected if not per_fn[n][0]] == [], name
+        assert [n for n in expected if not counter.counts[n + ".calls"]] == [], name
+        assert set(counter.metrics()) == set(tracing.EXTRA_COUNTS)

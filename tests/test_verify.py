@@ -12,6 +12,7 @@ from persistgrid import (Field, GridBox, PersModule, Rectangle,
 from persistgrid import verify
 from persistgrid.cli import main
 from persistgrid.grid import ModMorphism, vsucc
+from persistgrid.homspace import Context
 from persistgrid.io import dump, pmod_to_json
 from persistgrid.linalg import Matrix, Poly
 from persistgrid.sampling import (rand_module, rand_rect_decomp, rand_two_rows,
@@ -249,6 +250,22 @@ class TestLocalCertificate:
                 assert counts["_try_element"] == v.certificate["radical_dim"] <= 2, name
             if name.startswith("min3 Q"):
                 assert counts["_try_element"] <= 2, name
+
+    def test_ideal_that_is_not_nilpotent_is_refused(self):
+        """M = V + V + W over F_7, V = I[0,1] and W = I[2,2], has End(M) =
+        M_2(K) x K.  With a = [[3,1],[0,3]] on V + V and 3 on W and q = x - 3,
+        J = M_2(K) x 0 has dim End - deg q = 4, so only J^2 = J is left
+        to refuse it: M is decomposable, and no certificate may say local."""
+        F7 = Field.prime(7)
+        V, W = interval(F7, 0, 2, 0, 1), interval(F7, 0, 2, 2, 2)
+        M = direct_sum(direct_sum(V, V), W)
+        jordan = Matrix.from_ints(F7, [[3, 1], [0, 3]])
+        a = {(0,): jordan, (1,): jordan, (2,): Matrix.from_ints(F7, [[3]])}
+        assert ModMorphism(M, M, a).validate()
+        ctx = Context()
+        alg = end_algebra(M, ctx)
+        assert alg.dim == 5
+        assert verify._local_certificate(alg, [(ctx.express(M, M, a), Poly.from_ints(F7, [-3, 1]))]) is None
 
     def test_quadratic_residue_field_over_f1009(self):
         # 11 is not a square mod 1009, so End = F_1009(sqrt 11)
