@@ -19,8 +19,8 @@ from .constructions import (CandyModule, build_S, build_S_dprime, build_S_prime,
 from .grid import coarsen, restrict
 from .io import FormatError
 from .rectangles import barcode_1d
-from .verify import (DECOMPOSABLE, INDECOMPOSABLE, check_candy, decompose_two_rows, hom_basis,
-                     iso_certificate, try_split)
+from .verify import (DECOMPOSABLE, INCONCLUSIVE, INDECOMPOSABLE, TRIALS, check_candy, decompose_two_rows,
+                     hom_basis, iso_certificate, try_split)
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -29,6 +29,10 @@ EXIT_INCONCLUSIVE = 3
 # every failed split trial is kept for the locality certificate, so the
 # trial count bounds both its time and its memory
 MAX_TRIALS = 1000
+# each verdict to its exit code: a try_split status, a candy report's ok, or
+# an iso report's isomorphic, whose None means no certificate was found
+EXIT_OF = {INDECOMPOSABLE: EXIT_OK, DECOMPOSABLE: EXIT_VIOLATED, INCONCLUSIVE: EXIT_INCONCLUSIVE,
+           True: EXIT_OK, False: EXIT_VIOLATED, None: EXIT_INCONCLUSIVE}
 
 RECT_METHODS = {"s4": build_S, "min3": min3, "min3rect": min3_rect}
 MODULE_METHODS = {"sprime": build_S_prime, "sdual": build_S_dprime, "gen4": gen4}
@@ -51,19 +55,12 @@ def _read(args, path: str, parse):
     return obj
 
 
-def _load_pair(M, N):
-    """M and N, refused unless a hom or iso check can compare them."""
-    if M.field != N.field:
-        raise FormatError(f"the modules are over different fields, {M.field} and {N.field}")
-    if M.box != N.box:
-        raise FormatError(f"the modules are on different boxes, {M.box.lo}..{M.box.hi} and {N.box.lo}..{N.box.hi}")
-    return M, N
-
-
 def _or_format_error(fn, *args):
     """fn(*args), with a ValueError turned into FormatError: input that a
     construction cannot build (a zero module, an output box over the vertex
-    cap) is malformed input, not a violated property."""
+    cap) or a pair that hom_basis or iso_certificate cannot compare (over
+    different fields or on different boxes) is malformed input, not a
+    violated property."""
     try:
         return fn(*args)
     except ValueError as e:
@@ -120,35 +117,27 @@ def cmd_verify(args) -> int:
         C = _read(args, args.infile, io.candy_from_json)
         rep = check_candy(C.module, C.ul, C.lr)
         _emit(rep.to_json())
-        return EXIT_OK if rep.ok else EXIT_VIOLATED
+        return EXIT_OF[rep.ok]
     M = _read(args, args.infile, io.pmod_from_json)
     if args.kind == "indec":
-        verdict = _or_format_error(try_split, M, args.seed, args.trials)
-        _emit(verdict.to_json())
-        if verdict.status == INDECOMPOSABLE:
-            return EXIT_OK
-        if verdict.status == DECOMPOSABLE:
-            return EXIT_VIOLATED
-        return EXIT_INCONCLUSIVE
+        rep = _or_format_error(try_split, M, args.seed, args.trials)
+        _emit(rep.to_json())
+        return EXIT_OF[rep.status]
     if args.kind == "iso":
         if not args.withfile:
             raise FormatError("verify iso needs --with")
-        M, N = _load_pair(M, _read(args, args.withfile, io.pmod_from_json))
-        rep = iso_certificate(M, N, seed=args.seed, trials=args.trials)
+        rep = _or_format_error(iso_certificate, M, _read(args, args.withfile, io.pmod_from_json),
+                               args.seed, args.trials)
         _emit(rep.to_json())
-        if rep.isomorphic is True:
-            return EXIT_OK
-        if rep.isomorphic is False:
-            return EXIT_VIOLATED
-        return EXIT_INCONCLUSIVE
+        return EXIT_OF[rep.isomorphic]
     split = _or_format_error(decompose_two_rows, M)
     _emit({"gap": list(split.gap), "summand_dims": [sum(s.dims.values()) for s in split.summands]})
     return EXIT_OK
 
 
 def cmd_hom(args) -> int:
-    M, N = _load_pair(_read(args, args.a, io.pmod_from_json), _read(args, args.b, io.pmod_from_json))
-    basis = hom_basis(M, N)
+    M, N = _read(args, args.a, io.pmod_from_json), _read(args, args.b, io.pmod_from_json)
+    basis = _or_format_error(hom_basis, M, N)
     out = {"dim": len(basis)}
     if args.basis:
         out["basis"] = [
@@ -220,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--in", dest="infile", required=True)
     v.add_argument("--with", dest="withfile")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--trials", type=int, default=24)
+    v.add_argument("--trials", type=int, default=TRIALS)
     common(v)
     v.set_defaults(fn=cmd_verify)
 

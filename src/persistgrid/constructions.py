@@ -205,10 +205,9 @@ def build_S_dprime(V: PersModule, height: int = 5) -> BuildResult:
     translating the result so the V copy comes back to V's own coordinates;
     the primal stack's corner grid is mirrored and translated with it.  Each
     coordinate of V.box is still a run of its own, so the line is the layer
-    embedding translated onto the grid.  height is as in build_S_prime.
+    embedding translated onto the grid.  height is as in build_S_prime,
+    which refuses a zero V, as the dual of 0 is 0.
     """
-    if V.is_zero():
-        raise ValueError("zero module")
     prim = build_S_prime(dualize(V), height)
     grid = prim.meta["grid"]
     t = vsub(vadd(V.box.lo, V.box.hi), vadd(grid.lo, grid.hi)[:V.n]) + (4,)
@@ -222,9 +221,8 @@ def candy_wrap(V: PersModule) -> CandyModule:
     """Nine layers I_R -> Rbar -> R' -> R -> V -> T -> T' -> Tbar -> I_T:
     S'(V) and S''(V) on their corner grids, glued along their copy of V.
     Both grids keep every coordinate of V.box, so the primal half is only
-    translated onto the dual one's copy of V, and the line is the dual's."""
-    if V.is_zero():
-        raise ValueError("cannot wrap the zero module")
+    translated onto the dual one's copy of V, and the line is the dual's.
+    build_S_prime refuses a zero V."""
     prim = build_S_prime(V, 9)  # heights -4..0
     dual = build_S_dprime(V, 9)  # heights 0..4
     P = prim.M.translate(vsub(dual.line.apply(V.box.lo), prim.line.apply(V.box.lo)))

@@ -564,6 +564,16 @@ def pad(M: PersModule, target: GridBox) -> PersModule:
     return PersModule(M.field, target, dict(M.dims), dict(M.steps))
 
 
+def require_common(what: str, a, b) -> None:
+    """Refuse a pair over different fields or on different boxes, with a
+    ValueError naming what was asked of it and both values.  a and b are
+    modules or RectDecomps; every operation on two of them keeps this rule."""
+    if a.field != b.field:
+        raise ValueError(f"{what} of modules over different fields, {a.field} and {b.field}")
+    if a.box != b.box:
+        raise ValueError(f"{what} of modules on different boxes, {a.box.lo}..{a.box.hi} and {b.box.lo}..{b.box.hi}")
+
+
 def stack(layers: list[PersModule], links: list[ModMorphism], height_lo: int = 0) -> PersModule:
     """Assemble an (n+1)D module from n-D layers and connecting morphisms.
 
@@ -577,8 +587,7 @@ def stack(layers: list[PersModule], links: list[ModMorphism], height_lo: int = 0
         raise ValueError("need exactly one link per adjacent layer pair")
     base = layers[0]
     for L in layers[1:]:
-        if L.box != base.box or L.field != base.field:
-            raise ValueError("layers must share box and field")
+        require_common("stack", base, L)
     for i, f in enumerate(links):
         if f.source != layers[i] or f.target != layers[i + 1]:
             raise ValueError(f"link {i} does not connect layers {i} -> {i + 1}")
@@ -599,8 +608,7 @@ def stack(layers: list[PersModule], links: list[ModMorphism], height_lo: int = 0
 
 
 def direct_sum(M: PersModule, N: PersModule) -> PersModule:
-    if M.box != N.box or M.field != N.field:
-        raise ValueError("direct sum needs matching box and field")
+    require_common("direct sum", M, N)
     dims = {}
     for v in set(M.dims) | set(N.dims):
         dims[v] = M.dim(v) + N.dim(v)

@@ -16,7 +16,7 @@ from collections import defaultdict
 from functools import cached_property
 from itertools import accumulate, groupby
 
-from .grid import PersModule, slice_layers
+from .grid import PersModule, require_common, slice_layers
 from .linalg import Matrix, nullspace_sparse, rank_sparse
 from .rectangles import hom_leq, interval_decompose_1d, realize
 
@@ -224,26 +224,22 @@ class HomSpace:
     """Hom(M, N) in ambient coordinates, built by Context.hom with the
     context it reads; it keeps no reference to that context.
 
-    _build gives the constraint rows and the columns they constrain, the
-    layer hom basis elements tagged by layer; in 1D there are no rows and
-    the columns are the basis.  dim is the column count less the rows'
-    rank, and the kernel basis is solved on the first read of basis; once
-    it is, dim is its length.
+    M and N must share field and box (grid.require_common), which is
+    checked before anything is built.  _build gives the constraint rows and
+    the columns they constrain, the layer hom basis elements tagged by
+    layer; in 1D there are no rows and the columns are the basis.  dim is
+    the column count less the rows' rank, and the kernel basis is solved on
+    the first read of basis.
     """
 
     def __init__(self, M: PersModule, N: PersModule, ctx: Context):
-        if M.field != N.field:
-            raise ValueError("hom between modules over different fields")
-        if M.box != N.box:
-            raise ValueError("hom between modules on different boxes")
+        require_common("hom", M, N)
         self.M = M
         self.N = N
         self._rows, self._cols = self._build(ctx)
 
     @cached_property
     def dim(self) -> int:
-        if "basis" in self.__dict__:
-            return len(self.basis)
         return len(self._cols) - rank_sparse(self._rows, self.M.field)
 
     @cached_property
@@ -305,7 +301,7 @@ class HomSpace:
         keys = list(dict.fromkeys(k for b in self.basis for k in b))
         A = Matrix(f, [[b.get(k, f.zero) for b in self.basis] for k in keys])
         rows = A.column_space_pivot_rows()
-        return [keys[i] for i in rows], A.submatrix(rows, range(self.dim)).inverse()
+        return [keys[i] for i in rows], A.submatrix(rows, range(len(self.basis))).inverse()
 
     def coords_in_basis(self, x: dict):
         """Coefficients of x over the basis, or None if x is outside the span.

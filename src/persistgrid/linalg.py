@@ -62,9 +62,6 @@ class Matrix:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, tuple(map(tuple, self.rows))))
-
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows})"
 
@@ -556,9 +553,7 @@ def coprime_split(f: Poly, rng):
     part and its rational roots are used: q is known only when it is
     linear, and h = 1 means "no split found", not "f is primary".
     """
-    if f.is_zero():
-        raise ValueError("coprime split of the zero polynomial")
-    if f.degree < 1:
+    if f.degree < 1:  # the zero polynomial has degree -1
         raise ValueError("coprime split needs degree >= 1")
     field = f.field
     f = f.monic()

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .fields import Field
-from .grid import GridBox, PersModule, vle, vsucc
+from .grid import GridBox, PersModule, require_common, vle, vsucc
 from .linalg import Matrix
 
 
@@ -135,10 +135,7 @@ def realize(source: RectDecomp, target: RectDecomp, coords: dict) -> dict:
     Only the nonzero components are given, keyed by vertex; vertices with
     the same source and target summands share one matrix, never mutated.
     """
-    if source.field != target.field:
-        raise ValueError("field mismatch")
-    if source.box != target.box:
-        raise ValueError("box mismatch")
+    require_common("morphism", source, target)
     by_source: dict[int, list] = {}
     for (i, j), c in coords.items():
         if c == 0:

@@ -134,7 +134,9 @@ def interval_multisets(field: Field, lo: int, hi: int, total_cap: int):
 
 def enumerate_modules(field: Field, box: GridBox, max_dim: int = 1):
     """All commutative modules on the box with every dimension <= max_dim
-    and step entries ranging over the whole field."""
+    and step entries ranging over the whole field; max_dim is 0 or 1."""
+    if max_dim > 1:
+        raise NotImplementedError("exhaustive enumeration only supports dims <= 1")
     n = box.n
     verts = list(box.vertices())
     scalars = [field.zero, field.one] if field.is_rational else field.elements()
@@ -146,7 +148,7 @@ def enumerate_modules(field: Field, box: GridBox, max_dim: int = 1):
                 w = vsucc(v, k)
                 if box.contains(w) and w in dims:
                     arrows.append((v, k, w))
-        for combo in itertools.product(scalars, repeat=len(arrows)) if max_dim <= 1 else ():
+        for combo in itertools.product(scalars, repeat=len(arrows)):
             steps = {}
             for (v, k, w), c in zip(arrows, combo):
                 m = Matrix.zero(field, dims[w], dims[v])
@@ -155,5 +157,3 @@ def enumerate_modules(field: Field, box: GridBox, max_dim: int = 1):
             M = PersModule(field, box, dims, steps)
             if M.validate():
                 yield M
-        if max_dim > 1:
-            raise NotImplementedError("exhaustive enumeration only supports dims <= 1")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import accumulate
 
-from .grid import ModMorphism, PersModule, candy_corner_faults, slice_layers, vsucc
+from .grid import ModMorphism, PersModule, candy_corner_faults, require_common, slice_layers, vsucc
 from .homspace import Context, HomSpace, end_dim
 from .linalg import Matrix, Poly, coprime_split, minimal_polynomial, nullspace_sparse
 from .rectangles import interval_decompose_1d
@@ -67,6 +67,7 @@ def end_algebra(M: PersModule, ctx: Context | None = None) -> EndAlgebra:
 INDECOMPOSABLE = "IndecomposableCertified"
 DECOMPOSABLE = "DecomposableCertified"
 INCONCLUSIVE = "Inconclusive"
+TRIALS = 24  # random elements drawn by try_split and iso_certificate unless told otherwise
 
 
 @dataclass
@@ -219,7 +220,7 @@ def _local_certificate(alg: EndAlgebra, residues: list) -> dict | None:
     return {"radical_dim": len(J), "nilpotency_index": index, "residue_degree": degree}
 
 
-def try_split(M: PersModule, seed: int = 0, trials: int = 24, ctx: Context | None = None) -> IndecVerdict:
+def try_split(M: PersModule, seed: int = 0, trials: int = TRIALS, ctx: Context | None = None) -> IndecVerdict:
     """Certify M indecomposable or produce an explicit nontrivial splitting.
 
     Conclusive when end_dim = 1, when one of the random endomorphisms drawn
@@ -280,15 +281,14 @@ class IsoReport:
         }
 
 
-def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = 30, ctx: Context | None = None) -> IsoReport:
+def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = TRIALS, ctx: Context | None = None) -> IsoReport:
     """Search for a pointwise invertible natural transformation M -> N.
 
     Complete in 1D (barcode comparison); for n >= 2, absence of a witness
     after the trials is not a proof of non-isomorphism, except through the
-    dimension-function obstruction.
+    dimension-function obstruction.  M and N must share field and box.
     """
-    if M.field != N.field or M.box != N.box:
-        raise ValueError("iso certificate needs matching box and field")
+    require_common("isomorphism", M, N)
     ctx = ctx or Context()
     if dict(M.dims) != dict(N.dims):
         return IsoReport(False, None, "dimension functions differ")
@@ -401,7 +401,7 @@ class CandyReport:
         return {"ok": self.ok, "messages": self.messages}
 
 
-def check_candy(M: PersModule, ul: tuple, lr: tuple, ctx: Context | None = None) -> CandyReport:
+def check_candy(M: PersModule, ul: tuple, lr: tuple) -> CandyReport:
     """Corner dimensions 1, corner positions at the support's bounding box
     (ul: smallest in the leading coordinates, largest in the last; lr: the
     opposite), and a scalar endomorphism ring.
@@ -409,7 +409,7 @@ def check_candy(M: PersModule, ul: tuple, lr: tuple, ctx: Context | None = None)
     msgs = candy_corner_faults(M, ul, lr)
     if M.is_zero():
         return CandyReport(False, msgs)
-    ed = end_dim(M, ctx or Context())
+    ed = end_dim(M)
     if ed != 1:
         msgs.append(f"end_dim = {ed}, want 1")
     ok = not msgs

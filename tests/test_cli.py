@@ -298,6 +298,40 @@ class TestExitCodes:
         code, _, err = run(capsys, ["concat", "--a", paths[0], "--b", paths[1], "--out", str(tmp_path / "o.json")])
         assert code == 2 and err == f"error: concatenation needs {message}\n"
 
+    @pytest.mark.parametrize("method", ["sprime", "sdual", "candy"])
+    def test_zero_module_construction_gives_2(self, tmp_path, capsys, method):
+        p = str(tmp_path / "m.json")
+        dump(TestMistypedOrOversizedInput.ZERO, p)
+        code, _, err = run(capsys, ["construct", "--method", method, "--in", p, "--out", str(tmp_path / "o.json")])
+        assert code == 2 and err == "error: zero module\n"
+
+    @pytest.mark.parametrize("insert, message", [
+        ({"pos": 2, "value": 9}, "the embedding misses the module box entirely"),
+        ({"pos": 3, "value": 0}, "bad line embedding: insert position out of range"),
+    ])
+    def test_restrict_along_a_bad_line_gives_2(self, tmp_path, capsys, insert, message):
+        """A line into 3D space, given one axis map: inserting 9 on the last
+        axis misses the module's box 0..1 there, and position 3 is past the
+        last."""
+        module, line = str(tmp_path / "m.json"), str(tmp_path / "l.json")
+        box = GridBox((0, 0, 0), (1, 1, 1))
+        dump(pmod_to_json(rect_to_module(RectDecomp(Q, box, [Rectangle(box.lo, box.hi)]))), module)
+        dump({"axis_maps": [{"scale": 1, "offset": 0}] * 2, "insert_axis": insert}, line)
+        code, _, err = run(capsys, ["restrict", "--in", module, "--line", line, "--out", str(tmp_path / "o.json")])
+        assert code == 2 and err == f"error: {message}\n"
+
+    def test_candy_with_corners_of_rank_2_gives_1(self, tmp_path, capsys):
+        """The rank-2 all-identity module on a 2 x 2 box: its corners are
+        where a candy's are, but of dimension 2, and End(M) is 2 x 2 matrices."""
+        box = GridBox((0, 0), (1, 1))
+        M = rect_to_module(RectDecomp(Q, box, [Rectangle(box.lo, box.hi)] * 2))
+        p = str(tmp_path / "c.json")
+        dump({"module": pmod_to_json(M), "ul": [0, 1], "lr": [1, 0]}, p)
+        code, text, _ = run(capsys, ["verify", "candy", "--in", p])
+        assert code == 1 and json.loads(text) == {
+            "ok": False, "messages": ["upper-left corner has dimension 2, want 1",
+                                      "lower-right corner has dimension 2, want 1", "end_dim = 4, want 1"]}
+
     def test_malformed_gives_2(self, tmp_path, capsys):
         p = str(tmp_path / "bad.json")
         with open(p, "w") as fh:

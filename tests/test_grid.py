@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from persistgrid import (AxisEmbedding, Context, Field, GridBox, ModMorphism, PersModule,
-                         Rectangle, RectDecomp, candy_wrap, direct_sum, dualize,
-                         pad, rect_to_module, restrict, stack)
-from persistgrid.grid import MAX_VERTICES, pullback, slice_layers, vsucc
+from persistgrid import (AxisEmbedding, Context, Field, GridBox, HomSpace, ModMorphism, PersModule,
+                         Rectangle, RectDecomp, candy_wrap, direct_sum, dualize, iso_certificate,
+                         pad, realize, rect_to_module, restrict, stack)
+from persistgrid.grid import MAX_VERTICES, pullback, slice_layers, vadd, vsucc
 from persistgrid.io import line_from_json, line_to_json, pmod_from_json, pmod_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module, rand_rect_decomp
@@ -90,6 +90,34 @@ class TestRestrictPadStack:
         R = restrict(M2, L)
         assert sorted(R.dims) == [(0,), (1,), (2,)]
         assert all(m == Matrix.identity(Q, 1) for m in R.steps.values())
+
+
+class TestPairRule:
+    """Every operation on two modules, or two RectDecomps, refuses a pair
+    over different fields or on different boxes, naming both values, before
+    it builds anything."""
+
+    BASE = RectDecomp(Q, GridBox((0,), (1,)), [Rectangle((0,), (1,))])
+    OTHERS = {"fields": (RectDecomp(F2, GridBox((0,), (1,)), [Rectangle((0,), (1,))]), "Q and F2"),
+              "boxes": (RectDecomp(Q, GridBox((0,), (2,)), [Rectangle((0,), (1,))]), "(0,)..(1,) and (0,)..(2,)")}
+    CALLERS = {
+        "direct sum": lambda a, b: direct_sum(rect_to_module(a), rect_to_module(b)),
+        "stack": lambda a, b: stack([rect_to_module(a), rect_to_module(b)],
+                                    [ModMorphism.zero(rect_to_module(a), rect_to_module(b))]),
+        "morphism": lambda a, b: realize(a, b, {}),
+        "hom": lambda a, b: Context().hom(rect_to_module(a), rect_to_module(b)),
+        "isomorphism": lambda a, b: iso_certificate(rect_to_module(a), rect_to_module(b)),
+    }
+
+    @pytest.mark.parametrize("differ", sorted(OTHERS))
+    @pytest.mark.parametrize("what", sorted(CALLERS))
+    def test_refused_naming_both_values(self, monkeypatch, what, differ):
+        monkeypatch.setattr(HomSpace, "_build", lambda *a: pytest.fail("built a hom space for the pair"))
+        other, values = self.OTHERS[differ]
+        with pytest.raises(ValueError) as e:
+            self.CALLERS[what](self.BASE, other)
+        where = "over different" if differ == "fields" else "on different"
+        assert str(e.value) == f"{what} of modules {where} {differ}, {values}"
 
 
 class TestDirectSumDual:
@@ -283,6 +311,22 @@ class TestValidateOracle:
         assert M.validate() and validate_dense(M)
 
 
+class TestMorphismChecks:
+    def test_validate_names_the_arrow_and_vertex_of_a_non_natural_morphism(self):
+        M = interval_module(Q, 0, 1, 0, 1)
+        rep = ModMorphism(M, M, {(0,): Matrix.identity(Q, 1)}).validate()
+        assert not rep and rep.message == "naturality fails on the arrow ((0,), axis 0)" and rep.vertex == (0,)
+
+    def test_not_invertible_when_supports_or_dimensions_differ(self):
+        M = interval_module(Q, 0, 1, 0, 1)
+        point = interval_module(Q, 0, 1, 0, 0)
+        # the target lives where the source does not; every source vertex matches
+        assert not ModMorphism(point, M, {(0,): Matrix.identity(Q, 1)}).is_invertible()
+        double = PersModule(Q, M.box, {(0,): 2, (1,): 2}, {((0,), 0): Matrix.identity(Q, 2)})
+        assert not ModMorphism(M, double, {}).is_invertible()
+        assert ModMorphism.identity(double).is_invertible()
+
+
 class TestAxisEmbedding:
     def test_monotone_injective(self):
         L = AxisEmbedding([("affine", 2, 1), ("table", 0, [0, 3, 4])], 1, 7)
@@ -304,3 +348,9 @@ class TestAxisEmbedding:
     def test_json_roundtrip(self):
         L = AxisEmbedding([("affine", 2, -1), ("table", -1, [5, 9])], 2, 3)
         assert line_from_json(line_to_json(L)) == L
+        # translating moves the table's values, not its domain
+        t = (4, -2, 7)
+        T = L.translate(t)
+        assert T.axis_maps[1] == ("table", -1, [3, 7])
+        assert all(T.apply(x) == vadd(L.apply(x), t) for x in itertools.product(range(-1, 2), (-1, 0)))
+        assert line_from_json(line_to_json(T)) == T
