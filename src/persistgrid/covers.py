@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import PersModule
+from .grid import PersModule, vpred
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle
 
@@ -36,7 +36,7 @@ def projective_cover(V: PersModule) -> CoverResult:
     box = V.box
     gens: list[tuple[tuple, int]] = []  # (vertex, basis row)
     for x in sorted(V.dims):
-        preds = [(x[:k] + (x[k] - 1,) + x[k + 1:], k) for k in range(box.n)]
+        preds = [(vpred(x, k), k) for k in range(box.n)]
         incoming = [V.step(v, k).rows for v, k in preds if V.dim(v) > 0]
         joined = [sum(rows, []) for rows in zip(*incoming)]  # the incoming steps side by side
         pivots = set(Matrix(f, joined).column_space_pivot_rows()) if incoming else set()

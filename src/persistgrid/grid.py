@@ -77,6 +77,22 @@ def vsucc(v: tuple, k: int) -> tuple:
     return v[:k] + (v[k] + 1,) + v[k + 1:]
 
 
+def vpred(v: tuple, k: int) -> tuple:
+    """v - e_k, the tail of the unit arrow into v along axis k."""
+    return v[:k] + (v[k] - 1,) + v[k + 1:]
+
+
+def live_arrows(tails, n: int, heads=None):
+    """(v, k, w) for each unit arrow v -> w = v + e_k of Z^n with v in tails
+    and w in heads (tails when None): tails in their order, then k rising."""
+    heads = tails if heads is None else heads
+    for v in tails:
+        for k in range(n):
+            w = vsucc(v, k)
+            if w in heads:
+                yield v, k, w
+
+
 def vadd(v, w) -> tuple:
     return tuple(map(add, v, w))
 
@@ -128,12 +144,7 @@ class PersModule:
 
     def arrows(self):
         """All in-box unit arrows between positive-dimension vertices."""
-        dims = self.dims
-        for v in dims:
-            for k in range(self.n):
-                w = vsucc(v, k)
-                if w in dims:
-                    yield v, k, w
+        return live_arrows(self.dims, self.n)
 
     def composite(self, x, y) -> Matrix:
         """The internal map M(x <= y), composed along a canonical path."""
@@ -270,13 +281,9 @@ class ModMorphism:
         # every arrow with source dim > 0 at the tail and target dim > 0 at the
         # head constrains f; in particular source dim 0 at the head still
         # forces N(v -> w) . f_v = 0
-        for v in self.source.dims:
-            for k in range(self.source.n):
-                w = vsucc(v, k)
-                if w not in self.target.dims:
-                    continue
-                if self.target.step(v, k) @ self.comp(v) != self.comp(w) @ self.source.step(v, k):
-                    return ValidationReport(False, f"naturality fails on the arrow ({v}, axis {k})", v)
+        for v, k, w in live_arrows(self.source.dims, self.source.n, self.target.dims):
+            if self.target.step(v, k) @ self.comp(v) != self.comp(w) @ self.source.step(v, k):
+                return ValidationReport(False, f"naturality fails on the arrow ({v}, axis {k})", v)
         return ValidationReport(True, "ok", None)
 
     def compose(self, other: "ModMorphism") -> "ModMorphism":
@@ -436,12 +443,8 @@ def pullback(M: PersModule, phi, box: GridBox) -> PersModule:
             dims[x] = d
             image[x] = y
     eye = cache(partial(Matrix.identity, M.field))  # one identity per dimension
-    steps = {}
-    for x in dims:
-        for k in range(box.n):
-            x2 = vsucc(x, k)
-            if x2 in dims:
-                steps[(x, k)] = eye(dims[x]) if image[x] == image[x2] else M.composite(image[x], image[x2])
+    steps = {(x, k): eye(dims[x]) if image[x] == image[x2] else M.composite(image[x], image[x2])
+             for x, k, x2 in live_arrows(dims, box.n)}
     return PersModule(M.field, box, dims, steps)
 
 
@@ -469,7 +472,7 @@ def coarsen(M: PersModule, keep: list) -> tuple[PersModule, "Compression"]:
     for v, d in dims.items():
         for k in range(n):
             c = v[k]
-            if c > lo[k] and v[:k] + (c - 1,) + v[k + 1:] not in dims:
+            if c > lo[k] and vpred(v, k) not in dims:
                 starts[k].add(c)
             if c < hi[k]:
                 m = steps.get((v, k))
@@ -612,11 +615,7 @@ def direct_sum(M: PersModule, N: PersModule) -> PersModule:
     dims = {}
     for v in set(M.dims) | set(N.dims):
         dims[v] = M.dim(v) + N.dim(v)
-    steps = {}
-    for v in dims:
-        for k in range(M.n):
-            if vsucc(v, k) in dims:
-                steps[(v, k)] = Matrix.block_diag(M.field, [M.step(v, k), N.step(v, k)])
+    steps = {(v, k): Matrix.block_diag(M.field, [M.step(v, k), N.step(v, k)]) for v, k, _ in live_arrows(dims, M.n)}
     return PersModule(M.field, M.box, dims, steps)
 
 

@@ -225,52 +225,71 @@ class HomSpace:
     context it reads; it keeps no reference to that context.
 
     M and N must share field and box (grid.require_common), which is
-    checked before anything is built.  _build gives the constraint rows and
+    checked before anything is built.  _build gives the constraint rows,
     the columns they constrain, the layer hom basis elements tagged by
-    layer; in 1D there are no rows and the columns are the basis.  dim is
-    the column count less the rows' rank, and the kernel basis is solved on
-    the first read of basis.
+    layer, and a key for each column; in 1D there are no rows and the
+    columns are the basis.  dim is the column count less the rows' rank,
+    and the kernel basis is solved on the first read of basis.
+
+    Each basis element b_k has a pivot key, pivot_keys[k], at which b_k is 1 and
+    every other basis element is 0; coords_in_basis reads coordinates
+    there.  The columns have such keys, by induction on n: in 1D they are
+    the unit vectors at their pairs (i, j); above, column c is a basis
+    element b of layer i tagged by i, so it is 1 at (i, key of b), where
+    the other columns of layer i are 0 by induction and those of other
+    layers are 0 because their tag differs.  nullspace_sparse gives each
+    kernel vector a 1 at its free column and a 0 at the other free columns,
+    so basis element k is 1 at its free column's key and every other basis
+    element is 0 there.  That free column is the kernel vector's largest,
+    since every other nonzero sits at a pivot column to its left in the rref.
     """
 
     def __init__(self, M: PersModule, N: PersModule, ctx: Context):
         require_common("hom", M, N)
         self.M = M
         self.N = N
-        self._rows, self._cols = self._build(ctx)
+        self._rows, self._cols, self._keys = self._build(ctx)
 
     @cached_property
     def dim(self) -> int:
         return len(self._cols) - rank_sparse(self._rows, self.M.field)
 
     @cached_property
-    def basis(self) -> list[dict]:
+    def _solved(self) -> tuple[list[dict], list]:
+        """(basis, keys): the kernel basis and its elements' pivot keys."""
         if not self._rows:
-            return self._cols
+            return self._cols, self._keys
         f = self.M.field
-        return [combine(f, ((c, self._cols[col]) for col, c in sol.items()))
-                for sol in nullspace_sparse(self._rows, len(self._cols), f)]
+        sols = nullspace_sparse(self._rows, len(self._cols), f)
+        return ([combine(f, ((c, self._cols[col]) for col, c in sol.items())) for sol in sols],
+                [self._keys[max(sol)] for sol in sols])
 
-    def _build(self, ctx: Context) -> tuple[list[dict], list[dict]]:
+    @property
+    def basis(self) -> list[dict]:
+        return self._solved[0]
+
+    @property
+    def pivot_keys(self) -> list:
+        return self._solved[1]
+
+    def _build(self, ctx: Context) -> tuple[list[dict], list[dict], list]:
         M, N = self.M, self.N
         f = M.field
         if M.is_zero() or N.is_zero():
-            return [], []
+            return [], [], []
         if M.n == 1:
             DM = ctx.intervals1(M)[0]
             DN = ctx.intervals1(N)[0]
-            return [], [
-                {(i, j): f.one}
-                for i, A in enumerate(DM.summands)
-                for j, B in enumerate(DN.summands)
-                if hom_leq(A, B)
-            ]
+            keys = [(i, j) for i, A in enumerate(DM.summands) for j, B in enumerate(DN.summands) if hom_leq(A, B)]
+            return [], [{key: f.one} for key in keys], keys
         Ms, lMs = ctx.layers(M)
         Ns, lNs = ctx.layers(N)
         h = len(Ms)
-        bases = [ctx.hom(Ms[i], Ns[i]).basis for i in range(h)]
+        homs = [ctx.hom(Ms[i], Ns[i]) for i in range(h)]
+        bases = [H.basis for H in homs]
         offsets = list(accumulate(map(len, bases), initial=0))
         if offsets[-1] == 0:
-            return [], []
+            return [], [], []
         lM_expr = [ctx.express(Ms[i], Ms[i + 1], lMs[i].comps) for i in range(h - 1)]
         lN_expr = lM_expr if N is M else [ctx.express(Ns[i], Ns[i + 1], lNs[i].comps) for i in range(h - 1)]
         rows: list[dict] = []
@@ -289,28 +308,18 @@ class HomSpace:
                     row[col] = f.sub(row.get(col, f.zero), c)
             rows.extend(per_leaf.values())
         # column offsets[i] + b of the system is layer i's basis element b
-        return rows, [{(i, leaf): v for leaf, v in b.items()} for i, basis in enumerate(bases) for b in basis]
+        return (rows, [{(i, leaf): v for leaf, v in b.items()} for i, basis in enumerate(bases) for b in basis],
+                [(i, key) for i, H in enumerate(homs) for key in H.pivot_keys])
 
     # -- element operations --------------------------------------------
-
-    @cached_property
-    def _solver(self):
-        """(keys, inverse): dim keys where the basis matrix, keys by basis
-        elements, has an invertible block, and that block's inverse."""
-        f = self.M.field
-        keys = list(dict.fromkeys(k for b in self.basis for k in b))
-        A = Matrix(f, [[b.get(k, f.zero) for b in self.basis] for k in keys])
-        rows = A.column_space_pivot_rows()
-        return [keys[i] for i in rows], A.submatrix(rows, range(len(self.basis))).inverse()
 
     def coords_in_basis(self, x: dict):
         """Coefficients of x over the basis, or None if x is outside the span.
 
-        The basis is independent, so the only candidate is read off the
-        block that _solver inverts, once per HomSpace, and checked against x."""
+        The only candidate is x read at the basis's pivot keys, checked
+        against x."""
         f = self.M.field
-        keys, inverse = self._solver
-        coords = inverse.mul_vec([x.get(k, f.zero) for k in keys])
+        coords = [x.get(k, f.zero) for k in self.pivot_keys]
         return coords if combine(f, zip(coords, self.basis)) == {k: c for k, c in x.items() if c != 0} else None
 
     def random_element(self, rng) -> dict:

@@ -13,7 +13,7 @@ from itertools import chain
 
 from .constructions import CandyModule
 from .fields import Field
-from .grid import MAX_AXES, MAX_DIM, MAX_VERTICES, AxisEmbedding, GridBox, PersModule, vsucc
+from .grid import MAX_AXES, MAX_DIM, MAX_VERTICES, AxisEmbedding, GridBox, PersModule, live_arrows, vsucc
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle
 
@@ -135,10 +135,9 @@ def pmod_from_json(obj: dict) -> PersModule:
         if dv and dw:
             steps[(v, k)] = m
     # steps between two positive-dimension vertices may not be omitted
-    for v in dims:
-        for k in range(n):
-            if (v, k) not in steps and vsucc(v, k) in dims:
-                raise FormatError(f"missing step at {v} axis {k}")
+    for v, k, _ in live_arrows(dims, n):
+        if (v, k) not in steps:
+            raise FormatError(f"missing step at {v} axis {k}")
     M = PersModule(f, box, dims, steps)
     rep = M.validate()
     if not rep:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .fields import Field
-from .grid import GridBox, PersModule, require_common, vle, vsucc
+from .grid import GridBox, PersModule, live_arrows, require_common, vle
 from .linalg import Matrix
 
 
@@ -111,19 +111,15 @@ def rect_to_module(R: RectDecomp) -> PersModule:
     dims = {v: len(idxs) for v, idxs in at.items()}
     pos = {v: {s: j for j, s in enumerate(idxs)} for v, idxs in at.items()}
     steps, shared = {}, {}
-    for v, idxs in at.items():
-        for k in range(R.n):
-            w = vsucc(v, k)
-            if w not in at:  # the summands lie in R.box
-                continue
-            # column col of the step has its one in row key[1][col], if any
-            key = (dims[w], tuple(map(pos[w].get, idxs)))
-            if (m := shared.get(key)) is None:
-                m = shared[key] = Matrix.zero(field, dims[w], len(idxs))
-                for col, j in enumerate(key[1]):
-                    if j is not None:
-                        m.rows[j][col] = field.one
-            steps[(v, k)] = m
+    for v, k, w in live_arrows(at, R.n):  # the summands lie in R.box
+        # column col of the step has its one in row key[1][col], if any
+        key = (dims[w], tuple(map(pos[w].get, at[v])))
+        if (m := shared.get(key)) is None:
+            m = shared[key] = Matrix.zero(field, dims[w], dims[v])
+            for col, j in enumerate(key[1]):
+                if j is not None:
+                    m.rows[j][col] = field.one
+        steps[(v, k)] = m
     return PersModule(field, R.box, dims, steps)
 
 
@@ -190,19 +186,26 @@ def _interval_chains(M: PersModule) -> list[_Chain]:
     chains_made = 0
 
     def reduce_vec(vec, accepted, chain, x):
-        """Reduce vec against accepted (pivot, chain) pairs, applying the same
-        operations to the whole stored chain so the chain property survives."""
+        """(pivot, vec): vec reduced against the accepted (pivot, chain)
+        pairs and scaled to a leading one, pivot None when it reduces to
+        zero.  A surviving chain's stored vectors undergo the same
+        operations, so the chain property survives; a birth has none."""
         for piv, other in accepted:
             c = vec[piv]
             if c == 0:
                 continue
-            ov = other.vecs[x]
-            vec = [f.sub(a, f.mul(c, b)) for a, b in zip(vec, ov)]
+            vec = [f.sub(a, f.mul(c, b)) for a, b in zip(vec, other.vecs[x])]
             if chain is not None:
                 for y in range(chain.birth, x):
-                    cv, ovy = chain.vecs[y], other.vecs[y]
-                    chain.vecs[y] = [f.sub(a, f.mul(c, b)) for a, b in zip(cv, ovy)]
-        return vec
+                    chain.vecs[y] = [f.sub(a, f.mul(c, b)) for a, b in zip(chain.vecs[y], other.vecs[y])]
+        piv = next((i for i, a in enumerate(vec) if a != 0), None)
+        if piv is not None and vec[piv] != f.one:
+            inv = f.inv(vec[piv])
+            vec = [f.mul(inv, a) for a in vec]
+            if chain is not None:
+                for y in range(chain.birth, x):
+                    chain.vecs[y] = [f.mul(inv, a) for a in chain.vecs[y]]
+        return piv, vec
 
     for x in range(lo, hi + 1):
         d = M.dims.get((x,), 0)
@@ -221,17 +224,11 @@ def _interval_chains(M: PersModule) -> list[_Chain]:
             # chains by birth, since survivors keep their order and births
             # come last
             for chain in active:
-                vec = reduce_vec(A.mul_vec(chain.vecs[x - 1]), accepted, chain, x) if d else []
-                piv = next((i for i, a in enumerate(vec) if a != 0), None)
+                piv, vec = reduce_vec(A.mul_vec(chain.vecs[x - 1]), accepted, chain, x) if d else (None, [])
                 if piv is None:
                     chain.death = x - 1
                     done.append(chain)
                 else:
-                    inv = f.inv(vec[piv])
-                    if inv != f.one:
-                        vec = [f.mul(inv, a) for a in vec]
-                        for y in range(chain.birth, x):
-                            chain.vecs[y] = [f.mul(inv, a) for a in chain.vecs[y]]
                     chain.vecs[x] = vec
                     accepted.append((piv, chain))
                     survivors.append(chain)
@@ -240,13 +237,9 @@ def _interval_chains(M: PersModule) -> list[_Chain]:
         for r in range(d):
             vec = [f.zero] * d
             vec[r] = f.one
-            vec = reduce_vec(vec, accepted, None, x)
-            piv = next((i for i, a in enumerate(vec) if a != 0), None)
+            piv, vec = reduce_vec(vec, accepted, None, x)
             if piv is None:
                 continue
-            if vec[piv] != f.one:
-                inv = f.inv(vec[piv])
-                vec = [f.mul(inv, a) for a in vec]
             chain = _Chain(x, vec, chains_made)
             chains_made += 1
             accepted.append((piv, chain))

@@ -13,7 +13,7 @@ import random
 from collections import Counter
 
 from .fields import Field
-from .grid import GridBox, ModMorphism, PersModule, stack, vsucc
+from .grid import GridBox, ModMorphism, PersModule, live_arrows, stack
 from .homspace import Context
 from .linalg import Matrix
 from .rectangles import Rectangle, RectDecomp, barcode_1d
@@ -36,7 +36,6 @@ def rand_module(rng: random.Random, field: Field, box: GridBox, max_dim: int = 2
                 total_cap: int | None = None, nonzero: bool = True,
                 tries: int = 2000) -> PersModule:
     """A random commutative module with step entries in {0, 1}."""
-    n = box.n
     for _ in range(tries):
         dims = {}
         for v in box.vertices():
@@ -48,15 +47,12 @@ def rand_module(rng: random.Random, field: Field, box: GridBox, max_dim: int = 2
         if nonzero and not dims:
             continue
         steps = {}
-        for v in dims:
-            for k in range(n):
-                w = vsucc(v, k)
-                if box.contains(w) and w in dims:
-                    m = Matrix.zero(field, dims[w], dims[v])
-                    for r in range(dims[w]):
-                        for c in range(dims[v]):
-                            m.rows[r][c] = field.of(rng.randint(0, 1))
-                    steps[(v, k)] = m
+        for v, k, w in live_arrows(dims, box.n):
+            m = Matrix.zero(field, dims[w], dims[v])
+            for r in range(dims[w]):
+                for c in range(dims[v]):
+                    m.rows[r][c] = field.of(rng.randint(0, 1))
+            steps[(v, k)] = m
         M = PersModule(field, box, dims, steps)
         if M.validate():
             return M
@@ -137,17 +133,11 @@ def enumerate_modules(field: Field, box: GridBox, max_dim: int = 1):
     and step entries ranging over the whole field; max_dim is 0 or 1."""
     if max_dim > 1:
         raise NotImplementedError("exhaustive enumeration only supports dims <= 1")
-    n = box.n
     verts = list(box.vertices())
     scalars = [field.zero, field.one] if field.is_rational else field.elements()
     for dims_vec in itertools.product(range(max_dim + 1), repeat=len(verts)):
         dims = {v: d for v, d in zip(verts, dims_vec) if d}
-        arrows = []
-        for v in dims:
-            for k in range(n):
-                w = vsucc(v, k)
-                if box.contains(w) and w in dims:
-                    arrows.append((v, k, w))
+        arrows = list(live_arrows(dims, box.n))
         for combo in itertools.product(scalars, repeat=len(arrows)):
             steps = {}
             for (v, k, w), c in zip(arrows, combo):

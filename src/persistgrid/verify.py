@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import accumulate
 
-from .grid import ModMorphism, PersModule, candy_corner_faults, require_common, slice_layers, vsucc
+from .grid import ModMorphism, PersModule, candy_corner_faults, require_common, slice_layers, vpred, vsucc
 from .homspace import Context, HomSpace, end_dim
 from .linalg import Matrix, Poly, coprime_split, minimal_polynomial, nullspace_sparse
 from .rectangles import interval_decompose_1d
@@ -131,20 +131,19 @@ def _split_along(M: PersModule, P: dict, cuts: dict):
 
 
 def _kernel_split(M: PersModule, a: ModMorphism, g: Poly, h: Poly, mins: dict):
-    """M = ker g(a) + ker h(a) vertexwise: (parts, iso), or None when the
-    kernels do not fill M or one of them is zero everywhere.
+    """M = ker g(a) + ker h(a) vertexwise: (parts, iso), or None when one
+    of the kernels is zero everywhere, or when _split_along refuses.
 
     Requires g, h coprime with g.h a multiple of the minimal polynomial
     mins[v] of each block a.comp(v), so the kernels are complementary
-    submodules; g and h are evaluated modulo mins[v].
+    submodules; g and h are evaluated modulo mins[v].  Kernels that did not
+    fill M would give a non-square P[v], which _split_along refuses.
     """
     f = M.field
     P, cuts = {}, {}
     for v, d in M.dims.items():
         K1, K2 = (nullspace_sparse([dict(enumerate(r)) for r in (e % mins[v]).eval_matrix(a.comp(v)).rows], d, f)
                   for e in (g, h))
-        if len(K1) + len(K2) != d:
-            return None
         P[v] = Matrix(f, [[x.get(r, f.zero) for x in K1 + K2] for r in range(d)])
         cuts[v] = (len(K1), len(K2))
     if all(c[0] == 0 for c in cuts.values()) or all(c[1] == 0 for c in cuts.values()):
@@ -330,7 +329,7 @@ def find_gap(M: PersModule) -> tuple | None:
     order = list(M.box.vertices())
     below, above = set(), set()
     for y in order:
-        if y in M.dims or any(y[:k] + (y[k] - 1,) + y[k + 1:] in below for k in range(M.n)):
+        if y in M.dims or any(vpred(y, k) in below for k in range(M.n)):
             below.add(y)
     for y in reversed(order):
         if y in M.dims or any(vsucc(y, k) in above for k in range(M.n)):

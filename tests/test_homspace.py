@@ -6,12 +6,13 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistgrid import (Context, Field, GridBox, HomSpace, PersModule, Rectangle,
-                         RectDecomp, candy_wrap, check_candy, direct_sum, end_dim, hom_basis,
-                         hom_dim, iso_certificate, min3, rect_to_module, stack, try_split)
+                         RectDecomp, candy_wrap, check_candy, direct_sum, end_algebra, end_dim,
+                         hom_basis, hom_dim, iso_certificate, min3, rect_to_module, stack, try_split)
 from persistgrid import homspace, rectangles, verify
 from persistgrid.grid import ModMorphism, vsucc
 from persistgrid.io import pmod_to_json
@@ -389,3 +390,39 @@ def test_engine_matches_oracle_on_candies(seed):
     M = candy_wrap(V).module
     check_pair(M, M, rng)
     assert end_dim(M) == dense_hom_dim(M, M) == 1
+
+
+def solved_coords(E, x):
+    """Coordinates of x over E.basis from the dense system whose rows are
+    the keys the basis elements use and whose columns are the elements."""
+    f = E.M.field
+    keys = list(dict.fromkeys(k for b in E.basis for k in b))
+    A = Matrix(f, [[b.get(k, f.zero) for b in E.basis] for k in keys])
+    return [row[0] for row in A.solve(Matrix(f, [[x.get(k, f.zero)] for k in keys])).rows]
+
+
+@pytest.mark.parametrize("f", [F2, F1009, Q], ids=str)
+@pytest.mark.parametrize("box", [GridBox((0,), (4,)), GridBox((0, 0), (2, 2)), GridBox((0, 0, 0), (1, 1, 1))],
+                         ids=["1d", "2d", "3d"])
+@given(seed=st.integers(0, 2**31))
+@settings(max_examples=3, deadline=None)
+def test_basis_elements_have_pivot_keys(f, box, seed):
+    """Basis element k is 1 at pivot_keys[k] and every other element is 0
+    there, so coordinates read at the keys give back any combination, and
+    end_algebra's table equals the one solved densely."""
+    rng = random.Random(seed)
+    M = rand_module(rng, f, box, max_dim=2)
+    N = rand_module(rng, f, box, max_dim=2)
+    MM = direct_sum(M, M)
+    ctx = Context()
+    for A, B in ((M, M), (M, N), (MM, MM)):
+        E = ctx.hom(A, B)
+        assert len(E.pivot_keys) == len(E.basis) == E.dim
+        for k, key in enumerate(E.pivot_keys):
+            assert [b.get(key, f.zero) for b in E.basis] == [f.one if j == k else f.zero for j in range(E.dim)]
+        c = [f.rand(rng) for _ in E.basis]
+        assert E.coords_in_basis(homspace.combine(f, zip(c, E.basis))) == c
+    alg = end_algebra(MM, ctx)
+    E = alg.space
+    assert alg.identity == solved_coords(E, ctx.express(MM, MM, ModMorphism.identity(MM).comps))
+    assert alg.mult_table == [[solved_coords(E, ctx.compose(MM, MM, MM, x, y)) for y in E.basis] for x in E.basis]
