@@ -63,39 +63,67 @@ def field_from_json(tag) -> Field:
 
 
 def pmod_to_json(M: PersModule) -> dict:
-    """Every arrow between positive-dimension vertices is written, an
-    omitted (zero) one as zero rows, so the reader accepts it.  Each
-    distinct step matrix object is formatted once, and its records share
-    the rows."""
-    f = M.field
-    dims = [M.dims.get(v, 0) for v in M.box.vertices()]
-    formatted = {}  # id(m) -> (m, rows); holding m keeps its id from being reused
-    steps = []
-    for v, k, _ in sorted(M.arrows()):
-        m = M.step(v, k)
-        if id(m) not in formatted:
-            formatted[id(m)] = (m, [[f.fmt(x) for x in row] for row in m.rows])
-        steps.append({"v": list(v), "axis": k, "matrix": formatted[id(m)][1]})
-    return {
-        "field": f.to_json(),
-        "n": M.n,
-        "lo": list(M.box.lo),
-        "hi": list(M.box.hi),
-        "dims": dims,
-        "steps": steps,
-    }
+    """A version-2 PMOD, a function of the module's content alone: `dims`
+    lists [v..., d] per live vertex, increasing; `matrices` each distinct
+    step once, by first use; `steps` its index per arrow of live_arrows(dims)."""
+    f, steps, dims = M.field, M.steps, dict(sorted(M.dims.items()))
+    table, seen, index = {}, {}, []  # formatted rows -> position; id(m) -> (m, position)
+    for v, k, w in live_arrows(dims, M.n):
+        m = steps.get((v, k)) or Matrix.zero(f, dims[w], dims[v])
+        if (hit := seen.get(id(m))) is None:  # holding m keeps its id from being reused
+            hit = seen[id(m)] = (m, table.setdefault(tuple(tuple(map(f.fmt, row)) for row in m.rows), len(table)))
+        index.append(hit[1])
+    return {"version": 2, "field": f.to_json(), "n": M.n, "lo": list(M.box.lo), "hi": list(M.box.hi),
+            "dims": [[*v, d] for v, d in dims.items()], "matrices": [list(map(list, rows)) for rows in table],
+            "steps": index}
 
 
 def pmod_from_json(obj: dict) -> PersModule:
-    """The module a PMOD describes, each fact of the file checked once here.
-    Equal step matrices become one shared Matrix object, never mutated."""
+    """The module a PMOD describes, each fact of the file checked once.  A
+    file without `version` is the older form, which _pmod_v1 maps onto the
+    table and arrow order of version 2."""
     _require(obj, ("field", "n", "lo", "hi", "dims", "steps"), "PMOD")
+    if type(version := obj.get("version", 1)) is not int or version not in (1, 2):
+        raise FormatError(f"unknown PMOD version {version!r}, want 1 or 2")
     f = field_from_json(obj["field"])
     n = _axis_count(obj["n"])
     try:
         box = GridBox(_vector(obj["lo"], n, "lo"), _vector(obj["hi"], n, "hi"))
     except ValueError as e:
         raise FormatError(str(e))
+    return (_pmod_v2 if version == 2 else _pmod_v1)(obj, f, box)
+
+
+def _pmod_v2(obj: dict, f: Field, box: GridBox) -> PersModule:
+    _require(obj, ("matrices",), "PMOD")
+    n, recs, table, index = box.n, obj["dims"], obj["matrices"], obj["steps"]
+    if not (isinstance(recs, list) and _LIST.issuperset(map(type, recs)) and {n + 1}.issuperset(map(len, recs))
+            and _INT.issuperset(map(type, chain.from_iterable(recs)))):
+        raise FormatError(f"dims must be a list of [v..., d] records of {n + 1} integers")
+    verts, ds = [tuple(r[:n]) for r in recs], [r[n] for r in recs]
+    if recs and not (verts == sorted(set(verts)) and 1 <= min(ds) and max(ds) <= MAX_DIM
+                     and all(a <= min(c) and max(c) <= b for a, b, c in zip(box.lo, box.hi, zip(*verts)))):
+        j = next(j for j, v in enumerate(verts) if j and verts[j - 1] >= v or not box.contains(v)
+                 or not 1 <= ds[j] <= MAX_DIM)
+        raise FormatError(f"bad dims record {recs[j]}: want vertices of the box in increasing order, "
+                          f"each of dimension 1 to {MAX_DIM}")
+    if not (isinstance(table, list) and isinstance(index, list) and _INT.issuperset(map(type, index))):
+        raise FormatError("matrices must be a list, and steps a list of integer indices into it")
+    dims = dict(zip(verts, ds))
+    arrows = list(live_arrows(dims, n))
+    if len(index) != len(arrows):
+        raise FormatError(f"steps gives {len(index)} indices for the {len(arrows)} arrows between live vertices")
+    if bad := set(index) ^ set(range(len(table))):
+        raise FormatError(f"index {min(bad)} is out of range or unused: steps must use each of the "
+                          f"{len(table)} matrices and no other index")
+    return _assemble(f, box, dims, arrows, table, index)
+
+
+def _pmod_v1(obj: dict, f: Field, box: GridBox) -> PersModule:
+    """One dimension per box vertex and one record {v, axis, matrix} per step.
+    Equal records between live vertices share a table entry; one touching a
+    zero-dimensional vertex is checked and dropped."""
+    n = box.n
     if not isinstance(obj["dims"], list) or len(obj["dims"]) != box.count:
         raise FormatError(f"dims must be a list of one entry for each of the {box.count} box vertices")
     if not _INT.issuperset(map(type, obj["dims"])) or min(obj["dims"]) < 0 or max(obj["dims"]) > MAX_DIM:
@@ -105,39 +133,54 @@ def pmod_from_json(obj: dict) -> PersModule:
     dims = {v: d for v, d in zip(box.vertices(), obj["dims"]) if d}
     if not isinstance(obj["steps"], list):
         raise FormatError(f"steps must be a list, got {obj['steps']!r}")
-    steps, seen, parsed = {}, set(), {}
+    at, table, position = {}, [], {}  # (v, k) -> table index, None for a dropped record
     for rec in obj["steps"]:
         _require(rec, ("v", "axis", "matrix"), "step record")
-        v = _vector(rec["v"], n, "step vertex")
-        k = rec["axis"]
+        v, k, rows = _vector(rec["v"], n, "step vertex"), rec["axis"], rec["matrix"]
         if type(k) is not int or not 0 <= k < n:
             raise FormatError(f"bad axis {k!r}")
-        dv = dims.get(v, 0)
+        dv, dw = dims.get(v, 0), dims.get(vsucc(v, k), 0)
         if not (dv or box.contains(v)) or v[k] == box.hi[k]:
             raise FormatError(f"step at {v} axis {k} leaves the box")
-        if (v, k) in seen:
+        if (v, k) in at:
             raise FormatError(f"step at {v} axis {k} is given twice")
-        seen.add((v, k))
-        rows = rec["matrix"]
-        if not isinstance(rows, list) or not _LIST.issuperset(map(type, rows)):
-            raise FormatError(f"step at {v} axis {k}: matrix must be a list of rows")
-        # only int and str scalars parse or key the memo safely: True == 1.0 == 1
-        key = tuple(map(tuple, rows)) if _SCALAR.issuperset(map(type, chain.from_iterable(rows))) else None
-        if (m := parsed.get(key)) is None:
-            try:
-                m = parsed[key] = Matrix(f, [[f.parse(x) for x in row] for row in rows])
-            except (ValueError, TypeError, ZeroDivisionError) as e:
-                raise FormatError(f"bad scalar or ragged rows in step at {v} axis {k}: {e}")
-        dw = dims.get(vsucc(v, k), 0)
+        if dv and dw:
+            # only rows of int and str scalars key the table safely: True == 1.0 == 1
+            flat = (isinstance(rows, list) and _LIST.issuperset(map(type, rows))
+                    and _SCALAR.issuperset(map(type, chain.from_iterable(rows))))
+            at[(v, k)] = position.setdefault(tuple(map(tuple, rows)) if flat else object(), len(table))
+            if at[(v, k)] == len(table):
+                table.append(rows)
+            continue
+        m, at[(v, k)] = _matrix(f, rows, v, k), None
         # [] is the one spelling of the zero map into a zero-dimensional head
         if (m.nrows, m.ncols) != (dw, dv) and (dw or rows):
             raise FormatError(f"step at {v} axis {k} has shape {m.nrows}x{m.ncols}, expected {dw}x{dv}")
-        if dv and dw:
-            steps[(v, k)] = m
-    # steps between two positive-dimension vertices may not be omitted
-    for v, k, _ in live_arrows(dims, n):
-        if (v, k) not in steps:
-            raise FormatError(f"missing step at {v} axis {k}")
+    arrows = list(live_arrows(dims, n))
+    if (gap := next(((v, k) for v, k, _ in arrows if (v, k) not in at), None)) is not None:
+        raise FormatError(f"missing step at {gap[0]} axis {gap[1]}")
+    return _assemble(f, box, dims, arrows, table, [at[v, k] for v, k, _ in arrows])
+
+
+def _matrix(f: Field, rows, v: tuple, k: int) -> Matrix:
+    if not isinstance(rows, list) or not _LIST.issuperset(map(type, rows)):
+        raise FormatError(f"step at {v} axis {k}: matrix must be a list of rows")
+    try:
+        return Matrix(f, [[f.parse(x) for x in row] for row in rows])
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise FormatError(f"bad scalar or ragged rows in step at {v} axis {k}: {e}")
+
+
+def _assemble(f: Field, box: GridBox, dims: dict, arrows: list, table: list, index: list) -> PersModule:
+    """The module whose step on arrows[j] is table[index[j]], each entry
+    parsed at its first arrow into one shared Matrix; shapes and squares checked."""
+    mats, steps = {}, {}
+    for (v, k, w), i in zip(arrows, index):
+        if i not in mats:
+            mats[i] = _matrix(f, table[i], v, k)
+        m = steps[(v, k)] = mats[i]
+        if m.nrows != dims[w] or m.ncols != dims[v]:
+            raise FormatError(f"step at {v} axis {k} has shape {m.nrows}x{m.ncols}, expected {dims[w]}x{dims[v]}")
     M = PersModule(f, box, dims, steps)
     rep = M.validate()
     if not rep:
@@ -237,14 +280,8 @@ def line_from_json(obj: dict) -> AxisEmbedding:
 
 
 def candy_to_json(C: CandyModule) -> dict:
-    out = {
-        "module": pmod_to_json(C.module),
-        "ul": list(C.ul),
-        "lr": list(C.lr),
-    }
-    if C.line is not None:
-        out["line"] = line_to_json(C.line)
-    return out
+    out = {"module": pmod_to_json(C.module), "ul": list(C.ul), "lr": list(C.lr)}
+    return out if C.line is None else {**out, "line": line_to_json(C.line)}
 
 
 def candy_from_json(obj: dict) -> CandyModule:

@@ -271,21 +271,20 @@ class IsoReport:
     isomorphic: bool | None  # None: no certificate found, not a proof
     witness: ModMorphism | None
     reason: str
+    certificate: dict | None = None  # {"hom_dims": [...]} for a Hom-dimension proof
 
     def to_json(self) -> dict:
-        return {
-            "isomorphic": self.isomorphic,
-            "reason": self.reason,
-            "has_witness": self.witness is not None,
-        }
+        out = {"isomorphic": self.isomorphic, "reason": self.reason, "has_witness": self.witness is not None}
+        return out if self.certificate is None else {**out, "certificate": self.certificate}
 
 
 def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = TRIALS, ctx: Context | None = None) -> IsoReport:
     """Search for a pointwise invertible natural transformation M -> N.
 
-    Complete in 1D (barcode comparison); for n >= 2, absence of a witness
-    after the trials is not a proof of non-isomorphism, except through the
-    dimension-function obstruction.  M and N must share field and box.
+    Complete in 1D (barcode comparison).  For n >= 2, unequal dimension
+    functions or, when the trials find no witness, unequal dim End(M),
+    Hom(M, N), Hom(N, M) and End(N) prove non-isomorphism; otherwise the
+    verdict is None.  M and N must share field and box.
     """
     require_common("isomorphism", M, N)
     ctx = ctx or Context()
@@ -308,6 +307,9 @@ def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = T
         phi = ModMorphism(M, N, ctx.materialize(M, N, amb))
         if phi.is_invertible():
             return IsoReport(True, phi, f"random hom-span element invertible (trial {t})")
+    dims = [ctx.hom(M, M).dim, H.dim, ctx.hom(N, M).dim, ctx.hom(N, N).dim]
+    if len(set(dims)) > 1:
+        return IsoReport(False, None, "hom dimensions differ", {"hom_dims": dims})
     return IsoReport(None, None, f"no invertible element found in {trials} trials")
 
 

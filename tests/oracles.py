@@ -3,13 +3,17 @@ are checked against.
 
 `local_dim` is the trace-form radical over Q; `endomorphisms` and the
 decisions built on it enumerate every endomorphism of a module over a
-finite field; `indices_by_scan` reads a rectangle sum summand by summand;
+finite field; `pmod_to_json_v1` and `candy_to_json_v1` write the older PMOD
+form, one record per step, which the reader still accepts;
+`indices_by_scan` reads a rectangle sum summand by summand;
 `materialize_by_iso` builds a morphism from its coordinates through the
 rectangle modules of the interval decompositions; `checked_pmod_from_json`
-reads a PMOD without the reader's one-pass shortcuts, parsing every record
-anew and building the module through a constructor that filters and checks
-its input; `module_faults` and `morphism_faults` list the ways a module or
-a morphism breaks the rules that the storing constructors of PersModule and
+reads an older-form PMOD without the reader's one-pass shortcuts, parsing
+every record anew and building the module through a constructor that
+filters and checks its input, and `checked_pmod2_from_json` reads a
+version-2 PMOD fact by fact, parsing each arrow's matrix anew;
+`module_faults` and `morphism_faults` list the ways a module or a morphism
+breaks the rules that the storing constructors of PersModule and
 ModMorphism take on trust; `stretch_first` builds gen4's floor-stretch of a
 module arrow by arrow, without the internal maps of a pullback;
 `intervals_by_full_pass` decomposes a 1D module by reducing the image of
@@ -29,7 +33,7 @@ import itertools
 from persistgrid import PersModule, RectDecomp, end_algebra, hom_basis, realize, rect_to_module
 from persistgrid.grid import MAX_DIM, GridBox, ModMorphism, vle, vsucc
 from persistgrid.homspace import Context
-from persistgrid.io import FormatError, _axis_count, _require, _vector, field_from_json
+from persistgrid.io import FormatError, _axis_count, _require, _vector, candy_to_json, field_from_json
 from persistgrid.linalg import Matrix, Poly
 
 
@@ -372,10 +376,11 @@ def _checked_module(field, box, dims, steps) -> PersModule:
 
 
 def checked_pmod_from_json(obj: dict) -> PersModule:
-    """The PMOD reader in four passes: the record checks, then the checking
-    constructor's, then the missing steps, then commutativity.  Every step
-    matrix is parsed anew, and a record touching a zero-dimensional vertex
-    must have its exact shape, so `[]` is no zero map into such a head."""
+    """The older-form PMOD reader in four passes: the record checks, then
+    the checking constructor's, then the missing steps, then commutativity.
+    Every step matrix is parsed anew, and a record touching a
+    zero-dimensional vertex must have its exact shape, so `[]` is no zero
+    map into such a head."""
     _require(obj, ("field", "n", "lo", "hi", "dims", "steps"), "PMOD")
     f = field_from_json(obj["field"])
     n = _axis_count(obj["n"])
@@ -425,6 +430,74 @@ def checked_pmod_from_json(obj: dict) -> PersModule:
     for v, k, _ in M.arrows():
         if (v, k) not in M.steps:
             raise FormatError(f"missing step at {v} axis {k}")
+    rep = M.validate()
+    if not rep:
+        raise FormatError(f"module is not commutative: {rep.message}")
+    return M
+
+
+def pmod_to_json_v1(M: PersModule) -> dict:
+    """The older PMOD form, as the library wrote it before version 2: one
+    dimension per box vertex in lexicographic order, and one record
+    {v, axis, matrix} per arrow between positive-dimension vertices in
+    sorted order, an omitted (zero) step as zero rows."""
+    f = M.field
+    return {"field": f.to_json(), "n": M.n, "lo": list(M.box.lo), "hi": list(M.box.hi),
+            "dims": [M.dim(v) for v in M.box.vertices()],
+            "steps": [{"v": list(v), "axis": k, "matrix": [[f.fmt(x) for x in row] for row in M.step(v, k).rows]}
+                      for v, k, _ in sorted(M.arrows())]}
+
+
+def candy_to_json_v1(C) -> dict:
+    """candy_to_json with its module in the older PMOD form."""
+    return {**candy_to_json(C), "module": pmod_to_json_v1(C.module)}
+
+
+def checked_pmod2_from_json(obj: dict) -> PersModule:
+    """The version-2 PMOD reader fact by fact: each dims record in turn, then
+    each arrow's index with its matrix parsed anew (no two steps share one),
+    then the table's references, then the checking constructor's shapes and
+    commutativity.  The arrows are listed here, not by grid.live_arrows."""
+    _require(obj, ("version", "field", "n", "lo", "hi", "dims", "matrices", "steps"), "PMOD")
+    if type(obj["version"]) is not int or obj["version"] != 2:
+        raise FormatError(f"not a version-2 PMOD: {obj['version']!r}")
+    f = field_from_json(obj["field"])
+    n = _axis_count(obj["n"])
+    try:
+        box = GridBox(_vector(obj["lo"], n, "lo"), _vector(obj["hi"], n, "hi"))
+    except ValueError as e:
+        raise FormatError(str(e))
+    if not isinstance(obj["dims"], list):
+        raise FormatError("dims must be a list")
+    dims = {}
+    for rec in obj["dims"]:
+        v = _vector(rec, n + 1, "dims record")[:n]
+        if dims and v <= next(reversed(dims)):
+            raise FormatError(f"vertex {v} is out of order")
+        if not box.contains(v) or not 1 <= rec[n] <= MAX_DIM:
+            raise FormatError(f"bad dims record {rec}")
+        dims[v] = rec[n]
+    table, index = obj["matrices"], obj["steps"]
+    arrows = [(v, k) for v in sorted(dims) for k in range(n) if vsucc(v, k) in dims]
+    if not isinstance(table, list) or not isinstance(index, list) or len(index) != len(arrows):
+        raise FormatError(f"want a list of matrices and one index for each of the {len(arrows)} arrows")
+    steps = {}
+    for (v, k), i in zip(arrows, index):
+        if type(i) is not int or not 0 <= i < len(table):
+            raise FormatError(f"bad index {i!r} at {v} axis {k}")
+        rows = table[i]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise FormatError(f"matrices[{i}] must be a list of rows")
+        try:
+            steps[(v, k)] = Matrix(f, [[f.parse(x) for x in row] for row in rows])
+        except (ValueError, TypeError, ZeroDivisionError) as e:
+            raise FormatError(f"bad scalar or ragged rows in matrices[{i}]: {e}")
+    if sorted(set(index)) != list(range(len(table))):
+        raise FormatError("a matrix is used by no step")
+    try:
+        M = _checked_module(f, box, dims, steps)
+    except ValueError as e:
+        raise FormatError(str(e))
     rep = M.validate()
     if not rep:
         raise FormatError(f"module is not commutative: {rep.message}")

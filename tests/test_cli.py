@@ -15,12 +15,12 @@ import persistgrid
 from persistgrid import (Field, GridBox, Rectangle, RectDecomp, barcode_1d, direct_sum,
                          rect_to_module)
 from persistgrid.cli import MAX_TRIALS, main
-from persistgrid.grid import MAX_AXES
+from persistgrid.grid import MAX_AXES, MAX_DIM
 from persistgrid.io import FormatError, dump, load, pmod_from_json, pmod_to_json, rects_from_json, rects_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module, rand_rect_decomp, rand_two_rows_with_gap
 
-from oracles import checked_pmod_from_json
+from oracles import checked_pmod2_from_json, checked_pmod_from_json, pmod_to_json_v1
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -257,12 +257,17 @@ class TestExitCodes:
         assert json.loads(text) == {"isomorphic": code == 0, "reason": reason, "has_witness": code == 0}
 
     def test_iso_without_a_certificate_gives_3(self, tmp_path, capsys):
-        # on 2 x 1 the interval (step 1) and two points (step 0) share their
-        # dims; every hom from the first to the second is zero at (1, 0)
+        # two isomorphic modules over F_2 (a change of basis at (2, 0) maps
+        # one onto the other) with few invertible homs between them: the 24
+        # trials find none, and the four Hom dimensions agree, so nothing is
+        # proved.  On 2 x 1, the interval (step 1) and two points (step 0)
+        # share their dims and gave 3 too, until their Hom dimensions
+        # (1, 1, 1, 2) proved them non-isomorphic.
         paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
         for p, x in zip(paths, (1, 0)):
-            dump({"field": "Fp:7", "n": 2, "lo": [0, 0], "hi": [1, 0], "dims": [1, 1],
-                  "steps": [{"v": [0, 0], "axis": 0, "matrix": [[x]]}]}, p)
+            dump({"version": 2, "field": "Fp:2", "n": 2, "lo": [0, 0], "hi": [2, 1],
+                  "dims": [[0, 0, 2], [1, 0, 1], [1, 1, 1], [2, 0, 2]],
+                  "matrices": [[[0, 1]], [[1], [x]], [[0]]], "steps": [0, 1, 2]}, p)
         code, text, _ = run(capsys, ["verify", "iso", "--in", paths[0], "--with", paths[1]])
         assert code == 3
         assert json.loads(text) == {"isomorphic": None, "reason": "no invertible element found in 24 trials",
@@ -426,6 +431,7 @@ NOT_JSON_LIST = st.one_of(st.integers(), st.booleans(), st.floats(allow_nan=Fals
                           st.text(max_size=4), st.none(),
                           st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 PMOD_KEYS = ("field", "n", "lo", "hi", "dims", "steps")
+PMOD2_KEYS = ("version", "field", "n", "lo", "hi", "dims", "matrices", "steps")
 
 
 def _corrupt(obj, kind, draw):
@@ -467,9 +473,78 @@ def _corrupt(obj, kind, draw):
             lambda x: not _is_rational(x)))]]
 
 
+def _corrupt2(obj, kind, draw):
+    """Make one malformed change to a valid version-2 PMOD of the module
+    I[(0,0),(1,1)], whose table has the one matrix [["1"]]."""
+    if kind == "dim_record":
+        # a coordinate outside [0, 1], or a dimension outside [1, MAX_DIM]
+        rec, i = draw(st.sampled_from(obj["dims"])), draw(st.integers(0, 2))
+        bad = st.one_of(st.integers(max_value=-1), st.integers(2, 5)) if i < 2 else \
+            st.one_of(st.integers(max_value=0), st.integers(MAX_DIM + 1))
+        rec[i] = draw(st.one_of(NOT_INT, bad))
+    elif kind == "dims_order":
+        obj["dims"].insert(draw(st.integers(0, 3)), list(draw(st.sampled_from(obj["dims"][1:]))))
+    elif kind == "dims":
+        obj["dims"] = draw(st.one_of(NOT_JSON_LIST, st.lists(st.integers(), min_size=1, max_size=2)))
+    elif kind == "corner":
+        draw(st.sampled_from((obj["lo"], obj["hi"])))[draw(st.integers(0, 1))] = draw(NOT_INT)
+    elif kind == "n":
+        obj["n"] = draw(st.one_of(NOT_INT, st.integers().filter(lambda n: n != 2)))
+    elif kind == "field":
+        obj["field"] = draw(st.one_of(st.text(max_size=6), st.integers(), st.none()).filter(
+            lambda t: not _is_field_tag(t)))
+    elif kind == "version":
+        obj["version"] = draw(st.one_of(NOT_INT, st.integers().filter(lambda v: v != 2)))
+    elif kind == "missing_key":
+        del obj[draw(st.sampled_from(PMOD2_KEYS))]
+    elif kind == "matrices":
+        obj["matrices"] = draw(NOT_JSON_LIST)
+    elif kind == "matrix":
+        obj["matrices"][0] = draw(st.one_of(NOT_JSON_LIST, st.lists(NOT_JSON_LIST.filter(
+            lambda x: not isinstance(x, list)), min_size=1, max_size=2)))
+    elif kind == "ragged":
+        obj["matrices"][0] = [["1"] * n for n in draw(st.lists(st.integers(0, 3), min_size=2, max_size=3).filter(
+            lambda ls: len(set(ls)) > 1))]
+    elif kind == "scalar":
+        obj["matrices"][0] = [[draw(st.one_of(NOT_INT, st.floats(), st.text(max_size=4)).filter(
+            lambda x: not _is_rational(x)))]]
+    elif kind == "unreferenced":
+        obj["matrices"].append(draw(st.one_of(NOT_JSON_LIST, st.just([["1"]]))))
+    elif kind == "steps":
+        obj["steps"] = draw(st.one_of(NOT_JSON_LIST, st.lists(NOT_JSON_LIST, min_size=4, max_size=4).filter(
+            lambda ls: any(type(x) is not int or x != 0 for x in ls))))
+    elif kind == "index":
+        obj["steps"][draw(st.integers(0, 3))] = draw(st.one_of(NOT_INT, st.integers().filter(lambda i: i != 0)))
+    elif kind == "count":
+        obj["steps"] = obj["steps"][:draw(st.integers(0, 3))] if draw(st.booleans()) else obj["steps"] + [0]
+
+
+I_SQUARE = rect_to_module(RectDecomp(Q, GridBox((0, 0), (1, 1)), [Rectangle((0, 0), (1, 1))]))
+
+
+def _corrupted(base, corrupt, kinds, draw) -> dict:
+    obj = json.loads(json.dumps(base))
+    corrupt(obj, draw(st.sampled_from(kinds)), draw)
+    return obj
+
+
+def _refused_by_cli(tmp_path, capsys, obj) -> None:
+    p = str(tmp_path / "m.json")
+    with open(p, "w") as fh:
+        json.dump(obj, fh)
+    code, _, err = run(capsys, ["verify", "indec", "--in", p])
+    assert code == 2 and err.startswith("error:") and len(err) > len("error: \n")
+
+
+def _refused_by_readers(obj, checking_reader) -> None:
+    for read in (pmod_from_json, checking_reader):
+        with pytest.raises(FormatError):
+            read(json.loads(json.dumps(obj)))
+
+
 class TestMalformedPmod:
-    BASE = pmod_to_json(rect_to_module(RectDecomp(Q, GridBox((0, 0), (1, 1)),
-                                                  [Rectangle((0, 0), (1, 1))])))
+    """Older-form files, written by the oracle writer, with one corruption."""
+    BASE = pmod_to_json_v1(I_SQUARE)
     KINDS = ("dim", "corner", "n", "field", "missing_key", "steps", "step_record",
              "step_key", "vertex", "axis", "ragged", "matrix", "scalar")
 
@@ -482,23 +557,37 @@ class TestMalformedPmod:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_exit_2_with_message(self, tmp_path, capsys, data):
-        obj = json.loads(json.dumps(self.BASE))
-        _corrupt(obj, data.draw(st.sampled_from(self.KINDS)), data.draw)
-        p = str(tmp_path / "m.json")
-        with open(p, "w") as fh:
-            json.dump(obj, fh)
-        code, _, err = run(capsys, ["verify", "indec", "--in", p])
-        assert code == 2 and err.startswith("error:") and len(err) > len("error: \n")
+        _refused_by_cli(tmp_path, capsys, _corrupted(self.BASE, _corrupt, self.KINDS, data.draw))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_checking_reader_also_rejects(self, data):
         """The four-pass reference reader refuses every corruption too."""
-        obj = json.loads(json.dumps(self.BASE))
-        _corrupt(obj, data.draw(st.sampled_from(self.KINDS)), data.draw)
-        for read in (pmod_from_json, checked_pmod_from_json):
-            with pytest.raises(FormatError):
-                read(json.loads(json.dumps(obj)))
+        _refused_by_readers(_corrupted(self.BASE, _corrupt, self.KINDS, data.draw), checked_pmod_from_json)
+
+
+class TestMalformedPmod2:
+    """Version-2 files, as pmod_to_json writes them, with one corruption."""
+    BASE = pmod_to_json(I_SQUARE)
+    KINDS = ("dim_record", "dims_order", "dims", "corner", "n", "field", "version", "missing_key", "matrices",
+             "matrix", "ragged", "scalar", "unreferenced", "steps", "index", "count")
+
+    def test_base_is_valid(self, tmp_path, capsys):
+        p = str(tmp_path / "m.json")
+        dump(self.BASE, p)
+        assert run(capsys, ["verify", "indec", "--in", p])[0] == 0
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_2_with_message(self, tmp_path, capsys, data):
+        _refused_by_cli(tmp_path, capsys, _corrupted(self.BASE, _corrupt2, self.KINDS, data.draw))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_checking_reader_also_rejects(self, data):
+        """The fact-by-fact reference reader refuses every corruption too."""
+        _refused_by_readers(_corrupted(self.BASE, _corrupt2, self.KINDS, data.draw), checked_pmod2_from_json)
 
 
 LONG_INT = "<5000-digit int>"
@@ -508,6 +597,36 @@ def _set_scalar(value):
     def change(obj):
         obj["steps"][0]["matrix"] = [[value]]
     return change
+
+
+def _set_table_scalar(value):
+    def change(obj):
+        obj["matrices"][0] = [[value]]
+    return change
+
+
+# one fault each in a version-2 file of I[(0,0),(1,1)]: four live vertices,
+# the table [[["1"]]] and the steps [0, 0, 0, 0], the last on (1, 0) axis 1
+PMOD2_FAULTS = {
+    "index-out-of-range": lambda o: o["steps"].__setitem__(0, 1),
+    "negative-index": lambda o: o["steps"].__setitem__(0, -1),
+    "bool-index": lambda o: o["steps"].__setitem__(0, False),
+    "one-step-short": lambda o: o["steps"].pop(),
+    "one-step-long": lambda o: o["steps"].append(0),
+    "repeated-vertex": lambda o: o["dims"].insert(1, [0, 0, 1]),
+    "unsorted-vertices": lambda o: o["dims"].reverse(),
+    "vertex-outside-the-box": lambda o: o["dims"].append([2, 1, 1]),
+    "zero-dimension": lambda o: o["dims"][0].__setitem__(2, 0),
+    "dimension-over-max": lambda o: o["dims"][0].__setitem__(2, MAX_DIM + 1),
+    "shape-mismatch": lambda o: o.update(matrices=[[["1", "0"]]]),
+    "unreferenced-matrix": lambda o: o["matrices"].append([["2"]]),
+    "non-commuting-square": lambda o: (o["matrices"].append([["0"]]), o["steps"].__setitem__(3, 1)),
+    "unknown-version": lambda o: o.update(version=3),
+    "v1-step-records": lambda o: o.update(steps=TestMalformedPmod.BASE["steps"]),
+    "exponent-scalar": _set_table_scalar("1e1000000"),
+    "decimal-scalar": _set_table_scalar("0.5"),
+    "padded-scalar": _set_table_scalar(" 1"),
+}
 
 
 def _one_vertex(n, kind):
@@ -526,8 +645,9 @@ class TestMistypedOrOversizedInput:
     MAX_AXES axes, PMOD files with a vertex dimension above MAX_DIM, string
     manifests whose entries are not paths, and modules or rectangle lists
     that a construction cannot build, PMOD files that give one step twice,
-    and --out paths that cannot be written exit 2 with a message, and at
-    once."""
+    version-2 PMOD files with a bad step index or count, dims record, table
+    entry or square, and --out paths that cannot be written exit 2 with a
+    message, and at once."""
     RECTS = {"field": "Q", "n": 1, "lo": [0], "hi": [2], "rects": [{"b": [0], "d": [2], "mult": 1}]}
     LINE = {"axis_maps": [{"scale": 1, "offset": 0}], "insert_axis": {"pos": 1, "value": 0}}
     TABLE_LINE = {"axis_maps": [{"table": [0, 1], "start": 0}], "insert_axis": {"pos": 1, "value": 0}}
@@ -638,6 +758,7 @@ class TestMistypedOrOversizedInput:
         "manifest-int-path": ({"modules": [0]}, lambda o: None, "manifest"),
         "manifest-bool-path": ({"modules": [True]}, lambda o: None, "manifest"),
         **{case: (base, change) for case, (base, change, _) in NAMED.items()},
+        **{f"pmod2-{fault}": (TestMalformedPmod2.BASE, change) for fault, change in PMOD2_FAULTS.items()},
         **{f"pmod-{n}-axes": (_one_vertex(n, "pmod"), lambda o: None) for n in (MAX_AXES + 1, 100, 400, 800)},
         **{f"rects-{n}-axes": (_one_vertex(n, "rects"), lambda o: None, "min3rect") for n in (MAX_AXES + 1, 800)},
     }
@@ -842,6 +963,23 @@ class TestDeterminism:
             assert proc.returncode == 1, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and outs[0]
+
+    def test_written_files_are_the_same_across_processes(self, tmp_path, rng):
+        """The PMOD writer orders by vertex and by first use, never by hash."""
+        p = str(tmp_path / "v.json")
+        dump(pmod_to_json(rand_module(rng, Q, GridBox((0, 0), (1, 1)), max_dim=2)), p)
+        src = os.path.dirname(os.path.dirname(persistgrid.__file__))
+        outs = []
+        for hashseed in ("1", "2"):
+            out = str(tmp_path / f"candy.{hashseed}.json")
+            env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run([sys.executable, "-m", "persistgrid.cli", "construct", "--method", "candy",
+                                   "--in", p, "--out", out], capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            with open(out, "rb") as fh:
+                outs.append(fh.read())
+        assert outs[0] == outs[1] and json.loads(outs[0])["module"]["version"] == 2
 
 
 class TestNoCyclicGarbage:

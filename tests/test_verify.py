@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -11,7 +12,7 @@ from persistgrid import (Field, GridBox, PersModule, Rectangle,
                          min3, rect_to_module, stack, try_split)
 from persistgrid import verify
 from persistgrid.cli import main
-from persistgrid.grid import ModMorphism, vsucc
+from persistgrid.grid import ModMorphism, live_arrows, vsucc
 from persistgrid.homspace import Context
 from persistgrid.io import dump, pmod_to_json
 from persistgrid.linalg import Matrix, Poly
@@ -19,6 +20,7 @@ from persistgrid.sampling import (rand_module, rand_rect_decomp, rand_two_rows,
                                   rand_two_rows_with_gap)
 
 from oracles import decomposable_by_idempotents, gap_by_scan, local_dim, nilpotent_count
+from test_homspace import dense_hom_dim
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -303,6 +305,51 @@ class TestIso:
         N = rand_module(rng, F2, box, max_dim=2)
         rep = iso_certificate(M, N)
         assert rep.isomorphic is (barcode_1d(M) == barcode_1d(N))
+
+
+def _same_dims(rng, M):
+    """A random commutative module with M's dimensions and {0, 1} steps."""
+    while True:
+        f = M.field
+        steps = {(v, k): Matrix(f, [[f.of(rng.randint(0, 1)) for _ in range(M.dims[v])] for _ in range(M.dims[w])])
+                 for v, k, w in live_arrows(M.dims, M.n)}
+        N = PersModule(f, M.box, M.dims, steps)
+        if N.validate():
+            return N
+
+
+class TestIsoByHomDims:
+    """Past the random search, unequal Hom dimensions prove non-isomorphism."""
+
+    @given(st.integers(0, 2**31), st.sampled_from([F2, Field.prime(3), Q]))
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_against_dense_hom_dims(self, seed, f):
+        rng = random.Random(seed)
+        M = rand_module(rng, f, GridBox((0, 0), (2, 1)), max_dim=2)
+        N = _same_dims(rng, M)
+        rep = iso_certificate(M, N)
+        dims = [dense_hom_dim(M, M), dense_hom_dim(M, N), dense_hom_dim(N, M), dense_hom_dim(N, N)]
+        if rep.isomorphic is True:
+            # found by the random search, which runs first and is unchanged
+            assert rep.reason.startswith("random hom-span element invertible") and rep.certificate is None
+            assert rep.witness.validate() and rep.witness.is_invertible()
+        elif rep.isomorphic is False:
+            assert rep.certificate == {"hom_dims": dims} and len(set(dims)) > 1
+        else:
+            assert len(set(dims)) == 1
+
+    def test_cli_exits_1_with_the_certificate(self, tmp_path, capsys):
+        rng = random.Random(1)  # hom dimensions [3, 4, 3, 5]
+        M = rand_module(rng, F2, GridBox((0, 0), (2, 1)), max_dim=2)
+        N = _same_dims(rng, M)
+        paths = [str(tmp_path / f"{name}.json") for name in "mn"]
+        for p, X in zip(paths, (M, N)):
+            dump(pmod_to_json(X), p)
+        capsys.readouterr()
+        assert main(["verify", "iso", "--in", paths[0], "--with", paths[1]]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["isomorphic"] is False and out["reason"] == "hom dimensions differ"
+        assert out["certificate"] == {"hom_dims": [3, 4, 3, 5]}
 
 
 class TestTwoRows:
