@@ -122,13 +122,12 @@ def _refuse_stack(height: int, count: int, m: int = 1) -> None:
                          f"exceed {MAX_VERTICES * MAX_DIM} step scalars")
 
 
-def _cone_chain(field, bprime: list, dprime: list, tails: list, height: int, hits: list):
-    """The rectangle layers [cone] -> [b'_i, d'_i] -> tails[0] -> tails[1] -> ...,
-    linked by a ones column and then by diagonals, on the corner grid of the
-    hull of hits and all the rectangles: each axis k is cut where a
-    rectangle begins or ends and at each coordinate of hits[k].  Returns
-    (grid, chain, layers, links): chain lists each layer's rectangles in
-    the stacked layout, and layers and links are on grid.coarse.
+def _cone_chain(bprime: list, dprime: list, tails: list, height: int, hits: list):
+    """The rectangles of the layers [cone] -> [b'_i, d'_i] -> tails[0] ->
+    tails[1] -> ... and their corner grid, the hull of hits and all the
+    rectangles with each axis k cut where a rectangle begins or ends and at
+    each coordinate of hits[k].  Returns (grid, chain): chain lists each
+    layer's rectangles in the stacked layout.
 
     height is the number of layers in the stack the chain goes into, which
     _refuse_stack weighs on grid.coarse before any layer is built."""
@@ -137,15 +136,21 @@ def _cone_chain(field, bprime: list, dprime: list, tails: list, height: int, hit
     grid = Compression.of(tuple(map(min, zip(*corners))), tuple(map(max, zip(*corners))),
                           [{*ks, *(c for rects in chain for r in rects for c in (r.b[k], r.d[k] + 1))}
                            for k, ks in enumerate(hits)])
-    m = len(bprime)
-    _refuse_stack(height, grid.coarse.count, m)
+    _refuse_stack(height, grid.coarse.count, len(bprime))
+    return grid, chain
+
+
+def _chain_layers(field, grid: Compression, chain: list):
+    """_cone_chain's layers on grid.coarse, linked by a ones column and then
+    by diagonals: (layers, links)."""
+    m = len(chain[1])
     decomps = [RectDecomp(field, grid.coarse, [Rectangle(grid.floor(r.b), grid.floor(r.d)) for r in rects])
                for rects in chain]
-    coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * len(tails)
+    coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * (len(chain) - 2)
     layers = [rect_to_module(d) for d in decomps]
     links = [ModMorphism(layers[i], layers[i + 1], realize(decomps[i], decomps[i + 1], x))
              for i, x in enumerate(coords)]
-    return grid, chain, layers, links
+    return layers, links
 
 
 def _stack_on_grid(layers: list, links: list, meta: dict) -> PersModule:
@@ -156,28 +161,38 @@ def _stack_on_grid(layers: list, links: list, meta: dict) -> PersModule:
 
 
 def _s_chain(V: RectDecomp, height: int):
-    """The four rectangle layers I_V -> Vbar -> V' -> V on the corner grid
-    of a box containing V.box, where every coordinate of V.box begins a
-    run, for a stack of height layers."""
+    """(chain, meta): the rectangles of the four layers I_V -> Vbar -> V' -> V
+    and, in meta, their corner grid, a box containing V.box where every
+    coordinate of V.box begins a run, for a stack of height layers."""
     dprime = separate_and_shift(V)
     _, bprime = verticalize(V, dprime)
     vprime = [Rectangle(r.b, d) for r, d in zip(V.summands, dprime)]
     hits = [range(a, b + 1) for a, b in zip(V.box.lo, V.box.hi)]
-    grid, _, layers, links = _cone_chain(V.field, bprime, dprime, [vprime, V.summands], height, hits)
-    meta = {"dprime": dprime, "bprime": bprime, "grid": grid, "source_box": V.box}
-    return layers, links, meta
+    grid, chain = _cone_chain(bprime, dprime, [vprime, V.summands], height, hits)
+    return chain, {"dprime": dprime, "bprime": bprime, "grid": grid, "source_box": V.box}
 
 
 def build_S(V: RectDecomp) -> BuildResult:
     """Four layers I_V -> Vbar -> V' -> V stacked, V at height 0, on the
     corner grid meta["grid"], which keeps V's coordinates: no rectangle
     begins below V.box.lo."""
-    layers, links, meta = _s_chain(V, 4)
-    M = _stack_on_grid(layers, links, meta)
+    chain, meta = _s_chain(V, 4)
+    M = _stack_on_grid(*_chain_layers(V.field, meta["grid"], chain), meta)
     return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 4, meta)
 
 
-def build_S_prime(V: PersModule, height: int = 5) -> BuildResult:
+def _s_prime_plan(V: PersModule, height: int):
+    """(cover, chain, meta): V's projective cover and _s_chain of its
+    rectangles, on a box containing V.box = cover.decomp.box, each refused
+    for a stack of height layers before it is made."""
+    if V.is_zero():
+        raise ValueError("zero module")
+    _refuse_stack(height, V.box.count)  # the cover can be as large as V.box
+    cov = projective_cover(V)
+    return (cov, *_s_chain(cov.decomp, height))
+
+
+def build_S_prime(V: PersModule, height: int = 5, plan: tuple | None = None) -> BuildResult:
     """Five layers: the four-layer stack on a projective cover R of V,
     with the cover surjection p: R ->> V appended; V at height 0, on the
     corner grid meta["grid"].  No rectangle begins below V.box.lo, and every
@@ -185,19 +200,32 @@ def build_S_prime(V: PersModule, height: int = 5) -> BuildResult:
     its own, numbered as in V: the copy of V and p need no change.
 
     height is the layer count of the stack that will hold the result, five
-    or candy_wrap's nine, so an oversized one is refused before it is built."""
-    if V.is_zero():
-        raise ValueError("zero module")
-    _refuse_stack(height, V.box.count)  # the cover can be as large as V.box
-    cov = projective_cover(V)
-    layers, links, meta = _s_chain(cov.decomp, height)  # on a box containing V.box = cov.decomp.box
+    or candy_wrap's nine, so an oversized one is refused before it is built.
+    plan is _s_prime_plan(V, height) when the caller has made it already."""
+    cov, chain, meta = plan or _s_prime_plan(V, height)
+    layers, links = _chain_layers(V.field, meta["grid"], chain)
     top = pad(V, layers[0].box)
     links.append(ModMorphism(layers[3], top, cov.comps))
     M = _stack_on_grid(layers + [top], links, meta)
     return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 5, meta)
 
 
-def build_S_dprime(V: PersModule, height: int = 5) -> BuildResult:
+def _s_dprime_plan(V: PersModule, height: int):
+    """(W, plan, grid, t, line): W the dual of V, plan its _s_prime_plan,
+    and S''(V)'s corner grid, the unstacked grid of the plan stacked at
+    heights -4..0, mirrored as dualize mirrors a module and translated by t
+    so that the copy of V lands on V.box at height 0; line is the layer
+    embedding into it."""
+    W = dualize(V)
+    plan = _s_prime_plan(W, height)
+    grid = plan[2]["grid"]
+    t = vsub(vadd(V.box.lo, V.box.hi), vadd(grid.lo, grid.hi)) + (4,)
+    grid = grid.extend(-4, 0).reflect().translate(t)
+    u = V.box.lo + (0,)
+    return W, plan, grid, t, AxisEmbedding.layer(V.n, V.n, 0).translate(vsub(grid.floor(u), u))
+
+
+def build_S_dprime(V: PersModule, height: int = 5, plan: tuple | None = None) -> BuildResult:
     """The dual five layers V -> T -> T' -> Tbar -> I_T, V at height 0, on
     the corner grid meta["grid"].
 
@@ -206,15 +234,12 @@ def build_S_dprime(V: PersModule, height: int = 5) -> BuildResult:
     the primal stack's corner grid is mirrored and translated with it.  Each
     coordinate of V.box is still a run of its own, so the line is the layer
     embedding translated onto the grid.  height is as in build_S_prime,
-    which refuses a zero V, as the dual of 0 is 0.
+    which refuses a zero V, as the dual of 0 is 0; plan is
+    _s_dprime_plan(V, height) when the caller has made it already.
     """
-    prim = build_S_prime(dualize(V), height)
-    grid = prim.meta["grid"]
-    t = vsub(vadd(V.box.lo, V.box.hi), vadd(grid.lo, grid.hi)[:V.n]) + (4,)
-    grid = grid.reflect().translate(t)
-    u = V.box.lo + (0,)
-    line = AxisEmbedding.layer(V.n, V.n, 0).translate(vsub(grid.floor(u), u))
-    return BuildResult(dualize(prim.M).translate(t), line, 5, {"source_box": V.box, "grid": grid})
+    W, prim_plan, grid, t, line = plan or _s_dprime_plan(V, height)
+    M = dualize(build_S_prime(W, height, prim_plan).M).translate(t)
+    return BuildResult(M, line, 5, {"source_box": V.box, "grid": grid})
 
 
 def candy_wrap(V: PersModule) -> CandyModule:
@@ -222,11 +247,15 @@ def candy_wrap(V: PersModule) -> CandyModule:
     S'(V) and S''(V) on their corner grids, glued along their copy of V.
     Both grids keep every coordinate of V.box, so the primal half is only
     translated onto the dual one's copy of V, and the line is the dual's.
-    build_S_prime refuses a zero V."""
-    prim = build_S_prime(V, 9)  # heights -4..0
-    dual = build_S_dprime(V, 9)  # heights 0..4
-    P = prim.M.translate(vsub(dual.line.apply(V.box.lo), prim.line.apply(V.box.lo)))
-    box = GridBox.hull([P.box, dual.M.box])  # refuses a candy over the cap before it is glued
+    _s_prime_plan refuses a zero V."""
+    plans = _s_prime_plan(V, 9), _s_dprime_plan(V, 9)
+    # the primal half, at heights -4..0, moves by t onto the dual one's
+    # copy of V; their glued box is refused over the cap before either is built
+    _, _, grid, _, line = plans[1]
+    t = vsub(line.apply(V.box.lo), V.box.lo + (0,))
+    box = GridBox.hull([plans[0][2]["grid"].extend(-4, 0).translate(t).coarse, grid.coarse])
+    P = build_S_prime(V, 9, plans[0]).M.translate(t)
+    dual = build_S_dprime(V, 9, plans[1])
     n = V.n
     dims, steps = P.dims, P.steps
     for v, d in dual.M.dims.items():
@@ -366,7 +395,8 @@ def _refined_layers(field, summands: list, windows: list, s: int, source: GridBo
     bprime = [(ts[i],) + summands[i].b[1:] for i in order]
     dprime = [(D[0] + (m - rank),) + D[1:] for rank in range(1, m + 1)]
     line = AxisEmbedding([("affine", s, 0)] + [("affine", 1, 0)] * (n - 1), n, 0)
-    grid, chain, layers, links = _cone_chain(field, bprime, dprime, [tilde], height, line.hits(source)[:-1])
+    grid, chain = _cone_chain(bprime, dprime, [tilde], height, line.hits(source)[:-1])
+    layers, links = _chain_layers(field, grid, chain)
     meta = {
         "s": s,
         "bprime": bprime,

@@ -7,18 +7,20 @@ into layers along the last axis; a morphism is a tuple of layer morphisms
 subject to one commutation constraint per adjacent pair, solved as a sparse
 linear system over the layer hom bases.  Ambient coordinates at level n are
 layer-tagged level n-1 coordinates, so elements stay sparse dicts all the
-way down and composition never touches a vertex-by-vertex matrix.
+way down and composition never touches a vertex-by-vertex matrix.  The 1D
+base case reads the interval records of rectangles.interval_decompose_1d:
+hom columns, compose and express compare their integer ends.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 from .grid import PersModule, require_common, slice_layers
 from .linalg import Matrix, nullspace_sparse, rank_sparse
-from .rectangles import hom_leq, interval_decompose_1d, realize
+from .rectangles import Intervals, interval_decompose_1d, realize
 
 
 def combine(f, terms) -> dict:
@@ -34,6 +36,13 @@ def combine(f, terms) -> dict:
         for k, v in x.items():
             out[k] = f.add(out.get(k, f.zero), f.mul(c, v))
     return {k: v for k, v in out.items() if v != 0}
+
+
+def hom_pairs(I: Intervals, J: Intervals) -> list[tuple]:
+    """The (i, j), i then j rising, with Hom(I[i], J[j]) nonzero, which is
+    hom_leq on the integer ends: the columns of a 1D hom space."""
+    return [(i, j) for i, (a, b) in enumerate(zip(I.births, I.deaths))
+            for j, (c, d) in enumerate(zip(J.births, J.deaths)) if c <= a and d <= b and a <= d]
 
 
 def _by_layer(x: dict) -> dict:
@@ -58,11 +67,12 @@ class Context:
     a matrix that steps share is read once.  The maps keep every module and
     matrix alive, so ids cannot be recycled underneath us.
 
-    A 1D decomposition is cached with its chain basis, which is all that
-    hom bases, express and compose read; materialize also reads the chain
-    basis inverses, computed once per representative on first use.  No
-    rectangle module is built.  No HomSpace refers back to its context, so
-    the caches are freed with the context.
+    A 1D module is cached as its Intervals record and a pair of them as
+    their hom_pairs, which a 2D HomSpace reads for each layer instead of a
+    layer HomSpace.  Only materialize reads the records' RectDecomps and
+    chain-basis matrices; express reads chain-basis inverses at the
+    source's births.  No rectangle module is built.  No HomSpace
+    refers back to its context, so the caches are freed with the context.
     """
 
     def __init__(self):
@@ -71,7 +81,7 @@ class Context:
         self._mats = {}  # id(m) -> (m, content number)
         self._numbers = {}  # row tuples -> content number
         self._decomps = {}
-        self._inverses = {}
+        self._pairs = {}
         self._layers = {}
         self._homs = {}
 
@@ -88,8 +98,8 @@ class Context:
         """The first module seen in this context equal to M."""
         entry = self._reps.get(id(M))
         if entry is None:
-            key = (M.field, M.box, tuple(M.dims.items()),
-                   tuple((vk, self._content(m)) for vk, m in M.steps.items()))
+            key = (M.field, M.box, tuple(M.dims.items()), tuple(M.steps),
+                   tuple(map(self._content, M.steps.values())))
             entry = self._reps[id(M)] = (M, self._by_content.setdefault(key, M))
         return entry[1]
 
@@ -106,16 +116,17 @@ class Context:
             cache[id(M)] = cache[id(R)] = out
         return out
 
-    def intervals1(self, M: PersModule):
-        """(decomp, basis) for a 1D module, as interval_decompose_1d gives
-        them for the representative of M."""
+    def intervals1(self, M: PersModule) -> Intervals:
+        """interval_decompose_1d of the representative of a 1D module M."""
         return self._cached(self._decomps, M, interval_decompose_1d)
 
-    def _basis_inverse(self, M: PersModule) -> dict:
-        """vertex -> the inverse of intervals1(M)'s chain basis there,
-        computed on first use."""
-        return self._cached(self._inverses, M,
-                            lambda R: {v: b.inverse() for v, b in self.intervals1(R)[1].items()})
+    def pairs(self, M: PersModule, N: PersModule) -> list[tuple]:
+        """hom_pairs of two 1D modules, made once per pair of representatives."""
+        key = (id(self._rep(M)), id(self._rep(N)))
+        out = self._pairs.get(key)
+        if out is None:
+            out = self._pairs[key] = hom_pairs(self.intervals1(M), self.intervals1(N))
+        return out
 
     def layers(self, M: PersModule):
         return self._cached(self._layers, M, slice_layers)
@@ -135,25 +146,20 @@ class Context:
         if M.is_zero() or N.is_zero():
             return {}
         if M.n == 1:
-            DM, basisM = self.intervals1(M)
-            DN, basisN = self.intervals1(N)
+            I, J = self.intervals1(M), self.intervals1(N)
             out = {}
-            for v, born in groupby(range(len(DM)), key=lambda i: DM.summands[i].b):
-                gv = g.get(v)
-                if gv is None:
+            for i, (b, d) in enumerate(zip(I.births, I.deaths)):
+                gv, rows = g.get((b,)), J.at.get((b,))
+                if gv is None or rows is None:
                     continue
-                # summands are sorted by birth, so those born at v are the last
-                # columns of M's chain basis at v; their chain vectors, mapped
-                # by g, have unique coordinates in N's invertible chain basis
-                born = list(born)
-                chains = Matrix(M.field, [row[-len(born):] for row in basisM[v].rows])
-                X = gv @ chains if basisN[v].is_identity() else basisN[v].solve(gv @ chains)
-                rows = DN.indices_at(v)
-                for col, i in enumerate(born):
-                    for r, j in enumerate(rows):
-                        c = X.rows[r][col]
-                        if c != 0 and hom_leq(DM.summands[i], DN.summands[j]):
-                            out[(i, j)] = c
+                # summand i's chain vector at its birth, mapped by g, has
+                # unique coordinates in N's invertible chain basis there; a
+                # summand j of N live at b has J.births[j] <= b <= J.deaths[j],
+                # so hom_leq leaves only the comparison of the deaths
+                y, inv = gv.mul_vec(I.chains[i][b]), J.inverse((b,))
+                for j, c in zip(rows, y if inv is None else inv.mul_vec(y)):
+                    if c != 0 and J.deaths[j] <= d:
+                        out[(i, j)] = c
             return out
         Ms, _ = self.layers(M)
         Ns, _ = self.layers(N)
@@ -173,11 +179,12 @@ class Context:
         if M.n == 1:
             # realize gives the morphism between the rectangle modules; the
             # chain bases carry it onto M and N
-            DM = self.intervals1(M)[0]
-            DN, basisN = self.intervals1(N)
-            inv = self._basis_inverse(M)
-            X = realize(DM, DN, x)
-            return {v: (basisN[v] @ m) @ inv[v] for v, m in X.items()}
+            I, J = self.intervals1(M), self.intervals1(N)
+            comps = {}
+            for v, m in realize(I.decomp, J.decomp, x).items():
+                m = J.basis[v] @ m
+                comps[v] = m if (inv := I.inverse(v)) is None else m @ inv
+            return comps
         Ms, _ = self.layers(M)
         Ns, _ = self.layers(N)
         h0 = M.box.lo[-1]
@@ -194,8 +201,7 @@ class Context:
             return {}
         f = L.field
         if L.n == 1:
-            DL = self.intervals1(L)[0]
-            DN = self.intervals1(N)[0]
+            births, deaths = self.intervals1(L).births, self.intervals1(N).deaths
             by_mid = defaultdict(list)
             for (j, k), c in x.items():
                 by_mid[j].append((k, c))
@@ -203,9 +209,8 @@ class Context:
             for (i, j), b in y.items():
                 for k, c in by_mid.get(j, ()):
                     # a composite through two canonical homs vanishes unless
-                    # the source birth still precedes the target death; on
-                    # 1-tuples tuple order is that comparison
-                    if DL.summands[i].b <= DN.summands[k].d:
+                    # the source birth still precedes the target death
+                    if births[i] <= deaths[k]:
                         key = (i, k)
                         out[key] = f.add(out.get(key, f.zero), f.mul(c, b))
             return {k: v for k, v in out.items() if v != 0}
@@ -225,11 +230,11 @@ class HomSpace:
     context it reads; it keeps no reference to that context.
 
     M and N must share field and box (grid.require_common), which is
-    checked before anything is built.  _build gives the constraint rows,
-    the columns they constrain, the layer hom basis elements tagged by
-    layer, and a key for each column; in 1D there are no rows and the
-    columns are the basis.  dim is the column count less the rows' rank,
-    and the kernel basis is solved on the first read of basis.
+    checked before anything is built.  _build gives the constraint rows and
+    the layers' hom bases; in 1D there are no rows and the columns are the
+    unit vectors at Context.pairs.  dim is the column count less the rows'
+    rank.  The columns, the layer bases tagged by layer, and their keys are
+    made on the first read of basis, which also solves the kernel.
 
     Each basis element b_k has a pivot key, pivot_keys[k], at which b_k is 1 and
     every other basis element is 0; coords_in_basis reads coordinates
@@ -248,21 +253,28 @@ class HomSpace:
         require_common("hom", M, N)
         self.M = M
         self.N = N
-        self._rows, self._cols, self._keys = self._build(ctx)
+        self._rows, self._layers = self._build(ctx)
+        self.ncols = sum(len(keys) for _, keys in self._layers)
 
     @cached_property
     def dim(self) -> int:
-        return len(self._cols) - rank_sparse(self._rows, self.M.field)
+        return self.ncols - rank_sparse(self._rows, self.M.field)
 
     @cached_property
     def _solved(self) -> tuple[list[dict], list]:
         """(basis, keys): the kernel basis and its elements' pivot keys."""
+        f, cols, keys = self.M.field, [], []
+        for i, (basis, ks) in enumerate(self._layers):
+            if basis is None:  # a 1D module or layer: the unit vectors at its pairs
+                basis = [{k: f.one} for k in ks]
+            tagged = self.M.n > 1
+            cols += [{(i, leaf): c for leaf, c in b.items()} for b in basis] if tagged else basis
+            keys += [(i, k) for k in ks] if tagged else ks
         if not self._rows:
-            return self._cols, self._keys
-        f = self.M.field
-        sols = nullspace_sparse(self._rows, len(self._cols), f)
-        return ([combine(f, ((c, self._cols[col]) for col, c in sol.items())) for sol in sols],
-                [self._keys[max(sol)] for sol in sols])
+            return cols, keys
+        sols = nullspace_sparse(self._rows, len(cols), f)
+        return ([combine(f, ((c, cols[col]) for col, c in sol.items())) for sol in sols],
+                [keys[max(sol)] for sol in sols])
 
     @property
     def basis(self) -> list[dict]:
@@ -272,44 +284,61 @@ class HomSpace:
     def pivot_keys(self) -> list:
         return self._solved[1]
 
-    def _build(self, ctx: Context) -> tuple[list[dict], list[dict], list]:
+    def _build(self, ctx: Context) -> tuple[list[dict], list[tuple]]:
+        """(rows, layers): the constraint rows and each layer's (hom basis,
+        its pivot keys), a 1D layer's basis None as its keys are its pairs;
+        column offsets[i] + b of the system is layer i's basis element b."""
         M, N = self.M, self.N
         f = M.field
         if M.is_zero() or N.is_zero():
-            return [], [], []
+            return [], []
         if M.n == 1:
-            DM = ctx.intervals1(M)[0]
-            DN = ctx.intervals1(N)[0]
-            keys = [(i, j) for i, A in enumerate(DM.summands) for j, B in enumerate(DN.summands) if hom_leq(A, B)]
-            return [], [{key: f.one} for key in keys], keys
+            return [], [(None, ctx.pairs(M, N))]
         Ms, lMs = ctx.layers(M)
         Ns, lNs = ctx.layers(N)
         h = len(Ms)
-        homs = [ctx.hom(Ms[i], Ns[i]) for i in range(h)]
-        bases = [H.basis for H in homs]
-        offsets = list(accumulate(map(len, bases), initial=0))
+        if M.n == 2:
+            layers = [(None, ctx.pairs(Ms[i], Ns[i])) for i in range(h)]
+        else:
+            layers = [(H.basis, H.pivot_keys) for H in (ctx.hom(Ms[i], Ns[i]) for i in range(h))]
+        offsets = list(accumulate((len(keys) for _, keys in layers), initial=0))
         if offsets[-1] == 0:
-            return [], [], []
+            return [], layers
         lM_expr = [ctx.express(Ms[i], Ms[i + 1], lMs[i].comps) for i in range(h - 1)]
         lN_expr = lM_expr if N is M else [ctx.express(Ns[i], Ns[i + 1], lNs[i].comps) for i in range(h - 1)]
         rows: list[dict] = []
         for i in range(h - 1):
             # constraint: link_N . f_i = f_{i+1} . link_M in Hom(M_i, N_{i+1})
             per_leaf: dict = defaultdict(dict)
-            for b_idx, b in enumerate(bases[i]):
-                z = ctx.compose(Ms[i], Ns[i], Ns[i + 1], lN_expr[i], b)
-                for leaf, c in z.items():
-                    per_leaf[leaf][offsets[i] + b_idx] = c
-            for b_idx, b in enumerate(bases[i + 1]):
-                z = ctx.compose(Ms[i], Ms[i + 1], Ns[i + 1], b, lM_expr[i])
-                col = offsets[i + 1] + b_idx
-                for leaf, c in z.items():
-                    row = per_leaf[leaf]
-                    row[col] = f.sub(row.get(col, f.zero), c)
+            (basis, keys), (basis1, keys1) = layers[i], layers[i + 1]
+            if M.n == 2:
+                # compose's product rule in one pass over each link: column
+                # (a, c) meets link_N's (c, k), column (a2, k) link_M's
+                # (a, a2), each giving (a, k) if a's birth precedes k's death
+                births, deaths = ctx.intervals1(Ms[i]).births, ctx.intervals1(Ns[i + 1]).deaths
+                from_c, into_a2 = defaultdict(list), defaultdict(list)
+                for (c, k), v in lN_expr[i].items():
+                    from_c[c].append((k, v))
+                for (a, a2), v in lM_expr[i].items():
+                    into_a2[a2].append((a, v))
+                for col, (a, c) in enumerate(keys, offsets[i]):
+                    for k, v in from_c.get(c, ()):
+                        if births[a] <= deaths[k]:
+                            per_leaf[(a, k)][col] = v
+                for col, (a2, k) in enumerate(keys1, offsets[i + 1]):
+                    for a, v in into_a2.get(a2, ()):
+                        if births[a] <= deaths[k]:
+                            per_leaf[(a, k)][col] = f.neg(v)
+            else:
+                for col, b in enumerate(basis, offsets[i]):
+                    for leaf, c in ctx.compose(Ms[i], Ns[i], Ns[i + 1], lN_expr[i], b).items():
+                        per_leaf[leaf][col] = c
+                for col, b in enumerate(basis1, offsets[i + 1]):
+                    for leaf, c in ctx.compose(Ms[i], Ms[i + 1], Ns[i + 1], b, lM_expr[i]).items():
+                        row = per_leaf[leaf]
+                        row[col] = f.sub(row.get(col, f.zero), c)
             rows.extend(per_leaf.values())
-        # column offsets[i] + b of the system is layer i's basis element b
-        return (rows, [{(i, leaf): v for leaf, v in b.items()} for i, basis in enumerate(bases) for b in basis],
-                [(i, key) for i, H in enumerate(homs) for key in H.pivot_keys])
+        return rows, layers
 
     # -- element operations --------------------------------------------
 

@@ -1,11 +1,17 @@
 """Rectangle modules, canonical homomorphisms, morphisms of rectangle sums
 in sparse coordinates, and 1D barcodes / explicit interval decompositions.
+
+A 1D decomposition is an Intervals record of plain ints and chain vectors;
+its RectDecomp and chain-basis matrices are built on first use, which only
+materialize (through realize), the basis inverses and decompose_two_rows
+need.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .fields import Field
@@ -174,9 +180,10 @@ class _Chain:
         self.index = index  # creation order, the tie-break between equal intervals
 
 
-def _interval_chains(M: PersModule) -> list[_Chain]:
-    """One reduction pass over a 1D module: chains of basis vectors, one
-    per interval summand, sorted by (birth, death, creation order)."""
+def interval_decompose_1d(M: PersModule) -> "Intervals":
+    """Explicit interval decomposition of a 1D module by one reduction
+    pass: chains of basis vectors, one per interval summand, ordered by
+    (birth, death, creation order), deterministically."""
     if M.n != 1:
         raise ValueError("interval decomposition needs a 1D module")
     f = M.field
@@ -247,28 +254,57 @@ def _interval_chains(M: PersModule) -> list[_Chain]:
     for chain in active:
         chain.death = hi
         done.append(chain)
-    return sorted(done, key=lambda c: (c.birth, c.death, c.index))
+    return Intervals(f, M.box, sorted(done, key=lambda c: (c.birth, c.death, c.index)))
 
 
 def barcode_1d(M: PersModule) -> Counter:
-    """Barcode of a 1D module, read off its interval chains."""
-    return Counter(((c.birth,), (c.death,)) for c in _interval_chains(M))
+    """Barcode of a 1D module, read off its interval decomposition."""
+    I = interval_decompose_1d(M)
+    return Counter(((b,), (d,)) for b, d in zip(I.births, I.deaths))
 
 
-def interval_decompose_1d(M: PersModule):
-    """Explicit interval decomposition of a 1D module.
+class Intervals:
+    """A 1D module's interval summands as interval_decompose_1d finds them:
+    summand i is [births[i], deaths[i]] in plain ints, chains[i][x] its
+    chain vector at x, and at[v] the summands live at the vertex v = (x,).
+    The hom engine's dimension paths read only these.  decomp, the summands
+    as a RectDecomp, and basis, v -> the matrix of the chain vectors of
+    at[v], are built on first use: basis gives the components of a
+    pointwise invertible morphism rect_to_module(decomp) -> M."""
 
-    Returns (decomp, basis).  Summands are ordered by (birth, death,
-    creation order), deterministically.  The columns of basis[v] are the
-    chain vectors at v of the summands containing v, in summand order: the
-    components of a pointwise invertible morphism rect_to_module(decomp) -> M,
-    through which Context.materialize conjugates realize's components.
-    """
-    f = M.field
-    chains = _interval_chains(M)
-    decomp = RectDecomp(f, M.box, [Rectangle((c.birth,), (c.death,)) for c in chains])
-    basis = {}
-    for v, idxs in decomp.by_vertex().items():
-        cols = [chains[i].vecs[v[0]] for i in idxs]
-        basis[v] = Matrix(f, [[col[r] for col in cols] for r in range(M.dim(v))])
-    return decomp, basis
+    def __init__(self, field: Field, box: GridBox, chains: list[_Chain]):
+        self.field, self.box = field, box
+        self.births = [c.birth for c in chains]
+        self.deaths = [c.death for c in chains]
+        self.chains = [c.vecs for c in chains]
+        self._inverses = {}
+
+    @cached_property
+    def at(self) -> dict[tuple, list[int]]:
+        at: dict[tuple, list[int]] = {}
+        for i, (b, d) in enumerate(zip(self.births, self.deaths)):
+            for x in range(b, d + 1):
+                at.setdefault((x,), []).append(i)
+        return at
+
+    def _matrix(self, v) -> Matrix:
+        return Matrix(self.field, zip(*(self.chains[i][v[0]] for i in self.at[v])))
+
+    @cached_property
+    def decomp(self) -> RectDecomp:
+        return RectDecomp(self.field, self.box, [Rectangle((b,), (d,)) for b, d in zip(self.births, self.deaths)])
+
+    @cached_property
+    def basis(self) -> dict[tuple, Matrix]:
+        return {v: self._matrix(v) for v in self.at}
+
+    def inverse(self, v) -> Matrix | None:
+        """The inverse of basis[v], None where that is the identity, made
+        on first use; where every chain vector at v is a unit vector, as at
+        most vertices of a rectangle module's layers, it is the transpose."""
+        if v not in self._inverses:
+            B, f = self._matrix(v), self.field
+            self._inverses[v] = (None if B.is_identity() else
+                                 B.transpose() if all(r.count(f.zero) == len(r) - 1 and f.one in r for r in B.rows) else
+                                 B.inverse())
+        return self._inverses[v]

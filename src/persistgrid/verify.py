@@ -293,10 +293,11 @@ def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = T
     if M.is_zero():
         return IsoReport(True, ModMorphism.zero(M, N), "both zero")
     if M.n == 1:
-        DM = ctx.intervals1(M)[0]
-        if DM.barcode() != ctx.intervals1(N)[0].barcode():
+        I, J = ctx.intervals1(M), ctx.intervals1(N)
+        # both lists of summands are sorted by (birth, death)
+        if (I.births, I.deaths) != (J.births, J.deaths):
             return IsoReport(False, None, "barcodes differ")
-        phi = ModMorphism(M, N, ctx.materialize(M, N, {(i, i): M.field.one for i in range(len(DM))}))
+        phi = ModMorphism(M, N, ctx.materialize(M, N, {(i, i): M.field.one for i in range(len(I.births))}))
         return IsoReport(True, phi, "matching barcodes")
     H = ctx.hom(M, N)
     rng = random.Random(seed)
@@ -358,24 +359,24 @@ def decompose_two_rows(M: PersModule) -> TwoRowSplit:
     y0, h0 = y[0], M.box.lo[1]
     gap_row = y[1] - h0
 
-    def group_of(r, h):
+    def group_of(b, d, h):
         if h == gap_row:
-            if r.d[0] < y0:
+            if d < y0:
                 return 1
-            if r.b[0] > y0:
+            if b > y0:
                 return 3
             raise AssertionError(f"{('lower', 'upper')[h]} interval crosses the gap")
-        c = (r.d if gap_row == 0 else r.b)[0]
+        c = d if gap_row == 0 else b
         return 1 if c < y0 else (2 if c == y0 else 3)
 
     P, cuts = {}, {}
     for h, row in enumerate(slice_layers(M)[0]):
-        D, basis = interval_decompose_1d(row)
-        group = [group_of(r, h) for r in D.summands]
+        I = interval_decompose_1d(row)
+        group = [group_of(b, d, h) for b, d in zip(I.births, I.deaths)]
         for v, d in row.dims.items():
             # the columns of the chain basis at v, group 1 first
-            by_group = [[c for c, i in enumerate(D.indices_at(v)) if group[i] == g] for g in (1, 2, 3)]
-            P[v + (h0 + h,)] = basis[v].submatrix(range(d), sum(by_group, []))
+            by_group = [[c for c, i in enumerate(I.at[v]) if group[i] == g] for g in (1, 2, 3)]
+            P[v + (h0 + h,)] = I.basis[v].submatrix(range(d), sum(by_group, []))
             cuts[v + (h0 + h,)] = tuple(map(len, by_group))
     split = _split_along(M, P, cuts)
     if split is None:

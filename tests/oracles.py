@@ -77,7 +77,8 @@ def materialize_by_iso(ctx: Context, M: PersModule, N: PersModule, x: dict) -> M
     if M.is_zero() or N.is_zero():
         return ModMorphism.zero(M, N)
     if M.n == 1:
-        (DM, basisM), (DN, basisN) = ctx.intervals1(M), ctx.intervals1(N)
+        I, J = ctx.intervals1(M), ctx.intervals1(N)
+        (DM, basisM), (DN, basisN) = (I.decomp, I.basis), (J.decomp, J.basis)
         RM, RN = rect_to_module(DM), rect_to_module(DN)
         isoN = ModMorphism(RN, N, basisN)
         isoM_inverse = ModMorphism(M, RM, {v: b.inverse() for v, b in basisM.items()})

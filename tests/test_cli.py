@@ -817,6 +817,21 @@ class TestMistypedOrOversizedInput:
         code, out, err = run(capsys, self._argv(obj, p, tmp_path, verb))
         assert code == 2 and out == "" and err == f"error: {self.CAP_MESSAGES[case]}\n"
 
+    # points whose candy halves each fit the cap but whose glued box does
+    # not, which the halves' corner grids show before either is built
+    OVERSIZED_CANDIES = {"4d-point-of-dim-5": ({**POINT, "n": 4, "lo": [0] * 4, "hi": [0] * 4, "dims": [5]}, 1172889),
+                         "3d-point-of-dim-10": ({**POINT_3D, "dims": [10]}, 533871)}
+
+    @pytest.mark.parametrize("case", sorted(OVERSIZED_CANDIES))
+    def test_oversized_candy_is_refused_at_once(self, tmp_path, capsys, case):
+        base, count = self.OVERSIZED_CANDIES[case]
+        p = str(tmp_path / "in.json")
+        dump(base, p)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, ["construct", "--method", "candy", "--in", p, "--out", str(tmp_path / "c.json")])
+        assert time.perf_counter() - t0 < 0.2
+        assert code == 2 and out == "" and err == f"error: box with {count} vertices exceeds the cap 100000\n"
+
     # inputs whose stacked layout passes the vertex cap (the candy's, glued,
     # has 176436 vertices) but whose corner grid fits
     WIDE_HALVES = {"field": "Fp:1009", "n": 3, "lo": [0, 0, 0], "hi": [1, 0, 1], "dims": [1, 1, 0, 1],

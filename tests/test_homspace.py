@@ -1,5 +1,6 @@
 """The recursive hom engine against a dense naturality-system oracle."""
 
+import hashlib
 import json
 import random
 import sys
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistgrid import (Context, Field, GridBox, HomSpace, PersModule, Rectangle,
-                         RectDecomp, candy_wrap, check_candy, direct_sum, end_algebra, end_dim,
+                         RectDecomp, candy_wrap, check_candy, concat, direct_sum, end_algebra, end_dim,
                          hom_basis, hom_dim, iso_certificate, min3, rect_to_module, stack, try_split)
 from persistgrid import homspace, rectangles, verify
 from persistgrid.grid import ModMorphism, vsucc
@@ -71,7 +72,8 @@ def dense_express(ctx, M, N, g):
     vertex, then read at each source summand's birth."""
     if M.is_zero() or N.is_zero():
         return {}
-    (DM, basisM), (DN, basisN) = ctx.intervals1(M), ctx.intervals1(N)
+    I, J = ctx.intervals1(M), ctx.intervals1(N)
+    (DM, basisM), (DN, basisN) = (I.decomp, I.basis), (J.decomp, J.basis)
     isoM = ModMorphism(rect_to_module(DM), M, basisM)
     invN = ModMorphism(N, rect_to_module(DN), {v: b.inverse() for v, b in basisN.items()})
     h = invN.compose(g).compose(isoM)
@@ -233,28 +235,30 @@ def test_equal_modules_share_one_decomposition_and_one_hom(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(homspace, "interval_decompose_1d", counted("decompose", homspace.interval_decompose_1d))
+    monkeypatch.setattr(homspace, "hom_pairs", counted("pairs", homspace.hom_pairs))
     monkeypatch.setattr(HomSpace, "_build", counted("build", HomSpace._build))
     box = GridBox((0,), (3,))
     M1 = rect_to_module(RectDecomp(F3, box, [Rectangle((0,), (2,)), Rectangle((1,), (3,))]))
     M2 = copy_of(M1)
     assert M2 is not M1 and M2 == M1
     ctx = Context()
-    assert ctx.intervals1(M1)[1] is ctx.intervals1(M2)[1]
+    assert ctx.intervals1(M1) is ctx.intervals1(M2)
     assert ctx.hom(M1, M1) is ctx.hom(M2, M2) is ctx.hom(M1, M2)
-    assert calls == {"decompose": 1, "build": 1}
+    assert calls == {"decompose": 1, "pairs": 1, "build": 1}
     # one changed entry makes a different module with its own work
     M3 = copy_of(M1)
     M3.steps[((1,), 0)] = Matrix(F3, [[2, 0], [0, 1]])
     assert ctx.hom(M3, M3) is not ctx.hom(M1, M1)
-    assert calls == {"decompose": 2, "build": 2}
-    # three equal layers in a stack: one decomposition, one layer hom
+    assert calls == {"decompose": 2, "pairs": 2, "build": 2}
+    # three equal layers in a stack: one decomposition and one hom, the
+    # layers' pairs, which a 2D hom space reads without a layer HomSpace
     calls.clear()
     layers = [copy_of(M1) for _ in range(3)]
     links = [ModMorphism(a, b, {v: Matrix.identity(F3, d) for v, d in a.dims.items()})
              for a, b in zip(layers, layers[1:])]
     S = stack(layers, links)
     assert Context().hom(S, S).dim == dense_hom_dim(S, S)
-    assert calls == {"decompose": 1, "build": 2}
+    assert calls == {"decompose": 1, "pairs": 1, "build": 1}
 
 
 def test_verbs_map_between_the_callers_modules(monkeypatch):
@@ -286,8 +290,8 @@ def test_verbs_map_between_the_callers_modules(monkeypatch):
 @settings(max_examples=10, deadline=None)
 def test_hom_engine_builds_no_rectangle_module(seed):
     """end_dim, hom_basis, try_split and iso_certificate read only the
-    cached decompositions, chain bases and their inverses: none of them
-    builds a rectangle module."""
+    cached interval records, with their RectDecomps, chain bases and
+    inverses: none of them builds a rectangle module."""
     original = rectangles.rect_to_module
     built = []
 
@@ -326,8 +330,8 @@ def test_hom_engine_builds_no_rectangle_module(seed):
 def test_dim_solves_no_top_level_kernel(monkeypatch):
     """The rank gives dim: check_candy on a 2D candy and try_split on an
     end_dim-1 min3 output solve no kernel, since their layers are 1D and a
-    1D hom basis is read off the decompositions.  try_split on a 2D V + V
-    reads the basis of End(V + V) and solves its kernel once."""
+    1D layer's hom columns are read off the interval records.  try_split on
+    a 2D V + V reads the basis of End(V + V) and solves its kernel once."""
     kernels = []
     original = homspace.nullspace_sparse
 
@@ -345,6 +349,32 @@ def test_dim_solves_no_top_level_kernel(monkeypatch):
     W = rand_module(random.Random(3), F1009, GridBox((0, 0), (2, 1)), max_dim=2)
     assert try_split(direct_sum(W, W)).status == DECOMPOSABLE
     assert len(kernels) == 1
+
+
+def test_dim_paths_build_no_per_layer_objects(monkeypatch):
+    """end_dim of a 2D candy, check_candy and try_split on an end_dim-1
+    min3 output read their 1D layers' interval records only: they build no
+    Rectangle, no RectDecomp and no HomSpace for a 1D layer."""
+    V = rand_module(random.Random(3), F1009, GridBox((0,), (3,)), max_dim=2)
+    C = candy_wrap(V)
+    M = min3(rand_rect_decomp(random.Random(0), F1009, 1, 5, hi=4)).M
+    built = Counter()
+
+    def counted(cls, name, of):
+        original = cls.__dict__[name]
+
+        def wrapper(self, *args):
+            built[of(self, *args)] += 1
+            return original(self, *args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(Rectangle, "__post_init__", lambda r: "Rectangle")
+    counted(RectDecomp, "__init__", lambda D, *args: "RectDecomp")
+    counted(HomSpace, "__init__", lambda H, A, B, ctx: f"{A.n}D HomSpace")
+    assert end_dim(C.module) == 1
+    assert check_candy(C.module, C.ul, C.lr).ok
+    assert try_split(M).reason == "end_dim = 1"
+    assert built == {"2D HomSpace": 3}
 
 
 def test_int_and_fraction_entries_share_one_representative():
@@ -392,6 +422,18 @@ def test_engine_matches_oracle_on_candies(seed):
     assert end_dim(M) == dense_hom_dim(M, M) == 1
 
 
+@pytest.mark.parametrize("f", [F1009, Q], ids=str)
+def test_engine_matches_oracle_on_benchmark_candies(f):
+    """The candy shapes the benchmark verifies, over its fields: the concat
+    of two 2D candies and the 3D candy of a 2 x 1 module."""
+    rng = random.Random(7)
+    A, B = (candy_wrap(rand_module(rng, f, GridBox((0,), (1,)), max_dim=2)) for _ in range(2))
+    V = rand_module(rng, f, GridBox((0, 0), (1, 0)), max_dim=1)
+    for M in (concat(A, B).module, candy_wrap(V).module):
+        check_pair(M, M, rng)
+        assert end_dim(M) == dense_hom_dim(M, M) == 1
+
+
 def solved_coords(E, x):
     """Coordinates of x over E.basis from the dense system whose rows are
     the keys the basis elements use and whose columns are the elements."""
@@ -426,3 +468,46 @@ def test_basis_elements_have_pivot_keys(f, box, seed):
     E = alg.space
     assert alg.identity == solved_coords(E, ctx.express(MM, MM, ModMorphism.identity(MM).comps))
     assert alg.mult_table == [[solved_coords(E, ctx.compose(MM, MM, MM, x, y)) for y in E.basis] for x in E.basis]
+
+
+def hom_record(ctx, A, B) -> str:
+    """The column count, dim, basis, pivot keys and materialized hom basis
+    of Hom(A, B), as one string, dict orders included."""
+    E = ctx.hom(A, B)
+    comps = [[(v, m.rows) for v, m in g.comps.items()] for g in hom_basis(A, B, ctx)]
+    return repr((E.ncols, E.dim, E.basis, E.pivot_keys, comps))
+
+
+# sha256 of the hom_record of M -> M, M -> N and M+M -> M+M and of the
+# end_algebra(M+M) tables, for rand_module seeds 0-9 (M and N drawn in turn
+# from random.Random(seed), dims <= 2), recorded before the hom engine moved
+# onto interval records
+BASIS_PINS = {
+    "1d-F2": "09e513d3ace1ef2ee4524bae87711edc3032e61b935ea8208417a5c292df9e63",
+    "1d-F1009": "408c7cce138d1fb0256ba67cdeea12cf2705acc3d4290d99fbed155117e9e546",
+    "1d-Q": "b45337a24086afa22c24fc5a02e71b2257a00a61319dad38525a169684ae68cf",
+    "2d-F2": "cd7a15c10b5d84802f9f648eade50e9efa169046009ca623ef46f78281651b9e",
+    "2d-F1009": "707cda5ad2f8334e02171c300a180c550e59ca08c71d6528a13874af4fedda80",
+    "2d-Q": "0e5d52025d5f79c386754415f6955b49c288cb1b04c1d21a464b5c01f4281e7b",
+    "3d-F2": "a290fb0e40bfdcd703071028e7c520fdbf9923389c51ab84753d48663e82c292",
+    "3d-F1009": "281817453a88a9bdece4b4dfc3db3a9b201358d2548849dfd92188266434251f",
+    "3d-Q": "5110400d2811253aa49ee89e3d319df46730b7243e3da4133fd89d8274ae132d",
+}
+
+
+@pytest.mark.parametrize("f", [F2, F1009, Q], ids=str)
+@pytest.mark.parametrize("box", [GridBox((0,), (4,)), GridBox((0, 0), (2, 2)), GridBox((0, 0, 0), (1, 1, 1))],
+                         ids=["1d", "2d", "3d"])
+def test_bases_are_pinned(f, box, request):
+    h = hashlib.sha256()
+    for seed in range(10):
+        rng = random.Random(seed)
+        M = rand_module(rng, f, box, max_dim=2)
+        N = rand_module(rng, f, box, max_dim=2)
+        MM = direct_sum(M, M)
+        ctx = Context()
+        for A, B in ((M, M), (M, N), (MM, MM)):
+            h.update(hom_record(ctx, A, B).encode())
+        alg = end_algebra(MM, ctx)
+        h.update(repr((alg.identity, alg.mult_table)).encode())
+    assert h.hexdigest() == BASIS_PINS[request.node.callspec.id]

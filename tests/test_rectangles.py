@@ -235,14 +235,15 @@ class TestIntervalDecompose:
     @settings(max_examples=30, deadline=None)
     def test_decompose_matches_barcode_and_iso(self, seed):
         M = rand_1d(seed)
-        D, basis = Context().intervals1(M)
-        iso = ModMorphism(rect_to_module(D), M, basis)
+        I = Context().intervals1(M)
+        D = I.decomp
+        iso = ModMorphism(rect_to_module(D), M, I.basis)
         assert D.barcode() == barcode_1d(M) == barcode_by_ranks(M)
         assert iso.validate()
         assert iso.is_invertible()
         # the iso is the chain basis that interval_decompose_1d returns
-        D2, basis2 = interval_decompose_1d(M)
-        assert D2 == D and iso.comps == basis2
+        I2 = interval_decompose_1d(M)
+        assert I2.decomp == D and iso.comps == I2.basis
 
     @given(runs_1d())
     @settings(max_examples=300, deadline=None)
@@ -250,10 +251,10 @@ class TestIntervalDecompose:
         """An identity step passes the chains on unchanged; the plain pass,
         which reduces at every step, gives the same summands in the same
         order and the same chain basis."""
-        D, basis = interval_decompose_1d(M)
+        I = interval_decompose_1d(M)
         summands, full_basis = intervals_by_full_pass(M)
-        assert [(r.b[0], r.d[0]) for r in D.summands] == summands
-        assert basis == full_basis
+        assert list(zip(I.births, I.deaths)) == [(r.b[0], r.d[0]) for r in I.decomp.summands] == summands
+        assert I.basis == full_basis
 
     def test_equal_intervals_keep_creation_order(self):
         box = GridBox((0,), (3,))
@@ -262,8 +263,8 @@ class TestIntervalDecompose:
         M = direct_sum(direct_sum(I, J), direct_sum(I, J))
         seen = set()
         for _ in range(100):
-            D, basis = Context().intervals1(M)
-            iso = ModMorphism(rect_to_module(D), M, basis)
+            I = Context().intervals1(M)
+            iso = ModMorphism(rect_to_module(I.decomp), M, I.basis)
             seen.add(tuple(sorted((v, tuple(map(tuple, m.rows))) for v, m in iso.comps.items())))
         assert len(seen) == 1
         # the two chains born at 0 are made from e_0 and then e_1
