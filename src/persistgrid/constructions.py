@@ -153,11 +153,11 @@ def _chain_layers(field, grid: Compression, chain: list):
     return layers, links
 
 
-def _stack_on_grid(layers: list, links: list, meta: dict) -> PersModule:
-    """The layers stacked with the last at height 0, on meta["grid"] with
-    that grid's stacking axis added."""
-    meta["grid"] = meta["grid"].extend(1 - len(layers), 0)
-    return stack(layers, links, height_lo=1 - len(layers))
+def _stack_on_grid(layers: list, links: list, meta: dict) -> tuple[PersModule, dict]:
+    """The layers stacked with the last at height 0, and a copy of meta
+    whose grid has that stacking axis added."""
+    lo = 1 - len(layers)
+    return stack(layers, links, height_lo=lo), {**meta, "grid": meta["grid"].extend(lo, 0)}
 
 
 def _s_chain(V: RectDecomp, height: int):
@@ -177,7 +177,7 @@ def build_S(V: RectDecomp) -> BuildResult:
     corner grid meta["grid"], which keeps V's coordinates: no rectangle
     begins below V.box.lo."""
     chain, meta = _s_chain(V, 4)
-    M = _stack_on_grid(*_chain_layers(V.field, meta["grid"], chain), meta)
+    M, meta = _stack_on_grid(*_chain_layers(V.field, meta["grid"], chain), meta)
     return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 4, meta)
 
 
@@ -192,7 +192,7 @@ def _s_prime_plan(V: PersModule, height: int):
     return (cov, *_s_chain(cov.decomp, height))
 
 
-def build_S_prime(V: PersModule, height: int = 5, plan: tuple | None = None) -> BuildResult:
+def build_S_prime(V: PersModule, height: int = 5, *, _plan: tuple | None = None) -> BuildResult:
     """Five layers: the four-layer stack on a projective cover R of V,
     with the cover surjection p: R ->> V appended; V at height 0, on the
     corner grid meta["grid"].  No rectangle begins below V.box.lo, and every
@@ -201,12 +201,13 @@ def build_S_prime(V: PersModule, height: int = 5, plan: tuple | None = None) -> 
 
     height is the layer count of the stack that will hold the result, five
     or candy_wrap's nine, so an oversized one is refused before it is built.
-    plan is _s_prime_plan(V, height) when the caller has made it already."""
-    cov, chain, meta = plan or _s_prime_plan(V, height)
+    _plan is _s_prime_plan(V, height) when the caller has made it already;
+    height is then the plan's."""
+    cov, chain, meta = _plan or _s_prime_plan(V, height)
     layers, links = _chain_layers(V.field, meta["grid"], chain)
     top = pad(V, layers[0].box)
     links.append(ModMorphism(layers[3], top, cov.comps))
-    M = _stack_on_grid(layers + [top], links, meta)
+    M, meta = _stack_on_grid(layers + [top], links, meta)
     return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 5, meta)
 
 
@@ -225,7 +226,7 @@ def _s_dprime_plan(V: PersModule, height: int):
     return W, plan, grid, t, AxisEmbedding.layer(V.n, V.n, 0).translate(vsub(grid.floor(u), u))
 
 
-def build_S_dprime(V: PersModule, height: int = 5, plan: tuple | None = None) -> BuildResult:
+def build_S_dprime(V: PersModule, height: int = 5, *, _plan: tuple | None = None) -> BuildResult:
     """The dual five layers V -> T -> T' -> Tbar -> I_T, V at height 0, on
     the corner grid meta["grid"].
 
@@ -234,11 +235,11 @@ def build_S_dprime(V: PersModule, height: int = 5, plan: tuple | None = None) ->
     the primal stack's corner grid is mirrored and translated with it.  Each
     coordinate of V.box is still a run of its own, so the line is the layer
     embedding translated onto the grid.  height is as in build_S_prime,
-    which refuses a zero V, as the dual of 0 is 0; plan is
+    which refuses a zero V, as the dual of 0 is 0; _plan is
     _s_dprime_plan(V, height) when the caller has made it already.
     """
-    W, prim_plan, grid, t, line = plan or _s_dprime_plan(V, height)
-    M = dualize(build_S_prime(W, height, prim_plan).M).translate(t)
+    W, prim_plan, grid, t, line = _plan or _s_dprime_plan(V, height)
+    M = dualize(build_S_prime(W, height, _plan=prim_plan).M).translate(t)
     return BuildResult(M, line, 5, {"source_box": V.box, "grid": grid})
 
 
@@ -248,14 +249,14 @@ def candy_wrap(V: PersModule) -> CandyModule:
     Both grids keep every coordinate of V.box, so the primal half is only
     translated onto the dual one's copy of V, and the line is the dual's.
     _s_prime_plan refuses a zero V."""
-    plans = _s_prime_plan(V, 9), _s_dprime_plan(V, 9)
+    prim_plan, dual_plan = _s_prime_plan(V, 9), _s_dprime_plan(V, 9)
+    (_, _, meta), (_, _, grid, _, line) = prim_plan, dual_plan
     # the primal half, at heights -4..0, moves by t onto the dual one's
     # copy of V; their glued box is refused over the cap before either is built
-    _, _, grid, _, line = plans[1]
     t = vsub(line.apply(V.box.lo), V.box.lo + (0,))
-    box = GridBox.hull([plans[0][2]["grid"].extend(-4, 0).translate(t).coarse, grid.coarse])
-    P = build_S_prime(V, 9, plans[0]).M.translate(t)
-    dual = build_S_dprime(V, 9, plans[1])
+    box = GridBox.hull([meta["grid"].extend(-4, 0).translate(t).coarse, grid.coarse])
+    P = build_S_prime(V, 9, _plan=prim_plan).M.translate(t)
+    dual = build_S_dprime(V, 9, _plan=dual_plan)
     n = V.n
     dims, steps = P.dims, P.steps
     for v, d in dual.M.dims.items():
@@ -424,7 +425,7 @@ def min3_rect(V: RectDecomp) -> BuildResult:
     windows = [(s * r.b[0] - m, s * r.b[0] + m) if r.b[0] == r.d[0] else (s * r.b[0], s * r.d[0])
                for r in V.summands]
     layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, V.box, 3)
-    M = _stack_on_grid(layers, links, meta)
+    M, meta = _stack_on_grid(layers, links, meta)
     return BuildResult(M, meta["grid"].down(line, V.box), 3, meta)
 
 
@@ -475,5 +476,5 @@ def gen4(V: PersModule) -> BuildResult:
         live = [cols.index(order[j]) for j, r in enumerate(tilde) if r.contains(y)]
         comps[u] = cov.comps[x].submatrix(range(d), live)
     links.append(ModMorphism(layers[2], top, comps))
-    M = _stack_on_grid(layers + [top], links, meta)
+    M, meta = _stack_on_grid(layers + [top], links, meta)
     return BuildResult(M, meta["grid"].down(line, V.box), 4, meta)

@@ -38,13 +38,6 @@ def combine(f, terms) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def hom_pairs(I: Intervals, J: Intervals) -> list[tuple]:
-    """The (i, j), i then j rising, with Hom(I[i], J[j]) nonzero, which is
-    hom_leq on the integer ends: the columns of a 1D hom space."""
-    return [(i, j) for i, (a, b) in enumerate(zip(I.births, I.deaths))
-            for j, (c, d) in enumerate(zip(J.births, J.deaths)) if c <= a and d <= b and a <= d]
-
-
 def _by_layer(x: dict) -> dict:
     """Layer-tagged coordinates {(i, leaf): c}, split as {i: {leaf: c}}."""
     per = defaultdict(dict)
@@ -68,11 +61,9 @@ class Context:
     matrix alive, so ids cannot be recycled underneath us.
 
     A 1D module is cached as its Intervals record and a pair of them as
-    their hom_pairs, which a 2D HomSpace reads for each layer instead of a
-    layer HomSpace.  Only materialize reads the records' RectDecomps and
-    chain-basis matrices; express reads chain-basis inverses at the
-    source's births.  No rectangle module is built.  No HomSpace
-    refers back to its context, so the caches are freed with the context.
+    their Intervals.hom_pairs, which a 2D HomSpace reads for each layer
+    instead of a layer HomSpace.  No rectangle module is built.  No
+    HomSpace refers back to its context, so the caches are freed with it.
     """
 
     def __init__(self):
@@ -125,7 +116,7 @@ class Context:
         key = (id(self._rep(M)), id(self._rep(N)))
         out = self._pairs.get(key)
         if out is None:
-            out = self._pairs[key] = hom_pairs(self.intervals1(M), self.intervals1(N))
+            out = self._pairs[key] = self.intervals1(M).hom_pairs(self.intervals1(N))
         return out
 
     def layers(self, M: PersModule):
@@ -146,21 +137,7 @@ class Context:
         if M.is_zero() or N.is_zero():
             return {}
         if M.n == 1:
-            I, J = self.intervals1(M), self.intervals1(N)
-            out = {}
-            for i, (b, d) in enumerate(zip(I.births, I.deaths)):
-                gv, rows = g.get((b,)), J.at.get((b,))
-                if gv is None or rows is None:
-                    continue
-                # summand i's chain vector at its birth, mapped by g, has
-                # unique coordinates in N's invertible chain basis there; a
-                # summand j of N live at b has J.births[j] <= b <= J.deaths[j],
-                # so hom_leq leaves only the comparison of the deaths
-                y, inv = gv.mul_vec(I.chains[i][b]), J.inverse((b,))
-                for j, c in zip(rows, y if inv is None else inv.mul_vec(y)):
-                    if c != 0 and J.deaths[j] <= d:
-                        out[(i, j)] = c
-            return out
+            return self.intervals1(M).coords(self.intervals1(N), g)
         Ms, _ = self.layers(M)
         Ns, _ = self.layers(N)
         h0 = M.box.lo[-1]
@@ -201,18 +178,9 @@ class Context:
             return {}
         f = L.field
         if L.n == 1:
-            births, deaths = self.intervals1(L).births, self.intervals1(N).deaths
-            by_mid = defaultdict(list)
-            for (j, k), c in x.items():
-                by_mid[j].append((k, c))
             out = {}
-            for (i, j), b in y.items():
-                for k, c in by_mid.get(j, ()):
-                    # a composite through two canonical homs vanishes unless
-                    # the source birth still precedes the target death
-                    if births[i] <= deaths[k]:
-                        key = (i, k)
-                        out[key] = f.add(out.get(key, f.zero), f.mul(c, b))
+            for key, b, c in self.intervals1(L).composite_terms(self.intervals1(N), y.items(), x.items()):
+                out[key] = f.add(out.get(key, f.zero), f.mul(c, b))
             return {k: v for k, v in out.items() if v != 0}
         Ls, _ = self.layers(L)
         Ms, _ = self.layers(M)
@@ -312,23 +280,16 @@ class HomSpace:
             per_leaf: dict = defaultdict(dict)
             (basis, keys), (basis1, keys1) = layers[i], layers[i + 1]
             if M.n == 2:
-                # compose's product rule in one pass over each link: column
-                # (a, c) meets link_N's (c, k), column (a2, k) link_M's
-                # (a, a2), each giving (a, k) if a's birth precedes k's death
-                births, deaths = ctx.intervals1(Ms[i]).births, ctx.intervals1(Ns[i + 1]).deaths
-                from_c, into_a2 = defaultdict(list), defaultdict(list)
-                for (c, k), v in lN_expr[i].items():
-                    from_c[c].append((k, v))
-                for (a, a2), v in lM_expr[i].items():
-                    into_a2[a2].append((a, v))
-                for col, (a, c) in enumerate(keys, offsets[i]):
-                    for k, v in from_c.get(c, ()):
-                        if births[a] <= deaths[k]:
-                            per_leaf[(a, k)][col] = v
-                for col, (a2, k) in enumerate(keys1, offsets[i + 1]):
-                    for a, v in into_a2.get(a2, ()):
-                        if births[a] <= deaths[k]:
-                            per_leaf[(a, k)][col] = f.neg(v)
+                # compose in one pass over each link, a 1D layer's columns
+                # being the unit vectors at its pairs, each carried as its
+                # column number in place of its coefficient one
+                I, K = ctx.intervals1(Ms[i]), ctx.intervals1(Ns[i + 1])
+                units = ((key, col) for col, key in enumerate(keys, offsets[i]))
+                for leaf, col, c in I.composite_terms(K, units, lN_expr[i].items()):
+                    per_leaf[leaf][col] = c
+                units = ((key, col) for col, key in enumerate(keys1, offsets[i + 1]))
+                for leaf, c, col in I.composite_terms(K, lM_expr[i].items(), units):
+                    per_leaf[leaf][col] = f.neg(c)
             else:
                 for col, b in enumerate(basis, offsets[i]):
                     for leaf, c in ctx.compose(Ms[i], Ns[i], Ns[i + 1], lN_expr[i], b).items():

@@ -1,15 +1,11 @@
 """Rectangle modules, canonical homomorphisms, morphisms of rectangle sums
-in sparse coordinates, and 1D barcodes / explicit interval decompositions.
-
-A 1D decomposition is an Intervals record of plain ints and chain vectors;
-its RectDecomp and chain-basis matrices are built on first use, which only
-materialize (through realize), the basis inverses and decompose_two_rows
-need.
+in sparse coordinates, and 1D barcodes / explicit interval decompositions:
+Intervals records of plain ints, with the interval hom rules on them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -264,13 +260,10 @@ def barcode_1d(M: PersModule) -> Counter:
 
 
 class Intervals:
-    """A 1D module's interval summands as interval_decompose_1d finds them:
-    summand i is [births[i], deaths[i]] in plain ints, chains[i][x] its
-    chain vector at x, and at[v] the summands live at the vertex v = (x,).
-    The hom engine's dimension paths read only these.  decomp, the summands
-    as a RectDecomp, and basis, v -> the matrix of the chain vectors of
-    at[v], are built on first use: basis gives the components of a
-    pointwise invertible morphism rect_to_module(decomp) -> M."""
+    """A 1D module's interval summands: summand i is [births[i], deaths[i]]
+    with chain vector chains[i][x] at x, and at[v] lists those live at v.
+    basis[v] holds the chain vectors of at[v] as columns, the components of
+    a pointwise invertible morphism rect_to_module(decomp) -> M."""
 
     def __init__(self, field: Field, box: GridBox, chains: list[_Chain]):
         self.field, self.box = field, box
@@ -278,6 +271,43 @@ class Intervals:
         self.deaths = [c.death for c in chains]
         self.chains = [c.vecs for c in chains]
         self._inverses = {}
+
+    def hom_pairs(self, J: "Intervals") -> list[tuple]:
+        """The (i, j), i then j rising, with Hom(self[i], J[j]) nonzero, by
+        hom_leq on the integer ends: the columns of a 1D hom space."""
+        return [(i, j) for i, (a, b) in enumerate(zip(self.births, self.deaths))
+                for j, (c, d) in enumerate(zip(J.births, J.deaths)) if c <= a and d <= b and a <= d]
+
+    def coords(self, J: "Intervals", g: dict) -> dict:
+        """The sparse coordinates of the morphism with components g,
+        {vertex: matrix}, from this module to J's.  Summand i's chain
+        vector at its birth b, mapped by g, has unique coordinates in J's
+        chain basis there; of the summands j live at b, hom_leq keeps those
+        that die no later than i."""
+        out = {}
+        for i, (b, d) in enumerate(zip(self.births, self.deaths)):
+            gv, rows = g.get((b,)), J.at.get((b,))
+            if gv is None or rows is None:
+                continue
+            y, inv = gv.mul_vec(self.chains[i][b]), J.inverse((b,))
+            for j, c in zip(rows, y if inv is None else inv.mul_vec(y)):
+                if c != 0 and J.deaths[j] <= d:
+                    out[(i, j)] = c
+        return out
+
+    def composite_terms(self, K: "Intervals", y, x):
+        """The terms ((i, k), b, c) of x after y, given as ((i, j), b) and
+        ((j, k), c) pairs from self through a middle module to K: those
+        meeting at j, but none where births[i] follows K.deaths[k], as the
+        composite of two canonical homs then vanishes."""
+        by_mid = defaultdict(list)
+        for (j, k), c in x:
+            by_mid[j].append((k, c))
+        births, deaths = self.births, K.deaths
+        for (i, j), b in y:
+            for k, c in by_mid.get(j, ()):
+                if births[i] <= deaths[k]:
+                    yield (i, k), b, c
 
     @cached_property
     def at(self) -> dict[tuple, list[int]]:
@@ -299,12 +329,8 @@ class Intervals:
         return {v: self._matrix(v) for v in self.at}
 
     def inverse(self, v) -> Matrix | None:
-        """The inverse of basis[v], None where that is the identity, made
-        on first use; where every chain vector at v is a unit vector, as at
-        most vertices of a rectangle module's layers, it is the transpose."""
+        """The inverse of basis[v], None where that is the identity."""
         if v not in self._inverses:
-            B, f = self._matrix(v), self.field
-            self._inverses[v] = (None if B.is_identity() else
-                                 B.transpose() if all(r.count(f.zero) == len(r) - 1 and f.one in r for r in B.rows) else
-                                 B.inverse())
+            B = self._matrix(v)
+            self._inverses[v] = None if B.is_identity() else B.inverse()
         return self._inverses[v]

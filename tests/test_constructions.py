@@ -478,3 +478,15 @@ class TestCornerGrid:
         monkeypatch.setattr(Compression, "down", spy)
         assert candy_wrap(V).line == build_S_dprime(V, 9).line
         assert calls == []
+
+    def test_a_plan_builds_the_same_half_each_time(self, rng):
+        """A half built from a plan made beforehand equals one built from
+        scratch, and building leaves the plan as it was, so it can be used
+        again."""
+        V = rand_module(rng, F3, GridBox((1, 2), (2, 3)), max_dim=2, total_cap=4)
+        for build, make in ((build_S_prime, constructions._s_prime_plan),
+                            (build_S_dprime, constructions._s_dprime_plan)):
+            fresh, plan = build(V, 9), make(V, 9)
+            for _ in range(2):
+                built = build(V, 9, _plan=plan)
+                assert (built.M, built.line, built.meta) == (fresh.M, fresh.line, fresh.meta)

@@ -235,7 +235,7 @@ def test_equal_modules_share_one_decomposition_and_one_hom(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(homspace, "interval_decompose_1d", counted("decompose", homspace.interval_decompose_1d))
-    monkeypatch.setattr(homspace, "hom_pairs", counted("pairs", homspace.hom_pairs))
+    monkeypatch.setattr(rectangles.Intervals, "hom_pairs", counted("pairs", rectangles.Intervals.hom_pairs))
     monkeypatch.setattr(HomSpace, "_build", counted("build", HomSpace._build))
     box = GridBox((0,), (3,))
     M1 = rect_to_module(RectDecomp(F3, box, [Rectangle((0,), (2,)), Rectangle((1,), (3,))]))
