@@ -511,3 +511,45 @@ def test_bases_are_pinned(f, box, request):
         alg = end_algebra(MM, ctx)
         h.update(repr((alg.identity, alg.mult_table)).encode())
     assert h.hexdigest() == BASIS_PINS[request.node.callspec.id]
+
+
+# sha256 of what does not depend on the column order or on the order of the
+# keys inside a basis element: dim and the materialized hom_basis components
+# (dict order included) of M -> M, M -> N, N -> M and M+M -> M+M, the
+# end_algebra identity and table of M and of M+M, and the try_split(M+M,
+# seed=7) JSON, for rand_module seeds 0-9 (dims <= 2)
+CANONICAL_PINS = {
+    "1d-F2": "69cc2e7444d6b8f12fceea3eaf304c4d5d693a80869191c052f326e2ed3f9dc4",
+    "1d-F1009": "d5c98caa236e46fef09f664fdd70e062e8149a0b6be9ac01e454d6f13ec546a4",
+    "1d-Q": "d55bfe46f3c5256352ec56062e72bea7028bf119df4f3417fd16b841d9296794",
+    "2d-F2": "6d29b51ef1f165e76ca1839bcd87ca620db884b6b220b0cd13154639e2d2900d",
+    "2d-F1009": "ab6db7b0c39c53a40358130943c352bdadfcfb74a0727d0b4be4ba8c39f60f70",
+    "2d-Q": "1c5b87df9fa93badc3578aef93afa3c4fd0fd06fd483b1fc012ae711f3d4e0bf",
+    "3d-F2": "7580094e884c74fa2d33b5f525ff43bdc9d5bd6897db7f86a5b5e9a783e94972",
+    "3d-F1009": "f948111b18be470d88eadbef4a2072dd277b323a673c0b7e699fe742eadda5c2",
+    "3d-Q": "1c7314f97d6f75b8c9ebee9a9aee206b11d476f0fc664e25fd5162262c689b7d",
+    "4d-F2": "3b5c4c9fa8df03d3360523d27a0bfd925a21c577f7fe1e8905f725a489821d4c",
+    "4d-F1009": "3d2eb1c496bb48abf70be0e5cc20b9b556a4caea768bcb432088579839466606",
+    "4d-Q": "0005738e0f41e187ef86fb1c459b07954af986d6c3271e5fcffeed03fbd21a87",
+}
+
+
+@pytest.mark.parametrize("f", [F2, F1009, Q], ids=str)
+@pytest.mark.parametrize("box", [GridBox((0,), (4,)), GridBox((0, 0), (2, 2)), GridBox((0, 0, 0), (1, 1, 1)),
+                                 GridBox((0, 0, 0, 0), (1, 1, 1, 1))], ids=["1d", "2d", "3d", "4d"])
+def test_canonical_bases_are_pinned(f, box, request):
+    h = hashlib.sha256()
+    for seed in range(10):
+        rng = random.Random(seed)
+        M = rand_module(rng, f, box, max_dim=2)
+        N = rand_module(rng, f, box, max_dim=2)
+        MM = direct_sum(M, M)
+        ctx = Context()
+        for A, B in ((M, M), (M, N), (N, M), (MM, MM)):
+            comps = [[(v, m.rows) for v, m in g.comps.items()] for g in hom_basis(A, B, ctx)]
+            h.update(repr((ctx.hom(A, B).dim, comps)).encode())
+        for A in (M, MM):
+            alg = end_algebra(A, ctx)
+            h.update(repr((alg.identity, alg.mult_table)).encode())
+        h.update(json.dumps(try_split(MM, seed=7, ctx=ctx).to_json(), sort_keys=True).encode())
+    assert h.hexdigest() == CANONICAL_PINS[request.node.callspec.id]
