@@ -1,24 +1,23 @@
-"""Morphism spaces between persistence modules, computed recursively.
+"""Morphism spaces between persistence modules: one sparse system over 1D
+fibres for every n.
 
-For 1D modules, Hom is spanned by canonical homomorphisms between interval
-summands, so elements have exact sparse coordinates ("ambient coordinates"
-indexed by allowed summand pairs).  For nD modules both sides are sliced
-into layers along the last axis; a morphism is a tuple of layer morphisms
-subject to one commutation constraint per adjacent pair, solved as a sparse
-linear system over the layer hom bases.  Ambient coordinates at level n are
-layer-tagged level n-1 coordinates, so elements stay sparse dicts all the
-way down and composition never touches a vertex-by-vertex matrix.  The 1D
-base case reads the interval records of rectangles.interval_decompose_1d:
-hom columns, compose and express compare their integer ends.
+A fibre is a leaf of the layer tree that slices a module along its last
+axis, then each layer along its own, down to 1D along axis 0.  Between 1D
+modules Hom is spanned by canonical homomorphisms between interval
+summands, indexed by the summand pairs that rectangles.interval_decompose_1d's
+integer ends allow.  A morphism M -> N is a family of fibre morphisms that
+commutes with every arrow along the other axes.  Its sparse "ambient
+coordinates" are keyed by fibre pairs tagged by the fibre's layer indices.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
+from operator import add
 
-from .grid import PersModule, require_common, slice_layers
+from .grid import GridBox, PersModule, require_common, slice_layers, vsucc
 from .linalg import Matrix, nullspace_sparse, rank_sparse
 from .rectangles import Intervals, interval_decompose_1d, realize
 
@@ -38,11 +37,22 @@ def combine(f, terms) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _by_layer(x: dict) -> dict:
-    """Layer-tagged coordinates {(i, leaf): c}, split as {i: {leaf: c}}."""
+def _tag(pos: tuple, key):
+    """The ambient key of the pair key of the fibre at layer indices pos."""
+    for i in pos:
+        key = (i, key)
+    return key
+
+
+def _by_fibre(x: dict, extents: list) -> dict:
+    """Ambient coordinates split as {fibre number: {pair: c}}."""
     per = defaultdict(dict)
-    for (i, leaf), c in x.items():
-        per[i][leaf] = c
+    for key, c in x.items():
+        t = 0
+        for e in extents:
+            i, key = key
+            t = t * e + i
+        per[t][key] = c
     return per
 
 
@@ -51,19 +61,18 @@ class Context:
 
     Caches are keyed by module content: each module maps to the first module
     seen here with the same field, box, dims and step matrices, in the same
-    dict order.  What is made for that representative is stored under its
-    id and the id of every module seen for it, so the caches answer a
-    module already seen in one lookup.  Equal modules thus share one
-    interval decomposition, one layer slicing and one HomSpace, and a
-    representative iterates exactly like the modules it stands for.  A step
+    dict order, which iterates exactly like it.  What is made for that
+    representative is stored under its id and the id of every module seen
+    for it, so a module already seen is answered in one lookup.  A step
     enters the key as a number per matrix object, equal for equal rows, so
     a matrix that steps share is read once.  The maps keep every module and
     matrix alive, so ids cannot be recycled underneath us.
 
-    A 1D module is cached as its Intervals record and a pair of them as
-    their Intervals.hom_pairs, which a 2D HomSpace reads for each layer
-    instead of a layer HomSpace.  No rectangle module is built.  No
-    HomSpace refers back to its context, so the caches are freed with it.
+    Equal modules share one HomSpace, one layer slicing, one set of links
+    and one list of fibres, so equal layers share their fibres; a fibre is
+    cached as its Intervals record and a pair of fibres as their
+    Intervals.hom_pairs.  No rectangle module is built.  No HomSpace refers
+    back to its context, so the caches are freed with it.
     """
 
     def __init__(self):
@@ -74,6 +83,9 @@ class Context:
         self._decomps = {}
         self._pairs = {}
         self._layers = {}
+        self._fibres = {}
+        self._links = {}
+        self._grids = {}
         self._homs = {}
 
     def _content(self, m: Matrix) -> int:
@@ -111,16 +123,47 @@ class Context:
         """interval_decompose_1d of the representative of a 1D module M."""
         return self._cached(self._decomps, M, interval_decompose_1d)
 
-    def pairs(self, M: PersModule, N: PersModule) -> list[tuple]:
-        """hom_pairs of two 1D modules, made once per pair of representatives."""
-        key = (id(self._rep(M)), id(self._rep(N)))
+    def pairs(self, I: Intervals, J: Intervals) -> list[tuple]:
+        """I.hom_pairs(J) for two records made here, made once per pair."""
+        key = (id(I), id(J))
         out = self._pairs.get(key)
         if out is None:
-            out = self._pairs[key] = self.intervals1(M).hom_pairs(self.intervals1(N))
+            out = self._pairs[key] = I.hom_pairs(J)
         return out
 
     def layers(self, M: PersModule):
         return self._cached(self._layers, M, slice_layers)
+
+    def fibres(self, M: PersModule) -> list[Intervals]:
+        """The records of M's fibres along axis 0, numbered as in positions:
+        the leaves of its layer tree, each made once per content."""
+        return self._cached(self._fibres, M, lambda R: [self.intervals1(R)] if R.n == 1 else
+                            [I for layer in self.layers(R)[0] for I in self.fibres(layer)])
+
+    def positions(self, box: GridBox) -> tuple[list, list, dict]:
+        """(extents, positions, index): box's extents along axes n-1 down
+        to 1, fibre t's layer indices along axes 1 to n-1 (in their
+        lexicographic order, last axis first), and {v[1:]: t}."""
+        out = self._grids.get(box)
+        if out is None:
+            extents = [h - l + 1 for l, h in zip(box.lo[:0:-1], box.hi[:0:-1])]
+            positions = [pos[::-1] for pos in product(*map(range, extents))]
+            index = {tuple(map(add, pos, box.lo[1:])): t for t, pos in enumerate(positions)}
+            out = self._grids[box] = (extents, positions, index)
+        return out
+
+    def links(self, M: PersModule) -> dict:
+        """{(t, u): the interval coordinates of M's steps from fibre t to
+        its neighbour u}, for each such pair that a nonzero step joins."""
+        return self._cached(self._links, M, self._make_links)
+
+    def _make_links(self, M: PersModule) -> dict:
+        I, (_, _, index) = self.fibres(M), self.positions(M.box)
+        comps = defaultdict(dict)
+        for (v, k), m in M.steps.items():
+            if k and not m.is_zero():
+                comps[index[v[1:]], index[vsucc(v, k)[1:]]][v[:1]] = m
+        return {(t, u): I[t].coords(I[u], comps[t, u]) for t, u in sorted(comps)}
 
     def hom(self, M: PersModule, N: PersModule) -> "HomSpace":
         M, N = self._rep(M), self._rep(N)
@@ -129,47 +172,36 @@ class Context:
             self._homs[key] = HomSpace(M, N, self)
         return self._homs[key]
 
-    # -- the ambient-coordinate calculus -------------------------------
+    # -- the ambient-coordinate calculus, one fibre at a time ----------
 
     def express(self, M: PersModule, N: PersModule, g: dict) -> dict:
         """Ambient coordinates of the natural transformation M -> N with
         components g, {vertex: matrix}."""
-        if M.is_zero() or N.is_zero():
-            return {}
-        if M.n == 1:
-            return self.intervals1(M).coords(self.intervals1(N), g)
-        Ms, _ = self.layers(M)
-        Ns, _ = self.layers(N)
-        h0 = M.box.lo[-1]
+        IM, IN = self.fibres(M), self.fibres(N)
+        _, positions, index = self.positions(M.box)
+        per = defaultdict(dict)
+        for v, m in g.items():
+            per[index[v[1:]]][v[:1]] = m
         out = {}
-        for i in range(len(Ms)):
-            gi = {v: m for v in Ms[i].dims if (m := g.get(v + (h0 + i,))) is not None}
-            for leaf, c in self.express(Ms[i], Ns[i], gi).items():
-                out[(i, leaf)] = c
+        for t, gt in per.items():
+            for key, c in IM[t].coords(IN[t], gt).items():
+                out[_tag(positions[t], key)] = c
         return out
 
     def materialize(self, M: PersModule, N: PersModule, x: dict) -> dict:
         """The components, {vertex: matrix}, of the natural transformation
-        M -> N with the given ambient coordinates; zero ones are left out."""
-        if M.is_zero() or N.is_zero():
-            return {}
-        if M.n == 1:
-            # realize gives the morphism between the rectangle modules; the
-            # chain bases carry it onto M and N
-            I, J = self.intervals1(M), self.intervals1(N)
-            comps = {}
-            for v, m in realize(I.decomp, J.decomp, x).items():
-                m = J.basis[v] @ m
-                comps[v] = m if (inv := I.inverse(v)) is None else m @ inv
-            return comps
-        Ms, _ = self.layers(M)
-        Ns, _ = self.layers(N)
-        h0 = M.box.lo[-1]
-        per = _by_layer(x)
+        M -> N with the given ambient coordinates; zero ones are left out.
+        On each fibre realize gives the morphism between the rectangle
+        modules, and the chain bases carry it onto M and N."""
+        IM, IN = self.fibres(M), self.fibres(N)
+        lo, (extents, positions, _) = M.box.lo, self.positions(M.box)
         comps = {}
-        for i in range(len(Ms)):
-            for v, m in self.materialize(Ms[i], Ns[i], per.get(i, {})).items():
-                comps[v + (h0 + i,)] = m
+        for t, xt in sorted(_by_fibre(x, extents).items()):
+            I, J = IM[t], IN[t]
+            at = tuple(map(add, positions[t], lo[1:]))
+            for v, m in realize(I.decomp, J.decomp, xt).items():
+                m = J.basis[v] @ m
+                comps[v + at] = m if (inv := I.inverse(v)) is None else m @ inv
         return comps
 
     def compose(self, L: PersModule, M: PersModule, N: PersModule, x: dict, y: dict) -> dict:
@@ -177,19 +209,15 @@ class Context:
         if not x or not y:
             return {}
         f = L.field
-        if L.n == 1:
-            out = {}
-            for key, b, c in self.intervals1(L).composite_terms(self.intervals1(N), y.items(), x.items()):
-                out[key] = f.add(out.get(key, f.zero), f.mul(c, b))
-            return {k: v for k, v in out.items() if v != 0}
-        Ls, _ = self.layers(L)
-        Ms, _ = self.layers(M)
-        Ns, _ = self.layers(N)
-        xs, ys = _by_layer(x), _by_layer(y)
+        IL, IN = self.fibres(L), self.fibres(N)
+        extents, positions, _ = self.positions(L.box)
+        xs, ys = _by_fibre(x, extents), _by_fibre(y, extents)
         out = {}
-        for i in set(xs) & set(ys):
-            for leaf, c in self.compose(Ls[i], Ms[i], Ns[i], xs[i], ys[i]).items():
-                out[(i, leaf)] = c
+        for t in xs.keys() & ys.keys():
+            acc = {}
+            for key, b, c in IL[t].composite_terms(IN[t], ys[t].items(), xs[t].items()):
+                acc[key] = f.add(acc.get(key, f.zero), f.mul(c, b))
+            out.update((_tag(positions[t], key), c) for key, c in acc.items() if c != 0)
         return out
 
 
@@ -198,31 +226,30 @@ class HomSpace:
     context it reads; it keeps no reference to that context.
 
     M and N must share field and box (grid.require_common), which is
-    checked before anything is built.  _build gives the constraint rows and
-    the layers' hom bases; in 1D there are no rows and the columns are the
-    unit vectors at Context.pairs.  dim is the column count less the rows'
-    rank.  The columns, the layer bases tagged by layer, and their keys are
-    made on the first read of basis, which also solves the kernel.
+    checked before anything is built.  The columns are the unit vectors at
+    the fibre pairs, in the lexicographic order of their ambient keys, and
+    dim is their count less the rank of _build's rows; the keys are made
+    and the kernel solved on the first read of basis.
 
-    Each basis element b_k has a pivot key, pivot_keys[k], at which b_k is 1 and
-    every other basis element is 0; coords_in_basis reads coordinates
-    there.  The columns have such keys, by induction on n: in 1D they are
-    the unit vectors at their pairs (i, j); above, column c is a basis
-    element b of layer i tagged by i, so it is 1 at (i, key of b), where
-    the other columns of layer i are 0 by induction and those of other
-    layers are 0 because their tag differs.  nullspace_sparse gives each
-    kernel vector a 1 at its free column and a 0 at the other free columns,
-    so basis element k is 1 at its free column's key and every other basis
-    element is 0 there.  That free column is the kernel vector's largest,
-    since every other nonzero sits at a pivot column to its left in the rref.
+    Basis element k is 1 at its pivot key, pivot_keys[k], where every other
+    one is 0; coords_in_basis reads coordinates there.  nullspace_sparse
+    gives each kernel vector a 1 at its free column, a 0 at the other free
+    columns and its other nonzeros at pivot columns to the left in the
+    rref.  So the free columns are where some kernel vector has its last
+    nonzero entry, and the element of free column j is the one kernel
+    vector that is 1 at j and 0 at the other free columns: the basis and
+    its pivot keys depend only on the kernel, the fibre families natural
+    along every axis, and the column order, and so match any system with
+    both, such as one solved layer by layer over the layers' hom bases.
     """
 
     def __init__(self, M: PersModule, N: PersModule, ctx: Context):
         require_common("hom", M, N)
         self.M = M
         self.N = N
-        self._rows, self._layers = self._build(ctx)
-        self.ncols = sum(len(keys) for _, keys in self._layers)
+        self._rows, self._pairs = self._build(ctx)
+        self._positions = ctx.positions(M.box)[1]
+        self.ncols = sum(map(len, self._pairs))
 
     @cached_property
     def dim(self) -> int:
@@ -231,18 +258,12 @@ class HomSpace:
     @cached_property
     def _solved(self) -> tuple[list[dict], list]:
         """(basis, keys): the kernel basis and its elements' pivot keys."""
-        f, cols, keys = self.M.field, [], []
-        for i, (basis, ks) in enumerate(self._layers):
-            if basis is None:  # a 1D module or layer: the unit vectors at its pairs
-                basis = [{k: f.one} for k in ks]
-            tagged = self.M.n > 1
-            cols += [{(i, leaf): c for leaf, c in b.items()} for b in basis] if tagged else basis
-            keys += [(i, k) for k in ks] if tagged else ks
+        f = self.M.field
+        keys = [_tag(pos, key) for pos, pairs in zip(self._positions, self._pairs) for key in pairs]
         if not self._rows:
-            return cols, keys
-        sols = nullspace_sparse(self._rows, len(cols), f)
-        return ([combine(f, ((c, cols[col]) for col, c in sol.items())) for sol in sols],
-                [keys[max(sol)] for sol in sols])
+            return [{k: f.one} for k in keys], keys
+        sols = nullspace_sparse(self._rows, len(keys), f)
+        return [{keys[col]: c for col, c in sol.items()} for sol in sols], [keys[max(sol)] for sol in sols]
 
     @property
     def basis(self) -> list[dict]:
@@ -252,54 +273,31 @@ class HomSpace:
     def pivot_keys(self) -> list:
         return self._solved[1]
 
-    def _build(self, ctx: Context) -> tuple[list[dict], list[tuple]]:
-        """(rows, layers): the constraint rows and each layer's (hom basis,
-        its pivot keys), a 1D layer's basis None as its keys are its pairs;
-        column offsets[i] + b of the system is layer i's basis element b."""
+    def _build(self, ctx: Context) -> tuple[list[dict], list[list]]:
+        """(rows, pairs): the constraint rows and each fibre pair's hom
+        pairs; column offsets[t] + c of the system is pair c of fibre t."""
         M, N = self.M, self.N
         f = M.field
-        if M.is_zero() or N.is_zero():
-            return [], []
-        if M.n == 1:
-            return [], [(None, ctx.pairs(M, N))]
-        Ms, lMs = ctx.layers(M)
-        Ns, lNs = ctx.layers(N)
-        h = len(Ms)
-        if M.n == 2:
-            layers = [(None, ctx.pairs(Ms[i], Ns[i])) for i in range(h)]
-        else:
-            layers = [(H.basis, H.pivot_keys) for H in (ctx.hom(Ms[i], Ns[i]) for i in range(h))]
-        offsets = list(accumulate((len(keys) for _, keys in layers), initial=0))
-        if offsets[-1] == 0:
-            return [], layers
-        lM_expr = [ctx.express(Ms[i], Ms[i + 1], lMs[i].comps) for i in range(h - 1)]
-        lN_expr = lM_expr if N is M else [ctx.express(Ns[i], Ns[i + 1], lNs[i].comps) for i in range(h - 1)]
+        IM, IN = ctx.fibres(M), ctx.fibres(N)
+        pairs = [ctx.pairs(I, J) for I, J in zip(IM, IN)]
+        offsets = list(accumulate(map(len, pairs), initial=0))
         rows: list[dict] = []
-        for i in range(h - 1):
-            # constraint: link_N . f_i = f_{i+1} . link_M in Hom(M_i, N_{i+1})
+        if offsets[-1] == 0:
+            return rows, pairs
+        lM, lN = ctx.links(M), ctx.links(N)
+        for t, u in (lM if lN is lM else sorted(lM.keys() | lN.keys())):
+            # link_N . f_t = f_u . link_M in Hom(M_t, N_u), one pass per link;
+            # a unit column is carried as its column number for its one
             per_leaf: dict = defaultdict(dict)
-            (basis, keys), (basis1, keys1) = layers[i], layers[i + 1]
-            if M.n == 2:
-                # compose in one pass over each link, a 1D layer's columns
-                # being the unit vectors at its pairs, each carried as its
-                # column number in place of its coefficient one
-                I, K = ctx.intervals1(Ms[i]), ctx.intervals1(Ns[i + 1])
-                units = ((key, col) for col, key in enumerate(keys, offsets[i]))
-                for leaf, col, c in I.composite_terms(K, units, lN_expr[i].items()):
-                    per_leaf[leaf][col] = c
-                units = ((key, col) for col, key in enumerate(keys1, offsets[i + 1]))
-                for leaf, c, col in I.composite_terms(K, lM_expr[i].items(), units):
-                    per_leaf[leaf][col] = f.neg(c)
-            else:
-                for col, b in enumerate(basis, offsets[i]):
-                    for leaf, c in ctx.compose(Ms[i], Ns[i], Ns[i + 1], lN_expr[i], b).items():
-                        per_leaf[leaf][col] = c
-                for col, b in enumerate(basis1, offsets[i + 1]):
-                    for leaf, c in ctx.compose(Ms[i], Ms[i + 1], Ns[i + 1], b, lM_expr[i]).items():
-                        row = per_leaf[leaf]
-                        row[col] = f.sub(row.get(col, f.zero), c)
+            I, K = IM[t], IN[u]
+            units = ((key, col) for col, key in enumerate(pairs[t], offsets[t]))
+            for leaf, col, c in I.composite_terms(K, units, lN.get((t, u), {}).items()):
+                per_leaf[leaf][col] = c
+            units = ((key, col) for col, key in enumerate(pairs[u], offsets[u]))
+            for leaf, c, col in I.composite_terms(K, lM.get((t, u), {}).items(), units):
+                per_leaf[leaf][col] = f.neg(c)
             rows.extend(per_leaf.values())
-        return rows, layers
+        return rows, pairs
 
     # -- element operations --------------------------------------------
 
