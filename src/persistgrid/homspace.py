@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import accumulate, product
 from operator import add
 
-from .grid import GridBox, PersModule, require_common, slice_layers, vsucc
+from .grid import GridBox, PersModule, require_common, slice_layers
 from .linalg import Matrix, nullspace_sparse, rank_sparse
 from .rectangles import Intervals, interval_decompose_1d, realize
 
@@ -44,6 +44,15 @@ def _tag(pos: tuple, key):
     return key
 
 
+def _grid(box: GridBox) -> tuple[list, list, list]:
+    """(extents, positions, suffixes): box's extents along axes n-1 down to
+    1; fibre t's layer indices and its vertices' v[1:] along axes 1 to n-1,
+    the fibres in lexicographic order of their layer indices, last first."""
+    extents = [h - l + 1 for l, h in zip(box.lo[:0:-1], box.hi[:0:-1])]
+    positions = [pos[::-1] for pos in product(*map(range, extents))]
+    return extents, positions, [tuple(map(add, pos, box.lo[1:])) for pos in positions]
+
+
 def _by_fibre(x: dict, extents: list) -> dict:
     """Ambient coordinates split as {fibre number: {pair: c}}."""
     per = defaultdict(dict)
@@ -68,10 +77,9 @@ class Context:
     a matrix that steps share is read once.  The maps keep every module and
     matrix alive, so ids cannot be recycled underneath us.
 
-    Equal modules share one HomSpace, one layer slicing, one set of links
-    and one list of fibres, so equal layers share their fibres; a fibre is
-    cached as its Intervals record and a pair of fibres as their
-    Intervals.hom_pairs.  No rectangle module is built.  No HomSpace refers
+    Equal modules share one HomSpace, one layer slicing and one list of
+    fibres and links, so equal layers share theirs; a fibre is cached as
+    its Intervals record and a pair of fibres as their Intervals.hom_pairs.  No rectangle module is built.  No HomSpace refers
     back to its context, so the caches are freed with it.
     """
 
@@ -80,11 +88,9 @@ class Context:
         self._by_content = {}
         self._mats = {}  # id(m) -> (m, content number)
         self._numbers = {}  # row tuples -> content number
-        self._decomps = {}
         self._pairs = {}
         self._layers = {}
         self._fibres = {}
-        self._links = {}
         self._grids = {}
         self._homs = {}
 
@@ -121,7 +127,7 @@ class Context:
 
     def intervals1(self, M: PersModule) -> Intervals:
         """interval_decompose_1d of the representative of a 1D module M."""
-        return self._cached(self._decomps, M, interval_decompose_1d)
+        return self.fibres(M)[0][0]
 
     def pairs(self, I: Intervals, J: Intervals) -> list[tuple]:
         """I.hom_pairs(J) for two records made here, made once per pair."""
@@ -134,36 +140,36 @@ class Context:
     def layers(self, M: PersModule):
         return self._cached(self._layers, M, slice_layers)
 
-    def fibres(self, M: PersModule) -> list[Intervals]:
-        """The records of M's fibres along axis 0, numbered as in positions:
-        the leaves of its layer tree, each made once per content."""
-        return self._cached(self._fibres, M, lambda R: [self.intervals1(R)] if R.n == 1 else
-                            [I for layer in self.layers(R)[0] for I in self.fibres(layer)])
+    def fibres(self, M: PersModule) -> tuple[list[Intervals], dict]:
+        """(records, links): the records of M's fibres along axis 0, numbered
+        as in positions, and {(t, u): the interval coordinates of M's steps
+        from fibre t to a neighbour u} where they are nonzero, read off the
+        layer tree, whose equal layers share theirs."""
+        return self._cached(self._fibres, M, self._walk)
 
-    def positions(self, box: GridBox) -> tuple[list, list, dict]:
-        """(extents, positions, index): box's extents along axes n-1 down
-        to 1, fibre t's layer indices along axes 1 to n-1 (in their
-        lexicographic order, last axis first), and {v[1:]: t}."""
+    def _walk(self, M: PersModule) -> tuple[list[Intervals], dict]:
+        if M.n == 1:
+            return [interval_decompose_1d(M)], {}
+        layers, steps = self.layers(M)
+        I, links = [], {}
+        for layer in layers:
+            J, inner = self.fibres(layer)
+            if inner:
+                links.update(((t + len(I), u + len(I)), c) for (t, u), c in inner.items())
+            I += J
+        w, suffixes = len(J), self.positions(layers[0].box)[2]
+        for i, step in enumerate(steps):
+            for t, at in enumerate(suffixes, i * w):
+                if c := I[t].coords(I[t + w], step.comps, at):
+                    links[t, t + w] = c
+        return I, links
+
+    def positions(self, box: GridBox) -> tuple[list, list, list]:
+        """_grid(box), made once per box."""
         out = self._grids.get(box)
         if out is None:
-            extents = [h - l + 1 for l, h in zip(box.lo[:0:-1], box.hi[:0:-1])]
-            positions = [pos[::-1] for pos in product(*map(range, extents))]
-            index = {tuple(map(add, pos, box.lo[1:])): t for t, pos in enumerate(positions)}
-            out = self._grids[box] = (extents, positions, index)
+            out = self._grids[box] = _grid(box)
         return out
-
-    def links(self, M: PersModule) -> dict:
-        """{(t, u): the interval coordinates of M's steps from fibre t to
-        its neighbour u}, for each such pair that a nonzero step joins."""
-        return self._cached(self._links, M, self._make_links)
-
-    def _make_links(self, M: PersModule) -> dict:
-        I, (_, _, index) = self.fibres(M), self.positions(M.box)
-        comps = defaultdict(dict)
-        for (v, k), m in M.steps.items():
-            if k and not m.is_zero():
-                comps[index[v[1:]], index[vsucc(v, k)[1:]]][v[:1]] = m
-        return {(t, u): I[t].coords(I[u], comps[t, u]) for t, u in sorted(comps)}
 
     def hom(self, M: PersModule, N: PersModule) -> "HomSpace":
         M, N = self._rep(M), self._rep(N)
@@ -177,28 +183,23 @@ class Context:
     def express(self, M: PersModule, N: PersModule, g: dict) -> dict:
         """Ambient coordinates of the natural transformation M -> N with
         components g, {vertex: matrix}."""
-        IM, IN = self.fibres(M), self.fibres(N)
-        _, positions, index = self.positions(M.box)
-        per = defaultdict(dict)
-        for v, m in g.items():
-            per[index[v[1:]]][v[:1]] = m
+        (IM, _), (IN, _) = self.fibres(M), self.fibres(N)
+        _, positions, suffixes = self.positions(M.box)
         out = {}
-        for t, gt in per.items():
-            for key, c in IM[t].coords(IN[t], gt).items():
+        for t, at in enumerate(suffixes):
+            for key, c in IM[t].coords(IN[t], g, at).items():
                 out[_tag(positions[t], key)] = c
         return out
 
     def materialize(self, M: PersModule, N: PersModule, x: dict) -> dict:
         """The components, {vertex: matrix}, of the natural transformation
-        M -> N with the given ambient coordinates; zero ones are left out.
-        On each fibre realize gives the morphism between the rectangle
-        modules, and the chain bases carry it onto M and N."""
-        IM, IN = self.fibres(M), self.fibres(N)
-        lo, (extents, positions, _) = M.box.lo, self.positions(M.box)
+        M -> N with the given ambient coordinates, zero ones left out:
+        realize's on each fibre, carried onto M and N by the chain bases."""
+        (IM, _), (IN, _) = self.fibres(M), self.fibres(N)
+        extents, _, suffixes = self.positions(M.box)
         comps = {}
         for t, xt in sorted(_by_fibre(x, extents).items()):
-            I, J = IM[t], IN[t]
-            at = tuple(map(add, positions[t], lo[1:]))
+            I, J, at = IM[t], IN[t], suffixes[t]
             for v, m in realize(I.decomp, J.decomp, xt).items():
                 m = J.basis[v] @ m
                 comps[v + at] = m if (inv := I.inverse(v)) is None else m @ inv
@@ -209,7 +210,7 @@ class Context:
         if not x or not y:
             return {}
         f = L.field
-        IL, IN = self.fibres(L), self.fibres(N)
+        (IL, _), (IN, _) = self.fibres(L), self.fibres(N)
         extents, positions, _ = self.positions(L.box)
         xs, ys = _by_fibre(x, extents), _by_fibre(y, extents)
         out = {}
@@ -248,7 +249,6 @@ class HomSpace:
         self.M = M
         self.N = N
         self._rows, self._pairs = self._build(ctx)
-        self._positions = ctx.positions(M.box)[1]
         self.ncols = sum(map(len, self._pairs))
 
     @cached_property
@@ -259,7 +259,7 @@ class HomSpace:
     def _solved(self) -> tuple[list[dict], list]:
         """(basis, keys): the kernel basis and its elements' pivot keys."""
         f = self.M.field
-        keys = [_tag(pos, key) for pos, pairs in zip(self._positions, self._pairs) for key in pairs]
+        keys = [_tag(pos, key) for pos, pairs in zip(_grid(self.M.box)[1], self._pairs) for key in pairs]
         if not self._rows:
             return [{k: f.one} for k in keys], keys
         sols = nullspace_sparse(self._rows, len(keys), f)
@@ -278,13 +278,12 @@ class HomSpace:
         pairs; column offsets[t] + c of the system is pair c of fibre t."""
         M, N = self.M, self.N
         f = M.field
-        IM, IN = ctx.fibres(M), ctx.fibres(N)
+        (IM, lM), (IN, lN) = ctx.fibres(M), ctx.fibres(N)
         pairs = [ctx.pairs(I, J) for I, J in zip(IM, IN)]
         offsets = list(accumulate(map(len, pairs), initial=0))
         rows: list[dict] = []
         if offsets[-1] == 0:
             return rows, pairs
-        lM, lN = ctx.links(M), ctx.links(N)
         for t, u in (lM if lN is lM else sorted(lM.keys() | lN.keys())):
             # link_N . f_t = f_u . link_M in Hom(M_t, N_u), one pass per link;
             # a unit column is carried as its column number for its one

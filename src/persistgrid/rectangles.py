@@ -278,15 +278,16 @@ class Intervals:
         return [(i, j) for i, (a, b) in enumerate(zip(self.births, self.deaths))
                 for j, (c, d) in enumerate(zip(J.births, J.deaths)) if c <= a and d <= b and a <= d]
 
-    def coords(self, J: "Intervals", g: dict) -> dict:
+    def coords(self, J: "Intervals", g: dict, at: tuple = ()) -> dict:
         """The sparse coordinates of the morphism with components g,
-        {vertex: matrix}, from this module to J's.  Summand i's chain
+        {vertex: matrix}, from this module to J's, read at the vertices
+        (x,) + at: on the fibre at at of a larger module.  Summand i's chain
         vector at its birth b, mapped by g, has unique coordinates in J's
         chain basis there; of the summands j live at b, hom_leq keeps those
         that die no later than i."""
         out = {}
         for i, (b, d) in enumerate(zip(self.births, self.deaths)):
-            gv, rows = g.get((b,)), J.at.get((b,))
+            gv, rows = g.get((b,) + at), J.at.get((b,))
             if gv is None or rows is None:
                 continue
             y, inv = gv.mul_vec(self.chains[i][b]), J.inverse((b,))
