@@ -79,8 +79,9 @@ class Context:
 
     Equal modules share one HomSpace, one layer slicing and one list of
     fibres and links, so equal layers share theirs; a fibre is cached as
-    its Intervals record and a pair of fibres as their Intervals.hom_pairs.  No rectangle module is built.  No HomSpace refers
-    back to its context, so the caches are freed with it.
+    its Intervals record and a pair of fibres as their
+    Intervals.hom_pairs.  No rectangle module is built.  No HomSpace
+    refers back to its context, so the caches are freed with it.
     """
 
     def __init__(self):

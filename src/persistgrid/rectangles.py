@@ -169,19 +169,99 @@ def realize(source: RectDecomp, target: RectDecomp, coords: dict) -> dict:
 class _Chain:
     __slots__ = ("birth", "death", "vecs", "index")
 
-    def __init__(self, birth: int, vec: list, index: int):
+    def __init__(self, birth: int, vecs, index: int):
         self.birth = birth
         self.death = None
-        self.vecs = {birth: vec}
+        # {x: chain vector} in the elder-rule pass; on the matching path the
+        # list of its rows at birth, birth + 1, ...
+        self.vecs = vecs
         self.index = index  # creation order, the tie-break between equal intervals
 
 
 def interval_decompose_1d(M: PersModule) -> "Intervals":
-    """Explicit interval decomposition of a 1D module by one reduction
-    pass: chains of basis vectors, one per interval summand, ordered by
-    (birth, death, creation order), deterministically."""
+    """Explicit interval decomposition of a 1D module: one chain of basis
+    vectors per interval summand, ordered by (birth, death, creation
+    order), deterministically.
+
+    When every step is a 0/1 matching (entries 0 and one only, at most one
+    nonzero in each row and column; identities and the empty matching
+    included), the chains follow the matchings and the record keeps each
+    summand's row at each vertex.  That is the elder-rule pass's answer:
+    its chain vectors are then unit vectors with coefficient 1, which a
+    matching sends to distinct unit vectors or to zero, so reducing the
+    images subtracts nothing and rescales nothing, a chain dies exactly
+    where its row is unmatched, and a newborn e_r survives its reduction
+    exactly when r is no survivor's row.  Any other step sends the whole
+    module through the elder-rule pass."""
     if M.n != 1:
         raise ValueError("interval decomposition needs a 1D module")
+    matchings = _matchings(M)
+    chains = _elder_rule(M) if matchings is None else _follow(M, matchings)
+    chains.sort(key=lambda c: (c.birth, c.death, c.index))
+    return Intervals(M.field, M.box, chains, matchings is not None)
+
+
+def _matching(A: Matrix) -> list | None:
+    """m with m[c] the row of column c's one and None at a zero column, when
+    A is a 0/1 matching; None otherwise."""
+    one = A.field.one
+    m = [None] * A.ncols
+    for r, row in enumerate(A.rows):
+        if nonzero := len(row) - row.count(0):
+            if nonzero > 1 or one not in row or m[c := row.index(one)] is not None:
+                return None
+            m[c] = r
+    return m
+
+
+def _matchings(M: PersModule) -> dict | None:
+    """{x: the matching of the step from x - 1} over M's steps, a missing
+    step being the empty one, or None when some step is no matching.  Each
+    matrix object is read once."""
+    seen, out = {}, {}
+    for ((x,), _), A in M.steps.items():
+        if id(A) not in seen:
+            seen[id(A)] = _matching(A)
+        if (m := seen[id(A)]) is None:
+            return None
+        out[x + 1] = m
+    return out
+
+
+def _follow(M: PersModule, matchings: dict) -> list[_Chain]:
+    """The chains of a module whose steps are all matchings, each a list of
+    rows: a chain survives a step where its row is matched, and the rows
+    of x no survivor holds are born there, in row order."""
+    active: list[_Chain] = []
+    done: list[_Chain] = []
+    chains_made = 0
+    for x in range(M.box.lo[0], M.box.hi[0] + 1):
+        m = matchings.get(x)
+        survivors = []
+        for chain in active:
+            r = None if m is None else m[chain.vecs[-1]]
+            if r is None:
+                chain.death = x - 1
+                done.append(chain)
+            else:
+                chain.vecs.append(r)
+                survivors.append(chain)
+        active = survivors
+        d = M.dims.get((x,), 0)
+        if d > len(active):
+            held = {chain.vecs[-1] for chain in active}
+            for r in range(d):
+                if r not in held:
+                    active.append(_Chain(x, [r], chains_made))
+                    chains_made += 1
+    for chain in active:
+        chain.death = M.box.hi[0]
+        done.append(chain)
+    return done
+
+
+def _elder_rule(M: PersModule) -> list[_Chain]:
+    """The chains of a 1D module by one reduction pass over its steps."""
     f = M.field
     lo, hi = M.box.lo[0], M.box.hi[0]
     active: list[_Chain] = []
@@ -243,14 +323,14 @@ def interval_decompose_1d(M: PersModule) -> "Intervals":
             piv, vec = reduce_vec(vec, accepted, None, x)
             if piv is None:
                 continue
-            chain = _Chain(x, vec, chains_made)
+            chain = _Chain(x, {x: vec}, chains_made)
             chains_made += 1
             accepted.append((piv, chain))
             active.append(chain)
     for chain in active:
         chain.death = hi
         done.append(chain)
-    return Intervals(f, M.box, sorted(done, key=lambda c: (c.birth, c.death, c.index)))
+    return done
 
 
 def barcode_1d(M: PersModule) -> Counter:
@@ -263,13 +343,22 @@ class Intervals:
     """A 1D module's interval summands: summand i is [births[i], deaths[i]]
     with chain vector chains[i][x] at x, and at[v] lists those live at v.
     basis[v] holds the chain vectors of at[v] as columns, the components of
-    a pointwise invertible morphism rect_to_module(decomp) -> M."""
+    a pointwise invertible morphism rect_to_module(decomp) -> M.
 
-    def __init__(self, field: Field, box: GridBox, chains: list[_Chain]):
+    A record of matchings keeps rows[i], summand i's row at births[i],
+    births[i] + 1, ...: its chain vectors are those unit vectors, made on
+    first read, and its bases permutation matrices.  rows is None on a
+    record of the elder-rule pass, which gives the chain vectors."""
+
+    def __init__(self, field: Field, box: GridBox, chains: list[_Chain], matched: bool):
         self.field, self.box = field, box
         self.births = [c.birth for c in chains]
         self.deaths = [c.death for c in chains]
-        self.chains = [c.vecs for c in chains]
+        if matched:
+            self.rows = [c.vecs for c in chains]
+        else:
+            self.rows = None
+            self.chains = [c.vecs for c in chains]  # in place of the cached property
         self._inverses = {}
 
     def hom_pairs(self, J: "Intervals") -> list[tuple]:
@@ -284,15 +373,24 @@ class Intervals:
         (x,) + at: on the fibre at at of a larger module.  Summand i's chain
         vector at its birth b, mapped by g, has unique coordinates in J's
         chain basis there; of the summands j live at b, hom_leq keeps those
-        that die no later than i."""
+        that die no later than i.  Between two records of matchings both
+        are unit vectors, so coordinate (i, j) is the entry of g at b in
+        row j's row and column i's row."""
         out = {}
+        rows, Jrows, Jbirths, Jdeaths = self.rows, J.rows, J.births, J.deaths
         for i, (b, d) in enumerate(zip(self.births, self.deaths)):
-            gv, rows = g.get((b,) + at), J.at.get((b,))
-            if gv is None or rows is None:
+            gv, live = g.get((b,) + at), J.at.get((b,))
+            if gv is None or live is None:
+                continue
+            if rows is not None and Jrows is not None:
+                col, grows = rows[i][0], gv.rows
+                for j in live:
+                    if (c := grows[Jrows[j][b - Jbirths[j]]][col]) != 0 and Jdeaths[j] <= d:
+                        out[(i, j)] = c
                 continue
             y, inv = gv.mul_vec(self.chains[i][b]), J.inverse((b,))
-            for j, c in zip(rows, y if inv is None else inv.mul_vec(y)):
-                if c != 0 and J.deaths[j] <= d:
+            for j, c in zip(live, y if inv is None else inv.mul_vec(y)):
+                if c != 0 and Jdeaths[j] <= d:
                     out[(i, j)] = c
         return out
 
@@ -318,6 +416,19 @@ class Intervals:
                 at.setdefault((x,), []).append(i)
         return at
 
+    @cached_property
+    def chains(self) -> list[dict]:
+        """The unit vectors at a record of matchings' rows."""
+        f, at = self.field, self.at
+        chains = []
+        for b, rows in zip(self.births, self.rows):
+            vecs = {}
+            for x, r in enumerate(rows, b):
+                vecs[x] = vec = [f.zero] * len(at[(x,)])
+                vec[r] = f.one
+            chains.append(vecs)
+        return chains
+
     def _matrix(self, v) -> Matrix:
         return Matrix(self.field, zip(*(self.chains[i][v[0]] for i in self.at[v])))
 
@@ -330,8 +441,12 @@ class Intervals:
         return {v: self._matrix(v) for v in self.at}
 
     def inverse(self, v) -> Matrix | None:
-        """The inverse of basis[v], None where that is the identity."""
+        """The inverse of basis[v], None where that is the identity; on a
+        record of matchings the transpose of a permutation matrix."""
         if v not in self._inverses:
             B = self._matrix(v)
-            self._inverses[v] = None if B.is_identity() else B.inverse()
+            if B.is_identity():
+                self._inverses[v] = None
+            else:
+                self._inverses[v] = B.inverse() if self.rows is None else B.transpose()
         return self._inverses[v]

@@ -17,7 +17,8 @@ breaks the rules that the storing constructors of PersModule and
 ModMorphism take on trust; `stretch_first` builds gen4's floor-stretch of a
 module arrow by arrow, without the internal maps of a pullback;
 `intervals_by_full_pass` decomposes a 1D module by reducing the image of
-every chain at every step, identity steps included;
+every chain at every step, identity steps included, and `is_matching`
+tests a step for a 0/1 matching entry by entry;
 `factors_by_trial_division` factors a polynomial over a small prime field
 into irreducibles by trial division; `minimal_polynomial_by_powers` finds a
 matrix's minimal polynomial from the rank of its powers;
@@ -325,6 +326,12 @@ def intervals_by_full_pass(M: PersModule):
         if cols:
             basis[(x,)] = Matrix(f, [[col[r] for col in cols] for r in range(M.dim((x,)))])
     return [(c.birth, c.death) for c in done], basis
+
+
+def is_matching(A: Matrix) -> bool:
+    """Entries 0 and one only, at most one nonzero in each row and column."""
+    return (all(a in (0, A.field.one) for row in A.rows for a in row)
+            and all(sum(map(bool, line)) <= 1 for line in (*A.rows, *zip(*A.rows))))
 
 
 def module_faults(M: PersModule) -> list[str]:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from persistgrid import (Context, Field, GridBox, HomSpace, PersModule, Rectangle,
                          RectDecomp, candy_wrap, check_candy, concat, direct_sum, end_algebra, end_dim,
-                         hom_basis, hom_dim, iso_certificate, min3, rect_to_module, stack, try_split)
+                         gen4, hom_basis, hom_dim, interval_decompose_1d, iso_certificate, min3,
+                         rect_to_module, stack, try_split)
 from persistgrid import homspace, rectangles, verify
 from persistgrid.grid import ModMorphism, vsucc
 from persistgrid.io import pmod_to_json
@@ -23,7 +24,7 @@ from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module, rand_rect_decomp
 from persistgrid.verify import DECOMPOSABLE
 
-from oracles import materialize_by_iso, rank_by_first_nonzero
+from oracles import is_matching, materialize_by_iso, rank_by_first_nonzero
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -393,6 +394,66 @@ def test_dim_paths_build_no_per_layer_objects(monkeypatch):
     assert check_candy(C.module, C.ul, C.lr).ok
     assert try_split(M).reason == "end_dim = 1"
     assert built == {"2D HomSpace": 3}
+
+
+@pytest.mark.parametrize("f", [F1009, Q], ids=str)
+def test_elder_rule_runs_only_on_fibres_with_a_non_matching_step(f, monkeypatch):
+    """The canonical maps of a candy and of gen4 give only 0/1 matchings
+    along axis 0 when the input's steps are matchings, so end_dim runs no
+    elder-rule pass there; a random V + V has steps that are not."""
+    fibres = []
+    original = rectangles._elder_rule
+
+    def spy(M):
+        fibres.append(M)
+        return original(M)
+
+    monkeypatch.setattr(rectangles, "_elder_rule", spy)
+    V = rand_module(random.Random(0), f, GridBox((0,), (3,)), max_dim=2)
+    assert all(map(is_matching, V.steps.values()))
+    assert end_dim(candy_wrap(V).module) == end_dim(gen4(V).M) == 1
+    assert fibres == []
+    W = rand_module(random.Random(1), f, GridBox((0, 0), (2, 1)), max_dim=2)
+    end_dim(direct_sum(W, W))
+    assert fibres and not any(all(map(is_matching, M.steps.values())) for M in fibres)
+
+
+def matching_fibre(rng, f, hi) -> PersModule:
+    """A random 1D module on [0, hi] whose steps are 0/1 partial injections."""
+    dims = {(x,): d for x in range(hi + 1) if (d := rng.randint(0, 3))}
+    steps = {}
+    for (x,), d in dims.items():
+        if (e := dims.get((x + 1,))) is not None:
+            m = Matrix.zero(f, e, d)
+            for c, r in zip(range(d), rng.sample(range(e), e)):
+                if rng.random() < 0.8:
+                    m.rows[r][c] = f.one
+            steps[((x,), 0)] = m
+    return PersModule(f, GridBox((0,), (hi,)), dims, steps)
+
+
+@pytest.mark.parametrize("f", [F2, F1009, Q], ids=str)
+def test_row_coords_match_the_inverse_formula(f):
+    """Between two records of matchings, coords reads entries of g: the same
+    coordinates, keys and key order as mapping each chain vector at its
+    birth and applying the inverse of the target's chain basis there."""
+    rng = random.Random(11)
+    values = [f.zero, f.one, f.of(2), f.of(-1)] + ([Fraction(1, 2), Fraction(-3, 4)] if f.is_rational else [])
+    for _ in range(40):
+        hi, at = rng.randint(0, 5), (rng.randint(0, 2),)
+        M, N = matching_fibre(rng, f, hi), matching_fibre(rng, f, hi)
+        I, J = interval_decompose_1d(M), interval_decompose_1d(N)
+        assert I.rows is not None and J.rows is not None
+        g = {v + at: Matrix(f, [[rng.choice(values) for _ in range(d)] for _ in range(N.dims[v])])
+             for v, d in M.dims.items() if v in N.dims and rng.random() < 0.9}
+        expected = {}
+        for i, (b, d) in enumerate(zip(I.births, I.deaths)):
+            gv, live = g.get((b,) + at), J.at.get((b,))
+            if gv is None or live is None:
+                continue
+            y = J.basis[(b,)].inverse().mul_vec(gv.mul_vec(I.chains[i][b]))
+            expected.update(((i, j), c) for j, c in zip(live, y) if c != 0 and J.deaths[j] <= d)
+        assert list(I.coords(J, g, at).items()) == list(expected.items())
 
 
 def test_int_and_fraction_entries_share_one_representative():

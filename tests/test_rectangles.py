@@ -13,7 +13,7 @@ from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module, rand_rect_decomp
 
-from oracles import indices_by_scan, intervals_by_full_pass
+from oracles import indices_by_scan, intervals_by_full_pass, is_matching
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -208,11 +208,24 @@ class TestBarcode:
             assert total == M.dim(x)
 
 
+def partial_injection(draw, f, d, e) -> list[list]:
+    """A random e x d 0/1 matrix with at most one one in each row and column."""
+    rows = draw(st.permutations(range(e)))
+    keep = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    m = [[f.zero] * d for _ in range(e)]
+    for c in range(min(d, e)):
+        if keep[c]:
+            m[rows[c]][c] = f.one
+    return m
+
+
 @st.composite
 def runs_1d(draw):
     """A 1D module made of runs of one dimension each, zero included.  Inside
     a run the steps are mostly identities, else identities with one entry
-    changed, random or zero; steps between runs are random or zero."""
+    changed, random or zero; any step may be a 0/1 matching, or one with
+    one entry scaled away from 1, which no matching has; steps between runs
+    are otherwise random or zero."""
     f = draw(st.sampled_from([F2, F3, Q, F1009]))
     values = [0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)] if f.is_rational else [f.of(c) for c in range(-2, 3)]
     scalar = st.sampled_from(values)
@@ -220,12 +233,23 @@ def runs_1d(draw):
     dims = [d for d, length in runs for _ in range(length)]
     steps = {}
     for x, (d, e) in enumerate(zip(dims, dims[1:])):
-        kind = draw(st.sampled_from(["identity"] * 3 + ["near", "random", "zero"] if d == e else ["random", "zero"]))
+        kinds = ["identity"] * 3 + ["near", "random", "zero"] if d == e else ["random", "zero"]
+        kind = draw(st.sampled_from(kinds + ["matching", "scaled matching"]))
         if not (d and e) or kind == "zero":
             continue
-        rows = Matrix.identity(f, d).rows if kind != "random" else [[draw(scalar) for _ in range(d)] for _ in range(e)]
-        if kind == "near":
-            rows[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = draw(scalar)
+        if kind in ("matching", "scaled matching"):
+            rows = partial_injection(draw, f, d, e)
+            ones = [(r, c) for r, row in enumerate(rows) for c, a in enumerate(row) if a]
+            scales = [a for a in values if a not in (0, f.one)]  # none over F_2
+            if kind == "scaled matching" and ones and scales:
+                r, c = draw(st.sampled_from(ones))
+                rows[r][c] = draw(st.sampled_from(scales))
+        elif kind == "random":
+            rows = [[draw(scalar) for _ in range(d)] for _ in range(e)]
+        else:
+            rows = Matrix.identity(f, d).rows
+            if kind == "near":
+                rows[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = draw(scalar)
         steps[((x,), 0)] = Matrix(f, rows)
     return PersModule(f, GridBox((0,), (len(dims) - 1,)), {(x,): d for x, d in enumerate(dims) if d}, steps)
 
@@ -248,13 +272,18 @@ class TestIntervalDecompose:
     @given(runs_1d())
     @settings(max_examples=300, deadline=None)
     def test_identity_steps_carry_chains_over_exactly(self, M):
-        """An identity step passes the chains on unchanged; the plain pass,
-        which reduces at every step, gives the same summands in the same
-        order and the same chain basis."""
+        """An identity step passes the chains on unchanged, and a module of
+        0/1 matchings is read off its rows; the plain pass, which reduces at
+        every step, gives the same summands in the same order and the same
+        chain basis either way.  A record keeps rows exactly when every
+        step is a matching."""
         I = interval_decompose_1d(M)
         summands, full_basis = intervals_by_full_pass(M)
         assert list(zip(I.births, I.deaths)) == [(r.b[0], r.d[0]) for r in I.decomp.summands] == summands
         assert I.basis == full_basis
+        assert (I.rows is not None) == all(map(is_matching, M.steps.values()))
+        for v, B in full_basis.items():
+            assert I.inverse(v) == (None if B.is_identity() else B.inverse())
 
     def test_equal_intervals_keep_creation_order(self):
         box = GridBox((0,), (3,))
