@@ -175,8 +175,8 @@ def cmd_string(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subparser per verb, built once per process."""
     p = argparse.ArgumentParser(prog="persistgrid",
                                 description="Exact persistence-module constructions and certification")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -232,11 +232,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     common(s)
     s.set_defaults(fn=cmd_string)
-    return p
+    return p, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one verb, its argv parsed by its own parser, leftovers refused as the top-level
+    parser refuses them; any other argv (none, -h, an unknown verb) goes to the top-level parser."""
+    top, verbs = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in verbs:
+        args, rest = verbs[argv[0]].parse_known_args(argv[1:])
+        if rest:
+            top.error(f"unrecognized arguments: {' '.join(rest)}")
+    else:
+        args = top.parse_args(argv)
     try:
         return args.fn(args)
     except FormatError as e:

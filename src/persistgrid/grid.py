@@ -187,48 +187,54 @@ class PersModule:
         return PersModule(self.field, box, dims, steps)
 
     def validate(self) -> "ValidationReport":
-        """Check every commutativity square whose two paths can be nonzero.
-
-        A missing arrow is the zero map, and steps join live vertices only:
-        a square missing an arrow on both paths commutes.  An identity arrow
-        contributes the other arrow unmultiplied; a product is taken once
-        per pair of step objects, which equal records of a file share.
-        """
+        """Check every commutativity square whose two paths can be nonzero, by
+        check_squares, which io.pmod_from_json runs on the steps it reads."""
         dims, steps, n = self.dims, self.steps, self.n
-        if n < 2:
-            return ValidationReport(True, "ok", None)
-        distinct = {id(m): m for m in steps.values()}
-        identities = {i for i, m in distinct.items() if m.is_identity()}
-        products = {}
-
-        def path(a, b):
-            """b after a, or None when b is missing (zero)."""
-            if b is None:
-                return None
-            if id(a) in identities:
-                return b
-            if id(b) in identities:
-                return a
-            if (key := (id(a), id(b))) not in products:
-                products[key] = b @ a
-            return products[key]
-
         out = {v: [steps.get((v, k)) for k in range(n)] for v in dims}
-        for v, here in out.items():
-            there = [None if m is None else out[vsucc(v, k)] for k, m in enumerate(here)]
-            for j in range(n - 1):
-                for k in range(j + 1, n):
-                    lhs = None if there[j] is None else path(here[j], there[j][k])
-                    rhs = None if there[k] is None else path(here[k], there[k][j])
-                    if lhs is rhs:
-                        continue
-                    if lhs is None or rhs is None:
-                        ok = (rhs if lhs is None else lhs).is_zero()
-                    else:
-                        ok = lhs == rhs
-                    if not ok:
-                        return ValidationReport(False, f"commutativity fails on the square at {v}, axes ({j}, {k})", v)
+        succ = [[None if m is None else out[vsucc(v, k)] for k, m in enumerate(here)] for v, here in out.items()]
+        return check_squares(out, succ, {id(m): m for m in steps.values()}.values(), n)
+
+
+def check_squares(out: dict, succ, mats, n: int) -> "ValidationReport":
+    """The first commutativity square that fails, vertices in out's order,
+    or ok.  out maps each live vertex v to its steps along axes 0..n-1,
+    None (the zero map) where missing; succ lists, in the same order,
+    out[v + e_k] along each axis k of a given step, else None; mats holds
+    each step object once.  Steps join live vertices only, so a square
+    missing an arrow on both paths commutes.  An identity arrow contributes
+    the other arrow unmultiplied; a product is taken once per pair of step
+    objects, which equal records of a file share."""
+    if n < 2:
         return ValidationReport(True, "ok", None)
+    identities = {id(m) for m in mats if m.is_identity()}
+    products = {}
+
+    def path(a, b):
+        """b after a, or None when b is missing (zero)."""
+        if b is None:
+            return None
+        if id(a) in identities:
+            return b
+        if id(b) in identities:
+            return a
+        if (key := (id(a), id(b))) not in products:
+            products[key] = b @ a
+        return products[key]
+
+    axes = list(itertools.combinations(range(n), 2))  # (j, k), j < k, in order
+    for (v, here), there in zip(out.items(), succ):
+        for j, k in axes:
+            lhs = None if there[j] is None else path(here[j], there[j][k])
+            rhs = None if there[k] is None else path(here[k], there[k][j])
+            if lhs is rhs:
+                continue
+            if lhs is None or rhs is None:
+                ok = (rhs if lhs is None else lhs).is_zero()
+            else:
+                ok = lhs == rhs
+            if not ok:
+                return ValidationReport(False, f"commutativity fails on the square at {v}, axes ({j}, {k})", v)
+    return ValidationReport(True, "ok", None)
 
 
 @dataclass

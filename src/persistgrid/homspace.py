@@ -194,16 +194,35 @@ class Context:
 
     def materialize(self, M: PersModule, N: PersModule, x: dict) -> dict:
         """The components, {vertex: matrix}, of the natural transformation
-        M -> N with the given ambient coordinates, zero ones left out:
-        realize's on each fibre, carried onto M and N by the chain bases."""
+        M -> N with the given ambient coordinates, zero ones left out, fibre
+        by fibre and in ascending vertices within one.  Between two records
+        of matchings coordinate (i, j) = c is c at the rows of summands j
+        and i at each vertex of [births_i, deaths_j]; between any others it
+        is realize's components carried onto M and N by the chain bases."""
         (IM, _), (IN, _) = self.fibres(M), self.fibres(N)
         extents, _, suffixes = self.positions(M.box)
         comps = {}
         for t, xt in sorted(_by_fibre(x, extents).items()):
             I, J, at = IM[t], IN[t], suffixes[t]
-            for v, m in realize(I.decomp, J.decomp, xt).items():
-                m = J.basis[v] @ m
-                comps[v + at] = m if (inv := I.inverse(v)) is None else m @ inv
+            if I.rows is None or J.rows is None:
+                for v, m in realize(I.decomp, J.decomp, xt).items():
+                    m = J.basis[v] @ m
+                    comps[v + at] = m if (inv := I.inverse(v)) is None else m @ inv
+                continue
+            block = {}
+            for (i, j), c in xt.items():
+                if c == 0:
+                    continue
+                b, e = I.births[i], J.deaths[j]
+                if not J.births[j] <= b <= e <= I.deaths[i]:  # rectangles.hom_leq on the integer ends
+                    raise ValueError(f"nonzero coordinate ({i}, {j}) where the hom space is zero")
+                cols, rows = I.rows[i], J.rows[j][b - J.births[j]:]
+                for y in range(b, e + 1):
+                    if (m := block.get(y)) is None:
+                        v = (y,) + at
+                        m = block[y] = Matrix.zero(M.field, N.dims[v], M.dims[v])
+                    m.rows[rows[y - b]][cols[y - b]] = c
+            comps.update(((y,) + at, block[y]) for y in sorted(block))
         return comps
 
     def compose(self, L: PersModule, M: PersModule, N: PersModule, x: dict, y: dict) -> dict:

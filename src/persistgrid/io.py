@@ -13,7 +13,8 @@ from itertools import chain
 
 from .constructions import CandyModule
 from .fields import Field
-from .grid import MAX_AXES, MAX_DIM, MAX_VERTICES, AxisEmbedding, GridBox, PersModule, live_arrows, vsucc
+from .grid import (MAX_AXES, MAX_DIM, MAX_VERTICES, AxisEmbedding, GridBox, PersModule, check_squares, live_arrows,
+                   vsucc)
 from .linalg import Matrix
 from .rectangles import RectDecomp, Rectangle
 
@@ -172,20 +173,23 @@ def _matrix(f: Field, rows, v: tuple, k: int) -> Matrix:
 
 
 def _assemble(f: Field, box: GridBox, dims: dict, arrows: list, table: list, index: list) -> PersModule:
-    """The module whose step on arrows[j] is table[index[j]], each entry
-    parsed at its first arrow into one shared Matrix; shapes and squares checked."""
-    mats, steps = {}, {}
+    """The module whose step on arrows[j] is table[index[j]], read in one
+    walk over the arrows: each entry parsed at its first arrow into one
+    shared Matrix, each shape checked, and each vertex's steps and its
+    successors' steps recorded for grid.check_squares, the square check of
+    PersModule.validate, which runs last."""
+    n, mats, steps = box.n, {}, {}
+    out, succ = {v: [None] * n for v in dims}, {v: [None] * n for v in dims}
     for (v, k, w), i in zip(arrows, index):
-        if i not in mats:
-            mats[i] = _matrix(f, table[i], v, k)
-        m = steps[(v, k)] = mats[i]
+        if (m := mats.get(i)) is None:
+            m = mats[i] = _matrix(f, table[i], v, k)
         if m.nrows != dims[w] or m.ncols != dims[v]:
             raise FormatError(f"step at {v} axis {k} has shape {m.nrows}x{m.ncols}, expected {dims[w]}x{dims[v]}")
-    M = PersModule(f, box, dims, steps)
-    rep = M.validate()
-    if not rep:
+        steps[(v, k)] = out[v][k] = m
+        succ[v][k] = out[w]
+    if not (rep := check_squares(out, succ.values(), mats.values(), n)):
         raise FormatError(f"module is not commutative: {rep.message}")
-    return M
+    return PersModule(f, box, dims, steps)
 
 
 # ---------------------------------------------------------------------------

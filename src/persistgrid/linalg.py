@@ -399,14 +399,15 @@ class Poly:
         return acc
 
     def powmod(self, e: int, mod: "Poly") -> "Poly":
-        f = self.field
-        result = Poly(f, [f.one])
-        base = self % mod
-        while e:
-            if e & 1:
+        """self^e mod mod, e >= 0, by left-to-right powering: square, then multiply by the
+        reduced base where e's bit is set, for x^e a product by x.  x^0 is 1, unreduced."""
+        base = result = self % mod
+        if e == 0:
+            return Poly(self.field, [self.field.one])
+        for bit in bin(e)[3:]:  # the bits after the leading one
+            result = (result * result) % mod
+            if bit == "1":
                 result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
         return result
 
 

@@ -20,7 +20,9 @@ module arrow by arrow, without the internal maps of a pullback;
 every chain at every step, identity steps included, and `is_matching`
 tests a step for a 0/1 matching entry by entry;
 `factors_by_trial_division` factors a polynomial over a small prime field
-into irreducibles by trial division; `minimal_polynomial_by_powers` finds a
+into irreducibles by trial division; `powmod_right_to_left` raises a
+polynomial to a power modulo another by right-to-left powering;
+`minimal_polynomial_by_powers` finds a
 matrix's minimal polynomial from the rank of its powers;
 `rref_by_first_nonzero`, with `rank_by_first_nonzero` and
 `solve_by_first_nonzero` read off it, is dense Gauss-Jordan elimination
@@ -146,6 +148,20 @@ def factors_by_trial_division(f: Poly) -> list[tuple[Poly, int]]:
             if e:
                 out.append((q, e))
     return out
+
+
+def powmod_right_to_left(a: Poly, e: int, mod: Poly) -> Poly:
+    """a^e mod mod by right-to-left powering: the base squared at every bit
+    of e, and multiplied into the result where the bit is set."""
+    f = a.field
+    result = Poly(f, [f.one])
+    base = a % mod
+    while e:
+        if e & 1:
+            result = (result * base) % mod
+        base = (base * base) % mod
+        e >>= 1
+    return result
 
 
 def minimal_polynomial_by_powers(A: Matrix) -> Poly:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import persistgrid
 from persistgrid import (Field, GridBox, Rectangle, RectDecomp, barcode_1d, direct_sum,
                          rect_to_module)
-from persistgrid.cli import MAX_TRIALS, main
+from persistgrid.cli import MAX_TRIALS, build_parser, main
 from persistgrid.grid import MAX_AXES, MAX_DIM
 from persistgrid.io import FormatError, dump, load, pmod_from_json, pmod_to_json, rects_from_json, rects_to_json
 from persistgrid.linalg import Matrix
@@ -946,6 +946,77 @@ class TestMismatchedModules:
         for other, why in ((longer, "boxes"), (over_f2, "fields")):
             code, _, err = run(capsys, ["hom", "--a", a, "--b", other])
             assert code == 2 and err.startswith("error:") and why in err
+
+
+def main_by_nested_parse(argv) -> int:
+    """main as the top-level parser alone parses argv, the verb's subparser
+    running inside it: the reference for main's one parse."""
+    args = build_parser()[0].parse_args(argv)
+    try:
+        return args.fn(args)
+    except FormatError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+
+
+# one valid argv per verb, then malformed ones; {name} is a file of the
+# argv_files fixture
+ARGVS = [
+    ["construct", "--method", "min3", "--in", "{rects}", "--out", "{out}", "--line-out", "{line_out}"],
+    ["restrict", "--in", "{mod}", "--line", "{line}", "--out", "{out}"],
+    ["barcode", "--in", "{mod1}"],
+    ["verify", "indec", "--in", "{mod}", "--seed", "3", "--field", "F1009"],
+    ["hom", "--a", "{mod}", "--b", "{mod}", "--basis"],
+    ["concat", "--a", "{candy}", "--b", "{candy}", "--out", "{out}"],
+    ["string", "--list", "{manifest}", "--out", "{out}"],
+    [],
+    ["-h"],
+    *([verb, "-h"] for verb in ("construct", "restrict", "barcode", "verify", "hom", "concat", "string")),
+    ["frobnicate", "--in", "{mod}"],
+    ["--in", "{mod}"],
+    ["barcode"],
+    ["verify", "indec"],
+    ["construct", "--method", "s5", "--in", "{rects}", "--out", "{out}"],
+    ["verify", "indecomposable", "--in", "{mod}"],
+    ["barcode", "--in", "{mod1}", "--bogus"],
+    ["barcode", "--in", "{mod1}", "extra", "--bogus", "x"],
+    ["barcode", "--in"],
+    ["verify", "indec", "--in", "{mod}", "--seed"],
+    ["verify", "indec", "--in", "{mod}", "--seed", "x"],
+    ["hom", "--a", "{mod}", "--b", "{mod}", "--basis=yes"],
+]
+
+
+@pytest.fixture
+def argv_files(tmp_path):
+    f = Field.prime(1009)
+    names = ("rects", "mod", "line", "mod1", "candy", "manifest", "out", "line_out")
+    files = {name: str(tmp_path / f"{name}.json") for name in names}
+    dump(rects_to_json(rand_rect_decomp(random.Random(5), f, 1, 2, hi=2)), files["rects"])
+    assert main(["construct", "--method", "min3", "--in", files["rects"], "--out", files["mod"],
+                 "--line-out", files["line"]]) == 0
+    dump(pmod_to_json(rand_module(random.Random(6), f, GridBox((0,), (2,)), max_dim=2)), files["mod1"])
+    assert main(["construct", "--method", "candy", "--in", files["mod1"], "--out", files["candy"]]) == 0
+    dump({"modules": [files["mod1"]]}, files["manifest"])
+    return files
+
+
+class TestOneParse:
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_main_parses_as_the_nested_parse(self, argv_files, capsys, argv):
+        """main parses a verb's argv with that verb's parser alone; its exit
+        code, output and messages are those of the top-level parser running
+        the verb's parser nested, argparse's refusals included."""
+        argv = [a.format(**argv_files) for a in argv]
+        capsys.readouterr()
+        got = []
+        for run_main in (main_by_nested_parse, main):
+            try:
+                code = run_main(list(argv))
+            except SystemExit as e:
+                code = ("exit", e.code)
+            got.append((code, *capsys.readouterr()))
+        assert got[0] == got[1]
 
 
 class TestDeterminism:

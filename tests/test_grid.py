@@ -6,7 +6,7 @@ from persistgrid import (AxisEmbedding, Context, Field, GridBox, HomSpace, ModMo
                          Rectangle, RectDecomp, candy_wrap, direct_sum, dualize, iso_certificate,
                          pad, realize, rect_to_module, restrict, stack)
 from persistgrid.grid import MAX_VERTICES, pullback, slice_layers, vadd, vsucc
-from persistgrid.io import line_from_json, line_to_json, pmod_from_json, pmod_to_json
+from persistgrid.io import FormatError, line_from_json, line_to_json, pmod_from_json, pmod_to_json
 from persistgrid.linalg import Matrix
 from persistgrid.sampling import rand_module, rand_rect_decomp
 
@@ -280,9 +280,18 @@ class TestValidateOracle:
                 every = rng.random() < 0.5
                 steps = {a: changed if a == (v, k) or (every and s is m) else s for a, s in M.steps.items()}
                 M = PersModule(M.field, M.box, M.dims, steps)
-            got = bool(M.validate())
-            assert got == validate_dense(M)
-            verdicts.add(got)
+            # vertices in the order a PMOD lists them, which both checks follow
+            M = PersModule(M.field, M.box, dict(sorted(M.dims.items())), M.steps)
+            rep = M.validate()
+            assert bool(rep) == validate_dense(M)
+            verdicts.add(bool(rep))
+            # the reader refuses exactly the modules validate refuses, with its message
+            try:
+                pmod_from_json(pmod_to_json(M))
+                read = None
+            except FormatError as e:
+                read = str(e)
+            assert read == (None if rep else f"module is not commutative: {rep.message}")
         assert verdicts == {True, False}
 
     def test_missing_arrow_against_nonzero_path(self):

@@ -4,6 +4,7 @@ naturality-system oracle."""
 import hashlib
 import json
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from persistgrid import (Context, Field, GridBox, HomSpace, PersModule, Rectangle,
                          RectDecomp, candy_wrap, check_candy, concat, direct_sum, end_algebra, end_dim,
-                         gen4, hom_basis, hom_dim, interval_decompose_1d, iso_certificate, min3,
+                         gen4, hom_basis, hom_dim, interval_decompose_1d, iso_certificate, min3, min3_rect,
                          rect_to_module, stack, try_split)
 from persistgrid import homspace, rectangles, verify
 from persistgrid.grid import ModMorphism, vsucc
@@ -454,6 +455,71 @@ def test_row_coords_match_the_inverse_formula(f):
             y = J.basis[(b,)].inverse().mul_vec(gv.mul_vec(I.chains[i][b]))
             expected.update(((i, j), c) for j, c in zip(live, y) if c != 0 and J.deaths[j] <= d)
         assert list(I.coords(J, g, at).items()) == list(expected.items())
+
+
+def materialize_by_conjugation(ctx, M, N, x) -> dict:
+    """Context.materialize by the conjugation formula on every fibre:
+    basisN[v] @ X_v @ basisM[v]^-1, with X the components realize gives
+    between the two interval decompositions."""
+    (IM, _), (IN, _) = ctx.fibres(M), ctx.fibres(N)
+    extents, _, suffixes = ctx.positions(M.box)
+    comps = {}
+    for t, xt in sorted(homspace._by_fibre(x, extents).items()):
+        I, J = IM[t], IN[t]
+        for v, X in rectangles.realize(I.decomp, J.decomp, xt).items():
+            comps[v + suffixes[t]] = J.basis[v] @ X @ I.basis[v].inverse()
+    return comps
+
+
+def matching_modules(rng, f) -> list:
+    """Candy, gen4 and min3 outputs and rectangle modules, 1D to 4D, whose
+    fibres are all records of matchings."""
+    R1, R2, R3 = (rand_rect_decomp(rng, f, n, 3 - n // 2, hi=4 - n) for n in (1, 2, 3))
+    V1, V2, V3 = map(rect_to_module, (R1, R2, R3))
+    return [V1, V3, candy_wrap(V1).module, candy_wrap(V2).module, candy_wrap(V3).module, min3(R1).M,
+            min3_rect(R2).M, min3_rect(R3).M, gen4(V1).M, gen4(V2).M]
+
+
+@pytest.mark.parametrize("f", [F2, F1009, Q], ids=str)
+def test_entries_between_matching_records_match_the_conjugation_formula(f, monkeypatch):
+    """Between two records of matchings materialize writes each coordinate
+    as entries: the components, their key order and its refusal of a
+    nonzero coordinate outside the hom space are those of the conjugation
+    formula, and realize runs only on fibre pairs where a record has no rows."""
+    rng = random.Random(17)
+    realized = []
+    monkeypatch.setattr(homspace, "realize", lambda I, J, x: realized.append((I, J)) or rectangles.realize(I, J, x))
+    # a step that is no matching, and a candy of it, whose fibres mix both kinds
+    W = PersModule(f, GridBox((0,), (2,)), {(0,): 2, (1,): 1, (2,): 1},
+                   {((0,), 0): Matrix.from_ints(f, [[1, 1]]), ((1,), 0): Matrix.identity(f, 1)})
+    pairs = [(M, B) for M in [*matching_modules(rng, f), W, candy_wrap(W).module] for B in (M, direct_sum(M, M))]
+    entries = plains = 0
+    for A, B in pairs:
+        for C, D in ((A, B), (B, A)):
+            ctx = Context()
+            hs = ctx.hom(C, D)
+            (IC, _), (ID, _) = ctx.fibres(C), ctx.fibres(D)
+            extents = ctx.positions(C.box)[0]
+            for x in [*hs.basis[:4], hs.random_element(rng), hs.random_element(rng)]:
+                realized.clear()
+                got = ctx.materialize(C, D, x)
+                assert list(got.items()) == list(materialize_by_conjugation(ctx, C, D, x).items())
+                fibres = homspace._by_fibre(x, extents)
+                plain = [t for t in sorted(fibres) if IC[t].rows is None or ID[t].rows is None]
+                assert [(I, J) for I, J in realized] == [(IC[t].decomp, ID[t].decomp) for t in plain]
+                entries, plains = entries + len(fibres) - len(plain), plains + len(plain)
+            # a nonzero coordinate outside the hom space, on each fibre pair that has one
+            _, positions, _ = ctx.positions(C.box)
+            for t, (I, J) in enumerate(zip(IC, ID)):
+                zero = [(i, j) for i in range(len(I.births)) for j in range(len(J.births))
+                        if (i, j) not in I.hom_pairs(J)]
+                if zero:
+                    x = {homspace._tag(positions[t], zero[0]): f.one}
+                    with pytest.raises(ValueError) as want:
+                        materialize_by_conjugation(ctx, C, D, x)
+                    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                        ctx.materialize(C, D, x)
+    assert entries > 0 and plains > 0
 
 
 def test_int_and_fraction_entries_share_one_representative():

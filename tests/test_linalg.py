@@ -15,8 +15,8 @@ from persistgrid.linalg import (Matrix, Poly, _first_yun_part, _rational_roots, 
 from persistgrid.sampling import rand_module
 from persistgrid.verify import DECOMPOSABLE
 
-from oracles import (factors_by_trial_division, minimal_polynomial_by_powers, rank_by_first_nonzero,
-                     rref_by_first_nonzero, solve_by_first_nonzero)
+from oracles import (factors_by_trial_division, minimal_polynomial_by_powers, powmod_right_to_left,
+                     rank_by_first_nonzero, rref_by_first_nonzero, solve_by_first_nonzero)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -232,6 +232,27 @@ def test_poly_divmod_gcd():
     assert q == (x - Poly.from_ints(Q, [2]))
     g = f.gcd((x - Poly.from_ints(Q, [2])) * (x - Poly.from_ints(Q, [3])))
     assert g.monic() == (x - Poly.from_ints(Q, [2]))
+
+
+@st.composite
+def powmod_cases(draw):
+    """(base, exponent, modulus): base and modulus of degree up to 10, the
+    modulus nonzero; over F_p the exponent is also p or (p^d - 1)/2, the
+    powers of Frobenius and of Cantor-Zassenhaus."""
+    f = draw(st.sampled_from([F2, F3, F1009, Q]))
+    coeffs = st.lists(st.integers(-20, 20).map(f.of), max_size=11)
+    base, mod = Poly(f, draw(coeffs)), Poly(f, draw(coeffs.filter(lambda cs: any(cs))))
+    exps = st.integers(0, 2000)
+    if f.p is not None:
+        exps = st.one_of(exps, st.just(f.p), st.integers(1, 10).map(lambda d: (f.p**d - 1) // 2))
+    return base, draw(exps), mod
+
+
+@given(powmod_cases())
+@settings(max_examples=150, deadline=None)
+def test_powmod_matches_right_to_left_powering(case):
+    base, e, mod = case
+    assert base.powmod(e, mod) == powmod_right_to_left(base, e, mod)
 
 
 def test_minimal_polynomial():
