@@ -17,9 +17,10 @@ caps count what is built: _refuse_stack, the one stack-size rule, weighs
 each chain's layers on its coarse box (S' and gen4 first on V's box), and
 the glued candy is refused on its box.  S and S' keep the coordinates of
 V's box, so their line is the layer embedding; S'' keeps them up to a
-translation, and the candy glues S' and S'' by translating S' onto S''.
-concat joins any two candies on their own grids, and string_candies
-concatenates the candies as candy_wrap returns them.
+translation, and the candy writes S', translated, into the dicts of S''.
+concat joins any two candies on their own grids and checks only the
+squares its handle adds; string_candies concatenates the candies as
+candy_wrap returns them.
 """
 
 from __future__ import annotations
@@ -230,44 +231,40 @@ def build_S_dprime(V: PersModule, height: int = 5, *, _plan: tuple | None = None
     """The dual five layers V -> T -> T' -> Tbar -> I_T, V at height 0, on
     the corner grid meta["grid"].
 
-    Computed by dualizing the primal stack of the dual module, then
-    translating the result so the V copy comes back to V's own coordinates;
-    the primal stack's corner grid is mirrored and translated with it.  Each
+    Computed by dualizing the primal stack of the dual module, translated
+    in the same pass so the V copy comes back to V's own coordinates; the
+    primal stack's corner grid is mirrored and translated with it.  Each
     coordinate of V.box is still a run of its own, so the line is the layer
     embedding translated onto the grid.  height is as in build_S_prime,
     which refuses a zero V, as the dual of 0 is 0; _plan is
     _s_dprime_plan(V, height) when the caller has made it already.
     """
     W, prim_plan, grid, t, line = _plan or _s_dprime_plan(V, height)
-    M = dualize(build_S_prime(W, height, _plan=prim_plan).M).translate(t)
+    M = dualize(build_S_prime(W, height, _plan=prim_plan).M, t)
     return BuildResult(M, line, 5, {"source_box": V.box, "grid": grid})
 
 
 def candy_wrap(V: PersModule) -> CandyModule:
     """Nine layers I_R -> Rbar -> R' -> R -> V -> T -> T' -> Tbar -> I_T:
     S'(V) and S''(V) on their corner grids, glued along their copy of V.
-    Both grids keep every coordinate of V.box, so the primal half is only
-    translated onto the dual one's copy of V, and the line is the dual's.
-    _s_prime_plan refuses a zero V."""
+    Both grids keep every coordinate of V.box, so the primal half is
+    written, translated onto the dual one's copy of V, into the dual half's
+    own dicts, and the line is the dual's.  _s_prime_plan refuses a zero V."""
     prim_plan, dual_plan = _s_prime_plan(V, 9), _s_dprime_plan(V, 9)
     (_, _, meta), (_, _, grid, _, line) = prim_plan, dual_plan
     # the primal half, at heights -4..0, moves by t onto the dual one's
     # copy of V; their glued box is refused over the cap before either is built
     t = vsub(line.apply(V.box.lo), V.box.lo + (0,))
     box = GridBox.hull([meta["grid"].extend(-4, 0).translate(t).coarse, grid.coarse])
-    P = build_S_prime(V, 9, _plan=prim_plan).M.translate(t)
+    P = build_S_prime(V, 9, _plan=prim_plan).M
     dual = build_S_dprime(V, 9, _plan=dual_plan)
-    n = V.n
-    dims, steps = P.dims, P.steps
-    for v, d in dual.M.dims.items():
-        if v[-1] == 0:
-            if dims.get(v) != d:
-                raise AssertionError("primal and dual stacks disagree on the shared layer")
-        else:
-            dims[v] = d
-    for (v, k), m in dual.M.steps.items():
-        if v[-1] >= 0 and not (v[-1] == 0 and k < n):
-            steps[(v, k)] = m
+    dims, steps = dual.M.dims, dual.M.steps
+    for v, d in P.dims.items():
+        if v[-1] < 0:
+            dims[vadd(v, t)] = d
+        elif dims.get(vadd(v, t)) != d:
+            raise AssertionError("primal and dual stacks disagree on the shared layer")
+    steps.update({(vadd(v, t), k): m for (v, k), m in P.steps.items()})  # the copy of V keeps the primal steps
     # each layer and link made its own objects: one object for each matrix
     objects = {}
     same = {i: objects.setdefault((m.nrows, m.ncols, tuple(map(tuple, m.rows))), m)
@@ -277,7 +274,12 @@ def candy_wrap(V: PersModule) -> CandyModule:
 
 
 def concat(A: CandyModule, B: CandyModule) -> CandyModule:
-    """A and B joined by a handle, each on the grid of its own module."""
+    """A and B joined by a handle, each on the grid of its own module.
+    A and B must be modules, as a reader or a builder leaves them.  No step
+    joins A to B and every handle step leaves a handle vertex, so a path
+    that can be nonzero from an old vertex stays in A or in B: only the
+    squares based at the handle can fail.  They alone are checked, at its
+    vertices in M.dims order, so a failure reads as M.validate() reports it."""
     MA, MB = A.module, B.module
     if MA.field != MB.field:
         raise ValueError("concatenation needs a common field")
@@ -293,45 +295,39 @@ def concat(A: CandyModule, B: CandyModule) -> CandyModule:
     e_snd, e_last = (tuple(int(i == j) for i in range(N)) for j in (N - 2, N - 1))
     # align lr(A) with ul(B), then push B one step down and one step right
     t = vadd(vsub(A.lr, B.ul), vsub(e_snd, e_last))
-    B2 = MB.translate(t)
     x = vsub(A.lr, e_last)
     dims = dict(MA.dims)
-    for v, d in B2.dims.items():
-        if v in dims:
+    for v, d in MB.dims.items():
+        w = vadd(v, t)
+        if w in dims:
             raise AssertionError("candy supports overlap after translation")
-        dims[v] = d
+        dims[w] = d
     steps = dict(MA.steps)
-    steps.update(B2.steps)
-    # joining handle: a copy of B's top layer shifted one step back along the
-    # second-to-last axis, mapped identically onto that layer, with its corner
-    # x = ul(B2) - e_{N-2} = lr(A) - e_{N-1} also mapped onto lr(A).  In 2D the
-    # shift stays inside the top layer and only the single vertex x is new;
-    # in higher dimensions a lone vertex cannot commute with the top layer's
-    # sideways arrows, so the whole shifted copy is needed.
-    h_top = vadd(B.ul, t)[-1]
-    tops = [w for w in B2.dims if w[-1] == h_top]
-    fresh = {}
-    for w in tops:
-        u = vsub(w, e_snd)
-        if u in dims:
-            continue
-        fresh[u] = w
-        dims[u] = B2.dim(w)
+    steps.update({(vadd(v, t), k): m for (v, k), m in MB.steps.items()})
+    # joining handle: B's top layer, translated and shifted one step back
+    # along the second-to-last axis, mapped identically onto that layer, with
+    # its corner x = ul(B) + t - e_{N-2} = lr(A) - e_{N-1} also mapped onto
+    # lr(A).  In 2D only x is new; in higher dimensions a lone vertex cannot
+    # commute with the top layer's sideways arrows, so the whole copy is needed.
+    fresh = {}  # handle vertex -> its vertex of B's top layer, untranslated
+    for w in MB.dims:
+        if w[-1] == B.ul[-1]:
+            u = vsub(vadd(w, t), e_snd)
+            if u not in dims:
+                fresh[u] = w
+                dims[u] = MB.dims[w]
     if x not in fresh:
         raise AssertionError("joining vertex collides with a candy support")
     eye = cache(partial(Matrix.identity, MA.field))  # one identity per dimension
     for u, w in fresh.items():
         steps[(u, N - 2)] = eye(dims[u])
         for k in range(N - 1):
-            if k == N - 2:
-                continue
-            uk = vsucc(u, k)
-            if uk in dims:
-                steps[(u, k)] = B2.step(w, k)
+            if k != N - 2 and vsucc(u, k) in dims:
+                steps[(u, k)] = MB.step(w, k)
     steps[(x, N - 1)] = eye(dims[x])  # x -> lr(A)
-    box = GridBox.hull([MA.box, B2.box, GridBox(x, x)])
+    box = GridBox.hull([MA.box, GridBox(vadd(MB.box.lo, t), vadd(MB.box.hi, t)), GridBox(x, x)])
     M = PersModule(MA.field, box, dims, steps)
-    rep = M.validate()
+    rep = M.validate(at=fresh)
     if not rep:
         raise AssertionError(f"concatenation broke commutativity: {rep.message}")
     return CandyModule(M, A.ul, vadd(B.lr, t))

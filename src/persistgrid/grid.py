@@ -186,13 +186,19 @@ class PersModule:
         steps = {(vadd(v, t), k): m for (v, k), m in self.steps.items()}
         return PersModule(self.field, box, dims, steps)
 
-    def validate(self) -> "ValidationReport":
+    def validate(self, at=None) -> "ValidationReport":
         """Check every commutativity square whose two paths can be nonzero, by
-        check_squares, which io.pmod_from_json runs on the steps it reads."""
-        dims, steps, n = self.dims, self.steps, self.n
-        out = {v: [steps.get((v, k)) for k in range(n)] for v in dims}
-        succ = [[None if m is None else out[vsucc(v, k)] for k, m in enumerate(here)] for v, here in out.items()]
-        return check_squares(out, succ, {id(m): m for m in steps.values()}.values(), n)
+        check_squares, which io.pmod_from_json runs on the steps it reads;
+        given the live vertices at, only the squares based at them, in at's
+        order."""
+        steps, n = self.steps, self.n
+        # each vertex whose steps the squares read, with its steps along axes 0..n-1
+        near = self.dims if at is None else dict.fromkeys(w for v in at for w in (v, *(vsucc(v, k) for k in range(n))))
+        rows = {v: [steps.get((v, k)) for k in range(n)] for v in near}
+        out = rows if at is None else {v: rows[v] for v in at}
+        succ = [[None if m is None else rows[vsucc(v, k)] for k, m in enumerate(here)] for v, here in out.items()]
+        mats = steps.values() if at is None else (m for here in rows.values() for m in here if m is not None)
+        return check_squares(out, succ, {id(m): m for m in mats}.values(), n)
 
 
 def check_squares(out: dict, succ, mats, n: int) -> "ValidationReport":
@@ -456,7 +462,8 @@ def pullback(M: PersModule, phi, box: GridBox) -> PersModule:
 
 def coarsen(M: PersModule, keep: list) -> tuple[PersModule, "Compression"]:
     """M on its coarsest grid: M' and the Compression grid of M.box whose
-    coarse box M' is on, with pullback(M', grid.floor, M.box) == M.
+    coarse box M' is on, with pullback(M', grid.floor, M.box) == M.  When
+    every coordinate begins a run, grid is the identity and M' is M itself.
 
     A coordinate c > lo_k of axis k that is not in keep[k] merges into
     c - 1 when every arrow from slab c - 1 to slab c along axis k joins
@@ -487,6 +494,8 @@ def coarsen(M: PersModule, keep: list) -> tuple[PersModule, "Compression"]:
                 if m is None or not identity[id(m)]:
                     starts[k].add(c + 1)
     grid = Compression.of(lo, hi, starts)
+    if grid.coarse == M.box:  # every coordinate begins a run: M is coarsest
+        return M, grid
     # per axis: the last coordinate of each run -> its coarse coordinate
     ends = [{e - 1: a + i for i, e in enumerate(s[1:] + (b + 1,))} for a, b, s in zip(lo, hi, grid.starts)]
     cdims, csteps = {}, {}
@@ -625,15 +634,17 @@ def direct_sum(M: PersModule, N: PersModule) -> PersModule:
     return PersModule(M.field, M.box, dims, steps)
 
 
-def dualize(M: PersModule) -> PersModule:
-    """The linear dual on the reversed box: coordinates flip, matrices
-    transpose, and steps sharing a matrix share its transpose."""
-    c = vadd(M.box.lo, M.box.hi)
+def dualize(M: PersModule, t=None) -> PersModule:
+    """The linear dual on the reversed box, translated by t when given, in
+    one pass: v goes to lo + hi + t - v, matrices transpose, and steps
+    sharing a matrix share its transpose."""
+    box = M.box if t is None else GridBox(vadd(M.box.lo, t), vadd(M.box.hi, t))
+    c = vadd(box.lo, M.box.hi)
     dims = {vsub(c, v): d for v, d in M.dims.items()}
     tr = {id(m): m.transpose() for m in {id(m): m for m in M.steps.values()}.values()}
     # arrow v -> w dualizes to (c - w) -> (c - v)
     steps = {(vsub(c, vsucc(v, k)), k): tr[id(m)] for (v, k), m in M.steps.items()}
-    return PersModule(M.field, M.box, dims, steps)
+    return PersModule(M.field, box, dims, steps)
 
 
 def slice_layers(M: PersModule) -> tuple[list[PersModule], list[ModMorphism]]:

@@ -27,14 +27,17 @@ matrix's minimal polynomial from the rank of its powers;
 `rref_by_first_nonzero`, with `rank_by_first_nonzero` and
 `solve_by_first_nonzero` read off it, is dense Gauss-Jordan elimination
 pivoting on the first nonzero entry of each column; `gap_by_scan` finds a
-zero vertex between two live ones by testing every pair."""
+zero vertex between two live ones by testing every pair;
+`candy_wrap_by_glue` builds a candy from a translated copy of the primal
+half and the dual half, glued into new dicts, layer 0 checked to agree."""
 
 from __future__ import annotations
 
 import itertools
 
-from persistgrid import PersModule, RectDecomp, end_algebra, hom_basis, realize, rect_to_module
-from persistgrid.grid import MAX_DIM, GridBox, ModMorphism, vle, vsucc
+from persistgrid import (CandyModule, PersModule, RectDecomp, build_S_dprime, build_S_prime, end_algebra, hom_basis,
+                         realize, rect_to_module)
+from persistgrid.grid import MAX_DIM, GridBox, ModMorphism, candy_corners, vle, vsub, vsucc
 from persistgrid.homspace import Context
 from persistgrid.io import FormatError, _axis_count, _require, _vector, candy_to_json, field_from_json
 from persistgrid.linalg import Matrix, Poly
@@ -526,3 +529,28 @@ def checked_pmod2_from_json(obj: dict) -> PersModule:
     if not rep:
         raise FormatError(f"module is not commutative: {rep.message}")
     return M
+
+
+def candy_wrap_by_glue(V: PersModule) -> CandyModule:
+    """candy_wrap's nine layers glued in new dicts: S'(V) translated by t
+    onto the copy of V in S''(V), whose vertices above height 0 and steps
+    out of its layer 0 along the last axis are added to it; one object for
+    each distinct matrix."""
+    P, dual = build_S_prime(V, 9).M, build_S_dprime(V, 9)
+    n, t = V.n, vsub(dual.line.apply(V.box.lo), V.box.lo + (0,))
+    P = P.translate(t)
+    dims, steps = P.dims, P.steps
+    for v, d in dual.M.dims.items():
+        if v[-1] == 0:
+            if dims.get(v) != d:
+                raise AssertionError("primal and dual stacks disagree on the shared layer")
+        else:
+            dims[v] = d
+    for (v, k), m in dual.M.steps.items():
+        if v[-1] >= 0 and not (v[-1] == 0 and k < n):
+            steps[(v, k)] = m
+    objects = {}
+    same = {i: objects.setdefault((m.nrows, m.ncols, tuple(map(tuple, m.rows))), m)
+            for i, m in {id(m): m for m in steps.values()}.items()}
+    M = PersModule(V.field, GridBox.hull([P.box, dual.M.box]), dims, {vk: same[id(m)] for vk, m in steps.items()})
+    return CandyModule(M, *candy_corners(M), dual.line)

@@ -1,7 +1,7 @@
 """grid.coarsen: pulling the coarse module back along its grid's floor
 gives the module exactly, keep coordinates stay distinct, a second
-coarsening changes nothing, and End has the same dimension on both grids.
-A refinement of a module (a grid.Compression's stacked layout) coarsens to
+coarsening returns the coarse module itself, and End has the same
+dimension on both grids.  A refinement of a module (a grid.Compression's stacked layout) coarsens to
 the same module, so the builders' corner grids give the CLI the files that
 their stacked layouts gave, and the candy gives the files of the paper's
 candy: the stacked S' and S'' glued along their copy of V."""
@@ -65,8 +65,9 @@ def check_coarsen(M, keep):
     kept = [{axis_floor(grid, k, c) for c in cs} for k, cs in enumerate(inside)]
     assert [len(ks) for ks in kept] == [len(cs) for cs in inside]
     again, grid2 = coarsen(coarse, kept)
-    assert again == coarse
-    assert grid2.coarse == fine_box(grid2)  # every coordinate is a run of its own
+    assert again is coarse  # an already-coarsest module is not rebuilt
+    assert grid2.coarse == fine_box(grid2) == coarse.box  # every coordinate is a run of its own
+    assert grid2.starts == tuple(tuple(range(a, b + 1)) for a, b in zip(coarse.box.lo, coarse.box.hi))
     assert end_dim(coarse) == end_dim(M)
     return coarse
 

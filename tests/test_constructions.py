@@ -12,23 +12,24 @@ from persistgrid import (AxisEmbedding, CandyModule, Field, GridBox, ModMorphism
                          concat, end_dim, gen4, iso_certificate,
                          min3, min3_rect, rect_to_module, restrict,
                          string_candies)
-from persistgrid import constructions
+from persistgrid import constructions, grid
 from persistgrid.homspace import Context
 from persistgrid.cli import main
 from persistgrid.io import dump, pmod_to_json
 from persistgrid.constructions import cone, separate_and_shift, verticalize
 from persistgrid.covers import projective_cover
-from persistgrid.grid import Compression, direct_sum, dualize, pad, slice_layers, stack
+from persistgrid.grid import Compression, direct_sum, dualize, pad, slice_layers, stack, vadd, vsub
 from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import enumerate_modules, rand_module, rand_rect_decomp, rand_two_rows_with_gap
 from persistgrid.verify import decompose_two_rows, hom_basis, try_split
 
-from oracles import local_dim, module_faults, morphism_faults
+from oracles import candy_wrap_by_glue, local_dim, module_faults, morphism_faults
 
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F1009 = Field.prime(1009)
 
 
 def modules_equal(A, B):
@@ -172,6 +173,100 @@ class TestCandy:
         for emb, v in zip(res.embeddings, mods):
             W = restrict(res.candy.module, emb, source_box=v.box)
             assert modules_equal(W, v)
+
+
+def handle_vertices(A, B, C) -> list:
+    """The vertices C = concat(A, B) has that neither A nor B, translated
+    as C places it, has: the handle, in C.module.dims order."""
+    t = vsub(C.lr, B.lr)
+    old = set(A.module.dims) | {vadd(v, t) for v in B.module.dims}
+    return [v for v in C.module.dims if v not in old]
+
+
+def point_candy(field, n):
+    v = (0,) * n
+    return CandyModule(PersModule(field, GridBox(v, v), {v: 1}, {}), v, v)
+
+
+def joins(rng, field):
+    """(A, B) pairs that concat joins: point candies in 2D and 3D, candies
+    of 1D, 2D and 3D inputs, and strings of two or three candies on either
+    side."""
+    for n in (2, 3):
+        yield point_candy(field, n), point_candy(field, n)
+    for box, max_dim in ((GridBox((0,), (3,)), 2), (GridBox((0, 0), (1, 0)), 1), (GridBox((0, 0), (1, 1)), 1),
+                         (GridBox((0, 0, 0), (1, 0, 0)), 1)):
+        mods = [rand_module(rng, field, box, max_dim=max_dim) for _ in range(4)]
+        candies = [candy_wrap(V) for V in mods]
+        yield candies[0], candies[1]
+        if box.n < 3:
+            yield string_candies(mods[:3]).candy, candies[3]
+            yield candies[3], string_candies(mods[:2]).candy
+
+
+class TestConcatChecksTheHandle:
+    """concat checks only the squares based at the handle vertices it adds:
+    the report equals a check of the whole joined module, on valid joins
+    and on joins with one handle step broken, and the vertices checked per
+    join do not grow along a string."""
+
+    @pytest.mark.parametrize("field", [F2, F1009, Q], ids=str)
+    def test_handle_check_reports_as_the_whole_module(self, rng, field):
+        failing = 0
+        for A, B in joins(rng, field):
+            C = concat(A, B)
+            M, H = C.module, handle_vertices(A, B, C)
+            n, lr = M.n, A.lr
+            x = lr[:-1] + (lr[-1] - 1,)
+            assert x in H and M.steps[(x, n - 1)].is_identity()
+            assert M.validate(at=H) == M.validate() and M.validate().ok
+            steps = [vk for vk in M.steps if vk[0] in H and vk != (x, n - 1)]
+            mutants = [((x, n - 1), Matrix.zero(field, 1, 1))]
+            for vk in rng.sample(steps, min(3, len(steps))):
+                m = M.steps[vk]
+                mutants += [(vk, Matrix.zero(field, m.nrows, m.ncols)), (vk, m + m)]
+            for vk, m in mutants:
+                bad = PersModule(field, M.box, M.dims, {**M.steps, vk: m})
+                rep = bad.validate()
+                assert bad.validate(at=H) == rep, (vk, rep)
+                failing += not rep.ok
+        assert failing > 10
+
+    @pytest.mark.parametrize("box", [GridBox((0,), (3,)), GridBox((0, 0), (1, 0))], ids=["2d", "3d"])
+    def test_checked_vertices_do_not_grow_along_a_string(self, rng, box, monkeypatch):
+        C = candy_wrap(rand_module(rng, F1009, box, max_dim=1))
+        checked = []
+        real = grid.check_squares
+
+        def spy(out, succ, mats, n):
+            checked.append(list(out))
+            return real(out, succ, mats, n)
+
+        monkeypatch.setattr(grid, "check_squares", spy)
+        cur = C
+        for _ in range(5):
+            nxt = concat(cur, C)
+            assert checked[-1] == handle_vertices(cur, C, nxt)
+            cur = nxt
+        assert len(checked) == 5 and len({len(vs) for vs in checked}) == 1
+
+
+class TestCandyMatchesTheGlue:
+    """candy_wrap writes the primal half into the dual half's dicts; it
+    builds the candy that gluing translated copies of both halves gives."""
+
+    @pytest.mark.parametrize("field", [F2, F1009, Q], ids=str)
+    def test_candy_wrap_matches_the_glue(self, rng, field):
+        shapes = [(GridBox((0,), (3,)), 2), (GridBox((0, 0), (1, 0)), 1), (GridBox((0, 0), (1, 1)), 1),
+                  (GridBox((0, 0, 0), (1, 1, 0)), 1)]
+        for box, max_dim in shapes * 2:
+            V = rand_module(rng, field, box, max_dim=max_dim)
+            C, G = candy_wrap(V), candy_wrap_by_glue(V)
+            assert C.module.field == G.module.field and C.module.box == G.module.box
+            assert C.module.dims == G.module.dims and C.module.steps == G.module.steps
+            assert (C.ul, C.lr, C.line) == (G.ul, G.lr, G.line)
+            rows = {id(m): tuple(map(tuple, m.rows)) for m in C.module.steps.values()}
+            assert len(rows) == len(set(rows.values()))  # one object per distinct matrix
 
 
 class TestMin3:

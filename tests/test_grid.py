@@ -143,6 +143,19 @@ class TestDirectSumDual:
         assert D.dims == M.dims
         assert D.steps == M.steps
 
+    def test_dualize_translates_in_the_same_pass(self, rng):
+        """dualize(M, t) is the dual translated by t, its steps sharing a
+        transpose wherever the dual's do."""
+        for box in (GridBox((0,), (3,)), GridBox((1, -1), (2, 1)), GridBox((0, 0, 0), (1, 1, 1))):
+            M = rand_module(rng, Q, box, max_dim=2)
+            t = tuple(rng.randint(-3, 3) for _ in range(box.n))
+            D, E = dualize(M, t), dualize(M).translate(t)
+            assert (D.box, list(D.dims.items()), list(D.steps)) == (E.box, list(E.dims.items()), list(E.steps))
+            assert D.steps == E.steps
+            shared = {vk: id(m) for vk, m in E.steps.items()}
+            assert all((id(D.steps[a]) == id(D.steps[b])) == (i == shared[b])
+                       for a, i in shared.items() for b in shared)
+
 
 class TestSliceLayers:
     def test_roundtrip_with_stack(self, rng):
