@@ -7,7 +7,8 @@ modules Hom is spanned by canonical homomorphisms between interval
 summands, indexed by the summand pairs that rectangles.interval_decompose_1d's
 integer ends allow.  A morphism M -> N is a family of fibre morphisms that
 commutes with every arrow along the other axes.  Its sparse "ambient
-coordinates" are keyed by fibre pairs tagged by the fibre's layer indices.
+coordinates" are keyed by flat triples (t, i, j): summand pair (i, j) of
+fibre t, the fibres numbered with the last axis slowest.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cached_property
 from itertools import accumulate, product
-from operator import add
 
 from .grid import GridBox, PersModule, require_common, slice_layers
 from .linalg import Matrix, nullspace_sparse, rank_sparse
-from .rectangles import Intervals, interval_decompose_1d, realize
+from .rectangles import Intervals, interval_decompose_1d
 
 
 def combine(f, terms) -> dict:
@@ -37,31 +37,11 @@ def combine(f, terms) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _tag(pos: tuple, key):
-    """The ambient key of the pair key of the fibre at layer indices pos."""
-    for i in pos:
-        key = (i, key)
-    return key
-
-
-def _grid(box: GridBox) -> tuple[list, list, list]:
-    """(extents, positions, suffixes): box's extents along axes n-1 down to
-    1; fibre t's layer indices and its vertices' v[1:] along axes 1 to n-1,
-    the fibres in lexicographic order of their layer indices, last first."""
-    extents = [h - l + 1 for l, h in zip(box.lo[:0:-1], box.hi[:0:-1])]
-    positions = [pos[::-1] for pos in product(*map(range, extents))]
-    return extents, positions, [tuple(map(add, pos, box.lo[1:])) for pos in positions]
-
-
-def _by_fibre(x: dict, extents: list) -> dict:
-    """Ambient coordinates split as {fibre number: {pair: c}}."""
+def _by_fibre(x: dict) -> dict:
+    """Ambient coordinates split as {fibre number: {(i, j): c}}."""
     per = defaultdict(dict)
-    for key, c in x.items():
-        t = 0
-        for e in extents:
-            i, key = key
-            t = t * e + i
-        per[t][key] = c
+    for (t, i, j), c in x.items():
+        per[t][i, j] = c
     return per
 
 
@@ -92,7 +72,7 @@ class Context:
         self._pairs = {}
         self._layers = {}
         self._fibres = {}
-        self._grids = {}
+        self._suffixes = {}
         self._homs = {}
 
     def _content(self, m: Matrix) -> int:
@@ -143,7 +123,7 @@ class Context:
 
     def fibres(self, M: PersModule) -> tuple[list[Intervals], dict]:
         """(records, links): the records of M's fibres along axis 0, numbered
-        as in positions, and {(t, u): the interval coordinates of M's steps
+        as in suffixes, and {(t, u): the interval coordinates of M's steps
         from fibre t to a neighbour u} where they are nonzero, read off the
         layer tree, whose equal layers share theirs."""
         return self._cached(self._fibres, M, self._walk)
@@ -158,18 +138,20 @@ class Context:
             if inner:
                 links.update(((t + len(I), u + len(I)), c) for (t, u), c in inner.items())
             I += J
-        w, suffixes = len(J), self.positions(layers[0].box)[2]
+        w = len(J)
         for i, step in enumerate(steps):
-            for t, at in enumerate(suffixes, i * w):
+            for t, at in enumerate(self.suffixes(layers[0].box), i * w):
                 if c := I[t].coords(I[t + w], step.comps, at):
                     links[t, t + w] = c
         return I, links
 
-    def positions(self, box: GridBox) -> tuple[list, list, list]:
-        """_grid(box), made once per box."""
-        out = self._grids.get(box)
+    def suffixes(self, box: GridBox) -> list[tuple]:
+        """The v[1:] of fibre t's vertices for t = 0, 1, ..., the fibres in
+        lexicographic order of v[1:] read last axis first; made once per box."""
+        out = self._suffixes.get(box)
         if out is None:
-            out = self._grids[box] = _grid(box)
+            ranges = map(range, box.lo[:0:-1], [h + 1 for h in box.hi[:0:-1]])
+            out = self._suffixes[box] = [v[::-1] for v in product(*ranges)]
         return out
 
     def hom(self, M: PersModule, N: PersModule) -> "HomSpace":
@@ -185,30 +167,24 @@ class Context:
         """Ambient coordinates of the natural transformation M -> N with
         components g, {vertex: matrix}."""
         (IM, _), (IN, _) = self.fibres(M), self.fibres(N)
-        _, positions, suffixes = self.positions(M.box)
         out = {}
-        for t, at in enumerate(suffixes):
-            for key, c in IM[t].coords(IN[t], g, at).items():
-                out[_tag(positions[t], key)] = c
+        for t, at in enumerate(self.suffixes(M.box)):
+            out.update(((t, i, j), c) for (i, j), c in IM[t].coords(IN[t], g, at).items())
         return out
 
     def materialize(self, M: PersModule, N: PersModule, x: dict) -> dict:
         """The components, {vertex: matrix}, of the natural transformation
         M -> N with the given ambient coordinates, zero ones left out, fibre
-        by fibre and in ascending vertices within one.  Between two records
-        of matchings coordinate (i, j) = c is c at the rows of summands j
-        and i at each vertex of [births_i, deaths_j]; between any others it
-        is realize's components carried onto M and N by the chain bases."""
+        by fibre and in ascending vertices within one.  Coordinate (t, i, j)
+        = c is c at the rows of summands j and i of fibre t's records at
+        each y of [births_i, deaths_j]; a side whose record has no rows is
+        then carried onto its module by the chain basis: J.basis on the
+        left, I.inverse on the right."""
         (IM, _), (IN, _) = self.fibres(M), self.fibres(N)
-        extents, _, suffixes = self.positions(M.box)
+        suffixes = self.suffixes(M.box)
         comps = {}
-        for t, xt in sorted(_by_fibre(x, extents).items()):
+        for t, xt in sorted(_by_fibre(x).items()):
             I, J, at = IM[t], IN[t], suffixes[t]
-            if I.rows is None or J.rows is None:
-                for v, m in realize(I.decomp, J.decomp, xt).items():
-                    m = J.basis[v] @ m
-                    comps[v + at] = m if (inv := I.inverse(v)) is None else m @ inv
-                continue
             block = {}
             for (i, j), c in xt.items():
                 if c == 0:
@@ -216,13 +192,16 @@ class Context:
                 b, e = I.births[i], J.deaths[j]
                 if not J.births[j] <= b <= e <= I.deaths[i]:  # rectangles.hom_leq on the integer ends
                     raise ValueError(f"nonzero coordinate ({i}, {j}) where the hom space is zero")
-                cols, rows = I.rows[i], J.rows[j][b - J.births[j]:]
-                for y in range(b, e + 1):
+                for y, r, col in zip(range(b, e + 1), J.rows_at(j, b, e), I.rows_at(i, b, e)):
                     if (m := block.get(y)) is None:
                         v = (y,) + at
                         m = block[y] = Matrix.zero(M.field, N.dims[v], M.dims[v])
-                    m.rows[rows[y - b]][cols[y - b]] = c
-            comps.update(((y,) + at, block[y]) for y in sorted(block))
+                    m.rows[r][col] = c
+            for y in sorted(block):
+                m = block[y] if J.rows is not None else J.basis[(y,)] @ block[y]
+                if I.rows is None and (inv := I.inverse((y,))) is not None:
+                    m = m @ inv
+                comps[(y,) + at] = m
         return comps
 
     def compose(self, L: PersModule, M: PersModule, N: PersModule, x: dict, y: dict) -> dict:
@@ -231,14 +210,13 @@ class Context:
             return {}
         f = L.field
         (IL, _), (IN, _) = self.fibres(L), self.fibres(N)
-        extents, positions, _ = self.positions(L.box)
-        xs, ys = _by_fibre(x, extents), _by_fibre(y, extents)
+        xs, ys = _by_fibre(x), _by_fibre(y)
         out = {}
         for t in xs.keys() & ys.keys():
             acc = {}
             for key, b, c in IL[t].composite_terms(IN[t], ys[t].items(), xs[t].items()):
                 acc[key] = f.add(acc.get(key, f.zero), f.mul(c, b))
-            out.update((_tag(positions[t], key), c) for key, c in acc.items() if c != 0)
+            out.update(((t, i, k), c) for (i, k), c in acc.items() if c != 0)
         return out
 
 
@@ -260,8 +238,7 @@ class HomSpace:
     nonzero entry, and the element of free column j is the one kernel
     vector that is 1 at j and 0 at the other free columns: the basis and
     its pivot keys depend only on the kernel, the fibre families natural
-    along every axis, and the column order, and so match any system with
-    both, such as one solved layer by layer over the layers' hom bases.
+    along every axis, and the column order.
     """
 
     def __init__(self, M: PersModule, N: PersModule, ctx: Context):
@@ -279,7 +256,7 @@ class HomSpace:
     def _solved(self) -> tuple[list[dict], list]:
         """(basis, keys): the kernel basis and its elements' pivot keys."""
         f = self.M.field
-        keys = [_tag(pos, key) for pos, pairs in zip(_grid(self.M.box)[1], self._pairs) for key in pairs]
+        keys = [(t, i, j) for t, pairs in enumerate(self._pairs) for i, j in pairs]
         if not self._rows:
             return [{k: f.one} for k in keys], keys
         sols = nullspace_sparse(self._rows, len(keys), f)

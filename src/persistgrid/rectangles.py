@@ -198,7 +198,7 @@ def interval_decompose_1d(M: PersModule) -> "Intervals":
     matchings = _matchings(M)
     chains = _elder_rule(M) if matchings is None else _follow(M, matchings)
     chains.sort(key=lambda c: (c.birth, c.death, c.index))
-    return Intervals(M.field, M.box, chains, matchings is not None)
+    return Intervals(M.field, chains, matchings is not None)
 
 
 def _matching(A: Matrix) -> list | None:
@@ -343,15 +343,16 @@ class Intervals:
     """A 1D module's interval summands: summand i is [births[i], deaths[i]]
     with chain vector chains[i][x] at x, and at[v] lists those live at v.
     basis[v] holds the chain vectors of at[v] as columns, the components of
-    a pointwise invertible morphism rect_to_module(decomp) -> M.
+    a pointwise invertible morphism to M from the sum of the summands'
+    rectangle modules.
 
     A record of matchings keeps rows[i], summand i's row at births[i],
     births[i] + 1, ...: its chain vectors are those unit vectors, made on
     first read, and its bases permutation matrices.  rows is None on a
     record of the elder-rule pass, which gives the chain vectors."""
 
-    def __init__(self, field: Field, box: GridBox, chains: list[_Chain], matched: bool):
-        self.field, self.box = field, box
+    def __init__(self, field: Field, chains: list[_Chain], matched: bool):
+        self.field = field
         self.births = [c.birth for c in chains]
         self.deaths = [c.death for c in chains]
         if matched:
@@ -394,6 +395,13 @@ class Intervals:
                     out[(i, j)] = c
         return out
 
+    def rows_at(self, i: int, b: int, e: int) -> list[int]:
+        """Summand i's row at b, b + 1, ..., e: on a record of matchings
+        read off rows, on any other its place in at, the column of basis."""
+        if self.rows is not None:
+            return self.rows[i][b - self.births[i]:e + 1 - self.births[i]]
+        return [self.at[(x,)].index(i) for x in range(b, e + 1)]
+
     def composite_terms(self, K: "Intervals", y, x):
         """The terms ((i, k), b, c) of x after y, given as ((i, j), b) and
         ((j, k), c) pairs from self through a middle module to K: those
@@ -431,10 +439,6 @@ class Intervals:
 
     def _matrix(self, v) -> Matrix:
         return Matrix(self.field, zip(*(self.chains[i][v[0]] for i in self.at[v])))
-
-    @cached_property
-    def decomp(self) -> RectDecomp:
-        return RectDecomp(self.field, self.box, [Rectangle((b,), (d,)) for b, d in zip(self.births, self.deaths)])
 
     @cached_property
     def basis(self) -> dict[tuple, Matrix]:

@@ -297,7 +297,7 @@ def iso_certificate(M: PersModule, N: PersModule, seed: int = 0, trials: int = T
         # both lists of summands are sorted by (birth, death)
         if (I.births, I.deaths) != (J.births, J.deaths):
             return IsoReport(False, None, "barcodes differ")
-        phi = ModMorphism(M, N, ctx.materialize(M, N, {(i, i): M.field.one for i in range(len(I.births))}))
+        phi = ModMorphism(M, N, ctx.materialize(M, N, {(0, i, i): M.field.one for i in range(len(I.births))}))
         return IsoReport(True, phi, "matching barcodes")
     H = ctx.hom(M, N)
     rng = random.Random(seed)

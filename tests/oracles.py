@@ -6,6 +6,7 @@ decisions built on it enumerate every endomorphism of a module over a
 finite field; `pmod_to_json_v1` and `candy_to_json_v1` write the older PMOD
 form, one record per step, which the reader still accepts;
 `indices_by_scan` reads a rectangle sum summand by summand;
+`rect_sum` is the rectangle sum of an interval record's summands, and
 `materialize_by_iso` builds a morphism from its coordinates through the
 rectangle modules of the interval decompositions; `checked_pmod_from_json`
 reads an older-form PMOD without the reader's one-pass shortcuts, parsing
@@ -35,8 +36,8 @@ from __future__ import annotations
 
 import itertools
 
-from persistgrid import (CandyModule, PersModule, RectDecomp, build_S_dprime, build_S_prime, end_algebra, hom_basis,
-                         realize, rect_to_module)
+from persistgrid import (CandyModule, PersModule, RectDecomp, Rectangle, build_S_dprime, build_S_prime, end_algebra,
+                         hom_basis, realize, rect_to_module)
 from persistgrid.grid import MAX_DIM, GridBox, ModMorphism, candy_corners, vle, vsub, vsucc
 from persistgrid.homspace import Context
 from persistgrid.io import FormatError, _axis_count, _require, _vector, candy_to_json, field_from_json
@@ -75,26 +76,35 @@ def indices_by_scan(R: RectDecomp, v) -> list[int]:
     return [i for i, r in enumerate(R.summands) if r.contains(v)]
 
 
+def rect_sum(I, box: GridBox) -> RectDecomp:
+    """The rectangle sum [births[i], deaths[i]] of a 1D interval record I
+    on box, summand i of I as summand i."""
+    return RectDecomp(I.field, box, [Rectangle((b,), (d,)) for b, d in zip(I.births, I.deaths)])
+
+
 def materialize_by_iso(ctx: Context, M: PersModule, N: PersModule, x: dict) -> ModMorphism:
     """Context.materialize composed out of whole morphisms: in 1D, realize x
     between the rectangle modules of the two interval decompositions and
-    compose with the isos rect_to_module(decomp) -> module that the chain
-    bases give; in nD, layer by layer."""
+    compose with the isos from them to the modules that the chain bases
+    give; in nD, layer by layer, each layer's keys (t, i, j) those with t
+    in its run of w fibres, w the number of fibres in one layer."""
     if M.is_zero() or N.is_zero():
         return ModMorphism.zero(M, N)
     if M.n == 1:
         I, J = ctx.intervals1(M), ctx.intervals1(N)
-        (DM, basisM), (DN, basisN) = (I.decomp, I.basis), (J.decomp, J.basis)
+        DM, DN = rect_sum(I, M.box), rect_sum(J, N.box)
         RM, RN = rect_to_module(DM), rect_to_module(DN)
-        isoN = ModMorphism(RN, N, basisN)
-        isoM_inverse = ModMorphism(M, RM, {v: b.inverse() for v, b in basisM.items()})
-        return isoN.compose(ModMorphism(RM, RN, realize(DM, DN, x))).compose(isoM_inverse)
+        isoN = ModMorphism(RN, N, J.basis)
+        isoM_inverse = ModMorphism(M, RM, {v: b.inverse() for v, b in I.basis.items()})
+        X = ModMorphism(RM, RN, realize(DM, DN, {(i, j): c for (_, i, j), c in x.items()}))
+        return isoN.compose(X).compose(isoM_inverse)
     Ms, Ns = ctx.layers(M)[0], ctx.layers(N)[0]
-    h0 = M.box.lo[-1]
+    h0, w = M.box.lo[-1], Ms[0].box.count // (Ms[0].box.hi[0] - Ms[0].box.lo[0] + 1)
     comps = {}
-    for i in range(len(Ms)):
-        gi = materialize_by_iso(ctx, Ms[i], Ns[i], {leaf: c for (j, leaf), c in x.items() if j == i})
-        comps.update({v + (h0 + i,): m for v, m in gi.comps.items()})
+    for k in range(len(Ms)):
+        xk = {(t - k * w, i, j): c for (t, i, j), c in x.items() if t // w == k}
+        gk = materialize_by_iso(ctx, Ms[k], Ns[k], xk)
+        comps.update({v + (h0 + k,): m for v, m in gk.comps.items()})
     return ModMorphism(M, N, comps)
 
 

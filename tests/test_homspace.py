@@ -8,6 +8,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module, rand_rect_decomp
 from persistgrid.verify import DECOMPOSABLE
 
-from oracles import is_matching, materialize_by_iso, rank_by_first_nonzero
+from oracles import is_matching, materialize_by_iso, rank_by_first_nonzero, rect_sum
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -71,14 +72,14 @@ def dense_hom_dim(M, N):
 
 
 def dense_express(ctx, M, N, g):
-    """1D coordinates by the dense formula: invN . g . isoM composed at every
-    vertex, then read at each source summand's birth."""
+    """1D coordinates (0, i, j) by the dense formula: invN . g . isoM
+    composed at every vertex, then read at each source summand's birth."""
     if M.is_zero() or N.is_zero():
         return {}
     I, J = ctx.intervals1(M), ctx.intervals1(N)
-    (DM, basisM), (DN, basisN) = (I.decomp, I.basis), (J.decomp, J.basis)
-    isoM = ModMorphism(rect_to_module(DM), M, basisM)
-    invN = ModMorphism(N, rect_to_module(DN), {v: b.inverse() for v, b in basisN.items()})
+    DM, DN = rect_sum(I, M.box), rect_sum(J, N.box)
+    isoM = ModMorphism(rect_to_module(DM), M, I.basis)
+    invN = ModMorphism(N, rect_to_module(DN), {v: b.inverse() for v, b in J.basis.items()})
     h = invN.compose(g).compose(isoM)
     out = {}
     for i, A in enumerate(DM.summands):
@@ -89,7 +90,7 @@ def dense_express(ctx, M, N, g):
             if hom_leq(A, B):
                 c = mat.rows[rows.index(j)][col]
                 if c != 0:
-                    out[(i, j)] = c
+                    out[(0, i, j)] = c
     return out
 
 
@@ -102,6 +103,13 @@ def check_pair(M, N, rng):
     ctx = Context()
     hs = ctx.hom(M, N)
     assert hs.dim == dense_hom_dim(M, N)
+    # the columns are the int triples (t, i, j) with (i, j) a hom pair of
+    # fibre t's records, in ascending order, and the basis lives on them
+    (IM, _), (IN, _) = ctx.fibres(M), ctx.fibres(N)
+    cols = [(t, i, j) for t, (I, J) in enumerate(zip(IM, IN)) for i, j in ctx.pairs(I, J)]
+    assert len(cols) == hs.ncols and cols == sorted(cols)
+    assert all(type(a) is int for key in cols for a in key)
+    assert set(hs.pivot_keys).union(*hs.basis) <= set(cols)
     for b in hs.basis:
         g = materialized(ctx, M, N, b)
         assert g.validate()
@@ -177,8 +185,8 @@ def test_express_matches_dense_formula(seed):
 @given(st.integers(0, 2**31))
 @settings(max_examples=30, deadline=None)
 def test_materialize_matches_iso_conjugation(seed):
-    """materialize conjugates realize's components by the chain bases; that
-    is the composite of whole morphisms through the rectangle modules, on
+    """materialize's components are the composite of whole morphisms
+    through the rectangle modules of the fibres' interval decompositions, on
     1D and 2D pairs, on zero modules, and on the zero element."""
     rng = random.Random(seed)
     f = [Q, F2, F3][seed % 3]
@@ -310,8 +318,8 @@ def test_verbs_map_between_the_callers_modules(monkeypatch):
 @settings(max_examples=10, deadline=None)
 def test_hom_engine_builds_no_rectangle_module(seed):
     """end_dim, hom_basis, try_split and iso_certificate read only the
-    cached interval records, with their RectDecomps, chain bases and
-    inverses: none of them builds a rectangle module."""
+    cached interval records, with their chain bases and inverses: none of
+    them builds a rectangle module."""
     original = rectangles.rect_to_module
     built = []
 
@@ -460,13 +468,17 @@ def test_row_coords_match_the_inverse_formula(f):
 def materialize_by_conjugation(ctx, M, N, x) -> dict:
     """Context.materialize by the conjugation formula on every fibre:
     basisN[v] @ X_v @ basisM[v]^-1, with X the components realize gives
-    between the two interval decompositions."""
+    between the two interval decompositions.  Fibre t is the t-th vertex
+    suffix v[1:] of the box, the last axis slowest."""
     (IM, _), (IN, _) = ctx.fibres(M), ctx.fibres(N)
-    extents, _, suffixes = ctx.positions(M.box)
+    lo, hi = M.box.lo, M.box.hi
+    suffixes = sorted(product(*map(range, lo[1:], (h + 1 for h in hi[1:]))), key=lambda s: s[::-1])
+    axis0 = GridBox(lo[:1], hi[:1])
     comps = {}
-    for t, xt in sorted(homspace._by_fibre(x, extents).items()):
+    for t in sorted({key[0] for key in x}):
         I, J = IM[t], IN[t]
-        for v, X in rectangles.realize(I.decomp, J.decomp, xt).items():
+        xt = {(i, j): c for (u, i, j), c in x.items() if u == t}
+        for v, X in rectangles.realize(rect_sum(I, axis0), rect_sum(J, axis0), xt).items():
             comps[v + suffixes[t]] = J.basis[v] @ X @ I.basis[v].inverse()
     return comps
 
@@ -482,44 +494,47 @@ def matching_modules(rng, f) -> list:
 
 @pytest.mark.parametrize("f", [F2, F1009, Q], ids=str)
 def test_entries_between_matching_records_match_the_conjugation_formula(f, monkeypatch):
-    """Between two records of matchings materialize writes each coordinate
-    as entries: the components, their key order and its refusal of a
-    nonzero coordinate outside the hom space are those of the conjugation
-    formula, and realize runs only on fibre pairs where a record has no rows."""
+    """materialize writes each coordinate as entries: the components, their
+    key order and its refusal of a nonzero coordinate outside the hom space
+    are those of the conjugation formula, and it reads a chain basis or its
+    inverse only on a record without rows, so never between two records of
+    matchings."""
     rng = random.Random(17)
-    realized = []
-    monkeypatch.setattr(homspace, "realize", lambda I, J, x: realized.append((I, J)) or rectangles.realize(I, J, x))
+    read = []
+    basis, inverse = rectangles.Intervals.__dict__["basis"], rectangles.Intervals.inverse
+    monkeypatch.setattr(rectangles.Intervals, "basis",
+                        property(lambda I: read.append(I) or basis.__get__(I, rectangles.Intervals)))
+    monkeypatch.setattr(rectangles.Intervals, "inverse", lambda I, v: read.append(I) or inverse(I, v))
     # a step that is no matching, and a candy of it, whose fibres mix both kinds
     W = PersModule(f, GridBox((0,), (2,)), {(0,): 2, (1,): 1, (2,): 1},
                    {((0,), 0): Matrix.from_ints(f, [[1, 1]]), ((1,), 0): Matrix.identity(f, 1)})
     pairs = [(M, B) for M in [*matching_modules(rng, f), W, candy_wrap(W).module] for B in (M, direct_sum(M, M))]
-    entries = plains = 0
+    entries = plains = reads = 0
     for A, B in pairs:
         for C, D in ((A, B), (B, A)):
             ctx = Context()
             hs = ctx.hom(C, D)
             (IC, _), (ID, _) = ctx.fibres(C), ctx.fibres(D)
-            extents = ctx.positions(C.box)[0]
             for x in [*hs.basis[:4], hs.random_element(rng), hs.random_element(rng)]:
-                realized.clear()
+                read.clear()
                 got = ctx.materialize(C, D, x)
+                fibres = {key[0] for key in x}
+                plain = {t for t in fibres if IC[t].rows is None or ID[t].rows is None}
+                assert all(I.rows is None for I in read)
+                assert {id(I) for I in read} <= {id(I) for t in plain for I in (IC[t], ID[t])}
                 assert list(got.items()) == list(materialize_by_conjugation(ctx, C, D, x).items())
-                fibres = homspace._by_fibre(x, extents)
-                plain = [t for t in sorted(fibres) if IC[t].rows is None or ID[t].rows is None]
-                assert [(I, J) for I, J in realized] == [(IC[t].decomp, ID[t].decomp) for t in plain]
-                entries, plains = entries + len(fibres) - len(plain), plains + len(plain)
+                entries, plains, reads = entries + len(fibres) - len(plain), plains + len(plain), reads + len(read)
             # a nonzero coordinate outside the hom space, on each fibre pair that has one
-            _, positions, _ = ctx.positions(C.box)
             for t, (I, J) in enumerate(zip(IC, ID)):
                 zero = [(i, j) for i in range(len(I.births)) for j in range(len(J.births))
                         if (i, j) not in I.hom_pairs(J)]
                 if zero:
-                    x = {homspace._tag(positions[t], zero[0]): f.one}
+                    x = {(t, *zero[0]): f.one}
                     with pytest.raises(ValueError) as want:
                         materialize_by_conjugation(ctx, C, D, x)
                     with pytest.raises(ValueError, match=re.escape(str(want.value))):
                         ctx.materialize(C, D, x)
-    assert entries > 0 and plains > 0
+    assert entries > 0 and plains > 0 and reads > 0
 
 
 def test_int_and_fraction_entries_share_one_representative():
@@ -628,17 +643,19 @@ def hom_record(ctx, A, B) -> str:
 # from random.Random(seed), dims <= 2), recorded before the hom engine moved
 # onto interval records; the 3D entries re-recorded when one system over 1D
 # fibres replaced the layer-by-layer one, which moved only the column count
-# and the order of the entries inside each basis element
+# and the order of the entries inside each basis element; all re-recorded
+# when the keys became flat (t, i, j) triples, which in the old nested form
+# (i_{n-1}, (..., (i_1, (i, j)))) hash to the earlier pins
 BASIS_PINS = {
-    "1d-F2": "09e513d3ace1ef2ee4524bae87711edc3032e61b935ea8208417a5c292df9e63",
-    "1d-F1009": "408c7cce138d1fb0256ba67cdeea12cf2705acc3d4290d99fbed155117e9e546",
-    "1d-Q": "b45337a24086afa22c24fc5a02e71b2257a00a61319dad38525a169684ae68cf",
-    "2d-F2": "cd7a15c10b5d84802f9f648eade50e9efa169046009ca623ef46f78281651b9e",
-    "2d-F1009": "707cda5ad2f8334e02171c300a180c550e59ca08c71d6528a13874af4fedda80",
-    "2d-Q": "0e5d52025d5f79c386754415f6955b49c288cb1b04c1d21a464b5c01f4281e7b",
-    "3d-F2": "6b0a7beb76caea4caef86da8411f4aa73566437cfffe5e4d210029c5286d1efd",
-    "3d-F1009": "fb0daeed4a4c8ba23580310dfcc692796aaf79484fd1e6ba20386ace483f6433",
-    "3d-Q": "aa12500d4998dc221cc84a4fa3b84510a3cb7b035a9cdcb3ce4a19d0c5ea9b04",
+    "1d-F2": "9e49a36fbd65b93bfd3169bb8927b93ccbc3c12665f731a3f74099d1d6033ade",
+    "1d-F1009": "21d806a2238ba7eb43d2bde910e8b5602eb56cb49311133f65b99f0f2ed567f5",
+    "1d-Q": "c4c1b9215489f3dbce8d0a284db7f3d51820ea322be8e9cb0e19e54a8273052f",
+    "2d-F2": "35070e7255ea9c5d87c3bc00ac7ef2ab04621fbdbaa559170b89ef71c3e920bf",
+    "2d-F1009": "50481b955c57e5578fcda000087c6ba2b5de52558ba169cac0d0780682a242cd",
+    "2d-Q": "2a9942885d26fba21ac9cb916d044baaebfc865a928e7e510721ec6487c02f8d",
+    "3d-F2": "7d4f33d1e57def1b1453f4fe9ea76ed2e916a0b797fede4f85516cbd75e6868e",
+    "3d-F1009": "a5951a67405ad994e69d45932c52d7bab50441963fb9577f23af3413e5f764e4",
+    "3d-Q": "5549c7a5282e7f20a957256ee5d5202d50413522953ba6f0f58a5123fc2bdc48",
 }
 
 

@@ -1,6 +1,7 @@
 """The package's modules import only from lower layers:
 fields -> linalg -> grid -> rectangles -> covers/homspace ->
-verify/constructions -> io/sampling -> cli; no file in the package or
+verify/constructions -> io/sampling -> cli, and homspace takes only the
+interval records from rectangles; no file in the package or
 its tests imports a name it never uses; and the package never divides
 with `/`, which turns two ints into a float."""
 
@@ -37,6 +38,16 @@ def test_imports_point_down():
     for name, rank in RANK.items():
         for dep in relative_imports(os.path.join(PACKAGE, f"{name}.py")):
             assert RANK[dep] < rank, f"{name} imports {dep}"
+
+
+def test_hom_engine_reads_only_interval_records_from_rectangles():
+    """homspace takes the 1D interval records and nothing of the rectangle
+    sums: no RectDecomp, no realize, no rect_to_module."""
+    with open(os.path.join(PACKAGE, "homspace.py")) as fh:
+        tree = ast.parse(fh.read())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.level == 1 and node.module == "rectangles" for alias in node.names}
+    assert names == {"Intervals", "interval_decompose_1d"}
 
 
 def unused_imports(path):

@@ -13,7 +13,7 @@ from persistgrid.linalg import Matrix
 from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import rand_module, rand_rect_decomp
 
-from oracles import indices_by_scan, intervals_by_full_pass, is_matching
+from oracles import indices_by_scan, intervals_by_full_pass, is_matching, rect_sum
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -260,14 +260,14 @@ class TestIntervalDecompose:
     def test_decompose_matches_barcode_and_iso(self, seed):
         M = rand_1d(seed)
         I = Context().intervals1(M)
-        D = I.decomp
+        D = rect_sum(I, M.box)
         iso = ModMorphism(rect_to_module(D), M, I.basis)
         assert D.barcode() == barcode_1d(M) == barcode_by_ranks(M)
         assert iso.validate()
         assert iso.is_invertible()
         # the iso is the chain basis that interval_decompose_1d returns
         I2 = interval_decompose_1d(M)
-        assert I2.decomp == D and iso.comps == I2.basis
+        assert (I2.births, I2.deaths) == (I.births, I.deaths) and iso.comps == I2.basis
 
     @given(runs_1d())
     @settings(max_examples=300, deadline=None)
@@ -279,7 +279,7 @@ class TestIntervalDecompose:
         step is a matching."""
         I = interval_decompose_1d(M)
         summands, full_basis = intervals_by_full_pass(M)
-        assert list(zip(I.births, I.deaths)) == [(r.b[0], r.d[0]) for r in I.decomp.summands] == summands
+        assert list(zip(I.births, I.deaths)) == summands
         assert I.basis == full_basis
         assert (I.rows is not None) == all(map(is_matching, M.steps.values()))
         for v, B in full_basis.items():
@@ -293,7 +293,7 @@ class TestIntervalDecompose:
         seen = set()
         for _ in range(100):
             I = Context().intervals1(M)
-            iso = ModMorphism(rect_to_module(I.decomp), M, I.basis)
+            iso = ModMorphism(rect_to_module(rect_sum(I, box)), M, I.basis)
             seen.add(tuple(sorted((v, tuple(map(tuple, m.rows))) for v, m in iso.comps.items())))
         assert len(seen) == 1
         # the two chains born at 0 are made from e_0 and then e_1
