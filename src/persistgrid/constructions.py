@@ -240,7 +240,7 @@ def build_S_dprime(V: PersModule, height: int = 5, *, _plan: tuple | None = None
     _s_dprime_plan(V, height) when the caller has made it already.
     """
     W, prim_plan, grid, t, line = _plan or _s_dprime_plan(V, height)
-    M = dualize(build_S_prime(W, height, _plan=prim_plan).M, t)
+    M = dualize(build_S_prime(W, _plan=prim_plan).M, t)
     return BuildResult(M, line, 5, {"source_box": V.box, "grid": grid})
 
 
@@ -256,8 +256,8 @@ def candy_wrap(V: PersModule) -> CandyModule:
     # copy of V; their glued box is refused over the cap before either is built
     t = vsub(line.apply(V.box.lo), V.box.lo + (0,))
     box = GridBox.hull([meta["grid"].extend(-4, 0).translate(t).coarse, grid.coarse])
-    P = build_S_prime(V, 9, _plan=prim_plan).M
-    dual = build_S_dprime(V, 9, _plan=dual_plan)
+    P = build_S_prime(V, _plan=prim_plan).M
+    dual = build_S_dprime(V, _plan=dual_plan)
     dims, steps = dual.M.dims, dual.M.steps
     for v, d in P.dims.items():
         if v[-1] < 0:

@@ -46,95 +46,43 @@ def _by_fibre(x: dict) -> dict:
 
 
 class Context:
-    """Shared caches for a batch of hom computations.
+    """Caches for a batch of hom computations, keyed by the module objects
+    callers pass in.
 
-    Caches are keyed by module content: each module maps to the first module
-    seen here with the same field, box, dims and step matrices, in the same
-    dict order, which iterates exactly like it.  What is made for that
-    representative is stored under its id and the id of every module seen
-    for it, so a module already seen is answered in one lookup.  A step
-    enters the key as a number per matrix object, equal for equal rows, so
-    a matrix that steps share is read once.  The maps keep every module and
-    matrix alive, so ids cannot be recycled underneath us.
-
-    Equal modules share one HomSpace, one layer slicing and one list of
-    fibres and links, so equal layers share theirs; a fibre is cached as
-    its Intervals record and a pair of fibres as their
-    Intervals.hom_pairs.  No rectangle module is built.  No HomSpace
-    refers back to its context, so the caches are freed with it.
+    Each module given here is walked once into its fibres' Intervals
+    records and links; each box's fibre numbering and each pair of modules'
+    HomSpace are made once.  The layers of a walk are not kept, and no
+    rectangle module is built.  The caches hold every module they key, so
+    ids cannot be recycled underneath us.  No HomSpace refers back to its
+    context, so the caches are freed with it.
     """
 
     def __init__(self):
-        self._reps = {}  # id(M) -> (M, representative)
-        self._by_content = {}
-        self._mats = {}  # id(m) -> (m, content number)
-        self._numbers = {}  # row tuples -> content number
-        self._pairs = {}
-        self._layers = {}
-        self._fibres = {}
+        self._fibres = {}  # id(M) -> (M, (records, links))
         self._suffixes = {}
         self._homs = {}
 
-    def _content(self, m: Matrix) -> int:
-        """A number for m's rows, the same for every equal matrix seen here;
-        each matrix object's rows are read once."""
-        entry = self._mats.get(id(m))
-        if entry is None:
-            rows = tuple(map(tuple, m.rows))
-            entry = self._mats[id(m)] = (m, self._numbers.setdefault(rows, len(self._numbers)))
-        return entry[1]
-
-    def _rep(self, M: PersModule) -> PersModule:
-        """The first module seen in this context equal to M."""
-        entry = self._reps.get(id(M))
-        if entry is None:
-            key = (M.field, M.box, tuple(M.dims.items()), tuple(M.steps),
-                   tuple(map(self._content, M.steps.values())))
-            entry = self._reps[id(M)] = (M, self._by_content.setdefault(key, M))
-        return entry[1]
-
-    # -- cached structure, made for the representative -----------------
-
-    def _cached(self, cache: dict, M: PersModule, make):
-        """make(R) for the representative R of M, made once per R."""
-        out = cache.get(id(M))
-        if out is None:
-            R = self._rep(M)
-            out = cache.get(id(R))
-            if out is None:
-                out = make(R)
-            cache[id(M)] = cache[id(R)] = out
-        return out
-
     def intervals1(self, M: PersModule) -> Intervals:
-        """interval_decompose_1d of the representative of a 1D module M."""
+        """interval_decompose_1d of a 1D module M, made once per module."""
         return self.fibres(M)[0][0]
-
-    def pairs(self, I: Intervals, J: Intervals) -> list[tuple]:
-        """I.hom_pairs(J) for two records made here, made once per pair."""
-        key = (id(I), id(J))
-        out = self._pairs.get(key)
-        if out is None:
-            out = self._pairs[key] = I.hom_pairs(J)
-        return out
-
-    def layers(self, M: PersModule):
-        return self._cached(self._layers, M, slice_layers)
 
     def fibres(self, M: PersModule) -> tuple[list[Intervals], dict]:
         """(records, links): the records of M's fibres along axis 0, numbered
         as in suffixes, and {(t, u): the interval coordinates of M's steps
         from fibre t to a neighbour u} where they are nonzero, read off the
-        layer tree, whose equal layers share theirs."""
-        return self._cached(self._fibres, M, self._walk)
+        layer tree; made once per module."""
+        entry = self._fibres.get(id(M))
+        if entry is None:
+            entry = self._fibres[id(M)] = (M, self._walk(M))
+        return entry[1]
 
     def _walk(self, M: PersModule) -> tuple[list[Intervals], dict]:
         if M.n == 1:
             return [interval_decompose_1d(M)], {}
-        layers, steps = self.layers(M)
+        layers, steps = slice_layers(M)
         I, links = [], {}
         for layer in layers:
-            J, inner = self.fibres(layer)
+            J, inner = self._walk(layer)
             if inner:
                 links.update(((t + len(I), u + len(I)), c) for (t, u), c in inner.items())
             I += J
@@ -155,7 +103,8 @@ class Context:
         return out
 
     def hom(self, M: PersModule, N: PersModule) -> "HomSpace":
-        M, N = self._rep(M), self._rep(N)
+        """Hom(M, N), made once per pair of modules; the HomSpace holds both,
+        which keeps the ids in its key valid."""
         key = (id(M), id(N))
         if key not in self._homs:
             self._homs[key] = HomSpace(M, N, self)
@@ -276,7 +225,7 @@ class HomSpace:
         M, N = self.M, self.N
         f = M.field
         (IM, lM), (IN, lN) = ctx.fibres(M), ctx.fibres(N)
-        pairs = [ctx.pairs(I, J) for I, J in zip(IM, IN)]
+        pairs = [I.hom_pairs(J) for I, J in zip(IM, IN)]
         offsets = list(accumulate(map(len, pairs), initial=0))
         rows: list[dict] = []
         if offsets[-1] == 0:

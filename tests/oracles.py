@@ -38,7 +38,7 @@ import itertools
 
 from persistgrid import (CandyModule, PersModule, RectDecomp, Rectangle, build_S_dprime, build_S_prime, end_algebra,
                          hom_basis, realize, rect_to_module)
-from persistgrid.grid import MAX_DIM, GridBox, ModMorphism, candy_corners, vle, vsub, vsucc
+from persistgrid.grid import MAX_DIM, GridBox, ModMorphism, candy_corners, slice_layers, vle, vsub, vsucc
 from persistgrid.homspace import Context
 from persistgrid.io import FormatError, _axis_count, _require, _vector, candy_to_json, field_from_json
 from persistgrid.linalg import Matrix, Poly
@@ -98,7 +98,7 @@ def materialize_by_iso(ctx: Context, M: PersModule, N: PersModule, x: dict) -> M
         isoM_inverse = ModMorphism(M, RM, {v: b.inverse() for v, b in I.basis.items()})
         X = ModMorphism(RM, RN, realize(DM, DN, {(i, j): c for (_, i, j), c in x.items()}))
         return isoN.compose(X).compose(isoM_inverse)
-    Ms, Ns = ctx.layers(M)[0], ctx.layers(N)[0]
+    Ms, Ns = slice_layers(M)[0], slice_layers(N)[0]
     h0, w = M.box.lo[-1], Ms[0].box.count // (Ms[0].box.hi[0] - Ms[0].box.lo[0] + 1)
     comps = {}
     for k in range(len(Ms)):

@@ -318,10 +318,22 @@ class TestExitCodes:
         """A line into 3D space, given one axis map: inserting 9 on the last
         axis misses the module's box 0..1 there, and position 3 is past the
         last."""
+        self._restrict_gives_2(tmp_path, capsys, [{"scale": 1, "offset": 0}] * 2, insert, message)
+
+    def test_restrict_along_a_table_line_off_the_box_gives_2(self, tmp_path, capsys):
+        """A table whose values 5, 6 on the first axis lie past the box 0..1."""
+        maps = [{"table": [5, 6], "start": 0}, {"scale": 1, "offset": 0}]
+        self._restrict_gives_2(tmp_path, capsys, maps, {"pos": 2, "value": 0},
+                               "the embedding misses the module box entirely")
+
+    @staticmethod
+    def _restrict_gives_2(tmp_path, capsys, maps, insert, message):
+        """restrict of the all-identity module on the unit cube along a line
+        with these axis maps and insert position exits 2 with message."""
         module, line = str(tmp_path / "m.json"), str(tmp_path / "l.json")
         box = GridBox((0, 0, 0), (1, 1, 1))
         dump(pmod_to_json(rect_to_module(RectDecomp(Q, box, [Rectangle(box.lo, box.hi)]))), module)
-        dump({"axis_maps": [{"scale": 1, "offset": 0}] * 2, "insert_axis": insert}, line)
+        dump({"axis_maps": maps, "insert_axis": insert}, line)
         code, _, err = run(capsys, ["restrict", "--in", module, "--line", line, "--out", str(tmp_path / "o.json")])
         assert code == 2 and err == f"error: {message}\n"
 

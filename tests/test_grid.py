@@ -268,6 +268,17 @@ class TestPullback:
             for v, d in M.dims.items():
                 assert M.composite(v, v) == Matrix.identity(M.field, d)
 
+    def test_composite_with_a_zero_end_is_the_zero_matrix(self, rng):
+        zeros = 0
+        for M in random_modules(rng, 20):
+            lo, hi = M.box.lo, M.box.hi
+            for v in M.box.vertices():
+                if M.dim(v) == 0:
+                    zeros += 1
+                    assert M.composite(lo, v) == Matrix.zero(M.field, 0, M.dim(lo))
+                    assert M.composite(v, hi) == Matrix.zero(M.field, M.dim(hi), 0)
+        assert zeros > 0
+
     def test_layer_restriction_shares_steps(self, rng):
         for M in shared_step_modules(rng, 10):
             n = M.n

@@ -1,6 +1,7 @@
 """The hom engine, one sparse system over 1D fibres, against a dense
 naturality-system oracle."""
 
+import gc
 import hashlib
 import json
 import random
@@ -106,7 +107,7 @@ def check_pair(M, N, rng):
     # the columns are the int triples (t, i, j) with (i, j) a hom pair of
     # fibre t's records, in ascending order, and the basis lives on them
     (IM, _), (IN, _) = ctx.fibres(M), ctx.fibres(N)
-    cols = [(t, i, j) for t, (I, J) in enumerate(zip(IM, IN)) for i, j in ctx.pairs(I, J)]
+    cols = [(t, i, j) for t, (I, J) in enumerate(zip(IM, IN)) for i, j in I.hom_pairs(J)]
     assert len(cols) == hs.ncols and cols == sorted(cols)
     assert all(type(a) is int for key in cols for a in key)
     assert set(hs.pivot_keys).union(*hs.basis) <= set(cols)
@@ -243,7 +244,7 @@ def copy_of(M):
     return PersModule(M.field, M.box, dict(M.dims), dict(M.steps))
 
 
-def test_equal_modules_share_one_decomposition_and_one_hom(monkeypatch):
+def test_each_module_is_decomposed_and_each_hom_built_once(monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
@@ -257,42 +258,56 @@ def test_equal_modules_share_one_decomposition_and_one_hom(monkeypatch):
     monkeypatch.setattr(HomSpace, "_build", counted("build", HomSpace._build))
     box = GridBox((0,), (3,))
     M1 = rect_to_module(RectDecomp(F3, box, [Rectangle((0,), (2,)), Rectangle((1,), (3,))]))
+    ctx = Context()
+    H1 = ctx.hom(M1, M1)
+    assert ctx.hom(M1, M1) is H1
+    ident = ctx.express(M1, M1, ModMorphism.identity(M1).comps)
+    assert materialized(ctx, M1, M1, ident).validate()
+    materialized(ctx, M1, M1, H1.basis[0])
+    assert calls == {"decompose": 1, "pairs": 1, "build": 1}
+    # an equal copy is a module of its own, with an equal hom space
     M2 = copy_of(M1)
     assert M2 is not M1 and M2 == M1
-    ctx = Context()
-    assert ctx.intervals1(M1) is ctx.intervals1(M2)
-    assert ctx.hom(M1, M1) is ctx.hom(M2, M2) is ctx.hom(M1, M2)
-    assert calls == {"decompose": 1, "pairs": 1, "build": 1}
-    # one changed entry makes a different module with its own work
-    M3 = copy_of(M1)
-    M3.steps[((1,), 0)] = Matrix(F3, [[2, 0], [0, 1]])
-    assert ctx.hom(M3, M3) is not ctx.hom(M1, M1)
-    assert calls == {"decompose": 2, "pairs": 2, "build": 2}
-    # three equal layers in a stack: one decomposition and one hom, the
-    # layers' pairs, which a 2D hom space reads without a layer HomSpace
+    H2 = ctx.hom(M2, M2)
+    assert H2 is not H1 and H2.M is M2
+    assert (H2.dim, H2.basis, H2.pivot_keys) == (H1.dim, H1.basis, H1.pivot_keys)
+    # three equal layers in a stack: one decomposition and one pair list
+    # per fibre, and one system over the fibres with no layer HomSpace
     calls.clear()
     layers = [copy_of(M1) for _ in range(3)]
     links = [ModMorphism(a, b, {v: Matrix.identity(F3, d) for v, d in a.dims.items()})
              for a, b in zip(layers, layers[1:])]
     S = stack(layers, links)
     assert Context().hom(S, S).dim == dense_hom_dim(S, S)
-    assert calls == {"decompose": 1, "pairs": 1, "build": 1}
-    # three equal 2D layers in a 3D stack: every fibre equals M1, so one
-    # decomposition, one pair list and one system over the fibres, with no
-    # HomSpace for a layer
+    assert calls == {"decompose": 3, "pairs": 3, "build": 1}
+    # three equal 2D layers in a 3D stack: nine fibres, still one system
     calls.clear()
     layers = [copy_of(S) for _ in range(3)]
     links = [ModMorphism(a, b, {v: Matrix.identity(F3, d) for v, d in a.dims.items()})
              for a, b in zip(layers, layers[1:])]
     T = stack(layers, links)
     assert T.n == 3 and Context().hom(T, T).dim == dense_hom_dim(T, T)
-    assert calls == {"decompose": 1, "pairs": 1, "build": 1}
+    assert calls == {"decompose": 9, "pairs": 9, "build": 1}
+
+
+def test_context_keeps_alive_only_the_modules_it_was_given():
+    """The layers a fibre walk slices are dropped once it has read them."""
+
+    def live():
+        gc.collect()
+        return sum(isinstance(o, PersModule) for o in gc.get_objects())
+
+    T = rand_module(random.Random(3), F3, GridBox((0, 0, 0), (2, 1, 1)), max_dim=2)
+    ctx = Context()
+    before = live()
+    assert ctx.hom(T, T).dim == dense_hom_dim(T, T)
+    assert live() == before
 
 
 def test_verbs_map_between_the_callers_modules(monkeypatch):
     """hom_basis, iso_certificate's witness and the endomorphisms try_split
-    tries have the modules the caller passed as source and target, not the
-    equal representative the Context saw first."""
+    tries have the modules the caller passed as source and target, not an
+    equal module the Context saw first."""
     box = GridBox((0, 0), (1, 1))
     M1 = rect_to_module(RectDecomp(Q, box, [Rectangle((0, 0), (1, 1)), Rectangle((0, 0), (1, 0))]))
     M2, M3 = copy_of(M1), copy_of(M1)
@@ -537,9 +552,10 @@ def test_entries_between_matching_records_match_the_conjugation_formula(f, monke
     assert entries > 0 and plains > 0 and reads > 0
 
 
-def test_int_and_fraction_entries_share_one_representative():
+def test_int_and_fraction_entries_give_equal_hom_spaces():
     """Q values are ints when integral, but an integral Fraction is equal
-    and hashes alike, so a module holding one is the same content."""
+    and hashes alike, so a module holding one has the same hom space and
+    the same PMOD bytes."""
     box = GridBox((0,), (2,))
 
     def module(two):
@@ -548,7 +564,8 @@ def test_int_and_fraction_entries_share_one_representative():
 
     A, B = module(Fraction(2)), module(2)
     ctx = Context()
-    assert ctx.hom(A, A) is ctx.hom(B, B)
+    HA, HB = ctx.hom(A, A), ctx.hom(B, B)
+    assert (HA.dim, HA.basis) == (HB.dim, HB.basis)
     assert json.dumps(pmod_to_json(A)) == json.dumps(pmod_to_json(B))
 
 

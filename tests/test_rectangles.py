@@ -150,6 +150,10 @@ class TestRealize:
         tgt = RectDecomp(Q, box, [Rectangle((1,), (3,))])
         with pytest.raises(ValueError):
             realize(src, tgt, {(0, 0): Q.one})
+        # an explicit zero coordinate there is skipped, by realize and by
+        # the hom engine alike
+        assert realize(src, tgt, {(0, 0): Q.zero}) == {}
+        assert Context().materialize(rect_to_module(src), rect_to_module(tgt), {(0, 0, 0): Q.zero}) == {}
 
     def test_formal_composition_zero_rule(self):
         # the composite of two nonzero canonical homs can vanish
