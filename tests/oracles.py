@@ -30,7 +30,9 @@ matrix's minimal polynomial from the rank of its powers;
 pivoting on the first nonzero entry of each column; `gap_by_scan` finds a
 zero vertex between two live ones by testing every pair;
 `candy_wrap_by_glue` builds a candy from a translated copy of the primal
-half and the dual half, glued into new dicts, layer 0 checked to agree."""
+half and the dual half, glued into new dicts, layer 0 checked to agree;
+`cover_comps_by_composites` makes a projective cover's surjection from one
+internal map per generator vertex and live vertex."""
 
 from __future__ import annotations
 
@@ -564,3 +566,24 @@ def candy_wrap_by_glue(V: PersModule) -> CandyModule:
             for i, m in {id(m): m for m in steps.values()}.items()}
     M = PersModule(V.field, GridBox.hull([P.box, dual.M.box]), dims, {vk: same[id(m)] for vk, m in steps.items()})
     return CandyModule(M, *candy_corners(M), dual.line)
+
+
+def cover_comps_by_composites(V: PersModule, cover) -> dict:
+    """The components of cover's surjection onto V at each live vertex w,
+    in cover.decomp.by_vertex() order: column j is V(x <= w) e_r for the
+    generator (x, r) of the j-th summand live at w, one composite taken
+    per generator vertex x."""
+    f, gens = V.field, cover.gens
+    comps = {}
+    for w, idxs in cover.decomp.by_vertex().items():
+        if w not in V.dims:
+            continue  # components live where both modules do
+        m = Matrix.zero(f, V.dim(w), len(idxs))
+        # summand i is I[x_i, hi], so x_i <= w: take V(x <= w) once per x
+        maps = {x: V.composite(x, w) for x in {gens[i][0] for i in idxs}}
+        for j, i in enumerate(idxs):
+            x, r = gens[i]
+            for row, col in zip(m.rows, maps[x].rows):
+                row[j] = col[r]
+        comps[w] = m
+    return comps

@@ -844,6 +844,19 @@ class TestMistypedOrOversizedInput:
         assert time.perf_counter() - t0 < 0.2
         assert code == 2 and out == "" and err == f"error: box with {count} vertices exceeds the cap 100000\n"
 
+    @pytest.mark.parametrize("case", sorted(OVERSIZED_CANDIES))
+    def test_oversized_candy_sweeps_no_surjection(self, tmp_path, capsys, monkeypatch, case):
+        """Both halves' covers are made to plan their grids; neither
+        surjection is, as the glued box is refused before a half is built."""
+        base, count = self.OVERSIZED_CANDIES[case]
+        p = str(tmp_path / "in.json")
+        dump(base, p)
+        covers, cover = [], persistgrid.constructions.projective_cover
+        monkeypatch.setattr(persistgrid.constructions, "projective_cover", lambda V: covers.append(cover(V)) or covers[-1])
+        code, out, err = run(capsys, ["construct", "--method", "candy", "--in", p, "--out", str(tmp_path / "c.json")])
+        assert code == 2 and out == "" and err == f"error: box with {count} vertices exceeds the cap 100000\n"
+        assert len(covers) == 2 and not any("comps" in vars(c) for c in covers)
+
     # inputs whose stacked layout passes the vertex cap (the candy's, glued,
     # has 176436 vertices) but whose corner grid fits
     WIDE_HALVES = {"field": "Fp:1009", "n": 3, "lo": [0, 0, 0], "hi": [1, 0, 1], "dims": [1, 1, 0, 1],
