@@ -46,8 +46,11 @@ class BuildResult:
 
     M: PersModule
     line: AxisEmbedding
-    layer_count: int
     meta: dict = dc_field(default_factory=dict)
+
+    @property
+    def layer_count(self) -> int:
+        return self.M.box.hi[-1] - self.M.box.lo[-1] + 1  # every builder leaves the stacking axis uncut
 
 
 @dataclass
@@ -179,7 +182,7 @@ def build_S(V: RectDecomp) -> BuildResult:
     begins below V.box.lo."""
     chain, meta = _s_chain(V, 4)
     M, meta = _stack_on_grid(*_chain_layers(V.field, meta["grid"], chain), meta)
-    return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 4, meta)
+    return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), meta)
 
 
 def _s_prime_plan(V: PersModule, height: int):
@@ -193,23 +196,20 @@ def _s_prime_plan(V: PersModule, height: int):
     return (cov, *_s_chain(cov.decomp, height))
 
 
-def build_S_prime(V: PersModule, height: int = 5, *, _plan: tuple | None = None) -> BuildResult:
+def build_S_prime(V: PersModule, *, _plan: tuple | None = None) -> BuildResult:
     """Five layers: the four-layer stack on a projective cover R of V,
     with the cover surjection p: R ->> V appended; V at height 0, on the
     corner grid meta["grid"].  No rectangle begins below V.box.lo, and every
     summand of R ends at V.box.hi, so each coordinate of V.box is a run of
-    its own, numbered as in V: the copy of V and p need no change.
-
-    height is the layer count of the stack that will hold the result, five
-    or candy_wrap's nine, so an oversized one is refused before it is built.
-    _plan is _s_prime_plan(V, height) when the caller has made it already;
-    height is then the plan's."""
-    cov, chain, meta = _plan or _s_prime_plan(V, height)
+    its own, numbered as in V: the copy of V and p need no change.  _plan,
+    when given, is _s_prime_plan(V, height) for the stack that will hold
+    the result (candy_wrap's nine layers); otherwise five are weighed."""
+    cov, chain, meta = _plan or _s_prime_plan(V, 5)
     layers, links = _chain_layers(V.field, meta["grid"], chain)
     top = pad(V, layers[0].box)
     links.append(ModMorphism(layers[3], top, cov.comps))
     M, meta = _stack_on_grid(layers + [top], links, meta)
-    return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), 5, meta)
+    return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), meta)
 
 
 def _s_dprime_plan(V: PersModule, height: int):
@@ -227,7 +227,7 @@ def _s_dprime_plan(V: PersModule, height: int):
     return W, plan, grid, t, AxisEmbedding.layer(V.n, V.n, 0).translate(vsub(grid.floor(u), u))
 
 
-def build_S_dprime(V: PersModule, height: int = 5, *, _plan: tuple | None = None) -> BuildResult:
+def build_S_dprime(V: PersModule, *, _plan: tuple | None = None) -> BuildResult:
     """The dual five layers V -> T -> T' -> Tbar -> I_T, V at height 0, on
     the corner grid meta["grid"].
 
@@ -235,13 +235,12 @@ def build_S_dprime(V: PersModule, height: int = 5, *, _plan: tuple | None = None
     in the same pass so the V copy comes back to V's own coordinates; the
     primal stack's corner grid is mirrored and translated with it.  Each
     coordinate of V.box is still a run of its own, so the line is the layer
-    embedding translated onto the grid.  height is as in build_S_prime,
-    which refuses a zero V, as the dual of 0 is 0; _plan is
-    _s_dprime_plan(V, height) when the caller has made it already.
+    embedding translated onto the grid.  _plan is _s_dprime_plan(V, height)
+    as in build_S_prime, which refuses a zero V, as the dual of 0 is 0.
     """
-    W, prim_plan, grid, t, line = _plan or _s_dprime_plan(V, height)
+    W, prim_plan, grid, t, line = _plan or _s_dprime_plan(V, 5)
     M = dualize(build_S_prime(W, _plan=prim_plan).M, t)
-    return BuildResult(M, line, 5, {"source_box": V.box, "grid": grid})
+    return BuildResult(M, line, {"source_box": V.box, "grid": grid})
 
 
 def candy_wrap(V: PersModule) -> CandyModule:
@@ -422,7 +421,7 @@ def min3_rect(V: RectDecomp) -> BuildResult:
                for r in V.summands]
     layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, V.box, 3)
     M, meta = _stack_on_grid(layers, links, meta)
-    return BuildResult(M, meta["grid"].down(line, V.box), 3, meta)
+    return BuildResult(M, meta["grid"].down(line, V.box), meta)
 
 
 def min3(V: RectDecomp) -> BuildResult:
@@ -473,4 +472,4 @@ def gen4(V: PersModule) -> BuildResult:
         comps[u] = cov.comps[x].submatrix(range(d), live)
     links.append(ModMorphism(layers[2], top, comps))
     M, meta = _stack_on_grid(layers + [top], links, meta)
-    return BuildResult(M, meta["grid"].down(line, V.box), 4, meta)
+    return BuildResult(M, meta["grid"].down(line, V.box), meta)

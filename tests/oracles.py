@@ -548,7 +548,7 @@ def candy_wrap_by_glue(V: PersModule) -> CandyModule:
     onto the copy of V in S''(V), whose vertices above height 0 and steps
     out of its layer 0 along the last axis are added to it; one object for
     each distinct matrix."""
-    P, dual = build_S_prime(V, 9).M, build_S_dprime(V, 9)
+    P, dual = build_S_prime(V).M, build_S_dprime(V)
     n, t = V.n, vsub(dual.line.apply(V.box.lo), V.box.lo + (0,))
     P = P.translate(t)
     dims, steps = P.dims, P.steps

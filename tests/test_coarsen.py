@@ -40,7 +40,7 @@ def stacked_candy(V):
     """The paper's candy of V: the stacked layouts of S'(V) and S''(V),
     which agree on their common copy of V at height 0, glued there, with
     the layer line."""
-    P, D = (stacked(r.M, r.meta["grid"]) for r in (build_S_prime(V, 9), build_S_dprime(V, 9)))
+    P, D = (stacked(r.M, r.meta["grid"]) for r in (build_S_prime(V), build_S_dprime(V)))
     assert {v: d for v, d in P.dims.items() if v[-1] == 0} == {v: d for v, d in D.dims.items() if v[-1] == 0}
     assert all(P.steps[vk] == D.steps[vk] for vk in P.steps.keys() & D.steps.keys())
     M = PersModule(V.field, GridBox.hull([P.box, D.box]), {**P.dims, **D.dims}, {**P.steps, **D.steps})

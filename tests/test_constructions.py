@@ -541,7 +541,7 @@ class TestCornerGrid:
     def test_candy_2x1_layers_are_at_most_a_quarter(self, tmp_path, monkeypatch):
         V, p = self._module(tmp_path, GridBox((0, 0), (1, 0)), 1)
         # an S' layer box is the hull of the input's box and each [b'_i, d'_i]
-        metas = [(W.box, build_S_prime(W, 9).meta) for W in (V, dualize(V))]
+        metas = [(W.box, build_S_prime(W).meta) for W in (V, dualize(V))]
         stacked = min(GridBox.hull([box] + [GridBox(b, d) for b, d in zip(m["bprime"], m["dprime"])]).count
                       for box, m in metas)
         counts = self._boxes(monkeypatch, ["construct", "--method", "candy", "--in", p, "--out", p + ".out"])
@@ -571,7 +571,7 @@ class TestCornerGrid:
             return real(grid, L, box)
 
         monkeypatch.setattr(Compression, "down", spy)
-        assert candy_wrap(V).line == build_S_dprime(V, 9).line
+        assert candy_wrap(V).line == build_S_dprime(V).line
         assert calls == []
 
     def test_a_plan_builds_the_same_half_each_time(self, rng):
@@ -581,7 +581,7 @@ class TestCornerGrid:
         V = rand_module(rng, F3, GridBox((1, 2), (2, 3)), max_dim=2, total_cap=4)
         for build, make in ((build_S_prime, constructions._s_prime_plan),
                             (build_S_dprime, constructions._s_dprime_plan)):
-            fresh, plan = build(V, 9), make(V, 9)
+            fresh, plan = build(V), make(V, 9)
             for _ in range(2):
-                built = build(V, 9, _plan=plan)
+                built = build(V, _plan=plan)
                 assert (built.M, built.line, built.meta) == (fresh.M, fresh.line, fresh.meta)

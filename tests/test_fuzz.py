@@ -1,8 +1,9 @@
 """A seeded fuzz gate for the CLI's exit-code contract.
 
-PMOD, RECTS and candy files drawn by the seeded samplers are mutated one
-node at a time, by a fixed list of operators, and fed to the verbs that
-read them.  Every run exits 0 or 2, or, under `verify`, 1 (property
+PMOD, RECTS, candy, LINE and `string` manifest files drawn by the seeded
+samplers are mutated one node at a time, by a fixed list of operators, and
+fed to the verbs that read them, beside the unmutated files those verbs
+also read.  Every run exits 0 or 2, or, under `verify`, 1 (property
 violated) or 3 (inconclusive); on exit 2 stdout is empty and stderr starts
 with `error:`.  No run raises, and each finishes within PER_CALL_S."""
 
@@ -13,9 +14,9 @@ import json
 import random
 import signal
 
-from persistgrid import Field, GridBox, candy_wrap
+from persistgrid import Field, GridBox, candy_wrap, min3
 from persistgrid.cli import main
-from persistgrid.io import candy_to_json, pmod_to_json, rects_to_json
+from persistgrid.io import candy_to_json, line_to_json, pmod_to_json, rects_to_json
 from persistgrid.sampling import rand_module, rand_rect_decomp
 
 from oracles import pmod_to_json_v1
@@ -74,26 +75,39 @@ def mutate(obj, rng):
 
 
 def inputs():
-    """(kind, file contents) of the seeded inputs: a 3x2 PMOD over F_1009,
-    1D PMODs over Q in both forms, a RECTS file and a candy."""
+    """(kind, file contents, {name: contents} of the unmutated files beside
+    it) of the seeded inputs: a 3x2 PMOD over F_1009, 1D PMODs over Q in
+    both forms, a RECTS file, a candy, the LINE of a min3 output beside that
+    output, the output beside its LINE, and a `string` manifest beside the
+    two 1D modules it names."""
     rng = random.Random(SEED)
     F, Q = Field.prime(1009), Field.rationals()
     M2 = rand_module(rng, F, GridBox((0, 0), (2, 1)), max_dim=2)
     M1 = rand_module(rng, Q, GridBox((0,), (3,)), max_dim=2)
     C = candy_wrap(rand_module(rng, F, GridBox((0,), (1,)), max_dim=2))
-    return [("pmod", pmod_to_json(M2)), ("pmod", pmod_to_json(M1)), ("pmod", pmod_to_json_v1(M1)),
-            ("rects", rects_to_json(rand_rect_decomp(rng, Q, 1, 3, hi=3))), ("candy", candy_to_json(C))]
+    R = rand_rect_decomp(rng, Q, 1, 3, hi=3)
+    built = min3(R)
+    out, line = pmod_to_json(built.M), line_to_json(built.line)
+    modules = {"m0.json": pmod_to_json(M1),
+               "m1.json": pmod_to_json(rand_module(rng, Q, GridBox((0,), (2,)), max_dim=2))}
+    return [("pmod", pmod_to_json(M2), {}), ("pmod", pmod_to_json(M1), {}), ("pmod", pmod_to_json_v1(M1), {}),
+            ("rects", rects_to_json(R), {}), ("candy", candy_to_json(C), {}),
+            ("line", line, {"MOD": out}), ("built", out, {"LINE": line}),
+            ("manifest", {"modules": sorted(modules)}, modules)]
 
 
 # the argv tails of each kind's verbs; IN is the mutated file, SAME the
-# unmutated one and OUT a file to write
+# unmutated one, OUT a file to write, and any other name a file beside IN
 VERBS = {
     "pmod": [["barcode", "--in", "IN"], ["verify", "indec", "--in", "IN"], ["verify", "tworows", "--in", "IN"],
              ["verify", "iso", "--in", "IN", "--with", "SAME"], ["hom", "--a", "IN", "--b", "SAME"],
-             ["construct", "--method", "sprime", "--in", "IN", "--out", "OUT"],
-             ["construct", "--method", "gen4", "--in", "IN", "--out", "OUT"]],
+             *(["construct", "--method", m, "--in", "IN", "--out", "OUT"]
+               for m in ("sprime", "sdual", "gen4", "candy"))],
     "rects": [["construct", "--method", m, "--in", "IN", "--out", "OUT"] for m in ("s4", "min3", "min3rect")],
     "candy": [["verify", "candy", "--in", "IN"], ["concat", "--a", "IN", "--b", "SAME", "--out", "OUT"]],
+    "line": [["restrict", "--in", "MOD", "--line", "IN", "--out", "OUT"]],
+    "built": [["restrict", "--in", "IN", "--line", "LINE", "--out", "OUT"]],
+    "manifest": [["string", "--list", "IN", "--out", "OUT"]],
 }
 
 
@@ -124,8 +138,13 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path):
     files = {name: str(tmp_path / f"{name}.json") for name in ("IN", "SAME", "OUT")}
     codes = {}
     cases = inputs()
+    for _, _, beside in cases:
+        for name, content in beside.items():
+            files[name] = str(tmp_path / name)
+            with open(files[name], "w") as fh:
+                json.dump(content, fh)
     for r in range(RUNS):
-        kind, original = cases[r % len(cases)]
+        kind, original, _ = cases[r % len(cases)]
         argv = VERBS[kind][r // len(cases) % len(VERBS[kind])]
         obj, how = mutate(original, rng)
         for name, content in (("IN", obj), ("SAME", original)):
