@@ -1,8 +1,8 @@
 """Builders realizing a module as a hyperplane restriction of a taller
 indecomposable: the four-layer stack over rectangle decompositions, its
 five-layer extension via projective covers (and the dual: that extension
-of the dual module, dualized back), candy wrapping and concatenation, and the three/four-layer
-minimal variants.
+of the dual module, mirrored), candy wrapping and concatenation, and the
+three/four-layer minimal variants.
 
 The input copy always sits at height 0 of the stacking axis, so every
 returned embedding inserts the constant 0 as the last coordinate.
@@ -15,24 +15,32 @@ meta["grid"] (a grid.Compression) gives the stacked layout back as
 pullback(M, grid.floor, GridBox(grid.lo, grid.hi)); meta reads it.  The
 caps count what is built: _refuse_stack, the one stack-size rule, weighs
 each chain's layers on its coarse box (S' and gen4 first on V's box), and
-the glued candy is refused on its box.  S and S' keep the coordinates of
-V's box, so their line is the layer embedding; S'' keeps them up to a
-translation, and the candy writes S', translated, into the dicts of S''.
-concat joins any two candies on their own grids and checks only the
-squares its handle adds; string_candies concatenates the candies as
-candy_wrap returns them.
+the glued candy is refused on its box.
+
+Every stack is written by one stacker, _Stack.chain: it floors each
+layer's rectangles onto the corner grid and writes the dims, the layer
+steps and the links straight into the stack's dicts, one object for each
+distinct matrix, with no rectangle module or link morphism between.  S
+and S' keep the coordinates of V's box, so their line is the layer
+embedding.  S'' is the plan of S' of the dual module stacked mirrored,
+which keeps V's coordinates up to a translation; the candy writes S'' and
+then S', translated onto the copy of V in S'', into one stack.  concat
+joins any two candies on their own grids and checks only the squares its
+handle adds; string_candies concatenates the candies as candy_wrap
+returns them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cache, partial
+from itertools import product
 
 from .covers import projective_cover
-from .grid import (MAX_DIM, MAX_VERTICES, AxisEmbedding, Compression, GridBox, ModMorphism, PersModule,
-                   candy_corner_faults, candy_corners, dualize, pad, pullback, stack, vadd, vsub, vsucc)
+from .grid import (MAX_DIM, MAX_VERTICES, AxisEmbedding, Compression, GridBox, PersModule, candy_corner_faults,
+                   candy_corners, dualize, pad, pullback, vadd, vle, vpred, vsub, vsucc)
 from .linalg import Matrix
-from .rectangles import RectDecomp, Rectangle, realize, rect_to_module
+from .rectangles import RectDecomp, Rectangle
 
 
 @dataclass
@@ -144,24 +152,98 @@ def _cone_chain(bprime: list, dprime: list, tails: list, height: int, hits: list
     return grid, chain
 
 
-def _chain_layers(field, grid: Compression, chain: list):
-    """_cone_chain's layers on grid.coarse, linked by a ones column and then
-    by diagonals: (layers, links)."""
-    m = len(chain[1])
-    decomps = [RectDecomp(field, grid.coarse, [Rectangle(grid.floor(r.b), grid.floor(r.d)) for r in rects])
-               for rects in chain]
-    coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * (len(chain) - 2)
-    layers = [rect_to_module(d) for d in decomps]
-    links = [ModMorphism(layers[i], layers[i + 1], realize(decomps[i], decomps[i + 1], x))
-             for i, x in enumerate(coords)]
-    return layers, links
+class _Stack:
+    """A stacked module written in place, one layer after another: its
+    dims and steps, with one object for each distinct step matrix."""
 
+    def __init__(self, field):
+        self.field = field
+        self.dims, self.steps = {}, {}
+        self._same, self._ones = {}, {}
 
-def _stack_on_grid(layers: list, links: list, meta: dict) -> tuple[PersModule, dict]:
-    """The layers stacked with the last at height 0, and a copy of meta
-    whose grid has that stacking axis added."""
-    lo = 1 - len(layers)
-    return stack(layers, links, height_lo=lo), {**meta, "grid": meta["grid"].extend(lo, 0)}
+    def module(self, box: GridBox) -> PersModule:
+        return PersModule(self.field, box, self.dims, self.steps)
+
+    def share(self, m: Matrix) -> Matrix:
+        """The stack's object equal to m, m itself the first time."""
+        return self._same.setdefault((m.nrows, m.ncols, tuple(map(tuple, m.rows))), m)
+
+    def ones(self, nrows: int, cols) -> Matrix:
+        """The shared 0/1 matrix of nrows rows whose column c has its one in
+        row cols[c], none where that is None; cols None stands for one
+        column of ones."""
+        if (m := self._ones.get(key := (nrows, cols))) is None:
+            m = Matrix.zero(self.field, nrows, 1 if cols is None else len(cols))
+            for c, r in ((0, r) for r in range(nrows)) if cols is None else enumerate(cols):
+                if r is not None:
+                    m.rows[r][c] = self.field.one
+            m = self._ones[key] = self.share(m)
+        return m
+
+    def put(self, M: PersModule, t: tuple) -> None:
+        """M's vertices and steps at height 0, translated by t."""
+        dims, steps, share = self.dims, self.steps, self.share
+        for v, d in M.dims.items():
+            dims[vadd(v, t) + (0,)] = d
+        for (v, k), m in M.steps.items():
+            steps[(vadd(v, t) + (0,), k)] = share(m)
+
+    def chain(self, grid: Compression, chain: list, h: int, o: tuple, mirror: bool = False) -> None:
+        """The stacker: _cone_chain's layers, each rectangle floored onto
+        grid.coarse, linked by a column of ones and then by diagonals,
+        layer i at height h + i and each vertex v of grid.coarse at o + v.
+
+        Mirrored, layer i sits at height h - i and v at o - v, and every
+        arrow turns round with its matrix transposed, as dualize turns a
+        stack: the rectangle [b, d] becomes [o - d, o - b] and a link's
+        coordinate (i, j) becomes (j, i).  Either way, vertices, steps and
+        links come in the order in which stacking the rectangle modules, or
+        dualizing that stack, would list them."""
+        box, n = grid.coarse, grid.coarse.n
+        layers = []
+        for rects in chain:
+            ends = [(grid.floor(r.b), grid.floor(r.d)) for r in rects]
+            for b, d in ends:
+                if not vle(b, d):
+                    raise ValueError(f"bad rectangle [{b}, {d}]")
+                if not (vle(box.lo, b) and vle(d, box.hi)):
+                    raise ValueError(f"rectangle [{b}, {d}] escapes box {box.lo}..{box.hi}")
+            layers.append(ends)
+        for x, (src, tgt) in enumerate(zip(layers, layers[1:])):
+            for i, j in ((0 if x == 0 else j, j) for j in range(len(tgt))):
+                (ab, ad), (bb, bd) = src[i], tgt[j]
+                if not (vle(bb, ab) and vle(bd, ad) and vle(ab, bd)):  # rectangles.hom_leq on the integer ends
+                    raise ValueError(f"nonzero coordinate ({i}, {j}) where the hom space is zero")
+        ats = []  # per layer, each vertex (its height last) -> the layer's summands there
+        for x, ends in enumerate(layers):
+            at, height = {}, (h - x if mirror else h + x,)
+            for i, (b, d) in enumerate(ends):
+                spans = (range(c - p, c - q - 1, -1) if mirror else range(c + p, c + q + 1) for c, p, q in zip(o, b, d))
+                for v in product(*spans):
+                    at.setdefault(v + height, []).append(i)
+            ats.append(at)
+        at = {v: idxs for layer in ats for v, idxs in layer.items()}
+        pos = {v: {s: r for r, s in enumerate(idxs)} for v, idxs in at.items()}
+        dims, steps, ones, memo, near = self.dims, self.steps, self.ones, self._ones, vpred if mirror else vsucc
+        for x, layer in enumerate(ats):
+            for v, idxs in layer.items():
+                dims[v] = len(idxs)
+            # each arrow u -> w, listed at the end v from which the order reaches it
+            for v in layer:
+                for k in range(n):
+                    if (u := near(v, k)) in layer:
+                        u, w = (u, v) if mirror else (v, u)
+                        key = (len(at[w]), tuple(map(pos[w].get, at[u])))
+                        steps[(u, k)] = memo.get(key) or ones(*key)
+            if x + 1 == len(ats):
+                break
+            for v in layer:  # the link from layer x to x + 1, mirrored from x + 1 to x
+                if (u := near(v, n)) in at:
+                    u, w = (u, v) if mirror else (v, u)
+                    if x == 0:
+                        steps[(u, n)] = ones(1, (0,) * len(at[u])) if mirror else ones(len(at[w]), None)
+                    elif (cols := tuple(map(pos[w].get, at[u]))).count(None) < len(cols):
+                        steps[(u, n)] = ones(len(at[w]), cols)
 
 
 def _s_chain(V: RectDecomp, height: int):
@@ -181,8 +263,10 @@ def build_S(V: RectDecomp) -> BuildResult:
     corner grid meta["grid"], which keeps V's coordinates: no rectangle
     begins below V.box.lo."""
     chain, meta = _s_chain(V, 4)
-    M, meta = _stack_on_grid(*_chain_layers(V.field, meta["grid"], chain), meta)
-    return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), meta)
+    st = _Stack(V.field)
+    st.chain(meta["grid"], chain, -3, (0,) * V.n)
+    grid = meta["grid"].extend(-3, 0)
+    return BuildResult(st.module(grid.coarse), AxisEmbedding.layer(V.n, V.n, 0), {**meta, "grid": grid})
 
 
 def _s_prime_plan(V: PersModule, height: int):
@@ -196,80 +280,79 @@ def _s_prime_plan(V: PersModule, height: int):
     return (cov, *_s_chain(cov.decomp, height))
 
 
-def build_S_prime(V: PersModule, *, _plan: tuple | None = None) -> BuildResult:
+def build_S_prime(V: PersModule, *, _plan: tuple | None = None, _into: tuple | None = None) -> BuildResult:
     """Five layers: the four-layer stack on a projective cover R of V,
     with the cover surjection p: R ->> V appended; V at height 0, on the
     corner grid meta["grid"].  No rectangle begins below V.box.lo, and every
     summand of R ends at V.box.hi, so each coordinate of V.box is a run of
     its own, numbered as in V: the copy of V and p need no change.  _plan,
     when given, is _s_prime_plan(V, height) for the stack that will hold
-    the result (candy_wrap's nine layers); otherwise five are weighed."""
+    the result (candy_wrap's nine layers); otherwise five are weighed.
+    _into, when given, is (stack, t): the five layers are written into that
+    _Stack translated by t, and the result is translated with them."""
     cov, chain, meta = _plan or _s_prime_plan(V, 5)
-    layers, links = _chain_layers(V.field, meta["grid"], chain)
-    top = pad(V, layers[0].box)
-    links.append(ModMorphism(layers[3], top, cov.comps))
-    M, meta = _stack_on_grid(layers + [top], links, meta)
-    return BuildResult(M, AxisEmbedding.layer(V.n, V.n, 0), meta)
+    st, t = _into or (_Stack(V.field), (0,) * V.n)
+    st.chain(meta["grid"], chain, -4, t)
+    for w, m in cov.comps.items():
+        st.steps[(vadd(w, t) + (-1,), V.n)] = st.share(m)
+    st.put(V, t)
+    grid = meta["grid"].extend(-4, 0).translate(t + (0,))
+    return BuildResult(st.module(grid.coarse), AxisEmbedding.layer(V.n, V.n, 0).translate(t + (0,)),
+                       {**meta, "grid": grid})
 
 
 def _s_dprime_plan(V: PersModule, height: int):
-    """(W, plan, grid, t, line): W the dual of V, plan its _s_prime_plan,
-    and S''(V)'s corner grid, the unstacked grid of the plan stacked at
-    heights -4..0, mirrored as dualize mirrors a module and translated by t
-    so that the copy of V lands on V.box at height 0; line is the layer
-    embedding into it."""
-    W = dualize(V)
-    plan = _s_prime_plan(W, height)
-    grid = plan[2]["grid"]
-    t = vsub(vadd(V.box.lo, V.box.hi), vadd(grid.lo, grid.hi)) + (4,)
-    grid = grid.extend(-4, 0).reflect().translate(t)
+    """(plan, o, grid, line): plan is the _s_prime_plan of W, the dual of
+    V.  S''(V) is the stack of that plan mirrored: its vertex (v, h) goes to
+    (o - v, -h), so that the copy of W lands on a translate of V.box; grid
+    is the plan's corner grid mirrored in the same way, S''(V)'s, and line
+    the layer embedding onto that translate."""
+    plan = _s_prime_plan(dualize(V), height)
+    g = plan[2]["grid"]
+    grid = g.extend(-4, 0).reflect().translate(vsub(vadd(V.box.lo, V.box.hi), vadd(g.lo, g.hi)) + (4,))
     u = V.box.lo + (0,)
-    return W, plan, grid, t, AxisEmbedding.layer(V.n, V.n, 0).translate(vsub(grid.floor(u), u))
+    line = AxisEmbedding.layer(V.n, V.n, 0).translate(vsub(grid.floor(u), u))
+    return plan, vadd(grid.lo[:-1], g.coarse.hi), grid, line
 
 
-def build_S_dprime(V: PersModule, *, _plan: tuple | None = None) -> BuildResult:
+def build_S_dprime(V: PersModule, *, _plan: tuple | None = None, _into: _Stack | None = None) -> BuildResult:
     """The dual five layers V -> T -> T' -> Tbar -> I_T, V at height 0, on
-    the corner grid meta["grid"].
+    the corner grid meta["grid"]: S'(W) of the dual W of V, mirrored.
 
-    Computed by dualizing the primal stack of the dual module, translated
-    in the same pass so the V copy comes back to V's own coordinates; the
-    primal stack's corner grid is mirrored and translated with it.  Each
-    coordinate of V.box is still a run of its own, so the line is the layer
-    embedding translated onto the grid.  _plan is _s_dprime_plan(V, height)
-    as in build_S_prime, which refuses a zero V, as the dual of 0 is 0.
+    The plan's rectangles are stacked mirrored, each link's coordinates
+    transposed, and each component of W's cover surjection transposed
+    once; V's own steps sit at height 0.  That is what dualizing the
+    stack S'(W) gives.  Each coordinate of V.box is still a run of its own,
+    so the line is the layer embedding translated onto the grid.  _plan is
+    _s_dprime_plan(V, height) as in build_S_prime, which refuses a zero V,
+    as the dual of 0 is 0; _into, when given, is the _Stack to write into.
     """
-    W, prim_plan, grid, t, line = _plan or _s_dprime_plan(V, 5)
-    M = dualize(build_S_prime(W, _plan=prim_plan).M, t)
-    return BuildResult(M, line, {"source_box": V.box, "grid": grid})
+    (cov, chain, meta), o, grid, line = _plan or _s_dprime_plan(V, 5)
+    st = _into or _Stack(V.field)
+    st.chain(meta["grid"], chain, 4, o, mirror=True)
+    for w, m in cov.comps.items():
+        st.steps[(vsub(o, w) + (0,), V.n)] = st.share(m.transpose())
+    st.put(V, vsub(o, vadd(V.box.lo, V.box.hi)))
+    return BuildResult(st.module(grid.coarse), line, {"source_box": V.box, "grid": grid})
 
 
 def candy_wrap(V: PersModule) -> CandyModule:
     """Nine layers I_R -> Rbar -> R' -> R -> V -> T -> T' -> Tbar -> I_T:
     S'(V) and S''(V) on their corner grids, glued along their copy of V.
-    Both grids keep every coordinate of V.box, so the primal half is
-    written, translated onto the dual one's copy of V, into the dual half's
-    own dicts, and the line is the dual's.  _s_prime_plan refuses a zero V."""
+    Both grids keep every coordinate of V.box, so both halves are written
+    into one _Stack: S'' first, then S' translated onto the copy of V in
+    S''.  The line is that of S''.  _s_prime_plan refuses a zero V."""
     prim_plan, dual_plan = _s_prime_plan(V, 9), _s_dprime_plan(V, 9)
-    (_, _, meta), (_, _, grid, _, line) = prim_plan, dual_plan
+    line = dual_plan[3]
     # the primal half, at heights -4..0, moves by t onto the dual one's
     # copy of V; their glued box is refused over the cap before either is built
     t = vsub(line.apply(V.box.lo), V.box.lo + (0,))
-    box = GridBox.hull([meta["grid"].extend(-4, 0).translate(t).coarse, grid.coarse])
-    P = build_S_prime(V, _plan=prim_plan).M
-    dual = build_S_dprime(V, _plan=dual_plan)
-    dims, steps = dual.M.dims, dual.M.steps
-    for v, d in P.dims.items():
-        if v[-1] < 0:
-            dims[vadd(v, t)] = d
-        elif dims.get(vadd(v, t)) != d:
-            raise AssertionError("primal and dual stacks disagree on the shared layer")
-    steps.update({(vadd(v, t), k): m for (v, k), m in P.steps.items()})  # the copy of V keeps the primal steps
-    # each layer and link made its own objects: one object for each matrix
-    objects = {}
-    same = {i: objects.setdefault((m.nrows, m.ncols, tuple(map(tuple, m.rows))), m)
-            for i, m in {id(m): m for m in steps.values()}.items()}
-    M = PersModule(V.field, box, dims, {vk: same[id(m)] for vk, m in steps.items()})
-    return CandyModule(M, *candy_corners(M), dual.line)
+    box = GridBox.hull([prim_plan[2]["grid"].extend(-4, 0).translate(t).coarse, dual_plan[2].coarse])
+    st = _Stack(V.field)
+    build_S_dprime(V, _plan=dual_plan, _into=st)
+    build_S_prime(V, _plan=prim_plan, _into=(st, t[:-1]))
+    M = st.module(box)
+    return CandyModule(M, *candy_corners(M), line)
 
 
 def concat(A: CandyModule, B: CandyModule) -> CandyModule:
@@ -367,15 +450,17 @@ def _greedy_points(windows: list) -> list:
     return out
 
 
-def _refined_layers(field, summands: list, windows: list, s: int, source: GridBox, height: int):
-    """The three rectangle layers I' -> R'' -> R~ on a first axis refined by s.
+def _refined_layers(st: _Stack, summands: list, windows: list, s: int, source: GridBox, height: int):
+    """The three rectangle layers I' -> R'' -> R~ on a first axis refined by s,
+    written into st at the bottom of a stack of height layers with its top
+    at height 0.
 
     Summand i becomes the window windows[i] on the first axis.  The births
     b'_i take pairwise distinct first coordinates inside their windows, and
     the deaths d'_i = D + (m - rank) on the first axis keep the interleaved
     ordering that makes endomorphisms of R'' diagonal.  Summands are listed
     in the rank order meta["order"], and meta["chain"] lists each layer's
-    rectangles.  Returns (layers, links, line, meta), on the corner grid
+    rectangles.  Returns (line, meta), on the corner grid
     meta["grid"] of the hull of the rectangles and the line's hits;
     the line, in the paper's coordinates, samples first coordinates of
     source, the input box, at multiples of s.  height is as in _cone_chain.
@@ -392,7 +477,7 @@ def _refined_layers(field, summands: list, windows: list, s: int, source: GridBo
     dprime = [(D[0] + (m - rank),) + D[1:] for rank in range(1, m + 1)]
     line = AxisEmbedding([("affine", s, 0)] + [("affine", 1, 0)] * (n - 1), n, 0)
     grid, chain = _cone_chain(bprime, dprime, [tilde], height, line.hits(source)[:-1])
-    layers, links = _chain_layers(field, grid, chain)
+    st.chain(grid, chain, 1 - height, (0,) * n)
     meta = {
         "s": s,
         "bprime": bprime,
@@ -402,7 +487,7 @@ def _refined_layers(field, summands: list, windows: list, s: int, source: GridBo
         "grid": grid,
         "source_box": source,
     }
-    return layers, links, line, meta
+    return line, meta
 
 
 def min3_rect(V: RectDecomp) -> BuildResult:
@@ -419,9 +504,10 @@ def min3_rect(V: RectDecomp) -> BuildResult:
     s = 2 * (m + 1)
     windows = [(s * r.b[0] - m, s * r.b[0] + m) if r.b[0] == r.d[0] else (s * r.b[0], s * r.d[0])
                for r in V.summands]
-    layers, links, line, meta = _refined_layers(V.field, V.summands, windows, s, V.box, 3)
-    M, meta = _stack_on_grid(layers, links, meta)
-    return BuildResult(M, meta["grid"].down(line, V.box), meta)
+    st = _Stack(V.field)
+    line, meta = _refined_layers(st, V.summands, windows, s, V.box, 3)
+    grid = meta["grid"].extend(-2, 0)
+    return BuildResult(st.module(grid.coarse), grid.down(line, V.box), {**meta, "grid": grid})
 
 
 def min3(V: RectDecomp) -> BuildResult:
@@ -453,7 +539,8 @@ def gen4(V: PersModule) -> BuildResult:
     def floor(y):
         return (y[0] // s,) + y[1:]
 
-    layers, links, line, meta = _refined_layers(V.field, cov.decomp.summands, windows, s, V.box, 4)
+    st = _Stack(V.field)
+    line, meta = _refined_layers(st, cov.decomp.summands, windows, s, V.box, 4)
     # the stretched V on the corner grid: V, padded to cover the grid's box
     # under floor, pulled back along floor after first.  The line hits each
     # s-block's first coordinate, so no run straddles two blocks.
@@ -461,15 +548,14 @@ def gen4(V: PersModule) -> BuildResult:
     wide = pad(V, GridBox(V.box.lo, (grid.hi[0] // s,) + V.box.hi[1:]))
     top = pullback(wide, lambda u: floor(grid.first(u)), grid.coarse)
     # stretched cover surjection: at y it is p at floor(y), columns permuted
-    # into the rank order used for the rectangle layers
+    # into the rank order used for the rectangle layers, from height -1 to 0
     order, tilde = meta["order"], meta["chain"][2]
-    comps = {}
     for u, d in top.dims.items():
         y = grid.first(u)
         x = floor(y)
         cols = cov.decomp.indices_at(x)
         live = [cols.index(order[j]) for j, r in enumerate(tilde) if r.contains(y)]
-        comps[u] = cov.comps[x].submatrix(range(d), live)
-    links.append(ModMorphism(layers[2], top, comps))
-    M, meta = _stack_on_grid(layers + [top], links, meta)
-    return BuildResult(M, meta["grid"].down(line, V.box), meta)
+        st.steps[(u + (-1,), V.n)] = st.share(cov.comps[x].submatrix(range(d), live))
+    st.put(top, (0,) * V.n)
+    grid = grid.extend(-3, 0)
+    return BuildResult(st.module(grid.coarse), grid.down(line, V.box), {**meta, "grid": grid})

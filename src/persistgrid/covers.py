@@ -77,8 +77,9 @@ def projective_cover(V: PersModule) -> CoverResult:
     f, box, steps = V.field, V.box, V.steps
     gens: list[tuple[tuple, int]] = []  # (vertex, basis row)
     for x in sorted(V.dims):
-        incoming = [m.rows for k in range(box.n) if (m := steps.get((vpred(x, k), k))) is not None]
-        joined = [sum(rows, []) for rows in zip(*incoming)]  # the incoming steps side by side
-        pivots = set(Matrix(f, joined).column_space_pivot_rows()) if incoming else set()
+        incoming = [m for k in range(box.n) if (m := steps.get((vpred(x, k), k))) is not None]
+        if len(incoming) > 1:  # the incoming steps side by side; a single one is read in place
+            incoming = [Matrix(f, [sum(rows, []) for rows in zip(*(m.rows for m in incoming))])]
+        pivots = set(incoming[0].column_space_pivot_rows()) if incoming else set()
         gens += [(x, r) for r in range(V.dims[x]) if r not in pivots]
     return CoverResult(RectDecomp(f, box, [Rectangle(x, box.hi) for x, _ in gens]), V, gens)

@@ -31,9 +31,11 @@ class GridBox:
     hi: tuple
 
     def __post_init__(self):
-        lo, hi = tuple(self.lo), tuple(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        if type(self.lo) is not tuple:
+            object.__setattr__(self, "lo", tuple(self.lo))
+        if type(self.hi) is not tuple:
+            object.__setattr__(self, "hi", tuple(self.hi))
+        lo, hi = self.lo, self.hi
         if len(lo) != len(hi):
             raise ValueError("lo and hi have different lengths")
         if any(a > b for a, b in zip(lo, hi)):
@@ -192,6 +194,8 @@ class PersModule:
         given the live vertices at, only the squares based at them, in at's
         order."""
         steps, n = self.steps, self.n
+        if n < 2:  # no squares
+            return ValidationReport(True, "ok", None)
         # each vertex whose steps the squares read, with its steps along axes 0..n-1
         near = self.dims if at is None else dict.fromkeys(w for v in at for w in (v, *(vsucc(v, k) for k in range(n))))
         rows = {v: [steps.get((v, k)) for k in range(n)] for v in near}

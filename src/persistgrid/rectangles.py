@@ -23,9 +23,11 @@ class Rectangle:
     d: tuple
 
     def __post_init__(self):
-        b, d = tuple(self.b), tuple(self.d)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        if type(self.b) is not tuple:
+            object.__setattr__(self, "b", tuple(self.b))
+        if type(self.d) is not tuple:
+            object.__setattr__(self, "d", tuple(self.d))
+        b, d = self.b, self.d
         if len(b) != len(d) or not vle(b, d):
             raise ValueError(f"bad rectangle [{b}, {d}]")
 
@@ -61,7 +63,7 @@ class RectDecomp:
         for r in self.summands:
             if r.n != box.n:
                 raise ValueError("rectangle dimension does not match box")
-            if not (box.contains(r.b) and box.contains(r.d)):
+            if not (vle(box.lo, r.b) and vle(r.d, box.hi)):  # r.b <= r.d
                 raise ValueError(f"rectangle [{r.b}, {r.d}] escapes box {box.lo}..{box.hi}")
 
     def __len__(self):

@@ -32,15 +32,21 @@ zero vertex between two live ones by testing every pair;
 `candy_wrap_by_glue` builds a candy from a translated copy of the primal
 half and the dual half, glued into new dicts, layer 0 checked to agree;
 `cover_comps_by_composites` makes a projective cover's surjection from one
-internal map per generator vertex and live vertex."""
+internal map per generator vertex and live vertex; `S_by_layers`,
+`S_prime_by_layers`, `min3_rect_by_layers` and `gen4_by_layers` stack a
+construction's layers as modules, each rectangle layer a RectDecomp
+through rect_to_module and each link through realize, all joined by
+grid.stack, and `S_dprime_by_dualize` dualizes S' of the dual module."""
 
 from __future__ import annotations
 
 import itertools
 
 from persistgrid import (CandyModule, PersModule, RectDecomp, Rectangle, build_S_dprime, build_S_prime, end_algebra,
-                         hom_basis, realize, rect_to_module)
-from persistgrid.grid import MAX_DIM, GridBox, ModMorphism, candy_corners, slice_layers, vle, vsub, vsucc
+                         gen4, hom_basis, min3_rect, projective_cover, realize, rect_to_module)
+from persistgrid.constructions import _s_chain, _s_prime_plan
+from persistgrid.grid import (MAX_DIM, Compression, GridBox, ModMorphism, candy_corners, dualize, pad, pullback,
+                              slice_layers, stack, vadd, vle, vsub, vsucc)
 from persistgrid.homspace import Context
 from persistgrid.io import FormatError, _axis_count, _require, _vector, candy_to_json, field_from_json
 from persistgrid.linalg import Matrix, Poly
@@ -587,3 +593,71 @@ def cover_comps_by_composites(V: PersModule, cover) -> dict:
                 row[j] = col[r]
         comps[w] = m
     return comps
+
+
+def chain_layers(field, grid: Compression, chain: list):
+    """A cone chain's layers as modules on grid.coarse, each a RectDecomp
+    of its floored rectangles through rect_to_module, linked through
+    realize by a ones column and then by diagonals: (layers, links)."""
+    m = len(chain[1])
+    decomps = [RectDecomp(field, grid.coarse, [Rectangle(grid.floor(r.b), grid.floor(r.d)) for r in rects])
+               for rects in chain]
+    coords = [{(0, j): field.one for j in range(m)}] + [{(i, i): field.one for i in range(m)}] * (len(chain) - 2)
+    layers = [rect_to_module(d) for d in decomps]
+    links = [ModMorphism(layers[i], layers[i + 1], realize(decomps[i], decomps[i + 1], x))
+             for i, x in enumerate(coords)]
+    return layers, links
+
+
+def _layer_grid(grid: Compression) -> Compression:
+    """A built stack's corner grid without its stacking axis."""
+    return Compression(grid.lo[:-1], grid.hi[:-1], grid.starts[:-1])
+
+
+def S_by_layers(R: RectDecomp) -> PersModule:
+    chain, meta = _s_chain(R, 4)
+    return stack(*chain_layers(R.field, meta["grid"], chain), height_lo=-3)
+
+
+def S_prime_by_layers(V: PersModule) -> PersModule:
+    cov, chain, meta = _s_prime_plan(V, 5)
+    layers, links = chain_layers(V.field, meta["grid"], chain)
+    top = pad(V, layers[0].box)
+    return stack(layers + [top], links + [ModMorphism(layers[3], top, cov.comps)], height_lo=-4)
+
+
+def S_dprime_by_dualize(V: PersModule) -> PersModule:
+    """S'(W) of the dual W of V, dualized and translated so that its
+    copy of W comes back onto the copy of V that build_S_dprime's line
+    gives."""
+    W = dualize(V)
+    g = _s_prime_plan(W, 5)[2]["grid"]
+    return dualize(S_prime_by_layers(W), vsub(vadd(V.box.lo, V.box.hi), vadd(g.lo, g.hi)) + (4,))
+
+
+def min3_rect_by_layers(V: RectDecomp) -> PersModule:
+    """min3_rect's chain, read off its meta, stacked by layers."""
+    meta = min3_rect(V).meta
+    return stack(*chain_layers(V.field, _layer_grid(meta["grid"]), meta["chain"]), height_lo=-2)
+
+
+def gen4_by_layers(V: PersModule) -> PersModule:
+    """gen4's chain, read off its meta, stacked by layers under the
+    stretched V, linked by the stretched cover surjection."""
+    meta = gen4(V).meta
+    s, order, tilde, grid = meta["s"], meta["order"], meta["chain"][2], _layer_grid(meta["grid"])
+    cov = projective_cover(V)
+    layers, links = chain_layers(V.field, grid, meta["chain"])
+
+    def floor(y):
+        return (y[0] // s,) + y[1:]
+
+    wide = pad(V, GridBox(V.box.lo, (grid.hi[0] // s,) + V.box.hi[1:]))
+    top = pullback(wide, lambda u: floor(grid.first(u)), grid.coarse)
+    comps = {}
+    for u, d in top.dims.items():
+        y = grid.first(u)
+        cols = cov.decomp.indices_at(floor(y))
+        live = [cols.index(order[j]) for j, r in enumerate(tilde) if r.contains(y)]
+        comps[u] = cov.comps[floor(y)].submatrix(range(d), live)
+    return stack(layers + [top], links + [ModMorphism(layers[2], top, comps)], height_lo=-3)

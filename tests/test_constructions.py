@@ -1,6 +1,6 @@
 import itertools
+import json
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,8 @@ from persistgrid.rectangles import hom_leq
 from persistgrid.sampling import enumerate_modules, rand_module, rand_rect_decomp, rand_two_rows_with_gap
 from persistgrid.verify import decompose_two_rows, hom_basis, try_split
 
-from oracles import candy_wrap_by_glue, local_dim, module_faults, morphism_faults
+from oracles import (S_by_layers, S_dprime_by_dualize, S_prime_by_layers, candy_wrap_by_glue, gen4_by_layers,
+                     local_dim, min3_rect_by_layers, module_faults, morphism_faults)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -269,6 +270,27 @@ class TestCandyMatchesTheGlue:
             assert len(rows) == len(set(rows.values()))  # one object per distinct matrix
 
 
+class TestStackerMatchesTheLayers:
+    """The stacker writes each construction's layers and links straight
+    into the stack's dicts, and S'' stacks the plan of the dual module
+    mirrored.  Each gives the module that stacking the rectangle modules
+    gives, and for S'' dualizing S' of the dual: equal as a module, equal
+    as PMOD bytes, and with its vertices and steps listed in the same order."""
+
+    @pytest.mark.parametrize("field", [F2, F3, Q], ids=str)
+    def test_every_construction_equals_the_layer_route(self, rng, field):
+        for box in (GridBox((0,), (3,)), GridBox((0, 0), (2, 1)), GridBox((0, 0, 0), (1, 1, 1))):
+            for _ in range(3):
+                R = rand_rect_decomp(rng, field, box.n, 3, hi=3)
+                V = rand_module(rng, field, box, max_dim=2, total_cap=6)
+                for new, old in ((build_S(R).M, S_by_layers(R)), (min3_rect(R).M, min3_rect_by_layers(R)),
+                                 (build_S_prime(V).M, S_prime_by_layers(V)),
+                                 (build_S_dprime(V).M, S_dprime_by_dualize(V)), (gen4(V).M, gen4_by_layers(V))):
+                    assert new == old
+                    assert json.dumps(pmod_to_json(new)) == json.dumps(pmod_to_json(old))
+                    assert list(new.dims) == list(old.dims) and list(new.steps) == list(old.steps)
+
+
 class TestMin3:
     def test_worked_example(self):
         V = RectDecomp(Q, GridBox((0,), (1,)),
@@ -403,28 +425,17 @@ class TestBuiltModulesKeepTheRules:
         assert len(module_faults(bad)) == 4
 
 
-def built_morphisms(rng, field, monkeypatch):
+def built_morphisms(rng, field):
     """Every kind of morphism the library builds, on small random inputs:
-    the construction links as they reach stack, slice_layers links,
-    projective covers (of a dual module too), hom basis elements and both split isos."""
+    the construction links as slice_layers reads them off each built stack,
+    slice_layers links, projective covers (of a dual module too), hom basis
+    elements and both split isos."""
     V = rand_module(rng, field, GridBox((0,), (3,)), max_dim=2)
     W = rand_module(rng, field, GridBox((0, 0), (1, 1)), max_dim=2)
-    links = []
-    real_stack = constructions.stack
-
-    def spy(layers, ls, **kwargs):
-        links.extend(ls)
-        return real_stack(layers, ls, **kwargs)
-
-    monkeypatch.setattr(constructions, "stack", spy)
     R = rand_rect_decomp(rng, field, 1, 4)
-    build_S(R)
-    min3(R)
-    min3_rect(rand_rect_decomp(rng, field, 2, 3, hi=2))
-    build_S_prime(V)
-    build_S_dprime(V)
-    gen4(V)
-    gen4(W)
+    links = [f for r in (build_S(R), min3(R), min3_rect(rand_rect_decomp(rng, field, 2, 3, hi=2)),
+                         build_S_prime(V), build_S_dprime(V), gen4(V), gen4(W))
+             for f in slice_layers(r.M)[1]]
     assert len(links) >= 20
     yield from links
     yield from slice_layers(W)[1]
@@ -443,9 +454,9 @@ class TestBuiltMorphismsKeepTheRules:
     morphism_faults checks each morphism the library builds."""
 
     @pytest.mark.parametrize("field", [Q, F3])
-    def test_every_builder(self, rng, field, monkeypatch):
+    def test_every_builder(self, rng, field):
         count = 0
-        for f in built_morphisms(rng, field, monkeypatch):
+        for f in built_morphisms(rng, field):
             assert morphism_faults(f) == []
             count += 1
         assert count > 40
@@ -509,23 +520,21 @@ class TestSharedStepsStayUnchanged:
 
 class TestCornerGrid:
     """The CLI's constructions fill their rectangle layers on the corner
-    grid, never on the stacked layout: every box rect_to_module receives is
-    smaller than the stacked layer box, which meta reads."""
+    grid, never on the stacked layout: the layer box of every stacker call
+    is smaller than the stacked layer box, which meta reads."""
 
     @staticmethod
     def _boxes(monkeypatch, argv) -> list:
-        """The vertex count of each box rect_to_module receives while
-        cli.main runs argv, at every import site."""
+        """The vertex count of the layer box, grid.coarse, of each stacker
+        call while cli.main runs argv."""
         counts = []
-        real = rect_to_module
+        real = constructions._Stack.chain
 
-        def spy(R):
-            counts.append(R.box.count)
-            return real(R)
+        def spy(st, grid, *args, **kwargs):
+            counts.append(grid.coarse.count)
+            return real(st, grid, *args, **kwargs)
 
-        for name, mod in list(sys.modules.items()):
-            if (name == "persistgrid" or name.startswith("persistgrid.")) and hasattr(mod, "rect_to_module"):
-                monkeypatch.setattr(mod, "rect_to_module", spy)
+        monkeypatch.setattr(constructions._Stack, "chain", spy)
         assert main(argv) == 0
         return counts
 
@@ -545,15 +554,15 @@ class TestCornerGrid:
         stacked = min(GridBox.hull([box] + [GridBox(b, d) for b, d in zip(m["bprime"], m["dprime"])]).count
                       for box, m in metas)
         counts = self._boxes(monkeypatch, ["construct", "--method", "candy", "--in", p, "--out", p + ".out"])
-        # the four rectangle layers of each half; a projective cover builds no module
-        assert len(counts) == 8 and all(4 * c <= stacked for c in counts), (counts, stacked)
+        # one chain of four rectangle layers for each half; a projective cover builds no module
+        assert len(counts) == 2 and all(4 * c <= stacked for c in counts), (counts, stacked)
 
     def test_gen4_3x3_layers_are_smaller(self, tmp_path, monkeypatch):
         V, p = self._module(tmp_path, GridBox((0, 0), (2, 2)), 2)
         grid = gen4(V).meta["grid"]
         stacked = GridBox(grid.lo[:-1], grid.hi[:-1]).count  # one layer of the stacked layout
         counts = self._boxes(monkeypatch, ["construct", "--method", "gen4", "--in", p, "--out", p + ".out"])
-        assert len(counts) == 3 and all(c < stacked for c in counts), (counts, stacked)
+        assert len(counts) == 1 and all(c < stacked for c in counts), (counts, stacked)
 
     def test_candy_halves_keep_the_input_coordinates(self, rng, monkeypatch):
         """S and S' keep every coordinate of V's box, so their line is the

@@ -17,7 +17,7 @@ import signal
 from persistgrid import Field, GridBox, candy_wrap, min3
 from persistgrid.cli import main
 from persistgrid.io import candy_to_json, line_to_json, pmod_to_json, rects_to_json
-from persistgrid.sampling import rand_module, rand_rect_decomp
+from persistgrid.sampling import rand_module, rand_rect_decomp, rand_two_rows_with_gap
 
 from oracles import pmod_to_json_v1
 
@@ -78,8 +78,9 @@ def inputs():
     """(kind, file contents, {name: contents} of the unmutated files beside
     it) of the seeded inputs: a 3x2 PMOD over F_1009, 1D PMODs over Q in
     both forms, a RECTS file, a candy, the LINE of a min3 output beside that
-    output, the output beside its LINE, and a `string` manifest beside the
-    two 1D modules it names."""
+    output, the output beside its LINE, a `string` manifest beside the two
+    1D modules it names, and a two-row PMOD over F_1009 with a gap, which
+    `verify tworows` splits; the last is drawn last, after the others."""
     rng = random.Random(SEED)
     F, Q = Field.prime(1009), Field.rationals()
     M2 = rand_module(rng, F, GridBox((0, 0), (2, 1)), max_dim=2)
@@ -93,7 +94,8 @@ def inputs():
     return [("pmod", pmod_to_json(M2), {}), ("pmod", pmod_to_json(M1), {}), ("pmod", pmod_to_json_v1(M1), {}),
             ("rects", rects_to_json(R), {}), ("candy", candy_to_json(C), {}),
             ("line", line, {"MOD": out}), ("built", out, {"LINE": line}),
-            ("manifest", {"modules": sorted(modules)}, modules)]
+            ("manifest", {"modules": sorted(modules)}, modules),
+            ("pmod", pmod_to_json(rand_two_rows_with_gap(rng, F)), {})]
 
 
 # the argv tails of each kind's verbs; IN is the mutated file, SAME the

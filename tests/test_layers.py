@@ -1,7 +1,8 @@
 """The package's modules import only from lower layers:
 fields -> linalg -> grid -> rectangles -> covers/homspace ->
-verify/constructions -> io/sampling -> cli, and homspace takes only the
-interval records from rectangles; no file in the package or
+verify/constructions -> io/sampling -> cli, homspace takes only the
+interval records from rectangles, and constructions imports no
+rect_to_module, realize or stack; no file in the package or
 its tests imports a name it never uses; and the package never divides
 with `/`, which turns two ints into a float."""
 
@@ -48,6 +49,16 @@ def test_hom_engine_reads_only_interval_records_from_rectangles():
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              and node.level == 1 and node.module == "rectangles" for alias in node.names}
     assert names == {"Intervals", "interval_decompose_1d"}
+
+
+def test_constructions_stack_only_through_the_stacker():
+    """constructions writes every stack with its one stacker: it imports no
+    rect_to_module, realize or stack, so no second chain path comes back."""
+    with open(os.path.join(PACKAGE, "constructions.py")) as fh:
+        tree = ast.parse(fh.read())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names}
+    assert names.isdisjoint({"rect_to_module", "realize", "stack"}), names
 
 
 def unused_imports(path):
